@@ -1,6 +1,6 @@
 // Benchmarks regenerating the performance-relevant side of every paper
 // artifact (Figures 4-8, Table 1, the demo scenarios) plus the extension
-// sweeps S1-S4 and ablations of DESIGN.md §6. Run with:
+// sweeps S1-S4 and ablations. Run with:
 //
 //	go test -bench=. -benchmem
 package mdm_test
@@ -250,7 +250,7 @@ func BenchmarkGAVvsLAV(b *testing.B) {
 	})
 }
 
-// --- Ablation: relational optimizer on/off (DESIGN.md §6) ---
+// --- Ablation: relational optimizer on/off ---
 
 func BenchmarkOptimizerAblation(b *testing.B) {
 	f := usecase.MustNew()
@@ -367,32 +367,20 @@ SELECT ?a ?c ?w WHERE { ?a ex:p0 ?b . ?b ex:p1 ?c . ?a ex:p2 ?w }`
 
 // BenchmarkSPARQLJoinRows measures the ID-row join core on a wide
 // 3-pattern BGP over ~10k triples producing ~9k solution rows, the
-// shape where per-solution allocation dominates. The seq variant pins
-// the single-goroutine pipeline; par lets the planner use the
-// morsel-parallel join (identical to seq when GOMAXPROCS=1, so run
-// with -cpu 1,4 to see the scaling).
+// shape where per-solution allocation dominates.
 func BenchmarkSPARQLJoinRows(b *testing.B) {
 	ds := joinRowsDataset()
-	defer sparql.SetParallelism(0)
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"seq", 1}, {"par", 0}} {
-		b.Run(tc.name, func(b *testing.B) {
-			sparql.SetParallelism(tc.workers)
-			q := sparql.MustParse(joinRowsQuery)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sparql.Eval(ds, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Len() != 9000 {
-					b.Fatalf("rows = %d", res.Len())
-				}
-			}
-		})
+	q := sparql.MustParse(joinRowsQuery)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sparql.Eval(ds, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Len() != 9000 {
+			b.Fatalf("rows = %d", res.Len())
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Command mdm-bench regenerates every artifact of the paper's
 // demonstration — Figures 1–8, Table 1 and the three on-site scenarios —
-// plus the extension experiments S1–S4 of DESIGN.md.
+// plus the extension experiments S1–S4.
 //
 // Usage:
 //
@@ -8,7 +8,7 @@
 //	mdm-bench -all             # everything, in paper order
 //	mdm-bench -list            # list experiment ids
 //
-// Outputs are plain text, suitable for diffing against EXPERIMENTS.md.
+// Outputs are plain text, suitable for diffing between runs.
 package main
 
 import (

@@ -102,7 +102,6 @@ import (
 	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rest"
-	"mdm/internal/sparql"
 	"mdm/internal/tdb"
 	"mdm/internal/usecase"
 )
@@ -125,13 +124,11 @@ func main() {
 	partial := flag.Bool("partial", false, "degrade walks on source failure by default (annotate instead of fail)")
 	serveStale := flag.Bool("serve-stale", false, "in partial mode, substitute a source's last good snapshot")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "in-flight request drain window on shutdown")
-	parallel := flag.Int("parallel", 0, "SPARQL join worker budget (0 = GOMAXPROCS-derived, 1 = sequential)")
 	slowThreshold := flag.Duration("slow-query-threshold", 250*time.Millisecond, "queries slower than this are written to the slow-query log")
 	slowLogPath := flag.String("slow-query-log", "", "slow-query log file, size-rotated (empty = stderr)")
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	flag.Parse()
 
-	sparql.SetParallelism(*parallel)
 	storeOpts := mdm.StoreOptions{
 		SyncInterval:        *fsyncInterval,
 		CompactInterval:     *compactInterval,

@@ -690,115 +690,6 @@ func (g *Graph) AppendMatchIDs(dst []TermID, s, p, o TermID) []TermID {
 	return dst
 }
 
-// AppendMatchIDsShard is the range-partitioned variant of
-// AppendMatchIDs for parallel consumers: the pattern's match set is
-// split into `shards` disjoint subsets and only subset `shard`
-// (0 ≤ shard < shards) is appended. The union of all shards is exactly
-// the AppendMatchIDs set, and for a fixed graph state a triple always
-// lands in the same shard, so concurrent workers can each scan one
-// shard under their own read-lock acquisition and cover the pattern
-// without coordination or overlap.
-//
-// Which triple position partitions the set is unspecified — it is
-// chosen per pattern shape so that, where the index structure allows,
-// whole sub-maps outside the shard are skipped rather than filtered
-// element-wise. shards <= 1 degenerates to AppendMatchIDs.
-func (g *Graph) AppendMatchIDsShard(dst []TermID, s, p, o TermID, shard, shards int) []TermID {
-	if shards <= 1 {
-		return g.AppendMatchIDs(dst, s, p, o)
-	}
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	g.eachMatchIDsShardLocked(s, p, o, uint32(shard), uint32(shards), func(a, b, c TermID) bool {
-		dst = append(dst, a, b, c)
-		return true
-	})
-	return dst
-}
-
-// eachMatchIDsShardLocked mirrors eachMatchIDsLocked but emits only the
-// triples whose partition coordinate falls in the given shard. The
-// coordinate is the chosen index's second iteration level (or the leaf
-// set for single-free-position shapes), so for a fixed graph state a
-// triple always lands in the same shard; the fully-free shape skips
-// whole off-shard subtrees by subject.
-func (g *Graph) eachMatchIDsShardLocked(s, p, o TermID, shard, shards uint32, fn func(s, p, o TermID) bool) bool {
-	sAny, pAny, oAny := s == AnyID, p == AnyID, o == AnyID
-	switch {
-	case !sAny && !pAny && !oAny:
-		if shard != 0 {
-			return true
-		}
-		return g.eachMatchIDsLocked(s, p, o, fn)
-	case !sAny && !pAny: // s p ? — filter objects
-		for obj := range g.spo[s].setItems(p) {
-			if uint32(obj)%shards != shard {
-				continue
-			}
-			if !fn(s, p, obj) {
-				return false
-			}
-		}
-	case !sAny && !oAny: // s ? o — filter predicates
-		for pred := range g.osp[o].setItems(s) {
-			if uint32(pred)%shards != shard {
-				continue
-			}
-			if !fn(s, pred, o) {
-				return false
-			}
-		}
-	case !pAny && !oAny: // ? p o — filter subjects
-		for subj := range g.pos[p].setItems(o) {
-			if uint32(subj)%shards != shard {
-				continue
-			}
-			if !fn(subj, p, o) {
-				return false
-			}
-		}
-	case !sAny: // s ? ? — partition by predicate
-		for pred, obj := range g.spo[s].items() {
-			if uint32(pred)%shards != shard {
-				continue
-			}
-			if !fn(s, pred, obj) {
-				return false
-			}
-		}
-	case !pAny: // ? p ? — partition by object
-		for obj, subj := range g.pos[p].items() {
-			if uint32(obj)%shards != shard {
-				continue
-			}
-			if !fn(subj, p, obj) {
-				return false
-			}
-		}
-	case !oAny: // ? ? o — partition by subject
-		for subj, pred := range g.osp[o].items() {
-			if uint32(subj)%shards != shard {
-				continue
-			}
-			if !fn(subj, pred, o) {
-				return false
-			}
-		}
-	default: // ? ? ? — partition by subject, skipping sub-trees
-		for subj, mid := range g.spo {
-			if uint32(subj)%shards != shard {
-				continue
-			}
-			for pred, obj := range mid.items() {
-				if !fn(subj, pred, obj) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // CountIDs is the ID-level variant of Count: pattern components are
 // dictionary IDs with AnyID as the wildcard. Like Count it is computed
 // from index map lengths and allocates nothing.

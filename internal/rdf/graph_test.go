@@ -349,64 +349,6 @@ func TestGraphAppendMatchIDs(t *testing.T) {
 	}
 }
 
-func TestGraphAppendMatchIDsShard(t *testing.T) {
-	g := NewGraph()
-	for i := 0; i < 60; i++ {
-		g.MustAdd(mkTriple(i))
-	}
-	id := func(s string) TermID {
-		v, ok := g.IDOf(IRI(s))
-		if !ok {
-			t.Fatalf("%s not interned", s)
-		}
-		return v
-	}
-	s0 := id("http://ex.org/s0")
-	p1 := id("http://ex.org/p1")
-	o0, _ := g.IDOf(mkTriple(0).O)
-	patterns := [][3]TermID{
-		{AnyID, AnyID, AnyID},
-		{s0, AnyID, AnyID},
-		{AnyID, p1, AnyID},
-		{AnyID, AnyID, o0},
-		{s0, p1, AnyID},
-		{s0, AnyID, o0},
-		{AnyID, p1, o0},
-		{s0, p1, o0},
-	}
-	for _, pat := range patterns {
-		for _, shards := range []int{1, 2, 3, 4, 7, 64} {
-			want := map[[3]TermID]int{}
-			for raw := g.AppendMatchIDs(nil, pat[0], pat[1], pat[2]); len(raw) > 0; raw = raw[3:] {
-				want[[3]TermID{raw[0], raw[1], raw[2]}]++
-			}
-			got := map[[3]TermID]int{}
-			total := 0
-			for shard := 0; shard < shards; shard++ {
-				raw := g.AppendMatchIDsShard(nil, pat[0], pat[1], pat[2], shard, shards)
-				if len(raw)%3 != 0 {
-					t.Fatalf("pattern %v shard %d/%d: length %d not a multiple of 3", pat, shard, shards, len(raw))
-				}
-				total += len(raw) / 3
-				for i := 0; i < len(raw); i += 3 {
-					got[[3]TermID{raw[i], raw[i+1], raw[i+2]}]++
-				}
-			}
-			if total != len(got) {
-				t.Fatalf("pattern %v shards=%d: shards overlap (%d triplets, %d distinct)", pat, shards, total, len(got))
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pattern %v shards=%d: union has %d triplets, want %d", pat, shards, len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != 1 {
-					t.Fatalf("pattern %v shards=%d: triplet %v seen %d times", pat, shards, k, got[k])
-				}
-			}
-		}
-	}
-}
-
 func TestGraphDistinctCountIDs(t *testing.T) {
 	g := NewGraph()
 	ex := func(s string) Term { return IRI("http://ex.org/" + s) }

@@ -1,5 +1,5 @@
 // Package gav implements a global-as-view (GAV) baseline for comparison
-// with MDM's LAV rewriting (experiment S4 in DESIGN.md).
+// with MDM's LAV rewriting (experiment s4 of cmd/mdm-bench).
 //
 // Under GAV, every element of the global schema is characterized by a
 // fixed query over the source schemata (paper §1, citing [8]): each

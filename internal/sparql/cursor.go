@@ -86,15 +86,6 @@ type triplePlan struct {
 	hash     bool
 	keySlots []int
 	keyPos   []uint8
-
-	// Parallelism decision: parCost is the pattern's estimated join work
-	// in emitted-match units (input rows × (1 + fanout), recorded by
-	// chooseJoin); plan marks par on root-level hash patterns whose cost
-	// clears parallelMinWork when the evaluation's worker budget allows,
-	// and chainRoot fuses consecutive marked patterns into one
-	// morselJoinIter (see parallel.go).
-	parCost float64
-	par     bool
 }
 
 func (*triplePlan) patternPlan() {}
@@ -296,7 +287,6 @@ func (e *evaluator) chooseJoin(p *triplePlan, pc *planCtx) {
 	default:
 		p.hash = pc.rows >= hashJoinMinRows && build < pc.rows*(nestedLoopRowTax-1)
 	}
-	p.parCost = pc.rows * (1 + fanout)
 	pc.rows = math.Max(1, pc.rows*fanout)
 }
 
@@ -383,7 +373,6 @@ type cachedPlan struct {
 	version uint64
 	dictLen int
 	mode    int32
-	par     int
 	root    *groupPlan
 	summary string // one-line plan shape for EXPLAIN / slow-query log
 }
@@ -406,18 +395,13 @@ type cachedPlan struct {
 // Dict.Len and recompiles — the stale plan can be used at most for the
 // evaluation that compiled it, which is exactly the non-snapshot
 // semantics every evaluation already has (matching runs against live
-// indexes either way). The parallel workers never touch this path: a
-// plan is compiled and its par flags marked on the caller's goroutine
-// before any worker goroutine exists, and workers treat the plan and
-// its tables as read-only.
+// indexes either way).
 func (e *evaluator) plan(q *Query) (*groupPlan, error) {
 	mode := joinMode
-	par := e.planParallelism(q)
-	e.par = par
 	ver := e.ds.Version()
 	dictLen := e.dict.Len()
 	if c := q.plan.Load(); c != nil && c.ds == e.ds && c.version == ver &&
-		c.dictLen == dictLen && c.mode == mode && c.par == par {
+		c.dictLen == dictLen && c.mode == mode {
 		obsPlanCacheHit.Inc()
 		if tr := e.trace; tr != nil {
 			tr.SetAttr("plan_cache", "hit")
@@ -431,22 +415,15 @@ func (e *evaluator) plan(q *Query) (*groupPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if par > 1 {
-		for _, pat := range root.patterns {
-			if tp, ok := pat.(*triplePlan); ok && tp.hash && !tp.dead {
-				tp.par = parMode == parForceOn || tp.parCost >= parallelMinWork
-			}
-		}
-	}
 	var cnt planCounts
 	cnt.group(root)
 	countJoinStrategies(cnt)
-	summary := cnt.summary(par)
+	summary := cnt.summary()
 	if tr := e.trace; tr != nil {
 		tr.SetAttr("plan_cache", "miss")
 		tr.SetPlan(summary)
 	}
-	q.plan.Store(&cachedPlan{ds: e.ds, version: ver, dictLen: dictLen, mode: mode, par: par, root: root, summary: summary})
+	q.plan.Store(&cachedPlan{ds: e.ds, version: ver, dictLen: dictLen, mode: mode, root: root, summary: summary})
 	return root, nil
 }
 
@@ -454,36 +431,31 @@ func (e *evaluator) plan(q *Query) (*groupPlan, error) {
 func (e *evaluator) chain(gp *groupPlan, src rowIter) rowIter {
 	it := src
 	for _, p := range gp.patterns {
-		it = e.chainOne(p, it)
+		switch pl := p.(type) {
+		case *triplePlan:
+			if pl.hash {
+				it = e.traced(&hashJoinIter{e: e, src: it, p: pl, scratch: e.newRow(), chain: -1}, pl, "hash-join", "hash", it)
+				break
+			}
+			ti := &tripleIter{e: e, src: it, p: pl, scratch: e.newRow()}
+			ti.emit = ti.emitMatch
+			it = e.traced(ti, pl, "triple-scan", "nested_loop", it)
+		case *optionalPlan:
+			it = e.traced(&optionalIter{e: e, src: it, p: pl}, pl, "optional", "", it)
+		case *unionPlan:
+			it = e.traced(&unionIter{e: e, src: it, p: pl}, pl, "union", "", it)
+		case *pathPlan:
+			it = e.traced(&pathIter{e: e, src: it, p: pl, scratch: e.newRow()}, pl, "path", "nested_loop", it)
+		case *graphPlan:
+			it = e.traced(&graphIter{e: e, src: it, p: pl, scratch: e.newRow()}, pl, "graph", "", it)
+		case *inlineGroupPlan:
+			it = e.chain(pl.sub, it)
+		case *deadPlan:
+			it = emptyIter{}
+		}
 	}
 	if len(gp.filters) > 0 {
 		it = e.traced(&filterIter{e: e, src: it, exprs: gp.filters}, gp, "filter", "", it)
-	}
-	return it
-}
-
-// chainOne instantiates one planned pattern as an operator over it.
-func (e *evaluator) chainOne(p patternPlan, it rowIter) rowIter {
-	switch pl := p.(type) {
-	case *triplePlan:
-		if pl.hash {
-			return e.traced(&hashJoinIter{e: e, src: it, p: pl, scratch: e.newRow(), chain: -1}, pl, "hash-join", "hash", it)
-		}
-		ti := &tripleIter{e: e, src: it, p: pl, scratch: e.newRow()}
-		ti.emit = ti.emitMatch
-		return e.traced(ti, pl, "triple-scan", "nested_loop", it)
-	case *optionalPlan:
-		return e.traced(&optionalIter{e: e, src: it, p: pl}, pl, "optional", "", it)
-	case *unionPlan:
-		return e.traced(&unionIter{e: e, src: it, p: pl}, pl, "union", "", it)
-	case *pathPlan:
-		return e.traced(&pathIter{e: e, src: it, p: pl, scratch: e.newRow()}, pl, "path", "nested_loop", it)
-	case *graphPlan:
-		return e.traced(&graphIter{e: e, src: it, p: pl, scratch: e.newRow()}, pl, "graph", "", it)
-	case *inlineGroupPlan:
-		return e.chain(pl.sub, it)
-	case *deadPlan:
-		return emptyIter{}
 	}
 	return it
 }
@@ -639,37 +611,18 @@ func (e *evaluator) hashTable(p *triplePlan) *hashTable {
 	if t, ok := e.tables[p]; ok {
 		return t
 	}
-	raw := filterSameViolations(p.g.AppendMatchIDs(nil, p.sID, p.pID, p.oID), p)
-	t := newChainTable(raw, p)
-	if e.tables == nil {
-		e.tables = make(map[*triplePlan]*hashTable)
-	}
-	e.tables[p] = t
-	return t
-}
-
-// filterSameViolations drops the triplets of raw that violate the
-// pattern's repeated-variable equalities, in place.
-func filterSameViolations(raw []rdf.TermID, p *triplePlan) []rdf.TermID {
-	if !p.spSame && !p.soSame && !p.poSame {
-		return raw
-	}
-	kept := raw[:0]
-	for i := 0; i < len(raw); i += 3 {
-		ms, mp, mo := raw[i], raw[i+1], raw[i+2]
-		if p.spSame && ms != mp || p.soSame && ms != mo || p.poSame && mp != mo {
-			continue
+	raw := p.g.AppendMatchIDs(nil, p.sID, p.pID, p.oID)
+	if p.spSame || p.soSame || p.poSame {
+		kept := raw[:0]
+		for i := 0; i < len(raw); i += 3 {
+			ms, mp, mo := raw[i], raw[i+1], raw[i+2]
+			if p.spSame && ms != mp || p.soSame && ms != mo || p.poSame && mp != mo {
+				continue
+			}
+			kept = append(kept, ms, mp, mo)
 		}
-		kept = append(kept, ms, mp, mo)
+		raw = kept
 	}
-	return kept
-}
-
-// newChainTable builds the intrusive-chain table over raw, a flat
-// (s, p, o) triplet slice already filtered for repeated-variable
-// violations. Shared by the sequential build (evaluator.hashTable) and
-// the per-partition parallel builds (evaluator.parTable).
-func newChainTable(raw []rdf.TermID, p *triplePlan) *hashTable {
 	n := len(raw) / 3
 	t := &hashTable{rows: raw, next: make([]int32, n)}
 	if len(p.keySlots) == 1 {
@@ -696,6 +649,10 @@ func newChainTable(raw []rdf.TermID, p *triplePlan) *hashTable {
 			t.head[k] = int32(i)
 		}
 	}
+	if e.tables == nil {
+		e.tables = make(map[*triplePlan]*hashTable)
+	}
+	e.tables[p] = t
 	return t
 }
 
@@ -714,13 +671,6 @@ type hashJoinIter struct {
 	scratch []rdf.TermID // the emitted row; rewritten per match
 	cur     []rdf.TermID // the borrowed input row being extended
 	tab     *hashTable
-	// pt, when set, replaces the lazily built single table: the probe
-	// selects the partition of each row's key hash (tab then names the
-	// current partition), and the unbound-key linear fallback walks
-	// every partition via pi. Set only inside morsel workers, which
-	// receive their tables pre-built (see parallel.go).
-	pt      *partitionedTable
-	pi      int   // next partition for the linear fallback when pt != nil
 	chain   int32 // next candidate triplet in cur's bucket chain, -1 done
 	linear  bool  // fallback: scan all triplets for cur
 	pos     int   // next triplet offset when linear
@@ -733,14 +683,8 @@ func (it *hashJoinIter) next() []rdf.TermID {
 		for {
 			var base int
 			if it.linear {
-				if it.tab == nil || it.pos >= len(it.tab.rows) {
-					if it.pt == nil || it.pi >= len(it.pt.parts) {
-						break
-					}
-					it.tab = it.pt.parts[it.pi]
-					it.pi++
-					it.pos = 0
-					continue
+				if it.pos >= len(it.tab.rows) {
+					break
 				}
 				base = it.pos
 				it.pos += 3
@@ -777,32 +721,13 @@ func (it *hashJoinIter) next() []rdf.TermID {
 		if row == nil {
 			return nil
 		}
-		if it.tab == nil && it.pt == nil {
+		if it.tab == nil {
 			it.tab = it.e.hashTable(p)
 		}
 		it.cur = row
 		copy(it.scratch, row)
-		it.pos, it.chain, it.linear, it.pi = 0, -1, false, 0
+		it.pos, it.chain, it.linear = 0, -1, false
 		switch {
-		case it.pt != nil:
-			// Partitioned probe: hash the key to its partition, then the
-			// usual bucket lookup within it. An unbound key slot falls
-			// back to scanning every partition, which together hold
-			// exactly the single table's triplets.
-			it.tab = nil
-			if key, ok := p.probeKey(row); ok {
-				t := it.pt.part(key)
-				it.tab = t
-				if t.head1 != nil {
-					if h, hit := t.head1[key[0]]; hit {
-						it.chain = h
-					}
-				} else if h, hit := t.head[key]; hit {
-					it.chain = h
-				}
-			} else {
-				it.linear = true
-			}
 		case it.tab.head1 != nil:
 			if v := row[p.keySlots[0]]; v != unboundID {
 				if h, hit := it.tab.head1[v]; hit {
@@ -1477,7 +1402,7 @@ func EvalCursorTrace(ds *rdf.Dataset, q *Query, tr *obs.Trace) (*Cursor, error) 
 	for i := range init {
 		init[i] = unboundID
 	}
-	src := e.chainRoot(gp, &onceIter{row: init})
+	src := e.chain(gp, &onceIter{row: init})
 	c := &Cursor{e: e, form: q.Form}
 	if q.Form == FormAsk {
 		c.it = e.traced(&pageIter{src: src, limit: 1}, "ask", "ask", "", src)

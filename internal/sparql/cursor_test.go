@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,6 +166,19 @@ func TestCursorPagedReadIsPrefix(t *testing.T) {
 // bounded top-k operator) must return exactly the prefix of the
 // unlimited result, including with OFFSET and DISTINCT.
 func TestCursorLimitEqualsFullPrefix(t *testing.T) {
+	checkLimitEqualsFullPrefix(t)
+}
+
+// TestParallelLimitEqualsSequentialPage is the same page-vs-full-drain
+// equality with every pattern forced through the hash join, whatever
+// the cost model would have picked. (The name is pinned by the tier-1
+// floor list.)
+func TestParallelLimitEqualsSequentialPage(t *testing.T) {
+	withJoinMode(t, joinForceHash, func() { checkLimitEqualsFullPrefix(t) })
+}
+
+func checkLimitEqualsFullPrefix(t *testing.T) {
+	t.Helper()
 	ds, base := joinFixture()
 	full, err := Eval(ds, base)
 	if err != nil {
@@ -203,6 +218,67 @@ func TestCursorLimitEqualsFullPrefix(t *testing.T) {
 const joinFixtureQuerySrc = `
 PREFIX ex: <http://ex.org/>
 SELECT ?a ?c ?w WHERE { ?a ex:p0 ?b . ?b ex:p1 ?c . ?a ex:p2 ?w }`
+
+// TestOffsetOverflowClamped: an offset near MaxInt must yield an empty
+// page (there are never MaxInt rows), not an overflowed top-k capacity
+// that silently misbehaves. Regression for the REST paging sweep; the
+// HTTP-level test lives in internal/rest.
+func TestOffsetOverflowClamped(t *testing.T) {
+	ds, q := joinFixture()
+	for _, offset := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt64 - 100} {
+		q.Limit, q.Offset = 1, offset
+		q.plan.Store(nil)
+		res, err := Eval(ds, q)
+		if err != nil {
+			t.Fatalf("offset=%d: %v", offset, err)
+		}
+		if res.Len() != 0 {
+			t.Fatalf("offset=%d: got %d rows, want empty page", offset, res.Len())
+		}
+	}
+	// The boundary that still fits must keep working as a normal page.
+	q.Limit, q.Offset = 1, 8999
+	q.plan.Store(nil)
+	res, err := Eval(ds, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 {
+		t.Fatalf("offset=8999 limit=1: got %d rows, want 1", res.Len())
+	}
+}
+
+// TestLimitPushdownAllocs pins the O(page) cost of a LIMIT over the
+// 9k-row join with default settings: the bounded top-k keeps 10 rows, so
+// an evaluation allocates the hash-join build sides and little else. A
+// stage that batches the join output ahead of the top-k shows up here
+// as hundreds of allocations. Mallocs are read from MemStats rather
+// than testing.AllocsPerRun because the latter pins GOMAXPROCS to 1,
+// which would hide any stage that only engages with spare cores.
+func TestLimitPushdownAllocs(t *testing.T) {
+	ds, _ := joinFixture()
+	q := MustParse(joinFixtureQuerySrc + " LIMIT 10")
+	eval := func() {
+		res, err := Eval(ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 10 {
+			t.Fatalf("rows = %d, want 10", res.Len())
+		}
+	}
+	eval() // compile and cache the plan
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := (after.Mallocs - before.Mallocs) / runs; allocs > 70 {
+		t.Fatalf("LIMIT 10 over the 9k-row join: %d allocs per evaluation, want <= 70", allocs)
+	}
+}
 
 func TestCursorSolutionsSeq(t *testing.T) {
 	ds := rdf.NewDataset()

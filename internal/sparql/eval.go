@@ -206,14 +206,6 @@ type evaluator struct {
 	// (OPTIONAL, UNION, GRAPH) share one build instead of re-scanning.
 	tables map[*triplePlan]*hashTable
 
-	// ptables caches the partitioned build sides of parallel segments,
-	// and par is the worker budget this evaluation planned with (set by
-	// plan; <= 1 means sequential). Morsel workers run on private
-	// evaluators — see parallel.go — so neither field is ever touched
-	// off the caller's goroutine.
-	ptables map[*triplePlan]*partitionedTable
-	par     int
-
 	// Path-operator state (path.go): pooled visited bitsets and
 	// frontier buffer for the closure fixpoint (pooled because nested
 	// closures need independent sets), and the per-graph node set that

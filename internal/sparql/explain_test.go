@@ -8,9 +8,8 @@ import (
 )
 
 // Coverage for the EXPLAIN trace path: per-operator spans with rows and
-// timings for sequential and morsel-parallel plans, plan-summary
-// annotations, and the zero-wrapping guarantee when no trace rides the
-// evaluation.
+// timings, plan-summary annotations, and the zero-wrapping guarantee
+// when no trace rides the evaluation.
 
 func drainTraced(t *testing.T, q *Query, tr *obs.Trace) int64 {
 	t.Helper()
@@ -28,81 +27,40 @@ func drainTraced(t *testing.T, q *Query, tr *obs.Trace) int64 {
 	return cur.Rows()
 }
 
-// TestExplainParallelHashJoin pins the acceptance criterion: ?explain
-// detail on a parallel hash-join query yields per-operator stage
-// timings, a morsel-parallel span with its row counts, and the plan
-// stage duration.
-func TestExplainParallelHashJoin(t *testing.T) {
-	withParMode(t, parForceOn, func() {
-		withParWorkers(t, 4, func() {
-			_, q := joinFixture()
-			tr := obs.NewTrace()
-			tr.Detail = true
-			rows := drainTraced(t, q, tr)
-			if rows == 0 {
-				t.Fatal("fixture drained zero rows")
-			}
-			rep := tr.Report()
-			if rep.Plan == "" {
-				t.Errorf("no plan summary recorded")
-			}
-			if got := rep.Attrs["plan_cache"]; got != "hit" && got != "miss" {
-				t.Errorf("plan_cache attr = %q", got)
-			}
-			var morsel *obs.OpReport
-			for i := range rep.Operators {
-				if rep.Operators[i].Op == "morsel-join" {
-					morsel = &rep.Operators[i]
-				}
-			}
-			if morsel == nil {
-				t.Fatalf("no morsel-join span under forced parallelism; operators: %+v", rep.Operators)
-			}
-			if morsel.RowsOut != rows {
-				t.Errorf("morsel-join rows_out = %d, want %d", morsel.RowsOut, rows)
-			}
-			if morsel.Calls < rows {
-				t.Errorf("morsel-join calls = %d, want >= %d", morsel.Calls, rows)
-			}
-			hasPlanStage := false
-			for _, s := range rep.Stages {
-				if s.Name == "plan" {
-					hasPlanStage = true
-				}
-			}
-			if !hasPlanStage {
-				t.Errorf("no plan stage in %+v", rep.Stages)
-			}
-		})
-	})
-}
-
 // TestExplainSequentialOperators: the nested/hash operator chain shows
-// up span-per-operator with rows_in linked from each span's source.
+// up span-per-operator with rows_in linked from each span's source, and
+// the plan stage is timed.
 func TestExplainSequentialOperators(t *testing.T) {
-	withParMode(t, parForceOff, func() {
-		_, q := joinFixture()
-		tr := obs.NewTrace()
-		tr.Detail = true
-		rows := drainTraced(t, q, tr)
-		rep := tr.Report()
-		if len(rep.Operators) < 2 {
-			t.Fatalf("expected an operator chain, got %+v", rep.Operators)
+	_, q := joinFixture()
+	tr := obs.NewTrace()
+	tr.Detail = true
+	rows := drainTraced(t, q, tr)
+	rep := tr.Report()
+	if len(rep.Operators) < 2 {
+		t.Fatalf("expected an operator chain, got %+v", rep.Operators)
+	}
+	last := rep.Operators[len(rep.Operators)-1]
+	if last.RowsOut != rows {
+		t.Errorf("outermost operator rows_out = %d, want %d", last.RowsOut, rows)
+	}
+	linked := false
+	for _, op := range rep.Operators {
+		if op.RowsIn > 0 {
+			linked = true
 		}
-		last := rep.Operators[len(rep.Operators)-1]
-		if last.RowsOut != rows {
-			t.Errorf("outermost operator rows_out = %d, want %d", last.RowsOut, rows)
+	}
+	if !linked {
+		t.Errorf("no operator recorded rows_in; spans not linked: %+v", rep.Operators)
+	}
+	hasPlanStage := false
+	for _, s := range rep.Stages {
+		if s.Name == "plan" {
+			hasPlanStage = true
 		}
-		linked := false
-		for _, op := range rep.Operators {
-			if op.RowsIn > 0 {
-				linked = true
-			}
-		}
-		if !linked {
-			t.Errorf("no operator recorded rows_in; spans not linked: %+v", rep.Operators)
-		}
-	})
+	}
+	if !hasPlanStage {
+		t.Errorf("no plan stage in %+v", rep.Stages)
+	}
 }
 
 // TestExplainOptionalAggregatesSpans: an OPTIONAL body instantiated per

@@ -2,7 +2,6 @@ package sparql
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -29,29 +28,12 @@ var (
 		"Join algorithm chosen per planned triple pattern (counted at plan compile).", "strategy")
 	obsJoinNested = obsJoinStrategy.With("nested_loop")
 	obsJoinHash   = obsJoinStrategy.With("hash")
-	obsJoinMorsel = obsJoinStrategy.With("morsel_parallel")
 
 	obsRowsEmitted = obs.Default.NewCounter("mdm_sparql_rows_emitted_total",
 		"Solutions emitted by SPARQL cursors.")
 
 	obsPathExpansions = obs.Default.NewCounter("mdm_sparql_path_expansions_total",
 		"Property-path closure node expansions.")
-
-	obsParBatches = obs.Default.NewCounter("mdm_sparql_parallel_batches_total",
-		"Morsel-parallel super-batches executed.")
-	obsParRows = obs.Default.NewCounter("mdm_sparql_parallel_rows_total",
-		"Input rows fanned out to morsel-parallel workers.")
-	obsParBusy = obs.Default.NewCounterVec("mdm_sparql_parallel_worker_busy_seconds_total",
-		"Busy time per morsel-parallel worker lane; utilization is the "+
-			"per-lane rate of this counter.", "worker")
-	// One cell per possible lane, resolved once (lanes are 0-indexed).
-	obsParBusyLane = func() [maxParWorkers]*obs.Counter {
-		var lanes [maxParWorkers]*obs.Counter
-		for i := range lanes {
-			lanes[i] = obsParBusy.With(strconv.Itoa(i))
-		}
-		return lanes
-	}()
 )
 
 // ObserveStage records one lifecycle-stage duration in the engine's
@@ -113,7 +95,7 @@ func (e *evaluator) traced(it rowIter, key any, name, strategy string, src rowIt
 // stored on the cached plan — stable across cache hits, cheap enough
 // to build once per compile, and carried into EXPLAIN reports and
 // slow-query log lines.
-func (c planCounts) summary(par int) string {
+func (c planCounts) summary() string {
 	var parts []string
 	add := func(n int, label string) {
 		if n > 0 {
@@ -122,10 +104,6 @@ func (c planCounts) summary(par int) string {
 	}
 	add(c.nested, "nested")
 	add(c.hash, "hash")
-	add(c.morsel, "morsel")
-	if c.morsel > 0 {
-		parts = append(parts, fmt.Sprintf("workers=%d", par))
-	}
 	add(c.paths, "path")
 	add(c.optionals, "optional")
 	add(c.unions, "union")
@@ -139,9 +117,9 @@ func (c planCounts) summary(par int) string {
 }
 
 type planCounts struct {
-	nested, hash, morsel, paths int
-	optionals, unions, graphs   int
-	filters, dead               int
+	nested, hash, paths       int
+	optionals, unions, graphs int
+	filters, dead             int
 }
 
 func (c *planCounts) group(gp *groupPlan) {
@@ -152,8 +130,6 @@ func (c *planCounts) group(gp *groupPlan) {
 			switch {
 			case pl.dead:
 				c.dead++
-			case pl.par:
-				c.morsel++
 			case pl.hash:
 				c.hash++
 			default:
@@ -191,8 +167,5 @@ func countJoinStrategies(c planCounts) {
 	}
 	if c.hash > 0 {
 		obsJoinHash.Add(float64(c.hash))
-	}
-	if c.morsel > 0 {
-		obsJoinMorsel.Add(float64(c.morsel))
 	}
 }

@@ -399,51 +399,45 @@ func checkEquivalence(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
 }
 
 // checkJoinStrategies re-evaluates q with the planner's join choice
-// forced to each strategy in turn — index nested loop, sequential hash
-// join, and morsel-parallel hash join — and asserts the solution
-// multiset still matches the oracle (or, for ASK, the oracle's
-// boolean). The cost model may only change how a join runs, never what
-// it returns — this pins that for every generated query, including the
-// OPTIONAL/UNION/GRAPH shapes whose probe rows can leave pattern
-// variables unbound, and drives every randomized case through the
-// parallel build/probe/merge machinery regardless of size.
+// forced to each strategy in turn — index nested loop and hash join —
+// and asserts the solution multiset still matches the oracle (or, for
+// ASK, the oracle's boolean). The cost model may only change how a join
+// runs, never what it returns — this pins that for every generated
+// query, including the OPTIONAL/UNION/GRAPH shapes whose probe rows can
+// leave pattern variables unbound.
 func checkJoinStrategies(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, askWant bool, oracle map[string]int) {
 	t.Helper()
 	strategies := []struct {
 		name string
 		join int32
-		par  int32
 	}{
-		{"nested", joinForceNested, parForceOff},
-		{"hash", joinForceHash, parForceOff},
-		{"hash-parallel", joinForceHash, parForceOn},
+		{"nested", joinForceNested},
+		{"hash", joinForceHash},
 	}
 	for _, st := range strategies {
 		name := st.name
 		withJoinMode(t, st.join, func() {
-			withParMode(t, st.par, func() {
-				res, err := Eval(ds, q)
-				if err != nil {
-					t.Fatalf("seed %d: %s-join Eval err = %v (auto succeeded)", seed, name, err)
+			res, err := Eval(ds, q)
+			if err != nil {
+				t.Fatalf("seed %d: %s-join Eval err = %v (auto succeeded)", seed, name, err)
+			}
+			if q.Form == FormAsk {
+				if res.Bool != askWant {
+					t.Fatalf("seed %d: %s-join ASK=%v oracle=%v\nquery: %s", seed, name, res.Bool, askWant, q)
 				}
-				if q.Form == FormAsk {
-					if res.Bool != askWant {
-						t.Fatalf("seed %d: %s-join ASK=%v oracle=%v\nquery: %s", seed, name, res.Bool, askWant, q)
-					}
-					return
+				return
+			}
+			m := multiset(res.Vars, res.Solutions())
+			if len(m) != len(oracle) {
+				t.Fatalf("seed %d: %s-join %d distinct rows vs oracle %d\nquery: %s\ndata:\n%sdiff:\n%s",
+					seed, name, len(m), len(oracle), q, datasetDump(ds), diffMultisets(m, oracle))
+			}
+			for k, n := range m {
+				if oracle[k] != n {
+					t.Fatalf("seed %d: %s-join multiset mismatch\nquery: %s\ndata:\n%sdiff:\n%s",
+						seed, name, q, datasetDump(ds), diffMultisets(m, oracle))
 				}
-				m := multiset(res.Vars, res.Solutions())
-				if len(m) != len(oracle) {
-					t.Fatalf("seed %d: %s-join %d distinct rows vs oracle %d\nquery: %s\ndata:\n%sdiff:\n%s",
-						seed, name, len(m), len(oracle), q, datasetDump(ds), diffMultisets(m, oracle))
-				}
-				for k, n := range m {
-					if oracle[k] != n {
-						t.Fatalf("seed %d: %s-join multiset mismatch\nquery: %s\ndata:\n%sdiff:\n%s",
-							seed, name, q, datasetDump(ds), diffMultisets(m, oracle))
-					}
-				}
-			})
+			}
 		})
 	}
 }
@@ -590,7 +584,7 @@ func TestSpecEdgeCases(t *testing.T) {
 // patterns mixed into BGPs, and GROUP BY/aggregate/HAVING tails. Every
 // generated query flows through the full checkEquivalence stack —
 // materialized Eval vs refEval, cursor drain, paged-prefix reads, and
-// all three forced join strategies.
+// both forced join strategies.
 
 // genPath draws a random path AST over the shared predicate vocabulary;
 // depth bounds nesting so closures of sequences and inverted groups all

@@ -301,9 +301,9 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A join fixture big enough that the planner's cost threshold picks
-	// the morsel-parallel hash join on its own (parCost >= 4096), so the
-	// parallel build/probe workers race real concurrent Dict interning.
+	// A join fixture big enough that the planner picks the hash join on
+	// its own, so the batched build scan and the probes race real
+	// concurrent Dict interning.
 	for i := 0; i < 3000; i++ {
 		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("j%d", i)), ex("p1"), ex(fmt.Sprintf("m%d", i%50)))); err != nil {
 			t.Fatal(err)
@@ -314,9 +314,6 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sparql.SetParallelism(4)
-	defer sparql.SetParallelism(0)
-
 	ds := s.Dataset()
 	const query = `SELECT ?s ?o WHERE { ?s <http://ex/p> ?o . FILTER (?o >= 0) }`
 	const graphQuery = `SELECT ?g ?s WHERE { GRAPH ?g { ?s <http://ex/p> ?o } }`
@@ -376,6 +373,6 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Len() != 3000 {
-		t.Fatalf("parallel join rows = %d, want 3000", res.Len())
+		t.Fatalf("join rows = %d, want 3000", res.Len())
 	}
 }

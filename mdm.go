@@ -25,8 +25,8 @@
 //	walk := mdm.NewWalk().Select(sys.IRI("ex:Player"), sys.IRI("ex:playerId"))
 //	rel, res, err := sys.Query(ctx, walk)
 //
-// See examples/ for complete programs, DESIGN.md for the architecture
-// and EXPERIMENTS.md for the paper-artifact reproductions.
+// See examples/ for complete programs and docs/ARCHITECTURE.md for the
+// architecture.
 package mdm
 
 import (
