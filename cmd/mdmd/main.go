@@ -3,9 +3,8 @@
 //
 // Usage:
 //
-//	mdmd [-addr :8085] [-data DIR] [-seed] [-simulate]
-//	     [-fsync MODE] [-fsync-interval D]
-//	     [-compact-interval D] [-compact-wal-threshold N]
+//	mdmd [-addr :8085] [-data DIR | -seed] [-simulate]
+//	     [-compact-interval D]
 //	     [-fanout N] [-source-timeout D] [-source-cache-ttl D]
 //	     [-retries N] [-breaker-threshold N] [-breaker-cooldown D]
 //	     [-partial] [-serve-stale] [-drain-timeout D]
@@ -14,28 +13,22 @@
 //
 //	-addr      listen address
 //	-data      persistence directory; the ontology dataset lives in a
-//	           segment store under DIR/ontology (WAL tail + immutable
-//	           segments; see docs/STORAGE.md). A DIR/ontology.trig file
-//	           from an older deployment is migrated on first start.
-//	-seed      preload the paper's football use case (in-memory wrappers;
-//	           the seeded system stays in-memory and, with -data, is
-//	           snapshotted as ontology.trig for migration on restart)
+//	           segment store under DIR/ontology (immutable segments
+//	           sealed by compaction; see docs/STORAGE.md). Mutations
+//	           become durable at the next compaction: the background
+//	           tick, POST /api/admin/compact, or a clean shutdown.
+//	-seed      preload the paper's football use case. The seeded system
+//	           is in-memory only (its wrappers are live closures), so
+//	           -seed cannot be combined with -data.
 //	-simulate  also start the simulated football REST provider and print
 //	           its URL (endpoints for players/teams/leagues/countries)
 //
-// Storage engine knobs (see internal/tdb and docs/STORAGE.md):
+// Storage engine knob (see internal/tdb and docs/STORAGE.md):
 //
-//	-fsync MODE           WAL durability: "none" (default; flush to the
-//	                      OS on every append, no fsync), "always" (fsync
-//	                      per append), or "batch" (background fsync every
-//	                      -fsync-interval)
-//	-fsync-interval D     batched fsync window for -fsync=batch
-//	                      (default 5ms)
-//	-compact-interval D   background storage maintenance tick: seals WAL
-//	                      tails into segments and garbage-collects the
-//	                      term dictionary (default 1m; 0 disables)
-//	-compact-wal-threshold N  WAL records that trigger a background
-//	                      checkpoint at the next tick (default 4096)
+//	-compact-interval D   background storage maintenance tick: seals the
+//	                      mutations since the last tick into a segment
+//	                      and garbage-collects the term dictionary
+//	                      (default 1m; 0 disables)
 //
 // Federated execution knobs (see internal/federate):
 //
@@ -85,15 +78,14 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
+	"fmt"
 	"log"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -102,19 +94,15 @@ import (
 	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rest"
-	"mdm/internal/tdb"
 	"mdm/internal/usecase"
 )
 
 func main() {
 	addr := flag.String("addr", ":8085", "listen address")
 	dataDir := flag.String("data", "", "persistence directory (empty = in-memory)")
-	seed := flag.Bool("seed", false, "preload the football demo fixture")
+	seed := flag.Bool("seed", false, "preload the in-memory football demo fixture (not with -data)")
 	simulate := flag.Bool("simulate", false, "start the simulated football provider")
-	fsyncMode := flag.String("fsync", "none", `WAL fsync mode: "none", "always" or "batch"`)
-	fsyncInterval := flag.Duration("fsync-interval", 5*time.Millisecond, "batched fsync window (-fsync=batch)")
 	compactInterval := flag.Duration("compact-interval", time.Minute, "background storage maintenance tick (0 = disabled)")
-	compactWALThreshold := flag.Int("compact-wal-threshold", 4096, "WAL records that trigger a background checkpoint")
 	fanout := flag.Int("fanout", federate.DefaultParallel, "max concurrent source fetches per walk")
 	sourceTimeout := flag.Duration("source-timeout", federate.DefaultSourceTimeout, "per-source fetch deadline")
 	cacheTTL := flag.Duration("source-cache-ttl", 0, "source-snapshot reuse window (0 = dedup only)")
@@ -129,22 +117,12 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "separate listener for net/http/pprof (empty = disabled)")
 	flag.Parse()
 
-	storeOpts := mdm.StoreOptions{
-		SyncInterval:        *fsyncInterval,
-		CompactInterval:     *compactInterval,
-		CompactWALThreshold: *compactWALThreshold,
+	if *seed && *dataDir != "" {
+		fmt.Fprintln(os.Stderr, "mdmd: -seed cannot be combined with -data: the seeded fixture is in-memory and is never written to the data directory")
+		flag.Usage()
+		os.Exit(2)
 	}
-	switch *fsyncMode {
-	case "none":
-		storeOpts.Sync = tdb.SyncNone
-	case "always":
-		storeOpts.Sync = tdb.SyncAlways
-	case "batch":
-		storeOpts.Sync = tdb.SyncBatch
-	default:
-		log.Fatalf("mdmd: -fsync %q: want none, always or batch", *fsyncMode)
-	}
-	sys, err := buildSystem(*dataDir, *seed, storeOpts)
+	sys, err := buildSystem(*dataDir, *seed, mdm.StoreOptions{CompactInterval: *compactInterval})
 	if err != nil {
 		log.Fatalf("mdmd: %v", err)
 	}
@@ -156,10 +134,6 @@ func main() {
 	fed.Breakers = federate.NewBreakerSet(*breakerThreshold, *breakerCooldown)
 	fed.PartialResults = *partial
 	fed.ServeStale = *serveStale
-	// Per-source breaker states next to the transition counters on
-	// GET /debug/vars (main runs once, so the Publish cannot collide).
-	expvar.Publish("mdm.federate.breaker.states",
-		expvar.Func(func() any { return fed.Breakers.States() }))
 
 	if *simulate {
 		provider := apisim.NewFootball()
@@ -211,37 +185,12 @@ func main() {
 	}
 	log.Printf("mdmd: listening on %s (seeded=%v, data=%q)", *addr, *seed, *dataDir)
 
-	// Storage-backed systems (-data without -seed) persist through the
-	// segment store's WAL and background compactor; the legacy TriG
-	// snapshot ticker only serves the in-memory seeded fixture.
-	if *dataDir != "" && sys.Storage() == nil {
-		go func() {
-			t := time.NewTicker(30 * time.Second)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-t.C:
-					if err := persist(sys, *dataDir); err != nil {
-						log.Printf("mdmd: snapshot: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	if err := serveWithDrain(ctx, srv, ln, *drainTimeout); err != nil {
 		log.Fatalf("mdmd: serve: %v", err)
 	}
-	if sys.Storage() != nil {
-		if err := sys.Close(); err != nil {
-			log.Printf("mdmd: close: %v", err)
-		}
-	} else if *dataDir != "" {
-		if err := persist(sys, *dataDir); err != nil {
-			log.Printf("mdmd: final snapshot: %v", err)
-		}
+	// Seals a persistent store's final compaction; a no-op in memory.
+	if err := sys.Close(); err != nil {
+		log.Printf("mdmd: close: %v", err)
 	}
 }
 
@@ -272,9 +221,8 @@ func serveWithDrain(ctx context.Context, srv *http.Server, ln net.Listener, drai
 	return nil
 }
 
-// buildSystem assembles the system. A data directory (without -seed)
-// opens the persistent segment store, migrating a legacy ontology.trig
-// snapshot on first start. The seeded fixture stays in-memory: its
+// buildSystem assembles the system. A data directory opens the
+// persistent segment store. The seeded fixture stays in-memory: its
 // wrappers are live closures that cannot be persisted.
 func buildSystem(dataDir string, seed bool, opts mdm.StoreOptions) (*mdm.System, error) {
 	if seed {
@@ -295,15 +243,4 @@ func buildSystem(dataDir string, seed bool, opts mdm.StoreOptions) (*mdm.System,
 		return sys, nil
 	}
 	return mdm.New(), nil
-}
-
-func persist(sys *mdm.System, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp := filepath.Join(dir, "ontology.trig.tmp")
-	if err := os.WriteFile(tmp, []byte(sys.ExportTriG()), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, "ontology.trig"))
 }

@@ -6,8 +6,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -16,12 +14,20 @@ import (
 )
 
 func TestBuildSystemFresh(t *testing.T) {
-	sys, err := buildSystem("", false, mdm.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.Stats().Concepts != 0 {
-		t.Error("fresh system not empty")
+	for _, dataDir := range []string{"", t.TempDir()} {
+		sys, err := buildSystem(dataDir, false, mdm.StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.Stats().Concepts != 0 {
+			t.Error("fresh system not empty")
+		}
+		if persistent := sys.Storage() != nil; persistent != (dataDir != "") {
+			t.Errorf("data dir %q: persistent = %v", dataDir, persistent)
+		}
+		if err := sys.Close(); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -36,37 +42,6 @@ func TestBuildSystemSeeded(t *testing.T) {
 	}
 	if v := sys.Validate(); len(v) != 0 {
 		t.Errorf("seeded system inconsistent: %v", v)
-	}
-}
-
-func TestPersistAndReload(t *testing.T) {
-	dir := t.TempDir()
-	sys, err := buildSystem("", true, mdm.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := persist(sys, dir); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ontology.trig")); err != nil {
-		t.Fatal(err)
-	}
-	// Reload from the snapshot.
-	sys2, err := buildSystem(dir, false, mdm.StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, st2 := sys.Stats(), sys2.Stats()
-	if st1.Concepts != st2.Concepts || st1.Mappings != st2.Mappings {
-		t.Errorf("reloaded stats differ: %+v vs %+v", st1, st2)
-	}
-}
-
-func TestBuildSystemCorruptSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(filepath.Join(dir, "ontology.trig"), []byte("bad <"), 0o644)
-	if _, err := buildSystem(dir, false, mdm.StoreOptions{}); err == nil {
-		t.Error("corrupt snapshot accepted")
 	}
 }
 

@@ -2,19 +2,11 @@ package federate
 
 import (
 	"errors"
-	"expvar"
 	"sync"
+	"sync/atomic"
 	"time"
-)
 
-// Process-wide breaker transition counters (the per-set numbers are on
-// BreakerSet.Stats), served at GET /debug/vars alongside the cache
-// counters.
-var (
-	expBreakerOpened     = expvar.NewInt("mdm.federate.breaker.opened")
-	expBreakerHalfOpened = expvar.NewInt("mdm.federate.breaker.half_opened")
-	expBreakerClosed     = expvar.NewInt("mdm.federate.breaker.closed")
-	expBreakerFastFails  = expvar.NewInt("mdm.federate.breaker.fast_fails")
+	"mdm/internal/obs"
 )
 
 // ErrBreakerOpen is returned (wrapped with the source name) when a
@@ -33,7 +25,7 @@ const (
 	StateHalfOpen
 )
 
-// String renders the state for expvar and logs.
+// String renders the state for States and logs.
 func (s BreakerState) String() string {
 	switch s {
 	case StateOpen:
@@ -61,7 +53,8 @@ type Breaker struct {
 	threshold int
 	cooldown  time.Duration
 	now       func() time.Time
-	set       *BreakerSet // owning set, for transition counters (may be nil)
+	set       *BreakerSet // owning set, for transition counters
+	gauge     *obs.Gauge  // this source's mdm_federate_breaker_state series
 }
 
 // State returns the breaker's current position (open is reported as
@@ -86,12 +79,10 @@ func (b *Breaker) Allow() error {
 			b.countFastFail()
 			return ErrBreakerOpen
 		}
-		b.state = StateHalfOpen
+		b.setState(StateHalfOpen)
 		b.probing = true
-		expBreakerHalfOpened.Add(1)
-		if b.set != nil {
-			b.set.halfOpened.Add(1)
-		}
+		obsBreakerHalfOpened.Inc()
+		b.set.halfOpened.Add(1)
 		return nil
 	default: // StateHalfOpen
 		if b.probing {
@@ -104,10 +95,14 @@ func (b *Breaker) Allow() error {
 }
 
 func (b *Breaker) countFastFail() {
-	expBreakerFastFails.Add(1)
-	if b.set != nil {
-		b.set.fastFails.Add(1)
-	}
+	obsBreakerFastFails.Inc()
+	b.set.fastFails.Add(1)
+}
+
+// setState moves the breaker and its exported gauge; callers hold b.mu.
+func (b *Breaker) setState(st BreakerState) {
+	b.state = st
+	b.gauge.Set(float64(st))
 }
 
 // RecordSuccess reports a successful fetch attempt: it resets the
@@ -119,13 +114,11 @@ func (b *Breaker) RecordSuccess() {
 	case StateClosed:
 		b.failures = 0
 	case StateHalfOpen:
-		b.state = StateClosed
+		b.setState(StateClosed)
 		b.failures = 0
 		b.probing = false
-		expBreakerClosed.Add(1)
-		if b.set != nil {
-			b.set.closed.Add(1)
-		}
+		obsBreakerClosed.Inc()
+		b.set.closed.Add(1)
 	}
 	// A success recorded while Open predates the trip; ignore it — the
 	// half-open probe decides recovery.
@@ -152,20 +145,18 @@ func (b *Breaker) RecordFailure() {
 
 // trip moves to Open; callers hold b.mu.
 func (b *Breaker) trip() {
-	b.state = StateOpen
+	b.setState(StateOpen)
 	b.openedAt = b.now()
 	b.failures = 0
-	expBreakerOpened.Add(1)
-	if b.set != nil {
-		b.set.opened.Add(1)
-	}
+	obsBreakerOpened.Inc()
+	b.set.opened.Add(1)
 }
 
 // reset returns the breaker to a fresh Closed state.
 func (b *Breaker) reset() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.state = StateClosed
+	b.setState(StateClosed)
 	b.failures = 0
 	b.probing = false
 }
@@ -188,15 +179,8 @@ type BreakerSet struct {
 	mu sync.Mutex
 	m  map[string]*Breaker
 
-	opened, halfOpened, closed, fastFails expvarInt
+	opened, halfOpened, closed, fastFails atomic.Int64
 }
-
-// expvarInt is a tiny atomic counter (sync/atomic.Int64 without the
-// import noise at every use site).
-type expvarInt struct{ v expvar.Int }
-
-func (c *expvarInt) Add(d int64) { c.v.Add(d) }
-func (c *expvarInt) Load() int64 { return c.v.Value() }
 
 // NewBreakerSet returns a set tripping each source after threshold
 // consecutive source-fault failures and probing after cooldown.
@@ -217,7 +201,12 @@ func (s *BreakerSet) For(name string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[name]
 	if !ok {
-		b = &Breaker{threshold: s.threshold, cooldown: s.cooldown, now: func() time.Time { return s.now() }, set: s}
+		b = &Breaker{
+			threshold: s.threshold, cooldown: s.cooldown, now: func() time.Time { return s.now() },
+			set: s, gauge: obsBreakerState.With(name),
+		}
+		// An earlier set may have left this source's series elsewhere.
+		b.gauge.Set(float64(StateClosed))
 		s.m[name] = b
 	}
 	return b
@@ -234,10 +223,8 @@ func (s *BreakerSet) Reset(name string) {
 	}
 }
 
-// States snapshots every known source's breaker state, for expvar:
-//
-//	expvar.Publish("mdm.federate.breaker.states",
-//	    expvar.Func(func() any { return set.States() }))
+// States snapshots every known source's breaker state (this set only;
+// the process-wide view is the mdm_federate_breaker_state gauge).
 func (s *BreakerSet) States() map[string]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

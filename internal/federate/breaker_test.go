@@ -17,6 +17,15 @@ func testBreakerSet(threshold int, cooldown time.Duration) (*BreakerSet, func(ti
 	return s, advance
 }
 
+// wantGauge asserts the exported mdm_federate_breaker_state series of a
+// source follows its breaker.
+func wantGauge(t *testing.T, source string, want BreakerState) {
+	t.Helper()
+	if got := obsBreakerState.With(source).Value(); got != float64(want) {
+		t.Fatalf("mdm_federate_breaker_state{source=%q} = %v, want %v (%d)", source, got, want, want)
+	}
+}
+
 // TestBreakerThresholdTrip: the breaker stays closed through
 // threshold-1 consecutive failures, trips on the threshold-th, and a
 // success in between resets the count.
@@ -55,10 +64,12 @@ func TestBreakerThresholdTrip(t *testing.T) {
 func TestBreakerHalfOpenProbeSuccess(t *testing.T) {
 	s, advance := testBreakerSet(1, time.Minute)
 	b := s.For("src")
+	wantGauge(t, "src", StateClosed)
 	b.RecordFailure()
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
+	wantGauge(t, "src", StateOpen)
 	advance(59 * time.Second)
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow inside cooldown = %v, want ErrBreakerOpen", err)
@@ -70,6 +81,7 @@ func TestBreakerHalfOpenProbeSuccess(t *testing.T) {
 	if got := b.State(); got != StateHalfOpen {
 		t.Fatalf("state = %v, want half-open", got)
 	}
+	wantGauge(t, "src", StateHalfOpen)
 	// The probe is out; everyone else fails fast.
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("concurrent Allow during probe = %v, want ErrBreakerOpen", err)
@@ -78,6 +90,7 @@ func TestBreakerHalfOpenProbeSuccess(t *testing.T) {
 	if got := b.State(); got != StateClosed {
 		t.Fatalf("state after probe success = %v, want closed", got)
 	}
+	wantGauge(t, "src", StateClosed)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("Allow after recovery = %v", err)
 	}
@@ -101,6 +114,7 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state after probe failure = %v, want open", got)
 	}
+	wantGauge(t, "src", StateOpen)
 	// The cooldown restarts from the re-trip.
 	advance(59 * time.Second)
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
@@ -155,10 +169,12 @@ func TestBreakerSetResetAndStates(t *testing.T) {
 	if len(got) != len(want) || got["up"] != want["up"] || got["down"] != want["down"] {
 		t.Fatalf("states = %v, want %v", got, want)
 	}
+	wantGauge(t, "down", StateOpen)
 	s.Reset("down")
 	if st := s.For("down").State(); st != StateClosed {
 		t.Fatalf("state after Reset = %v, want closed", st)
 	}
+	wantGauge(t, "down", StateClosed)
 	if err := s.For("down").Allow(); err != nil {
 		t.Fatalf("Allow after Reset = %v", err)
 	}

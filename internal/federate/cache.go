@@ -2,21 +2,11 @@ package federate
 
 import (
 	"context"
-	"expvar"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mdm/internal/relalg"
-)
-
-// Process-wide cache counters, published once for /debug/vars scraping.
-// Per-Cache numbers are available through Cache.Stats.
-var (
-	expHits    = expvar.NewInt("mdm.federate.source_cache.hits")
-	expMisses  = expvar.NewInt("mdm.federate.source_cache.misses")
-	expShared  = expvar.NewInt("mdm.federate.source_cache.inflight_dedup")
-	expExpired = expvar.NewInt("mdm.federate.source_cache.expired")
 )
 
 // Cache is a source-snapshot cache keyed by wrapper identity (the
@@ -84,18 +74,18 @@ func (c *Cache) Get(ctx context.Context, src relalg.RowSource, fetch FetchFunc) 
 			if ent.err == nil && c.now().Before(ent.expires) {
 				c.mu.Unlock()
 				c.hits.Add(1)
-				expHits.Add(1)
+				obsCacheHits.Inc()
 				return ent.rel, nil
 			}
 			// Expired (or a failed entry that lost the delete race):
 			// fall through to a fresh fetch.
 			c.expired.Add(1)
-			expExpired.Add(1)
+			obsCacheExpired.Inc()
 		default:
 			// In flight: join the leader's fetch.
 			c.mu.Unlock()
 			c.shared.Add(1)
-			expShared.Add(1)
+			obsCacheShared.Inc()
 			select {
 			case <-ent.ready:
 				return ent.rel, ent.err
@@ -108,7 +98,7 @@ func (c *Cache) Get(ctx context.Context, src relalg.RowSource, fetch FetchFunc) 
 	c.entries[key] = ent
 	c.mu.Unlock()
 	c.misses.Add(1)
-	expMisses.Add(1)
+	obsCacheMisses.Inc()
 
 	go c.fill(key, src, ent, fetch)
 	select {

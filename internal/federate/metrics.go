@@ -4,11 +4,9 @@ import (
 	"mdm/internal/obs"
 )
 
-// Federation metrics. The legacy mdm.federate.* expvar counters stay
-// the source of truth for what they already count (tests and
-// /debug/vars consumers depend on them); the CounterFunc shims below
-// mirror each of them into the Prometheus scrape at read time, so both
-// registries publish the same numbers without double accounting.
+// Federation metrics, process-wide. The cache and breaker families
+// also exist per instance (Cache.Stats, BreakerSet.Stats/States) so
+// tests can assert on one engine in isolation.
 var (
 	obsScatters = obs.Default.NewCounter("mdm_federate_scatters_total",
 		"Scatter phases executed (one per federated query).")
@@ -38,28 +36,26 @@ var (
 	obsMissing = obs.Default.NewCounterVec("mdm_federate_missing_total",
 		"Sources missing from partial results, by source and error class.",
 		"source", "class")
-)
 
-// Expvar→obs migration shims: every existing mdm.federate.* counter,
-// published through both registries.
-func init() {
-	shim := func(name, help string, v interface{ Value() int64 }) {
-		obs.Default.CounterFunc(name, help, func() float64 { return float64(v.Value()) })
-	}
-	shim("mdm_federate_source_cache_hits_total",
-		"Source-cache hits (mirror of mdm.federate.source_cache.hits).", expHits)
-	shim("mdm_federate_source_cache_misses_total",
-		"Source-cache misses (mirror of mdm.federate.source_cache.misses).", expMisses)
-	shim("mdm_federate_source_cache_inflight_dedup_total",
-		"Fetches deduplicated onto an in-flight fill (mirror of mdm.federate.source_cache.inflight_dedup).", expShared)
-	shim("mdm_federate_source_cache_expired_total",
-		"Cache entries expired by TTL (mirror of mdm.federate.source_cache.expired).", expExpired)
-	shim("mdm_federate_breaker_opened_total",
-		"Circuit-breaker open transitions (mirror of mdm.federate.breaker.opened).", expBreakerOpened)
-	shim("mdm_federate_breaker_half_opened_total",
-		"Circuit-breaker half-open transitions (mirror of mdm.federate.breaker.half_opened).", expBreakerHalfOpened)
-	shim("mdm_federate_breaker_closed_total",
-		"Circuit-breaker close transitions (mirror of mdm.federate.breaker.closed).", expBreakerClosed)
-	shim("mdm_federate_breaker_fast_fails_total",
-		"Fetches suppressed by an open breaker (mirror of mdm.federate.breaker.fast_fails).", expBreakerFastFails)
-}
+	obsCacheHits = obs.Default.NewCounter("mdm_federate_source_cache_hits_total",
+		"Source-cache Gets answered by a live completed snapshot.")
+	obsCacheMisses = obs.Default.NewCounter("mdm_federate_source_cache_misses_total",
+		"Source-cache Gets that started a fetch.")
+	obsCacheShared = obs.Default.NewCounter("mdm_federate_source_cache_inflight_dedup_total",
+		"Source-cache Gets deduplicated onto an in-flight fill.")
+	obsCacheExpired = obs.Default.NewCounter("mdm_federate_source_cache_expired_total",
+		"Source-cache Gets that found an entry expired by TTL and refetched.")
+
+	obsBreakerOpened = obs.Default.NewCounter("mdm_federate_breaker_opened_total",
+		"Circuit-breaker open transitions.")
+	obsBreakerHalfOpened = obs.Default.NewCounter("mdm_federate_breaker_half_opened_total",
+		"Circuit-breaker half-open transitions.")
+	obsBreakerClosed = obs.Default.NewCounter("mdm_federate_breaker_closed_total",
+		"Circuit-breaker close transitions.")
+	obsBreakerFastFails = obs.Default.NewCounter("mdm_federate_breaker_fast_fails_total",
+		"Fetches suppressed by an open breaker.")
+	// obsBreakerState is last-writer-wins when two BreakerSets in one
+	// process track the same source name; mdmd runs exactly one set.
+	obsBreakerState = obs.Default.NewGaugeVec("mdm_federate_breaker_state",
+		"Circuit-breaker position per source: 0 closed, 1 open, 2 half-open.", "source")
+)

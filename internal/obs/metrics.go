@@ -47,15 +47,13 @@ const (
 	kindCounter kind = iota
 	kindGauge
 	kindHistogram
-	kindCounterFunc
-	kindGaugeFunc
 )
 
 func (k kind) promType() string {
 	switch k {
-	case kindCounter, kindCounterFunc:
+	case kindCounter:
 		return "counter"
-	case kindGauge, kindGaugeFunc:
+	case kindGauge:
 		return "gauge"
 	default:
 		return "histogram"
@@ -82,8 +80,7 @@ type family struct {
 	help    string
 	kind    kind
 	labels  []string
-	buckets []float64      // histogram upper bounds, +Inf implicit
-	fn      func() float64 // kindCounterFunc / kindGaugeFunc
+	buckets []float64 // histogram upper bounds, +Inf implicit
 
 	mu       sync.Mutex
 	series   map[string]*series
@@ -118,7 +115,7 @@ var (
 	labelRe = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
 )
 
-func (r *Registry) register(name, help string, k kind, labels []string, buckets []float64, fn func() float64) *family {
+func (r *Registry) register(name, help string, k kind, labels []string, buckets []float64) *family {
 	if !nameRe.MatchString(name) {
 		panic("obs: invalid metric name " + strconv.Quote(name))
 	}
@@ -134,8 +131,8 @@ func (r *Registry) register(name, help string, k kind, labels []string, buckets 
 	}
 	f := &family{
 		name: name, help: help, kind: k, labels: labels,
-		buckets: buckets, fn: fn,
-		series: make(map[string]*series), max: DefaultMaxSeries,
+		buckets: buckets,
+		series:  make(map[string]*series), max: DefaultMaxSeries,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -235,49 +232,36 @@ func (v *HistogramVec) With(lvs ...string) *Histogram {
 
 // NewCounter registers an unlabeled counter.
 func (r *Registry) NewCounter(name, help string) *Counter {
-	f := r.register(name, help, kindCounter, nil, nil, nil)
+	f := r.register(name, help, kindCounter, nil, nil)
 	return &Counter{f.with(nil)}
 }
 
 // NewCounterVec registers a labeled counter family.
 func (r *Registry) NewCounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r.register(name, help, kindCounter, labels, nil, nil)}
+	return &CounterVec{r.register(name, help, kindCounter, labels, nil)}
 }
 
 // NewGauge registers an unlabeled gauge.
 func (r *Registry) NewGauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil, nil, nil)
+	f := r.register(name, help, kindGauge, nil, nil)
 	return &Gauge{f.with(nil)}
 }
 
 // NewGaugeVec registers a labeled gauge family.
 func (r *Registry) NewGaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r.register(name, help, kindGauge, labels, nil, nil)}
+	return &GaugeVec{r.register(name, help, kindGauge, labels, nil)}
 }
 
 // NewHistogram registers an unlabeled histogram with the given upper
 // bounds (+Inf is implicit). Pass DefBuckets for latencies.
 func (r *Registry) NewHistogram(name, help string, buckets []float64) *Histogram {
-	f := r.register(name, help, kindHistogram, nil, buckets, nil)
+	f := r.register(name, help, kindHistogram, nil, buckets)
 	return &Histogram{f: f, s: f.with(nil)}
 }
 
 // NewHistogramVec registers a labeled histogram family.
 func (r *Registry) NewHistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets, nil)}
-}
-
-// CounterFunc registers a counter whose value is read at scrape time.
-// This is the expvar migration shim: existing expvar.Int counters stay
-// the source of truth and are mirrored into the scrape through a
-// closure, so legacy /debug/vars consumers and tests keep working.
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.register(name, help, kindCounterFunc, nil, nil, fn)
-}
-
-// GaugeFunc registers a gauge whose value is read at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, kindGaugeFunc, nil, nil, fn)
+	return &HistogramVec{r.register(name, help, kindHistogram, labels, buckets)}
 }
 
 func formatFloat(v float64) string {
@@ -340,33 +324,28 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		f := fams[n]
 		b.Reset()
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", f.name, helpEscaper.Replace(f.help), f.name, f.kind.promType())
-		switch f.kind {
-		case kindCounterFunc, kindGaugeFunc:
-			fmt.Fprintf(&b, "%s %s\n", f.name, formatFloat(f.fn()))
-		default:
-			f.mu.Lock()
-			order := append([]*series(nil), f.order...)
-			f.mu.Unlock()
-			sort.Slice(order, func(i, j int) bool {
-				return strings.Join(order[i].lvs, "\x00") < strings.Join(order[j].lvs, "\x00")
-			})
-			for _, s := range order {
-				if f.kind == kindHistogram {
-					cum := uint64(0)
-					for i := range f.buckets {
-						cum += s.bcounts[i].Load()
-						fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-							labelString(f.labels, s.lvs, "le", formatFloat(f.buckets[i])), cum)
-					}
+		f.mu.Lock()
+		order := append([]*series(nil), f.order...)
+		f.mu.Unlock()
+		sort.Slice(order, func(i, j int) bool {
+			return strings.Join(order[i].lvs, "\x00") < strings.Join(order[j].lvs, "\x00")
+		})
+		for _, s := range order {
+			if f.kind == kindHistogram {
+				cum := uint64(0)
+				for i := range f.buckets {
+					cum += s.bcounts[i].Load()
 					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-						labelString(f.labels, s.lvs, "le", "+Inf"), s.count.Load())
-					fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(f.labels, s.lvs, "", ""),
-						formatFloat(math.Float64frombits(s.sumBits.Load())))
-					fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(f.labels, s.lvs, "", ""), s.count.Load())
-				} else {
-					fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, s.lvs, "", ""),
-						formatFloat(math.Float64frombits(s.bits.Load())))
+						labelString(f.labels, s.lvs, "le", formatFloat(f.buckets[i])), cum)
 				}
+				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
+					labelString(f.labels, s.lvs, "le", "+Inf"), s.count.Load())
+				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(f.labels, s.lvs, "", ""),
+					formatFloat(math.Float64frombits(s.sumBits.Load())))
+				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(f.labels, s.lvs, "", ""), s.count.Load())
+			} else {
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, s.lvs, "", ""),
+					formatFloat(math.Float64frombits(s.bits.Load())))
 			}
 		}
 		if _, err := io.WriteString(w, b.String()); err != nil {
@@ -405,7 +384,7 @@ func (r *Registry) Lint() []string {
 		if strings.ToLower(f.name) != f.name {
 			bad("name contains uppercase letters")
 		}
-		isCounter := f.kind == kindCounter || f.kind == kindCounterFunc
+		isCounter := f.kind == kindCounter
 		if isCounter && !strings.HasSuffix(f.name, "_total") {
 			bad(`counter must end in "_total"`)
 		}

@@ -74,19 +74,18 @@ func TestWritePrometheusGolden(t *testing.T) {
 	c := r.NewCounterVec("mdm_g_requests_total", "requests", "endpoint", "class")
 	c.With("/api/sparql", "2xx").Add(3)
 	c.With("/api/query", "5xx").Inc()
-	g := r.NewGauge("mdm_g_inflight", "in-flight requests")
+	g := r.NewGauge("mdm_g_inflight", `in-flight "live" requests`)
 	g.Set(2)
 	h := r.NewHistogram("mdm_g_latency_seconds", "latency", []float64{0.1, 0.5})
 	h.Observe(0.05)
 	h.Observe(0.05)
 	h.Observe(0.3)
 	h.Observe(7)
-	r.CounterFunc("mdm_g_shim_total", `legacy expvar "mirror"`, func() float64 { return 42 })
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP mdm_g_inflight in-flight requests
+	want := `# HELP mdm_g_inflight in-flight "live" requests
 # TYPE mdm_g_inflight gauge
 mdm_g_inflight 2
 # HELP mdm_g_latency_seconds latency
@@ -100,9 +99,6 @@ mdm_g_latency_seconds_count 4
 # TYPE mdm_g_requests_total counter
 mdm_g_requests_total{endpoint="/api/query",class="5xx"} 1
 mdm_g_requests_total{endpoint="/api/sparql",class="2xx"} 3
-# HELP mdm_g_shim_total legacy expvar "mirror"
-# TYPE mdm_g_shim_total counter
-mdm_g_shim_total 42
 `
 	if b.String() != want {
 		t.Errorf("golden mismatch:\n got:\n%s\nwant:\n%s", b.String(), want)

@@ -58,8 +58,10 @@ func TestMetricsEndpoint(t *testing.T) {
 		"mdm_sparql_stage_duration_seconds_count",
 		"mdm_sparql_plan_cache_total",
 		"mdm_federate_source_cache_hits_total",
-		"mdm_federate_breaker_opened_total",
-		"mdm_tdb_checkpoints_total",
+		"# TYPE mdm_federate_breaker_opened_total counter",
+		"# TYPE mdm_federate_breaker_state gauge",
+		"# TYPE mdm_tdb_checkpoints_total counter",
+		"# TYPE mdm_tdb_retired_pinned_epochs gauge",
 		"mdm_slow_queries_total",
 	} {
 		if !strings.Contains(text, want) {

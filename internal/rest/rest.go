@@ -58,11 +58,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"mdm"
@@ -129,32 +127,10 @@ func (s *Server) routes() {
 
 	s.handle("POST /api/admin/compact", s.handleCompact)
 
-	// Application metrics. /debug/vars serves only the mdm.* expvars
-	// (the stock expvar.Handler also dumps cmdline and memstats, which
-	// do not belong on an unauthenticated API port); /metrics serves
-	// the Prometheus rendering of the obs registry. Neither route is
-	// instrumented: scrapers would otherwise dominate the request
-	// metrics they collect.
-	s.mux.HandleFunc("GET /debug/vars", handleVars)
+	// Application metrics: the Prometheus rendering of the obs registry.
+	// The route is not instrumented: scrapers would otherwise dominate
+	// the request metrics they collect.
 	s.mux.Handle("GET /metrics", obs.Handler(obs.Default))
-}
-
-// handleVars renders the mdm.* expvars as one JSON object.
-func handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, "{")
-	first := true
-	expvar.Do(func(kv expvar.KeyValue) {
-		if !strings.HasPrefix(kv.Key, "mdm.") {
-			return
-		}
-		if !first {
-			fmt.Fprint(w, ",")
-		}
-		first = false
-		fmt.Fprintf(w, "%q:%s", kv.Key, kv.Value)
-	})
-	fmt.Fprint(w, "}\n")
 }
 
 // --- helpers ---

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/tdb/segment"
 )
 
@@ -35,22 +34,17 @@ func benchHistory(n int) *rdf.Dataset {
 }
 
 // BenchmarkStoreOpen measures the cold-open cost of a 50k-record history
-// in the layouts the two engines leave on disk.
+// in the two layouts a store can be found in.
 //
 //   - segment: sealed segment (binary dict + ID triples, loaded via the
 //     bulk-ID fast path) plus empty WAL tail — what the background
-//     checkpointer maintains, so this is the segment engine's steady
-//     state no matter how the process died.
-//   - legacy: a 50k-record JSON WAL and no snapshot. The legacy engine
-//     checkpointed only on an explicit Checkpoint/Close, so any restart
-//     that didn't come from a clean shutdown replays the entire
-//     history.
-//   - legacy-checkpointed: the legacy best case (clean shutdown wrote a
-//     TriG snapshot), which still re-parses the full text at every
-//     open.
+//     checkpointer maintains, so this is the steady state no matter how
+//     the process died.
+//   - wal-replay: a 50k-record JSON WAL and no segment — a store that
+//     was never checkpointed replays its entire history.
 //
-// The segment/legacy gap is the point of the engine: open cost is
-// O(encoded live data + WAL tail), not O(history).
+// The gap is the point of the engine: open cost is O(encoded live data
+// + WAL tail), not O(history).
 func BenchmarkStoreOpen(b *testing.B) {
 	const records = 50_000
 	ds := benchHistory(records)
@@ -81,17 +75,11 @@ func BenchmarkStoreOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	snapDir := b.TempDir()
-	if err := os.WriteFile(filepath.Join(snapDir, snapshotFile), []byte(turtle.WriteDataset(ds)), 0o644); err != nil {
-		b.Fatal(err)
-	}
-
 	for _, bc := range []struct {
 		name, dir string
 	}{
 		{"segment", segDir},
-		{"legacy", walDir},
-		{"legacy-checkpointed", snapDir},
+		{"wal-replay", walDir},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -16,16 +15,13 @@ import (
 	"mdm/internal/tdb/segment"
 )
 
-var expMaintErrors = expvar.NewInt("mdm.tdb.maintenance_errors")
-
 // maxDeltaSegments is the segment count at which background maintenance
 // folds the delta chain into one full segment.
 const maxDeltaSegments = 16
 
 // Checkpoint seals the current WAL tail into a new delta segment and
 // truncates the WAL: an O(tail) durability point, unlike Compact's
-// O(dataset) rewrite. A legacy (snapshot.trig) store is migrated with a
-// full Compact instead. A crash between publishing the manifest and
+// O(dataset) rewrite. A crash between publishing the manifest and
 // truncating the WAL replays the sealed ops on top of the segment at the
 // next open; every op is idempotent against its own effect, so the
 // recovered dataset is unchanged.
@@ -38,9 +34,6 @@ func (s *Store) Checkpoint() error {
 func (s *Store) checkpointLocked() error {
 	if s.closed {
 		return errors.New("tdb: store is closed")
-	}
-	if s.legacy {
-		return s.compactLocked()
 	}
 	if err := s.walBuf.Flush(); err != nil {
 		return fmt.Errorf("tdb: flush wal: %w", err)
@@ -73,7 +66,7 @@ func (s *Store) checkpointLocked() error {
 		return err
 	}
 	s.lastSealed = fingerprint(s.cur.ds)
-	expCheckpoints.Add(1)
+	obsCheckpoints.Inc()
 	s.observeSegments()
 	return nil
 }
@@ -83,9 +76,7 @@ func (s *Store) checkpointLocked() error {
 // publishes a one-segment manifest, truncates the WAL and installs the
 // compacted dataset as a new epoch. Readers holding a PinSnapshot keep
 // their pre-compaction view; everyone else sees the new epoch on their
-// next Dataset call. Legacy snapshot.trig stores are migrated to the
-// segment format here (the snapshot file is removed once the manifest is
-// durable).
+// next Dataset call.
 //
 // When a swap hook is registered (SetSwapHook), the epoch swap — and the
 // segment IO feeding it — runs inside the hook's quiescence window, so
@@ -137,15 +128,13 @@ func (s *Store) sealFullLocked(ds *rdf.Dataset) error {
 	// The manifest is the recovery point: everything below is cleanup
 	// that a crash can at worst leave for the next open to redo.
 	s.man = next
-	s.legacy = false
-	_ = os.Remove(filepath.Join(s.dir, snapshotFile))
 	if err := s.truncateWALLocked(); err != nil {
 		return err
 	}
 	next.Sweep(s.dir)
 	s.lastSealed = fingerprint(ds)
 	s.lastFullDict = ds.Dict().Len()
-	expCompactions.Add(1)
+	obsCompactions.Inc()
 	s.observeSegments()
 	return nil
 }
@@ -162,12 +151,14 @@ func (s *Store) truncateWALLocked() error {
 	if _, err := s.wal.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("tdb: rewind wal: %w", err)
 	}
-	if s.opts.Sync != SyncNone {
-		_ = s.wal.Sync()
-	}
 	s.walBuf.Reset(s.wal)
 	s.walRecords = 0
 	s.walDirty = false
+	if s.opts.Sync != SyncNone {
+		if err := s.wal.Sync(); err != nil {
+			return fmt.Errorf("tdb: fsync wal: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -225,17 +216,6 @@ func walOp(w walRecord) (segment.Op, bool) {
 	return segment.Op{}, false
 }
 
-// AutoCompact runs a full compaction if the WAL has reached threshold
-// records, reporting whether it ran.
-func (s *Store) AutoCompact(threshold int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.walRecords < threshold {
-		return false, nil
-	}
-	return true, s.compactLocked()
-}
-
 // StartAutoCompact starts the background maintenance goroutine: every
 // interval it seals the WAL tail into a delta segment once it holds
 // walThreshold records, and escalates to a full compaction when the
@@ -287,8 +267,7 @@ func (s *Store) maintain(walThreshold int) {
 		segs = len(s.man.Segments)
 	}
 	changed := fp != s.lastSealed
-	needFull := (s.legacy && (changed || s.walRecords > 0)) || // migrate legacy stores
-		(fp.dic >= 1024 && fp.dic >= 2*s.lastFullDict) || // dictionary doubled: GC dead terms
+	needFull := (fp.dic >= 1024 && fp.dic >= 2*s.lastFullDict) || // dictionary doubled: GC dead terms
 		segs >= maxDeltaSegments || // fold the delta chain
 		(changed && s.walRecords == 0) // facade writes bypassed the WAL
 
@@ -300,6 +279,6 @@ func (s *Store) maintain(walThreshold int) {
 		err = s.checkpointLocked()
 	}
 	if err != nil {
-		expMaintErrors.Add(1)
+		obsMaintErrors.Inc()
 	}
 }

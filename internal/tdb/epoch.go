@@ -56,7 +56,7 @@ func (p *Snapshot) Release() {
 		p.e.pins--
 		if p.e != p.s.cur && p.e.pins == 0 {
 			delete(p.s.retired, p.e.seq)
-			expPinnedEpochs.Add(-1)
+			obsPinnedEpochs.Dec()
 		}
 	})
 }
@@ -69,8 +69,8 @@ func (s *Store) Epoch() uint64 {
 }
 
 // RetiredEpochs reports how many compaction-retired epochs are still
-// kept alive by outstanding pins (also exported as the
-// mdm.tdb.retired_pinned_epochs expvar gauge, process-wide).
+// kept alive by outstanding pins (also exported process-wide as the
+// mdm_tdb_retired_pinned_epochs gauge).
 func (s *Store) RetiredEpochs() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -86,7 +86,7 @@ func (s *Store) swapEpochLocked(ds *rdf.Dataset) {
 	s.cur = &epoch{seq: s.epochSeq, ds: ds}
 	if old.pins > 0 {
 		s.retired[old.seq] = old
-		expPinnedEpochs.Add(1)
+		obsPinnedEpochs.Inc()
 	}
 }
 

@@ -35,7 +35,7 @@ func SegmentName(seq uint64) string {
 }
 
 // LoadManifest reads the manifest of dir. A missing manifest returns
-// (nil, nil): the directory is a legacy or empty store.
+// (nil, nil): the directory is an empty or WAL-only store.
 func LoadManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ManifestFile))
 	if errors.Is(err, os.ErrNotExist) {

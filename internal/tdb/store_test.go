@@ -1,7 +1,6 @@
 package tdb
 
 import (
-	"expvar"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -122,13 +121,13 @@ func TestTornWALTailTrimmedAndCounted(t *testing.T) {
 	f.WriteString(torn)
 	f.Close()
 
-	before := expvar.Get("mdm.tdb.wal_torn_bytes").(*expvar.Int).Value()
+	before := obsTornBytes.Value()
 	s2 := openT(t, dir)
 	if got := s2.Dataset().Default().Len(); got != 1 {
 		t.Fatalf("Len after torn tail = %d, want 1", got)
 	}
-	if delta := expvar.Get("mdm.tdb.wal_torn_bytes").(*expvar.Int).Value() - before; delta != int64(len(torn)) {
-		t.Fatalf("wal_torn_bytes delta = %d, want %d", delta, len(torn))
+	if delta := obsTornBytes.Value() - before; delta != float64(len(torn)) {
+		t.Fatalf("mdm_tdb_wal_torn_bytes_total delta = %v, want %d", delta, len(torn))
 	}
 	// The torn bytes are trimmed so the next append starts a clean line.
 	if fi, err := os.Stat(path); err != nil || fi.Size() != goodSize {
@@ -228,42 +227,103 @@ func TestCheckpointCompactMixReopen(t *testing.T) {
 	}
 }
 
-func TestLegacySnapshotMigratesOnCompact(t *testing.T) {
-	dir := t.TempDir()
-	// Build a legacy (pre-segment) store layout by hand: a TriG snapshot
-	// and a JSON WAL tail, no MANIFEST.
-	ds := rdf.NewDataset()
-	ds.Prefixes().Bind("ex", "http://ex/")
-	ds.Default().MustAdd(rdf.T(ex("s"), ex("p"), rdf.Lit("snap")))
-	ds.Graph(ex("g")).MustAdd(rdf.T(ex("s"), ex("p"), rdf.Lit("named")))
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(turtle.WriteDataset(ds)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wal := `{"op":"add","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"tail"}]}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(wal), 0o644); err != nil {
-		t.Fatal(err)
-	}
+// TestPreSegmentSnapshotRefused: a directory holding only the
+// pre-segment snapshot.trig layout must not open as an empty store (the
+// next compaction would overwrite its data); once a MANIFEST exists the
+// manifest is authoritative and a stray snapshot file is ignored.
+func TestPreSegmentSnapshotRefused(t *testing.T) {
+	const snap = "<http://ex/s> <http://ex/p> \"snap\" .\n"
+	const wal = `{"op":"add","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"tail"}]}` + "\n"
+	for _, tc := range []struct {
+		name     string
+		manifest bool
+	}{
+		{"snapshot without manifest is refused", false},
+		{"manifest with stray snapshot opens from the manifest", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.manifest {
+				s := openT(t, dir)
+				if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("sealed"))); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				s.Close()
+			} else if err := os.WriteFile(filepath.Join(dir, walFile), []byte(wal), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, "snapshot.trig"), []byte(snap), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, dir)
 
-	s := openT(t, dir)
-	if got := s.Dataset().Len(); got != 3 {
-		t.Fatalf("legacy store Len = %d, want 3", got)
+			s, err := Open(dir)
+			if tc.manifest {
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				if got := s.Dataset().Len(); got != 1 || !s.Dataset().Default().Has(rdf.T(ex("s"), ex("p"), rdf.Lit("sealed"))) {
+					t.Fatalf("store did not open from the manifest: Len = %d", got)
+				}
+				return
+			}
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a snapshot.trig store as empty")
+			}
+			if !strings.Contains(err.Error(), "snapshot.trig") || !strings.Contains(err.Error(), "PR 12") {
+				t.Fatalf("error %q does not name the file and the migrating release", err)
+			}
+			if after := dirBytes(t, dir); after != before {
+				t.Fatalf("refused open changed the directory:\n%s\nwas:\n%s", after, before)
+			}
+		})
 	}
-	want := trig(s)
-	// First compaction migrates to the segment format.
-	if err := s.Compact(); err != nil {
+}
+
+// dirBytes renders every file of dir (name and content) for
+// byte-identity checks.
+func dirBytes(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if man, err := segment.LoadManifest(dir); err != nil || man == nil {
-		t.Fatalf("no manifest after migrating compact: %v, %v", man, err)
+	var b strings.Builder
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s: %q\n", e.Name(), data)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot survived migration: %v", err)
+	return b.String()
+}
+
+// TestFsyncFailureReported: a failed WAL fsync is a lost durability
+// guarantee, so the SyncBatch flusher counts it and Close returns it.
+func TestFsyncFailureReported(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	s, err := OpenWith(t.TempDir(), Options{Sync: SyncBatch, SyncInterval: interval})
+	if err != nil {
+		t.Fatal(err)
 	}
-	s2 := openT(t, dir)
-	defer s2.Close()
-	if got := trig(s2); got != want {
-		t.Fatalf("migrated store differs:\n%s\nwant:\n%s", got, want)
+	before := obsMaintErrors.Value()
+	s.mu.Lock()
+	s.wal.Close() // every later Sync on the handle fails
+	s.walDirty = true
+	s.mu.Unlock()
+	for deadline := time.Now().Add(2 * time.Second); obsMaintErrors.Value() == before; time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			t.Fatal("failed batch fsync not counted on mdm_tdb_maintenance_errors_total")
+		}
+	}
+	if err := s.Close(); err == nil {
+		t.Fatal("Close swallowed the fsync failure")
 	}
 }
 

@@ -21,9 +21,6 @@
 // temp-file + rename, so a crash mid-seal leaves the previous manifest
 // + WAL recovery point intact.
 //
-// Legacy stores (a snapshot.trig TriG snapshot instead of a manifest)
-// still open; the first Compact migrates them to the segment format.
-//
 // # Durability
 //
 // By default WAL appends are flushed to the OS (bufio.Flush) but NOT
@@ -42,7 +39,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"os"
@@ -51,24 +47,10 @@ import (
 	"time"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/tdb/segment"
 )
 
-const (
-	// snapshotFile is the legacy (pre-segment) full-snapshot file name.
-	snapshotFile = "snapshot.trig"
-	walFile      = "wal.jsonl"
-)
-
-// Package-wide expvar counters (cumulative across stores in a process),
-// served by mdmd at GET /debug/vars.
-var (
-	expTornBytes    = expvar.NewInt("mdm.tdb.wal_torn_bytes")
-	expCheckpoints  = expvar.NewInt("mdm.tdb.checkpoints")
-	expCompactions  = expvar.NewInt("mdm.tdb.compactions")
-	expPinnedEpochs = expvar.NewInt("mdm.tdb.retired_pinned_epochs")
-)
+const walFile = "wal.jsonl"
 
 // SyncMode selects WAL fsync behavior; see Options.Sync.
 type SyncMode int
@@ -126,9 +108,8 @@ type Store struct {
 	epochSeq uint64
 
 	// man is the segment manifest; nil for a store that has never sealed
-	// a segment (fresh, or legacy snapshot.trig not yet migrated).
-	man    *segment.Manifest
-	legacy bool // snapshot.trig loaded, migrate on first seal
+	// a segment.
+	man *segment.Manifest
 
 	wal        *os.File
 	walBuf     *bufio.Writer
@@ -262,29 +243,19 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tdb: %w", err)
 	}
 	if man != nil {
-		// Segment store: sweep crash leftovers (sealed-but-unpublished
-		// segments, temp manifests, a snapshot.trig whose migration
-		// published the manifest but crashed before removing it), then
-		// stream-load the live segments.
+		// Sweep crash leftovers (sealed-but-unpublished segments, temp
+		// manifests), then stream-load the live segments.
 		man.Sweep(dir)
-		_ = os.Remove(filepath.Join(dir, snapshotFile))
 		for _, name := range man.Segments {
 			if _, err := segment.LoadFile(filepath.Join(dir, name), ds); err != nil {
 				return nil, fmt.Errorf("tdb: corrupt segment: %w", err)
 			}
 		}
 		s.man = man
-	} else if data, err := os.ReadFile(filepath.Join(dir, snapshotFile)); err == nil {
-		// Legacy snapshot+WAL store: full TriG re-parse, migrated to the
-		// segment format by the first Compact/Checkpoint.
-		loaded, perr := turtle.ParseDataset(string(data))
-		if perr != nil {
-			return nil, fmt.Errorf("tdb: corrupt snapshot: %w", perr)
-		}
-		ds = loaded
-		s.legacy = true
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("tdb: read snapshot: %w", err)
+	} else if _, err := os.Stat(filepath.Join(dir, "snapshot.trig")); err == nil {
+		// Opening a pre-segment store as empty would silently drop its
+		// data at the next compaction.
+		return nil, fmt.Errorf("tdb: %s holds a pre-segment snapshot.trig store; PR 12 is the last release that migrates it (open and compact it there once)", dir)
 	}
 
 	s.cur = &epoch{seq: s.epochSeq, ds: ds}
@@ -313,8 +284,8 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 
 // replayWAL applies the WAL tail to the live dataset. A torn FINAL
 // record (crash mid-append) is tolerated: the torn bytes are counted on
-// expvar and trimmed from the file so later appends cannot bury
-// corruption mid-file. An undecodable record with more data after it is
+// mdm_tdb_wal_torn_bytes_total and trimmed from the file so later
+// appends cannot bury corruption mid-file. An undecodable record with more data after it is
 // mid-file corruption and fails the open, naming the byte offset.
 func (s *Store) replayWAL() error {
 	path := filepath.Join(s.dir, walFile)
@@ -345,7 +316,7 @@ func (s *Store) replayWAL() error {
 					return fmt.Errorf("tdb: corrupt wal record at byte offset %d: %w", off, uerr)
 				}
 				torn := int64(len(line) + len(rest))
-				expTornBytes.Add(torn)
+				obsTornBytes.Add(float64(torn))
 				if terr := os.Truncate(path, off); terr != nil {
 					return fmt.Errorf("tdb: trim torn wal tail: %w", terr)
 				}
@@ -452,7 +423,9 @@ func (s *Store) syncLoop() {
 		}
 		s.mu.Lock()
 		if !s.closed && s.walDirty {
-			_ = s.wal.Sync()
+			if err := s.wal.Sync(); err != nil {
+				obsMaintErrors.Inc()
+			}
 			s.walDirty = false
 			obsWALFsyncs.Inc()
 		}
@@ -558,7 +531,10 @@ func (s *Store) Close() error {
 		return err
 	}
 	if s.opts.Sync != SyncNone {
-		_ = s.wal.Sync()
+		if err := s.wal.Sync(); err != nil {
+			s.wal.Close()
+			return fmt.Errorf("tdb: fsync wal: %w", err)
+		}
 	}
 	return s.wal.Close()
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,8 +158,7 @@ func TestCompactThenReopen(t *testing.T) {
 	}
 	s.Close()
 
-	// Compaction publishes a manifest naming one full segment; the legacy
-	// snapshot file must be gone.
+	// Compaction publishes a manifest naming one full segment.
 	man, err := segment.LoadManifest(dir)
 	if err != nil || man == nil {
 		t.Fatalf("LoadManifest after compact = %v, %v", man, err)
@@ -171,9 +169,6 @@ func TestCompactThenReopen(t *testing.T) {
 	if _, err := segment.ReadStats(filepath.Join(dir, man.Segments[0])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Fatalf("legacy snapshot still present after compact: %v", err)
-	}
 	s2 := openT(t, dir)
 	defer s2.Close()
 	if got := s2.Dataset().Default().Len(); got != 21 {
@@ -181,25 +176,6 @@ func TestCompactThenReopen(t *testing.T) {
 	}
 	if iri, ok := s2.Dataset().Prefixes().Expand("ex:a"); !ok || iri != "http://ex/a" {
 		t.Error("prefix lost through snapshot")
-	}
-}
-
-func TestAutoCompact(t *testing.T) {
-	s := openT(t, t.TempDir())
-	defer s.Close()
-	for i := 0; i < 5; i++ {
-		s.AddTriple(rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.IntLit(int64(i))))
-	}
-	ran, err := s.AutoCompact(10)
-	if err != nil || ran {
-		t.Fatalf("AutoCompact below threshold = %v, %v", ran, err)
-	}
-	ran, err = s.AutoCompact(5)
-	if err != nil || !ran {
-		t.Fatalf("AutoCompact at threshold = %v, %v", ran, err)
-	}
-	if s.WALRecords() != 0 {
-		t.Fatal("WAL not reset by AutoCompact")
 	}
 }
 
@@ -235,16 +211,6 @@ func TestClosedStoreRejectsWrites(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("double Close should be nil, got %v", err)
-	}
-}
-
-func TestCorruptSnapshotReported(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("not turtle <"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir); err == nil || !strings.Contains(err.Error(), "corrupt snapshot") {
-		t.Fatalf("Open on corrupt snapshot = %v", err)
 	}
 }
 

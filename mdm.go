@@ -102,8 +102,12 @@ type System struct {
 
 // New creates an in-memory MDM system.
 func New() *System {
-	ont := bdi.New()
-	reg := wrapper.NewRegistry()
+	return newSystem(bdi.New(), wrapper.NewRegistry())
+}
+
+// newSystem wires an in-memory system around ont and reg; OpenWith swaps
+// in the persistent stores.
+func newSystem(ont *bdi.Ontology, reg *wrapper.Registry) *System {
 	meta, _ := store.Open("") // in-memory store never fails
 	return &System{
 		ont:      ont,
@@ -133,14 +137,16 @@ func Open(dir string) (*System, error) {
 // When opts.CompactInterval > 0 a background compactor keeps the store
 // checkpointed and its dictionary garbage-collected; the compactor
 // swaps the live dataset atomically under the ontology's write lock, so
-// facade reads and writes never observe a half-migrated dataset. Call
-// Checkpoint to force a durability point and Close when done. Wrappers
-// are live code and must be re-registered after reopen.
+// facade reads and writes never observe a half-swapped dataset. Call
+// CompactStorage to force a durability point and Close when done.
+// Wrappers are live code and must be re-registered after reopen.
 //
-// A dir/ontology.trig file written by pre-segment mdmd deployments is
-// migrated into the store on first open (and renamed to
-// ontology.trig.migrated).
+// A dir holding the TriG export of a pre-segment mdmd deployment is
+// refused: opening it as an empty store would lose it.
 func OpenWith(dir string, opts StoreOptions) (*System, error) {
+	if _, err := os.Stat(filepath.Join(dir, "ontology.trig")); err == nil {
+		return nil, fmt.Errorf("mdm: %s holds a pre-segment ontology.trig export; PR 12 is the last release that imports it (start mdmd -data on it there once)", dir)
+	}
 	tdbOpts := opts
 	// The background compactor must not start before the ontology's swap
 	// hook is wired, or an early compaction could swap the dataset
@@ -148,10 +154,6 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	tdbOpts.CompactInterval = 0
 	ts, err := tdb.OpenWith(filepath.Join(dir, "ontology"), tdbOpts)
 	if err != nil {
-		return nil, err
-	}
-	if err := migrateLegacyTriG(dir, ts); err != nil {
-		ts.Close()
 		return nil, err
 	}
 	meta, err := store.Open(filepath.Join(dir, "meta"))
@@ -164,73 +166,18 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	if opts.CompactInterval > 0 {
 		ts.StartAutoCompact(opts.CompactInterval, opts.CompactWALThreshold)
 	}
-	reg := wrapper.NewRegistry()
-	return &System{
-		ont:      ont,
-		reg:      reg,
-		releases: release.NewManager(ont, reg),
-		meta:     meta,
-		rewriter: rewrite.New(ont, reg),
-		fed:      federate.NewEngine(),
-		tdbStore: ts,
-	}, nil
-}
-
-// migrateLegacyTriG imports a pre-segment mdmd data directory: a single
-// dir/ontology.trig TriG export. The parsed dataset is written through
-// the store (so it lands in a sealed segment) and the file is renamed
-// aside; a crash mid-migration re-runs it from the original file.
-func migrateLegacyTriG(dir string, ts *tdb.Store) error {
-	path := filepath.Join(dir, "ontology.trig")
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("mdm: read legacy ontology.trig: %w", err)
-	}
-	if ts.Dataset().Len() > 0 {
-		// The store already has content: a previous migration completed
-		// but the rename was interrupted, or the operator restored an old
-		// export alongside a live store. Never overwrite the store.
-		return fmt.Errorf("mdm: both a tdb store and %s exist; remove or rename one", path)
-	}
-	parsed, err := turtle.ParseDataset(string(data))
-	if err != nil {
-		return fmt.Errorf("mdm: parse legacy ontology.trig: %w", err)
-	}
-	for _, p := range parsed.Prefixes().Pairs() {
-		if err := ts.BindPrefix(p[0], p[1]); err != nil {
-			return err
-		}
-	}
-	for _, q := range parsed.Quads() {
-		if err := ts.AddQuad(q); err != nil {
-			return err
-		}
-	}
-	if err := ts.Compact(); err != nil {
-		return err
-	}
-	return os.Rename(path, path+".migrated")
-}
-
-// Checkpoint makes a persistent system's current ontology state durable
-// by running a full storage compaction (facade writes go through the
-// ontology, not the WAL, so the sealed segment is their durability
-// point). It is a no-op for in-memory systems.
-func (s *System) Checkpoint() error {
-	if s.tdbStore == nil {
-		return nil
-	}
-	return s.tdbStore.Compact()
+	sys := newSystem(ont, wrapper.NewRegistry())
+	sys.meta, sys.tdbStore = meta, ts
+	return sys, nil
 }
 
 // CompactStorage forces a full storage compaction now: the live dataset
 // is rewritten into a single segment against a fresh dictionary
 // (dropping terms only dead history referenced), the WAL is truncated,
-// and readers move to the new storage epoch. In-memory systems no-op.
-// This is the operation behind `mdmctl compact`.
+// and readers move to the new storage epoch. Facade writes go through
+// the ontology, not the WAL, so the sealed segment is their durability
+// point. In-memory systems no-op. This is the operation behind
+// `mdmctl compact`.
 func (s *System) CompactStorage() error {
 	if s.tdbStore == nil {
 		return nil
@@ -259,15 +206,7 @@ func (s *System) Close() error {
 // FromParts assembles a System around an existing ontology and wrapper
 // registry (e.g. a prebuilt fixture).
 func FromParts(ont *bdi.Ontology, reg *wrapper.Registry) *System {
-	meta, _ := store.Open("")
-	return &System{
-		ont:      ont,
-		reg:      reg,
-		releases: release.NewManager(ont, reg),
-		meta:     meta,
-		rewriter: rewrite.New(ont, reg),
-		fed:      federate.NewEngine(),
-	}
+	return newSystem(ont, reg)
 }
 
 // Ontology exposes the underlying BDI ontology for advanced use.
@@ -607,15 +546,5 @@ func ImportTriG(doc string) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	ont := bdi.FromDataset(ds)
-	reg := wrapper.NewRegistry()
-	meta, _ := store.Open("")
-	return &System{
-		ont:      ont,
-		reg:      reg,
-		releases: release.NewManager(ont, reg),
-		meta:     meta,
-		rewriter: rewrite.New(ont, reg),
-		fed:      federate.NewEngine(),
-	}, nil
+	return newSystem(bdi.FromDataset(ds), wrapper.NewRegistry()), nil
 }

@@ -302,7 +302,7 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	if err := sys.AddSource("players-api", "Players API"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Checkpoint(); err != nil {
+	if err := sys.CompactStorage(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Close(); err != nil {
@@ -322,9 +322,9 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	if sys2.Metadata().Count("sources") != 1 {
 		t.Errorf("metadata sources = %d", sys2.Metadata().Count("sources"))
 	}
-	// In-memory systems: Checkpoint/Close are no-ops.
+	// In-memory systems: CompactStorage/Close are no-ops.
 	mem := mdm.New()
-	if err := mem.Checkpoint(); err != nil {
+	if err := mem.CompactStorage(); err != nil {
 		t.Error(err)
 	}
 	if err := mem.Close(); err != nil {
@@ -431,53 +431,33 @@ func TestReRegisterWrapperInvalidatesCacheAndBreaker(t *testing.T) {
 	}
 }
 
-func TestLegacyTriGMigration(t *testing.T) {
+// TestOpenRefusesPreSegmentExport: a data directory holding the
+// ontology.trig export of a pre-segment deployment must not open as an
+// empty system, and the refusal must not create store files beside it.
+func TestOpenRefusesPreSegmentExport(t *testing.T) {
 	dir := t.TempDir()
-	// A pre-segment mdmd data directory: one TriG export, no store.
-	legacy := mdm.New()
-	legacy.BindPrefix("ex", "http://ex.org/")
-	if err := legacy.AddConcept("ex:Player", "Player"); err != nil {
+	old := mdm.New()
+	old.BindPrefix("ex", "http://ex.org/")
+	if err := old.AddConcept("ex:Player", "Player"); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "ontology.trig"), []byte(legacy.ExportTriG()), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "ontology.trig"), []byte(old.ExportTriG()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
 	sys, err := mdm.Open(dir)
+	if err == nil {
+		sys.Close()
+		t.Fatal("Open accepted a directory holding ontology.trig")
+	}
+	if !strings.Contains(err.Error(), "ontology.trig") || !strings.Contains(err.Error(), "PR 12") {
+		t.Fatalf("error %q does not name the file and the migrating release", err)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Stats().Concepts != 1 {
-		t.Fatalf("migrated stats = %+v", sys.Stats())
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ontology.trig.migrated")); err != nil {
-		t.Fatalf("legacy file not renamed aside: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "ontology.trig")); !os.IsNotExist(err) {
-		t.Fatalf("legacy file still present: %v", err)
-	}
-	if err := sys.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: content survives in the segment store; the renamed export
-	// is not re-imported.
-	sys2, err := mdm.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys2.Close()
-	if sys2.Stats().Concepts != 1 {
-		t.Fatalf("reopened stats = %+v", sys2.Stats())
-	}
-
-	// A data dir holding BOTH a live store and a legacy export refuses
-	// to guess which one wins.
-	if err := os.WriteFile(filepath.Join(dir, "ontology.trig"), []byte(legacy.ExportTriG()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mdm.Open(dir); err == nil {
-		t.Fatal("Open should refuse a dir with both store and legacy export")
+	if len(entries) != 1 || entries[0].Name() != "ontology.trig" {
+		t.Fatalf("refused Open left files behind: %v", entries)
 	}
 }
 

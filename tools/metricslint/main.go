@@ -5,8 +5,11 @@
 // then lints the populated default registry: mdm_ prefix, lowercase
 // names, counters ending in _total (and only counters), histograms
 // carrying a base-unit suffix, reserved labels (le, quantile) unused,
-// help text present. CI runs it in the docs job; a nonzero exit fails
-// the build.
+// help text present. It then diffs the registry's family names against
+// the metric catalog tables of docs/OBSERVABILITY.md (expanding
+// `mdm_x_{a,b}_total` groups) and reports every name present on one
+// side only, so the catalog cannot rot. CI runs it from the repo root
+// in the docs job; a nonzero exit fails the build.
 //
 // Usage:
 //
@@ -16,6 +19,9 @@ package main
 import (
 	"fmt"
 	"os"
+	"regexp"
+	"sort"
+	"strings"
 
 	"mdm/internal/obs"
 
@@ -29,8 +35,17 @@ import (
 	_ "mdm/internal/tdb"
 )
 
+// catalogPath is the metric catalog, relative to the repo root.
+const catalogPath = "docs/OBSERVABILITY.md"
+
 func main() {
 	violations := obs.Default.Lint()
+	doc, err := os.ReadFile(catalogPath)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "metricslint:", err)
+		os.Exit(1)
+	}
+	violations = append(violations, diffCatalog(registeredFamilies(), catalogFamilies(string(doc)))...)
 	for _, v := range violations {
 		fmt.Fprintln(os.Stderr, "metricslint:", v)
 	}
@@ -39,4 +54,69 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("metricslint: ok")
+}
+
+// registeredFamilies returns the family names GET /metrics renders: one
+// "# TYPE <name> <type>" line per family.
+func registeredFamilies() map[string]bool {
+	var b strings.Builder
+	_ = obs.Default.WritePrometheus(&b) // a strings.Builder never fails
+	out := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			out[f[2]] = true
+		}
+	}
+	return out
+}
+
+// catalogRow matches the first cell of a catalog table row.
+var catalogRow = regexp.MustCompile("^\\| `(mdm_[a-z0-9_{},]+)` \\|")
+
+// catalogFamilies returns the names documented in the tables of the
+// "## Metric catalog" section.
+func catalogFamilies(doc string) map[string]bool {
+	out := map[string]bool{}
+	inCatalog := false
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(line, "## ") {
+			inCatalog = line == "## Metric catalog"
+		}
+		if m := catalogRow.FindStringSubmatch(line); inCatalog && m != nil {
+			for _, name := range expandGroups(m[1]) {
+				out[name] = true
+			}
+		}
+	}
+	return out
+}
+
+// expandGroups expands every {a,b,c} group of a catalog name.
+func expandGroups(name string) []string {
+	open, end := strings.IndexByte(name, '{'), strings.IndexByte(name, '}')
+	if open < 0 || end < open {
+		return []string{name}
+	}
+	var out []string
+	for _, alt := range strings.Split(name[open+1:end], ",") {
+		out = append(out, expandGroups(name[:open]+alt+name[end+1:])...)
+	}
+	return out
+}
+
+// diffCatalog reports every name present on one side only.
+func diffCatalog(registered, documented map[string]bool) []string {
+	var out []string
+	for name := range registered {
+		if !documented[name] {
+			out = append(out, name+": registered but missing from "+catalogPath)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			out = append(out, name+": listed in "+catalogPath+" but not registered")
+		}
+	}
+	sort.Strings(out)
+	return out
 }
