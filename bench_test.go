@@ -617,7 +617,7 @@ func BenchmarkWalkFederation(b *testing.B) {
 	b.Run("federated-page10", func(b *testing.B) {
 		eng := federate.NewEngine()
 		for i := 0; i < b.N; i++ {
-			cur, err := eng.RunPage(ctx, plan, 10, 0)
+			cur, err := eng.RunWith(ctx, plan, federate.RunOpts{Limit: 10})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -295,17 +295,7 @@ func (c *client) post(path string, body any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	warnPartial(resp)
-	if isNDJSON(resp) {
-		_, err = io.Copy(os.Stdout, resp.Body)
-		return err
-	}
-	return pretty(resp.Body, resp.StatusCode)
+	return c.postBytes(path, b)
 }
 
 func (c *client) postFile(path, file string) error {
@@ -313,7 +303,13 @@ func (c *client) postFile(path, file string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(data))
+	return c.postBytes(path, data)
+}
+
+// postBytes sends a JSON body and prints the answer: NDJSON streams to
+// stdout as it arrives, anything else is pretty-printed.
+func (c *client) postBytes(path string, body []byte) error {
+	resp, err := http.Post(c.base+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -126,17 +126,18 @@ func main() {
 	fmt.Print(rel.Table())
 
 	// --- analyst: streaming metadata reads over the cursor API ---
-	// SPARQLCursor evaluates lazily: the LIMIT is pushed into the
+	// SPARQLPage evaluates lazily: the page bound (here limit 3, offset
+	// 0, overriding any LIMIT/OFFSET in the text) is pushed into the
 	// engine, rows arrive one Next at a time, and dropping the cursor
 	// (or canceling ctx) stops the work — the pattern the REST layer
 	// uses to stream NDJSON pages to paging clients.
-	cur, err := sys.SPARQLCursor(`
+	cur, err := sys.SPARQLPage(`
 PREFIX G: <http://www.essi.upc.edu/~snadal/BDIOntology/Global/>
 SELECT ?c ?f WHERE {
   GRAPH <http://www.essi.upc.edu/~snadal/BDIOntology/Global/graph> {
     ?c G:hasFeature ?f .
   }
-} LIMIT 3`)
+}`, 3, 0)
 	check(err)
 	defer cur.Close()
 	fmt.Println("\n-- first page of features, streamed --")

@@ -2,7 +2,9 @@ package federate
 
 import (
 	"context"
+	"time"
 
+	"mdm/internal/obs"
 	"mdm/internal/relalg"
 )
 
@@ -26,6 +28,10 @@ import (
 // point-in-time consistent per source; separate Runs may observe
 // different source states (unless a TTL cache pins a snapshot).
 //
+// The cursor owns the walk's drain stage: first Next to finish
+// (exhaustion, error, cancellation or Close) is recorded on the trace
+// the query's context carried into RunWith.
+//
 // Cursors are not safe for concurrent use.
 type Cursor struct {
 	cols     []string
@@ -33,6 +39,9 @@ type Cursor struct {
 	row      relalg.Row
 	err      error
 	done     bool
+	rows     int64
+	tr       *obs.Trace
+	t0       time.Time     // first Next; zero until then
 	missing  []SourceError // partial mode: sources that contributed no rows
 	staleSrc []string      // partial mode: sources served from a stale snapshot
 }
@@ -61,24 +70,26 @@ func (c *Cursor) Next(ctx context.Context) bool {
 	if c.done || c.err != nil {
 		return false
 	}
-	if err := ctx.Err(); err != nil {
-		c.err = err
-		c.done, c.row = true, nil
-		return false
+	if c.t0.IsZero() {
+		c.t0 = time.Now()
 	}
-	row, err := c.it.next(ctx)
-	if err != nil {
-		c.err = err
-		c.done, c.row = true, nil
-		return false
+	err := ctx.Err()
+	var row relalg.Row
+	if err == nil {
+		row, err = c.it.next(ctx)
 	}
-	if row == nil {
-		c.done, c.row = true, nil
+	if err != nil || row == nil {
+		c.err = err
+		c.Close()
 		return false
 	}
 	c.row = row
+	c.rows++
 	return true
 }
+
+// Rows returns the number of rows produced so far.
+func (c *Cursor) Rows() int64 { return c.rows }
 
 // Row returns the current row. It is valid until the next call to Next
 // or Close and must not be mutated (it may alias a shared source
@@ -97,6 +108,9 @@ func (c *Cursor) Err() error { return c.err }
 // holds no locks or goroutines — but calling it documents intent and
 // makes Next return false immediately.
 func (c *Cursor) Close() {
+	if !c.done && !c.t0.IsZero() {
+		c.tr.StageDur("drain", time.Since(c.t0))
+	}
 	c.done, c.row = true, nil
 }
 

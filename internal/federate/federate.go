@@ -135,9 +135,8 @@ const (
 	PartialOn
 )
 
-// RunOpts parameterizes RunWith. Limit/Offset follow RunPage's
-// contract: limit < 0 unbounded, limit 0 a legitimate empty page,
-// offset <= 0 no skip.
+// RunOpts parameterizes RunWith: limit < 0 unbounded, limit 0 a
+// legitimate empty page, offset <= 0 no skip.
 type RunOpts struct {
 	Limit   int
 	Offset  int
@@ -152,18 +151,12 @@ func (e *Engine) Run(ctx context.Context, plan relalg.Plan) (*Cursor, error) {
 	return e.RunWith(ctx, plan, RunOpts{Limit: -1, Offset: -1})
 }
 
-// RunPage is Run with a page bound pushed into the pipeline: when
-// limit >= 0 at most limit rows are produced, when offset > 0 the first
-// offset rows are skipped. A satisfied limit stops all upstream work.
-// Pass -1 to leave either unbounded.
-func (e *Engine) RunPage(ctx context.Context, plan relalg.Plan, limit, offset int) (*Cursor, error) {
-	return e.RunWith(ctx, plan, RunOpts{Limit: limit, Offset: offset})
-}
-
-// RunWith is RunPage with per-query options. In partial mode the
-// returned cursor may carry degradation annotations — check
-// Cursor.Partial/Missing/StaleSources; in strict mode a source failure
-// is returned here, before any row streams.
+// RunWith is Run with per-query options: a page bound pushed into the
+// pipeline (a satisfied limit stops all upstream work) and the
+// degradation mode. In partial mode the returned cursor may carry
+// degradation annotations — check Cursor.Partial/Missing/StaleSources;
+// in strict mode a source failure is returned here, before any row
+// streams.
 func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*Cursor, error) {
 	partial := e.PartialResults
 	switch opts.Partial {
@@ -172,7 +165,8 @@ func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*
 	case PartialOff:
 		partial = false
 	}
-	snaps, missing, staleSrc, err := e.scatter(ctx, plan, partial)
+	tr := obs.FromContext(ctx)
+	snaps, missing, staleSrc, err := e.scatter(ctx, tr, plan, partial)
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +179,7 @@ func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*
 	} else if opts.Offset > 0 || opts.Limit > 0 {
 		it = &pageIter{src: it, skip: max(opts.Offset, 0), limit: opts.Limit}
 	}
-	return &Cursor{cols: plan.Columns(), it: it, missing: missing, staleSrc: staleSrc}, nil
+	return &Cursor{cols: plan.Columns(), it: it, tr: tr, missing: missing, staleSrc: staleSrc}, nil
 }
 
 // Forget drops all per-source state the engine holds for a wrapper
@@ -253,7 +247,7 @@ func collectScans(p relalg.Plan, dst map[string]relalg.RowSource) {
 // with the failure's class). Only the caller's own context terminates
 // the whole scatter. Both report lists are sorted by source name so
 // annotations are deterministic.
-func (e *Engine) scatter(ctx context.Context, plan relalg.Plan, partial bool) (snaps map[string]*relalg.Relation, missing []SourceError, staleSrc []string, err error) {
+func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, partial bool) (snaps map[string]*relalg.Relation, missing []SourceError, staleSrc []string, err error) {
 	sources := map[string]relalg.RowSource{}
 	collectScans(plan, sources)
 	names := make([]string, 0, len(sources))
@@ -265,7 +259,6 @@ func (e *Engine) scatter(ctx context.Context, plan relalg.Plan, partial bool) (s
 	obsScatters.Inc()
 	obsScatterFanout.Observe(float64(len(names)))
 	scatterT0 := time.Now()
-	tr := obs.FromContext(ctx)
 	defer func() {
 		d := time.Since(scatterT0)
 		obsScatterDur.Observe(d.Seconds())

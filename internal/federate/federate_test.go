@@ -296,7 +296,7 @@ func TestRunPageBounds(t *testing.T) {
 	}{
 		{0, 0, 0}, {1, 0, 1}, {-1, 1, 1}, {5, 5, 0}, {-1, -1, 2},
 	} {
-		cur, err := eng.RunPage(ctx, plan, tc.limit, tc.offset)
+		cur, err := eng.RunWith(ctx, plan, RunOpts{Limit: tc.limit, Offset: tc.offset})
 		if err != nil {
 			t.Fatal(err)
 		}

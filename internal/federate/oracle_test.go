@@ -16,7 +16,7 @@ import (
 // results must be identical — same schema, same rows, same ORDER (the
 // streaming pipeline is documented to reproduce Execute's emission
 // order exactly, which is what makes paged reads prefixes of the full
-// drain). Each case additionally drains a random page through RunPage
+// drain). Each case additionally drains a random page through RunWith
 // and asserts it equals the corresponding slice of the full result.
 // Generation is seeded, so failures reproduce by seed number.
 
@@ -204,7 +204,7 @@ func TestFederateMatchesExecuteOracle(t *testing.T) {
 
 		// Paged read equals the slice of the full result.
 		limit, offset := r.Intn(len(want.Rows)+2), r.Intn(len(want.Rows)+2)
-		pcur, err := eng.RunPage(ctx, plan, limit, offset)
+		pcur, err := eng.RunWith(ctx, plan, RunOpts{Limit: limit, Offset: offset})
 		if err != nil {
 			t.Fatalf("seed %d: federate page: %v", seed, err)
 		}

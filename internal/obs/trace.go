@@ -101,16 +101,6 @@ func (t *Trace) StageDur(name string, d time.Duration) {
 	t.mu.Unlock()
 }
 
-// StartStage returns a closure that records the stage's elapsed time
-// when called: defer tr.StartStage("parse")().
-func (t *Trace) StartStage(name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { t.StageDur(name, time.Since(t0)) }
-}
-
 // Operator returns the span memoized under key, creating it on first
 // use. Keys are plan-node pointers, so the per-row re-instantiation of
 // an OPTIONAL body aggregates into one span instead of one per row.
@@ -184,8 +174,8 @@ func (t *Trace) Stages() map[string]float64 {
 	return m
 }
 
-// Report is the JSON shape served by ?explain=1, mdmctl explain, and
-// System.ExplainSPARQL. See docs/OBSERVABILITY.md for the schema.
+// Report is the JSON shape served by ?explain=1 and mdmctl explain. See
+// docs/OBSERVABILITY.md for the schema.
 type Report struct {
 	DurationMS float64           `json:"duration_ms"`
 	Plan       string            `json:"plan,omitempty"`

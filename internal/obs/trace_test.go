@@ -22,7 +22,6 @@ func TestTraceContextRoundTrip(t *testing.T) {
 func TestNilTraceIsInert(t *testing.T) {
 	var tr *Trace
 	tr.StageDur("parse", time.Millisecond)
-	tr.StartStage("plan")()
 	tr.SetPlan("x")
 	tr.SetAttr("k", "v")
 	tr.AddSource(SourceSpan{Source: "s"})

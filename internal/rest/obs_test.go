@@ -2,6 +2,7 @@ package rest_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -9,11 +10,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mdm"
 	"mdm/internal/apisim"
+	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rest"
+	"mdm/internal/usecase"
 )
 
 // Coverage for the observability surface: the Prometheus endpoint with
@@ -198,6 +202,62 @@ func TestSlowLogWalkCarriesMissingSources(t *testing.T) {
 	}
 	if _, ok := e.StagesMS["scatter"]; !ok {
 		t.Errorf("stages_ms missing scatter: %v", e.StagesMS)
+	}
+}
+
+// TestSlowLogRecordsFailedWalk: a walk that dies in the scatter — a
+// failed source, an open breaker, the source timeout — never gets a
+// cursor, and must still reach the slow-query log with its status, the
+// stages that ran and the plan. (It used to be dropped: the log entry
+// was registered only after the scatter had succeeded.)
+func TestSlowLogRecordsFailedWalk(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		sys    func(*testing.T) *mdm.System
+		status int
+	}{
+		{"source down", downWalkSystem, http.StatusUnprocessableEntity},
+		{"breaker open", func(t *testing.T) *mdm.System {
+			sys := downWalkSystem(t)
+			sys.Federation().Breakers = federate.NewBreakerSet(1, time.Hour)
+			if _, _, err := sys.Query(context.Background(), usecase.Fig8Walk()); err == nil {
+				t.Fatal("tripping query succeeded")
+			}
+			return sys
+		}, http.StatusServiceUnavailable},
+		{"source timeout", func(t *testing.T) *mdm.System {
+			sys := slowWalkSystem(t)
+			sys.Federation().SourceTimeout = 20 * time.Millisecond
+			return sys
+		}, http.StatusGatewayTimeout},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := rest.NewServer(tc.sys(t))
+			var sink syncBuffer
+			srv.SlowLog = obs.NewSlowLogWriter(&sink, 0)
+			req := httptest.NewRequest("POST", "/api/query", strings.NewReader(fig8WalkBody))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != tc.status {
+				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.status, rec.Body)
+			}
+			lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+			if len(lines) != 1 || lines[0] == "" {
+				t.Fatalf("slow log lines = %q, want exactly 1", sink.String())
+			}
+			var e obs.SlowEntry
+			if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Status != tc.status || e.Endpoint != "POST /api/query" || e.QueryHash == "" || e.Plan == "" {
+				t.Errorf("entry = %+v, want status %d with endpoint, query hash and plan", e, tc.status)
+			}
+			for _, stage := range []string{"rewrite", "scatter"} {
+				if _, ok := e.StagesMS[stage]; !ok {
+					t.Errorf("stages_ms %v lack %q", e.StagesMS, stage)
+				}
+			}
+		})
 	}
 }
 

@@ -60,6 +60,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -95,26 +96,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 
 func (s *Server) routes() {
 	s.handle("GET /api/stats", s.handleStats)
-	s.handle("GET /api/render/global", s.handleRenderGlobal)
-	s.handle("GET /api/render/source", s.handleRenderSource)
-	s.handle("GET /api/render/mappings", s.handleRenderMappings)
+	sys := s.sys
+	s.handle("GET /api/render/global", renderText(sys.RenderGlobalGraph))
+	s.handle("GET /api/render/source", renderText(sys.RenderSourceGraph))
+	s.handle("GET /api/render/mappings", renderText(sys.RenderMappings))
 	s.handle("GET /api/validate", s.handleValidate)
 	s.handle("GET /api/export", s.handleExport)
 
-	s.handle("POST /api/prefixes", s.handleAddPrefix)
-	s.handle("POST /api/global/concepts", s.handleAddConcept)
-	s.handle("POST /api/global/features", s.handleAddFeature)
-	s.handle("POST /api/global/attach", s.handleAttach)
-	s.handle("POST /api/global/identifiers", s.handleMarkIdentifier)
-	s.handle("POST /api/global/relations", s.handleRelate)
+	s.handle("POST /api/prefixes", mutate(func(q prefixReq) error {
+		sys.BindPrefix(q.Prefix, q.Namespace)
+		return nil
+	}))
+	s.handle("POST /api/global/concepts", mutate(func(q nodeReq) error { return sys.AddConcept(q.IRI, q.Label) }))
+	s.handle("POST /api/global/features", mutate(func(q nodeReq) error { return sys.AddFeature(q.IRI, q.Label) }))
+	s.handle("POST /api/global/attach", mutate(func(q attachReq) error { return sys.AttachFeature(q.Concept, q.Feature) }))
+	s.handle("POST /api/global/identifiers", mutate(func(q identifierReq) error { return sys.MarkIdentifier(q.Feature) }))
+	s.handle("POST /api/global/relations", mutate(func(q relationReq) error { return sys.RelateConcepts(q.From, q.Property, q.To) }))
 
-	s.handle("POST /api/sources", s.handleAddSource)
+	s.handle("POST /api/sources", mutate(func(q sourceReq) error { return sys.AddSource(q.ID, q.Label) }))
 	s.handle("POST /api/wrappers", s.handleRegisterWrapper)
 	s.handle("GET /api/wrappers", s.handleListWrappers)
 	s.handle("GET /api/releases", s.handleReleases)
 	s.handle("GET /api/drift/{wrapper}", s.handleDrift)
 
-	s.handle("POST /api/mappings", s.handleDefineMapping)
+	s.handle("POST /api/mappings", mutate(s.defineMapping))
 	s.handle("GET /api/mappings/{wrapper}/suggest", s.handleSuggestMapping)
 
 	s.handle("POST /api/query", s.handleQuery)
@@ -175,38 +180,6 @@ func queryStatus(err error) int {
 	}
 }
 
-func failQuery(w http.ResponseWriter, err error) { fail(w, queryStatus(err), err) }
-
-// wantExplain reports whether the client asked for an execution report
-// (EXPLAIN ANALYZE: the query runs to completion, rows are discarded)
-// instead of rows.
-func wantExplain(r *http.Request) bool {
-	v := r.URL.Query().Get("explain")
-	return v == "1" || v == "true"
-}
-
-// logSlow writes the finished query to the slow-query log when it
-// exceeded the threshold. d is the whole query lifecycle (parse
-// through drain); the per-stage breakdown comes from the trace.
-func (s *Server) logSlow(d time.Duration, tr *obs.Trace, endpoint, query string,
-	status int, rows int64, partial bool, missing []obs.MissingSource) {
-	if !s.SlowLog.Enabled(d) {
-		return
-	}
-	obsSlowQueries.Inc()
-	_ = s.SlowLog.Record(obs.SlowEntry{
-		Endpoint:   endpoint,
-		QueryHash:  obs.QueryHash(query),
-		DurationMS: float64(d) / float64(time.Millisecond),
-		Status:     status,
-		StagesMS:   tr.Stages(),
-		Plan:       tr.Plan(),
-		Rows:       rows,
-		Partial:    partial,
-		Missing:    missing,
-	})
-}
-
 // partialParam reads the tristate partial URL parameter: absent defers
 // to the engine's configured default.
 func partialParam(r *http.Request) (federate.PartialMode, error) {
@@ -239,15 +212,32 @@ func decode[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
 	return true
 }
 
+// mutate is the shape shared by the steward's mutation endpoints:
+// decode the body, apply it with one facade call, answer 422 with the
+// call's error or 201 {"status":"ok"}.
+func mutate[T any](apply func(T) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req T
+		if !decode(w, r, &req) {
+			return
+		}
+		if err := apply(req); err != nil {
+			fail(w, http.StatusUnprocessableEntity, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
+	}
+}
+
 // pageParams reads the limit/offset URL parameters (-1 = absent).
-func pageParams(r *http.Request) (limit, offset int, err error) {
+func pageParams(q url.Values) (limit, offset int, err error) {
 	limit, offset = -1, -1
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		if limit, err = strconv.Atoi(v); err != nil || limit < 0 {
 			return 0, 0, fmt.Errorf("rest: bad limit %q", v)
 		}
 	}
-	if v := r.URL.Query().Get("offset"); v != "" {
+	if v := q.Get("offset"); v != "" {
 		if offset, err = strconv.Atoi(v); err != nil || offset < 0 {
 			return 0, 0, fmt.Errorf("rest: bad offset %q", v)
 		}
@@ -255,15 +245,9 @@ func pageParams(r *http.Request) (limit, offset int, err error) {
 	return limit, offset, nil
 }
 
-// wantNDJSON reports whether the client asked for streaming NDJSON.
-func wantNDJSON(r *http.Request) bool {
-	return r.URL.Query().Get("format") == "ndjson"
-}
-
 // ndjsonWriter streams one JSON value per line, flushing as it goes so
 // clients see rows while the query is still running.
 type ndjsonWriter struct {
-	w     http.ResponseWriter
 	enc   *json.Encoder
 	flush http.Flusher
 }
@@ -271,7 +255,7 @@ type ndjsonWriter struct {
 func startNDJSON(w http.ResponseWriter) *ndjsonWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	out := &ndjsonWriter{w: w, enc: json.NewEncoder(w)}
+	out := &ndjsonWriter{enc: json.NewEncoder(w)}
 	out.flush, _ = w.(http.Flusher)
 	return out
 }
@@ -289,16 +273,11 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.sys.Stats())
 }
 
-func (s *Server) handleRenderGlobal(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"text": s.sys.RenderGlobalGraph()})
-}
-
-func (s *Server) handleRenderSource(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"text": s.sys.RenderSourceGraph()})
-}
-
-func (s *Server) handleRenderMappings(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"text": s.sys.RenderMappings()})
+// renderText serves one of the Figure 5-7 renderings as {"text": ...}.
+func renderText(render func() string) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, http.StatusOK, map[string]string{"text": render()})
+	}
 }
 
 func (s *Server) handleValidate(w http.ResponseWriter, _ *http.Request) {
@@ -334,42 +313,9 @@ type prefixReq struct {
 	Namespace string `json:"namespace"`
 }
 
-func (s *Server) handleAddPrefix(w http.ResponseWriter, r *http.Request) {
-	var req prefixReq
-	if !decode(w, r, &req) {
-		return
-	}
-	s.sys.BindPrefix(req.Prefix, req.Namespace)
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
-}
-
 type nodeReq struct {
 	IRI   string `json:"iri"`
 	Label string `json:"label"`
-}
-
-func (s *Server) handleAddConcept(w http.ResponseWriter, r *http.Request) {
-	var req nodeReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := s.sys.AddConcept(req.IRI, req.Label); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
-}
-
-func (s *Server) handleAddFeature(w http.ResponseWriter, r *http.Request) {
-	var req nodeReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := s.sys.AddFeature(req.IRI, req.Label); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 }
 
 type attachReq struct {
@@ -377,32 +323,8 @@ type attachReq struct {
 	Feature string `json:"feature"`
 }
 
-func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
-	var req attachReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := s.sys.AttachFeature(req.Concept, req.Feature); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
-}
-
 type identifierReq struct {
 	Feature string `json:"feature"`
-}
-
-func (s *Server) handleMarkIdentifier(w http.ResponseWriter, r *http.Request) {
-	var req identifierReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := s.sys.MarkIdentifier(req.Feature); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 }
 
 type relationReq struct {
@@ -411,35 +333,11 @@ type relationReq struct {
 	To       string `json:"to"`
 }
 
-func (s *Server) handleRelate(w http.ResponseWriter, r *http.Request) {
-	var req relationReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := s.sys.RelateConcepts(req.From, req.Property, req.To); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
-}
-
 // --- sources & wrappers ---
 
 type sourceReq struct {
 	ID    string `json:"id"`
 	Label string `json:"label"`
-}
-
-func (s *Server) handleAddSource(w http.ResponseWriter, r *http.Request) {
-	var req sourceReq
-	if !decode(w, r, &req) {
-		return
-	}
-	if err := s.sys.AddSource(req.ID, req.Label); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
 }
 
 type wrapperReq struct {
@@ -537,7 +435,13 @@ func (s *Server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	changes, err := s.sys.DetectDrift(ctx, name)
 	if err != nil {
-		fail(w, http.StatusNotFound, err)
+		// A registered wrapper whose probe failed means its source is
+		// down (502, as at registration); only an unknown name is 404.
+		status := http.StatusBadGateway
+		if _, known := s.sys.Wrappers().Get(name); !known {
+			status = http.StatusNotFound
+		}
+		fail(w, status, err)
 		return
 	}
 	descs := make([]string, len(changes))
@@ -557,11 +461,8 @@ type mappingReq struct {
 	SameAs   map[string]string `json:"sameAs"`
 }
 
-func (s *Server) handleDefineMapping(w http.ResponseWriter, r *http.Request) {
-	var req mappingReq
-	if !decode(w, r, &req) {
-		return
-	}
+// defineMapping resolves the request's CURIEs and stores the mapping.
+func (s *Server) defineMapping(req mappingReq) error {
 	m := mdm.Mapping{Wrapper: req.Wrapper, SameAs: map[string]mdm.Term{}}
 	for _, t := range req.Subgraph {
 		m.Subgraph = append(m.Subgraph, mdm.T(s.sys.IRI(t[0]), s.sys.IRI(t[1]), s.sys.IRI(t[2])))
@@ -569,11 +470,7 @@ func (s *Server) handleDefineMapping(w http.ResponseWriter, r *http.Request) {
 	for attr, feat := range req.SameAs {
 		m.SameAs[attr] = s.sys.IRI(feat)
 	}
-	if err := s.sys.DefineMapping(m); err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"status": "ok"})
+	return s.sys.DefineMapping(m)
 }
 
 func (s *Server) handleSuggestMapping(w http.ResponseWriter, r *http.Request) {
@@ -671,132 +568,42 @@ func (s *Server) handleQuerySPARQL(w http.ResponseWriter, r *http.Request) {
 	s.runWalk(w, r, walk)
 }
 
-// handleSPARQL evaluates a metadata query through the cursor engine:
-// limit/offset are pushed into evaluation (a page costs O(page), not
-// O(result)), the request context cancels the query when the client
-// disconnects, and format=ndjson streams rows as they are produced.
-// With explain=1 the query still runs to completion but the response
-// is the execution report (stages, per-operator spans, plan summary)
-// instead of rows. Every request carries a lightweight trace so slow
-// queries log their stage breakdown; explain upgrades it to
-// per-operator detail.
+// handleSPARQL evaluates a metadata query through the cursor engine
+// under the delivery contract of deliver. Unbound (OPTIONAL-miss)
+// variables render as empty cells; an ASK answer is a zero-column result
+// of at most one row, reported as the single document {"ask": bool}.
 func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 	var req sparqlReq
 	if !decode(w, r, &req) {
 		return
 	}
-	limit, offset, err := pageParams(r)
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
-	explain := wantExplain(r)
-	tr := obs.NewTrace()
-	tr.Detail = explain
-	t0 := time.Now()
-	status := http.StatusOK
-	var rows int64
-	defer func() {
-		s.logSlow(time.Since(t0), tr, "POST /api/sparql", req.Query, status, rows, false, nil)
-	}()
-
-	cur, err := s.sys.SPARQLPageTrace(req.Query, limit, offset, tr)
-	if err != nil {
-		status = http.StatusUnprocessableEntity
-		fail(w, status, err)
-		return
-	}
-	defer cur.Close()
-	ctx, cancel := context.WithTimeout(r.Context(), s.QueryTimeout)
-	defer cancel()
-
-	// The execute stage covers the drain (cursor evaluation is lazy);
-	// endExec is idempotent so every exit path below can settle it
-	// before the deferred slow-log check reads the stages.
-	et0 := time.Now()
-	execDone := false
-	endExec := func() {
-		if execDone {
-			return
+	s.deliver(w, r, func(_ context.Context, tr *obs.Trace, limit, offset int) (answer, error) {
+		a := answer{query: req.Query}
+		cur, err := s.sys.SPARQLPageTrace(req.Query, limit, offset, tr)
+		if err != nil {
+			return a, err
 		}
-		execDone = true
-		d := time.Since(et0)
-		sparql.ObserveStage("execute", d)
-		tr.StageDur("execute", d)
-		rows = cur.Rows()
-	}
-	defer endExec()
-
-	if explain {
-		for cur.Next(ctx) {
-		}
-		endExec()
-		if err := cur.Err(); err != nil {
-			status = queryStatus(err)
-			fail(w, status, err)
-			return
-		}
-		tr.SetAttr("rows", strconv.FormatInt(cur.Rows(), 10))
-		writeJSON(w, http.StatusOK, map[string]any{"explain": tr.Report()})
-		return
-	}
-
-	if cur.Form() == sparql.FormAsk {
-		ask := cur.Next(ctx)
-		endExec()
-		if err := cur.Err(); err != nil {
-			status = queryStatus(err)
-			fail(w, status, err)
-			return
-		}
-		if wantNDJSON(r) {
-			startNDJSON(w).line(map[string]any{"ask": ask})
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"ask": ask})
-		return
-	}
-
-	// Unbound (OPTIONAL-miss) variables render as empty cells.
-	vars := cur.Vars()
-	cells := func() []string {
-		row := cur.Row()
-		out := make([]string, len(vars))
-		for i := range vars {
-			if t, ok := row.Term(i); ok {
-				out[i] = t.Value
+		vars := cur.Vars()
+		a.cur = cur
+		a.cells = func() []string {
+			row := cur.Row()
+			out := make([]string, len(vars))
+			for i := range vars {
+				if t, ok := row.Term(i); ok {
+					out[i] = t.Value
+				}
 			}
+			return out
 		}
-		return out
-	}
-
-	if wantNDJSON(r) {
-		// Streaming: the header line commits the 200. An error after
-		// that (e.g. the server-side query timeout) is reported as a
-		// trailing error line so a still-connected client can tell a
-		// truncated stream from a complete one.
-		out := startNDJSON(w)
-		out.line(map[string]any{"vars": vars})
-		for cur.Next(ctx) {
-			out.line(cells())
+		if cur.Form() == sparql.FormAsk {
+			a.document = func([][]string) any { return map[string]any{"ask": cur.Rows() > 0} }
+		} else {
+			a.header = func() any { return map[string]any{"vars": vars} }
+			a.document = func(rows [][]string) any { return map[string]any{"vars": vars, "rows": rows} }
 		}
-		if err := cur.Err(); err != nil {
-			out.line(apiError{Error: err.Error()})
-		}
-		return
-	}
-
-	page := [][]string{}
-	for cur.Next(ctx) {
-		page = append(page, cells())
-	}
-	endExec()
-	if err := cur.Err(); err != nil {
-		status = queryStatus(err)
-		fail(w, status, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"vars": vars, "rows": page})
+		a.explain = func() any { return map[string]any{"explain": tr.Report()} }
+		return a, nil
+	})
 }
 
 // --- saved walks (analytical processes) ---
@@ -866,8 +673,11 @@ func (s *Server) handleRunWalk(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusNotFound, fmt.Errorf("rest: no saved walk %q", name))
 		return
 	}
+	// meta/walks.json may have been edited or truncated outside MDM: a
+	// missing or non-string body is corruption to report, not a panic.
 	var req walkReq
-	if err := json.Unmarshal([]byte(doc["walk"].(string)), &req); err != nil {
+	blob, _ := doc["walk"].(string)
+	if err := json.Unmarshal([]byte(blob), &req); err != nil {
 		fail(w, http.StatusInternalServerError, fmt.Errorf("rest: corrupt saved walk: %w", err))
 		return
 	}
@@ -901,142 +711,210 @@ func (s *Server) buildWalk(req walkReq) (*mdm.Walk, error) {
 	return walk, nil
 }
 
-// runWalk executes a walk through the streaming federation engine and
-// renders the answer under the shared paging/streaming contract: the
-// limit/offset page is pushed into the pipeline (a page costs
-// O(sources + page), not O(result)), the request context (bounded by
-// QueryTimeout) cancels both the source scatter and the drain, and
-// format=ndjson streams rows as they are produced.
-//
-// Error mapping matches the metadata SPARQL endpoints: a disconnect
-// reports 499, a timeout (the scatter's per-source deadline or the
-// query timeout) 504, a circuit-breaker fast-fail 503, a semantic
-// failure 422 — all pre-header; an error
-// after the NDJSON header commits the 200 is reported as a trailing
-// {"error": ...} line so a still-connected client can tell a truncated
-// stream from a complete one. Rows stream in plan order, which is
-// deterministic for unchanged source snapshots, so pages partition the
-// result exactly as a full drain delivers it.
+// runWalk answers a walk through the streaming federation engine under
+// the delivery contract of deliver. The trace rides the context:
+// QueryRun records the rewrite stage and plan summary, the federation
+// engine the scatter stage and per-source spans, the cursor the drain.
+// Rows stream in plan order, which is deterministic for unchanged source
+// snapshots, so pages partition the result exactly as a full drain
+// delivers it.
 func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk) {
-	limit, offset, err := pageParams(r)
-	if err != nil {
-		fail(w, http.StatusBadRequest, err)
-		return
-	}
 	mode, err := partialParam(r)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
 	}
-	explain := wantExplain(r)
+	s.deliver(w, r, func(ctx context.Context, tr *obs.Trace, limit, offset int) (answer, error) {
+		var a answer
+		cur, res, err := s.sys.QueryRun(obs.WithTrace(ctx, tr), walk,
+			mdm.QueryOpts{Limit: limit, Offset: offset, Partial: mode})
+		if res != nil {
+			a.query = res.SPARQL // a failed scatter is still logged under its query
+		}
+		if err != nil {
+			return a, err
+		}
+		a.cur, a.partial, a.missing = cur, cur.Partial(), cur.Missing()
+		a.cells = func() []string {
+			row := cur.Row()
+			out := make([]string, len(row))
+			for i, v := range row {
+				out[i] = v.Text()
+			}
+			return out
+		}
+		a.header = func() any {
+			head := map[string]any{"columns": cur.Columns(), "sparql": res.SPARQL}
+			if cur.Partial() {
+				head["partial"] = true
+				if m := cur.Missing(); len(m) > 0 {
+					head["missing_sources"] = m
+				}
+				if st := cur.StaleSources(); len(st) > 0 {
+					head["stale_sources"] = st
+				}
+			}
+			return head
+		}
+		a.document = func(rows [][]string) any {
+			resp := queryResp{
+				Columns: cur.Columns(), SPARQL: res.SPARQL, CQs: len(res.CQs), Rows: rows,
+				Partial: cur.Partial(), MissingSources: cur.Missing(), StaleSources: cur.StaleSources(),
+			}
+			for _, cq := range res.CQs {
+				resp.Algebra = append(resp.Algebra, cq.Algebra)
+			}
+			return resp
+		}
+		a.explain = func() any {
+			tr.SetAttr("cqs", strconv.Itoa(len(res.CQs)))
+			if cur.Partial() {
+				tr.SetAttr("partial", "true")
+			}
+			return map[string]any{"explain": tr.Report(), "sparql": res.SPARQL}
+		}
+		return a, nil
+	})
+}
+
+// cursor is what deliver drives: the part *sparql.Cursor and
+// *federate.Cursor have in common.
+type cursor interface {
+	Next(ctx context.Context) bool
+	Err() error
+	Close()
+	Rows() int64
+}
+
+// answer is one engine's side of a query response: its open cursor and
+// the builders for everything engine-specific on the wire.
+type answer struct {
+	cur      cursor
+	query    string                    // the text the slow log identifies the query by (hashed)
+	cells    func() []string           // renders the cursor's current row
+	header   func() any                // NDJSON header line; nil when the answer is one document (ASK)
+	document func(rows [][]string) any // the JSON document
+	explain  func() any                // the explain=1 document: the trace's report, annotated
+	partial  bool                      // degraded walk: X-MDM-Partial, slow-log annotation
+	missing  []federate.SourceError
+}
+
+// deliver is the one result-delivery path of the query endpoints (the
+// contract in the package comment): open starts the query on its engine,
+// everything after that is shared. The query runs under the request
+// context bounded by QueryTimeout and carries a trace, which explain=1
+// upgrades to per-operator detail.
+//
+// An error before the first response byte maps through queryStatus.
+// Once the NDJSON header has committed the 200, an error is reported as
+// a trailing {"error": ...} line so a still-connected client can tell a
+// truncated stream from a complete one. Whatever the outcome —
+// including a query that failed to open — the request is offered to the
+// slow-query log with its status, stages and plan.
+func (s *Server) deliver(w http.ResponseWriter, r *http.Request,
+	open func(ctx context.Context, tr *obs.Trace, limit, offset int) (answer, error)) {
+	q := r.URL.Query()
+	limit, offset, err := pageParams(q)
+	if err != nil {
+		fail(w, http.StatusBadRequest, err)
+		return
+	}
+	// explain=1 is EXPLAIN ANALYZE: the query runs to completion, the
+	// rows are discarded and the execution report is the answer.
+	explain := q.Get("explain") == "1" || q.Get("explain") == "true"
 	tr := obs.NewTrace()
 	tr.Detail = explain
 	t0 := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.QueryTimeout)
 	defer cancel()
-	// The trace rides the context: QueryRun records the rewrite stage
-	// and plan summary, the federation engine the scatter stage and
-	// per-source spans.
-	ctx = obs.WithTrace(ctx, tr)
-	cur, res, err := s.sys.QueryRun(ctx, walk, mdm.QueryOpts{Limit: limit, Offset: offset, Partial: mode})
-	if err != nil {
-		failQuery(w, err)
-		return
-	}
-	defer cur.Close()
+
+	var a answer
 	status := http.StatusOK
-	var rows int64
-	dt0 := time.Now()
-	drained := false
-	endDrain := func() {
-		if !drained {
-			drained = true
-			tr.StageDur("drain", time.Since(dt0))
-		}
+	defer func() { s.logSlow(time.Since(t0), tr, r, status, &a) }()
+
+	a, err = open(ctx, tr, limit, offset)
+	if err == nil {
+		// Closing settles the cursor's execute/drain stage before the
+		// deferred slow-log entry reads the trace.
+		defer a.cur.Close()
+		err = a.respond(ctx, w, tr, explain, q.Get("format") == "ndjson")
 	}
-	defer func() {
-		endDrain()
-		var miss []obs.MissingSource
-		for _, m := range cur.Missing() {
-			miss = append(miss, obs.MissingSource{Source: m.Source, Class: string(m.Class)})
-		}
-		s.logSlow(time.Since(t0), tr, r.Method+" "+r.URL.Path, res.SPARQL,
-			status, rows, cur.Partial(), miss)
-	}()
-	if cur.Partial() {
+	if err != nil {
+		status = queryStatus(err)
+		fail(w, status, err)
+	}
+}
+
+// respond drains the cursor into the response in the mode the request
+// asked for. The errors it returns precede the first response byte; the
+// caller maps them to a status.
+func (a *answer) respond(ctx context.Context, w http.ResponseWriter, tr *obs.Trace, explain, ndjson bool) error {
+	if a.partial {
 		// Before the status line commits: degraded completeness is
 		// visible without parsing the body.
 		w.Header().Set("X-MDM-Partial", "true")
 	}
-
-	if explain {
+	cur := a.cur
+	switch {
+	case explain:
 		for cur.Next(ctx) {
-			rows++
 		}
-		endDrain()
 		if err := cur.Err(); err != nil {
-			status = queryStatus(err)
-			fail(w, status, err)
-			return
+			return err
 		}
-		tr.SetAttr("cqs", strconv.Itoa(len(res.CQs)))
-		tr.SetAttr("rows", strconv.FormatInt(rows, 10))
-		if cur.Partial() {
-			tr.SetAttr("partial", "true")
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"explain": tr.Report(), "sparql": res.SPARQL})
-		return
-	}
-
-	cells := func() []string {
-		row := cur.Row()
-		out := make([]string, len(row))
-		for i, v := range row {
-			out[i] = v.Text()
-		}
-		return out
-	}
-
-	if wantNDJSON(r) {
+		tr.SetAttr("rows", strconv.FormatInt(cur.Rows(), 10))
+		writeJSON(w, http.StatusOK, a.explain())
+	case ndjson && a.header != nil:
 		out := startNDJSON(w)
-		head := map[string]any{"columns": cur.Columns(), "sparql": res.SPARQL}
-		if cur.Partial() {
-			head["partial"] = true
-			if m := cur.Missing(); len(m) > 0 {
-				head["missing_sources"] = m
-			}
-			if st := cur.StaleSources(); len(st) > 0 {
-				head["stale_sources"] = st
-			}
-		}
-		out.line(head)
+		out.line(a.header())
 		for cur.Next(ctx) {
-			rows++
-			out.line(cells())
+			out.line(a.cells())
 		}
 		if err := cur.Err(); err != nil {
 			out.line(apiError{Error: err.Error()})
 		}
-		return
+	default:
+		rows := [][]string{}
+		for cur.Next(ctx) {
+			rows = append(rows, a.cells())
+		}
+		if err := cur.Err(); err != nil {
+			return err
+		}
+		if ndjson {
+			startNDJSON(w).line(a.document(rows)) // ASK: the document is the only line
+		} else {
+			writeJSON(w, http.StatusOK, a.document(rows))
+		}
 	}
+	return nil
+}
 
-	page := [][]string{}
-	for cur.Next(ctx) {
-		page = append(page, cells())
-	}
-	endDrain()
-	rows = int64(len(page))
-	if err := cur.Err(); err != nil {
-		status = queryStatus(err)
-		fail(w, status, err)
+// logSlow offers the finished request to the slow-query log. d is the
+// whole query lifecycle (open through drain); the per-stage breakdown
+// comes from the trace. A query that failed to open has no cursor, and
+// one that failed before its text was known no hash.
+func (s *Server) logSlow(d time.Duration, tr *obs.Trace, r *http.Request, status int, a *answer) {
+	if !s.SlowLog.Enabled(d) {
 		return
 	}
-	resp := queryResp{
-		Columns: cur.Columns(), SPARQL: res.SPARQL, CQs: len(res.CQs), Rows: page,
-		Partial: cur.Partial(), MissingSources: cur.Missing(), StaleSources: cur.StaleSources(),
+	obsSlowQueries.Inc()
+	e := obs.SlowEntry{
+		Endpoint:   r.Method + " " + r.URL.Path,
+		DurationMS: float64(d) / float64(time.Millisecond),
+		Status:     status,
+		StagesMS:   tr.Stages(),
+		Plan:       tr.Plan(),
+		Partial:    a.partial,
 	}
-	for _, cq := range res.CQs {
-		resp.Algebra = append(resp.Algebra, cq.Algebra)
+	if a.query != "" {
+		e.QueryHash = obs.QueryHash(a.query)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if a.cur != nil {
+		e.Rows = a.cur.Rows()
+	}
+	for _, m := range a.missing {
+		e.Missing = append(e.Missing, obs.MissingSource{Source: m.Source, Class: string(m.Class)})
+	}
+	_ = s.SlowLog.Record(e)
 }

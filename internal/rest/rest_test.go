@@ -17,6 +17,7 @@ import (
 	"mdm/internal/federate"
 	"mdm/internal/rest"
 	"mdm/internal/schema"
+	"mdm/internal/store"
 	"mdm/internal/usecase"
 	"mdm/internal/wrapper"
 )
@@ -328,7 +329,10 @@ SELECT ?c WHERE { GRAPH <http://www.essi.upc.edu/~snadal/BDIOntology/Global/grap
 }
 
 func TestErrorPaths(t *testing.T) {
-	c, provider := setupServer(t)
+	sys := mdm.New()
+	hs := httptest.NewServer(rest.NewServer(sys))
+	t.Cleanup(hs.Close)
+	c := &client{t: t, base: hs.URL, http: hs.Client()}
 	// Bad JSON.
 	req, _ := http.NewRequest("POST", c.base+"/api/sources", strings.NewReader("{nope"))
 	resp, err := c.http.Do(req)
@@ -354,6 +358,24 @@ func TestErrorPaths(t *testing.T) {
 	}, 422)
 	// Drift for unknown wrapper -> 404.
 	c.do("GET", "/api/drift/ghost", nil, 404)
+	// Drift for a registered wrapper whose source has gone away -> 502:
+	// the wrapper exists, its probe failed.
+	gone := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprint(w, `[{"id":1}]`)
+	}))
+	c.do("POST", "/api/wrappers", map[string]any{"name": "wgone", "source": "s1", "url": gone.URL}, 201)
+	gone.Close()
+	if d := c.do("GET", "/api/drift/wgone", nil, 502); !strings.Contains(fmt.Sprint(d["error"]), "probe wgone") {
+		t.Errorf("drift probe failure = %v", d)
+	}
+	// A saved walk whose stored body is not a string (meta/walks.json
+	// edited by hand) -> 500, not a handler panic.
+	if _, err := sys.Metadata().Insert("walks", store.Doc{"name": "torn", "walk": 42}); err != nil {
+		t.Fatal(err)
+	}
+	if d := c.do("POST", "/api/walks/torn/run", nil, 500); !strings.Contains(fmt.Sprint(d["error"]), "corrupt saved walk") {
+		t.Errorf("torn saved walk = %v", d)
+	}
 	// Suggest without 'from' -> 400.
 	c.do("GET", "/api/mappings/w1/suggest", nil, 400)
 	// Bad SPARQL -> 422.
@@ -362,7 +384,6 @@ func TestErrorPaths(t *testing.T) {
 	c.do("POST", "/api/mappings", map[string]any{
 		"wrapper": "ghost", "subgraph": [][3]string{}, "sameAs": map[string]string{},
 	}, 422)
-	_ = provider
 }
 
 func TestExportEndpoint(t *testing.T) {

@@ -1370,7 +1370,8 @@ type Cursor struct {
 	row     []rdf.TermID
 	err     error
 	done    bool
-	rows    int64 // solutions emitted, flushed to obs on finish
+	rows    int64     // solutions emitted, flushed to obs on finish
+	t0      time.Time // first Next: the execute stage runs from here to finish
 	onClose []func()
 }
 
@@ -1385,8 +1386,9 @@ func EvalCursor(ds *rdf.Dataset, q *Query) (*Cursor, error) {
 
 // EvalCursorTrace is EvalCursor with a query trace attached: the
 // planner annotates tr (plan summary, cache hit/miss, plan stage
-// duration), and when tr.Detail is set every operator is wrapped in a
-// span for EXPLAIN output. tr may be nil, which is exactly EvalCursor.
+// duration), the cursor records the execute stage when it finishes, and
+// when tr.Detail is set every operator is wrapped in a span for EXPLAIN
+// output. tr may be nil, which is exactly EvalCursor.
 func EvalCursorTrace(ds *rdf.Dataset, q *Query, tr *obs.Trace) (*Cursor, error) {
 	lay := q.layout()
 	e := &evaluator{ds: ds, dict: ds.Dict(), lay: lay, ctx: context.Background(), trace: tr}
@@ -1472,6 +1474,9 @@ func (c *Cursor) Next(ctx context.Context) bool {
 	if c.done || c.err != nil {
 		return false
 	}
+	if c.t0.IsZero() {
+		c.t0 = time.Now()
+	}
 	c.e.ctx = ctx
 	if !c.e.poll() {
 		c.err = c.e.err
@@ -1526,8 +1531,14 @@ func (c *Cursor) OnClose(f func()) {
 }
 
 // finish terminates iteration and fires OnClose callbacks exactly once.
+// A cursor that was pulled at least once records its execute stage
+// here — evaluation is lazy, so first Next to finish is the whole of it
+// — in the stage histogram and on the evaluation's trace.
 func (c *Cursor) finish() {
-	if !c.done && c.rows > 0 {
+	if !c.done && !c.t0.IsZero() {
+		d := time.Since(c.t0)
+		obsStageExecute.Observe(d.Seconds())
+		c.e.trace.StageDur("execute", d)
 		obsRowsEmitted.Add(float64(c.rows))
 	}
 	c.done, c.row = true, nil

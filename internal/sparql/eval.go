@@ -526,15 +526,6 @@ func Run(ds *rdf.Dataset, src string) (*Result, error) {
 	return Eval(ds, q)
 }
 
-// RunContext is Run with a cancelable context.
-func RunContext(ctx context.Context, ds *rdf.Dataset, src string) (*Result, error) {
-	q, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return EvalContext(ctx, ds, q)
-}
-
 // RunCursor parses src and starts cursor-based evaluation in one step.
 func RunCursor(ds *rdf.Dataset, src string) (*Cursor, error) {
 	q, err := Parse(src)

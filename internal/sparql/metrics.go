@@ -11,7 +11,9 @@ import (
 
 // Engine metrics, registered on the process-global registry at init.
 // Instrumentation sites pre-resolve their label combinations here so
-// the per-query cost is an atomic add, never a map lookup.
+// the per-query cost is an atomic add, never a map lookup. Each stage
+// is observed by the code that runs it: parse by ParseTrace, plan by
+// EvalCursorTrace, execute by the Cursor (first Next to finish).
 var (
 	obsStageDur = obs.Default.NewHistogramVec("mdm_sparql_stage_duration_seconds",
 		"SPARQL lifecycle stage durations (parse, plan, execute).", obs.DefBuckets, "stage")
@@ -35,22 +37,6 @@ var (
 	obsPathExpansions = obs.Default.NewCounter("mdm_sparql_path_expansions_total",
 		"Property-path closure node expansions.")
 )
-
-// ObserveStage records one lifecycle-stage duration in the engine's
-// stage histogram. The plan stage is recorded by EvalCursor itself;
-// parse and execute belong to the callers that own those phases (the
-// facade parses, the REST/facade drain loop executes), so this is
-// exported for them.
-func ObserveStage(stage string, d time.Duration) {
-	switch stage {
-	case "parse":
-		obsStageParse.Observe(d.Seconds())
-	case "plan":
-		obsStagePlan.Observe(d.Seconds())
-	case "execute":
-		obsStageExecute.Observe(d.Seconds())
-	}
-}
 
 // traceIter wraps one operator when EXPLAIN detail is on, charging
 // wall time and row counts to the operator's span. Timing is inclusive

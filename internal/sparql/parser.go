@@ -3,21 +3,33 @@ package sparql
 import (
 	"fmt"
 	"strings"
+	"time"
 
+	"mdm/internal/obs"
 	"mdm/internal/rdf"
 )
 
 // Parse parses a SPARQL query string.
-func Parse(src string) (*Query, error) {
+func Parse(src string) (*Query, error) { return ParseTrace(src, nil) }
+
+// ParseTrace is Parse with a query trace attached. The parser owns the
+// parse stage: its duration goes to the engine's stage histogram and,
+// when tr is non-nil, onto the trace — failed parses included.
+func ParseTrace(src string, tr *obs.Trace) (*Query, error) {
+	t0 := time.Now()
+	q, err := parse(src)
+	d := time.Since(t0)
+	obsStageParse.Observe(d.Seconds())
+	tr.StageDur("parse", d)
+	return q, err
+}
+
+func parse(src string) (*Query, error) {
 	p := &parser{lx: newLexer(src), prefixes: rdf.NewPrefixMap()}
 	if err := p.bump(); err != nil {
 		return nil, err
 	}
-	q, err := p.parseQuery()
-	if err != nil {
-		return nil, err
-	}
-	return q, nil
+	return p.parseQuery()
 }
 
 type parser struct {

@@ -7,7 +7,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -276,6 +275,3 @@ func (s *Store) persistLocked(colName string) error {
 	}
 	return nil
 }
-
-// ErrNotFound is returned by MustGet-style helpers.
-var ErrNotFound = errors.New("store: document not found")

@@ -275,12 +275,9 @@ func (s *System) AddSubClass(sub, super string) error {
 
 // --- Steward API: sources, wrappers, releases (paper §2.2) ---
 
-// AddSource declares a data source.
+// AddSource declares a data source. The S:DataSource triples in the
+// source graph are its whole record.
 func (s *System) AddSource(sourceID, label string) error {
-	_, err := s.meta.Insert("sources", store.Doc{"source": sourceID, "label": label})
-	if err != nil {
-		return err
-	}
 	return s.ont.AddDataSource(sourceID, label)
 }
 
@@ -331,10 +328,9 @@ func (s *System) Rewrite(w *Walk) (*RewriteResult, error) {
 // Query rewrites and executes a walk federated — source fetches run
 // concurrently through the federation engine — returning the
 // materialized answer relation and the rewriting artifacts (SPARQL,
-// algebra) for inspection. For streamed or paged delivery use
-// QueryCursor / QueryPage.
+// algebra) for inspection. For streamed or paged delivery use QueryRun.
 func (s *System) Query(ctx context.Context, w *Walk) (*Relation, *RewriteResult, error) {
-	cur, res, err := s.QueryCursor(ctx, w)
+	cur, res, err := s.QueryRun(ctx, w, QueryOpts{Limit: -1, Offset: -1})
 	if err != nil {
 		return nil, res, err
 	}
@@ -346,30 +342,23 @@ func (s *System) Query(ctx context.Context, w *Walk) (*Relation, *RewriteResult,
 	return rel, res, nil
 }
 
-// QueryCursor rewrites a walk and starts streaming federated execution:
+// QueryRun rewrites a walk and starts streaming federated execution:
 // the scatter phase fetches all distinct sources concurrently (through
 // the snapshot cache), then rows are produced on demand through
-// WalkCursor.Next with no per-operator materialization. It is QueryPage
-// without a page bound.
-func (s *System) QueryCursor(ctx context.Context, w *Walk) (*WalkCursor, *RewriteResult, error) {
-	return s.QueryPage(ctx, w, -1, -1)
-}
-
-// QueryPage is QueryCursor with a page bound pushed into the streaming
-// pipeline: when limit >= 0 at most limit rows are produced, when
-// offset > 0 that many are skipped first — the paging contract of the
-// REST walk endpoints. A page read costs O(sources + page), and for
-// unchanged source snapshots pages partition the full stream. Pass -1
-// to leave either unbounded.
-func (s *System) QueryPage(ctx context.Context, w *Walk, limit, offset int) (*WalkCursor, *RewriteResult, error) {
-	return s.QueryRun(ctx, w, QueryOpts{Limit: limit, Offset: offset})
-}
-
-// QueryRun is QueryPage with full per-query options, including the
-// degradation mode: QueryOpts.Partial overrides the engine-wide
-// PartialResults default for this query. In partial mode a failed
-// source no longer fails the walk — check WalkCursor.Partial/Missing/
-// StaleSources for completeness annotations.
+// WalkCursor.Next with no per-operator materialization.
+//
+// QueryOpts carries the page bound pushed into the pipeline — when
+// Limit >= 0 at most Limit rows are produced, when Offset > 0 that many
+// are skipped first, -1 leaves either unbounded; a page read costs
+// O(sources + page), and for unchanged source snapshots pages partition
+// the full stream — and the degradation mode: QueryOpts.Partial
+// overrides the engine-wide PartialResults default for this query. In
+// partial mode a failed source no longer fails the walk — check
+// WalkCursor.Partial/Missing/StaleSources for completeness annotations.
+//
+// A trace riding ctx (obs.WithTrace) receives the walk's stages: rewrite
+// and the plan summary here, scatter from the engine, drain from the
+// cursor.
 func (s *System) QueryRun(ctx context.Context, w *Walk, opts QueryOpts) (*WalkCursor, *RewriteResult, error) {
 	tr := obs.FromContext(ctx)
 	t0 := time.Now()
@@ -406,7 +395,7 @@ func (s *System) QuerySPARQL(ctx context.Context, query string) (*Relation, *Rew
 // WalkFromSPARQL translates an ontology-mediated SPARQL query (the
 // fragment MDM generates for walks) into a Walk without executing it —
 // the entry point for callers that want cursor-based execution of a
-// SPARQL-written OMQ via QueryCursor/QueryPage.
+// SPARQL-written OMQ via QueryRun.
 func (s *System) WalkFromSPARQL(query string) (*Walk, error) {
 	return rewrite.WalkFromSPARQL(s.ont, query)
 }
@@ -414,31 +403,18 @@ func (s *System) WalkFromSPARQL(query string) (*Walk, error) {
 // SPARQL runs a SPARQL query over the ontology dataset itself (global
 // graph, source graph and mapping named graphs) — the metadata
 // inspection surface of the original tool — and materializes the full
-// answer. For paged or cancelable reads use SPARQLContext or
-// SPARQLCursor.
+// answer. For paged, streamed or cancelable reads use SPARQLPage.
 func (s *System) SPARQL(query string) (*sparql.Result, error) {
 	return sparql.Run(s.ont.Dataset(), query)
 }
 
-// SPARQLContext is SPARQL with a cancelable context: evaluation checks
-// ctx once per produced row and aborts with ctx's error when it is
-// canceled (e.g. a dropped HTTP client).
-func (s *System) SPARQLContext(ctx context.Context, query string) (*sparql.Result, error) {
-	return sparql.RunContext(ctx, s.ont.Dataset(), query)
-}
-
-// SPARQLCursor starts streaming, cursor-based evaluation of a metadata
-// SPARQL query: rows are produced on demand through Cursor.Next, LIMIT
-// and OFFSET are pushed into evaluation, and abandoning the cursor
-// stops the work. It is SPARQLPage without a page override.
-func (s *System) SPARQLCursor(query string) (*sparql.Cursor, error) {
-	return s.SPARQLPage(query, -1, -1)
-}
-
-// SPARQLPage is SPARQLCursor with a page override: limit and offset,
-// when >= 0, replace the query's own LIMIT/OFFSET before evaluation —
-// the paging contract of the REST query endpoints. Pass -1 to keep the
-// query's values.
+// SPARQLPage starts streaming, cursor-based evaluation of a metadata
+// SPARQL query: rows are produced on demand through Cursor.Next (which
+// takes the context that cancels the read), LIMIT and OFFSET are pushed
+// into evaluation, and abandoning the cursor stops the work. limit and
+// offset, when >= 0, replace the query's own LIMIT/OFFSET before
+// evaluation — the paging contract of the REST query endpoints. Pass -1
+// to keep the query's values.
 //
 // On a persistent system the cursor pins the current storage epoch: a
 // background (or explicit) compaction that swaps the live dataset while
@@ -449,18 +425,15 @@ func (s *System) SPARQLPage(query string, limit, offset int) (*sparql.Cursor, er
 	return s.SPARQLPageTrace(query, limit, offset, nil)
 }
 
-// SPARQLPageTrace is SPARQLPage with an observability trace attached:
-// the parse and plan stage durations are recorded on tr (and in the
-// engine's stage-duration histogram), the planner annotates tr with the
-// plan summary and plan-cache outcome, and — when tr.Detail is set —
-// every operator in the pipeline is wrapped with a per-operator span
-// for EXPLAIN output. A nil tr behaves exactly like SPARQLPage.
+// SPARQLPageTrace is SPARQLPage with an observability trace attached.
+// The engine records the query's stages on tr (and in its
+// stage-duration histogram) as it runs them — parse, plan, and execute
+// when the cursor finishes — the planner annotates tr with the plan
+// summary and plan-cache outcome, and — when tr.Detail is set — every
+// operator in the pipeline is wrapped with a per-operator span for
+// EXPLAIN output. A nil tr behaves exactly like SPARQLPage.
 func (s *System) SPARQLPageTrace(query string, limit, offset int, tr *obs.Trace) (*sparql.Cursor, error) {
-	t0 := time.Now()
-	q, err := sparql.Parse(query)
-	d := time.Since(t0)
-	sparql.ObserveStage("parse", d)
-	tr.StageDur("parse", d)
+	q, err := sparql.ParseTrace(query, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -487,33 +460,6 @@ func (s *System) SPARQLPageTrace(query string, limit, offset int, tr *obs.Trace)
 		cur.OnClose(pin.Release)
 	}
 	return cur, nil
-}
-
-// ExplainSPARQL runs a metadata SPARQL query to completion with
-// detailed tracing (EXPLAIN ANALYZE semantics: the query really
-// executes, operator timings are measured, rows are drained and
-// discarded) and returns the execution report: stage durations,
-// per-operator spans with rows in/out and join strategies, the plan
-// summary and the plan-cache outcome.
-func (s *System) ExplainSPARQL(ctx context.Context, query string) (*obs.Report, error) {
-	tr := obs.NewTrace()
-	tr.Detail = true
-	cur, err := s.SPARQLPageTrace(query, -1, -1, tr)
-	if err != nil {
-		return nil, err
-	}
-	defer cur.Close()
-	t0 := time.Now()
-	for cur.Next(ctx) {
-	}
-	d := time.Since(t0)
-	sparql.ObserveStage("execute", d)
-	tr.StageDur("execute", d)
-	if err := cur.Err(); err != nil {
-		return nil, err
-	}
-	tr.SetAttr("rows", fmt.Sprintf("%d", cur.Rows()))
-	return tr.Report(), nil
 }
 
 // --- Introspection & rendering (Figures 5-7) ---

@@ -2,17 +2,21 @@ package mdm_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"mdm"
 	"mdm/internal/federate"
+	"mdm/internal/obs"
 	"mdm/internal/relalg"
 	"mdm/internal/schema"
+	"mdm/internal/store"
 	"mdm/internal/usecase"
 	"mdm/internal/wrapper"
 )
@@ -149,7 +153,7 @@ SELECT ?c WHERE {
 }`
 	ctx := context.Background()
 
-	cur, err := sys.SPARQLCursor(q)
+	cur, err := sys.SPARQLPage(q, -1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +186,83 @@ SELECT ?c WHERE {
 		t.Fatal("page has more than limit rows")
 	}
 
-	// SPARQLContext with a canceled context surfaces the ctx error.
+	// A canceled context stops the read and surfaces the ctx error.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := sys.SPARQLContext(canceled, q); err == nil {
-		t.Fatal("canceled SPARQLContext succeeded")
+	cc, err := sys.SPARQLPage(q, -1, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if cc.Next(canceled) || !errors.Is(cc.Err(), context.Canceled) {
+		t.Fatalf("canceled read: err = %v, want context.Canceled", cc.Err())
+	}
+}
+
+// executeStageCount scrapes the SPARQL engine's execute-stage histogram
+// count from the process-wide registry.
+func executeStageCount(t *testing.T) int {
+	t.Helper()
+	var buf strings.Builder
+	if err := obs.Default.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const series = `mdm_sparql_stage_duration_seconds_count{stage="execute"} `
+	_, rest, ok := strings.Cut(buf.String(), series)
+	if !ok {
+		return 0
+	}
+	line, _, _ := strings.Cut(rest, "\n")
+	n, err := strconv.Atoi(line)
+	if err != nil {
+		t.Fatalf("execute-stage count %q: %v", line, err)
+	}
+	return n
+}
+
+// TestFacadeDrainRecordsItsStage: the cursors own the execute and drain
+// clocks, so a library caller draining SPARQLPage or QueryRun — no REST
+// handler in sight — feeds the stage histogram and the trace.
+func TestFacadeDrainRecordsItsStage(t *testing.T) {
+	f := usecase.MustNew()
+	sys := mdm.FromParts(f.Ont, f.Reg)
+	ctx := context.Background()
+
+	before := executeStageCount(t)
+	cur, err := sys.SPARQLPage(`SELECT ?s WHERE { GRAPH ?g { ?s ?p ?o } }`, 3, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cur.Next(ctx) {
+	}
+	if err := cur.Err(); err != nil {
+		t.Fatal(err)
+	}
+	cur.Close() // after exhaustion: must not record the stage twice
+	if got := executeStageCount(t) - before; got != 1 {
+		t.Errorf("execute observations after one SPARQLPage drain = %d, want 1", got)
+	}
+
+	tr := obs.NewTrace()
+	wcur, _, err := sys.QueryRun(obs.WithTrace(ctx, tr), usecase.Fig8Walk(), mdm.QueryOpts{Limit: -1, Offset: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.Stages()["drain"]; ok {
+		t.Error("drain stage recorded before the first pull")
+	}
+	rel, err := wcur.Materialize(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wcur.Rows() != int64(rel.Len()) || rel.Len() != 5 {
+		t.Errorf("cursor rows = %d, relation rows = %d, want 5", wcur.Rows(), rel.Len())
+	}
+	stages := tr.Stages()
+	for _, want := range []string{"rewrite", "scatter", "drain"} {
+		if _, ok := stages[want]; !ok {
+			t.Errorf("trace stages %v lack %q", stages, want)
+		}
 	}
 }
 
@@ -302,6 +378,9 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	if err := sys.AddSource("players-api", "Players API"); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sys.Metadata().Insert("walks", store.Doc{"name": "w", "walk": "{}"}); err != nil {
+		t.Fatal(err)
+	}
 	if err := sys.CompactStorage(); err != nil {
 		t.Fatal(err)
 	}
@@ -318,9 +397,9 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	if st.Concepts != 1 || st.Features != 1 || st.Sources != 1 {
 		t.Fatalf("reopened stats = %+v", st)
 	}
-	// Metadata store persisted too.
-	if sys2.Metadata().Count("sources") != 1 {
-		t.Errorf("metadata sources = %d", sys2.Metadata().Count("sources"))
+	// Metadata store persisted too (sources are triples, not documents).
+	if n := sys2.Metadata().Count("walks"); n != 1 {
+		t.Errorf("metadata walks = %d", n)
 	}
 	// In-memory systems: CompactStorage/Close are no-ops.
 	mem := mdm.New()
