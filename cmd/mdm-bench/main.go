@@ -195,7 +195,7 @@ func runFig8(context.Context) error {
 	fmt.Println(res.SPARQL)
 	fmt.Println("\n-- Relational algebra over the wrappers --")
 	for _, cq := range res.CQs {
-		fmt.Println(" ", cq.Algebra)
+		fmt.Println(" ", cq.Algebra())
 	}
 	return nil
 }
@@ -351,7 +351,7 @@ func showQuery(ctx context.Context, sys *mdm.System, w *mdm.Walk) error {
 		return err
 	}
 	for _, cq := range res.CQs {
-		fmt.Println("  CQ:", cq.Algebra)
+		fmt.Println("  CQ:", cq.Algebra())
 	}
 	rel.Sort()
 	fmt.Print(indent(rel.Table(), "  "))

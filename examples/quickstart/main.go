@@ -119,7 +119,7 @@ func main() {
 	fmt.Println(res.SPARQL)
 	fmt.Println("\n-- Relational algebra over the wrappers --")
 	for _, cq := range res.CQs {
-		fmt.Println(" ", cq.Algebra)
+		fmt.Println(" ", cq.Algebra())
 	}
 	fmt.Println("\n-- Table 1 --")
 	rel.Sort()

@@ -150,6 +150,28 @@ func (t *Trace) SetAttr(k, v string) {
 	t.mu.Unlock()
 }
 
+// Attrs returns a copy of the recorded annotations, nil when there are
+// none.
+func (t *Trace) Attrs() map[string]string {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.attrsLocked()
+}
+
+func (t *Trace) attrsLocked() map[string]string {
+	if len(t.attrs) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(t.attrs))
+	for k, v := range t.attrs {
+		m[k] = v
+	}
+	return m
+}
+
 // Plan returns the recorded plan summary.
 func (t *Trace) Plan() string {
 	if t == nil {
@@ -218,12 +240,7 @@ func (t *Trace) Report() *Report {
 	defer t.mu.Unlock()
 	r := &Report{DurationMS: ms(time.Since(t.start))}
 	r.Plan = t.plan
-	if len(t.attrs) > 0 {
-		r.Attrs = make(map[string]string, len(t.attrs))
-		for k, v := range t.attrs {
-			r.Attrs[k] = v
-		}
-	}
+	r.Attrs = t.attrsLocked()
 	r.Stages = make([]StageReport, 0, len(t.stages))
 	for _, s := range t.stages {
 		r.Stages = append(r.Stages, StageReport{Name: s.Name, TimeMS: ms(s.Dur)})

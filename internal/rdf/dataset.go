@@ -55,6 +55,15 @@ func (d *Dataset) Dict() *Dict { return d.dict }
 // dictionary.
 func (d *Dataset) Version() uint64 { return d.version.Load() }
 
+// Writes returns the number of successful triple-level writes (adds and
+// removes, through any path: Add, AddIDs, BulkAddIDs, Remove, Merge) made
+// so far to the graphs of the dataset. It is one atomic load, and each
+// graph bumps it after the write is in its indexes, so a reader that
+// sees the same (Version, Writes) before and after deriving something
+// from the dataset's triples derived it from unchanged triples. Dropping
+// a whole graph is a Version change, not a write.
+func (d *Dataset) Writes() uint64 { return d.dict.writes.Load() }
+
 // Default returns the default graph.
 func (d *Dataset) Default() *Graph {
 	d.mu.RLock()
@@ -257,6 +266,7 @@ type PrefixMap struct {
 	mu      sync.RWMutex
 	forward map[string]string // prefix -> namespace
 	reverse map[string]string // namespace -> prefix
+	binds   atomic.Uint64     // Bind calls so far
 }
 
 // NewPrefixMap returns a registry preloaded with rdf, rdfs, owl and xsd.
@@ -282,7 +292,13 @@ func (pm *PrefixMap) Bind(prefix, namespace string) {
 	}
 	pm.forward[prefix] = namespace
 	pm.reverse[namespace] = prefix
+	pm.binds.Add(1)
 }
+
+// Binds returns how many times Bind has been called: whatever was
+// rendered through Compact or Pairs under one count still renders the
+// same while the count stands.
+func (pm *PrefixMap) Binds() uint64 { return pm.binds.Load() }
 
 // Expand resolves a CURIE like "rdfs:label" to a full IRI. Strings
 // without a known prefix are returned unchanged with ok = false.

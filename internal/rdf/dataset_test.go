@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -373,5 +374,60 @@ func TestDatasetCompactedClone(t *testing.T) {
 	got.Default().Remove(live)
 	if !ds.Default().Has(live) {
 		t.Fatal("removing from clone mutated source")
+	}
+}
+
+// TestDatasetWritesCountsEveryWritePath: Writes moves on every
+// successful triple-level write to any graph of the dataset, whichever
+// method made it, and on nothing else.
+func TestDatasetWritesCountsEveryWritePath(t *testing.T) {
+	ds := NewDataset()
+	g := ds.Graph(IRI("http://ex.org/g"))
+	h := ds.Graph(IRI("http://ex.org/h"))
+	tr := func(i int) Triple {
+		return T(IRI(fmt.Sprintf("http://ex.org/s%d", i)), IRI("http://ex.org/p"), IRI("http://ex.org/o"))
+	}
+	step := func(name string, want uint64, do func()) {
+		t.Helper()
+		before := ds.Writes()
+		do()
+		if got := ds.Writes() - before; got != want {
+			t.Errorf("%s moved Writes by %d, want %d", name, got, want)
+		}
+	}
+	step("Add", 1, func() { g.MustAdd(tr(1)) })
+	step("Add of a present triple", 0, func() { g.MustAdd(tr(1)) })
+	step("Add to the default graph", 1, func() { ds.Default().MustAdd(tr(1)) })
+	id := func(t Term) TermID { return ds.Dict().Intern(t) }
+	step("AddIDs", 1, func() { g.AddIDs(id(tr(2).S), id(tr(2).P), id(tr(2).O)) })
+	step("BulkAddIDs", 2, func() {
+		g.BulkAddIDs([][3]TermID{
+			{id(tr(2).S), id(tr(2).P), id(tr(2).O)}, // present
+			{id(tr(3).S), id(tr(3).P), id(tr(3).O)},
+			{id(tr(4).S), id(tr(4).P), id(tr(4).O)},
+		})
+	})
+	step("Merge within the dataset", 4, func() { h.Merge(g) })
+	foreign := NewGraph()
+	foreign.MustAdd(tr(5))
+	step("Merge from another dictionary", 1, func() { h.Merge(foreign) })
+	step("Remove", 1, func() { g.Remove(tr(1)) })
+	step("Remove of an absent triple", 0, func() { g.Remove(tr(1)) })
+	step("reads", 0, func() { g.Has(tr(2)); g.Match(Any, Any, Any); ds.Len() })
+	step("DropGraph (a Version change)", 0, func() { ds.DropGraph(IRI("http://ex.org/h")) })
+}
+
+func TestPrefixMapBindsCountsBinds(t *testing.T) {
+	pm := NewPrefixMap()
+	before := pm.Binds()
+	pm.Bind("ex", "http://ex.org/")
+	pm.Bind("ex", "http://ex.org/v2/")
+	if got := pm.Binds() - before; got != 2 {
+		t.Errorf("two Bind calls moved Binds by %d", got)
+	}
+	pm.Compact("http://ex.org/v2/a")
+	pm.Pairs()
+	if got := pm.Binds() - before; got != 2 {
+		t.Errorf("reads moved Binds to %d", got)
 	}
 }

@@ -1,6 +1,9 @@
 package rdf
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // TermID is a dense dictionary code for an interned Term. IDs are
 // assigned sequentially from 0 in first-seen order and are stable for
@@ -30,6 +33,10 @@ type Dict struct {
 	mu    sync.RWMutex
 	ids   map[Term]TermID
 	terms []Term
+	// writes counts successful triple-level writes by every graph that
+	// interns here — for a dataset's shared dictionary, all its graphs
+	// (see Dataset.Writes). Graphs bump it after the index change.
+	writes atomic.Uint64
 }
 
 // NewDict returns an empty dictionary.

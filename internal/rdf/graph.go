@@ -411,6 +411,7 @@ func (g *Graph) addLocked(t Triple) bool {
 	g.pos.add(p, o, s)
 	g.osp.add(o, s, p)
 	g.n++
+	g.dict.writes.Add(1)
 	return true
 }
 
@@ -431,6 +432,7 @@ func (g *Graph) AddIDs(s, p, o TermID) bool {
 	g.pos.add(p, o, s)
 	g.osp.add(o, s, p)
 	g.n++
+	g.dict.writes.Add(1)
 	return true
 }
 
@@ -467,6 +469,7 @@ func (g *Graph) BulkAddIDs(tr [][3]TermID) int {
 	added := bulkAdd(g.spo, tr, 0, 1, 2)
 	wg.Wait()
 	g.n += added
+	g.dict.writes.Add(uint64(added))
 	return added
 }
 
@@ -589,6 +592,7 @@ func (g *Graph) Remove(t Triple) bool {
 	g.pos.remove(p, o, s)
 	g.osp.remove(o, s, p)
 	g.n--
+	g.dict.writes.Add(1)
 	return true
 }
 
@@ -1034,6 +1038,7 @@ func (g *Graph) Merge(other *Graph) {
 		})
 		other.mu.RUnlock()
 		g.mu.Lock()
+		before := g.n
 		for _, t := range ids {
 			if g.spo.add(t[0], t[1], t[2]) {
 				g.pos.add(t[1], t[2], t[0])
@@ -1041,6 +1046,7 @@ func (g *Graph) Merge(other *Graph) {
 				g.n++
 			}
 		}
+		g.dict.writes.Add(uint64(g.n - before))
 		g.mu.Unlock()
 		return
 	}

@@ -51,6 +51,83 @@ func (s *Scan) Children() []Plan { return nil }
 // Algebra implements Plan.
 func (s *Scan) Algebra() string { return s.Src.Name() }
 
+// algebra renders p in the π, σ, ⋈, ∪, ρ, δ notation into one buffer: a
+// nested expression costs one growing allocation, not a string per
+// operator per level — the REST layer renders every CQ of a walk answer
+// on every response.
+func algebra(p Plan) string {
+	var sb strings.Builder
+	writeAlgebra(&sb, p)
+	return sb.String()
+}
+
+func writeAlgebra(sb *strings.Builder, p Plan) {
+	switch n := p.(type) {
+	case *Scan:
+		sb.WriteString(n.Src.Name())
+	case *Project:
+		sb.WriteString("π[")
+		for i, c := range n.Cols {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			sb.WriteString(c)
+		}
+		sb.WriteString("](")
+		writeAlgebra(sb, n.Child)
+		sb.WriteByte(')')
+	case *Select:
+		fmt.Fprintf(sb, "σ[%s](", n.Pred)
+		writeAlgebra(sb, n.Child)
+		sb.WriteByte(')')
+	case *Rename:
+		sb.WriteString("ρ[")
+		writePairs(sb, n.Mapping, "→")
+		sb.WriteString("](")
+		writeAlgebra(sb, n.Child)
+		sb.WriteByte(')')
+	case *Join:
+		sb.WriteByte('(')
+		writeAlgebra(sb, n.L)
+		sb.WriteString(" ⋈[")
+		writePairs(sb, n.On, "=")
+		sb.WriteString("] ")
+		writeAlgebra(sb, n.R)
+		sb.WriteByte(')')
+	case *Union:
+		sb.WriteByte('(')
+		for i, sub := range n.Plans {
+			if i > 0 {
+				sb.WriteString(" ∪ ")
+			}
+			writeAlgebra(sb, sub)
+		}
+		sb.WriteByte(')')
+	case *Distinct:
+		sb.WriteString("δ(")
+		writeAlgebra(sb, n.Child)
+		sb.WriteByte(')')
+	case *Limit:
+		fmt.Fprintf(sb, "limit[%d](", n.N)
+		writeAlgebra(sb, n.Child)
+		sb.WriteByte(')')
+	default:
+		sb.WriteString(p.Algebra()) // an operator defined outside this package
+	}
+}
+
+// writePairs renders column pairs as a<sep>b, comma-separated.
+func writePairs(sb *strings.Builder, pairs [][2]string, sep string) {
+	for i, p := range pairs {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(p[0])
+		sb.WriteString(sep)
+		sb.WriteString(p[1])
+	}
+}
+
 // Execute implements Plan.
 func (s *Scan) Execute(ctx context.Context) (*Relation, error) {
 	if err := ctx.Err(); err != nil {
@@ -88,9 +165,7 @@ func (p *Project) Columns() []string { return p.Cols }
 func (p *Project) Children() []Plan { return []Plan{p.Child} }
 
 // Algebra implements Plan.
-func (p *Project) Algebra() string {
-	return fmt.Sprintf("π[%s](%s)", strings.Join(p.Cols, ","), p.Child.Algebra())
-}
+func (p *Project) Algebra() string { return algebra(p) }
 
 // Execute implements Plan.
 func (p *Project) Execute(ctx context.Context) (*Relation, error) {
@@ -119,9 +194,7 @@ func (s *Select) Columns() []string { return s.Child.Columns() }
 func (s *Select) Children() []Plan { return []Plan{s.Child} }
 
 // Algebra implements Plan.
-func (s *Select) Algebra() string {
-	return fmt.Sprintf("σ[%s](%s)", s.Pred, s.Child.Algebra())
-}
+func (s *Select) Algebra() string { return algebra(s) }
 
 // Execute implements Plan.
 func (s *Select) Execute(ctx context.Context) (*Relation, error) {
@@ -176,13 +249,7 @@ func (r *Rename) Columns() []string {
 func (r *Rename) Children() []Plan { return []Plan{r.Child} }
 
 // Algebra implements Plan.
-func (r *Rename) Algebra() string {
-	parts := make([]string, len(r.Mapping))
-	for i, m := range r.Mapping {
-		parts[i] = m[0] + "→" + m[1]
-	}
-	return fmt.Sprintf("ρ[%s](%s)", strings.Join(parts, ","), r.Child.Algebra())
-}
+func (r *Rename) Algebra() string { return algebra(r) }
 
 // Execute implements Plan.
 func (r *Rename) Execute(ctx context.Context) (*Relation, error) {
@@ -250,13 +317,7 @@ func (j *Join) Columns() []string {
 func (j *Join) Children() []Plan { return []Plan{j.L, j.R} }
 
 // Algebra implements Plan.
-func (j *Join) Algebra() string {
-	conds := make([]string, len(j.On))
-	for i, p := range j.On {
-		conds[i] = p[0] + "=" + p[1]
-	}
-	return fmt.Sprintf("(%s ⋈[%s] %s)", j.L.Algebra(), strings.Join(conds, ","), j.R.Algebra())
-}
+func (j *Join) Algebra() string { return algebra(j) }
 
 // Execute implements Plan: hash join, building on the smaller input.
 func (j *Join) Execute(ctx context.Context) (*Relation, error) {
@@ -377,13 +438,7 @@ func (u *Union) Columns() []string {
 func (u *Union) Children() []Plan { return u.Plans }
 
 // Algebra implements Plan.
-func (u *Union) Algebra() string {
-	parts := make([]string, len(u.Plans))
-	for i, p := range u.Plans {
-		parts[i] = p.Algebra()
-	}
-	return "(" + strings.Join(parts, " ∪ ") + ")"
-}
+func (u *Union) Algebra() string { return algebra(u) }
 
 // Execute implements Plan.
 func (u *Union) Execute(ctx context.Context) (*Relation, error) {
@@ -428,7 +483,7 @@ func (d *Distinct) Columns() []string { return d.Child.Columns() }
 func (d *Distinct) Children() []Plan { return []Plan{d.Child} }
 
 // Algebra implements Plan.
-func (d *Distinct) Algebra() string { return "δ(" + d.Child.Algebra() + ")" }
+func (d *Distinct) Algebra() string { return algebra(d) }
 
 // Execute implements Plan.
 func (d *Distinct) Execute(ctx context.Context) (*Relation, error) {
@@ -457,7 +512,7 @@ func (l *Limit) Columns() []string { return l.Child.Columns() }
 func (l *Limit) Children() []Plan { return []Plan{l.Child} }
 
 // Algebra implements Plan.
-func (l *Limit) Algebra() string { return fmt.Sprintf("limit[%d](%s)", l.N, l.Child.Algebra()) }
+func (l *Limit) Algebra() string { return algebra(l) }
 
 // Execute implements Plan.
 func (l *Limit) Execute(ctx context.Context) (*Relation, error) {

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"mdm/internal/bdi"
@@ -235,6 +236,8 @@ func (r Release) Summary() string {
 type Manager struct {
 	ont *bdi.Ontology
 	reg *wrapper.Registry
+	// mu guards log: releases are registered while the log is served.
+	mu  sync.Mutex
 	log []Release
 	// Now is injectable for deterministic tests.
 	Now func() time.Time
@@ -250,6 +253,8 @@ func NewManager(ont *bdi.Ontology, reg *wrapper.Registry) *Manager {
 // wrapper (attribute reuse happens inside the ontology), and the release
 // is logged. The caller defines the LAV mapping afterwards.
 func (m *Manager) Register(w wrapper.Wrapper) (Release, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	prevWrappers := m.reg.BySource(w.SourceID())
 	rel := Release{
 		Seq:       len(m.log) + 1,
@@ -278,15 +283,26 @@ func (m *Manager) Register(w wrapper.Wrapper) (Release, error) {
 	return rel, nil
 }
 
+// Restore replaces the log with one recorded earlier (a persistent
+// system's release documents, at open); the next release continues its
+// numbering.
+func (m *Manager) Restore(log []Release) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.log = append([]Release(nil), log...)
+}
+
 // Log returns the full release log (copy).
 func (m *Manager) Log() []Release {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return append([]Release(nil), m.log...)
 }
 
 // History returns the releases of one source.
 func (m *Manager) History(sourceID string) []Release {
 	var out []Release
-	for _, r := range m.log {
+	for _, r := range m.Log() {
 		if r.SourceID == sourceID {
 			out = append(out, r)
 		}

@@ -309,3 +309,66 @@ func mustJSON(s string) string {
 	}
 	return string(b)
 }
+
+// TestRewriteCacheReported: a walk's explain report and slow-log line say
+// whether the rewrite cache answered it. The second identical walk is a
+// hit; redefining a mapping over REST makes the next one a miss again.
+func TestRewriteCacheReported(t *testing.T) {
+	f := usecase.MustNew()
+	srv := rest.NewServer(mdm.FromParts(f.Ont, f.Reg))
+	var sink syncBuffer
+	srv.SlowLog = obs.NewSlowLogWriter(&sink, 0)
+
+	post := func(url, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", url, strings.NewReader(body)))
+		if rec.Code/100 != 2 {
+			t.Fatalf("POST %s = %d: %s", url, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
+	}
+	walk := func(want string) {
+		t.Helper()
+		var doc struct {
+			Explain obs.Report `json:"explain"`
+		}
+		if err := json.Unmarshal(post("/api/query?explain=1", fig8WalkBody), &doc); err != nil {
+			t.Fatal(err)
+		}
+		if got := doc.Explain.Attrs["rewrite_cache"]; got != want {
+			t.Errorf("explain rewrite_cache = %q, want %q", got, want)
+		}
+		logged := strings.Split(strings.TrimSpace(sink.String()), "\n")
+		var e obs.SlowEntry
+		if err := json.Unmarshal([]byte(logged[len(logged)-1]), &e); err != nil {
+			t.Fatalf("slow log %q: %v", sink.String(), err)
+		}
+		if got := e.Attrs["rewrite_cache"]; got != want {
+			t.Errorf("slow-log rewrite_cache = %q, want %q", got, want)
+		}
+	}
+	walk("miss")
+	walk("hit")
+
+	m, ok := f.Ont.MappingOf("w2")
+	if !ok {
+		t.Fatal("w2 mapping missing")
+	}
+	req := map[string]any{"wrapper": "w2", "sameAs": map[string]string{}}
+	var subgraph [][3]string
+	for _, tr := range m.Subgraph {
+		subgraph = append(subgraph, [3]string{tr.S.Value, tr.P.Value, tr.O.Value})
+	}
+	req["subgraph"] = subgraph
+	for attr, feat := range m.SameAs {
+		req["sameAs"].(map[string]string)[attr] = feat.Value
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	post("/api/mappings", string(body))
+	walk("miss")
+	walk("hit")
+}

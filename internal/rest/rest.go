@@ -609,11 +609,13 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 // --- saved walks (analytical processes) ---
 
 // savedWalkReq names a walk so analysts can re-run their analytical
-// processes later. Saved walks are stored as metadata, not plans: they
-// are re-rewritten at run time, which is precisely how MDM keeps
-// "hundreds of analytical processes" (paper §1) working across schema
-// evolution — after a new release, running the same saved walk simply
-// produces a union over more wrapper versions.
+// processes later. Saved walks are stored as metadata, not plans: a walk
+// is rewritten when it first runs after a release (the rewriter
+// remembers the result until the ontology or the registry next changes),
+// which is precisely how MDM keeps "hundreds of analytical processes"
+// (paper §1) working across schema evolution — after a new release,
+// running the same saved walk simply produces a union over more wrapper
+// versions.
 type savedWalkReq struct {
 	Name string `json:"name"`
 	walkReq
@@ -762,7 +764,7 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 				Partial: cur.Partial(), MissingSources: cur.Missing(), StaleSources: cur.StaleSources(),
 			}
 			for _, cq := range res.CQs {
-				resp.Algebra = append(resp.Algebra, cq.Algebra)
+				resp.Algebra = append(resp.Algebra, cq.Algebra())
 			}
 			return resp
 		}
@@ -905,6 +907,7 @@ func (s *Server) logSlow(d time.Duration, tr *obs.Trace, r *http.Request, status
 		Status:     status,
 		StagesMS:   tr.Stages(),
 		Plan:       tr.Plan(),
+		Attrs:      tr.Attrs(),
 		Partial:    a.partial,
 	}
 	if a.query != "" {

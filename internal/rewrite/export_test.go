@@ -1,0 +1,39 @@
+package rewrite
+
+// StampComponents names the components of a stamp, for MaskStamp.
+var StampComponents = []string{"dataset", "version", "writes", "binds", "registry", "maxCQs"}
+
+// MaskStamp makes every stamp read from now on ignore one component, as
+// if the stamp did not have it, until the returned function is called.
+func MaskStamp(component string) (restore func()) {
+	stampMask = func(s stamp) stamp {
+		switch component {
+		case "dataset":
+			s.ds = nil
+		case "version":
+			s.version = 0
+		case "writes":
+			s.writes = 0
+		case "binds":
+			s.binds = 0
+		case "registry":
+			s.registry = 0
+		case "maxCQs":
+			s.maxCQs = 0
+		default:
+			panic("rewrite: no stamp component " + component)
+		}
+		return s
+	}
+	return func() { stampMask = nil }
+}
+
+// MaxCached is the memo's capacity.
+const MaxCached = maxCached
+
+// Cached returns how many results the memo holds.
+func (r *Rewriter) Cached() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.memo)
+}

@@ -2,14 +2,19 @@ package rewrite_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"mdm"
+	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
 	"mdm/internal/rewrite"
 	"mdm/internal/usecase"
+	"mdm/internal/wrapper"
 )
 
 // conceptFeatures enumerates the fixture's (concept, feature) space for
@@ -177,4 +182,314 @@ func rowKey(row relalg.Row) string {
 		out += v.Key() + "\x00"
 	}
 	return out
+}
+
+// The rewrite cache is validated differentially: whatever is written,
+// through whichever path, a long-lived Rewriter must answer like one
+// built for the occasion.
+
+// probeWalks are the walks compared after every step: the two the paper
+// runs, one single-concept walk, and one that only rewrites once the v2
+// release has added ex:position (errors must agree too).
+func probeWalks() []*rewrite.Walk {
+	return []*rewrite.Walk{
+		usecase.Fig8Walk(),
+		usecase.NationalityWalk(),
+		rewrite.NewWalk().Select(usecase.Player, usecase.Height).Select(usecase.Player, usecase.PlayerName),
+		usecase.PositionWalk(),
+	}
+}
+
+// scans lists the plan's Scan leaves.
+func scans(p relalg.Plan, dst []*relalg.Scan) []*relalg.Scan {
+	if s, ok := p.(*relalg.Scan); ok {
+		return append(dst, s)
+	}
+	for _, c := range p.Children() {
+		dst = scans(c, dst)
+	}
+	return dst
+}
+
+// divergence reports how long's answer for any probe walk differs from a
+// fresh Rewriter's over the same ontology and registry: the SPARQL text,
+// the output columns, each CQ's wrappers and algebra, the union's
+// algebra, the error if there is one — and whether every Scan reads the
+// wrapper object currently registered under its name.
+func divergence(long *rewrite.Rewriter, ont *bdi.Ontology, reg *wrapper.Registry) error {
+	for i, w := range probeWalks() {
+		fresh := rewrite.New(ont, reg)
+		fresh.MaxCQs = long.MaxCQs
+		want, wantErr := fresh.Rewrite(w)
+		got, gotErr := long.Rewrite(w)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			return fmt.Errorf("walk %d: error %v, fresh rewriter says %v", i, gotErr, wantErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if got.SPARQL != want.SPARQL {
+			return fmt.Errorf("walk %d: SPARQL\n%s\nfresh rewriter says\n%s", i, got.SPARQL, want.SPARQL)
+		}
+		if g, w := strings.Join(got.OutputColumns, ","), strings.Join(want.OutputColumns, ","); g != w {
+			return fmt.Errorf("walk %d: columns %s, fresh rewriter says %s", i, g, w)
+		}
+		if len(got.CQs) != len(want.CQs) {
+			return fmt.Errorf("walk %d: %d CQs, fresh rewriter says %d", i, len(got.CQs), len(want.CQs))
+		}
+		for j := range got.CQs {
+			if g, w := strings.Join(got.CQs[j].Wrappers, ","), strings.Join(want.CQs[j].Wrappers, ","); g != w {
+				return fmt.Errorf("walk %d CQ %d: wrappers %s, fresh rewriter says %s", i, j, g, w)
+			}
+			if g, w := got.CQs[j].Algebra(), want.CQs[j].Algebra(); g != w {
+				return fmt.Errorf("walk %d CQ %d: algebra %s, fresh rewriter says %s", i, j, g, w)
+			}
+		}
+		if g, w := got.Plan.Algebra(), want.Plan.Algebra(); g != w {
+			return fmt.Errorf("walk %d: plan %s, fresh rewriter says %s", i, g, w)
+		}
+		for _, s := range scans(got.Plan, nil) {
+			if cur, ok := reg.Get(s.Src.Name()); !ok || cur != s.Src {
+				return fmt.Errorf("walk %d: scan of %s reads a wrapper object that is no longer the registered one", i, s.Src.Name())
+			}
+		}
+	}
+	return nil
+}
+
+// evolving is the football use case on a persistent system, with the
+// write paths of the differential tests as methods.
+type evolving struct {
+	t        *testing.T
+	sys      *mdm.System
+	fix      *usecase.Fixture
+	n        int      // names the next thing a step creates
+	releases []string // players versions released on top of the fixture
+}
+
+func newEvolving(t *testing.T) *evolving {
+	t.Helper()
+	sys, err := mdm.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	fix, err := usecase.NewOn(sys.Ontology(), sys.Wrappers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &evolving{t: t, sys: sys, fix: fix}
+}
+
+func (e *evolving) must(err error) {
+	e.t.Helper()
+	if err != nil {
+		e.t.Fatal(err)
+	}
+}
+
+func (e *evolving) iri(kind string) rdf.Term {
+	e.n++
+	return rdf.IRI(fmt.Sprintf("%s%s%d", usecase.EX, kind, e.n))
+}
+
+// release registers one more schema version of the players API mapped
+// like w1, so every walk over Player gains a CQ.
+func (e *evolving) release() {
+	e.n++
+	name := fmt.Sprintf("w1_r%d", e.n)
+	w := wrapper.NewMem(name, usecase.SrcPlayers, usecase.PlayersV1Docs(), nil)
+	_, err := e.sys.RegisterWrapper(w)
+	e.must(err)
+	m, ok := e.sys.Ontology().MappingOf("w1")
+	if !ok {
+		e.t.Fatal("w1 mapping missing")
+	}
+	m.Wrapper = name
+	e.must(e.sys.DefineMapping(m))
+	e.releases = append(e.releases, name)
+}
+
+// coverTriple is the triple whose absence from a release's mapping graph
+// stops that release from covering Player.
+var coverTriple = rdf.T(usecase.Player, rdf.IRI(rdf.RDFType), bdi.ClassConcept)
+
+func (e *evolving) lastReleaseGraph() *rdf.Graph {
+	return e.sys.Ontology().Dataset().Graph(bdi.WrapperIRI(e.releases[len(e.releases)-1]))
+}
+
+// swapWrapper replaces the registered w2 by a different object of the
+// same name and content; the ontology is not written.
+func (e *evolving) swapWrapper() {
+	reg := e.sys.Wrappers()
+	reg.Remove("w2")
+	e.must(reg.Register(wrapper.NewMem("w2", usecase.SrcTeams, usecase.TeamsDocs(), nil)))
+}
+
+// steps are the write paths, each valid in any state.
+func (e *evolving) steps() []struct {
+	name string
+	do   func()
+} {
+	ont := e.sys.Ontology()
+	return []struct {
+		name string
+		do   func()
+	}{
+		{"AddConcept", func() { e.must(ont.AddConcept(e.iri("Concept"), "")) }},
+		{"AddFeature+AttachFeature", func() {
+			f := e.iri("feature")
+			e.must(ont.AddFeature(f, ""))
+			e.must(ont.AttachFeature(usecase.Player, f))
+		}},
+		{"MarkIdentifier", func() {
+			c, f := e.iri("Concept"), e.iri("id")
+			e.must(ont.AddConcept(c, ""))
+			e.must(ont.AddFeature(f, ""))
+			e.must(ont.AttachFeature(c, f))
+			e.must(ont.MarkIdentifier(f))
+		}},
+		{"RelateConcepts", func() {
+			c := e.iri("Concept")
+			e.must(ont.AddConcept(c, ""))
+			e.must(ont.RelateConcepts(c, e.iri("rel"), usecase.Player))
+		}},
+		{"AddSubClass", func() {
+			c := e.iri("Goalkeeper")
+			e.must(ont.AddConcept(c, ""))
+			e.must(ont.AddSubClass(c, usecase.Player))
+		}},
+		{"AddDataSource", func() { e.n++; e.must(ont.AddDataSource(fmt.Sprintf("source-%d", e.n), "")) }},
+		{"ReleasePlayersV2", func() {
+			if e.fix.W1v2 == nil {
+				e.must(e.fix.ReleasePlayersV2())
+			}
+		}},
+		{"RegisterWrapper+DefineMapping", e.release},
+		{"BindPrefix", func() { e.n++; e.sys.BindPrefix(fmt.Sprintf("fb%d", e.n), usecase.EX) }},
+		{"Registry.Remove+Register", e.swapWrapper},
+		{"Graph.Remove", func() {
+			if len(e.releases) > 0 {
+				e.lastReleaseGraph().Remove(coverTriple)
+			}
+		}},
+		{"Graph.Add", func() {
+			if len(e.releases) > 0 {
+				e.lastReleaseGraph().MustAdd(coverTriple)
+			}
+		}},
+		{"DropGraph", func() {
+			if len(e.releases) > 0 {
+				last := len(e.releases) - 1
+				ont.Dataset().DropGraph(bdi.WrapperIRI(e.releases[last]))
+				e.releases = e.releases[:last]
+			}
+		}},
+		{"CompactStorage", func() { e.must(e.sys.CompactStorage()) }},
+	}
+}
+
+// TestPropCacheMatchesFreshRewriter: after each step of a seeded random
+// sequence over every write path, the long-lived rewriter agrees with a
+// fresh one.
+func TestPropCacheMatchesFreshRewriter(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
+			e := newEvolving(t)
+			ont, reg := e.sys.Ontology(), e.sys.Wrappers()
+			long := rewrite.New(ont, reg)
+			if err := divergence(long, ont, reg); err != nil {
+				t.Fatal(err)
+			}
+			steps := e.steps()
+			rng := rand.New(rand.NewSource(seed))
+			// Every path at least once, then more at random.
+			order := rng.Perm(len(steps))
+			for i := 0; i < 40; i++ {
+				order = append(order, rng.Intn(len(steps)))
+			}
+			for i, k := range order {
+				steps[k].do()
+				if err := divergence(long, ont, reg); err != nil {
+					t.Fatalf("step %d (%s): %v", i, steps[k].name, err)
+				}
+			}
+		})
+	}
+}
+
+var scratch = rdf.T(usecase.Player, rdf.IRI(usecase.EX+"scratch"), usecase.Player)
+
+// TestStampComponentsLoadBearing has one row per stamp component: a
+// write that moves that component alone. With the stamp intact the
+// long-lived rewriter follows it; with the component masked out it keeps
+// serving what it had, and divergence says so — which is the evidence
+// that the differential test above would catch the component's loss.
+func TestStampComponentsLoadBearing(t *testing.T) {
+	rows := map[string]func(e *evolving, long *rewrite.Rewriter){
+		// A compaction re-points the ontology at a copy whose counters
+		// start over. Make them arrive exactly where the old dataset's
+		// stood (it had seen two more writes than it held triples, see
+		// below) with the last release no longer covering Player.
+		"dataset": func(e *evolving, _ *rewrite.Rewriter) {
+			old := e.sys.Ontology().Dataset()
+			e.must(e.sys.CompactStorage())
+			ds := e.sys.Ontology().Dataset()
+			if ds == old {
+				e.t.Fatal("compaction did not re-point the ontology")
+			}
+			e.lastReleaseGraph().Remove(coverTriple)
+			src := e.sys.Ontology().Source()
+			for ds.Writes() < old.Writes() {
+				if added, _ := src.Add(scratch); !added {
+					src.Remove(scratch)
+				}
+			}
+			if ds.Version() != old.Version() || ds.Writes() != old.Writes() {
+				e.t.Fatalf("row no longer isolates the dataset pointer: version %d vs %d, writes %d vs %d",
+					ds.Version(), old.Version(), ds.Writes(), old.Writes())
+			}
+		},
+		"version": func(e *evolving, _ *rewrite.Rewriter) {
+			e.sys.Ontology().Dataset().DropGraph(bdi.WrapperIRI(e.releases[0]))
+		},
+		"writes": func(e *evolving, _ *rewrite.Rewriter) { e.lastReleaseGraph().Remove(coverTriple) },
+		"binds":  func(e *evolving, _ *rewrite.Rewriter) { e.sys.BindPrefix("fb", usecase.EX) },
+		"registry": func(e *evolving, _ *rewrite.Rewriter) {
+			e.swapWrapper()
+		},
+		"maxCQs": func(_ *evolving, long *rewrite.Rewriter) { long.MaxCQs = 1 },
+	}
+	for _, component := range rewrite.StampComponents {
+		write, ok := rows[component]
+		if !ok {
+			t.Errorf("stamp component %s has no row", component)
+			continue
+		}
+		for _, masked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/masked=%v", component, masked), func(t *testing.T) {
+				e := newEvolving(t)
+				e.release()
+				ont, reg := e.sys.Ontology(), e.sys.Wrappers()
+				// Two writes that leave no triple behind, for the dataset row.
+				ont.Source().MustAdd(scratch)
+				ont.Source().Remove(scratch)
+				if masked {
+					defer rewrite.MaskStamp(component)()
+				}
+				long := rewrite.New(ont, reg)
+				if err := divergence(long, ont, reg); err != nil {
+					t.Fatal(err)
+				}
+				write(e, long)
+				err := divergence(long, ont, reg)
+				switch {
+				case !masked && err != nil:
+					t.Errorf("intact stamp: %v", err)
+				case masked && err == nil:
+					t.Errorf("a stamp without its %s component still follows this write: the row does not isolate it", component)
+				}
+			})
+		}
+	}
 }

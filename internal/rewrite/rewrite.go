@@ -1,24 +1,45 @@
 package rewrite
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"time"
 
 	"mdm/internal/bdi"
+	"mdm/internal/obs"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
 	"mdm/internal/wrapper"
 )
 
+var (
+	obsCacheHits = obs.Default.NewCounter("mdm_rewrite_cache_hits_total",
+		"Walk rewrites answered from the rewrite-result cache.")
+	obsCacheMisses = obs.Default.NewCounter("mdm_rewrite_cache_misses_total",
+		"Walk rewrites that ran the three-phase algorithm (first walk after an ontology or registry change, never-seen walk, failed rewrite).")
+)
+
 // Rewriter resolves walks over an ontology into federated plans over a
-// wrapper registry.
+// wrapper registry. It is safe for concurrent use.
+//
+// The ontology changes once per release and the same walks run many
+// times in between, so a Rewriter remembers its results: see stamp for
+// what invalidates them and Result for the contract that sharing puts
+// on callers.
 type Rewriter struct {
 	ont *bdi.Ontology
 	reg *wrapper.Registry
 	// MaxCQs caps the number of conjunctive queries generated (0 = no
-	// cap); a safety valve against combinatorial mappings.
+	// cap); a safety valve against combinatorial mappings. Set it before
+	// the Rewriter is shared between goroutines.
 	MaxCQs int
+
+	mu   sync.Mutex
+	at   stamp              // what every entry of memo was derived from
+	memo map[string]*Result // walk key -> result; nil when empty
 }
 
 // New returns a Rewriter over the given ontology and wrappers.
@@ -26,13 +47,126 @@ func New(ont *bdi.Ontology, reg *wrapper.Registry) *Rewriter {
 	return &Rewriter{ont: ont, reg: reg}
 }
 
-// col names the plan column for a feature: its CURIE when a prefix is
-// bound (readable in algebra renderings), else the full IRI form.
-func (r *Rewriter) col(f rdf.Term) string {
-	return r.ont.Dataset().Prefixes().CompactTerm(f)
+// maxCached bounds the memo; one more distinct walk drops it whole. An
+// entry is 8–15 KB for the football walks at 16 schema versions
+// (TestCacheRetainedBytes), so a full memo holds a few MB. It is a
+// constant because no deployment has a reason to choose another value:
+// "hundreds of analytical processes" (paper §1) fit, and a population
+// that does not fit only costs it the rewrites it paid before.
+const maxCached = 256
+
+// stamp is everything a rewrite result is a function of besides the walk
+// itself; it is the one place that knows. A Rewriter's memo belongs to
+// exactly one stamp: a walk is looked up under the stamp read before it
+// is (re)written, a different stamp drops the whole memo, and a result
+// is stored only if the memo still belongs to the stamp its rewrite
+// started from. One stamp for the whole memo, because every component
+// is global — a release touches the mapping graphs every walk reads —
+// and comparing six words per request is cheaper than tracking which
+// entries a write could have affected.
+//
+// Every counter is bumped after the change it counts is visible and
+// never goes back, and the dataset pointer is not reused while the
+// stamp holds it, so a stamp read at one time equals a stamp read later
+// only if nothing changed in between: a result derived after reading s
+// is right for everyone who later reads s.
+type stamp struct {
+	// ds is the dataset the ontology pointed at: a storage compaction
+	// re-points it (bdi.Ontology.Rebind) at a copy whose counters below
+	// start over.
+	ds *rdf.Dataset
+	// version counts graph-set changes (a mapping graph created, attached
+	// or dropped): rdf.Dataset.Version.
+	version uint64
+	// writes counts triple-level writes to any graph of ds, including the
+	// ones that bypass bdi.Ontology: rdf.Dataset.Writes.
+	writes uint64
+	// binds counts prefix bindings; plan column names and the SPARQL
+	// rendering go through CompactTerm: rdf.PrefixMap.Binds.
+	binds uint64
+	// registry counts wrapper registrations and removals; plans hold the
+	// Scan.Src objects the registry resolved: wrapper.Registry.Generation.
+	registry uint64
+	// maxCQs is Rewriter.MaxCQs, which truncates the union.
+	maxCQs int
+}
+
+// stampMask, set only by tests, blanks one component of every stamp read:
+// the mutation-kill rows of TestStampComponentsLoadBearing show that the
+// differential test fails without each of them.
+var stampMask func(stamp) stamp
+
+func (r *Rewriter) stampNow() stamp {
+	ds := r.ont.Dataset()
+	s := stamp{
+		ds:       ds,
+		version:  ds.Version(),
+		writes:   ds.Writes(),
+		binds:    ds.Prefixes().Binds(),
+		registry: r.reg.Generation(),
+		maxCQs:   r.MaxCQs,
+	}
+	if stampMask != nil {
+		s = stampMask(s)
+	}
+	return s
+}
+
+// appendWalkKey appends an injective encoding of everything a rewrite
+// reads from the walk: concepts in order, each with its features in
+// order and their aliases, then the relations in order. Features filed
+// under a concept the walk does not list take part in validation only;
+// they follow in sorted order.
+func appendWalkKey(b []byte, w *Walk) []byte {
+	b = binary.AppendUvarint(b, uint64(len(w.Concepts)))
+	for _, c := range w.Concepts {
+		b = appendConceptKey(b, w, c)
+	}
+	b = binary.AppendUvarint(b, uint64(len(w.Relations)))
+	for _, rel := range w.Relations {
+		b = appendTermKey(appendTermKey(appendTermKey(b, rel.S), rel.P), rel.O)
+	}
+	var unlisted []rdf.Term
+	for c, feats := range w.Features {
+		if len(feats) > 0 && !containsTerm(w.Concepts, c) {
+			unlisted = append(unlisted, c)
+		}
+	}
+	if len(unlisted) > 0 {
+		for _, c := range sortTerms(unlisted) {
+			b = appendConceptKey(b, w, c)
+		}
+	}
+	return b
+}
+
+func appendConceptKey(b []byte, w *Walk, c rdf.Term) []byte {
+	b = appendTermKey(b, c)
+	b = binary.AppendUvarint(b, uint64(len(w.Features[c])))
+	for _, f := range w.Features[c] {
+		b = appendStringKey(appendTermKey(b, f), w.Aliases[f])
+	}
+	return b
+}
+
+func appendTermKey(b []byte, t rdf.Term) []byte {
+	b = append(b, byte(t.Kind))
+	return appendStringKey(appendStringKey(appendStringKey(b, t.Value), t.Datatype), t.Lang)
+}
+
+// appendStringKey length-prefixes s, which keeps the encoding injective.
+func appendStringKey(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // Result is the outcome of rewriting a walk.
+//
+// Results are shared and read-only: a Rewriter hands the same *Result to
+// every caller that asks for the same walk until the ontology or the
+// registry changes, possibly to several goroutines at once, and the CQs
+// of one Result share sub-plans and slices. Nothing reachable from a
+// Result may be modified; execution (federate, relalg.Plan.Execute) and
+// the REST layer only read.
 type Result struct {
 	// Plan is the executable union of conjunctive queries.
 	Plan relalg.Plan
@@ -50,15 +184,74 @@ type Result struct {
 
 // CQ describes one conjunctive query of the union.
 type CQ struct {
-	// Wrappers are the wrapper names joined by this CQ, in join order.
+	// Wrappers are the wrapper names joined by this CQ, sorted.
 	Wrappers []string
-	// Algebra is the CQ's relational algebra rendering.
-	Algebra string
-	plan    relalg.Plan
+	plan     relalg.Plan
 }
 
-// Rewrite runs the three-phase algorithm on a walk.
-func (r *Rewriter) Rewrite(w *Walk) (*Result, error) {
+// Algebra renders the CQ's relational algebra expression. It is rendered
+// on request rather than kept: the strings of a 16-CQ union are a third
+// of what a remembered Result would otherwise retain.
+func (c CQ) Algebra() string { return c.plan.Algebra() }
+
+// Rewrite runs the three-phase algorithm on a walk, or returns the
+// result it already produced for the same walk over the same ontology
+// and registry state.
+func (r *Rewriter) Rewrite(w *Walk) (*Result, error) { return r.RewriteTrace(w, nil) }
+
+// RewriteTrace is Rewrite with an observability trace attached: it
+// records the rewrite stage and the rewrite_cache=hit|miss attribute on
+// tr. A nil tr behaves exactly like Rewrite.
+func (r *Rewriter) RewriteTrace(w *Walk, tr *obs.Trace) (*Result, error) {
+	t0 := time.Now()
+	res, hit, err := r.cached(w)
+	tr.StageDur("rewrite", time.Since(t0))
+	if hit {
+		obsCacheHits.Inc()
+		tr.SetAttr("rewrite_cache", "hit")
+	} else {
+		obsCacheMisses.Inc()
+		tr.SetAttr("rewrite_cache", "miss")
+	}
+	return res, err
+}
+
+// cached wraps the one rewrite path with the memo. Errors are not
+// remembered: they are cheap to find again and the walk that caused one
+// is usually about to be corrected.
+func (r *Rewriter) cached(w *Walk) (res *Result, hit bool, err error) {
+	at := r.stampNow() // before rewriting: see stamp
+	var buf [512]byte
+	key := appendWalkKey(buf[:0], w)
+
+	r.mu.Lock()
+	if r.at != at {
+		r.at, r.memo = at, nil
+	}
+	res = r.memo[string(key)]
+	r.mu.Unlock()
+	if res != nil {
+		return res, true, nil
+	}
+
+	if res, err = r.rewrite(w); err != nil {
+		return nil, false, err
+	}
+	r.mu.Lock()
+	// A release that raced this rewrite has moved the memo on; the result
+	// may predate it and must not be filed under its stamp.
+	if r.at == at {
+		if r.memo == nil || len(r.memo) >= maxCached {
+			r.memo = map[string]*Result{}
+		}
+		r.memo[string(key)] = res
+	}
+	r.mu.Unlock()
+	return res, false, nil
+}
+
+// rewrite is the three-phase algorithm.
+func (r *Rewriter) rewrite(w *Walk) (*Result, error) {
 	if err := w.Validate(r.ont); err != nil {
 		return nil, err
 	}
@@ -123,18 +316,15 @@ func (r *Rewriter) Rewrite(w *Walk) (*Result, error) {
 		OutputColumns:    outCols,
 		ExpandedFeatures: sortTerms(expanded),
 	}
+	asm := newAssembly(r, projFeatures, outCols)
 	var plans []relalg.Plan
 	for _, combo := range combos {
-		plan, err := combo.assemble(projFeatures, outCols)
+		plan, err := asm.assemble(combo)
 		if err != nil {
 			return nil, err
 		}
-		plan = relalg.Optimize(plan)
-		res.CQs = append(res.CQs, CQ{
-			Wrappers: combo.wrapperNames(),
-			Algebra:  plan.Algebra(),
-			plan:     plan,
-		})
+		plan = asm.share(relalg.Optimize(plan))
+		res.CQs = append(res.CQs, CQ{Wrappers: combo, plan: plan})
 		plans = append(plans, plan)
 		if r.MaxCQs > 0 && len(plans) >= r.MaxCQs {
 			break
@@ -314,15 +504,6 @@ func subset(a, b map[string]bool) bool {
 	return true
 }
 
-// combo is a full combination: the wrapper set of one conjunctive query.
-type combo struct {
-	r        *Rewriter
-	walk     *Walk
-	wrappers []string // sorted, deduplicated
-}
-
-func (c combo) wrapperNames() []string { return c.wrappers }
-
 // maxCombos bounds the inter-concept search; far beyond any sane mapping
 // configuration, it guards against combinatorial blow-up.
 const maxCombos = 4096
@@ -335,7 +516,10 @@ const maxCombos = 4096
 // deduplicated by wrapper set, and sets that are strict supersets of
 // another combination are pruned: under LAV certain-answer semantics the
 // extra wrapper can only restrict the subset combination's answer.
-func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages map[rdf.Term]conceptCoverage) ([]combo, error) {
+//
+// A combination is the sorted, deduplicated wrapper set of one
+// conjunctive query.
+func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages map[rdf.Term]conceptCoverage) ([][]string, error) {
 	witnessOpts := make([][]string, len(w.Relations))
 	for i, rel := range w.Relations {
 		idS, okS := r.ont.IdentifierOf(rel.S)
@@ -361,7 +545,7 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 		}
 	}
 
-	var out []combo
+	var out [][]string
 	seen := map[string]bool{}
 	emit := func(set map[string]bool) {
 		names := make([]string, 0, len(set))
@@ -374,7 +558,7 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 			return
 		}
 		seen[key] = true
-		out = append(out, combo{r: r, walk: w, wrappers: names})
+		out = append(out, names)
 	}
 
 	var recConcepts func(j int, set map[string]bool)
@@ -431,15 +615,15 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 
 // pruneCombos removes combinations whose wrapper set strictly contains
 // another combination's set.
-func pruneCombos(combos []combo) []combo {
+func pruneCombos(combos [][]string) [][]string {
 	sets := make([]map[string]bool, len(combos))
 	for i, c := range combos {
 		sets[i] = map[string]bool{}
-		for _, n := range c.wrappers {
+		for _, n := range c {
 			sets[i][n] = true
 		}
 	}
-	var out []combo
+	var out [][]string
 	for i, c := range combos {
 		redundant := false
 		for j := range combos {
@@ -458,52 +642,96 @@ func pruneCombos(combos []combo) []combo {
 	return out
 }
 
+// assembly turns the combinations of one rewrite into plans. It derives
+// each per-wrapper and per-feature fact once for the whole union — at n
+// schema versions every CQ but one would otherwise re-read the same
+// mapping graphs — and makes the CQs share what is identical between
+// them, so that a remembered Result stays small.
+type assembly struct {
+	r *Rewriter
+	// The final projection, the same for every CQ: the projected
+	// features' columns, and their renaming to the output columns.
+	featCols []string
+	outNames [][2]string
+
+	cols   map[rdf.Term]string // feature -> plan column
+	leaves map[string]leaf     // wrapper name -> base plan
+	plans  map[planKey]relalg.Plan
+	pairs  map[string][][2]string
+	lists  map[string][]string
+}
+
+// leaf is one wrapper's base plan and the identifier columns it offers
+// to joins.
+type leaf struct {
+	plan   relalg.Plan
+	idCols []string
+}
+
+func newAssembly(r *Rewriter, projFeatures []rdf.Term, outCols []string) *assembly {
+	a := &assembly{
+		r:      r,
+		cols:   map[rdf.Term]string{},
+		leaves: map[string]leaf{},
+		plans:  map[planKey]relalg.Plan{},
+		pairs:  map[string][][2]string{},
+		lists:  map[string][]string{},
+	}
+	for i, f := range projFeatures {
+		a.featCols = append(a.featCols, a.col(f))
+		a.outNames = append(a.outNames, [2]string{a.col(f), outCols[i]})
+	}
+	return a
+}
+
+// col names the plan column for a feature: its CURIE when a prefix is
+// bound (readable in algebra renderings), else the full IRI form.
+func (a *assembly) col(f rdf.Term) string {
+	c, ok := a.cols[f]
+	if !ok {
+		c = a.r.ont.Dataset().Prefixes().CompactTerm(f)
+		a.cols[f] = c
+	}
+	return c
+}
+
 // assemble builds the CQ plan for a combination: per-wrapper base plans
 // (scan + rename attributes to feature IRIs), joined greedily on shared
 // identifier-feature columns, then projected and renamed to the output
 // columns.
-func (c combo) assemble(projFeatures []rdf.Term, outCols []string) (relalg.Plan, error) {
-	r := c.r
-	// Identifier features are the only legal join columns (paper §2.3).
-	// Collect them from every participating wrapper's sameAs targets so
-	// relation witnesses contribute their join columns too.
-	isID := map[string]bool{}
-	for _, wname := range c.wrapperNames() {
-		if m, ok := r.ont.MappingOf(wname); ok {
-			for _, f := range m.SameAs {
-				if r.ont.IsIdentifier(f) {
-					isID[r.col(f)] = true
-				}
-			}
-		}
-	}
-
+func (a *assembly) assemble(names []string) (relalg.Plan, error) {
 	// One base plan per distinct wrapper in the combination (feature
 	// providers and relation witnesses alike). A wrapper may serve
 	// several concepts (e.g. w1 covers Player and the Team identifier);
 	// its sameAs links are applied once.
-	names := c.wrapperNames()
-	base := map[string]relalg.Plan{}
+	//
+	// Identifier features are the only legal join columns (paper §2.3).
+	// Collect them from every participating wrapper's sameAs targets so
+	// relation witnesses contribute their join columns too.
+	isID := map[string]bool{}
 	for _, wname := range names {
-		plan, err := c.basePlan(wname)
+		l, err := a.leaf(wname)
 		if err != nil {
 			return nil, err
 		}
-		base[wname] = plan
+		for _, c := range l.idCols {
+			isID[c] = true
+		}
 	}
 
 	// Greedy connected join on shared identifier columns.
 	remaining := append([]string(nil), names...)
-	plan := base[remaining[0]]
+	plan := a.leaves[remaining[0]].plan
 	remaining = remaining[1:]
 	for len(remaining) > 0 {
 		progress := false
 		for i, wname := range remaining {
-			on := sharedIDColumns(plan.Columns(), base[wname].Columns(), isID)
+			base := a.leaves[wname].plan
+			on := sharedIDColumns(plan.Columns(), base.Columns(), isID)
 			if len(on) == 0 {
 				continue
 			}
-			plan = relalg.NewJoin(plan, base[wname], on)
+			plan = relalg.NewJoin(plan, base, on)
 			remaining = append(remaining[:i], remaining[i+1:]...)
 			progress = true
 			break
@@ -514,53 +742,116 @@ func (c combo) assemble(projFeatures []rdf.Term, outCols []string) (relalg.Plan,
 	}
 
 	// Final projection: feature IRIs -> output column names.
-	var mapping [][2]string
-	var featCols []string
-	for i, f := range projFeatures {
-		featCols = append(featCols, r.col(f))
-		mapping = append(mapping, [2]string{r.col(f), outCols[i]})
-	}
-	projected := relalg.NewProject(plan, featCols...)
-	return relalg.NewRename(projected, mapping), nil
+	return relalg.NewRename(relalg.NewProject(plan, a.featCols...), a.outNames), nil
 }
 
-// basePlan builds scan+rename for one wrapper: attributes that have a
+// leaf builds scan+rename for one wrapper: attributes that have a
 // sameAs link are renamed to their feature IRI; unmapped attributes are
 // dropped by a projection.
-func (c combo) basePlan(wname string) (relalg.Plan, error) {
-	wr, ok := c.r.reg.Get(wname)
-	if !ok {
-		return nil, fmt.Errorf("rewrite: wrapper %q has a mapping but is not registered", wname)
+func (a *assembly) leaf(wname string) (leaf, error) {
+	if l, ok := a.leaves[wname]; ok {
+		return l, nil
 	}
-	m, ok := c.r.ont.MappingOf(wname)
+	wr, ok := a.r.reg.Get(wname)
 	if !ok {
-		return nil, fmt.Errorf("rewrite: wrapper %q has no LAV mapping", wname)
+		return leaf{}, fmt.Errorf("rewrite: wrapper %q has a mapping but is not registered", wname)
 	}
+	m, ok := a.r.ont.MappingOf(wname)
+	if !ok {
+		return leaf{}, fmt.Errorf("rewrite: wrapper %q has no LAV mapping", wname)
+	}
+	var l leaf
 	var mapping [][2]string
 	var keep []string
 	// Deterministic order over attributes.
 	attrs := make([]string, 0, len(m.SameAs))
-	for a := range m.SameAs {
-		attrs = append(attrs, a)
+	for attr := range m.SameAs {
+		attrs = append(attrs, attr)
 	}
 	sort.Strings(attrs)
 	have := map[string]bool{}
 	for _, col := range wr.Columns() {
 		have[col] = true
 	}
-	for _, a := range attrs {
-		if !have[a] {
-			return nil, fmt.Errorf("rewrite: mapping of %s references attribute %q missing from wrapper signature", wname, a)
+	for _, attr := range attrs {
+		if !have[attr] {
+			return leaf{}, fmt.Errorf("rewrite: mapping of %s references attribute %q missing from wrapper signature", wname, attr)
 		}
-		f := m.SameAs[a]
-		mapping = append(mapping, [2]string{a, c.r.col(f)})
-		keep = append(keep, c.r.col(f))
+		f := m.SameAs[attr]
+		mapping = append(mapping, [2]string{attr, a.col(f)})
+		keep = append(keep, a.col(f))
+		if a.r.ont.IsIdentifier(f) {
+			l.idCols = append(l.idCols, a.col(f))
+		}
 	}
 	if len(keep) == 0 {
-		return nil, fmt.Errorf("rewrite: wrapper %s maps no attributes", wname)
+		return leaf{}, fmt.Errorf("rewrite: wrapper %s maps no attributes", wname)
 	}
 	renamed := relalg.NewRename(relalg.NewScan(wr), mapping)
-	return relalg.NewProject(renamed, keep...), nil
+	l.plan = relalg.NewProject(renamed, keep...)
+	a.leaves[wname] = l
+	return l, nil
+}
+
+// planKey identifies a plan node up to structure, given children that
+// are already canonical: operator, children, and its column list or
+// pairs flattened into one string.
+type planKey struct {
+	op   rune
+	l, r relalg.Plan
+	spec string
+}
+
+// share returns the canonical copy of an optimized CQ plan: a node
+// structurally equal to one an earlier CQ of this rewrite produced (the
+// same wrapper's leaf under the same projection) is replaced by that
+// node, and nodes that differ only below still share their column lists
+// and pairs. The optimizer builds p afresh for every CQ, so p is ours to
+// edit in place.
+func (a *assembly) share(p relalg.Plan) relalg.Plan {
+	var k planKey
+	switch n := p.(type) {
+	case *relalg.Project:
+		n.Child = a.share(n.Child)
+		k = planKey{op: 'π', l: n.Child, spec: strings.Join(n.Cols, "\x00")}
+		n.Cols = canonical(a.lists, k.spec, n.Cols)
+	case *relalg.Rename:
+		n.Child = a.share(n.Child)
+		k = planKey{op: 'ρ', l: n.Child, spec: joinPairs(n.Mapping)}
+		n.Mapping = canonical(a.pairs, k.spec, n.Mapping)
+	case *relalg.Join:
+		n.L, n.R = a.share(n.L), a.share(n.R)
+		k = planKey{op: '⋈', l: n.L, r: n.R, spec: joinPairs(n.On)}
+		n.On = canonical(a.pairs, k.spec, n.On)
+	default:
+		return p // a Scan: already one per wrapper (see leaf)
+	}
+	if q, ok := a.plans[k]; ok {
+		return q
+	}
+	a.plans[k] = p
+	return p
+}
+
+// canonical returns the first value filed under key, filing v if there
+// is none.
+func canonical[T any](m map[string]T, key string, v T) T {
+	if first, ok := m[key]; ok {
+		return first
+	}
+	m[key] = v
+	return v
+}
+
+func joinPairs(pairs [][2]string) string {
+	var sb strings.Builder
+	for _, p := range pairs {
+		sb.WriteString(p[0])
+		sb.WriteByte(0)
+		sb.WriteString(p[1])
+		sb.WriteByte(0)
+	}
+	return sb.String()
 }
 
 // sharedIDColumns returns natural-join pairs over identifier features

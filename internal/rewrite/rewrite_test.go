@@ -47,8 +47,8 @@ func TestFig8PlayerTeamQuery(t *testing.T) {
 	if got := res.CQs[0].Wrappers; len(got) != 2 || got[0] != "w1" || got[1] != "w2" {
 		t.Fatalf("wrappers = %v", got)
 	}
-	if !strings.Contains(res.CQs[0].Algebra, "⋈") {
-		t.Errorf("algebra missing join: %s", res.CQs[0].Algebra)
+	if !strings.Contains(res.CQs[0].Algebra(), "⋈") {
+		t.Errorf("algebra missing join: %s", res.CQs[0].Algebra())
 	}
 	// Expansion added identifiers (playerId and teamId are not projected).
 	if len(res.ExpandedFeatures) != 2 {

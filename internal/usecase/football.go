@@ -78,7 +78,13 @@ type Fixture struct {
 // wrappers with data, and all LAV mappings. It panics only via bugs —
 // all fixture construction errors are returned.
 func New() (*Fixture, error) {
-	f := &Fixture{Ont: bdi.New(), Reg: wrapper.NewRegistry()}
+	return NewOn(bdi.New(), wrapper.NewRegistry())
+}
+
+// NewOn builds the use case into an existing, empty ontology and
+// registry — those of a persistent mdm.System, for example.
+func NewOn(ont *bdi.Ontology, reg *wrapper.Registry) (*Fixture, error) {
+	f := &Fixture{Ont: ont, Reg: reg}
 	f.Ont.Dataset().Prefixes().Bind("ex", EX)
 	if err := f.buildGlobalGraph(); err != nil {
 		return nil, fmt.Errorf("usecase: global graph: %w", err)

@@ -20,6 +20,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mdm/internal/relalg"
@@ -357,6 +358,7 @@ type Registry struct {
 	mu       sync.RWMutex
 	byName   map[string]Wrapper
 	bySource map[string][]string // source ID -> wrapper names in order
+	gen      atomic.Uint64       // successful Register and Remove calls
 }
 
 // NewRegistry returns an empty registry.
@@ -373,8 +375,15 @@ func (r *Registry) Register(w Wrapper) error {
 	}
 	r.byName[w.Name()] = w
 	r.bySource[w.SourceID()] = append(r.bySource[w.SourceID()], w.Name())
+	r.gen.Add(1)
 	return nil
 }
+
+// Generation counts the registry's changes (successful Register and
+// Remove calls). Holders of Wrapper objects obtained from Get — rewritten
+// plans scan them directly — compare generations to learn that a name
+// may now resolve to a different object, or to none.
+func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // Get returns a wrapper by name.
 func (r *Registry) Get(name string) (Wrapper, bool) {
@@ -400,6 +409,7 @@ func (r *Registry) Remove(name string) bool {
 			break
 		}
 	}
+	r.gen.Add(1)
 	return true
 }
 

@@ -245,6 +245,9 @@ func TestRegistry(t *testing.T) {
 	if err := r.Register(NewMem("w1", "other", nil, []schema.Attribute{{Name: "x"}})); err == nil {
 		t.Error("duplicate name accepted")
 	}
+	if g := r.Generation(); g != 3 {
+		t.Errorf("Generation after three registrations and a refused one = %d", g)
+	}
 	if got, ok := r.Get("w2"); !ok || got.Name() != "w2" {
 		t.Error("Get failed")
 	}
@@ -269,6 +272,9 @@ func TestRegistry(t *testing.T) {
 	}
 	if r.Remove("w1b") {
 		t.Error("double Remove = true")
+	}
+	if g := r.Generation(); g != 4 {
+		t.Errorf("Generation after a removal and a refused one = %d", g)
 	}
 	if ws := r.BySource("players-api"); len(ws) != 1 {
 		t.Errorf("BySource after remove = %v", ws)

@@ -31,6 +31,7 @@ package mdm
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -168,7 +169,57 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	}
 	sys := newSystem(ont, wrapper.NewRegistry())
 	sys.meta, sys.tdbStore = meta, ts
+	// The release log is the documents RegisterWrapper wrote, in order.
+	var log []Release
+	for _, doc := range meta.Find("releases", nil) {
+		rel, err := releaseFromDoc(doc)
+		if err != nil {
+			ts.Close()
+			return nil, err
+		}
+		log = append(log, rel)
+	}
+	sys.releases.Restore(log)
 	return sys, nil
+}
+
+// releaseDoc is the metadata-store form of a release-log entry;
+// releaseFromDoc is its inverse. Changes travel as one JSON string, like
+// the body of a saved walk.
+func releaseDoc(rel Release) store.Doc {
+	changes, _ := json.Marshal(rel.Changes) // plain strings: cannot fail
+	return store.Doc{
+		"seq": int64(rel.Seq), "kind": string(rel.Kind), "source": rel.SourceID,
+		"wrapper": rel.Wrapper, "breaking": rel.Breaking, "signature": rel.Signature,
+		"supersedes": rel.Supersedes, "changes": string(changes),
+		"at": rel.At.Format(time.RFC3339Nano),
+	}
+}
+
+// releaseFromDoc tolerates absent fields (documents written before the
+// log was rebuilt from them carry no supersedes, changes or at) but not
+// malformed ones.
+func releaseFromDoc(doc store.Doc) (Release, error) {
+	str := func(k string) string { s, _ := doc[k].(string); return s }
+	seq, _ := doc["seq"].(float64) // numbers come back from JSON as float64
+	rel := Release{
+		Seq: int(seq), Kind: release.Kind(str("kind")), SourceID: str("source"),
+		Wrapper: str("wrapper"), Signature: str("signature"), Supersedes: str("supersedes"),
+	}
+	rel.Breaking, _ = doc["breaking"].(bool)
+	if blob := str("changes"); blob != "" {
+		if err := json.Unmarshal([]byte(blob), &rel.Changes); err != nil {
+			return Release{}, fmt.Errorf("mdm: corrupt release document #%d: changes: %w", rel.Seq, err)
+		}
+	}
+	if at := str("at"); at != "" {
+		t, err := time.Parse(time.RFC3339Nano, at)
+		if err != nil {
+			return Release{}, fmt.Errorf("mdm: corrupt release document #%d: %w", rel.Seq, err)
+		}
+		rel.At = t
+	}
+	return rel, nil
 }
 
 // CompactStorage forces a full storage compaction now: the live dataset
@@ -293,10 +344,7 @@ func (s *System) RegisterWrapper(w Wrapper) (Release, error) {
 		return Release{}, err
 	}
 	s.fed.Forget(w.Name())
-	_, _ = s.meta.Insert("releases", store.Doc{
-		"seq": int64(rel.Seq), "kind": string(rel.Kind), "source": rel.SourceID,
-		"wrapper": rel.Wrapper, "breaking": rel.Breaking, "signature": rel.Signature,
-	})
+	_, _ = s.meta.Insert("releases", releaseDoc(rel))
 	return rel, nil
 }
 
@@ -321,6 +369,7 @@ func (s *System) Validate() []Violation { return s.ont.Validate() }
 // --- Analyst API: querying (paper §2.4) ---
 
 // Rewrite resolves a walk into a federated plan without executing it.
+// The result is shared and read-only (see rewrite.Result).
 func (s *System) Rewrite(w *Walk) (*RewriteResult, error) {
 	return s.rewriter.Rewrite(w)
 }
@@ -357,13 +406,15 @@ func (s *System) Query(ctx context.Context, w *Walk) (*Relation, *RewriteResult,
 // WalkCursor.Partial/Missing/StaleSources for completeness annotations.
 //
 // A trace riding ctx (obs.WithTrace) receives the walk's stages: rewrite
-// and the plan summary here, scatter from the engine, drain from the
-// cursor.
+// (and whether the rewrite cache answered it) from the rewriter, the
+// plan summary here, scatter from the engine, drain from the cursor.
+//
+// The returned RewriteResult is shared with every other caller asking
+// for the same walk until the ontology or the registry changes: read it,
+// do not modify it (see rewrite.Result).
 func (s *System) QueryRun(ctx context.Context, w *Walk, opts QueryOpts) (*WalkCursor, *RewriteResult, error) {
 	tr := obs.FromContext(ctx)
-	t0 := time.Now()
-	res, err := s.rewriter.Rewrite(w)
-	tr.StageDur("rewrite", time.Since(t0))
+	res, err := s.rewriter.RewriteTrace(w, tr)
 	if err != nil {
 		return nil, nil, err
 	}

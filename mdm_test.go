@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -408,6 +409,68 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	}
 	if err := mem.Close(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReleaseLogSurvivesRestart: the release log is rebuilt from the
+// release documents at open, so GET /api/releases and Release.Seq do not
+// start over after a restart.
+func TestReleaseLogSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	sys, err := mdm.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddSource("players-api", "Players API"); err != nil {
+		t.Fatal(err)
+	}
+	v1 := wrapper.NewMem("w1", "players-api", []schema.Doc{{"id": relalg.Int(1), "pName": relalg.String("A")}}, nil)
+	v2 := wrapper.NewMem("w1v2", "players-api", []schema.Doc{{"id": relalg.Int(1), "fullName": relalg.String("A")}}, nil)
+	for _, w := range []mdm.Wrapper{v1, v2} {
+		if _, err := sys.RegisterWrapper(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := sys.ReleaseLog()
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys2, err := mdm.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys2.Close()
+	after := sys2.ReleaseLog()
+	if len(after) != 2 {
+		t.Fatalf("release log after reopen has %d entries, want 2", len(after))
+	}
+	for i := range after {
+		// Timestamps round-trip through RFC 3339: compare instants.
+		if !after[i].At.Equal(before[i].At) {
+			t.Errorf("entry %d: at %v, want %v", i, after[i].At, before[i].At)
+		}
+		after[i].At = before[i].At
+		if !reflect.DeepEqual(after[i], before[i]) {
+			t.Errorf("entry %d after reopen = %+v, want %+v", i, after[i], before[i])
+		}
+	}
+	if got := after[1]; got.Seq != 2 || got.Supersedes != "w1" || !got.Breaking || len(got.Changes) == 0 {
+		t.Errorf("second entry = %+v", got)
+	}
+	// Wrappers are live code: re-attach them, then release a third version.
+	for _, w := range []mdm.Wrapper{v1, v2} {
+		if err := sys2.Wrappers().Register(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v3 := wrapper.NewMem("w1v3", "players-api", []schema.Doc{{"id": relalg.Int(1), "fullName": relalg.String("A")}}, nil)
+	rel, err := sys2.RegisterWrapper(v3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Seq != 3 || rel.Supersedes != "w1v2" {
+		t.Errorf("release after reopen = %+v, want Seq 3 superseding w1v2", rel)
 	}
 }
 
