@@ -92,8 +92,8 @@ func (c *Cursor) Next(ctx context.Context) bool {
 func (c *Cursor) Rows() int64 { return c.rows }
 
 // Row returns the current row. It is valid until the next call to Next
-// or Close and must not be mutated (it may alias a shared source
-// snapshot).
+// or Close — the operators overwrite their row buffers — and must not be
+// mutated (it may alias a shared source snapshot).
 func (c *Cursor) Row() relalg.Row { return c.row }
 
 // Columns returns the output schema in order.
@@ -116,13 +116,14 @@ func (c *Cursor) Close() {
 
 // Materialize drains the remaining rows into a Relation. It is how
 // callers that want the old materializing contract — mdm.System.Query,
-// tests, examples — sit on top of the streaming engine. Rows may alias
-// source snapshots (exactly as relalg.Plan.Execute's results may) and
-// must not be mutated cell-wise.
+// tests, examples — sit on top of the streaming engine. The rows are
+// copies: they alias neither the operators' row buffers nor the source
+// snapshots.
 func (c *Cursor) Materialize(ctx context.Context) (*relalg.Relation, error) {
 	out := relalg.NewRelation(c.cols...)
+	var slab rowSlab
 	for c.Next(ctx) {
-		out.Rows = append(out.Rows, c.row)
+		out.Rows = append(out.Rows, slab.clone(c.row))
 	}
 	if err := c.Err(); err != nil {
 		return nil, err

@@ -3,7 +3,6 @@ package federate
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"mdm/internal/relalg"
 )
@@ -17,9 +16,11 @@ import (
 // build side (the right child), reusing the intrusive-chain layout of
 // the SPARQL engine's hashJoinIter at the relalg level.
 //
-// Row ownership: a row returned by next may be shared with a source
-// snapshot or the join build side — consumers must not mutate it.
-// Operators that construct rows (Project, Join) allocate fresh ones.
+// Row ownership: a row returned by next is valid until the next call to
+// next and must not be mutated — it is either shared with a source
+// snapshot or the one buffer its operator (Project, Join) overwrites per
+// row. The two places that keep rows, the join build side and
+// Cursor.Materialize, copy them into a rowSlab.
 
 // pollEvery is how many rows an amplifying or filtering loop processes
 // between context checks.
@@ -55,7 +56,7 @@ func compile(p relalg.Plan, snaps map[string]*relalg.Relation) (iter, error) {
 			}
 			idx[i] = j
 		}
-		return &projectIter{src: child, idx: idx}, nil
+		return &projectIter{src: child, idx: idx, out: make(relalg.Row, len(idx))}, nil
 
 	case *relalg.Select:
 		child, err := compile(n.Child, snaps)
@@ -121,30 +122,38 @@ func colIndex(cols []string, name string) int {
 	return -1
 }
 
-// rowKey is the canonical hash key of a row (same coercions as
-// relalg.Relation.Distinct / Join.Execute: numeric values of equal
-// magnitude collide, NULL is a distinct token).
-func rowKey(sb *strings.Builder, row relalg.Row, idx []int) string {
-	sb.Reset()
-	for _, i := range idx {
-		sb.WriteString(row[i].Key())
-		sb.WriteByte('\x01')
-	}
-	return sb.String()
-}
-
-// joinKey is the join-column key of a row; "" means a NULL participates
-// and the row never joins (SQL semantics, matching Join.Execute).
-func joinKey(sb *strings.Builder, row relalg.Row, idx []int) string {
-	sb.Reset()
+// appendJoinKey appends the join-column key of a row to dst, the binary
+// analogue of the oracle's Value.Key concatenation (same coercions as
+// Join.Execute: numeric values of equal magnitude collide). ok is false
+// when a NULL participates: the row never joins (SQL semantics).
+func appendJoinKey(dst []byte, row relalg.Row, idx []int) (key []byte, ok bool) {
 	for _, i := range idx {
 		if row[i].IsNull() {
-			return ""
+			return dst, false
 		}
-		sb.WriteString(row[i].Key())
-		sb.WriteByte('\x01')
+		dst = row[i].AppendKey(dst)
 	}
-	return sb.String()
+	return dst, true
+}
+
+// rowSlab copies rows an operator must keep into chunks that double from
+// a few rows to slabMaxRows, so retaining n rows costs O(log n) + n/max
+// allocations instead of n.
+type rowSlab struct {
+	buf  []relalg.Value
+	rows int // capacity of the current chunk, in rows
+}
+
+const slabMaxRows = 1024
+
+func (s *rowSlab) clone(row relalg.Row) relalg.Row {
+	if len(row) > cap(s.buf)-len(s.buf) {
+		s.rows = min(max(2*s.rows, 4), slabMaxRows)
+		s.buf = make([]relalg.Value, 0, s.rows*len(row))
+	}
+	n := len(s.buf)
+	s.buf = append(s.buf, row...)
+	return s.buf[n:len(s.buf):len(s.buf)]
 }
 
 // --- leaves and simple operators ---
@@ -174,10 +183,11 @@ func (it *scanIter) next(ctx context.Context) (relalg.Row, error) {
 	return r, nil
 }
 
-// projectIter reorders/prunes columns, emitting a fresh row per input.
+// projectIter reorders/prunes columns into its one output row.
 type projectIter struct {
 	src iter
 	idx []int
+	out relalg.Row
 }
 
 func (it *projectIter) next(ctx context.Context) (relalg.Row, error) {
@@ -185,11 +195,10 @@ func (it *projectIter) next(ctx context.Context) (relalg.Row, error) {
 	if row == nil || err != nil {
 		return nil, err
 	}
-	out := make(relalg.Row, len(it.idx))
 	for i, j := range it.idx {
-		out[i] = row[j]
+		it.out[i] = row[j]
 	}
-	return out, nil
+	return it.out, nil
 }
 
 // selectIter drops rows failing the predicate, polling ctx while
@@ -236,12 +245,13 @@ func (it *unionIter) next(ctx context.Context) (relalg.Row, error) {
 	return nil, nil
 }
 
-// distinctIter keeps each row's first occurrence.
+// distinctIter keeps each row's first occurrence. A row's key is its
+// cells' AppendKeys in order (NULL is a token of its own, as in
+// relalg.Relation.Distinct); only first occurrences allocate one.
 type distinctIter struct {
 	src  iter
 	seen map[string]struct{}
-	idx  []int // lazily: identity of all columns
-	sb   strings.Builder
+	key  []byte
 }
 
 func (it *distinctIter) next(ctx context.Context) (relalg.Row, error) {
@@ -250,17 +260,14 @@ func (it *distinctIter) next(ctx context.Context) (relalg.Row, error) {
 		if row == nil || err != nil {
 			return nil, err
 		}
-		if it.idx == nil {
-			it.idx = make([]int, len(row))
-			for i := range it.idx {
-				it.idx[i] = i
-			}
+		it.key = it.key[:0]
+		for _, v := range row {
+			it.key = v.AppendKey(it.key)
 		}
-		k := rowKey(&it.sb, row, it.idx)
-		if _, dup := it.seen[k]; dup {
+		if _, dup := it.seen[string(it.key)]; dup {
 			continue
 		}
-		it.seen[k] = struct{}{}
+		it.seen[string(it.key)] = struct{}{}
 		return row, nil
 	}
 }
@@ -340,27 +347,29 @@ func compileJoin(n *relalg.Join, snaps map[string]*relalg.Relation) (iter, error
 	return &joinIter{
 		left: left, right: right,
 		lIdx: lIdx, rIdx: rIdx, rEmit: rEmit,
-		outW:  len(lcols) + len(rEmit),
+		out:   make(relalg.Row, 0, len(lcols)+len(rEmit)),
 		chain: -1,
 	}, nil
 }
 
 // joinIter is a streaming probe-side hash join. On first pull it drains
-// its right child into an intrusive-chain hash table — rows in a flat
-// slice, head mapping a join key to its first row, next linking rows
-// that share a key (the PR 4 hashJoinIter layout, lifted from TermID
-// triplets to relalg rows). Chains are linked in reverse build order so
-// walking one yields matches in build order, keeping emission order
-// identical to the materializing executor's. Probing then streams: one
-// left row at a time, its bucket chain walked match by match, so the
-// join's (potentially multiplied) output is never materialized.
+// its right child into an intrusive-chain hash table — rows copied into a
+// slab, head mapping a join key to the first row holding it, link naming
+// the next row that shares a key (the PR 4 hashJoinIter layout, lifted
+// from TermID triplets to relalg rows). Chains are linked in build order,
+// keeping emission order identical to the materializing executor's, and
+// keys are bytes in one reused buffer looked up as head[string(key)], so
+// only the distinct build-side keys are ever allocated. Probing then
+// streams: one left row at a time, its bucket chain walked match by
+// match into the one output row, so the join's (potentially multiplied)
+// output is never materialized.
 type joinIter struct {
 	left, right iter
 	lIdx, rIdx  []int
 	rEmit       []int
-	outW        int
 
 	built bool
+	slab  rowSlab
 	rows  []relalg.Row
 	head  map[string]int32
 	link  []int32
@@ -368,11 +377,11 @@ type joinIter struct {
 	cur     relalg.Row // borrowed left row being extended
 	chain   int32      // next build row in cur's bucket, -1 = drained
 	emitted int        // for amortized ctx polling on skewed joins
-	sb      strings.Builder
+	key     []byte
+	out     relalg.Row
 }
 
 func (it *joinIter) build(ctx context.Context) error {
-	it.rows = it.rows[:0]
 	for {
 		row, err := it.right.next(ctx)
 		if err != nil {
@@ -381,25 +390,25 @@ func (it *joinIter) build(ctx context.Context) error {
 		if row == nil {
 			break
 		}
-		it.rows = append(it.rows, row)
+		it.rows = append(it.rows, it.slab.clone(row))
 	}
 	n := len(it.rows)
 	it.head = make(map[string]int32, n)
 	it.link = make([]int32, n)
-	// Reverse iteration + head-insertion leaves each chain in forward
-	// (build) order when walked from head.
-	for i := n - 1; i >= 0; i-- {
-		k := joinKey(&it.sb, it.rows[i], it.rIdx)
-		if k == "" {
-			it.link[i] = -1 // NULL never joins; row is unreachable
-			continue
+	tail := make([]int32, n) // tail[a chain's first row] = its last row so far
+	for i, row := range it.rows {
+		it.link[i] = -1
+		var ok bool
+		if it.key, ok = appendJoinKey(it.key[:0], row, it.rIdx); !ok {
+			continue // NULL never joins; row is unreachable
 		}
-		if h, ok := it.head[k]; ok {
-			it.link[i] = h
+		if first, dup := it.head[string(it.key)]; dup {
+			it.link[tail[first]] = int32(i)
+			tail[first] = int32(i)
 		} else {
-			it.link[i] = -1
+			it.head[string(it.key)] = int32(i)
+			tail[i] = int32(i)
 		}
-		it.head[k] = int32(i)
 	}
 	it.built = true
 	return nil
@@ -421,22 +430,21 @@ func (it *joinIter) next(ctx context.Context) (relalg.Row, error) {
 					return nil, err
 				}
 			}
-			out := make(relalg.Row, 0, it.outW)
-			out = append(out, it.cur...)
+			it.out = append(it.out[:0], it.cur...)
 			for _, i := range it.rEmit {
-				out = append(out, rrow[i])
+				it.out = append(it.out, rrow[i])
 			}
-			return out, nil
+			return it.out, nil
 		}
 		lrow, err := it.left.next(ctx)
 		if lrow == nil || err != nil {
 			return nil, err
 		}
-		k := joinKey(&it.sb, lrow, it.lIdx)
-		if k == "" {
+		var ok bool
+		if it.key, ok = appendJoinKey(it.key[:0], lrow, it.lIdx); !ok {
 			continue
 		}
-		if h, ok := it.head[k]; ok {
+		if h, ok := it.head[string(it.key)]; ok {
 			it.cur, it.chain = lrow, h
 		}
 	}

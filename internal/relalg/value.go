@@ -12,7 +12,9 @@
 package relalg
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -202,19 +204,52 @@ func rank(v Value) int {
 	}
 }
 
-// Key returns a canonical string usable as a hash key; numeric values of
-// equal magnitude share a key so joins coerce int/float.
+// Key returns a canonical string usable as a hash key. Two non-NULL
+// values share a key exactly when Equal holds — numeric values of equal
+// magnitude do, whether int or float, and so do 0 and -0 — except that
+// every NaN shares one key although NaN equals nothing.
 func (v Value) Key() string {
 	switch v.T {
 	case TypeNull:
 		return "\x00N"
 	case TypeBool:
 		return "\x00B" + strconv.FormatBool(v.B)
-	case TypeInt:
-		return "\x00F" + strconv.FormatFloat(float64(v.I), 'g', -1, 64)
-	case TypeFloat:
-		return "\x00F" + strconv.FormatFloat(v.F, 'g', -1, 64)
+	case TypeInt, TypeFloat:
+		return "\x00F" + strconv.FormatFloat(v.keyFloat(), 'g', -1, 64)
 	default:
 		return "\x00S" + v.S
 	}
+}
+
+// AppendKey appends the binary form of Key to dst: a type tag, then the
+// IEEE bits of a numeric, a bool byte, or the length-prefixed bytes of a
+// string. It induces the same equivalence as Key and is self-delimiting,
+// so the keys of several columns concatenate without separators.
+func (v Value) AppendKey(dst []byte) []byte {
+	switch v.T {
+	case TypeNull:
+		return append(dst, 'N')
+	case TypeBool:
+		if v.B {
+			return append(dst, 'B', 1)
+		}
+		return append(dst, 'B', 0)
+	case TypeInt, TypeFloat:
+		return binary.BigEndian.AppendUint64(append(dst, 'F'), math.Float64bits(v.keyFloat()))
+	default:
+		return append(binary.AppendUvarint(append(dst, 'S'), uint64(len(v.S))), v.S...)
+	}
+}
+
+// keyFloat is a numeric value as its keys see it: -0 folded into 0 and
+// every NaN payload into one.
+func (v Value) keyFloat() float64 {
+	f, _ := v.AsFloat()
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return math.NaN()
+	}
+	return f
 }

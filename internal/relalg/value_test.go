@@ -1,6 +1,7 @@
 package relalg
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,39 @@ func TestKeyCoercesNumerics(t *testing.T) {
 	}
 	if Null().Key() == String("").Key() {
 		t.Error("NULL key must differ from empty string")
+	}
+}
+
+// TestKeysMatchEqual pins both key forms to Equal on the values where
+// text and bits disagree with arithmetic: σ(a=b) and ⋈/δ must treat 0 and
+// -0 alike, and every NaN payload is one key (NaN equals nothing, so this
+// is the one place the keys are coarser than Equal).
+func TestKeysMatchEqual(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) ^ 1)
+	vals := []Value{
+		Null(), Bool(true), Bool(false), String(""), String("0"), String("a\x01b"),
+		Int(0), Float(0), Float(negZero), Int(3), Float(3), Float(3.5), Int(-3),
+		Float(math.Inf(1)), Float(math.NaN()), Float(nan2), Int(1 << 53), Int(1<<53 + 1),
+	}
+	for _, a := range vals {
+		for _, b := range vals {
+			keyEq := a.Key() == b.Key()
+			if byteEq := string(a.AppendKey(nil)) == string(b.AppendKey(nil)); byteEq != keyEq {
+				t.Errorf("%#v vs %#v: Key equal = %v, AppendKey equal = %v", a, b, keyEq, byteEq)
+			}
+			fa, _ := a.AsFloat()
+			fb, _ := b.AsFloat()
+			want := Equal(a, b) || (a.IsNull() && b.IsNull()) || (fa != fa && fb != fb)
+			if keyEq != want {
+				t.Errorf("%#v vs %#v: keys equal = %v, want %v", a, b, keyEq, want)
+			}
+		}
+	}
+	// Self-delimiting: column boundaries survive concatenation.
+	ab := String("b").AppendKey(String("a").AppendKey(nil))
+	if string(ab) == string(String("").AppendKey(String("ab").AppendKey(nil))) {
+		t.Error("concatenated AppendKeys of (a,b) and (ab,\"\") collide")
 	}
 }
 

@@ -26,7 +26,9 @@
 //	           stream results as NDJSON instead of one JSON document:
 //	           a header line {"vars":[...]} (or {"columns":[...]} for
 //	           walk results), then one JSON array of cell strings per
-//	           row, flushed as produced
+//	           row; the header and the first row are flushed at once,
+//	           later rows as the response buffer fills or when a row
+//	           is written 50 ms or more after the previous flush
 //	partial=1|0
 //	           (walk endpoints) override the engine's degradation mode
 //	           for this query: with partial on, a failed source no
@@ -55,6 +57,7 @@
 package rest
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,6 +65,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"mdm"
@@ -245,26 +249,53 @@ func pageParams(q url.Values) (limit, offset int, err error) {
 	return limit, offset, nil
 }
 
-// ndjsonWriter streams one JSON value per line, flushing as it goes so
-// clients see rows while the query is still running.
+// flushInterval is how long a streamed row may sit in net/http's buffer
+// before the next row written flushes it: a flush is a write(2) and a
+// chunk, so a fast drain should pay one per buffer, not per row, while
+// 50 ms is below what someone tailing the stream perceives as a stall.
+const flushInterval = 50 * time.Millisecond
+
+// ndjsonWriter streams one JSON value per line. The first two lines —
+// the header and the first row — are flushed as written, so a client has
+// the schema and proof of life while the query is still running; after
+// that net/http's buffer fills and drains on its own, with a flush only
+// once flushInterval has passed since the last. net/http flushes the end
+// of the stream when the handler returns.
 type ndjsonWriter struct {
-	enc   *json.Encoder
-	flush http.Flusher
+	w       http.ResponseWriter
+	flush   http.Flusher
+	lines   int
+	flushed time.Time
 }
 
 func startNDJSON(w http.ResponseWriter) *ndjsonWriter {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	out := &ndjsonWriter{enc: json.NewEncoder(w)}
+	out := &ndjsonWriter{w: w}
 	out.flush, _ = w.(http.Flusher)
 	return out
 }
 
-func (n *ndjsonWriter) line(v any) {
-	_ = n.enc.Encode(v) // Encode appends the newline
-	if n.flush != nil {
-		n.flush.Flush()
+// value writes a header or error line.
+func (n *ndjsonWriter) value(v any) error {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
 	}
+	return n.line(append(b, '\n'))
+}
+
+// line writes one newline-terminated line.
+func (n *ndjsonWriter) line(b []byte) error {
+	if _, err := n.w.Write(b); err != nil {
+		return err
+	}
+	n.lines++
+	if n.flush != nil && (n.lines <= 2 || time.Since(n.flushed) >= flushInterval) {
+		n.flush.Flush()
+		n.flushed = time.Now()
+	}
+	return nil
 }
 
 // --- read side ---
@@ -524,11 +555,11 @@ type selectItem struct {
 }
 
 type queryResp struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	SPARQL  string     `json:"sparql"`
-	Algebra []string   `json:"algebra"`
-	CQs     int        `json:"cqs"`
+	Columns []string `json:"columns"`
+	Rows    any      `json:"rows"` // always nil: see rowsSlot
+	SPARQL  string   `json:"sparql"`
+	Algebra []string `json:"algebra"`
+	CQs     int      `json:"cqs"`
 	// Degradation annotations, present only for partial results.
 	Partial        bool              `json:"partial,omitempty"`
 	MissingSources []mdm.SourceError `json:"missing_sources,omitempty"`
@@ -585,21 +616,16 @@ func (s *Server) handleSPARQL(w http.ResponseWriter, r *http.Request) {
 		}
 		vars := cur.Vars()
 		a.cur = cur
-		a.cells = func() []string {
-			row := cur.Row()
-			out := make([]string, len(vars))
-			for i := range vars {
-				if t, ok := row.Term(i); ok {
-					out[i] = t.Value
-				}
-			}
-			return out
+		a.width = len(vars)
+		a.appendCell = func(dst []byte, col int) []byte {
+			t, _ := cur.Row().Term(col) // unbound: the zero Term, an empty cell
+			return appendJSONString(dst, t.Value)
 		}
 		if cur.Form() == sparql.FormAsk {
-			a.document = func([][]string) any { return map[string]any{"ask": cur.Rows() > 0} }
+			a.document = func() any { return map[string]any{"ask": cur.Rows() > 0} }
 		} else {
 			a.header = func() any { return map[string]any{"vars": vars} }
-			a.document = func(rows [][]string) any { return map[string]any{"vars": vars, "rows": rows} }
+			a.document = func() any { return map[string]any{"vars": vars, "rows": nil} }
 		}
 		a.explain = func() any { return map[string]any{"explain": tr.Report()} }
 		return a, nil
@@ -737,14 +763,8 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 			return a, err
 		}
 		a.cur, a.partial, a.missing = cur, cur.Partial(), cur.Missing()
-		a.cells = func() []string {
-			row := cur.Row()
-			out := make([]string, len(row))
-			for i, v := range row {
-				out[i] = v.Text()
-			}
-			return out
-		}
+		a.width = len(cur.Columns())
+		a.appendCell = func(dst []byte, col int) []byte { return appendValueCell(dst, cur.Row()[col]) }
 		a.header = func() any {
 			head := map[string]any{"columns": cur.Columns(), "sparql": res.SPARQL}
 			if cur.Partial() {
@@ -758,9 +778,9 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 			}
 			return head
 		}
-		a.document = func(rows [][]string) any {
+		a.document = func() any {
 			resp := queryResp{
-				Columns: cur.Columns(), SPARQL: res.SPARQL, CQs: len(res.CQs), Rows: rows,
+				Columns: cur.Columns(), SPARQL: res.SPARQL, CQs: len(res.CQs),
 				Partial: cur.Partial(), MissingSources: cur.Missing(), StaleSources: cur.StaleSources(),
 			}
 			for _, cq := range res.CQs {
@@ -788,17 +808,44 @@ type cursor interface {
 	Rows() int64
 }
 
+// rowsSlot is how the "rows" member of a document builder's value
+// marshals. respond cuts the marshaled document there and writes the rows
+// it encoded itself in its place: handed to encoding/json as a
+// json.RawMessage they are validated and compacted byte by byte, which on
+// a bulk answer costs more than encoding them did. A quote inside a JSON
+// string is always escaped, so the first match is the member itself.
+var rowsSlot = []byte(`"rows":null`)
+
+// rowsBufs recycles the buffers a JSON document's rows are encoded into:
+// a bulk answer is megabytes, and growing a fresh buffer to that size per
+// request was the path's largest allocation.
+var rowsBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // answer is one engine's side of a query response: its open cursor and
 // the builders for everything engine-specific on the wire.
 type answer struct {
-	cur      cursor
-	query    string                    // the text the slow log identifies the query by (hashed)
-	cells    func() []string           // renders the cursor's current row
-	header   func() any                // NDJSON header line; nil when the answer is one document (ASK)
-	document func(rows [][]string) any // the JSON document
-	explain  func() any                // the explain=1 document: the trace's report, annotated
-	partial  bool                      // degraded walk: X-MDM-Partial, slow-log annotation
-	missing  []federate.SourceError
+	cur        cursor
+	query      string                           // the text the slow log identifies the query by (hashed)
+	width      int                              // cells per row
+	appendCell func(dst []byte, col int) []byte // appends a cell of the cursor's current row as a JSON string
+	header     func() any                       // NDJSON header line; nil when the answer is one document (ASK)
+	document   func() any                       // the JSON document, its "rows" member null (rowsSlot)
+	explain    func() any                       // the explain=1 document: the trace's report, annotated
+	partial    bool                             // degraded walk: X-MDM-Partial, slow-log annotation
+	missing    []federate.SourceError
+}
+
+// appendRow appends the cursor's current row as a JSON array of cell
+// strings, in exactly the bytes encoding/json renders a []string.
+func (a *answer) appendRow(dst []byte) []byte {
+	dst = append(dst, '[')
+	for col := 0; col < a.width; col++ {
+		if col > 0 {
+			dst = append(dst, ',')
+		}
+		dst = a.appendCell(dst, col)
+	}
+	return append(dst, ']')
 }
 
 // deliver is the one result-delivery path of the query endpoints (the
@@ -868,25 +915,49 @@ func (a *answer) respond(ctx context.Context, w http.ResponseWriter, tr *obs.Tra
 		writeJSON(w, http.StatusOK, a.explain())
 	case ndjson && a.header != nil:
 		out := startNDJSON(w)
-		out.line(a.header())
-		for cur.Next(ctx) {
-			out.line(a.cells())
+		err := out.value(a.header())
+		var line []byte
+		for err == nil && cur.Next(ctx) {
+			line = append(a.appendRow(line[:0]), '\n')
+			err = out.line(line)
 		}
-		if err := cur.Err(); err != nil {
-			out.line(apiError{Error: err.Error()})
+		// A failed write means the client is gone: stop draining, there
+		// is nobody to tell.
+		if qerr := cur.Err(); err == nil && qerr != nil {
+			_ = out.value(apiError{Error: qerr.Error()})
 		}
 	default:
-		rows := [][]string{}
-		for cur.Next(ctx) {
-			rows = append(rows, a.cells())
+		buf := rowsBufs.Get().(*[]byte)
+		rows := append((*buf)[:0], `"rows":[`...)
+		defer func() { *buf = rows; rowsBufs.Put(buf) }() // the grown buffer goes back
+		for n := len(rows); cur.Next(ctx); {
+			if len(rows) > n {
+				rows = append(rows, ',')
+			}
+			rows = a.appendRow(rows)
 		}
 		if err := cur.Err(); err != nil {
 			return err
 		}
+		doc, err := json.Marshal(a.document())
+		if err != nil {
+			return err
+		}
+		head, tail, found := bytes.Cut(doc, rowsSlot)
+		rows = append(rows, ']')
+		if !found { // ASK: the document has no rows
+			rows = rows[:0]
+		}
+		ct := "application/json"
 		if ndjson {
-			startNDJSON(w).line(a.document(rows)) // ASK: the document is the only line
-		} else {
-			writeJSON(w, http.StatusOK, a.document(rows))
+			ct = "application/x-ndjson"
+		}
+		w.Header().Set("Content-Type", ct)
+		w.WriteHeader(http.StatusOK)
+		for _, part := range [][]byte{head, rows, tail, {'\n'}} {
+			if _, err := w.Write(part); err != nil {
+				break // the client is gone
+			}
 		}
 	}
 	return nil

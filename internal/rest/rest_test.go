@@ -15,6 +15,7 @@ import (
 	"mdm"
 	"mdm/internal/apisim"
 	"mdm/internal/federate"
+	"mdm/internal/relalg"
 	"mdm/internal/rest"
 	"mdm/internal/schema"
 	"mdm/internal/store"
@@ -625,6 +626,66 @@ SELECT ?c WHERE { GRAPH <http://www.essi.upc.edu/~snadal/BDIOntology/Global/grap
 	}
 	if got := body.String(); got != `{"ask":false}`+"\n" {
 		t.Errorf("NDJSON ask = %q", got)
+	}
+}
+
+// TestWireFormatGolden pins the row encoding of both engines in both
+// formats on the cells a hand-written encoder could get wrong: a string
+// holding every class of escaped byte, and float, int, bool and NULL
+// walk cells.
+func TestWireFormatGolden(t *testing.T) {
+	const odd = "a<b>&\"c\\d\u2028\n\xff"
+	const oddJSON = `"a\u003cb\u003e\u0026\"c\\d\u2028\n\ufffd"`
+
+	f := usecase.MustNew()
+	f.W1.SetDocs([]schema.Doc{
+		{"id": relalg.Int(1), "pName": relalg.String(odd), "height": relalg.Float(170.18),
+			"weight": relalg.Int(-3), "foot": relalg.Bool(true), "teamId": relalg.Int(25)}, // no score: NULL
+		{"id": relalg.Int(2), "pName": relalg.String(""), "height": relalg.Float(1e21),
+			"weight": relalg.Int(0), "foot": relalg.Bool(false), "teamId": relalg.Int(25), "score": relalg.Int(94)},
+	})
+	sys := mdm.FromParts(f.Ont, f.Reg)
+	if err := sys.AddConcept(usecase.EX+"Odd", odd); err != nil {
+		t.Fatal(err)
+	}
+	srv := rest.NewServer(sys)
+	post := func(path, body string) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+
+	var sel []string
+	for _, feat := range []string{"playerName", "height", "weight", "foot", "rating"} {
+		sel = append(sel, `{"concept":"`+usecase.EX+`Player","feature":"`+usecase.EX+feat+`","alias":"`+feat+`"}`)
+	}
+	walk := `{"select":[` + strings.Join(sel, ",") + `]}`
+	walkRows := []string{`[` + oddJSON + `,"170.18","-3","true",""]`, `["","1e+21","0","false","94"]`}
+	var doc struct {
+		Rows json.RawMessage `json:"rows"`
+	}
+	if err := json.Unmarshal([]byte(post("/api/query", walk)), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if want := `[` + strings.Join(walkRows, ",") + `]`; string(doc.Rows) != want {
+		t.Errorf("walk JSON rows drifted:\n got: %s\nwant: %s", doc.Rows, want)
+	}
+	lines := strings.SplitAfterN(post("/api/query?format=ndjson", walk), "\n", 2)
+	if want := strings.Join(walkRows, "\n") + "\n"; len(lines) != 2 || lines[1] != want {
+		t.Errorf("walk NDJSON rows drifted:\n got: %q\nwant: %q", lines[1:], want)
+	}
+
+	query := mustJSON(`SELECT ?l WHERE { GRAPH <http://www.essi.upc.edu/~snadal/BDIOntology/Global/graph> { <` +
+		usecase.EX + `Odd> <http://www.w3.org/2000/01/rdf-schema#label> ?l . } }`)
+	if got, want := post("/api/sparql", `{"query":`+query+`}`), `{"rows":[[`+oddJSON+`]],"vars":["l"]}`+"\n"; got != want {
+		t.Errorf("SPARQL JSON drifted:\n got: %s\nwant: %s", got, want)
+	}
+	if got, want := post("/api/sparql?format=ndjson", `{"query":`+query+`}`), `{"vars":["l"]}`+"\n["+oddJSON+"]\n"; got != want {
+		t.Errorf("SPARQL NDJSON drifted:\n got: %q\nwant: %q", got, want)
 	}
 }
 

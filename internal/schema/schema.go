@@ -388,19 +388,22 @@ func widen(a, b relalg.Type) relalg.Type {
 }
 
 // ToRelation converts documents to a relation over the given attributes.
-// Missing fields become NULL.
+// Missing fields become NULL. The rows are cut from one slab (two
+// allocations per relation, not one per document), each capped at its
+// own width so appending to a row cannot reach its neighbour.
 func ToRelation(docs []Doc, attrs []Attribute) *relalg.Relation {
 	rel := relalg.NewRelation(attributeNames(attrs)...)
-	for _, d := range docs {
-		row := make(relalg.Row, len(attrs))
+	w := len(attrs)
+	slab := make([]relalg.Value, len(docs)*w) // zero Value = NULL
+	rel.Rows = make([]relalg.Row, len(docs))
+	for r, d := range docs {
+		row := slab[r*w : (r+1)*w : (r+1)*w]
 		for i, a := range attrs {
 			if v, ok := d[a.Name]; ok {
 				row[i] = v
-			} else {
-				row[i] = relalg.Null()
 			}
 		}
-		rel.Rows = append(rel.Rows, row)
+		rel.Rows[r] = row
 	}
 	return rel
 }
