@@ -32,7 +32,8 @@
 //	                                   print its execution report (stage
 //	                                   timings, per-operator spans, plan
 //	                                   summary) instead of rows
-//	compact                            force a full storage compaction
+//	compact                            run storage maintenance now (seal
+//	                                   the log tail; rewrite when due)
 //
 // query, run and sparql accept paging/streaming flags, mapped to the
 // REST query parameters:

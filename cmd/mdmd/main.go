@@ -13,10 +13,11 @@
 //
 //	-addr      listen address
 //	-data      persistence directory; the ontology dataset lives in a
-//	           segment store under DIR/ontology (immutable segments
-//	           sealed by compaction; see docs/STORAGE.md). Mutations
-//	           become durable at the next compaction: the background
-//	           tick, POST /api/admin/compact, or a clean shutdown.
+//	           segment store under DIR/ontology (immutable segments plus
+//	           a write-ahead log; see docs/STORAGE.md). A mutation is on
+//	           the log before it is acknowledged: it survives a crash of
+//	           the process (kill -9), not a power cut — the log is not
+//	           fsynced.
 //	-seed      preload the paper's football use case. The seeded system
 //	           is in-memory only (its wrappers are live closures), so
 //	           -seed cannot be combined with -data.
@@ -25,10 +26,12 @@
 //
 // Storage engine knob (see internal/tdb and docs/STORAGE.md):
 //
-//	-compact-interval D   background storage maintenance tick: seals the
-//	                      mutations since the last tick into a segment
-//	                      and garbage-collects the term dictionary
-//	                      (default 1m; 0 disables)
+//	-compact-interval D   background storage maintenance tick: seals a
+//	                      long log tail into a delta segment, and folds
+//	                      the segments into one (garbage-collecting the
+//	                      term dictionary) when they have grown enough
+//	                      (default 1m; 0 disables; durability does not
+//	                      depend on it)
 //
 // Federated execution knobs (see internal/federate):
 //
@@ -188,7 +191,7 @@ func main() {
 	if err := serveWithDrain(ctx, srv, ln, *drainTimeout); err != nil {
 		log.Fatalf("mdmd: serve: %v", err)
 	}
-	// Seals a persistent store's final compaction; a no-op in memory.
+	// Seals a persistent store's log tail; a no-op in memory.
 	if err := sys.Close(); err != nil {
 		log.Printf("mdmd: close: %v", err)
 	}

@@ -107,7 +107,7 @@ func TestWalksDuringReleases(t *testing.T) {
 		if err := sys.DefineMapping(m); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.CompactStorage(); err != nil {
+		if err := sys.Storage().Compact(); err != nil {
 			t.Fatal(err)
 		}
 		committed.Add(1)

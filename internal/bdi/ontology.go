@@ -95,6 +95,60 @@ var (
 type Ontology struct {
 	mu sync.RWMutex
 	ds atomic.Pointer[rdf.Dataset]
+	// journal, when set, is the only writer of the dataset (see Journal).
+	journal Journal
+}
+
+// Journal is the durable write path of a persistent ontology: Commit
+// logs ops as one all-or-nothing batch and then applies them to the
+// dataset the ontology reads (tdb.Store.Commit). A mutator validates
+// under the ontology's write lock and commits its whole write set with
+// one call before it returns, so what a caller was told succeeded is on
+// the log, and a crash never leaves half a mapping graph.
+type Journal interface {
+	Commit(ops []rdf.Op) error
+}
+
+// SetJournal routes every later mutation through j. Call it before the
+// ontology is shared.
+func (o *Ontology) SetJournal(j Journal) { o.journal = j }
+
+// writes is one mutator's write set. Without a journal each write goes
+// straight to the dataset; with one they are collected and committed
+// together. The caller holds o.mu.
+type writes struct {
+	o   *Ontology
+	ops []rdf.Op
+}
+
+func (w *writes) add(graph rdf.Term, t rdf.Triple) {
+	if w.o.journal == nil {
+		w.o.dset().Graph(graph).MustAdd(t)
+		return
+	}
+	w.ops = append(w.ops, rdf.Op{Kind: rdf.OpAdd, Quad: rdf.Quad{Triple: t, Graph: graph}})
+}
+
+func (w *writes) drop(graph rdf.Term) {
+	if w.o.journal == nil {
+		w.o.dset().DropGraph(graph)
+		return
+	}
+	w.ops = append(w.ops, rdf.Op{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: graph}})
+}
+
+func (w *writes) commit() error {
+	if w.o.journal == nil {
+		return nil
+	}
+	return w.o.journal.Commit(w.ops)
+}
+
+// addOne is the write set of the single-triple mutators.
+func (o *Ontology) addOne(graph rdf.Term, t rdf.Triple) error {
+	w := writes{o: o}
+	w.add(graph, t)
+	return w.commit()
 }
 
 // New creates an empty ontology with the BDI prefixes bound.
@@ -156,6 +210,25 @@ func WrapperIRI(name string) rdf.Term {
 	return rdf.IRI(NSSource + "wrapper/" + url.PathEscape(name))
 }
 
+// SourceID inverts SourceIRI.
+func SourceID(iri rdf.Term) (string, bool) {
+	return unescapeUnder(NSSource+"dataSource/", iri)
+}
+
+// WrapperName inverts WrapperIRI.
+func WrapperName(iri rdf.Term) (string, bool) {
+	return unescapeUnder(NSSource+"wrapper/", iri)
+}
+
+func unescapeUnder(prefix string, iri rdf.Term) (string, bool) {
+	escaped, ok := strings.CutPrefix(iri.Value, prefix)
+	if !ok {
+		return "", false
+	}
+	name, err := url.PathUnescape(escaped)
+	return name, err == nil
+}
+
 // AttributeIRI returns the IRI of an attribute node. Attributes are
 // scoped per data source so they can be shared by that source's wrappers
 // but never across sources (paper §2.2).
@@ -172,12 +245,12 @@ func (o *Ontology) AddConcept(iri rdf.Term, label string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Global()
-	g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFType), ClassConcept))
+	w := writes{o: o}
+	w.add(GlobalGraphName, rdf.T(iri, rdf.IRI(rdf.RDFType), ClassConcept))
 	if label != "" {
-		g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
+		w.add(GlobalGraphName, rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
 	}
-	return nil
+	return w.commit()
 }
 
 // AddFeature declares a feature with an optional label. The feature is
@@ -188,12 +261,12 @@ func (o *Ontology) AddFeature(iri rdf.Term, label string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Global()
-	g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFType), ClassFeature))
+	w := writes{o: o}
+	w.add(GlobalGraphName, rdf.T(iri, rdf.IRI(rdf.RDFType), ClassFeature))
 	if label != "" {
-		g.MustAdd(rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
+		w.add(GlobalGraphName, rdf.T(iri, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
 	}
-	return nil
+	return w.commit()
 }
 
 // AttachFeature links a feature to a concept, enforcing that a feature
@@ -219,8 +292,7 @@ func (o *Ontology) AttachFeature(concept, feature rdf.Term) error {
 	if !owner.IsZero() {
 		return fmt.Errorf("%w: %s owned by %s", ErrFeatureOwned, feature, owner)
 	}
-	g.MustAdd(rdf.T(concept, PropHasFeature, feature))
-	return nil
+	return o.addOne(GlobalGraphName, rdf.T(concept, PropHasFeature, feature))
 }
 
 // RelateConcepts adds a user-defined property edge between two concepts.
@@ -233,8 +305,7 @@ func (o *Ontology) RelateConcepts(from, prop, to rdf.Term) error {
 			return fmt.Errorf("%w: %s", ErrUnknownConcept, c)
 		}
 	}
-	g.MustAdd(rdf.T(from, prop, to))
-	return nil
+	return o.addOne(GlobalGraphName, rdf.T(from, prop, to))
 }
 
 // AddSubClass records sub rdfs:subClassOf super in the global graph
@@ -242,8 +313,7 @@ func (o *Ontology) RelateConcepts(from, prop, to rdf.Term) error {
 func (o *Ontology) AddSubClass(sub, super rdf.Term) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.Global().MustAdd(rdf.T(sub, rdf.IRI(rdf.RDFSSubClassOf), super))
-	return nil
+	return o.addOne(GlobalGraphName, rdf.T(sub, rdf.IRI(rdf.RDFSSubClassOf), super))
 }
 
 // MarkIdentifier declares a feature to be (a subclass of) sc:identifier,
@@ -255,8 +325,7 @@ func (o *Ontology) MarkIdentifier(feature rdf.Term) error {
 	if !g.Has(rdf.T(feature, rdf.IRI(rdf.RDFType), ClassFeature)) {
 		return fmt.Errorf("%w: %s", ErrUnknownFeature, feature)
 	}
-	g.MustAdd(rdf.T(feature, rdf.IRI(rdf.RDFSSubClassOf), Identifier))
-	return nil
+	return o.addOne(GlobalGraphName, rdf.T(feature, rdf.IRI(rdf.RDFSSubClassOf), Identifier))
 }
 
 // --- Global graph accessors ---
@@ -386,13 +455,13 @@ func (o *Ontology) AddDataSource(sourceID, label string) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	g := o.Source()
+	w := writes{o: o}
 	s := SourceIRI(sourceID)
-	g.MustAdd(rdf.T(s, rdf.IRI(rdf.RDFType), ClassDataSource))
+	w.add(SourceGraphName, rdf.T(s, rdf.IRI(rdf.RDFType), ClassDataSource))
 	if label != "" {
-		g.MustAdd(rdf.T(s, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
+		w.add(SourceGraphName, rdf.T(s, rdf.IRI(rdf.RDFSLabel), rdf.Lit(label)))
 	}
-	return nil
+	return w.commit()
 }
 
 // RegisterWrapper records a wrapper and its signature in the source
@@ -409,16 +478,17 @@ func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature) error 
 		return fmt.Errorf("%w: %s", ErrUnknownSource, sourceID)
 	}
 	w := WrapperIRI(sig.Wrapper)
-	g.MustAdd(rdf.T(w, rdf.IRI(rdf.RDFType), ClassWrapper))
-	g.MustAdd(rdf.T(w, rdf.IRI(rdf.RDFSLabel), rdf.Lit(sig.Wrapper)))
-	g.MustAdd(rdf.T(s, PropHasWrapper, w))
+	ws := writes{o: o}
+	ws.add(SourceGraphName, rdf.T(w, rdf.IRI(rdf.RDFType), ClassWrapper))
+	ws.add(SourceGraphName, rdf.T(w, rdf.IRI(rdf.RDFSLabel), rdf.Lit(sig.Wrapper)))
+	ws.add(SourceGraphName, rdf.T(s, PropHasWrapper, w))
 	for _, a := range sig.Attributes {
 		at := AttributeIRI(sourceID, a.Name)
-		g.MustAdd(rdf.T(at, rdf.IRI(rdf.RDFType), ClassAttribute))
-		g.MustAdd(rdf.T(at, rdf.IRI(rdf.RDFSLabel), rdf.Lit(a.Name)))
-		g.MustAdd(rdf.T(w, PropHasAttribute, at))
+		ws.add(SourceGraphName, rdf.T(at, rdf.IRI(rdf.RDFType), ClassAttribute))
+		ws.add(SourceGraphName, rdf.T(at, rdf.IRI(rdf.RDFSLabel), rdf.Lit(a.Name)))
+		ws.add(SourceGraphName, rdf.T(w, PropHasAttribute, at))
 	}
-	return nil
+	return ws.commit()
 }
 
 // Sources lists data source IRIs, sorted.
@@ -519,16 +589,16 @@ func (o *Ontology) DefineMapping(m Mapping) error {
 		}
 		_ = aIRI
 	}
-	// All valid: (re)write the named graph.
-	o.dset().DropGraph(w)
-	ng := o.dset().Graph(w)
+	// All valid: (re)write the named graph, as one batch.
+	ws := writes{o: o}
+	ws.drop(w)
 	for _, t := range m.Subgraph {
-		ng.MustAdd(t)
+		ws.add(w, t)
 	}
 	for attr, feat := range m.SameAs {
-		ng.MustAdd(rdf.T(attrs[attr], rdf.IRI(rdf.OWLSameAs), feat))
+		ws.add(w, rdf.T(attrs[attr], rdf.IRI(rdf.OWLSameAs), feat))
 	}
-	return nil
+	return ws.commit()
 }
 
 // MappingOf reconstructs the stored mapping of a wrapper.
@@ -569,13 +639,9 @@ func (o *Ontology) MappedWrappers() []string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	var out []string
-	prefix := NSSource + "wrapper/"
-	for _, name := range o.dset().GraphNames() {
-		if strings.HasPrefix(name.Value, prefix) {
-			escaped := strings.TrimPrefix(name.Value, prefix)
-			if un, err := url.PathUnescape(escaped); err == nil {
-				out = append(out, un)
-			}
+	for _, graph := range o.dset().GraphNames() {
+		if name, ok := WrapperName(graph); ok {
+			out = append(out, name)
 		}
 	}
 	sort.Strings(out)

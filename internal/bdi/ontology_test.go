@@ -2,6 +2,7 @@ package bdi
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,13 +25,21 @@ func sig(w string, attrs ...string) schema.Signature {
 func miniFixture(t *testing.T) *Ontology {
 	t.Helper()
 	o := New()
+	fillMini(t, o)
+	return o
+}
+
+// fillMini makes the mutator calls of miniFixture on o and returns how
+// many it made.
+func fillMini(t *testing.T, o *Ontology) int {
+	t.Helper()
 	o.Dataset().Prefixes().Bind("ex", ex)
 	player := rdf.IRI(ex + "Player")
 	team := rdf.IRI(NSSchema + "SportsTeam")
 	pid, pname := rdf.IRI(ex+"playerId"), rdf.IRI(ex+"playerName")
 	tid, tname := rdf.IRI(ex+"teamId"), rdf.IRI(ex+"teamName")
 
-	for _, err := range []error{
+	calls := []error{
 		o.AddConcept(player, "Player"),
 		o.AddConcept(team, "SportsTeam"),
 		o.AddFeature(pid, "playerId"),
@@ -48,12 +57,80 @@ func miniFixture(t *testing.T) *Ontology {
 		o.AddDataSource("teams-api", "Teams API"),
 		o.RegisterWrapper("players-api", sig("w1", "id", "pName", "teamId")),
 		o.RegisterWrapper("teams-api", sig("w2", "id", "name")),
-	} {
+	}
+	for _, err := range calls {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	return o
+	return len(calls)
+}
+
+// recJournal is a Journal that records each batch and applies it, or
+// refuses everything once fail is set.
+type recJournal struct {
+	ds      *rdf.Dataset
+	batches [][]rdf.Op
+	fail    error
+}
+
+func (j *recJournal) Commit(ops []rdf.Op) error {
+	if j.fail != nil {
+		return j.fail
+	}
+	j.batches = append(j.batches, ops)
+	j.ds.Apply(ops)
+	return nil
+}
+
+// TestJournalSeam: with a journal set, every mutator commits its whole
+// write set as one batch and writes nothing itself, the result is the
+// dataset the direct writes build, and a commit that fails is the
+// mutator's error with the dataset untouched.
+func TestJournalSeam(t *testing.T) {
+	direct := miniFixture(t)
+	o := New()
+	j := &recJournal{ds: o.Dataset()}
+	o.SetJournal(j)
+	calls := fillMini(t, o)
+	if len(j.batches) != calls {
+		t.Fatalf("%d mutator calls committed %d batches", calls, len(j.batches))
+	}
+	if got, want := o.Dataset().Quads(), direct.Dataset().Quads(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("journaled ontology holds\n%v\ndirect writes build\n%v", got, want)
+	}
+
+	player, pid := rdf.IRI(ex+"Player"), rdf.IRI(ex+"playerId")
+	m := Mapping{
+		Wrapper:  "w1",
+		Subgraph: []rdf.Triple{rdf.T(player, rdf.IRI(rdf.RDFType), ClassConcept), rdf.T(player, PropHasFeature, pid)},
+		SameAs:   map[string]rdf.Term{"id": pid},
+	}
+	if err := o.DefineMapping(m); err != nil {
+		t.Fatal(err)
+	}
+	last := j.batches[len(j.batches)-1]
+	if len(j.batches) != calls+1 || len(last) != 4 || last[0].Kind != rdf.OpDrop || last[0].Quad.Graph != WrapperIRI("w1") {
+		t.Fatalf("DefineMapping committed %v, want one batch: drop the mapping graph, then 3 adds", last)
+	}
+
+	j.fail = errors.New("disk full")
+	before := o.Dataset().Quads()
+	m.Subgraph = m.Subgraph[:1]
+	m.SameAs = nil
+	for name, err := range map[string]error{
+		"AddConcept":      o.AddConcept(rdf.IRI(ex+"Referee"), "Referee"),
+		"MarkIdentifier":  o.MarkIdentifier(rdf.IRI(ex + "playerName")),
+		"RegisterWrapper": o.RegisterWrapper("players-api", sig("w3", "id")),
+		"DefineMapping":   o.DefineMapping(m),
+	} {
+		if !errors.Is(err, j.fail) {
+			t.Errorf("%s with a failing journal returned %v", name, err)
+		}
+	}
+	if got := o.Dataset().Quads(); !reflect.DeepEqual(got, before) {
+		t.Errorf("failed commits changed the dataset:\n%v\nwas\n%v", got, before)
+	}
 }
 
 func TestGlobalGraphConstruction(t *testing.T) {

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -66,17 +67,16 @@ func (d *Dict) Intern(t Term) TermID {
 
 // InternBatch interns every term of ts under a single lock acquisition,
 // writing the assigned IDs into out (which must have len(ts)). The
-// terms slice is grown once up front, and an empty dictionary gets a
-// map presized for the batch — this is the segment-load fast path,
-// where a cold open interns the whole dictionary block at once.
+// terms slice is grown once up front — to fit when the dictionary is
+// empty, by append's amortized rule otherwise, so a chain of small delta
+// segments does not copy the whole table once per segment — and an empty
+// dictionary gets a map presized for the batch: this is the segment-load
+// fast path, where a cold open interns the whole dictionary block at
+// once.
 func (d *Dict) InternBatch(ts []Term, out []TermID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if need := len(d.terms) + len(ts); cap(d.terms) < need {
-		grown := make([]Term, len(d.terms), need)
-		copy(grown, d.terms)
-		d.terms = grown
-	}
+	d.terms = slices.Grow(d.terms, len(ts))
 	if len(d.ids) == 0 {
 		d.ids = make(map[Term]TermID, len(ts))
 	}

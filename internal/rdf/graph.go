@@ -448,13 +448,13 @@ func (g *Graph) BulkAddIDs(tr [][3]TermID) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.n == 0 && len(g.spo) == 0 {
-		// Fresh graph: presize each index's outer map by the number of
-		// first-level runs in the batch — an upper bound on its distinct
-		// key count, exact for sorted input — so the load never pays an
-		// incremental rehash.
-		g.spo = make(idIndex, runCount(tr, 0))
-		g.pos = make(idIndex, runCount(tr, 1))
-		g.osp = make(idIndex, runCount(tr, 2))
+		// Fresh graph: presize each index's outer map to its exact key
+		// count, so the load never pays an incremental rehash and never
+		// keeps buckets for keys that do not exist (a full segment has as
+		// many predicate runs as triples but a handful of predicates).
+		g.spo = make(idIndex, distinctAt(tr, 0))
+		g.pos = make(idIndex, distinctAt(tr, 1))
+		g.osp = make(idIndex, distinctAt(tr, 2))
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -473,29 +473,36 @@ func (g *Graph) BulkAddIDs(tr [][3]TermID) int {
 	return added
 }
 
+// distinctAt returns the number of distinct IDs at triple position i.
+// IDs are dense dictionary indexes, so a bitmap over [0, max] counts them
+// in two passes without hashing.
+func distinctAt(tr [][3]TermID, i int) int {
+	var top TermID
+	for _, t := range tr {
+		top = max(top, t[i])
+	}
+	seen := make([]uint64, top/64+1)
+	n := 0
+	for _, t := range tr {
+		if w, bit := t[i]/64, uint64(1)<<(t[i]%64); seen[w]&bit == 0 {
+			seen[w] |= bit
+			n++
+		}
+	}
+	return n
+}
+
+// bulkArenaChunk is the largest shared pair-list backing array bulkAdd
+// hands out to fresh first-level keys. A chunk stays reachable while any
+// of its keys lives, so it is never larger than the triples still to add
+// can fill: a delta segment of 80 triples must not pin 64 KiB per index.
+const bulkArenaChunk = 8192
+
 // bulkAdd inserts tr into one permutation index, reading the levels
 // from positions ai/bi/ci of each triple. Segment data arrives in long
 // same-subject (and often same-predicate) runs, so the two upper index
 // levels are cached across iterations — a run costs one outer-map
 // lookup instead of one per triple.
-// runCount returns the number of maximal same-value runs at triple
-// position i — an upper bound on the distinct values there.
-func runCount(tr [][3]TermID, i int) int {
-	runs := 0
-	var last TermID
-	for k, t := range tr {
-		if k == 0 || t[i] != last {
-			runs++
-			last = t[i]
-		}
-	}
-	return runs
-}
-
-// bulkArenaChunk sizes the shared pair-list backing array bulkAdd hands
-// out to fresh first-level keys.
-const bulkArenaChunk = 8192
-
 func bulkAdd(ix idIndex, tr [][3]TermID, ai, bi, ci int) int {
 	added := 0
 	var (
@@ -522,7 +529,7 @@ func bulkAdd(ix idIndex, tr [][3]TermID, ai, bi, ci int) int {
 			ix[lastA] = cur
 		}
 	}
-	for _, t := range tr {
+	for i, t := range tr {
 		a, b, c := t[ai], t[bi], t[ci]
 		if !haveRun || a != lastA {
 			flush()
@@ -533,7 +540,7 @@ func bulkAdd(ix idIndex, tr [][3]TermID, ai, bi, ci int) int {
 				// load of many low-fan-out keys costs one allocation per
 				// chunk instead of one per key.
 				if len(arena) <= midSpill {
-					arena = make([]bc, bulkArenaChunk)
+					arena = make([]bc, min(bulkArenaChunk, max(len(tr)-i, midSpill+1)))
 				}
 				cur.small = arena[:0]
 				arenaBacked = true

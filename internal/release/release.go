@@ -208,6 +208,13 @@ type Release struct {
 	Breaking bool
 	// At is the release timestamp.
 	At time.Time
+	// Recovered marks an entry rebuilt from the source graph at open: the
+	// wrapper's triples were durable but its release document was not (a
+	// crash between the two writes). Kind, Supersedes and Signature are
+	// what the source graph still shows — attribute order and the diff
+	// against the superseded wrapper are lost — and At is the recovery
+	// time.
+	Recovered bool
 }
 
 // Summary is a one-line description for logs and the REST API.
@@ -226,6 +233,9 @@ func (r Release) Summary() string {
 	}
 	if r.Breaking {
 		sb.WriteString(" BREAKING")
+	}
+	if r.Recovered {
+		sb.WriteString(" RECOVERED")
 	}
 	return sb.String()
 }

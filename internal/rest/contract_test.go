@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -371,4 +372,62 @@ func TestRewriteCacheReported(t *testing.T) {
 	post("/api/mappings", string(body))
 	walk("miss")
 	walk("hit")
+}
+
+// TestCompactResponseBytes: POST /api/admin/compact answers the same
+// bytes whether maintenance rewrote the store, sealed a delta or found
+// nothing to do — callers (and the benchmark's response CRCs) pin the
+// body; which of the three happened is read off /metrics.
+func TestCompactResponseBytes(t *testing.T) {
+	sys, err := mdm.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	srv := rest.NewServer(sys)
+	counter := func(name string) float64 {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		for _, line := range strings.Split(rec.Body.String(), "\n") {
+			if val, ok := strings.CutPrefix(line, name+" "); ok {
+				v, err := strconv.ParseFloat(val, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s", name)
+		return 0
+	}
+	concepts := func(from, n int) {
+		for i := from; i < from+n; i++ {
+			if err := sys.AddConcept("http://ex.org/C"+strconv.Itoa(i), ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, step := range []struct {
+		name                     string
+		write                    func()
+		checkpoints, compactions float64
+	}{
+		{"the whole store is tail: rewritten", func() { concepts(0, 200) }, 0, 1},
+		{"small tail: sealed as a delta", func() { concepts(200, 5) }, 1, 0},
+		{"empty tail: nothing to do", func() {}, 0, 0},
+	} {
+		step.write()
+		checkpoints, compactions := counter("mdm_tdb_checkpoints_total"), counter("mdm_tdb_compactions_total")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/admin/compact", strings.NewReader("{}")))
+		if want := "{\"compacted\":true,\"persistent\":true}\n"; rec.Code != 200 || rec.Body.String() != want {
+			t.Errorf("%s: status %d, body %q, want 200 %q", step.name, rec.Code, rec.Body.String(), want)
+		}
+		if got := counter("mdm_tdb_checkpoints_total") - checkpoints; got != step.checkpoints {
+			t.Errorf("%s: %v checkpoints, want %v", step.name, got, step.checkpoints)
+		}
+		if got := counter("mdm_tdb_compactions_total") - compactions; got != step.compactions {
+			t.Errorf("%s: %v compactions, want %v", step.name, got, step.compactions)
+		}
+	}
 }

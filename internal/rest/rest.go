@@ -107,10 +107,7 @@ func (s *Server) routes() {
 	s.handle("GET /api/validate", s.handleValidate)
 	s.handle("GET /api/export", s.handleExport)
 
-	s.handle("POST /api/prefixes", mutate(func(q prefixReq) error {
-		sys.BindPrefix(q.Prefix, q.Namespace)
-		return nil
-	}))
+	s.handle("POST /api/prefixes", mutate(func(q prefixReq) error { return sys.BindPrefix(q.Prefix, q.Namespace) }))
 	s.handle("POST /api/global/concepts", mutate(func(q nodeReq) error { return sys.AddConcept(q.IRI, q.Label) }))
 	s.handle("POST /api/global/features", mutate(func(q nodeReq) error { return sys.AddFeature(q.IRI, q.Label) }))
 	s.handle("POST /api/global/attach", mutate(func(q attachReq) error { return sys.AttachFeature(q.Concept, q.Feature) }))
@@ -325,9 +322,11 @@ func (s *Server) handleExport(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, s.sys.ExportTriG())
 }
 
-// handleCompact forces a full storage compaction (see
-// System.CompactStorage). For in-memory systems it reports persistent
-// false and does nothing.
+// handleCompact runs storage maintenance now (see
+// System.CompactStorage): usually a checkpoint of the WAL tail, a full
+// compaction when the store's policy says one is due. Which of the two
+// ran shows on mdm_tdb_{checkpoints,compactions}_total, not in the body.
+// For in-memory systems it reports persistent false and does nothing.
 func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	persistent := s.sys.Storage() != nil
 	if err := s.sys.CompactStorage(); err != nil {
@@ -388,13 +387,14 @@ type releaseResp struct {
 	Supersedes string   `json:"supersedes,omitempty"`
 	Breaking   bool     `json:"breaking"`
 	Changes    []string `json:"changes,omitempty"`
+	Recovered  bool     `json:"recovered,omitempty"`
 }
 
 func toReleaseResp(rel mdm.Release) releaseResp {
 	out := releaseResp{
 		Seq: rel.Seq, Kind: string(rel.Kind), Source: rel.SourceID,
 		Wrapper: rel.Wrapper, Signature: rel.Signature,
-		Supersedes: rel.Supersedes, Breaking: rel.Breaking,
+		Supersedes: rel.Supersedes, Breaking: rel.Breaking, Recovered: rel.Recovered,
 	}
 	for _, c := range rel.Changes {
 		out.Changes = append(out.Changes, c.String())

@@ -385,7 +385,7 @@ func (e *evolving) steps() []struct {
 				e.releases = e.releases[:last]
 			}
 		}},
-		{"CompactStorage", func() { e.must(e.sys.CompactStorage()) }},
+		{"Storage.Compact", func() { e.must(e.sys.Storage().Compact()) }},
 	}
 }
 
@@ -433,7 +433,7 @@ func TestStampComponentsLoadBearing(t *testing.T) {
 		// below) with the last release no longer covering Player.
 		"dataset": func(e *evolving, _ *rewrite.Rewriter) {
 			old := e.sys.Ontology().Dataset()
-			e.must(e.sys.CompactStorage())
+			e.must(e.sys.Storage().Compact())
 			ds := e.sys.Ontology().Dataset()
 			if ds == old {
 				e.t.Fatal("compaction did not re-point the ontology")

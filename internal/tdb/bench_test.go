@@ -1,7 +1,6 @@
 package tdb
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,13 +32,30 @@ func benchHistory(n int) *rdf.Dataset {
 	return ds
 }
 
+// benchRelease is an 80-quad batch shaped like one wrapper release, with
+// terms no earlier batch used.
+func benchRelease(n int) []rdf.Op {
+	ops := make([]rdf.Op, 80)
+	g := rdf.IRI("http://ex/g0")
+	for i := range ops {
+		ops[i] = rdf.Op{Kind: rdf.OpAdd, Quad: rdf.Quad{Graph: g, Triple: rdf.T(
+			rdf.IRI(fmt.Sprintf("http://ex/release/%d/attr/%d", n, i)),
+			rdf.IRI("http://ex/p"),
+			rdf.Lit(fmt.Sprintf("release-%d-%d", n, i)),
+		)}}
+	}
+	return ops
+}
+
 // BenchmarkStoreOpen measures the cold-open cost of a 50k-record history
-// in the two layouts a store can be found in.
+// in the three layouts a store can be found in.
 //
 //   - segment: sealed segment (binary dict + ID triples, loaded via the
-//     bulk-ID fast path) plus empty WAL tail — what the background
-//     checkpointer maintains, so this is the steady state no matter how
-//     the process died.
+//     bulk-ID fast path) plus empty WAL tail — the state after a full
+//     compaction.
+//   - delta-chain: that segment plus ten 80-quad delta segments — the
+//     state after ten releases were checkpointed, which is what
+//     maintenance leaves between full compactions.
 //   - wal-replay: a 50k-record JSON WAL and no segment — a store that
 //     was never checkpointed replays its entire history.
 //
@@ -58,18 +74,44 @@ func BenchmarkStoreOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	walDir := b.TempDir()
-	wal, err := json.Marshal(walRecord{Op: "prefix", Prefix: "ex", NS: "http://ex/"})
+	const deltas = 10
+	chainDir := b.TempDir()
+	chain, err := Open(chainDir)
 	if err != nil {
 		b.Fatal(err)
 	}
-	wal = append(wal, '\n')
+	if err := chain.Commit(segment.DatasetOps(ds)); err != nil {
+		b.Fatal(err)
+	}
+	if err := chain.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	chainRecords := records
+	for i := 0; i < deltas; i++ {
+		rel := benchRelease(i)
+		if err := chain.Commit(rel); err != nil {
+			b.Fatal(err)
+		}
+		if err := chain.Checkpoint(); err != nil {
+			b.Fatal(err)
+		}
+		chainRecords += len(rel)
+	}
+	if err := chain.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	walDir := b.TempDir()
+	wal, err := encodeRecord([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, q := range ds.Quads() {
-		line, err := json.Marshal(walRecord{Op: "add", Quad: encQuad(q)})
+		line, err := encodeRecord([]rdf.Op{{Kind: rdf.OpAdd, Quad: q}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		wal = append(append(wal, line...), '\n')
+		wal = append(wal, line...)
 	}
 	if err := os.WriteFile(filepath.Join(walDir, walFile), wal, 0o644); err != nil {
 		b.Fatal(err)
@@ -77,9 +119,11 @@ func BenchmarkStoreOpen(b *testing.B) {
 
 	for _, bc := range []struct {
 		name, dir string
+		records   int
 	}{
-		{"segment", segDir},
-		{"wal-replay", walDir},
+		{"segment", segDir, records},
+		{"delta-chain", chainDir, chainRecords},
+		{"wal-replay", walDir, records},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -88,10 +132,50 @@ func BenchmarkStoreOpen(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if s.Dataset().Len() != records {
+				if s.Dataset().Len() != bc.records {
 					b.Fatalf("Len = %d", s.Dataset().Len())
 				}
 				s.Close()
+			}
+		})
+	}
+}
+
+// BenchmarkDurabilityPoint measures the two ways of sealing one 80-quad
+// release over an 85k-triple store: Checkpoint is O(tail), Compact is
+// O(dataset). Maintain picks between them; this is the gap it exploits.
+// Committing the release is not timed.
+func BenchmarkDurabilityPoint(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		seal func(*Store) error
+	}{
+		{"checkpoint", (*Store).Checkpoint},
+		{"compact", (*Store).Compact},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s, err := Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Commit(segment.DatasetOps(benchHistory(85_000))); err != nil {
+				b.Fatal(err)
+			}
+			if err := s.Compact(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if err := s.Commit(benchRelease(i)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := bc.seal(s); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -90,14 +90,16 @@ func (s *Store) swapEpochLocked(ds *rdf.Dataset) {
 	}
 }
 
-// SetSwapHook registers a quiescence window for compaction's epoch
-// swap. When set, Compact runs its dataset swap as hook(swap): the hook
-// must call swap(old) exactly once while it has externally blocked all
-// writers that mutate the dataset WITHOUT going through the Store (the
-// mdm facade writes through bdi.Ontology), and must re-point those
-// writers at the returned dataset before unblocking them. swap returns
-// nil when compaction failed; the hook must then leave its callers on
-// the old dataset.
+// SetSwapHook registers a window around every operation that can swap
+// the epoch (Compact, Maintain, the background tick). When set, such an
+// operation runs as hook(swap): the hook must call swap exactly once and
+// re-point whatever reads the dataset through a reference of its own at
+// the dataset swap returns; nil means the epoch did not change. The hook
+// is entered BEFORE the store's mutex is taken, so a facade whose
+// mutators validate under their own lock and then Commit (bdi.Ontology)
+// passes a hook that takes that same lock: its writers then see the
+// re-pointing and the swap as one step, and both paths take the two
+// locks in the same order. swap ignores its argument.
 //
 // Set the hook before any concurrent use of the store (and before
 // StartAutoCompact); it cannot be changed afterwards.

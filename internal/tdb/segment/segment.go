@@ -51,12 +51,16 @@ import (
 	"mdm/internal/rdf"
 )
 
-// Op kinds, mirroring the tdb WAL ops.
+// Op is one store mutation, shared with the WAL and the ontology's
+// write path; the kind values are the block op bytes of the file format.
+type Op = rdf.Op
+
+// Op kinds.
 const (
-	OpAdd byte = iota
-	OpRemove
-	OpDrop
-	OpPrefix
+	OpAdd    = rdf.OpAdd
+	OpRemove = rdf.OpRemove
+	OpDrop   = rdf.OpDrop
+	OpPrefix = rdf.OpPrefix
 )
 
 var (
@@ -66,13 +70,6 @@ var (
 
 // footerSize is crc32 + bodyLen + dictBytes + records + tail magic.
 const footerSize = 4 + 8 + 8 + 8 + 8
-
-// Op is one store mutation in segment form.
-type Op struct {
-	Kind       byte
-	Quad       rdf.Quad // add / remove; Graph doubles as the drop victim
-	Prefix, NS string   // prefix
-}
 
 // Stats summarizes a written or loaded segment.
 type Stats struct {
@@ -131,13 +128,13 @@ func WriteFile(path string, ops []Op) (Stats, error) {
 	// (kind, graph); drop and prefix blocks carry one record each for
 	// simplicity (they are rare).
 	type block struct {
-		op    byte
+		op    rdf.OpKind
 		graph uint64
 		start int // offset of the block's records in bw.buf
 		n     uint64
 	}
 	var blocks []block
-	flushHeaderless := func(op byte, graph uint64) *block {
+	flushHeaderless := func(op rdf.OpKind, graph uint64) *block {
 		blocks = append(blocks, block{op: op, graph: graph, start: len(bw.buf)})
 		return &blocks[len(blocks)-1]
 	}
@@ -188,7 +185,7 @@ func WriteFile(path string, ops []Op) (Stats, error) {
 	dictBytes := int64(len(out) - dictStart)
 	out = binary.AppendUvarint(out, uint64(len(blocks)))
 	for i, b := range blocks {
-		out = append(out, b.op)
+		out = append(out, byte(b.op))
 		out = binary.AppendUvarint(out, b.graph)
 		out = binary.AppendUvarint(out, b.n)
 		end := len(body)
@@ -424,7 +421,7 @@ func apply(data []byte, ds *rdf.Dataset) (Stats, error) {
 		if r.pos >= len(r.buf) {
 			return Stats{}, fmt.Errorf("block %d overruns body", b)
 		}
-		op := r.buf[r.pos]
+		op := rdf.OpKind(r.buf[r.pos])
 		r.pos++
 		gref, err := r.uvarint()
 		if err != nil {

@@ -117,7 +117,7 @@ func TestTornWALTailTrimmedAndCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const torn = `{"op":"add","quad":[{"k":0,"v":"to`
+	const torn = `{"ops":[{"op":"add","quad":[{"k":0,"v":"to`
 	f.WriteString(torn)
 	f.Close()
 
@@ -233,7 +233,7 @@ func TestCheckpointCompactMixReopen(t *testing.T) {
 // manifest is authoritative and a stray snapshot file is ignored.
 func TestPreSegmentSnapshotRefused(t *testing.T) {
 	const snap = "<http://ex/s> <http://ex/p> \"snap\" .\n"
-	const wal = `{"op":"add","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"tail"}]}` + "\n"
+	const wal = `{"ops":[{"op":"add","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"tail"}]}]}` + "\n"
 	for _, tc := range []struct {
 		name     string
 		manifest bool
@@ -352,7 +352,7 @@ func TestRemoveMissingGraphDoesNotCreate(t *testing.T) {
 
 	// Replay path: a remove record naming a graph that never existed
 	// (e.g. written by an older binary) must not create it either.
-	rec := `{"op":"remove","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"v"},{"k":0,"v":"http://ex/ghost"}]}` + "\n"
+	rec := `{"ops":[{"op":"remove","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"v"},{"k":0,"v":"http://ex/ghost"}]}]}` + "\n"
 	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,16 @@
 //   - MANIFEST lists the live, immutable on-disk segments (see the
 //     segment subpackage: a dict block of interned terms plus ID-triple
 //     blocks per graph, checksummed) in apply order;
-//   - wal.jsonl holds one JSON record per mutation since the last seal.
+//   - wal.jsonl holds one JSON record per Commit since the last seal:
+//     {"ops":[...]}, the batch of mutations one caller made together.
+//
+// Every mutation is a Commit: the batch is encoded into one record,
+// appended with one write, and then applied to the live dataset. AddQuad,
+// RemoveQuad, DropGraph and BindPrefix are one-op commits; the mdm facade
+// commits the whole write set of an ontology mutator (a wrapper's source
+// graph triples; a mapping graph's drop and refill). A record is
+// replayed as a whole or not at all, so what a caller was told succeeded
+// is on the log, and what a crash tore is gone entirely.
 //
 // Open loads the manifest's segments (binary decode straight into the
 // dataset dictionary and ID indexes — no Turtle parsing) and then
@@ -19,19 +28,21 @@
 // new EPOCH — readers that pinned the previous epoch (PinSnapshot) keep
 // draining their snapshot untouched. Both publish the manifest with a
 // temp-file + rename, so a crash mid-seal leaves the previous manifest
-// + WAL recovery point intact.
+// + WAL recovery point intact. Maintain is the policy that picks between
+// them; neither is what makes a write durable — the WAL is — they bound
+// the next open and the disk the history takes.
 //
 // # Durability
 //
-// By default WAL appends are flushed to the OS (bufio.Flush) but NOT
-// fsynced: a process crash loses at most the record being written, but
-// an OS crash or power failure can lose any records the kernel had not
-// yet written back. Opt into fsync durability with Options.Sync:
-// SyncAlways fsyncs every append; SyncBatch fsyncs at most every
-// Options.SyncInterval. A truncated final WAL record (torn write during
-// a crash) is tolerated and trimmed at the next Open; an undecodable
-// record with further records after it is mid-file corruption and fails
-// Open with the byte offset.
+// By default a WAL append is handed to the OS (one write(2)) but NOT
+// fsynced: an acknowledged commit survives a crash of the process
+// (kill -9 included), but an OS crash or power failure can lose any
+// records the kernel had not yet written back. Opt into fsync durability
+// with Options.Sync: SyncAlways fsyncs every append; SyncBatch fsyncs at
+// most every Options.SyncInterval. A truncated final WAL record (torn
+// write during a crash) is tolerated and trimmed at the next Open; an
+// undecodable record with further records after it is mid-file
+// corruption and fails Open with the byte offset.
 package tdb
 
 import (
@@ -56,7 +67,7 @@ const walFile = "wal.jsonl"
 type SyncMode int
 
 const (
-	// SyncNone (default) flushes appends to the OS without fsync.
+	// SyncNone (default) hands appends to the OS without fsync.
 	SyncNone SyncMode = iota
 	// SyncAlways fsyncs the WAL after every append.
 	SyncAlways
@@ -73,11 +84,10 @@ type Options struct {
 	// SyncInterval is the SyncBatch flush period (default 5ms).
 	SyncInterval time.Duration
 	// CompactInterval, when > 0, starts the background compactor: every
-	// interval the store seals the WAL tail once it reaches
-	// CompactWALThreshold records and runs a full compaction when the
-	// dictionary or segment list has grown enough (see maintain).
+	// interval the store runs the Maintain policy, leaving a WAL tail of
+	// fewer than CompactWALThreshold ops where it is.
 	CompactInterval time.Duration
-	// CompactWALThreshold is the WAL record count that triggers a
+	// CompactWALThreshold is the number of logged ops that triggers a
 	// background checkpoint (default 4096).
 	CompactWALThreshold int
 }
@@ -111,43 +121,45 @@ type Store struct {
 	// a segment.
 	man *segment.Manifest
 
+	// wal is opened O_APPEND and written one whole record per write(2).
+	// walBytes is its length, the point a failed append is cut back to;
+	// walRecords and walOps count the records and the ops in them since
+	// the last seal.
 	wal        *os.File
-	walBuf     *bufio.Writer
+	walBytes   int64
 	walRecords int
+	walOps     int
 	walDirty   bool // SyncBatch: append since last fsync
 	closed     bool
 
-	// swapHook, when set, runs epoch swaps inside a caller-provided
-	// quiescence window (see SetSwapHook).
+	// swapHook, when set, wraps every operation that can swap the epoch
+	// (see SetSwapHook).
 	swapHook func(swap func(old *rdf.Dataset) *rdf.Dataset)
 
-	// lastSealed fingerprints the dataset at the last durable point, so
-	// the background compactor can detect mutations that bypassed the
-	// WAL (the mdm facade writes through the ontology); lastFullDict is
-	// the dictionary size right after the last full compaction.
-	lastSealed   dsFingerprint
+	// lastFullDict is the dictionary size right after the last full
+	// compaction (or at open).
 	lastFullDict int
 
 	bgStop, bgDone     chan struct{}
 	syncStop, syncDone chan struct{}
 }
 
-type dsFingerprint struct {
-	version  uint64
-	len, dic int
-}
+var errClosed = errors.New("tdb: store is closed")
 
-func fingerprint(ds *rdf.Dataset) dsFingerprint {
-	return dsFingerprint{version: ds.Version(), len: ds.Len(), dic: ds.Dict().Len()}
-}
-
-// walRecord is one logged mutation.
+// walRecord is one WAL line: the ops of one Commit. A line decodes and
+// is replayed as a whole or not at all.
 type walRecord struct {
-	Op     string    `json:"op"` // add | remove | drop | prefix
-	Quad   *jsonQuad `json:"quad,omitempty"`
-	Graph  *jsonTerm `json:"graph,omitempty"`
-	Prefix string    `json:"prefix,omitempty"`
-	NS     string    `json:"ns,omitempty"`
+	Ops []walOp `json:"ops"`
+}
+
+// walOp is the WAL encoding of an rdf.Op.
+type walOp struct {
+	Op string `json:"op"` // add | remove | drop | prefix
+	// Quad is s, p, o and, for a named graph, the graph (add / remove).
+	Quad   []jsonTerm `json:"quad,omitempty"`
+	Graph  *jsonTerm  `json:"graph,omitempty"` // drop
+	Prefix string     `json:"prefix,omitempty"`
+	NS     string     `json:"ns,omitempty"`
 }
 
 // jsonTerm is the WAL encoding of an rdf.Term.
@@ -158,13 +170,6 @@ type jsonTerm struct {
 	LG string `json:"lg,omitempty"`
 }
 
-// jsonQuad serializes as a compact JSON array of 3 or 4 terms via the
-// custom (Un)MarshalJSON methods below.
-type jsonQuad struct {
-	S, P, O jsonTerm
-	G       *jsonTerm
-}
-
 func encTerm(t rdf.Term) jsonTerm {
 	return jsonTerm{K: uint8(t.Kind), V: t.Value, DT: t.Datatype, LG: t.Lang}
 }
@@ -173,47 +178,102 @@ func decTerm(j jsonTerm) rdf.Term {
 	return rdf.Term{Kind: rdf.TermKind(j.K), Value: j.V, Datatype: j.DT, Lang: j.LG}
 }
 
-func encQuad(q rdf.Quad) *jsonQuad {
-	jq := &jsonQuad{S: encTerm(q.S), P: encTerm(q.P), O: encTerm(q.O)}
-	if !q.Graph.IsZero() {
-		g := encTerm(q.Graph)
-		jq.G = &g
+var walOpNames = [...]string{rdf.OpAdd: "add", rdf.OpRemove: "remove", rdf.OpDrop: "drop", rdf.OpPrefix: "prefix"}
+
+// encodeRecord renders ops as one WAL line, rejecting what replay would
+// refuse: a record is never written that the next open cannot read.
+func encodeRecord(ops []rdf.Op) ([]byte, error) {
+	rec := walRecord{Ops: make([]walOp, len(ops))}
+	for i, op := range ops {
+		if err := checkOp(op); err != nil {
+			return nil, err
+		}
+		w := walOp{Op: walOpNames[op.Kind]}
+		switch op.Kind {
+		case rdf.OpAdd, rdf.OpRemove:
+			w.Quad = []jsonTerm{encTerm(op.Quad.S), encTerm(op.Quad.P), encTerm(op.Quad.O)}
+			if !op.Quad.Graph.IsZero() {
+				w.Quad = append(w.Quad, encTerm(op.Quad.Graph))
+			}
+		case rdf.OpDrop:
+			g := encTerm(op.Quad.Graph)
+			w.Graph = &g
+		case rdf.OpPrefix:
+			w.Prefix, w.NS = op.Prefix, op.NS
+		}
+		rec.Ops[i] = w
 	}
-	return jq
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("tdb: encode wal record: %w", err)
+	}
+	return append(line, '\n'), nil
 }
 
-func (jq *jsonQuad) quad() rdf.Quad {
-	q := rdf.Quad{Triple: rdf.T(decTerm(jq.S), decTerm(jq.P), decTerm(jq.O))}
-	if jq.G != nil {
-		q.Graph = decTerm(*jq.G)
-	}
-	return q
-}
-
-// MarshalJSON flattens the quad to a compact array-of-terms form.
-func (jq *jsonQuad) MarshalJSON() ([]byte, error) {
-	arr := []jsonTerm{jq.S, jq.P, jq.O}
-	if jq.G != nil {
-		arr = append(arr, *jq.G)
-	}
-	return json.Marshal(arr)
-}
-
-// UnmarshalJSON reverses MarshalJSON.
-func (jq *jsonQuad) UnmarshalJSON(b []byte) error {
-	var arr []jsonTerm
-	if err := json.Unmarshal(b, &arr); err != nil {
-		return err
-	}
-	if len(arr) != 3 && len(arr) != 4 {
-		return fmt.Errorf("tdb: quad record has %d terms", len(arr))
-	}
-	jq.S, jq.P, jq.O = arr[0], arr[1], arr[2]
-	if len(arr) == 4 {
-		g := arr[3]
-		jq.G = &g
+// checkOp reports an op that must not reach the log (or, read back from
+// it, the dataset): a graph is named by an IRI or a blank node, the
+// default graph by the zero term, and a triple must be storable.
+func checkOp(op rdf.Op) error {
+	g := op.Quad.Graph
+	switch op.Kind {
+	case rdf.OpAdd, rdf.OpRemove:
+		if !op.Quad.Triple.Valid() || !(g.IsZero() || g.IsIRI() || g.IsBlank()) {
+			return fmt.Errorf("tdb: invalid quad %s", op.Quad)
+		}
+	case rdf.OpDrop:
+		if g.IsZero() || !(g.IsIRI() || g.IsBlank()) {
+			return fmt.Errorf("tdb: drop of invalid graph name %s", g)
+		}
+	case rdf.OpPrefix:
+	default:
+		return fmt.Errorf("tdb: unknown op kind %d", op.Kind)
 	}
 	return nil
+}
+
+// decodeRecord is encodeRecord's inverse. A line that is not a record —
+// bad JSON, no ops, an unknown op, a malformed quad — is an error: replay
+// treats it as damage, never as an empty record.
+func decodeRecord(line []byte) ([]rdf.Op, error) {
+	var rec walRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return nil, err
+	}
+	if len(rec.Ops) == 0 {
+		return nil, errors.New("record holds no ops")
+	}
+	ops := make([]rdf.Op, len(rec.Ops))
+	for i, w := range rec.Ops {
+		var op rdf.Op
+		switch w.Op {
+		case "add", "remove":
+			if len(w.Quad) != 3 && len(w.Quad) != 4 {
+				return nil, fmt.Errorf("quad of %d terms", len(w.Quad))
+			}
+			op.Kind = rdf.OpAdd
+			if w.Op == "remove" {
+				op.Kind = rdf.OpRemove
+			}
+			op.Quad.Triple = rdf.T(decTerm(w.Quad[0]), decTerm(w.Quad[1]), decTerm(w.Quad[2]))
+			if len(w.Quad) == 4 {
+				op.Quad.Graph = decTerm(w.Quad[3])
+			}
+		case "drop":
+			if w.Graph == nil {
+				return nil, errors.New("drop names no graph")
+			}
+			op = rdf.Op{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: decTerm(*w.Graph)}}
+		case "prefix":
+			op = rdf.Op{Kind: rdf.OpPrefix, Prefix: w.Prefix, NS: w.NS}
+		default:
+			return nil, fmt.Errorf("unknown op %q", w.Op)
+		}
+		if err := checkOp(op); err != nil {
+			return nil, err
+		}
+		ops[i] = op
+	}
+	return ops, nil
 }
 
 // Open loads (or creates) a store rooted at dir with default options.
@@ -267,8 +327,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tdb: open wal: %w", err)
 	}
 	s.wal = wal
-	s.walBuf = bufio.NewWriter(wal)
-	s.lastSealed = fingerprint(ds)
 	s.lastFullDict = ds.Dict().Len()
 
 	if opts.Sync == SyncBatch {
@@ -282,120 +340,116 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// replayWAL applies the WAL tail to the live dataset. A torn FINAL
-// record (crash mid-append) is tolerated: the torn bytes are counted on
-// mdm_tdb_wal_torn_bytes_total and trimmed from the file so later
-// appends cannot bury corruption mid-file. An undecodable record with more data after it is
-// mid-file corruption and fails the open, naming the byte offset.
-func (s *Store) replayWAL() error {
-	path := filepath.Join(s.dir, walFile)
+// walDamage describes the first line of a WAL file that is not a record.
+type walDamage struct {
+	err  error
+	size int64 // bytes from the line's first byte to the end of the file
+	last bool  // nothing but blank space follows: a torn final append
+}
+
+// eachWALRecord calls fn with the ops of every record of the WAL file at
+// path, in order, and returns the length of the prefix that decoded. It
+// stops at the first line that is not a record and describes it.
+func eachWALRecord(path string, fn func(ops []rdf.Op)) (good int64, dmg *walDamage, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("tdb: open wal for replay: %w", err)
+		return 0, nil, fmt.Errorf("tdb: open wal: %w", err)
 	}
 	defer f.Close()
 	r := bufio.NewReaderSize(f, 1<<16)
-	// WAL records cluster by graph (MDM mutates one named graph at a
-	// time), so cache the last graph to skip a dataset lookup per record.
-	var cache graphCache
-	var off int64 // offset of the first byte not yet known-good
 	for {
 		line, rerr := r.ReadBytes('\n')
-		rec := bytes.TrimSpace(line)
-		if len(rec) > 0 {
-			var w walRecord
-			if uerr := json.Unmarshal(rec, &w); uerr != nil {
-				// Torn tail or mid-file corruption? Anything after this
-				// line means the file kept growing past the bad record,
-				// which a torn final append cannot produce.
-				rest, _ := io.ReadAll(r)
-				if len(bytes.TrimSpace(rest)) > 0 {
-					return fmt.Errorf("tdb: corrupt wal record at byte offset %d: %w", off, uerr)
+		if rec := bytes.TrimSpace(line); len(rec) > 0 {
+			ops, derr := decodeRecord(rec)
+			if derr != nil {
+				tail, terr := io.ReadAll(r)
+				if terr != nil {
+					return good, nil, fmt.Errorf("tdb: read wal: %w", terr)
 				}
-				torn := int64(len(line) + len(rest))
-				obsTornBytes.Add(float64(torn))
-				if terr := os.Truncate(path, off); terr != nil {
-					return fmt.Errorf("tdb: trim torn wal tail: %w", terr)
-				}
-				return nil
+				return good, &walDamage{err: derr, size: int64(len(line) + len(tail)), last: len(bytes.TrimSpace(tail)) == 0}, nil
 			}
-			s.applyLocked(w, &cache)
-			s.walRecords++
+			fn(ops)
 		}
-		off += int64(len(line))
+		good += int64(len(line))
 		if rerr == io.EOF {
-			return nil
+			return good, nil, nil
 		}
 		if rerr != nil {
-			return fmt.Errorf("tdb: read wal: %w", rerr)
+			return good, nil, fmt.Errorf("tdb: read wal: %w", rerr)
 		}
 	}
 }
 
-// graphCache memoizes the most recent Dataset.Graph resolution during
-// WAL replay.
-type graphCache struct {
-	name  rdf.Term
-	graph *rdf.Graph
-}
-
-func (c *graphCache) get(ds *rdf.Dataset, name rdf.Term) *rdf.Graph {
-	if c.graph == nil || c.name != name {
-		c.graph = ds.Graph(name)
-		c.name = name
-	}
-	return c.graph
-}
-
-func (c *graphCache) invalidate() { c.graph = nil }
-
-func (s *Store) applyLocked(rec walRecord, cache *graphCache) {
-	switch rec.Op {
-	case "add":
-		if rec.Quad != nil {
-			q := rec.Quad.quad()
-			_, _ = cache.get(s.cur.ds, q.Graph).Add(q.Triple)
-		}
-	case "remove":
-		if rec.Quad != nil {
-			q := rec.Quad.quad()
-			// Removing from a graph that does not exist must stay a
-			// no-op: resolving it through Dataset.Graph would create the
-			// graph and bump Dataset.Version for nothing.
-			if g, ok := s.cur.ds.Lookup(q.Graph); ok {
-				if cache.graph != nil && cache.name != q.Graph {
-					cache.invalidate()
-				}
-				g.Remove(q.Triple)
-			}
-		}
-	case "drop":
-		if rec.Graph != nil {
-			s.cur.ds.DropGraph(decTerm(*rec.Graph))
-			cache.invalidate()
-		}
-	case "prefix":
-		s.cur.ds.Prefixes().Bind(rec.Prefix, rec.NS)
-	}
-}
-
-func (s *Store) append(rec walRecord) error {
-	if s.closed {
-		return errors.New("tdb: store is closed")
-	}
-	b, err := json.Marshal(rec)
+// replayWAL applies the WAL tail to the live dataset, record by record:
+// a record's ops are applied together or, when its line does not decode,
+// not at all. A torn FINAL record (crash mid-append) is tolerated: the
+// torn bytes are counted on mdm_tdb_wal_torn_bytes_total and trimmed
+// from the file so later appends cannot bury corruption mid-file. An
+// undecodable record with more data after it is mid-file corruption —
+// the file kept growing past it, which a torn final append cannot
+// produce — and fails the open, naming the byte offset.
+func (s *Store) replayWAL() error {
+	path := filepath.Join(s.dir, walFile)
+	good, dmg, err := eachWALRecord(path, func(ops []rdf.Op) {
+		s.cur.ds.Apply(ops)
+		s.walRecords++
+		s.walOps += len(ops)
+	})
 	if err != nil {
-		return fmt.Errorf("tdb: encode wal record: %w", err)
+		return err
 	}
-	if _, err := s.walBuf.Write(append(b, '\n')); err != nil {
+	if dmg != nil {
+		if !dmg.last {
+			return fmt.Errorf("tdb: corrupt wal record at byte offset %d: %w", good, dmg.err)
+		}
+		obsTornBytes.Add(float64(dmg.size))
+		if err := os.Truncate(path, good); err != nil {
+			return fmt.Errorf("tdb: trim torn wal tail: %w", err)
+		}
+	}
+	s.walBytes = good
+	return nil
+}
+
+// Commit durably applies ops as one batch: they are encoded into a
+// single WAL record, appended with one write, and only then applied to
+// the live dataset, in order. The record is replayed as a whole or not
+// at all, so a crash can never leave part of a batch behind, and a batch
+// that could not be logged is not applied. (A failed SyncAlways fsync is
+// reported after the batch is applied: the record is in the log, only
+// its durability is unknown.) With the default SyncNone an acknowledged
+// batch survives a crash of the process, not of the machine (see
+// Options.Sync).
+func (s *Store) Commit(ops []rdf.Op) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.commitLocked(ops)
+}
+
+func (s *Store) commitLocked(ops []rdf.Op) error {
+	if s.closed {
+		return errClosed
+	}
+	if len(ops) == 0 {
+		return nil
+	}
+	line, err := encodeRecord(ops)
+	if err != nil {
+		return err
+	}
+	if _, err := s.wal.Write(line); err != nil {
+		// Cut a partial line back off, or the next append would bury it
+		// mid-file and fail the next open.
+		_ = s.wal.Truncate(s.walBytes) // best effort: the write error is what the caller must see
 		return fmt.Errorf("tdb: append wal: %w", err)
 	}
-	if err := s.walBuf.Flush(); err != nil {
-		return fmt.Errorf("tdb: flush wal: %w", err)
-	}
+	s.walBytes += int64(len(line))
+	s.walRecords++
+	s.walOps += len(ops)
+	s.cur.ds.Apply(ops)
 	switch s.opts.Sync {
 	case SyncAlways:
 		if err := s.wal.Sync(); err != nil {
@@ -405,7 +459,6 @@ func (s *Store) append(rec walRecord) error {
 	case SyncBatch:
 		s.walDirty = true
 	}
-	s.walRecords++
 	return nil
 }
 
@@ -443,21 +496,22 @@ func (s *Store) Dataset() *rdf.Dataset {
 	return s.cur.ds
 }
 
-// AddQuad durably inserts a quad.
+// hasLocked reports whether q is in the live dataset, without creating
+// its graph.
+func (s *Store) hasLocked(q rdf.Quad) bool {
+	g, ok := s.cur.ds.Lookup(q.Graph)
+	return ok && g.Has(q.Triple)
+}
+
+// AddQuad durably inserts a quad. Adding a quad already present logs
+// nothing.
 func (s *Store) AddQuad(q rdf.Quad) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !q.Triple.Valid() {
-		return fmt.Errorf("tdb: invalid quad %s", q)
+	if s.hasLocked(q) {
+		return nil
 	}
-	added, err := s.cur.ds.AddQuad(q)
-	if err != nil {
-		return err
-	}
-	if !added {
-		return nil // no-op, nothing to log
-	}
-	return s.append(walRecord{Op: "add", Quad: encQuad(q)})
+	return s.commitLocked([]rdf.Op{{Kind: rdf.OpAdd, Quad: q}})
 }
 
 // AddTriple durably inserts a triple into the default graph.
@@ -472,42 +526,41 @@ func (s *Store) AddTriple(t rdf.Triple) error {
 func (s *Store) RemoveQuad(q rdf.Quad) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	g, ok := s.cur.ds.Lookup(q.Graph)
-	if !ok || !g.Remove(q.Triple) {
+	if !s.hasLocked(q) {
 		return false, nil
 	}
-	return true, s.append(walRecord{Op: "remove", Quad: encQuad(q)})
+	if err := s.commitLocked([]rdf.Op{{Kind: rdf.OpRemove, Quad: q}}); err != nil {
+		return false, err
+	}
+	return true, nil
 }
 
 // DropGraph durably removes an entire named graph.
 func (s *Store) DropGraph(name rdf.Term) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.cur.ds.DropGraph(name) {
+	if _, ok := s.cur.ds.Lookup(name); !ok || name.IsZero() {
 		return nil
 	}
-	g := encTerm(name)
-	return s.append(walRecord{Op: "drop", Graph: &g})
+	return s.commitLocked([]rdf.Op{{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: name}}})
 }
 
 // BindPrefix durably registers a prefix binding.
 func (s *Store) BindPrefix(prefix, ns string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cur.ds.Prefixes().Bind(prefix, ns)
-	return s.append(walRecord{Op: "prefix", Prefix: prefix, NS: ns})
+	return s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: prefix, NS: ns}})
 }
 
 // WALRecords returns the number of WAL records since the last seal
-// (including records replayed at Open).
+// (including records replayed at Open). One Commit is one record however
+// many ops it carries.
 func (s *Store) WALRecords() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walRecords
 }
 
-// Close stops background maintenance, flushes and closes the WAL. The
-// store cannot be used afterwards.
+// Close stops background maintenance and closes the WAL, syncing it
+// first in the fsync modes. The store cannot be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -526,10 +579,6 @@ func (s *Store) Close() error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.walBuf.Flush(); err != nil {
-		s.wal.Close()
-		return err
-	}
 	if s.opts.Sync != SyncNone {
 		if err := s.wal.Sync(); err != nil {
 			s.wal.Close()

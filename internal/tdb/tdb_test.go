@@ -190,7 +190,7 @@ func TestTornWALRecordIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"op":"add","quad":[{"k":0,"v":"torn`)
+	f.WriteString(`{"ops":[{"op":"add","quad":[{"k":0,"v":"torn`)
 	f.Close()
 
 	s2 := openT(t, dir)

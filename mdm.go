@@ -45,6 +45,7 @@ import (
 	"mdm/internal/relalg"
 	"mdm/internal/release"
 	"mdm/internal/rewrite"
+	"mdm/internal/schema"
 	"mdm/internal/sparql"
 	"mdm/internal/store"
 	"mdm/internal/tdb"
@@ -81,6 +82,10 @@ type (
 	// Triple is an RDF triple.
 	Triple = rdf.Triple
 )
+
+// obsRecovered counts release-log entries OpenWith had to rebuild.
+var obsRecovered = obs.Default.NewCounter("mdm_releases_recovered_total",
+	"Release-log entries rebuilt from the source graph at open: the wrapper was durable, its release document was not.")
 
 // NewWalk starts an empty walk.
 func NewWalk() *Walk { return rewrite.NewWalk() }
@@ -121,7 +126,7 @@ func newSystem(ont *bdi.Ontology, reg *wrapper.Registry) *System {
 }
 
 // StoreOptions configures the persistent storage engine behind OpenWith:
-// WAL fsync durability (Sync/SyncInterval) and background compaction
+// WAL fsync durability (Sync/SyncInterval) and background maintenance
 // (CompactInterval/CompactWALThreshold). The zero value matches Open.
 type StoreOptions = tdb.Options
 
@@ -135,12 +140,20 @@ func Open(dir string) (*System, error) {
 // The ontology dataset lives in a tdb segment store (manifest-listed
 // immutable segments plus a write-ahead-log tail, both replayed at
 // open); system metadata lives in a JSON document store next to it.
-// When opts.CompactInterval > 0 a background compactor keeps the store
-// checkpointed and its dictionary garbage-collected; the compactor
-// swaps the live dataset atomically under the ontology's write lock, so
-// facade reads and writes never observe a half-swapped dataset. Call
-// CompactStorage to force a durability point and Close when done.
+// Every ontology mutation is committed to the WAL as one record before
+// the call returns, so whatever was acknowledged survives a crash of
+// the process (and, with opts.Sync, of the machine). When
+// opts.CompactInterval > 0 a background tick runs the storage
+// maintenance policy (tdb.Store.Maintain); a full rewrite swaps the live
+// dataset atomically under the ontology's write lock, so facade reads
+// and writes never observe a half-swapped dataset. Close when done.
 // Wrappers are live code and must be re-registered after reopen.
+//
+// The release log is reconciled with the ontology at open. A wrapper the
+// source graph holds without a release document (a crash between the WAL
+// append and the document write) gets a release entry rebuilt from the
+// source graph, marked Recovered; a release document whose wrapper the
+// source graph does not hold fails the open.
 //
 // A dir holding the TriG export of a pre-segment mdmd deployment is
 // refused: opening it as an empty store would lose it.
@@ -163,24 +176,68 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 		return nil, err
 	}
 	ont := bdi.FromDataset(ts.Dataset())
+	ont.SetJournal(ts)
 	ts.SetSwapHook(ont.Rebind)
+	sys := newSystem(ont, wrapper.NewRegistry())
+	sys.meta, sys.tdbStore = meta, ts
+	if err := sys.restoreReleases(); err != nil {
+		ts.Close()
+		return nil, err
+	}
 	if opts.CompactInterval > 0 {
 		ts.StartAutoCompact(opts.CompactInterval, opts.CompactWALThreshold)
 	}
-	sys := newSystem(ont, wrapper.NewRegistry())
-	sys.meta, sys.tdbStore = meta, ts
-	// The release log is the documents RegisterWrapper wrote, in order.
+	return sys, nil
+}
+
+// restoreReleases rebuilds the release log from the documents
+// RegisterWrapper wrote, in order, and reconciles it with the source
+// graph: RegisterWrapper commits the wrapper's triples first and writes
+// the document second, so after a crash the graph can be one wrapper
+// ahead of the documents but never behind them.
+func (s *System) restoreReleases() error {
 	var log []Release
-	for _, doc := range meta.Find("releases", nil) {
+	logged := map[string]bool{}
+	for _, doc := range s.meta.Find("releases", nil) {
 		rel, err := releaseFromDoc(doc)
 		if err != nil {
-			ts.Close()
-			return nil, err
+			return err
 		}
+		if _, ok := s.ont.SourceOfWrapper(rel.Wrapper); !ok {
+			return fmt.Errorf("mdm: release #%d (%s/%s) is in the release log but the ontology store does not hold its wrapper: the two stores disagree", rel.Seq, rel.SourceID, rel.Wrapper)
+		}
+		logged[rel.Wrapper] = true
 		log = append(log, rel)
 	}
-	sys.releases.Restore(log)
-	return sys, nil
+	for _, w := range s.ont.Source().Subjects(rdf.IRI(rdf.RDFType), bdi.ClassWrapper) {
+		name, ok := bdi.WrapperName(w)
+		if !ok || logged[name] {
+			continue
+		}
+		rel := Release{Seq: len(log) + 1, Kind: release.NewSource, Wrapper: name, Recovered: true, At: time.Now()}
+		if src, ok := s.ont.SourceOfWrapper(name); ok {
+			rel.SourceID, _ = bdi.SourceID(src)
+		}
+		for _, earlier := range log {
+			if earlier.SourceID == rel.SourceID {
+				rel.Kind, rel.Supersedes = release.NewVersion, earlier.Wrapper
+			}
+		}
+		sig := schema.Signature{Wrapper: name}
+		for _, a := range s.ont.AttributesOf(name) {
+			if attr, ok := s.ont.AttributeName(a); ok {
+				sig.Attributes = append(sig.Attributes, schema.Attribute{Name: attr})
+			}
+		}
+		rel.Signature = sig.String()
+		if _, err := s.meta.Insert("releases", releaseDoc(rel)); err != nil {
+			return fmt.Errorf("mdm: recover the release of wrapper %s: %w", name, err)
+		}
+		obsRecovered.Inc()
+		log = append(log, rel)
+	}
+	s.releases.Restore(log)
+	return nil
 }
 
 // releaseDoc is the metadata-store form of a release-log entry;
@@ -188,12 +245,16 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 // the body of a saved walk.
 func releaseDoc(rel Release) store.Doc {
 	changes, _ := json.Marshal(rel.Changes) // plain strings: cannot fail
-	return store.Doc{
+	doc := store.Doc{
 		"seq": int64(rel.Seq), "kind": string(rel.Kind), "source": rel.SourceID,
 		"wrapper": rel.Wrapper, "breaking": rel.Breaking, "signature": rel.Signature,
 		"supersedes": rel.Supersedes, "changes": string(changes),
 		"at": rel.At.Format(time.RFC3339Nano),
 	}
+	if rel.Recovered {
+		doc["recovered"] = true
+	}
+	return doc
 }
 
 // releaseFromDoc tolerates absent fields (documents written before the
@@ -207,6 +268,7 @@ func releaseFromDoc(doc store.Doc) (Release, error) {
 		Wrapper: str("wrapper"), Signature: str("signature"), Supersedes: str("supersedes"),
 	}
 	rel.Breaking, _ = doc["breaking"].(bool)
+	rel.Recovered, _ = doc["recovered"].(bool)
 	if blob := str("changes"); blob != "" {
 		if err := json.Unmarshal([]byte(blob), &rel.Changes); err != nil {
 			return Release{}, fmt.Errorf("mdm: corrupt release document #%d: changes: %w", rel.Seq, err)
@@ -222,18 +284,19 @@ func releaseFromDoc(doc store.Doc) (Release, error) {
 	return rel, nil
 }
 
-// CompactStorage forces a full storage compaction now: the live dataset
-// is rewritten into a single segment against a fresh dictionary
-// (dropping terms only dead history referenced), the WAL is truncated,
-// and readers move to the new storage epoch. Facade writes go through
-// the ontology, not the WAL, so the sealed segment is their durability
-// point. In-memory systems no-op. This is the operation behind
-// `mdmctl compact`.
+// CompactStorage runs storage maintenance now (tdb.Store.Maintain): the
+// WAL tail is sealed as a delta segment, in time proportional to the
+// tail, and only when the segment chain, the dictionary or the tail has
+// grown enough is the whole dataset rewritten into one segment against a
+// fresh dictionary, moving readers to a new storage epoch. It is not a
+// durability point — acknowledged writes are on the WAL already — it
+// bounds the next open. In-memory systems no-op. This is the operation
+// behind `mdmctl compact`; use Storage().Compact() to force the rewrite.
 func (s *System) CompactStorage() error {
 	if s.tdbStore == nil {
 		return nil
 	}
-	return s.tdbStore.Compact()
+	return s.tdbStore.Maintain()
 }
 
 // Storage exposes the underlying tdb store of a persistent system (nil
@@ -241,13 +304,14 @@ func (s *System) CompactStorage() error {
 // pinning, WAL counters, manual checkpoints.
 func (s *System) Storage() *tdb.Store { return s.tdbStore }
 
-// Close checkpoints and releases a persistent system's resources. It is
-// a no-op for in-memory systems.
+// Close checkpoints (CompactStorage: a system that wrote nothing since
+// the last seal writes nothing now) and releases a persistent system's
+// resources. It is a no-op for in-memory systems.
 func (s *System) Close() error {
 	if s.tdbStore == nil {
 		return nil
 	}
-	if err := s.tdbStore.Compact(); err != nil {
+	if err := s.tdbStore.Maintain(); err != nil {
 		s.tdbStore.Close()
 		return err
 	}
@@ -279,9 +343,14 @@ func (s *System) Federation() *federate.Engine { return s.fed }
 
 // --- Prefixes and IRIs ---
 
-// BindPrefix registers a namespace prefix for CURIE expansion.
-func (s *System) BindPrefix(prefix, namespace string) {
+// BindPrefix registers a namespace prefix for CURIE expansion. Only a
+// persistent system can fail (the binding is logged like any mutation).
+func (s *System) BindPrefix(prefix, namespace string) error {
+	if s.tdbStore != nil {
+		return s.tdbStore.BindPrefix(prefix, namespace)
+	}
 	s.ont.Dataset().Prefixes().Bind(prefix, namespace)
+	return nil
 }
 
 // IRI resolves a CURIE ("ex:Player") or absolute IRI to a Term.
@@ -338,13 +407,20 @@ func (s *System) AddSource(sourceID, label string) error {
 // snapshot, circuit-breaker record, serve-stale fallback — is dropped,
 // so a re-registered (renamed back / repointed) wrapper is fetched
 // fresh rather than served its predecessor's rows.
+//
+// On a persistent system the source-graph triples are committed to the
+// WAL first and the release document is written second; a release whose
+// document could not be written is not acknowledged, and the next open
+// repairs the log (see OpenWith).
 func (s *System) RegisterWrapper(w Wrapper) (Release, error) {
 	rel, err := s.releases.Register(w)
 	if err != nil {
 		return Release{}, err
 	}
 	s.fed.Forget(w.Name())
-	_, _ = s.meta.Insert("releases", releaseDoc(rel))
+	if _, err := s.meta.Insert("releases", releaseDoc(rel)); err != nil {
+		return Release{}, fmt.Errorf("mdm: record release #%d of %s: %w", rel.Seq, rel.Wrapper, err)
+	}
 	return rel, nil
 }
 

@@ -623,7 +623,7 @@ func TestSPARQLPagePinsSnapshotAcrossCompaction(t *testing.T) {
 	}
 	// Compact while the cursor is open: it must keep draining its
 	// pinned pre-compaction epoch, which stays retired until released.
-	if err := sys.CompactStorage(); err != nil {
+	if err := sys.Storage().Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Storage().RetiredEpochs(); got != 1 {
@@ -761,7 +761,7 @@ SELECT ?anc WHERE { GRAPH ?g { ex:V8 rdfs:subClassOf+ ?anc } }`, -1, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.CompactStorage(); err != nil {
+	if err := sys.Storage().Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Storage().RetiredEpochs(); got != 1 {
