@@ -240,6 +240,20 @@ func BenchmarkRewriteConceptsSweep(b *testing.B) {
 
 // --- S3: federated execution vs row count ---
 
+// runPlan executes plan the way the server does — the federate engine's
+// scatter, then the streaming pipeline drained into a relation.
+func runPlan(b *testing.B, eng *federate.Engine, plan relalg.Plan) *relalg.Relation {
+	cur, err := eng.Run(context.Background(), plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rel, err := cur.Materialize(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return rel
+}
+
 func BenchmarkExecuteRowsSweep(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		f := usecase.MustNew()
@@ -249,14 +263,10 @@ func BenchmarkExecuteRowsSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ctx := context.Background()
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			eng := federate.NewEngine()
 			for i := 0; i < b.N; i++ {
-				rel, err := res.Plan.Execute(ctx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rel.Len() == 0 {
+				if runPlan(b, eng, res.Plan).Len() == 0 {
 					b.Fatal("empty result")
 				}
 			}
@@ -301,22 +311,17 @@ func BenchmarkOptimizerAblation(b *testing.B) {
 			relalg.NewRename(relalg.NewScan(w2), [][2]string{{"name", "teamName"}}),
 			[][2]string{{"teamId", "id"}}),
 		"teamName", "pName"))
-	opt := relalg.Optimize(raw)
-	ctx := context.Background()
-	b.Run("unoptimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := raw.Execute(ctx); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		plan relalg.Plan
+	}{{"unoptimized", raw}, {"optimized", relalg.Optimize(raw)}} {
+		b.Run(c.name, func(b *testing.B) {
+			eng := federate.NewEngine()
+			for i := 0; i < b.N; i++ {
+				runPlan(b, eng, c.plan)
 			}
-		}
-	})
-	b.Run("optimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := opt.Execute(ctx); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }
 
 // --- Substrate microbenches ---
@@ -454,51 +459,6 @@ func BenchmarkSPARQLLimitPushdown(b *testing.B) {
 	}
 }
 
-// BenchmarkSPARQLPlanCache pins the per-query plan cache: re-evaluating
-// a shared *Query against an unchanged dataset reuses its compiled plan
-// (selectivity ordering, join choice, constant resolution), while a
-// freshly parsed query pays parsing plus planning every time. The gap
-// is what callers that hold on to parsed queries (saved walks, REST
-// handlers with hot queries) save per evaluation.
-func BenchmarkSPARQLPlanCache(b *testing.B) {
-	f := usecase.MustNew()
-	ds := f.Ont.Dataset()
-	src := `
-PREFIX G: <http://www.essi.upc.edu/~snadal/BDIOntology/Global/>
-PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-SELECT ?c ?f WHERE {
-  GRAPH <http://www.essi.upc.edu/~snadal/BDIOntology/Global/graph> {
-    ?c rdf:type G:Concept .
-    ?c G:hasFeature ?f .
-  }
-}`
-	b.Run("shared-query", func(b *testing.B) {
-		q := sparql.MustParse(src)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sparql.Eval(ds, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Len() == 0 {
-				b.Fatal("no solutions")
-			}
-		}
-	})
-	b.Run("fresh-query", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sparql.Run(ds, src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Len() == 0 {
-				b.Fatal("no solutions")
-			}
-		}
-	})
-}
-
 func BenchmarkSchemaExtraction(b *testing.B) {
 	xmlPayload := []byte(`<teams>
   <team><id>25</id><name>FC Barcelona</name><shortName>FCB</shortName></team>
@@ -616,16 +576,8 @@ func BenchmarkWalkFederation(b *testing.B) {
 	b.Run("federated", func(b *testing.B) {
 		eng := federate.NewEngine()
 		for i := 0; i < b.N; i++ {
-			cur, err := eng.Run(ctx, plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rel, err := cur.Materialize(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rel.Len() != rows {
-				b.Fatalf("rows = %d", rel.Len())
+			if n := runPlan(b, eng, plan).Len(); n != rows {
+				b.Fatalf("rows = %d", n)
 			}
 		}
 	})
@@ -637,16 +589,8 @@ func BenchmarkWalkFederation(b *testing.B) {
 		eng.Retry.Max = 0
 		eng.Breakers = nil
 		for i := 0; i < b.N; i++ {
-			cur, err := eng.Run(ctx, plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rel, err := cur.Materialize(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rel.Len() != rows {
-				b.Fatalf("rows = %d", rel.Len())
+			if n := runPlan(b, eng, plan).Len(); n != rows {
+				b.Fatalf("rows = %d", n)
 			}
 		}
 	})

@@ -23,6 +23,8 @@ import (
 
 	"mdm"
 	"mdm/internal/apisim"
+	"mdm/internal/federate"
+	"mdm/internal/relalg"
 	"mdm/internal/rewrite"
 	"mdm/internal/rewrite/gav"
 	"mdm/internal/usecase"
@@ -440,7 +442,7 @@ func runS4(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	lavRel, err := lavRes.Plan.Execute(ctx)
+	lavRel, err := execute(ctx, lavRes.Plan)
 	if err != nil {
 		return err
 	}
@@ -448,7 +450,7 @@ func runS4(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	gavRel, err := gavPlan.Execute(ctx)
+	gavRel, err := execute(ctx, gavPlan)
 	if err != nil {
 		return err
 	}
@@ -478,13 +480,23 @@ func runS4(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	lavRel2, err := lavRes2.Plan.Execute(ctx)
+	lavRel2, err := execute(ctx, lavRes2.Plan)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("  LAV: query answers from %d schema versions, rows=%d\n",
 		len(lavRes2.CQs), lavRel2.Len())
 	return nil
+}
+
+// execute runs a plan the way the server does: through the federate
+// engine, materialized.
+func execute(ctx context.Context, plan relalg.Plan) (*relalg.Relation, error) {
+	cur, err := federate.NewEngine().Run(ctx, plan)
+	if err != nil {
+		return nil, err
+	}
+	return cur.Materialize(ctx)
 }
 
 // --- synthetic fixtures live in internal/usecase (shared with the

@@ -20,7 +20,7 @@ type SlowEntry struct {
 	Status     int                `json:"status,omitempty"`
 	StagesMS   map[string]float64 `json:"stages_ms,omitempty"`
 	Plan       string             `json:"plan,omitempty"`
-	Attrs      map[string]string  `json:"attrs,omitempty"` // the trace's annotations: plan_cache, rewrite_cache, ...
+	Attrs      map[string]string  `json:"attrs,omitempty"` // the trace's annotations: rewrite_cache, rows, ...
 	Rows       int64              `json:"rows"`
 	Partial    bool               `json:"partial,omitempty"`
 	Missing    []MissingSource    `json:"missing,omitempty"`

@@ -139,7 +139,7 @@ func (t *Trace) SetPlan(p string) {
 	t.mu.Unlock()
 }
 
-// SetAttr records a freeform key/value annotation (plan_cache: hit,
+// SetAttr records a freeform key/value annotation (rewrite_cache: hit,
 // partial: true, ...).
 func (t *Trace) SetAttr(k, v string) {
 	if t == nil {

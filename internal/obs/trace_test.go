@@ -69,7 +69,7 @@ func TestReportShape(t *testing.T) {
 	tr.StageDur("parse", 2*time.Millisecond)
 	tr.StageDur("plan", time.Millisecond)
 	tr.SetPlan("hash-join(t1,t2)")
-	tr.SetAttr("plan_cache", "miss")
+	tr.SetAttr("rewrite_cache", "miss")
 	tr.AddSource(SourceSpan{Source: "players", Rows: 10, Dur: 3 * time.Millisecond, Outcome: "ok"})
 	raw, err := json.Marshal(tr.Report())
 	if err != nil {

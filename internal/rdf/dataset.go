@@ -48,11 +48,9 @@ func (d *Dataset) Dict() *Dict { return d.dict }
 // attached or dropped, or the default graph is replaced. Triple-level
 // writes inside an existing graph do not change it.
 //
-// Consumers that compile dataset state into reusable artifacts (the
-// SPARQL plan cache) revalidate against (Version, Dict().Len()): any
-// structural change bumps Version, and any newly interned term — the
-// only way a previously unknown constant can start matching — grows the
-// dictionary.
+// Consumers that keep something derived from dataset state (the walk
+// rewriter's result cache) revalidate against it together with Writes:
+// any structural change bumps Version.
 func (d *Dataset) Version() uint64 { return d.version.Load() }
 
 // Writes returns the number of successful triple-level writes (adds and
@@ -212,8 +210,8 @@ func (d *Dataset) Clone() *Dataset {
 // contains only terms still referenced by live triples or graph names —
 // the dictionary-GC primitive behind tdb's storage compaction. TermIDs
 // are NOT preserved: every live term is re-interned in first-seen scan
-// order, so consumers keyed on (dataset identity, Version, Dict.Len) —
-// the SPARQL plan cache — treat the result as a brand-new dataset.
+// order, so consumers keyed on dataset identity — the walk rewriter's
+// result cache — treat the result as a brand-new dataset.
 //
 // The prefix registry is SHARED with the receiver, not cloned: when the
 // compactor swaps a compacted dataset in for the live one, prefix binds

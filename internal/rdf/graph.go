@@ -52,12 +52,22 @@ const midSpill = 16
 // caller to store back.
 type idMid struct {
 	small []bc
-	big   map[TermID]idSet
+	big   *midMap
+}
+
+// midMap is a spilled idMid. n is the pair count over every set of m,
+// kept by add and remove so that Count on a one-bound pattern reads a
+// field instead of walking m (the SPARQL planner asks once per triple
+// pattern per request). It sits behind the pointer so that the 32-byte
+// idMid, of which an index holds one per first-level key, does not grow.
+type midMap struct {
+	n int
+	m map[TermID]idSet
 }
 
 func (m idMid) has(b, c TermID) bool {
 	if m.big != nil {
-		return m.big[b].has(c)
+		return m.big.m[b].has(c)
 	}
 	for _, p := range m.small {
 		if p.b == b && p.c == c {
@@ -68,18 +78,14 @@ func (m idMid) has(b, c TermID) bool {
 }
 
 func (m idMid) empty() bool {
-	return len(m.small) == 0 && len(m.big) == 0
+	return m.totalLen() == 0
 }
 
 // totalLen returns the number of pairs (triples under this first-level
 // key).
 func (m idMid) totalLen() int {
 	if m.big != nil {
-		n := 0
-		for _, s := range m.big {
-			n += s.len()
-		}
-		return n
+		return m.big.n
 	}
 	return len(m.small)
 }
@@ -87,7 +93,7 @@ func (m idMid) totalLen() int {
 // setLen returns the size of the third-level set under b.
 func (m idMid) setLen(b TermID) int {
 	if m.big != nil {
-		return m.big[b].len()
+		return m.big.m[b].len()
 	}
 	n := 0
 	for _, p := range m.small {
@@ -101,7 +107,7 @@ func (m idMid) setLen(b TermID) int {
 // distinctB returns the number of distinct second-level IDs.
 func (m idMid) distinctB() int {
 	if m.big != nil {
-		return len(m.big)
+		return len(m.big.m)
 	}
 	n := 0
 	for i, p := range m.small {
@@ -121,9 +127,10 @@ func (m idMid) distinctB() int {
 
 func (m idMid) add(b, c TermID) (idMid, bool) {
 	if m.big != nil {
-		s, added := m.big[b].add(c)
+		s, added := m.big.m[b].add(c)
 		if added {
-			m.big[b] = s
+			m.big.m[b] = s
+			m.big.n++
 		}
 		return m, added
 	}
@@ -140,7 +147,7 @@ func (m idMid) add(b, c TermID) (idMid, bool) {
 		}
 		s, _ := big[b].add(c)
 		big[b] = s
-		return idMid{big: big}, true
+		return idMid{big: &midMap{n: len(m.small) + 1, m: big}}, true
 	}
 	m.small = append(m.small, bc{b, c})
 	return m, true
@@ -148,15 +155,16 @@ func (m idMid) add(b, c TermID) (idMid, bool) {
 
 func (m idMid) remove(b, c TermID) (idMid, bool) {
 	if m.big != nil {
-		s, removed := m.big[b].remove(c)
+		s, removed := m.big.m[b].remove(c)
 		if !removed {
 			return m, false
 		}
 		if s.len() == 0 {
-			delete(m.big, b)
+			delete(m.big.m, b)
 		} else {
-			m.big[b] = s
+			m.big.m[b] = s
 		}
+		m.big.n--
 		return m, true
 	}
 	for i, p := range m.small {
@@ -174,7 +182,7 @@ func (m idMid) remove(b, c TermID) (idMid, bool) {
 func (m idMid) items() iter.Seq2[TermID, TermID] {
 	return func(yield func(TermID, TermID) bool) {
 		if m.big != nil {
-			for b, s := range m.big {
+			for b, s := range m.big.m {
 				for c := range s.items() {
 					if !yield(b, c) {
 						return
@@ -191,12 +199,16 @@ func (m idMid) items() iter.Seq2[TermID, TermID] {
 	}
 }
 
-// setItems iterates the third-level set under b.
+// setItems iterates the third-level set under b. It returns one closure
+// for both representations: with two, a range over the result is a call
+// through an unknown function value, and the loop body, everything it
+// captures and the iterator itself move to the heap.
 func (m idMid) setItems(b TermID) iter.Seq[TermID] {
-	if m.big != nil {
-		return m.big[b].items()
-	}
 	return func(yield func(TermID) bool) {
+		if m.big != nil {
+			m.big.m[b].items()(yield)
+			return
+		}
 		for _, p := range m.small {
 			if p.b == b && !yield(p.c) {
 				return
@@ -207,11 +219,11 @@ func (m idMid) setItems(b TermID) iter.Seq[TermID] {
 
 func (m idMid) clone() idMid {
 	if m.big != nil {
-		big := make(map[TermID]idSet, len(m.big))
-		for b, s := range m.big {
+		big := make(map[TermID]idSet, len(m.big.m))
+		for b, s := range m.big.m {
 			big[b] = s.clone()
 		}
-		return idMid{big: big}
+		return idMid{big: &midMap{n: m.big.n, m: big}}
 	}
 	if m.small == nil {
 		return idMid{}
@@ -839,7 +851,7 @@ func (g *Graph) eachMatchIDsLocked(s, p, o TermID, fn func(s, p, o TermID) bool)
 }
 
 // countIDsLocked computes the match cardinality from index map lengths
-// without materializing triples.
+// and the pair count each spilled idMid keeps, without visiting triples.
 func (g *Graph) countIDsLocked(s, p, o TermID) int {
 	sAny, pAny, oAny := s == AnyID, p == AnyID, o == AnyID
 	switch {
@@ -918,8 +930,9 @@ func (g *Graph) MatchFirst(s, p, o Term) (Triple, bool) {
 	return best, found
 }
 
-// Count returns the number of triples matching the pattern. It is
-// computed from index map lengths and allocates nothing.
+// Count returns the number of triples matching the pattern. It reads
+// index map lengths and kept counts (at most one scan of a pair list of
+// midSpill entries), never iterates a map, and allocates nothing.
 func (g *Graph) Count(s, p, o Term) int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()

@@ -2,9 +2,11 @@ package rdf
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func mkTriple(i int) Triple {
@@ -500,5 +502,105 @@ func TestBulkAddIDsMatchesAddIDs(t *testing.T) {
 	// Re-adding the whole batch must add nothing.
 	if again := bulk.BulkAddIDs(ids); again != 0 {
 		t.Fatalf("re-adding batch added %d", again)
+	}
+}
+
+// TestCountMatchesRecountAroundSpill drives a random mix of Add, Remove,
+// BulkAddIDs and Clone over a term domain small enough that every
+// first-level key of every index keeps crossing midSpill in both
+// directions, and checks CountIDs on all seven bound/unbound shapes (and
+// the fully unbound one) against a recount by EachMatchIDs. The pair
+// count a spilled idMid carries has no other check: a drift would only
+// skew the planner's estimates.
+func TestCountMatchesRecountAroundSpill(t *testing.T) {
+	const dom = 6 // dom*dom = 36 pairs under a key, midSpill = 16
+	r := rand.New(rand.NewSource(1))
+	g := NewGraph()
+	var ids [3][dom]TermID
+	var terms [3][dom]Term
+	for pos, kind := range []string{"s", "p", "o"} {
+		for i := range dom {
+			terms[pos][i] = IRI(fmt.Sprintf("http://ex.org/%s%d", kind, i))
+			ids[pos][i] = g.Dict().Intern(terms[pos][i])
+		}
+	}
+	pick := func() [3]int { return [3]int{r.Intn(dom), r.Intn(dom), r.Intn(dom)} }
+	idsOf := func(k [3]int) [3]TermID { return [3]TermID{ids[0][k[0]], ids[1][k[1]], ids[2][k[2]]} }
+	check := func(g *Graph, step int) {
+		t.Helper()
+		// Index dom stands for the wildcard at that position.
+		for s := 0; s <= dom; s++ {
+			for p := 0; p <= dom; p++ {
+				for o := 0; o <= dom; o++ {
+					pat := [3]TermID{AnyID, AnyID, AnyID}
+					for pos, i := range [3]int{s, p, o} {
+						if i < dom {
+							pat[pos] = ids[pos][i]
+						}
+					}
+					want := 0
+					g.EachMatchIDs(pat[0], pat[1], pat[2], func(_, _, _ TermID) bool { want++; return true })
+					if got := g.CountIDs(pat[0], pat[1], pat[2]); got != want {
+						t.Fatalf("step %d: CountIDs(%v) = %d, recount %d", step, pat, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	var parent *Graph // the graph g was last cloned from, mutated no further
+	parentLen := 0
+	for step := range 3000 {
+		// The remove share swings so occupancy sweeps across midSpill.
+		removeShare := 30 + 40*((step/300)%2)
+		switch op := r.Intn(100); {
+		case op < removeShare:
+			k := pick()
+			g.Remove(T(terms[0][k[0]], terms[1][k[1]], terms[2][k[2]]))
+		case op < 94:
+			k := pick()
+			g.MustAdd(T(terms[0][k[0]], terms[1][k[1]], terms[2][k[2]]))
+		case op < 98:
+			batch := make([][3]TermID, 1+r.Intn(40))
+			for i := range batch {
+				batch[i] = idsOf(pick())
+			}
+			g.BulkAddIDs(batch)
+		default:
+			parent, parentLen = g, g.Len()
+			g = g.Clone()
+		}
+		if step%25 == 0 {
+			check(g, step)
+			if parent != nil {
+				if parent.Len() != parentLen {
+					t.Fatalf("step %d: clone's writes reached its parent: Len %d, was %d", step, parent.Len(), parentLen)
+				}
+				check(parent, step)
+			}
+		}
+	}
+	check(g, 3000)
+}
+
+// TestCountOneBoundReadsNoMap pins the cost class of Count on a spilled
+// key: with the second-level map of a 10 000-object predicate taken
+// away, Count(?, p, ?) still answers, so it reads the counter and
+// neither iterates nor measures the map. (The SPARQL planner calls it
+// once per triple pattern; the walk it replaced was most of a plan.)
+func TestCountOneBoundReadsNoMap(t *testing.T) {
+	if got := unsafe.Sizeof(idMid{}); got != 32 {
+		t.Fatalf("sizeof(idMid) = %d, want 32: the pair count must not grow the per-key value", got)
+	}
+	g := NewGraph()
+	p := IRI("http://ex.org/p")
+	const n = 10000
+	for i := range n {
+		g.MustAdd(T(IRI(fmt.Sprintf("http://ex.org/s%d", i%100)), p, IntLit(int64(i))))
+	}
+	pid := mustID(t, g, p)
+	g.pos[pid].big.m = nil
+	if got := g.CountIDs(AnyID, pid, AnyID); got != n {
+		t.Fatalf("CountIDs(?, p, ?) without the map = %d, want %d", got, n)
 	}
 }

@@ -23,7 +23,10 @@ type RowSource interface {
 type Plan interface {
 	// Columns is the output schema of the operator.
 	Columns() []string
-	// Execute materializes the operator's result.
+	// Execute materializes the operator's result. It is the reference
+	// executor for the oracle harnesses: federate's streaming pipeline
+	// is what serves (and what the benchmarks time), and its tests hold
+	// it equal to this one; nothing outside _test.go files calls it.
 	Execute(ctx context.Context) (*Relation, error)
 	// Algebra renders the subtree as a compact algebra expression using
 	// π, σ, ⋈, ∪, ρ, δ — the notation MDM shows analysts (Figure 8).

@@ -6,9 +6,11 @@
 // In the original MDM, data fetched by wrappers was loaded into temporary
 // SQLite tables and the rewritten query was executed as federated SQL.
 // This package plays that role: the query rewriting algorithm emits a
-// relalg.Plan over wrapper-backed Scan nodes, and Execute materializes
-// the answer. Plans also render as algebra expressions (π, σ, ⋈, ∪, ρ, δ)
-// so the demo can display them exactly as Figure 8 of the paper does.
+// relalg.Plan over wrapper-backed Scan nodes, which internal/federate
+// streams; Execute, the tree-walking executor here, is the reference
+// its tests compare against. Plans also render as algebra expressions
+// (π, σ, ⋈, ∪, ρ, δ) so the demo can display them exactly as Figure 8
+// of the paper does.
 package relalg
 
 import (

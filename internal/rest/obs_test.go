@@ -60,7 +60,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE mdm_http_request_duration_seconds histogram",
 		"# TYPE mdm_http_in_flight gauge",
 		"mdm_sparql_stage_duration_seconds_count",
-		"mdm_sparql_plan_cache_total",
 		"mdm_federate_source_cache_hits_total",
 		"# TYPE mdm_federate_breaker_opened_total counter",
 		"# TYPE mdm_federate_breaker_state gauge",

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"mdm/internal/rdf"
 )
@@ -45,20 +44,6 @@ type Query struct {
 	// is computed once and is safe to share across goroutines.
 	layoutOnce sync.Once
 	slots      *slotLayout
-
-	// plan caches the compiled WHERE plan for the dataset the query was
-	// last evaluated against, revalidated per evaluation against the
-	// dataset's structural version and dictionary length (see
-	// evaluator.plan in cursor.go). Plans are immutable after planning,
-	// so a cached plan is safe to share across goroutines.
-	//
-	// Retention: the cached plan references the graphs it was planned
-	// against, so a long-lived Query that is never re-evaluated keeps
-	// its last dataset's indexes reachable. The entry is replaced on
-	// the next evaluation (against any dataset); callers that retire a
-	// dataset while holding parsed queries indefinitely should drop or
-	// re-run those queries to release it.
-	plan atomic.Pointer[cachedPlan]
 }
 
 // layout returns the query's compiled variable-slot layout.

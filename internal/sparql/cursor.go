@@ -43,10 +43,8 @@ import (
 // nested loop that probes the graph index once per input row, or
 // hashJoinIter, which batches the pattern's full match set under a
 // single lock into an ID-keyed hash table and probes it per row.
-// Compiled plans are cached on the Query and revalidated per
-// evaluation against the dataset's structural version and dictionary
-// length (evaluator.plan). The planner's contract — estimates, the
-// cost model, cache invalidation — is documented in
+// A plan is compiled per evaluation (evaluator.plan). The planner's
+// contract — estimates and the cost model — is documented in
 // docs/QUERY_PLANNING.md.
 
 // rowIter is one operator of a compiled pipeline. next returns the next
@@ -366,50 +364,12 @@ type inlineGroupPlan struct{ sub *groupPlan }
 
 func (*inlineGroupPlan) patternPlan() {}
 
-// cachedPlan is one compiled WHERE plan together with the dataset state
-// it was compiled against; it lives on the Query (see Query.plan).
-type cachedPlan struct {
-	ds      *rdf.Dataset
-	version uint64
-	dictLen int
-	mode    int32
-	root    *groupPlan
-	summary string // one-line plan shape for EXPLAIN / slow-query log
-}
-
-// plan returns the compiled plan for q against e's dataset, reusing the
-// query's cached plan when it is still valid. A plan bakes in pattern
-// order, join algorithms, resolved constant IDs and the named-graph
-// set, so it is revalidated against Dataset.Version (any graph-set
-// change) and Dict.Len (interning a new term is the only way a
-// previously dead constant can start matching). Triple-level writes
-// that intern no new term leave a cached plan valid: the selectivity
-// estimates behind pattern order and join choice may go stale — a
-// performance matter only — while matching itself always runs against
-// the live indexes.
-// Revalidation under concurrent interning is benign by construction:
-// Version is an atomic counter, Dict.Len takes the dictionary's read
-// lock, and both are read *before* planning. A writer interning a new
-// term between those reads and the Store caches a plan stamped with the
-// pre-intern dictLen, so the very next evaluation observes a larger
-// Dict.Len and recompiles — the stale plan can be used at most for the
-// evaluation that compiled it, which is exactly the non-snapshot
-// semantics every evaluation already has (matching runs against live
-// indexes either way).
+// plan compiles q's WHERE clause against e's dataset: pattern order, join
+// algorithms, resolved constant IDs and the named-graph set as they are
+// now. Every evaluation plans afresh — a plan is a few Count reads per
+// triple pattern, microseconds (docs/QUERY_PLANNING.md, Planning cost) —
+// so a plan never outlives the dataset state it was made for.
 func (e *evaluator) plan(q *Query) (*groupPlan, error) {
-	mode := joinMode
-	ver := e.ds.Version()
-	dictLen := e.dict.Len()
-	if c := q.plan.Load(); c != nil && c.ds == e.ds && c.version == ver &&
-		c.dictLen == dictLen && c.mode == mode {
-		obsPlanCacheHit.Inc()
-		if tr := e.trace; tr != nil {
-			tr.SetAttr("plan_cache", "hit")
-			tr.SetPlan(c.summary)
-		}
-		return c.root, nil
-	}
-	obsPlanCacheMiss.Inc()
 	pc := &planCtx{rows: 1, bound: make([]bool, len(e.lay.names))}
 	root, err := e.planGroup(q.Where, e.ds.Default(), pc)
 	if err != nil {
@@ -418,12 +378,9 @@ func (e *evaluator) plan(q *Query) (*groupPlan, error) {
 	var cnt planCounts
 	cnt.group(root)
 	countJoinStrategies(cnt)
-	summary := cnt.summary()
 	if tr := e.trace; tr != nil {
-		tr.SetAttr("plan_cache", "miss")
-		tr.SetPlan(summary)
+		tr.SetPlan(cnt.summary())
 	}
-	q.plan.Store(&cachedPlan{ds: e.ds, version: ver, dictLen: dictLen, mode: mode, root: root, summary: summary})
 	return root, nil
 }
 
@@ -1385,10 +1342,10 @@ func EvalCursor(ds *rdf.Dataset, q *Query) (*Cursor, error) {
 }
 
 // EvalCursorTrace is EvalCursor with a query trace attached: the
-// planner annotates tr (plan summary, cache hit/miss, plan stage
-// duration), the cursor records the execute stage when it finishes, and
-// when tr.Detail is set every operator is wrapped in a span for EXPLAIN
-// output. tr may be nil, which is exactly EvalCursor.
+// planner annotates tr (plan summary, plan stage duration), the cursor
+// records the execute stage when it finishes, and when tr.Detail is set
+// every operator is wrapped in a span for EXPLAIN output. tr may be nil,
+// which is exactly EvalCursor.
 func EvalCursorTrace(ds *rdf.Dataset, q *Query, tr *obs.Trace) (*Cursor, error) {
 	lay := q.layout()
 	e := &evaluator{ds: ds, dict: ds.Dict(), lay: lay, ctx: context.Background(), trace: tr}

@@ -227,7 +227,6 @@ func TestOffsetOverflowClamped(t *testing.T) {
 	ds, q := joinFixture()
 	for _, offset := range []int{math.MaxInt, math.MaxInt - 1, math.MaxInt64 - 100} {
 		q.Limit, q.Offset = 1, offset
-		q.plan.Store(nil)
 		res, err := Eval(ds, q)
 		if err != nil {
 			t.Fatalf("offset=%d: %v", offset, err)
@@ -238,7 +237,6 @@ func TestOffsetOverflowClamped(t *testing.T) {
 	}
 	// The boundary that still fits must keep working as a normal page.
 	q.Limit, q.Offset = 1, 8999
-	q.plan.Store(nil)
 	res, err := Eval(ds, q)
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +248,8 @@ func TestOffsetOverflowClamped(t *testing.T) {
 
 // TestLimitPushdownAllocs pins the O(page) cost of a LIMIT over the
 // 9k-row join with default settings: the bounded top-k keeps 10 rows, so
-// an evaluation allocates the hash-join build sides and little else. A
+// an evaluation allocates its plan (some 15 of the count: every
+// evaluation plans), the hash-join build sides and little else. A
 // stage that batches the join output ahead of the top-k shows up here
 // as hundreds of allocations. Mallocs are read from MemStats rather
 // than testing.AllocsPerRun because the latter pins GOMAXPROCS to 1,
@@ -267,7 +266,7 @@ func TestLimitPushdownAllocs(t *testing.T) {
 			t.Fatalf("rows = %d, want 10", res.Len())
 		}
 	}
-	eval() // compile and cache the plan
+	eval() // compile the slot layout, warm the pools
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -275,8 +274,8 @@ func TestLimitPushdownAllocs(t *testing.T) {
 		eval()
 	}
 	runtime.ReadMemStats(&after)
-	if allocs := (after.Mallocs - before.Mallocs) / runs; allocs > 70 {
-		t.Fatalf("LIMIT 10 over the 9k-row join: %d allocs per evaluation, want <= 70", allocs)
+	if allocs := (after.Mallocs - before.Mallocs) / runs; allocs > 90 {
+		t.Fatalf("LIMIT 10 over the 9k-row join: %d allocs per evaluation, want <= 90", allocs)
 	}
 }
 

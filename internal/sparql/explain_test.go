@@ -116,26 +116,15 @@ func TestUntracedPathUnwrapped(t *testing.T) {
 	}
 }
 
-// TestPlanSummaryShape sanity-checks the plan summary string recorded
-// on compile and replayed on cache hits.
+// TestPlanSummaryShape sanity-checks the plan summary string a traced
+// evaluation records.
 func TestPlanSummaryShape(t *testing.T) {
 	ds, q := joinFixture()
 	tr := obs.NewTrace()
 	if _, err := EvalCursorTrace(ds, q, tr); err != nil {
 		t.Fatal(err)
 	}
-	first := tr.Plan()
-	if first == "" || first == "empty" {
-		t.Fatalf("plan summary = %q", first)
-	}
-	tr2 := obs.NewTrace()
-	if _, err := EvalCursorTrace(ds, q, tr2); err != nil {
-		t.Fatal(err)
-	}
-	if tr2.Plan() != first {
-		t.Errorf("cache-hit summary %q != compile summary %q", tr2.Plan(), first)
-	}
-	if got := tr2.Report().Attrs["plan_cache"]; got != "hit" {
-		t.Errorf("second evaluation plan_cache = %q, want hit", got)
+	if got := tr.Plan(); got == "" || got == "empty" {
+		t.Fatalf("plan summary = %q", got)
 	}
 }

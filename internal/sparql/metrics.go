@@ -21,11 +21,6 @@ var (
 	obsStagePlan    = obsStageDur.With("plan")
 	obsStageExecute = obsStageDur.With("execute")
 
-	obsPlanCache = obs.Default.NewCounterVec("mdm_sparql_plan_cache_total",
-		"Plan-cache lookups by result.", "result")
-	obsPlanCacheHit  = obsPlanCache.With("hit")
-	obsPlanCacheMiss = obsPlanCache.With("miss")
-
 	obsJoinStrategy = obs.Default.NewCounterVec("mdm_sparql_join_strategy_total",
 		"Join algorithm chosen per planned triple pattern (counted at plan compile).", "strategy")
 	obsJoinNested = obsJoinStrategy.With("nested_loop")
@@ -78,9 +73,8 @@ func (e *evaluator) traced(it rowIter, key any, name, strategy string, src rowIt
 }
 
 // summary renders the counted plan shape as the one-line string
-// stored on the cached plan — stable across cache hits, cheap enough
-// to build once per compile, and carried into EXPLAIN reports and
-// slow-query log lines.
+// carried into EXPLAIN reports and slow-query log lines; it is built
+// only for a traced evaluation.
 func (c planCounts) summary() string {
 	var parts []string
 	add := func(n int, label string) {
@@ -144,9 +138,9 @@ func (c *planCounts) group(gp *groupPlan) {
 	}
 }
 
-// countJoinStrategies bumps the per-strategy counters for a freshly
-// compiled plan. Cache hits deliberately do not re-count: the metric
-// tracks planner decisions, and pairs with the plan-cache hit counter.
+// countJoinStrategies bumps the per-strategy counters for a compiled
+// plan: the metric tracks planner decisions, one per triple pattern per
+// evaluation.
 func countJoinStrategies(c planCounts) {
 	if c.nested+c.paths > 0 {
 		obsJoinNested.Add(float64(c.nested + c.paths))

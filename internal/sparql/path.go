@@ -85,10 +85,7 @@ func (*pathPlan) patternPlan() {}
 // planPath compiles one path pattern and updates the planner's running
 // estimates. Constant endpoints are interned, not just looked up: a
 // term the dictionary has never seen still satisfies zero-length p*
-// and p? paths, so it needs a live ID. (Interning during planning can
-// grow the dictionary past the length the plan was stamped with; the
-// next evaluation then replans once and re-interns idempotently, after
-// which the cache is stable — see docs/QUERY_PLANNING.md.)
+// and p? paths, so it needs a live ID.
 func (e *evaluator) planPath(pat PathPattern, g *rdf.Graph, pc *planCtx) *pathPlan {
 	p := &pathPlan{
 		g:   g,

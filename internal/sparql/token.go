@@ -78,14 +78,10 @@
 // small queries keep the nested loop while wide joins
 // (BenchmarkSPARQLJoinRows) switch to the hash join.
 //
-// Compiled plans are cached on the Query and revalidated per
-// evaluation against the dataset's identity, structural version
-// (rdf.Dataset.Version: the named-graph set) and dictionary length
-// (new terms are the only way a dead constant can revive). Triple
-// writes that intern no new term leave plans valid: estimates may go
-// stale — a performance matter — but matching always runs against live
-// indexes. The full decision rules, cost constants and the benchmark
-// behind each live in docs/QUERY_PLANNING.md.
+// A plan is compiled per evaluation, so the named-graph set it expanded
+// and the constants it found dead are as of that evaluation. The full
+// decision rules, cost constants and the benchmark behind each live in
+// docs/QUERY_PLANNING.md.
 //
 // # Oracle testing
 //

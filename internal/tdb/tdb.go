@@ -521,8 +521,7 @@ func (s *Store) AddTriple(t rdf.Triple) error {
 
 // RemoveQuad durably removes a quad, reporting whether it was present.
 // Removing from a named graph that does not exist is a no-op: it does
-// not create the graph (and so does not bump Dataset.Version or
-// invalidate plan caches).
+// not create the graph (and so does not bump Dataset.Version).
 func (s *Store) RemoveQuad(q rdf.Quad) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

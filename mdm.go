@@ -556,7 +556,7 @@ func (s *System) SPARQLPage(query string, limit, offset int) (*sparql.Cursor, er
 // The engine records the query's stages on tr (and in its
 // stage-duration histogram) as it runs them — parse, plan, and execute
 // when the cursor finishes — the planner annotates tr with the plan
-// summary and plan-cache outcome, and — when tr.Detail is set — every
+// summary, and — when tr.Detail is set — every
 // operator in the pipeline is wrapped with a per-operator span for
 // EXPLAIN output. A nil tr behaves exactly like SPARQLPage.
 func (s *System) SPARQLPageTrace(query string, limit, offset int, tr *obs.Trace) (*sparql.Cursor, error) {
