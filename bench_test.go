@@ -493,16 +493,24 @@ func BenchmarkSchemaExtraction(b *testing.B) {
 
 func BenchmarkWrapperFetch(b *testing.B) {
 	w := wrapper.NewMem("w1", "players-api", usecase.SyntheticPlayers(1000), nil)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rel, err := w.Fetch(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rel.Len() != 1000 {
-			b.Fatal("bad fetch")
-		}
+	// What the Fig. 8 walk reads of w1's seven columns.
+	narrow := relalg.WithColumns(context.Background(), []string{"pName", "teamId"})
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		cols int
+	}{{"full", context.Background(), 7}, {"narrow2of7", narrow, 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				rel, err := w.Fetch(c.ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rel.Len() != 1000 || len(rel.Cols) != c.cols {
+					b.Fatal("bad fetch")
+				}
+			}
+		})
 	}
 }
 

@@ -53,7 +53,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rel, err := c.Get(context.Background(), src, nil)
+			rel, err := c.Get(context.Background(), src, nil, nil)
 			if err == nil && rel.Len() != 1 {
 				err = errors.New("bad relation")
 			}
@@ -89,7 +89,7 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 
 	// Dedup-only: a later Get refetches.
-	if _, err := c.Get(context.Background(), src, nil); err != nil {
+	if _, err := c.Get(context.Background(), src, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.fetches.Load(); got != 2 {
@@ -109,18 +109,18 @@ func TestCacheTTL(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	ctx := context.Background()
-	if _, err := c.Get(ctx, src, nil); err != nil {
+	if _, err := c.Get(ctx, src, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	advance(30 * time.Second)
-	if _, err := c.Get(ctx, src, nil); err != nil {
+	if _, err := c.Get(ctx, src, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.fetches.Load(); got != 1 {
 		t.Fatalf("fetches inside TTL = %d, want 1", got)
 	}
 	advance(31 * time.Second) // past expiry
-	if _, err := c.Get(ctx, src, nil); err != nil {
+	if _, err := c.Get(ctx, src, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.fetches.Load(); got != 2 {
@@ -140,11 +140,11 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	src.err = errors.New("boom")
 	c := NewCache(time.Minute)
 	ctx := context.Background()
-	if _, err := c.Get(ctx, src, nil); err == nil {
+	if _, err := c.Get(ctx, src, nil, nil); err == nil {
 		t.Fatal("expected error")
 	}
 	src.err = nil
-	rel, err := c.Get(ctx, src, nil)
+	rel, err := c.Get(ctx, src, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	}
 	leader := make(chan res, 1)
 	go func() {
-		rel, err := c.Get(context.Background(), src, nil)
+		rel, err := c.Get(context.Background(), src, nil, nil)
 		leader <- res{rel, err}
 	}()
 	// Wait for the leader's fetch to start, then join and cancel.
@@ -182,7 +182,7 @@ func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Get(canceled, src, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.Get(canceled, src, nil, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter err = %v, want Canceled", err)
 	}
 	close(src.release)
@@ -198,22 +198,71 @@ func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidate drops a completed snapshot so the next Get
-// refetches (the hook for wrapper re-registration).
+// TestCacheInvalidate drops a source's completed snapshots, of every
+// width, so the next Get refetches (the hook for wrapper re-registration).
 func TestCacheInvalidate(t *testing.T) {
 	src := newGateSource("inv")
 	close(src.release)
 	c := NewCache(time.Minute)
 	ctx := context.Background()
-	if _, err := c.Get(ctx, src, nil); err != nil {
-		t.Fatal(err)
+	widths := [][]string{nil, {"a"}}
+	for _, cols := range widths {
+		if _, err := c.Get(ctx, src, cols, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	c.Invalidate("inv")
-	if _, err := c.Get(ctx, src, nil); err != nil {
-		t.Fatal(err)
+	for _, cols := range widths {
+		if _, err := c.Get(ctx, src, cols, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := src.fetches.Load(); got != 4 {
+		t.Fatalf("fetches = %d, want 4: Invalidate must drop both widths", got)
+	}
+}
+
+// TestCacheKeyedByColumns: Gets for one column list of a source share its
+// in-flight fetch and its snapshot; a Get for another list of the same
+// source starts a fetch of its own and is never answered from the first.
+func TestCacheKeyedByColumns(t *testing.T) {
+	src := newGateSource("cols")
+	c := NewCache(time.Minute)
+	ctx := context.Background()
+	gets := [][]string{{"a"}, {"a"}, nil, {"a"}}
+	var wg sync.WaitGroup
+	for _, cols := range gets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Get(ctx, src, cols, nil); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.Stats().Misses+c.Stats().Shared != int64(len(gets)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("gets never converged: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(src.release)
+	wg.Wait()
+	if st := c.Stats(); st.Misses != 2 || st.Shared != 2 {
+		t.Fatalf("stats = %+v, want 2 misses (one per column list) / 2 shared", st)
 	}
 	if got := src.fetches.Load(); got != 2 {
-		t.Fatalf("fetches = %d, want 2 after Invalidate", got)
+		t.Fatalf("fetches = %d, want 2", got)
+	}
+	// Completed: each list hits its own snapshot, a third list misses.
+	for _, cols := range [][]string{{"a"}, nil, {"a", "b"}} {
+		if _, err := c.Get(ctx, src, cols, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 3 {
+		t.Fatalf("stats = %+v, want 2 hits / 3 misses", st)
 	}
 }
 

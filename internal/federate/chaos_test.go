@@ -281,6 +281,57 @@ func TestChaosServeStaleFallback(t *testing.T) {
 	}
 }
 
+// TestChaosStaleSnapshotMustFitTheRequest: the last good snapshot of a
+// source that then dies stands in only for the columns it was fetched
+// for. A walk that reads more of the source than the one that left it
+// gets the source reported missing, not a snapshot short of columns; a
+// walk that reads the same columns is served stale; Forget drops every
+// width.
+func TestChaosStaleSnapshotMustFitTheRequest(t *testing.T) {
+	srcs := chaosSources(6)
+	beta := srcs[1]
+	eng := resilientEngine(0, 100, time.Hour)
+	eng.PartialResults = true
+	eng.ServeStale = true
+	ctx := context.Background()
+	narrow := relalg.NewProject(relalg.NewScan(beta), "id")
+	whole := relalg.NewScan(beta)
+
+	run := func(plan relalg.Plan) *Cursor {
+		t.Helper()
+		cur, err := eng.Run(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cur
+	}
+	if got, err := run(narrow).Materialize(ctx); err != nil || len(got.Rows) != 5 {
+		t.Fatalf("healthy narrow walk: %v rows, err %v", got, err)
+	}
+	beta.Down(nil)
+
+	cur := run(whole)
+	if m := cur.Missing(); len(m) != 1 || m[0].Source != "beta" || len(cur.StaleSources()) != 0 {
+		t.Fatalf("wider walk: missing %+v stale %v, want beta missing (its last good snapshot has one column)", m, cur.StaleSources())
+	}
+	if got, err := cur.Materialize(ctx); err != nil || len(got.Rows) != 0 {
+		t.Fatalf("wider walk streamed %v, err %v; want no rows", got, err)
+	}
+
+	cur = run(narrow)
+	if st := cur.StaleSources(); len(st) != 1 || st[0] != "beta" {
+		t.Fatalf("same-width walk: stale %v missing %+v, want beta served stale", st, cur.Missing())
+	}
+	if got, err := cur.Materialize(ctx); err != nil || len(got.Rows) != 5 || len(got.Cols) != 1 {
+		t.Fatalf("stale narrow walk: %v, err %v", got, err)
+	}
+
+	eng.Forget("beta")
+	if m := run(narrow).Missing(); len(m) != 1 {
+		t.Fatalf("missing after Forget = %+v, want beta", m)
+	}
+}
+
 // TestChaosSoakMixedQueries drives batches of concurrent mixed
 // partial/strict queries against seeded-flaky sources (run under -race
 // in CI's soak job) and asserts the degradation invariant on every

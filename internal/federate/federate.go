@@ -10,12 +10,16 @@
 //
 //  1. SCATTER — all Scan leaves of the plan are discovered up front,
 //     deduplicated by source name, and fetched concurrently with
-//     bounded parallelism. The first fetch error cancels the remaining
-//     fetches; a per-source deadline bounds each one.
+//     bounded parallelism. A source read only under projections is asked
+//     for the columns they keep and nothing else (demand), so its
+//     snapshot is as wide as the plan, not as wide as its signature. The
+//     first fetch error cancels the remaining fetches; a per-source
+//     deadline bounds each one.
 //  2. SNAPSHOT CACHE — fetches go through an optional Cache keyed by
-//     wrapper identity: concurrent walks hitting the same source share
-//     one in-flight fetch (singleflight), and with a TTL configured,
-//     completed snapshots are reused across walks (cache.go).
+//     wrapper identity and requested columns: concurrent walks reading
+//     the same columns of a source share one in-flight fetch
+//     (singleflight), and with a TTL configured, completed snapshots are
+//     reused across walks (cache.go).
 //  3. STREAMING OPERATORS — the plan compiles to a tree of pull-based
 //     iterators over the snapshots (iter.go): Select/Project/Rename/
 //     Limit/Union/Distinct stream row by row, and Join is a probe-side
@@ -38,6 +42,7 @@ package federate
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -85,7 +90,7 @@ type Engine struct {
 	ServeStale bool
 
 	staleMu sync.Mutex
-	stale   map[string]*relalg.Relation // last good snapshot per source
+	stale   map[snapKey]*relalg.Relation // last good snapshot per source and width
 }
 
 // Default engine knobs. DefaultParallel bounds the scatter fan-out;
@@ -183,9 +188,9 @@ func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*
 }
 
 // Forget drops all per-source state the engine holds for a wrapper
-// name: the cached snapshot, the circuit breaker record, and the
-// serve-stale fallback. Call it when a wrapper is re-registered or
-// removed — the name may now denote a different source, so yesterday's
+// name: the cached snapshots and serve-stale fallbacks of every width,
+// and the circuit breaker record. Call it when a wrapper is re-registered
+// or removed — the name may now denote a different source, so yesterday's
 // snapshot and failure history must not outlive it.
 func (e *Engine) Forget(name string) {
 	if e.Cache != nil {
@@ -195,41 +200,92 @@ func (e *Engine) Forget(name string) {
 		e.Breakers.Reset(name)
 	}
 	e.staleMu.Lock()
-	delete(e.stale, name)
+	for key := range e.stale {
+		if key.source() == name {
+			delete(e.stale, key)
+		}
+	}
 	e.staleMu.Unlock()
 }
 
-// rememberStale records a source's last good snapshot for serve-stale
-// fallback.
-func (e *Engine) rememberStale(name string, rel *relalg.Relation) {
+// rememberStale records a source's last good snapshot of one width for
+// serve-stale fallback.
+func (e *Engine) rememberStale(key snapKey, rel *relalg.Relation) {
 	e.staleMu.Lock()
 	if e.stale == nil {
-		e.stale = map[string]*relalg.Relation{}
+		e.stale = map[snapKey]*relalg.Relation{}
 	}
-	e.stale[name] = rel
+	e.stale[key] = rel
 	e.staleMu.Unlock()
 }
 
-// lastGood returns the serve-stale fallback snapshot for a source, or
-// nil.
-func (e *Engine) lastGood(name string) *relalg.Relation {
+// lastGood returns the serve-stale fallback for exactly the columns
+// asked for, or nil: a last good snapshot of another width is not one.
+func (e *Engine) lastGood(key snapKey) *relalg.Relation {
 	e.staleMu.Lock()
 	defer e.staleMu.Unlock()
-	return e.stale[name]
+	return e.stale[key]
 }
 
-// collectScans gathers the plan's Scan leaves, deduplicated by source
-// name (wrapper names are globally unique in the registry, and the
-// rewriter reuses one wrapper across CQ branches of a union).
-func collectScans(p relalg.Plan, dst map[string]relalg.RowSource) {
-	if s, ok := p.(*relalg.Scan); ok {
-		if _, dup := dst[s.Src.Name()]; !dup {
-			dst[s.Src.Name()] = s.Src
-		}
+// demand is what one plan asks of its sources: the Scan leaves
+// deduplicated by source name (wrapper names are globally unique in the
+// registry, and the rewriter reuses one wrapper across CQ branches of a
+// union), and for each source read only through Project(Scan) — the leaf
+// shape relalg.Optimize leaves — the columns those projections keep. A
+// source with no cols entry is fetched whole. cols is made on first use:
+// a plan of bare scans pays nothing for it.
+type demand struct {
+	srcs map[string]relalg.RowSource
+	cols map[string][]string
+}
+
+func (d *demand) collect(p relalg.Plan) {
+	switch n := p.(type) {
+	case *relalg.Scan:
+		// A scan nothing projects is read whole, whatever else reads it.
+		d.srcs[n.Src.Name()] = n.Src
+		delete(d.cols, n.Src.Name())
 		return
+	case *relalg.Project:
+		if s, ok := n.Child.(*relalg.Scan); ok && len(n.Cols) > 0 {
+			d.project(s.Src, n.Cols)
+			return
+		}
 	}
 	for _, c := range p.Children() {
-		collectScans(c, dst)
+		d.collect(c)
+	}
+}
+
+// project notes one Project(Scan) leaf. A source read under one column
+// list is asked for that list as written, so the projection compiles to
+// nothing; one read under several gets their union in source column
+// order, or the whole signature when the union is that.
+func (d *demand) project(src relalg.RowSource, cols []string) {
+	name := src.Name()
+	if _, seen := d.srcs[name]; !seen {
+		d.srcs[name] = src
+		if d.cols == nil {
+			d.cols = map[string][]string{}
+		}
+		d.cols[name] = cols
+		return
+	}
+	have, narrowed := d.cols[name]
+	if !narrowed || slices.Equal(have, cols) {
+		return
+	}
+	all := src.Columns()
+	union := make([]string, 0, len(all))
+	for _, c := range all {
+		if slices.Contains(have, c) || slices.Contains(cols, c) {
+			union = append(union, c)
+		}
+	}
+	if len(union) == len(all) {
+		delete(d.cols, name)
+	} else {
+		d.cols[name] = union
 	}
 }
 
@@ -248,10 +304,10 @@ func collectScans(p relalg.Plan, dst map[string]relalg.RowSource) {
 // the whole scatter. Both report lists are sorted by source name so
 // annotations are deterministic.
 func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, partial bool) (snaps map[string]*relalg.Relation, missing []SourceError, staleSrc []string, err error) {
-	sources := map[string]relalg.RowSource{}
-	collectScans(plan, sources)
-	names := make([]string, 0, len(sources))
-	for n := range sources {
+	want := demand{srcs: map[string]relalg.RowSource{}}
+	want.collect(plan)
+	names := make([]string, 0, len(want.srcs))
+	for n := range want.srcs {
 		names = append(names, n)
 	}
 	sort.Strings(names) // deterministic fan-out order
@@ -267,77 +323,34 @@ func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, p
 
 	sctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	run := &scatterRun{e: e, ctx: ctx, cancel: cancel, tr: tr, partial: partial}
 
 	parallel := e.Parallel
 	if parallel <= 0 {
 		parallel = DefaultParallel
 	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-		sem      = make(chan struct{}, parallel)
-	)
-	snaps = make(map[string]*relalg.Relation, len(sources))
+	sem := make(chan struct{}, parallel)
+	run.snaps = make(map[string]*relalg.Relation, len(names))
 	for _, name := range names {
-		src := sources[name]
-		wg.Add(1)
+		src, cols := want.srcs[name], want.cols[name]
+		run.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer run.wg.Done()
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
 			case <-sctx.Done():
 				return
 			}
-			fetchT0 := time.Now()
-			rel, err := e.fetch(sctx, src)
-			fetchDur := time.Since(fetchT0)
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				snaps[src.Name()] = rel
-				if e.ServeStale {
-					e.rememberStale(src.Name(), rel)
-				}
-				tr.AddSource(obs.SourceSpan{Source: src.Name(), Rows: len(rel.Rows), Dur: fetchDur, Outcome: "ok"})
-				return
-			}
-			if !partial {
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				tr.AddSource(obs.SourceSpan{Source: src.Name(), Dur: fetchDur, Outcome: "error:" + string(Classify(err))})
-				return
-			}
-			class := Classify(err)
-			if class == ClassCanceled && ctx.Err() != nil {
-				// The caller is gone; the post-wait ctx check surfaces
-				// it. Not a source fault, so nothing to annotate.
-				return
-			}
-			if e.ServeStale {
-				if old := e.lastGood(src.Name()); old != nil {
-					snaps[src.Name()] = old
-					staleSrc = append(staleSrc, src.Name())
-					obsStaleServed.With(src.Name()).Inc()
-					tr.AddSource(obs.SourceSpan{Source: src.Name(), Rows: len(old.Rows), Dur: fetchDur, Outcome: "stale"})
-					return
-				}
-			}
-			snaps[src.Name()] = relalg.NewRelation(src.Columns()...)
-			missing = append(missing, SourceError{Source: src.Name(), Class: class, Err: err})
-			obsMissing.With(src.Name(), string(class)).Inc()
-			tr.AddSource(obs.SourceSpan{Source: src.Name(), Dur: fetchDur, Outcome: "missing:" + string(class)})
+			run.fetch(sctx, src, cols)
 		}()
 	}
-	wg.Wait()
-	if len(missing)+len(staleSrc) > 0 {
+	run.wg.Wait()
+	if len(run.missing)+len(run.staleSrc) > 0 {
 		obsPartialDegradations.Inc()
 	}
-	if firstErr != nil {
-		return nil, nil, nil, firstErr
+	if run.firstErr != nil {
+		return nil, nil, nil, run.firstErr
 	}
 	// A canceled caller can make workers exit before fetching (and
 	// before any fetch records an error); surface the cancellation
@@ -345,15 +358,102 @@ func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, p
 	if err := ctx.Err(); err != nil {
 		return nil, nil, nil, err
 	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i].Source < missing[j].Source })
-	sort.Strings(staleSrc)
-	return snaps, missing, staleSrc, nil
+	sort.Slice(run.missing, func(i, j int) bool { return run.missing[i].Source < run.missing[j].Source })
+	sort.Strings(run.staleSrc)
+	return run.snaps, run.missing, run.staleSrc, nil
 }
 
-// fetch obtains one source snapshot, through the cache when configured.
-func (e *Engine) fetch(ctx context.Context, src relalg.RowSource) (*relalg.Relation, error) {
+// scatterRun is what the workers of one scatter share: one object, so a
+// worker's closure holds a pointer rather than a dozen captured
+// variables each moved to the heap on its own.
+type scatterRun struct {
+	e       *Engine
+	ctx     context.Context // the caller's, under the scatter's cancelable one
+	cancel  context.CancelFunc
+	tr      *obs.Trace
+	partial bool
+	wg      sync.WaitGroup
+
+	mu       sync.Mutex // guards the fields below
+	firstErr error
+	snaps    map[string]*relalg.Relation
+	missing  []SourceError
+	staleSrc []string
+}
+
+// fetch obtains the snapshot of one source's cols (nil: every column)
+// and files the outcome: the snapshot, or in strict mode the run's first
+// error, or in partial mode a stale or empty stand-in with its annotation.
+func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []string) {
+	e, tr, name := r.e, r.tr, src.Name()
+	fetchT0 := time.Now()
+	rel, err := e.fetch(sctx, src, cols)
+	span := obs.SourceSpan{Source: name, Dur: time.Since(fetchT0)}
+	if tr != nil {
+		span.Declared = len(src.Columns())
+		span.Cols = span.Declared
+		if cols != nil {
+			span.Cols = len(cols)
+		}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err == nil {
+		r.snaps[name] = rel
+		if e.ServeStale {
+			e.rememberStale(keyOf(name, cols), rel)
+		}
+		// What came back, which a source that ignores the request makes
+		// wider than what was asked.
+		span.Rows, span.Cols, span.Outcome = len(rel.Rows), len(rel.Cols), "ok"
+		tr.AddSource(span)
+		return
+	}
+	if !r.partial {
+		if r.firstErr == nil {
+			r.firstErr = err
+			r.cancel()
+		}
+		span.Outcome = "error:" + string(Classify(err))
+		tr.AddSource(span)
+		return
+	}
+	class := Classify(err)
+	if class == ClassCanceled && r.ctx.Err() != nil {
+		// The caller is gone; the post-wait ctx check surfaces it. Not a
+		// source fault, so nothing to annotate.
+		return
+	}
+	if e.ServeStale {
+		if old := e.lastGood(keyOf(name, cols)); old != nil {
+			r.snaps[name] = old
+			r.staleSrc = append(r.staleSrc, name)
+			obsStaleServed.With(name).Inc()
+			span.Rows, span.Outcome = len(old.Rows), "stale"
+			tr.AddSource(span)
+			return
+		}
+	}
+	// The empty stand-in has the shape the fetch would have had.
+	if cols == nil {
+		cols = src.Columns()
+	}
+	r.snaps[name] = relalg.NewRelation(cols...)
+	r.missing = append(r.missing, SourceError{Source: name, Class: class, Err: err})
+	obsMissing.With(name, string(class)).Inc()
+	span.Outcome = "missing:" + string(class)
+	tr.AddSource(span)
+}
+
+// fetch obtains one source snapshot of cols (nil: every column), through
+// the cache when configured. Either way the request reaches the source on
+// the fetch context, which is where fetchSource reads it back.
+func (e *Engine) fetch(ctx context.Context, src relalg.RowSource, cols []string) (*relalg.Relation, error) {
 	if e.Cache != nil {
-		return e.Cache.Get(ctx, src, e.fetchResilient)
+		return e.Cache.Get(ctx, src, cols, e.fetchResilient)
+	}
+	if cols != nil {
+		ctx = relalg.WithColumns(ctx, cols)
 	}
 	return e.fetchResilient(ctx, src)
 }
@@ -442,17 +542,28 @@ func (e *Engine) fetchOnce(ctx context.Context, src relalg.RowSource) (*relalg.R
 	return fetchSource(ctx, src)
 }
 
-// fetchSource fetches and schema-checks one source (the same guard
-// relalg.Scan.Execute applies, so a misreporting source fails loudly
-// rather than corrupting downstream column arithmetic).
+// fetchSource fetches and schema-checks one source. Rows are consumed by
+// position, so the snapshot's columns must be, by name and in order,
+// either the ones the fetch context asked for or the declared signature
+// — a source is free to ignore the request, and compile projects what it
+// returns. Anything else is a misreporting source, which fails loudly
+// rather than corrupting downstream column arithmetic.
 func fetchSource(ctx context.Context, src relalg.RowSource) (*relalg.Relation, error) {
 	rel, err := src.Fetch(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("federate: source %s: %w", src.Name(), err)
 	}
-	if len(rel.Cols) != len(src.Columns()) {
+	if want := relalg.ColumnsFrom(ctx); want != nil && slices.Equal(rel.Cols, want) {
+		return rel, nil
+	}
+	declared := src.Columns()
+	if len(rel.Cols) != len(declared) {
 		return nil, fmt.Errorf("federate: source %s returned %d columns, declared %d: %w",
-			src.Name(), len(rel.Cols), len(src.Columns()), errSchema)
+			src.Name(), len(rel.Cols), len(declared), errSchema)
+	}
+	if !slices.Equal(rel.Cols, declared) {
+		return nil, fmt.Errorf("federate: source %s returned columns %v, declared %v: %w",
+			src.Name(), rel.Cols, declared, errSchema)
 	}
 	return rel, nil
 }

@@ -266,22 +266,91 @@ func (f *failSource) Fetch(context.Context) (*relalg.Relation, error) {
 }
 
 // TestScatterSchemaGuard: a source misreporting its schema fails the
-// run loudly (the Scan.Execute guard, applied at fetch time).
+// run loudly (the Scan.Execute guard, applied at fetch time, by name:
+// rows are consumed by position, so the right number of wrong columns
+// would corrupt a join silently). It is a fault of the request's shape,
+// not of the source's health: one attempt, breaker untouched.
 func TestScatterSchemaGuard(t *testing.T) {
-	lying := &lyingSource{}
-	eng := NewEngine()
-	_, err := eng.Run(context.Background(), relalg.NewScan(lying))
-	if err == nil || !strings.Contains(err.Error(), "returned 1 columns, declared 2") {
-		t.Fatalf("err = %v, want the schema guard", err)
+	for _, tc := range []struct {
+		name     string
+		returned []string
+		plan     func(relalg.RowSource) relalg.Plan
+		want     string
+	}{
+		{"arity", []string{"a"}, func(s relalg.RowSource) relalg.Plan { return relalg.NewScan(s) },
+			"returned 1 columns, declared 2"},
+		{"swapped names", []string{"b", "a"}, func(s relalg.RowSource) relalg.Plan { return relalg.NewScan(s) },
+			"returned columns [b a], declared [a b]"},
+		// Asked for [b]: [b] or [a b] would do, one other column does not.
+		{"neither shape", []string{"a"}, func(s relalg.RowSource) relalg.Plan { return relalg.NewProject(relalg.NewScan(s), "b") },
+			"returned 1 columns, declared 2"},
+	} {
+		lying := &lyingSource{returned: tc.returned}
+		eng := NewEngine()
+		eng.Retry = RetryPolicy{Max: 2, sleep: instantSleep(nil)}
+		eng.Breakers = NewBreakerSet(1, time.Hour)
+		_, err := eng.Run(context.Background(), tc.plan(lying))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want the schema guard (%s)", tc.name, err, tc.want)
+		}
+		if !errors.Is(err, errSchema) || Classify(err) != ClassSchema {
+			t.Errorf("%s: class = %s, want %s", tc.name, Classify(err), ClassSchema)
+		}
+		if n := lying.fetches.Load(); n != 1 {
+			t.Errorf("%s: fetches = %d, want 1 (not retried)", tc.name, n)
+		}
+		if st := eng.Breakers.For("liar").State(); st != StateClosed {
+			t.Errorf("%s: breaker %s after a schema fault, want closed", tc.name, st)
+		}
 	}
 }
 
-type lyingSource struct{}
+type lyingSource struct {
+	returned []string
+	fetches  atomic.Int32
+}
 
 func (l *lyingSource) Name() string      { return "liar" }
 func (l *lyingSource) Columns() []string { return []string{"a", "b"} }
 func (l *lyingSource) Fetch(context.Context) (*relalg.Relation, error) {
-	return relalg.NewRelation("a"), nil
+	l.fetches.Add(1)
+	return relalg.NewRelation(l.returned...), nil
+}
+
+// TestDemand pins what a scatter asks of a source: the list of its one
+// projection as written, the union of several in source column order,
+// and everything ("*") when a scan stands bare, the union is the whole
+// signature, or the projection keeps nothing.
+func TestDemand(t *testing.T) {
+	s := relalg.NewScan(relalg.NewMemSource("s", relalg.NewRelation("a", "b", "c", "d")))
+	o := relalg.NewScan(relalg.NewMemSource("o", relalg.NewRelation("k")))
+	pi := func(cols ...string) relalg.Plan { return relalg.NewProject(s, cols...) }
+	for _, tc := range []struct {
+		plan relalg.Plan
+		want string
+	}{
+		{s, "*"},
+		{pi("c", "a"), "c,a"},
+		{relalg.NewDistinct(relalg.NewRename(pi("c", "a"), [][2]string{{"a", "x"}})), "c,a"},
+		{relalg.NewUnion(pi("c", "a"), pi("c", "a")), "c,a"},
+		{relalg.NewUnion(pi("c", "a"), pi("a", "c")), "a,c"},
+		{relalg.NewJoin(pi("d"), relalg.NewUnion(pi("b", "a"), o), nil), "a,b,d"},
+		{relalg.NewJoin(pi("a", "b"), pi("c", "d"), nil), "*"},
+		{relalg.NewJoin(pi("a"), relalg.NewSelect(s, relalg.NotNull{Col: "a"}), nil), "*"},
+		{relalg.NewJoin(relalg.NewSelect(s, relalg.NotNull{Col: "a"}), pi("a"), nil), "*"},
+		{relalg.NewProject(relalg.NewSelect(s, relalg.NotNull{Col: "a"}), "a"), "*"},
+		{pi(), "*"},
+	} {
+		want := demand{srcs: map[string]relalg.RowSource{}}
+		want.collect(tc.plan)
+		got := "*"
+		if cols, narrowed := want.cols["s"]; narrowed {
+			got = strings.Join(cols, ",")
+		}
+		if _, seen := want.srcs["s"]; !seen || got != tc.want {
+			t.Errorf("%s: asks s for %s, want %s", tc.plan.Algebra(), got, tc.want)
+		}
+	}
 }
 
 // TestRunPageBounds: limit 0 produces an empty cursor without touching

@@ -3,6 +3,7 @@ package federate
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mdm/internal/relalg"
 )
@@ -48,6 +49,14 @@ func compile(p relalg.Plan, snaps map[string]*relalg.Relation) (iter, error) {
 			return nil, err
 		}
 		in := n.Child.Columns()
+		if s, ok := n.Child.(*relalg.Scan); ok {
+			// A scan streams its snapshot, which is as wide as the scatter
+			// asked and the source obliged: resolve against what is there.
+			in = snaps[s.Src.Name()].Cols
+		}
+		if slices.Equal(n.Cols, in) {
+			return child, nil // the fetch already projected
+		}
 		idx := make([]int, len(n.Cols))
 		for i, c := range n.Cols {
 			j := colIndex(in, c)

@@ -3,10 +3,13 @@ package federate
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"mdm/internal/obs"
 	"mdm/internal/relalg"
+	"mdm/internal/schema"
+	"mdm/internal/wrapper"
 )
 
 // Coverage for the observability hooks: missing sources counted per
@@ -75,6 +78,37 @@ func TestScatterTraceSpans(t *testing.T) {
 	}
 	if !hasScatterStage {
 		t.Errorf("no scatter stage recorded: %+v", rep.Stages)
+	}
+}
+
+// TestSourceSpanColumns: a source span says how wide the fetch was next
+// to how wide the source is — what came back for a fetch that succeeded
+// (a source that ignores the request reads full width), what was asked
+// for one that did not.
+func TestSourceSpanColumns(t *testing.T) {
+	doc := schema.Doc{"a": relalg.Int(1), "b": relalg.Int(2), "c": relalg.Int(3)}
+	honours := wrapper.NewMem("t-honours", "s", []schema.Doc{doc}, nil)
+	ignores := relalg.NewMemSource("t-ignores", relalg.NewRelation("a", "b", "c"))
+	fails := &failSource{name: "t-fails", cols: []string{"a", "b"}, err: errors.New("boom")}
+	var branches []relalg.Plan
+	for _, src := range []relalg.RowSource{honours, ignores, fails} {
+		branches = append(branches, relalg.NewProject(relalg.NewScan(src), "a"))
+	}
+	eng := NewEngine()
+	eng.PartialResults = true
+	tr := obs.NewTrace()
+	cur, err := eng.Run(obs.WithTrace(context.Background(), tr), relalg.NewUnion(branches...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	got := map[string]string{}
+	for _, s := range tr.Sources() {
+		got[s.Source] = s.Columns
+	}
+	want := map[string]string{"t-honours": "1/3", "t-ignores": "3/3", "t-fails": "1/2"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("source span columns = %v, want %v", got, want)
 	}
 }
 

@@ -5,21 +5,29 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"mdm/internal/relalg"
+	"mdm/internal/schema"
+	"mdm/internal/wrapper"
 )
 
 // Randomized equivalence harness: every generated plan is executed
-// through both the materializing executor (relalg.Plan.Execute — the
-// correctness oracle) and the streaming federate engine, and the two
+// through the materializing executor (relalg.Plan.Execute — the
+// correctness oracle) and through the streaming federate engine, and the
 // results must be identical — same schema, same rows, same ORDER (the
 // streaming pipeline is documented to reproduce Execute's emission
 // order exactly, which is what makes paged reads prefixes of the full
-// drain). Each case additionally drains a random page through RunWith
-// and asserts it equals the corresponding slice of the full result.
-// Generation is seeded, so failures reproduce by seed number.
+// drain). The engine runs each plan over two kinds of source: ones that
+// ignore the columns a fetch asks for (relalg.MemSource, the un-pushed
+// path) and ones that honour them (wrapper.Mem, the pushed path), as
+// generated and after relalg.Optimize, which is what puts the
+// projections on the scans. Each case additionally drains a random page
+// through RunWith and asserts it equals the corresponding slice of the
+// full result. Generation is seeded, so failures reproduce by seed
+// number.
 
 const oraclePlans = 250
 
@@ -69,15 +77,38 @@ func genRelation(r *rand.Rand, cols []string) *relalg.Relation {
 // --- plan generation ---
 
 type planGen struct {
-	r    *rand.Rand
-	nsrc int
+	r      *rand.Rand
+	nsrc   int
+	nren   int
+	honour bool // sources return only the columns a fetch asks for
 }
 
-func (g *planGen) leaf() relalg.Plan {
-	cols := genCols(g.r)
-	g.nsrc++
-	return relalg.NewScan(relalg.NewMemSource(fmt.Sprintf("src%d", g.nsrc), genRelation(g.r, cols)))
+// source serves rel either whole whatever is asked (honour false) or
+// through wrapper.Mem, which narrows to the request.
+func source(name string, rel *relalg.Relation, honour bool) relalg.RowSource {
+	if !honour {
+		return relalg.NewMemSource(name, rel)
+	}
+	attrs := make([]schema.Attribute, len(rel.Cols))
+	for i, c := range rel.Cols {
+		attrs[i].Name = c
+	}
+	docs := make([]schema.Doc, len(rel.Rows))
+	for r, row := range rel.Rows {
+		docs[r] = schema.Doc{}
+		for i, c := range rel.Cols {
+			docs[r][c] = row[i]
+		}
+	}
+	return wrapper.NewMem(name, "oracle", docs, attrs)
 }
+
+func (g *planGen) scan(cols []string) relalg.Plan {
+	g.nsrc++
+	return relalg.NewScan(source(fmt.Sprintf("src%d", g.nsrc), genRelation(g.r, cols), g.honour))
+}
+
+func (g *planGen) leaf() relalg.Plan { return g.scan(genCols(g.r)) }
 
 // plan builds a random operator tree of bounded depth. Generated plans
 // are always well-formed (predicates and join keys reference existing
@@ -110,12 +141,12 @@ func (g *planGen) plan(depth int) relalg.Plan {
 			keep[i] = cols[perm[i]]
 		}
 		return relalg.NewProject(child, keep...)
-	case 2: // rename one column to a fresh name
+	case 2: // rename one column to a fresh name (Optimize resolves by name)
 		child := g.plan(depth - 1)
 		cols := child.Columns()
 		from := cols[g.r.Intn(len(cols))]
-		to := fmt.Sprintf("r%d", g.r.Intn(1000))
-		return relalg.NewRename(child, [][2]string{{from, to}})
+		g.nren++
+		return relalg.NewRename(child, [][2]string{{from, fmt.Sprintf("r%d", g.nren)}})
 	case 3: // equi-join on 1-2 random column pairs
 		l, rr := g.plan(depth-1), g.plan(depth-1)
 		lc, rc := l.Columns(), rr.Columns()
@@ -129,9 +160,7 @@ func (g *planGen) plan(depth int) relalg.Plan {
 		first := g.plan(depth - 1)
 		plans := []relalg.Plan{first}
 		for i, n := 0, 1+g.r.Intn(2); i < n; i++ {
-			g.nsrc++
-			plans = append(plans, relalg.NewScan(relalg.NewMemSource(
-				fmt.Sprintf("src%d", g.nsrc), genRelation(g.r, first.Columns()))))
+			plans = append(plans, g.scan(first.Columns()))
 		}
 		return relalg.NewUnion(plans...)
 	case 5: // distinct
@@ -155,26 +184,77 @@ func rowsEqual(a, b relalg.Row) bool {
 	return true
 }
 
-func assertSameResult(t *testing.T, seed int64, label string, want, got *relalg.Relation) {
-	t.Helper()
-	if len(want.Cols) != len(got.Cols) {
-		t.Fatalf("seed %d %s: cols %v vs %v", seed, label, want.Cols, got.Cols)
-	}
-	for i := range want.Cols {
-		if want.Cols[i] != got.Cols[i] {
-			t.Fatalf("seed %d %s: cols %v vs %v", seed, label, want.Cols, got.Cols)
-		}
+// sameResult reports how got departs from want: schema, row count, or the
+// first row that differs.
+func sameResult(want, got *relalg.Relation) error {
+	if !slices.Equal(want.Cols, got.Cols) {
+		return fmt.Errorf("cols %v vs %v", want.Cols, got.Cols)
 	}
 	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("seed %d %s: %d rows vs %d rows\noracle:\n%s\nfederate:\n%s",
-			seed, label, len(want.Rows), len(got.Rows), want.Table(), got.Table())
+		return fmt.Errorf("%d rows vs %d rows\noracle:\n%s\nfederate:\n%s",
+			len(want.Rows), len(got.Rows), want.Table(), got.Table())
 	}
 	for i := range want.Rows {
 		if !rowsEqual(want.Rows[i], got.Rows[i]) {
-			t.Fatalf("seed %d %s: row %d differs\noracle:\n%s\nfederate:\n%s",
-				seed, label, i, want.Table(), got.Table())
+			return fmt.Errorf("row %d differs\noracle:\n%s\nfederate:\n%s", i, want.Table(), got.Table())
 		}
 	}
+	return nil
+}
+
+// agree runs plan on eng — whole, then the page [offset, offset+limit) —
+// and reports the first departure from want, the oracle's answer.
+func agree(ctx context.Context, eng *Engine, plan relalg.Plan, want *relalg.Relation, limit, offset int) error {
+	cur, err := eng.Run(ctx, plan)
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
+	}
+	got, err := cur.Materialize(ctx)
+	if err != nil {
+		return fmt.Errorf("drain: %w", err)
+	}
+	if err := sameResult(want, got); err != nil {
+		return fmt.Errorf("full drain: %w", err)
+	}
+	pcur, err := eng.RunWith(ctx, plan, RunOpts{Limit: limit, Offset: offset})
+	if err != nil {
+		return fmt.Errorf("page: %w", err)
+	}
+	page, err := pcur.Materialize(ctx)
+	if err != nil {
+		return fmt.Errorf("page drain: %w", err)
+	}
+	wantPage := relalg.NewRelation(want.Cols...)
+	if offset < len(want.Rows) {
+		wantPage.Rows = want.Rows[offset:min(offset+limit, len(want.Rows))]
+	}
+	if err := sameResult(wantPage, page); err != nil {
+		return fmt.Errorf("page limit=%d offset=%d: %w", limit, offset, err)
+	}
+	return nil
+}
+
+// threeWays holds the engine to the oracle on one plan, built by build
+// over ignoring and over honouring sources. Each kind of source gets one
+// engine whose cache keeps snapshots, and the optimized plan runs first:
+// the raw plan's wider requests then meet the narrow snapshots the
+// optimized one left behind, and must not be served them.
+func threeWays(ctx context.Context, build func(honour bool) relalg.Plan, limit, offset func(rows int) int) error {
+	want, err := build(false).Execute(ctx)
+	if err != nil {
+		return fmt.Errorf("oracle execute: %w", err)
+	}
+	for _, honour := range []bool{false, true} {
+		plan := build(honour)
+		eng := NewEngine()
+		eng.Cache = NewCache(time.Hour)
+		for _, p := range []relalg.Plan{relalg.Optimize(plan), plan} {
+			if err := agree(ctx, eng, p, want, limit(len(want.Rows)), offset(len(want.Rows))); err != nil {
+				return fmt.Errorf("honour=%v %s: %w", honour, p.Algebra(), err)
+			}
+		}
+	}
+	return nil
 }
 
 // TestFederateMatchesExecuteOracle is the randomized equivalence
@@ -185,42 +265,15 @@ func TestFederateMatchesExecuteOracle(t *testing.T) {
 	base := time.Now().UnixNano()
 	for i := 0; i < oraclePlans; i++ {
 		seed := base + int64(i)
+		build := func(honour bool) relalg.Plan {
+			g := &planGen{r: rand.New(rand.NewSource(seed)), honour: honour}
+			return g.plan(3)
+		}
 		r := rand.New(rand.NewSource(seed))
-		g := &planGen{r: r}
-		plan := g.plan(3)
-
-		want, err := plan.Execute(ctx)
-		if err != nil {
-			t.Fatalf("seed %d: oracle execute: %v", seed, err)
+		bound := func(rows int) int { return r.Intn(rows + 2) }
+		if err := threeWays(ctx, build, bound, bound); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-
-		eng := NewEngine()
-		cur, err := eng.Run(ctx, plan)
-		if err != nil {
-			t.Fatalf("seed %d: federate run: %v", seed, err)
-		}
-		got, err := cur.Materialize(ctx)
-		if err != nil {
-			t.Fatalf("seed %d: federate drain: %v", seed, err)
-		}
-		assertSameResult(t, seed, "full drain", want, got)
-
-		// Paged read equals the slice of the full result.
-		limit, offset := r.Intn(len(want.Rows)+2), r.Intn(len(want.Rows)+2)
-		pcur, err := eng.RunWith(ctx, plan, RunOpts{Limit: limit, Offset: offset})
-		if err != nil {
-			t.Fatalf("seed %d: federate page: %v", seed, err)
-		}
-		page, err := pcur.Materialize(ctx)
-		if err != nil {
-			t.Fatalf("seed %d: federate page drain: %v", seed, err)
-		}
-		wantPage := relalg.NewRelation(want.Cols...)
-		if offset < len(want.Rows) {
-			end := min(offset+limit, len(want.Rows))
-			wantPage.Rows = want.Rows[offset:end]
-		}
-		assertSameResult(t, seed, fmt.Sprintf("page limit=%d offset=%d", limit, offset), wantPage, page)
 	}
 }
 
@@ -228,7 +281,6 @@ func TestFederateMatchesExecuteOracle(t *testing.T) {
 // generator may under-sample.
 func TestFederateOracleEdgeCases(t *testing.T) {
 	ctx := context.Background()
-	empty := relalg.NewScan(relalg.NewMemSource("empty", relalg.NewRelation("a", "b")))
 	lhs := relalg.NewRelation("a", "b")
 	lhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x")})
 	lhs.MustAppend(relalg.Row{relalg.Null(), relalg.String("y")}) // NULL key never joins
@@ -237,35 +289,80 @@ func TestFederateOracleEdgeCases(t *testing.T) {
 	rhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("p")})
 	rhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("q")}) // duplicate key: fan-out
 	rhs.MustAppend(relalg.Row{relalg.Null(), relalg.String("n")})
-	l := relalg.NewScan(relalg.NewMemSource("l", lhs))
-	rr := relalg.NewScan(relalg.NewMemSource("r", rhs))
+	wide := relalg.NewRelation("a", "b", "c", "d")
+	wide.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x"), relalg.String("p"), relalg.Int(7)})
+	wide.MustAppend(relalg.Row{relalg.Int(2), relalg.String("y"), relalg.Null(), relalg.Int(8)})
 
-	plans := []relalg.Plan{
-		empty,
-		relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}),
-		relalg.NewDistinct(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}})),
-		relalg.NewUnion(l, relalg.NewScan(relalg.NewMemSource("l2", lhs))),
-		relalg.NewLimit(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}), 0),
-		relalg.NewProject(relalg.NewRename(l, [][2]string{{"b", "bb"}}), "bb"),
-		relalg.NewSelect(l, relalg.NotNull{Col: "a"}),
-		// Same wrapper scanned twice (self-join): the scatter dedupes.
-		relalg.NewJoin(l, relalg.NewRename(l, [][2]string{{"b", "b2"}}), [][2]string{{"a", "a"}}),
+	plans := func(honour bool) []relalg.Plan {
+		empty := relalg.NewScan(source("empty", relalg.NewRelation("a", "b"), honour))
+		l := relalg.NewScan(source("l", lhs, honour))
+		rr := relalg.NewScan(source("r", rhs, honour))
+		w := relalg.NewScan(source("w", wide, honour))
+		return []relalg.Plan{
+			empty,
+			relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}),
+			relalg.NewDistinct(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}})),
+			relalg.NewUnion(l, relalg.NewScan(source("l2", lhs, honour))),
+			relalg.NewLimit(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}), 0),
+			relalg.NewProject(relalg.NewRename(l, [][2]string{{"b", "bb"}}), "bb"),
+			relalg.NewSelect(l, relalg.NotNull{Col: "a"}),
+			// Same wrapper scanned twice (self-join): the scatter dedupes.
+			relalg.NewJoin(l, relalg.NewRename(l, [][2]string{{"b", "b2"}}), [][2]string{{"a", "a"}}),
+			// ... under two projections: one fetch of their union a,b,c (in
+			// source order), which neither projection is the identity on.
+			relalg.NewJoin(relalg.NewProject(w, "b", "a"),
+				relalg.NewRename(relalg.NewProject(w, "c", "a"), [][2]string{{"a", "a2"}}), [][2]string{{"a", "a2"}}),
+			// ... whose union is the whole signature, and beside a bare scan:
+			// both fetch it whole.
+			relalg.NewJoin(relalg.NewProject(w, "a", "b"),
+				relalg.NewRename(relalg.NewProject(w, "a", "c", "d"), [][2]string{{"a", "a2"}}), [][2]string{{"a", "a2"}}),
+			relalg.NewJoin(relalg.NewProject(w, "a"),
+				relalg.NewRename(w, [][2]string{{"a", "a2"}, {"b", "b2"}}), [][2]string{{"a", "a2"}}),
+			// The request's order, not the signature's, is what comes back.
+			relalg.NewProject(w, "d", "a"),
+		}
 	}
-	eng := NewEngine()
-	for i, plan := range plans {
-		want, err := plan.Execute(ctx)
-		if err != nil {
-			t.Fatalf("case %d: oracle: %v", i, err)
+	for i := range plans(false) {
+		build := func(honour bool) relalg.Plan { return plans(honour)[i] }
+		whole := func(rows int) int { return rows }
+		if err := threeWays(ctx, build, whole, func(int) int { return 0 }); err != nil {
+			t.Errorf("case %d: %v", i, err)
 		}
-		cur, err := eng.Run(ctx, plan)
-		if err != nil {
-			t.Fatalf("case %d: run: %v", i, err)
+	}
+}
+
+// TestOracleCatchesNarrowSnapshotServedWide is the harness's
+// mutation-kill row for the cache key: with a snapshot of one column
+// filed where a request for the whole signature looks — what a cache
+// keyed by source name alone would do after a narrower walk — the
+// harness that passes on the intact cache fails.
+func TestOracleCatchesNarrowSnapshotServedWide(t *testing.T) {
+	ctx := context.Background()
+	rel := relalg.NewRelation("a", "b")
+	rel.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x")})
+	src := source("s", rel, true)
+	plan := relalg.NewScan(src)
+	want, err := plan.Execute(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mutated := range []bool{false, true} {
+		eng := NewEngine()
+		eng.Cache = NewCache(time.Hour)
+		if _, err := eng.Run(ctx, relalg.NewProject(plan, "a")); err != nil { // the narrower walk
+			t.Fatal(err)
 		}
-		got, err := cur.Materialize(ctx)
-		if err != nil {
-			t.Fatalf("case %d: drain: %v", i, err)
+		if mutated {
+			c := eng.Cache
+			c.entries[keyOf("s", nil)] = c.entries[keyOf("s", []string{"a"})]
 		}
-		assertSameResult(t, int64(i), "edge case", want, got)
+		err := agree(ctx, eng, plan, want, 1, 0)
+		if mutated && err == nil {
+			t.Error("a one-column snapshot served to a whole-signature scan went unnoticed")
+		}
+		if !mutated && err != nil {
+			t.Errorf("intact cache: %v", err)
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ type SlowEntry struct {
 	Rows       int64              `json:"rows"`
 	Partial    bool               `json:"partial,omitempty"`
 	Missing    []MissingSource    `json:"missing,omitempty"`
+	Sources    []SourceReport     `json:"sources,omitempty"` // walks: every source fetch, as in the EXPLAIN report
 }
 
 // MissingSource is one federated source that failed within a

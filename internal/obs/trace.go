@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -67,10 +68,14 @@ func (s *Span) SetInput(src *Span) {
 
 // SourceSpan is one federated source fetch within the scatter.
 type SourceSpan struct {
-	Source  string
-	Rows    int
-	Dur     time.Duration
-	Outcome string // ok | stale | missing:<class>
+	Source string
+	Rows   int
+	// Cols is how many columns the fetch was for (of an "ok" fetch, how
+	// many came back), Declared how many the source's signature has: a
+	// narrowed fetch reads Cols < Declared.
+	Cols, Declared int
+	Dur            time.Duration
+	Outcome        string // ok | stale | missing:<class> | error:<class>
 }
 
 // NewTrace starts a trace clocked from now.
@@ -224,6 +229,7 @@ type OpReport struct {
 type SourceReport struct {
 	Source  string  `json:"source"`
 	Rows    int     `json:"rows"`
+	Columns string  `json:"columns"` // fetched/declared, "2/7"
 	TimeMS  float64 `json:"time_ms"`
 	Outcome string  `json:"outcome"`
 }
@@ -255,10 +261,28 @@ func (t *Trace) Report() *Report {
 		}
 		r.Operators = append(r.Operators, or)
 	}
-	for _, s := range t.sources {
-		r.Sources = append(r.Sources, SourceReport{Source: s.Source, Rows: s.Rows, TimeMS: ms(s.Dur), Outcome: s.Outcome})
-	}
+	r.Sources = t.sourcesLocked()
 	return r
+}
+
+// Sources returns one report per recorded source fetch, in the order
+// the fetches finished.
+func (t *Trace) Sources() []SourceReport {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.sourcesLocked()
+}
+
+func (t *Trace) sourcesLocked() []SourceReport {
+	var out []SourceReport
+	for _, s := range t.sources {
+		out = append(out, SourceReport{Source: s.Source, Rows: s.Rows,
+			Columns: strconv.Itoa(s.Cols) + "/" + strconv.Itoa(s.Declared), TimeMS: ms(s.Dur), Outcome: s.Outcome})
+	}
+	return out
 }
 
 // QueryHash returns the truncated SHA-256 of a query text — the stable

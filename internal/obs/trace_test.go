@@ -70,7 +70,7 @@ func TestReportShape(t *testing.T) {
 	tr.StageDur("plan", time.Millisecond)
 	tr.SetPlan("hash-join(t1,t2)")
 	tr.SetAttr("rewrite_cache", "miss")
-	tr.AddSource(SourceSpan{Source: "players", Rows: 10, Dur: 3 * time.Millisecond, Outcome: "ok"})
+	tr.AddSource(SourceSpan{Source: "players", Rows: 10, Cols: 2, Declared: 7, Dur: 3 * time.Millisecond, Outcome: "ok"})
 	raw, err := json.Marshal(tr.Report())
 	if err != nil {
 		t.Fatal(err)
@@ -93,6 +93,9 @@ func TestReportShape(t *testing.T) {
 	}
 	if got := tr.Stages()["parse"]; got != 2 {
 		t.Errorf("Stages()[parse] = %v, want 2", got)
+	}
+	if got := m["sources"].([]any)[0].(map[string]any)["columns"]; got != "2/7" {
+		t.Errorf("source columns = %v, want 2/7 (fetched/declared)", got)
 	}
 }
 

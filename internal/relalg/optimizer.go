@@ -85,7 +85,14 @@ func pushDown(p Plan, needed []string) Plan {
 		return NewUnion(plans...)
 
 	case *Distinct:
-		return NewDistinct(pushDown(n.Child, needed))
+		// δ compares whole rows, so its input keeps every column: rows
+		// that differ only in a column nobody reads above are still two
+		// rows. A narrower need is met by a projection over the δ.
+		out := Plan(NewDistinct(pushDown(n.Child, n.Child.Columns())))
+		if !sameCols(out.Columns(), needed) {
+			out = NewProject(out, needed...)
+		}
+		return out
 
 	case *Limit:
 		return NewLimit(pushDown(n.Child, needed), n.N)

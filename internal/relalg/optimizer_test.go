@@ -214,3 +214,71 @@ func TestPropJoinCommutativeOnRowCount(t *testing.T) {
 		t.Errorf("join row counts differ: %d vs %d", r1.Len(), r2.Len())
 	}
 }
+
+// TestOptimizeLeavesProjectOnScan pins the leaf shape the federation
+// engine reads a source's column demand from: wherever a plan needs fewer
+// columns than a source declares, Optimize leaves a Project standing
+// directly on that Scan — through Rename, Union and Distinct, the
+// operators the rewriter stacks on a leaf — and a scan whose every column
+// is needed stays bare.
+func TestOptimizeLeavesProjectOnScan(t *testing.T) {
+	leaf := func(src RowSource) Plan { // the rewriter's π(ρ(scan)) leaf
+		return NewProject(NewRename(NewScan(src), [][2]string{{"id", "ex:id"}, {"pName", "ex:name"}, {"teamId", "ex:team"}}),
+			"ex:id", "ex:name", "ex:team")
+	}
+	v2 := NewMemSource("w1v2", w1().Rel)
+	plan := NewDistinct(NewUnion(
+		NewProject(leaf(w1()), "ex:name", "ex:team"),
+		NewProject(leaf(v2), "ex:name", "ex:team")))
+	opt := Optimize(plan)
+
+	got := map[string]string{}
+	var walk func(p Plan, parent Plan)
+	walk = func(p, parent Plan) {
+		if s, ok := p.(*Scan); ok {
+			if pr, ok := parent.(*Project); ok {
+				got[s.Src.Name()] = strings.Join(pr.Cols, ",")
+			} else {
+				got[s.Src.Name()] = "*"
+			}
+		}
+		for _, c := range p.Children() {
+			walk(c, p)
+		}
+	}
+	walk(opt, nil)
+	if got["w1"] != "pName,teamId" || got["w1v2"] != "pName,teamId" {
+		t.Errorf("leaf projections = %v, want pName,teamId on both scans\n%s", got, PrintTree(opt))
+	}
+
+	got = map[string]string{}
+	walk(Optimize(NewDistinct(NewScan(w2()))), nil)
+	if got["w2"] != "*" {
+		t.Errorf("a fully read scan should stay bare, got %v", got)
+	}
+}
+
+// TestColumnsRideTheContext: the request survives derived contexts (the
+// fetch path adds a timeout on top of it) and is absent by default.
+func TestColumnsRideTheContext(t *testing.T) {
+	if got := ColumnsFrom(context.Background()); got != nil {
+		t.Fatalf("ColumnsFrom(background) = %v, want nil", got)
+	}
+	ctx, cancel := context.WithCancel(WithColumns(context.Background(), []string{"b", "a"}))
+	defer cancel()
+	if got := ColumnsFrom(ctx); strings.Join(got, ",") != "b,a" {
+		t.Fatalf("ColumnsFrom = %v, want [b a]", got)
+	}
+}
+
+// TestOptimizeDoesNotProjectBelowDistinct: δ compares whole rows, so a
+// projection above it must stay above it — two players with the same foot
+// are two rows of π[foot](δ(w1)) and one of δ(π[foot](w1)).
+func TestOptimizeDoesNotProjectBelowDistinct(t *testing.T) {
+	plan := NewProject(NewDistinct(NewScan(w1())), "foot")
+	want, got := exec(t, plan), exec(t, Optimize(plan))
+	if want.Len() != 3 || got.Len() != 3 {
+		t.Fatalf("π[foot](δ(w1)) has %d rows, optimized (%s) %d; want 3 and 3",
+			want.Len(), Optimize(plan).Algebra(), got.Len())
+	}
+}

@@ -15,8 +15,28 @@ type RowSource interface {
 	// Columns is the source's output schema (the wrapper signature
 	// attributes).
 	Columns() []string
-	// Fetch materializes the source's rows.
+	// Fetch materializes the source's rows: every column of Columns, or
+	// exactly the columns ColumnsFrom(ctx) asks for, in that order. The
+	// returned relation's Cols says which; a source is free to ignore the
+	// request.
 	Fetch(ctx context.Context) (*Relation, error)
+}
+
+type columnsKey struct{}
+
+// WithColumns returns a context that asks the RowSource fetched under it
+// for cols only. The request rides the context because fetches pass
+// through decorators (tracing, fault injection) that embed a source and
+// override Fetch(ctx) alone: an optional method would vanish behind them.
+func WithColumns(ctx context.Context, cols []string) context.Context {
+	return context.WithValue(ctx, columnsKey{}, cols)
+}
+
+// ColumnsFrom returns the columns the fetch context asks for; nil means
+// the source's whole signature.
+func ColumnsFrom(ctx context.Context) []string {
+	cols, _ := ctx.Value(columnsKey{}).([]string)
+	return cols
 }
 
 // Plan is a relational algebra operator tree.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +18,7 @@ import (
 	"mdm/internal/rest"
 	"mdm/internal/store"
 	"mdm/internal/usecase"
+	"mdm/internal/wrapper"
 )
 
 // The delivery contract of the four query endpoints, as one table:
@@ -265,6 +267,62 @@ func TestQueryDeliveryContract(t *testing.T) {
 			}
 		}
 	}
+
+	// One more way to fail before the header, which only a walk has: its
+	// rewriting is wider than the rewriter enumerates. 65 versions of the
+	// players source times 65 of the teams source is 4 225 conjunctive
+	// queries. The walk is refused as a semantic failure, every time (a
+	// refusal is not memoised), and logged with the one stage that ran.
+	t.Run("/api/query/json/rewriting-exceeds-cap", func(t *testing.T) {
+		f := usecase.MustNew()
+		for _, base := range []*wrapper.Mem{f.W1, f.W2} {
+			m, ok := f.Ont.MappingOf(base.Name())
+			if !ok {
+				t.Fatalf("%s mapping missing", base.Name())
+			}
+			for v := 2; v <= 65; v++ {
+				m.Wrapper = fmt.Sprintf("%s_v%d", base.Name(), v)
+				w := wrapper.NewMem(m.Wrapper, base.SourceID(), nil, base.Signature().Attributes)
+				if err := f.Reg.Register(w); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Ont.RegisterWrapper(base.SourceID(), w.Signature()); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Ont.DefineMapping(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		srv := rest.NewServer(mdm.FromParts(f.Ont, f.Reg))
+		var sink syncBuffer
+		srv.SlowLog = obs.NewSlowLogWriter(&sink, 0)
+		for attempt := 0; attempt < 2; attempt++ {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", "/api/query", strings.NewReader(fig8WalkBody)))
+			if rec.Code != http.StatusUnprocessableEntity {
+				t.Fatalf("attempt %d: status = %d, want 422 (body %.300s)", attempt, rec.Code, rec.Body)
+			}
+			body := bytes.TrimRight(rec.Body.Bytes(), "\n")
+			if !reflect.DeepEqual(keysOf(t, body), []string{"error"}) ||
+				!bytes.Contains(body, []byte("rewriting exceeds 4096 conjunctive queries")) {
+				t.Fatalf("attempt %d: error body = %s", attempt, body)
+			}
+		}
+		logged := strings.Split(strings.TrimSpace(sink.String()), "\n")
+		if len(logged) != 2 {
+			t.Fatalf("slow log lines = %d, want one per attempt:\n%s", len(logged), sink.String())
+		}
+		for _, line := range logged {
+			var e obs.SlowEntry
+			if err := json.Unmarshal([]byte(line), &e); err != nil {
+				t.Fatal(err)
+			}
+			if _, ran := e.StagesMS["rewrite"]; e.Status != http.StatusUnprocessableEntity || !ran || len(e.StagesMS) != 1 {
+				t.Errorf("slow entry = %+v, want status 422 and the rewrite stage alone", e)
+			}
+		}
+	})
 }
 
 // checkExplain pins an explain=1 document: its keys, the report's keys

@@ -980,6 +980,7 @@ func (s *Server) logSlow(d time.Duration, tr *obs.Trace, r *http.Request, status
 		Plan:       tr.Plan(),
 		Attrs:      tr.Attrs(),
 		Partial:    a.partial,
+		Sources:    tr.Sources(),
 	}
 	if a.query != "" {
 		e.QueryHash = obs.QueryHash(a.query)

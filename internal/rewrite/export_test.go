@@ -37,3 +37,11 @@ func (r *Rewriter) Cached() int {
 	defer r.mu.Unlock()
 	return len(r.memo)
 }
+
+// SetMaxCombos lowers the inter-concept search bound until the returned
+// function is called.
+func SetMaxCombos(n int) (restore func()) {
+	old := maxCombos
+	maxCombos = n
+	return func() { maxCombos = old }
+}

@@ -505,8 +505,21 @@ func subset(a, b map[string]bool) bool {
 }
 
 // maxCombos bounds the inter-concept search; far beyond any sane mapping
-// configuration, it guards against combinatorial blow-up.
-const maxCombos = 4096
+// configuration, it guards against combinatorial blow-up. It is a var
+// only so tests can lower it; treat it as a constant.
+var maxCombos = 4096
+
+// TooManyCQsError reports a walk whose rewriting has more wrapper
+// combinations than the search enumerates. The walk is refused: a union
+// cut off at the bound would answer with rows missing and no sign of it.
+type TooManyCQsError struct {
+	// Limit is the bound that was exceeded.
+	Limit int
+}
+
+func (e *TooManyCQsError) Error() string {
+	return fmt.Sprintf("rewrite: rewriting exceeds %d conjunctive queries", e.Limit)
+}
 
 // interConcept enumerates wrapper combinations: first a witness wrapper
 // per relation edge (a witness covers the relation triple and maps the
@@ -547,6 +560,7 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 
 	var out [][]string
 	seen := map[string]bool{}
+	exceeded := false
 	emit := func(set map[string]bool) {
 		names := make([]string, 0, len(set))
 		for n := range set {
@@ -557,13 +571,17 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 		if seen[key] {
 			return
 		}
+		if len(out) >= maxCombos {
+			exceeded = true
+			return
+		}
 		seen[key] = true
 		out = append(out, names)
 	}
 
 	var recConcepts func(j int, set map[string]bool)
 	recConcepts = func(j int, set map[string]bool) {
-		if len(out) >= maxCombos {
+		if exceeded {
 			return
 		}
 		if j == len(w.Concepts) {
@@ -587,7 +605,7 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 	}
 	var recWitness func(i int, set map[string]bool)
 	recWitness = func(i int, set map[string]bool) {
-		if len(out) >= maxCombos {
+		if exceeded {
 			return
 		}
 		if i == len(w.Relations) {
@@ -607,6 +625,9 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 		}
 	}
 	recWitness(0, map[string]bool{})
+	if exceeded {
+		return nil, &TooManyCQsError{Limit: maxCombos}
+	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("rewrite: no wrapper combination covers all relation edges of the walk")
 	}

@@ -2,6 +2,7 @@ package rewrite_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -304,6 +305,32 @@ func TestMaxCQsCap(t *testing.T) {
 	}
 	if len(res.CQs) != 1 {
 		t.Errorf("MaxCQs not enforced: %d", len(res.CQs))
+	}
+}
+
+// TestCombinationBoundRefusesTheWalk: a rewriting with more wrapper
+// combinations than the search enumerates is an error, not a union cut
+// off at the bound; exactly the bound still answers; and the refusal is
+// not remembered — the same rewriter answers once the walk fits.
+func TestCombinationBoundRefusesTheWalk(t *testing.T) {
+	ont, reg, walk := usecase.SyntheticVersions(4) // 4 player versions: 4 CQs
+	r := rewrite.New(ont, reg)
+	restore := rewrite.SetMaxCombos(3)
+	for i := 0; i < 2; i++ {
+		_, err := r.Rewrite(walk)
+		var tooMany *rewrite.TooManyCQsError
+		if !errors.As(err, &tooMany) || tooMany.Limit != 3 || !strings.Contains(err.Error(), "rewriting exceeds 3 conjunctive queries") {
+			t.Fatalf("attempt %d: err = %v, want TooManyCQsError{3}", i, err)
+		}
+		if n := r.Cached(); n != 0 {
+			t.Fatalf("attempt %d: %d memo entries after a refused walk, want 0", i, n)
+		}
+	}
+	restore()
+	defer rewrite.SetMaxCombos(4)()
+	res, err := r.Rewrite(walk)
+	if err != nil || len(res.CQs) != 4 {
+		t.Fatalf("at the bound: %d CQs, err %v; want all 4", len(res.CQs), err)
 	}
 }
 

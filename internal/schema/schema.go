@@ -388,18 +388,32 @@ func widen(a, b relalg.Type) relalg.Type {
 }
 
 // ToRelation converts documents to a relation over the given attributes.
-// Missing fields become NULL. The rows are cut from one slab (two
-// allocations per relation, not one per document), each capped at its
-// own width so appending to a row cannot reach its neighbour.
-func ToRelation(docs []Doc, attrs []Attribute) *relalg.Relation {
-	rel := relalg.NewRelation(attributeNames(attrs)...)
+// Missing fields become NULL. keys serves a payload whose field names
+// differ from the attribute names: attribute a is read from field
+// keys[a.Name] where keys has an entry, and from field a.Name where it
+// has none (nil: every attribute under its own name). The rows are cut
+// from one slab (two allocations per relation, not one per document),
+// each capped at its own width so appending to a row cannot reach its
+// neighbour.
+func ToRelation(docs []Doc, attrs []Attribute, keys map[string]string) *relalg.Relation {
+	rel := &relalg.Relation{Cols: attributeNames(attrs)}
+	fields := rel.Cols
+	if len(keys) > 0 {
+		fields = make([]string, len(attrs))
+		for i, c := range rel.Cols {
+			fields[i] = c
+			if k, ok := keys[c]; ok {
+				fields[i] = k
+			}
+		}
+	}
 	w := len(attrs)
 	slab := make([]relalg.Value, len(docs)*w) // zero Value = NULL
 	rel.Rows = make([]relalg.Row, len(docs))
 	for r, d := range docs {
 		row := slab[r*w : (r+1)*w : (r+1)*w]
-		for i, a := range attrs {
-			if v, ok := d[a.Name]; ok {
+		for i, f := range fields {
+			if v, ok := d[f]; ok {
 				row[i] = v
 			}
 		}

@@ -252,7 +252,7 @@ func TestToRelationMissingBecomesNull(t *testing.T) {
 		{"a": relalg.Int(2)},
 	}
 	attrs := Infer(docs)
-	rel := ToRelation(docs, attrs)
+	rel := ToRelation(docs, attrs, nil)
 	if rel.Len() != 2 || len(rel.Cols) != 2 {
 		t.Fatalf("rel = %dx%d", rel.Len(), len(rel.Cols))
 	}
@@ -325,7 +325,7 @@ func TestPropInferToRelationArity(t *testing.T) {
 		}
 		docs := []Doc{doc}
 		attrs := Infer(docs)
-		rel := ToRelation(docs, attrs)
+		rel := ToRelation(docs, attrs, nil)
 		if len(rel.Cols) != len(attrs) {
 			return false
 		}

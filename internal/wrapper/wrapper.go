@@ -45,32 +45,54 @@ type base struct {
 	name     string
 	sourceID string
 	sig      schema.Signature
+	cols     []string // sig's attribute names, built once: Columns is read on every fetch
+}
+
+// sign sets the declared signature w(a1..an).
+func (b *base) sign(attrs []schema.Attribute) {
+	b.sig = schema.Signature{Wrapper: b.name, Attributes: attrs}
+	b.cols = b.sig.AttributeNames()
 }
 
 func (b *base) Name() string                { return b.name }
 func (b *base) SourceID() string            { return b.sourceID }
 func (b *base) Signature() schema.Signature { return b.sig }
-func (b *base) Columns() []string           { return b.sig.AttributeNames() }
 
-// toRelation converts docs to the declared signature, applying renames
-// first. Fields absent from the signature are dropped; signed attributes
-// absent from a doc become NULL.
-func toRelation(sig schema.Signature, renames map[string]string, docs []schema.Doc) *relalg.Relation {
-	if len(renames) > 0 {
-		renamed := make([]schema.Doc, len(docs))
-		for i, d := range docs {
-			nd := make(schema.Doc, len(d))
-			for k, v := range d {
-				if to, ok := renames[k]; ok {
-					k = to
-				}
-				nd[k] = v
-			}
-			renamed[i] = nd
-		}
-		docs = renamed
+// Columns implements relalg.RowSource. The slice is shared between calls
+// and must not be modified.
+func (b *base) Columns() []string { return b.cols }
+
+// relation converts docs to the columns the fetch context asks for
+// (relalg.ColumnsFrom), or to the whole signature when it asks for none:
+// a column the plan drops is a cell per document not worth converting.
+// Fields absent from the signature are dropped; signed attributes absent
+// from a doc become NULL. keys names the payload field of each renamed
+// attribute (HTTP.keys); nil reads every attribute under its own name.
+func (b *base) relation(ctx context.Context, docs []schema.Doc, keys map[string]string) *relalg.Relation {
+	return schema.ToRelation(docs, narrow(b.sig.Attributes, relalg.ColumnsFrom(ctx)), keys)
+}
+
+// narrow returns the attributes cols names, in cols' order. A request
+// for nothing, or for a column the signature lacks, gets attrs whole:
+// the engine accepts a full-width answer to any request and projects it
+// itself, so a request this wrapper cannot serve is one it ignores.
+func narrow(attrs []schema.Attribute, cols []string) []schema.Attribute {
+	if len(cols) == 0 {
+		return attrs
 	}
-	return schema.ToRelation(docs, sig.Attributes)
+	out := make([]schema.Attribute, 0, len(cols))
+	for _, c := range cols {
+		for _, a := range attrs {
+			if a.Name == c {
+				out = append(out, a)
+				break
+			}
+		}
+	}
+	if len(out) != len(cols) {
+		return attrs
+	}
+	return out
 }
 
 // --- HTTP wrapper ---
@@ -84,7 +106,8 @@ type HTTP struct {
 	base
 	url     string
 	format  schema.Format
-	renames map[string]string
+	renames map[string]string // payload field -> attribute, as the steward wrote them
+	keys    map[string]string // attribute -> the one payload field it is read from
 	client  *http.Client
 }
 
@@ -95,6 +118,11 @@ type HTTPOption func(*HTTP)
 func WithFormat(f schema.Format) HTTPOption { return func(w *HTTP) { w.format = f } }
 
 // WithRename maps a flattened payload field to a signature attribute.
+// The attribute is then read from that field alone: an explicit rename
+// wins over a raw payload field that already carries the attribute's
+// name (the raw field is dropped), and of two fields renamed to one
+// attribute the lexically first wins — never whichever a map iteration
+// happened to visit last.
 func WithRename(from, to string) HTTPOption {
 	return func(w *HTTP) { w.renames[from] = to }
 }
@@ -115,11 +143,19 @@ func NewHTTP(ctx context.Context, name, sourceID, url string, opts ...HTTPOption
 	for _, o := range opts {
 		o(w)
 	}
+	if len(w.renames) > 0 {
+		w.keys = make(map[string]string, len(w.renames))
+		for from, to := range w.renames {
+			if cur, ok := w.keys[to]; !ok || from < cur {
+				w.keys[to] = from
+			}
+		}
+	}
 	sig, err := w.CurrentSignature(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: extract signature: %w", name, err)
 	}
-	w.sig = sig
+	w.sign(sig.Attributes)
 	return w, nil
 }
 
@@ -187,22 +223,28 @@ func (w *HTTP) CurrentSignature(ctx context.Context) (schema.Signature, error) {
 	if err != nil {
 		return schema.Signature{}, err
 	}
-	renamed := toRelationDocs(w.renames, docs)
-	return schema.Signature{Wrapper: w.name, Attributes: schema.Infer(renamed)}, nil
+	return schema.Signature{Wrapper: w.name, Attributes: schema.Infer(w.renamed(docs))}, nil
 }
 
-func toRelationDocs(renames map[string]string, docs []schema.Doc) []schema.Doc {
-	if len(renames) == 0 {
+// renamed rebuilds docs under their attribute names, for signature
+// inference — the one path that needs whole renamed documents; Fetch
+// reads each attribute's payload field straight out of the original doc.
+// Both follow the rule documented on WithRename.
+func (w *HTTP) renamed(docs []schema.Doc) []schema.Doc {
+	if len(w.renames) == 0 {
 		return docs
 	}
 	out := make([]schema.Doc, len(docs))
 	for i, d := range docs {
 		nd := make(schema.Doc, len(d))
 		for k, v := range d {
-			if to, ok := renames[k]; ok {
-				k = to
+			if to, ok := w.renames[k]; ok {
+				if w.keys[to] == k {
+					nd[to] = v
+				}
+			} else if _, shadowed := w.keys[k]; !shadowed {
+				nd[k] = v
 			}
-			nd[k] = v
 		}
 		out[i] = nd
 	}
@@ -215,7 +257,7 @@ func (w *HTTP) Fetch(ctx context.Context) (*relalg.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.name, err)
 	}
-	return toRelation(w.sig, w.renames, docs), nil
+	return w.relation(ctx, docs, w.keys), nil
 }
 
 // --- In-memory wrapper ---
@@ -234,17 +276,16 @@ func NewMem(name, sourceID string, docs []schema.Doc, attrs []schema.Attribute) 
 	if attrs == nil {
 		attrs = schema.Infer(docs)
 	}
-	return &Mem{
-		base: base{name: name, sourceID: sourceID, sig: schema.Signature{Wrapper: name, Attributes: attrs}},
-		docs: docs,
-	}
+	w := &Mem{base: base{name: name, sourceID: sourceID}, docs: docs}
+	w.sign(attrs)
+	return w
 }
 
 // Fetch implements relalg.RowSource.
-func (w *Mem) Fetch(context.Context) (*relalg.Relation, error) {
+func (w *Mem) Fetch(ctx context.Context) (*relalg.Relation, error) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return schema.ToRelation(w.docs, w.sig.Attributes), nil
+	return w.relation(ctx, w.docs, nil), nil
 }
 
 // CurrentSignature implements Wrapper.
@@ -279,7 +320,7 @@ func NewFile(name, sourceID, path string, format schema.Format) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: extract signature: %w", name, err)
 	}
-	w.sig = sig
+	w.sign(sig.Attributes)
 	return w, nil
 }
 
@@ -296,12 +337,12 @@ func (w *File) readDocs() ([]schema.Doc, error) {
 }
 
 // Fetch implements relalg.RowSource.
-func (w *File) Fetch(context.Context) (*relalg.Relation, error) {
+func (w *File) Fetch(ctx context.Context) (*relalg.Relation, error) {
 	docs, err := w.readDocs()
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.name, err)
 	}
-	return schema.ToRelation(docs, w.sig.Attributes), nil
+	return w.relation(ctx, docs, nil), nil
 }
 
 // CurrentSignature implements Wrapper.
@@ -325,10 +366,9 @@ type Func struct {
 
 // NewFunc builds a function wrapper with a declared signature.
 func NewFunc(name, sourceID string, attrs []schema.Attribute, fn func(ctx context.Context) ([]schema.Doc, error)) *Func {
-	return &Func{
-		base: base{name: name, sourceID: sourceID, sig: schema.Signature{Wrapper: name, Attributes: attrs}},
-		fn:   fn,
-	}
+	w := &Func{base: base{name: name, sourceID: sourceID}, fn: fn}
+	w.sign(attrs)
+	return w
 }
 
 // Fetch implements relalg.RowSource.
@@ -337,7 +377,7 @@ func (w *Func) Fetch(ctx context.Context) (*relalg.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wrapper %s: %w", w.name, err)
 	}
-	return schema.ToRelation(docs, w.sig.Attributes), nil
+	return w.relation(ctx, docs, nil), nil
 }
 
 // CurrentSignature implements Wrapper.

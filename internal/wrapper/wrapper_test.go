@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -392,5 +393,125 @@ func TestHTTPFetchCtxCancel(t *testing.T) {
 	}()
 	if _, err := w.Fetch(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want Canceled", err)
+	}
+}
+
+// TestHTTPRenameCollision: a payload that carries both the renamed field
+// and a raw field of the attribute's name reads the attribute from the
+// renamed one — in the signature and in every fetch, however the doc's
+// map happens to iterate — and of two fields renamed to one attribute
+// the lexically first wins.
+func TestHTTPRenameCollision(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`[
+			{"id":1,"preferred_foot":"left","foot":7,"b_name":"b","a_name":"a"},
+			{"id":2,"foot":8,"b_name":"b2"}
+		]`))
+	}))
+	defer srv.Close()
+	for i := 0; i < 20; i++ { // map iteration order varies between runs of the loop
+		w, err := NewHTTP(context.Background(), "w", "s", srv.URL,
+			WithRename("preferred_foot", "foot"),
+			WithRename("b_name", "name"), WithRename("a_name", "name"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := w.Signature().String(); got != "w(foot, id, name)" {
+			t.Fatalf("signature = %s", got)
+		}
+		for _, a := range w.Signature().Attributes {
+			if a.Name == "foot" && a.Type != relalg.TypeString {
+				t.Fatalf("foot inferred as %v: the raw integer field leaked into the signature", a.Type)
+			}
+		}
+		for _, cols := range [][]string{nil, {"name", "foot"}} {
+			rel, err := w.Fetch(relalg.WithColumns(context.Background(), cols))
+			if err != nil {
+				t.Fatal(err)
+			}
+			foot, name := rel.ColIndex("foot"), rel.ColIndex("name")
+			if rel.Rows[0][foot] != relalg.String("left") || rel.Rows[0][name] != relalg.String("a") {
+				t.Fatalf("cols %v: row 0 = %v, want foot from preferred_foot and name from a_name", cols, rel.Rows[0])
+			}
+			// The second doc has neither winning field: NULL, not the shadowed raw values.
+			if !rel.Rows[1][foot].IsNull() || !rel.Rows[1][name].IsNull() {
+				t.Fatalf("cols %v: row 1 = %v, want NULL foot and name", cols, rel.Rows[1])
+			}
+		}
+	}
+}
+
+// TestFetchHonoursRequestedColumns: every wrapper kind converts only the
+// columns the fetch context asks for, in the order it asks, and says so
+// in the relation's Cols; with no request it returns its signature.
+func TestFetchHonoursRequestedColumns(t *testing.T) {
+	payload := `[{"id":6176,"name":"Lionel Messi","team_id":25},{"id":8123,"name":"Zlatan Ibrahimovic","team_id":31}]`
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(payload))
+	}))
+	defer srv.Close()
+	path := filepath.Join(t.TempDir(), "players.json")
+	if err := os.WriteFile(path, []byte(strings.NewReplacer("name", "pName", "team_id", "teamId").Replace(payload)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hw, err := NewHTTP(context.Background(), "http", "s", srv.URL, WithRename("name", "pName"), WithRename("team_id", "teamId"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := NewFile("file", "s", path, schema.FormatJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mw := NewMem("mem", "s", playerDocs(), nil)
+	fn := NewFunc("func", "s", mw.Signature().Attributes, func(context.Context) ([]schema.Doc, error) { return playerDocs(), nil })
+
+	for _, w := range []Wrapper{hw, fw, mw, fn, NewChaos(mw, 1)} {
+		full, err := w.Fetch(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(full.Cols, w.Columns()) {
+			t.Errorf("%s: unasked fetch returned %v, declared %v", w.Name(), full.Cols, w.Columns())
+		}
+		want := []string{"teamId", "id"}
+		rel, err := w.Fetch(relalg.WithColumns(context.Background(), want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rel.Cols, want) {
+			t.Fatalf("%s: asked for %v, got %v", w.Name(), want, rel.Cols)
+		}
+		for r, row := range rel.Rows {
+			if len(row) != 2 || row[0] != full.Rows[r][full.ColIndex("teamId")] || row[1] != full.Rows[r][full.ColIndex("id")] {
+				t.Errorf("%s: narrowed row %d = %v, full row %v", w.Name(), r, row, full.Rows[r])
+			}
+		}
+	}
+}
+
+// TestNarrow pins the helper's edges: the answer follows the request's
+// order, and a request the signature cannot serve is answered whole.
+func TestNarrow(t *testing.T) {
+	attrs := []schema.Attribute{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+	for _, tc := range []struct {
+		cols []string
+		want string
+	}{
+		{nil, "a b c"},
+		{[]string{}, "a b c"},
+		{[]string{"c", "a"}, "c a"},
+		{[]string{"b"}, "b"},
+		{[]string{"a", "b", "c"}, "a b c"},
+		{[]string{"a", "nope"}, "a b c"},
+	} {
+		var got []string
+		for _, a := range narrow(attrs, tc.cols) {
+			got = append(got, a.Name)
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("narrow(%v) = %v, want %s", tc.cols, got, tc.want)
+		}
 	}
 }
