@@ -69,7 +69,7 @@ func BenchmarkFig6SourceGraph(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := o.RegisterWrapper("players-api", sig); err != nil {
+		if _, err := o.RegisterWrapper("players-api", sig, time.Now(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

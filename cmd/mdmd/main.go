@@ -240,9 +240,12 @@ func buildSystem(dataDir string, seed bool, opts mdm.StoreOptions) (*mdm.System,
 		if err != nil {
 			return nil, err
 		}
-		// Wrappers are live code and cannot be restored from storage;
-		// the steward re-registers them over the API.
-		log.Print("mdmd: note: wrappers must be re-registered after a restart")
+		// The registry starts empty: wrappers are attached again by
+		// re-POSTing them, which the release log answers with the release
+		// it already holds.
+		if n := len(sys.ReleaseLog()); n > 0 {
+			log.Printf("mdmd: note: %d released wrappers are not attached; re-POST each to /api/wrappers (200, writes no release)", n)
+		}
 		return sys, nil
 	}
 	return mdm.New(), nil

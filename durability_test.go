@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -105,10 +106,11 @@ func storeState(t *testing.T, sys *mdm.System) string {
 }
 
 // TestKillAfterAck: a release is durable when it is acknowledged. The
-// child — this test binary re-executed — registers a wrapper and defines
-// its mapping on a persistent system, says so, and is SIGKILLed without
-// ever calling Close or CompactStorage; the parent then finds the
-// source-graph triples, the mapping graph and the release document.
+// child — this test binary re-executed — registers two versions of a
+// wrapper and defines their mappings on a persistent system, prints the
+// second release as it was acknowledged, and is SIGKILLed without ever
+// calling Close or CompactStorage; the parent then finds the source-graph
+// triples, the mapping graph and that release entry, whole.
 func TestKillAfterAck(t *testing.T) {
 	const envDir = "MDM_TEST_KILL_AFTER_ACK_DIR"
 	if dir := os.Getenv(envDir); dir != "" {
@@ -119,11 +121,19 @@ func TestKillAfterAck(t *testing.T) {
 		if err == nil {
 			err = release(sys, 1)
 		}
+		var acked mdm.Release
+		if err == nil {
+			acked, err = sys.RegisterWrapper(playersWrapper(2))
+		}
+		if err == nil {
+			err = sys.DefineMapping(playersMapping(sys, "players_v2", true))
+		}
 		if err != nil {
 			fmt.Println("child failed:", err)
 			os.Exit(1)
 		}
-		fmt.Println("acked")
+		line, _ := json.Marshal(acked)
+		fmt.Printf("acked %s\n", line)
 		time.Sleep(time.Hour) // the parent kills us long before
 		return
 	}
@@ -137,122 +147,88 @@ func TestKillAfterAck(t *testing.T) {
 	line, _ := bufio.NewReader(out).ReadString('\n')
 	must(t, cmd.Process.Kill())
 	_ = cmd.Wait() // "signal: killed" is the point
-	if strings.TrimSpace(line) != "acked" {
-		t.Fatalf("child said %q before it was killed, want \"acked\"", line)
+	ack, ok := strings.CutPrefix(line, "acked ")
+	if !ok {
+		t.Fatalf("child said %q before it was killed, want \"acked …\"", line)
 	}
+	var acked mdm.Release
+	must(t, json.Unmarshal([]byte(ack), &acked))
 
 	sys, err := mdm.Open(dir)
 	must(t, err)
 	defer sys.Close()
-	if got := sys.Ontology().AttributesOf("players_v1"); len(got) != 2 {
-		t.Errorf("source graph after kill holds %d attributes of players_v1, want 2", len(got))
+	if got := sys.Ontology().AttributesOf("players_v2"); len(got) != 3 {
+		t.Errorf("source graph after kill holds %d attributes of players_v2, want 3", len(got))
 	}
-	m, ok := sys.Ontology().MappingOf("players_v1")
+	m, ok := sys.Ontology().MappingOf("players_v2")
 	if !ok || len(m.Subgraph) != 3 || len(m.SameAs) != 2 {
 		t.Errorf("mapping after kill = %+v (found %v), want 3 triples and 2 links", m, ok)
 	}
 	log := sys.ReleaseLog()
-	if len(log) != 1 || log[0].Wrapper != "players_v1" || log[0].Recovered {
-		t.Errorf("release log after kill = %+v, want the one original entry", log)
+	if len(log) != 2 || log[0].Wrapper != "players_v1" {
+		t.Fatalf("release log after kill = %+v, want the two acknowledged entries", log)
+	}
+	if len(acked.Changes) != 1 || acked.Supersedes != "players_v1" {
+		t.Fatalf("the child acknowledged %+v, want players_v1 superseded with one change", acked)
+	}
+	if !log[1].At.Equal(acked.At) {
+		t.Errorf("entry after kill is dated %v, acknowledged at %v", log[1].At, acked.At)
+	}
+	log[1].At = acked.At // the same instant, printed in another zone
+	if !reflect.DeepEqual(log[1], acked) {
+		t.Errorf("entry after kill = %+v\nacknowledged   = %+v", log[1], acked)
 	}
 	if v := sys.Validate(); len(v) != 0 {
 		t.Errorf("violations after kill: %v", v)
 	}
 }
 
-// TestOpenReconcilesReleaseLog: RegisterWrapper commits to the WAL first
-// and writes the release document second, so a crash between the two
-// leaves a wrapper without a document — repaired at open — while a
-// document without its wrapper can only mean the stores come from
-// different histories, and fails the open.
-func TestOpenReconcilesReleaseLog(t *testing.T) {
-	build := func(t *testing.T) string {
-		dir := t.TempDir()
-		sys, err := mdm.Open(dir)
-		must(t, err)
-		must(t, seedPlayers(sys))
-		must(t, release(sys, 1))
-		must(t, release(sys, 2))
-		crash(t, sys)
-		return dir
-	}
-
-	t.Run("wrapper without document is recovered", func(t *testing.T) {
-		dir := build(t)
-		must(t, os.Remove(filepath.Join(dir, "meta", "releases.json")))
-		sys, err := mdm.Open(dir)
-		must(t, err)
-		log := sys.ReleaseLog()
-		if len(log) != 2 {
-			t.Fatalf("recovered log has %d entries, want 2: %+v", len(log), log)
-		}
-		want := []mdm.Release{
-			{Seq: 1, Kind: "new-source", SourceID: "players-api", Wrapper: "players_v1", Signature: "players_v1(id, pName)", Recovered: true},
-			{Seq: 2, Kind: "new-version", SourceID: "players-api", Wrapper: "players_v2", Signature: "players_v2(ext_2, id, pName)", Supersedes: "players_v1", Recovered: true},
-		}
-		for i := range log {
-			log[i].At = time.Time{}
-		}
-		if !reflect.DeepEqual(log, want) {
-			t.Errorf("recovered log = %+v\nwant %+v", log, want)
-		}
-		if !strings.Contains(sys.ReleaseLog()[0].Summary(), "RECOVERED") {
-			t.Errorf("summary %q does not say the entry was recovered", sys.ReleaseLog()[0].Summary())
-		}
-		// The repair is itself durable, and the next release continues the
-		// numbering.
-		must(t, sys.Close())
-		sys, err = mdm.Open(dir)
-		must(t, err)
-		defer sys.Close()
-		if got := sys.ReleaseLog(); len(got) != 2 || !got[1].Recovered {
-			t.Fatalf("log after a second open = %+v", got)
-		}
-		for v := 1; v <= 2; v++ {
-			must(t, sys.Wrappers().Register(playersWrapper(v)))
-		}
-		rel, err := sys.RegisterWrapper(playersWrapper(3))
-		must(t, err)
-		if rel.Seq != 3 || rel.Supersedes != "players_v2" || rel.Recovered {
-			t.Errorf("release after recovery = %+v", rel)
-		}
-	})
-
-	t.Run("document without wrapper fails the open", func(t *testing.T) {
-		dir := build(t)
-		must(t, os.Remove(filepath.Join(dir, "ontology", "wal.jsonl")))
-		sys, err := mdm.Open(dir)
-		if err == nil {
-			sys.Close()
-			t.Fatal("Open served a release log whose wrappers the ontology store does not hold")
-		}
-		if !strings.Contains(err.Error(), "release #1") || !strings.Contains(err.Error(), "players_v1") {
-			t.Errorf("error %q does not name the release", err)
-		}
-	})
-}
-
-// TestReleaseDocumentFailureNotAcknowledged: RegisterWrapper returns the
-// metadata store's error instead of acknowledging a release it could not
-// log, and the next open repairs the log from the source graph.
-func TestReleaseDocumentFailureNotAcknowledged(t *testing.T) {
+// TestTornRegisterWrapperBatch: a release is one WAL record — the
+// wrapper's source-graph triples and its release entry — so a crash that
+// tears it loses both: the reopened store holds neither the wrapper nor
+// the entry, and the next release takes the sequence number.
+func TestTornRegisterWrapperBatch(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := mdm.Open(dir)
 	must(t, err)
 	must(t, seedPlayers(sys))
-	// A non-empty directory where the collection file goes: the store's
-	// publishing rename fails.
-	must(t, os.MkdirAll(filepath.Join(dir, "meta", "releases.json", "x"), 0o755))
-	if _, err := sys.RegisterWrapper(playersWrapper(1)); err == nil {
-		t.Fatal("RegisterWrapper acknowledged a release whose document was not written")
-	}
+	must(t, release(sys, 1))
+	before := storeState(t, sys)
+	torn, err := sys.RegisterWrapper(playersWrapper(2))
+	must(t, err)
 	crash(t, sys)
-	must(t, os.RemoveAll(filepath.Join(dir, "meta", "releases.json")))
+
+	walPath := filepath.Join(dir, "ontology", "wal.jsonl")
+	wal, err := os.ReadFile(walPath)
+	must(t, err)
+	last := bytes.LastIndexByte(wal[:len(wal)-1], '\n') + 1
+	for _, part := range []string{"wrapper/players_v2", bdi.ClassWrapper.Value, bdi.PropSeq.Value} {
+		if !bytes.Contains(wal[last:], []byte(part)) {
+			t.Fatalf("last WAL record does not hold %s, so it is not the whole release: %s", part, wal[last:])
+		}
+	}
+	for _, cut := range []int{last + 1, last + (len(wal)-last)/2, len(wal) - 2} {
+		must(t, os.WriteFile(walPath, wal[:cut], 0o644))
+		sys, err := mdm.Open(dir)
+		must(t, err)
+		if got := storeState(t, sys); got != before {
+			t.Errorf("WAL cut at byte %d of the batch replayed to\n%s\nwant the state before the call\n%s", cut-last, got, before)
+		}
+		if _, ok := sys.Ontology().SourceOfWrapper("players_v2"); ok {
+			t.Errorf("WAL cut at byte %d: the wrapper of the torn release is in the source graph", cut-last)
+		}
+		if log := sys.ReleaseLog(); len(log) != 1 || log[0].Wrapper != "players_v1" {
+			t.Errorf("WAL cut at byte %d: release log = %+v, want players_v1 alone", cut-last, log)
+		}
+		crash(t, sys)
+	}
 	sys, err = mdm.Open(dir)
 	must(t, err)
 	defer sys.Close()
-	if log := sys.ReleaseLog(); len(log) != 1 || !log[0].Recovered || log[0].Wrapper != "players_v1" {
-		t.Errorf("log after reopen = %+v, want the recovered players_v1 entry", log)
+	again, err := sys.RegisterWrapper(playersWrapper(2))
+	must(t, err)
+	if again.Seq != torn.Seq || again.Supersedes != "players_v1" {
+		t.Errorf("release after the torn one = %+v, want sequence number %d again", again, torn.Seq)
 	}
 }
 
@@ -393,7 +369,14 @@ func TestLockOrderReleasesCompactionsCursors(t *testing.T) {
 	if after := storeState(t, sys); after != before {
 		t.Errorf("reopen changed the store:\n%s\nbefore:\n%s", after, before)
 	}
-	if got := len(sys.ReleaseLog()); got != releases {
-		t.Errorf("release log holds %d entries after %d releases", got, releases)
+	log := sys.ReleaseLog()
+	if len(log) != releases {
+		t.Errorf("release log holds %d entries after %d releases", len(log), releases)
+	}
+	// Numbered under the ontology's write lock, compactions or not.
+	for i, rel := range log {
+		if want := fmt.Sprintf("players_v%d", i+1); rel.Seq != i+1 || rel.Wrapper != want {
+			t.Errorf("log[%d] = #%d %s, want #%d %s", i, rel.Seq, rel.Wrapper, i+1, want)
+		}
 	}
 }

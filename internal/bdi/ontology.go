@@ -13,7 +13,9 @@
 //   - each LAV MAPPING is a named graph whose name is the wrapper IRI,
 //     containing (a) the subgraph of the global graph the wrapper
 //     populates and (b) owl:sameAs links from the wrapper's attributes
-//     to global features.
+//     to global features;
+//   - the RELEASE GRAPH (named graph bdi:ReleaseGraph) is the release
+//     log: per wrapper, the record of its release (see release.go).
 //
 // Features that are rdfs:subClassOf sc:identifier (schema.org) identify
 // their concept; inter-concept joins during query rewriting are only
@@ -28,6 +30,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"mdm/internal/rdf"
 	"mdm/internal/schema"
@@ -80,6 +83,9 @@ var (
 	ErrUnknownSource = errors.New("bdi: unknown data source")
 	// ErrUnknownWrapper is returned when referencing an undeclared wrapper.
 	ErrUnknownWrapper = errors.New("bdi: unknown wrapper")
+	// ErrWrapperReleased is returned when releasing a wrapper name the
+	// release graph already records.
+	ErrWrapperReleased = errors.New("bdi: wrapper already released")
 	// ErrNotInGlobal is returned when a mapping references triples that
 	// are not a subgraph of the global graph.
 	ErrNotInGlobal = errors.New("bdi: mapping triple not present in global graph")
@@ -464,31 +470,63 @@ func (o *Ontology) AddDataSource(sourceID, label string) error {
 	return w.commit()
 }
 
-// RegisterWrapper records a wrapper and its signature in the source
-// graph. Attribute nodes are reused across wrappers of the same data
-// source when names coincide (paper §2.2: "MDM will try to reuse as many
-// attributes as possible from the previous wrappers for that data
+// RegisterWrapper releases a wrapper: its node and signature go into the
+// source graph and its release record (see Release) into the release
+// graph, as one write set — one journal record — so neither exists
+// without the other. Attribute nodes are reused across wrappers of the
+// same data source when names coincide (paper §2.2: "MDM will try to reuse
+// as many attributes as possible from the previous wrappers for that data
 // source"), and are never shared across sources.
-func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature) error {
+//
+// The sequence number and the superseded wrapper — the source's latest
+// release — are fixed under the write lock. When there is one, describe
+// (if not nil) is called with it, under that lock, and what it returns is
+// stored as the record's Changes; it must not call back into o.
+func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, at time.Time, describe func(superseded Release) string) (Release, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	g := o.Source()
 	s := SourceIRI(sourceID)
 	if !g.Has(rdf.T(s, rdf.IRI(rdf.RDFType), ClassDataSource)) {
-		return fmt.Errorf("%w: %s", ErrUnknownSource, sourceID)
+		return Release{}, fmt.Errorf("%w: %s", ErrUnknownSource, sourceID)
 	}
 	w := WrapperIRI(sig.Wrapper)
+	if _, ok := o.releaseOf(w); ok {
+		return Release{}, fmt.Errorf("%w: %s", ErrWrapperReleased, sig.Wrapper)
+	}
+	rel := Release{Seq: 1, At: at, SourceID: sourceID, Signature: sig}
+	if rg, ok := o.dset().Lookup(ReleaseGraphName); ok {
+		rel.Seq += rg.Count(rdf.Any, PropSeq, rdf.Any)
+	}
+	if prev, ok := o.latestReleaseOf(s); ok {
+		rel.Supersedes = prev.Signature.Wrapper
+		if describe != nil {
+			rel.Changes = describe(prev)
+		}
+	}
 	ws := writes{o: o}
 	ws.add(SourceGraphName, rdf.T(w, rdf.IRI(rdf.RDFType), ClassWrapper))
 	ws.add(SourceGraphName, rdf.T(w, rdf.IRI(rdf.RDFSLabel), rdf.Lit(sig.Wrapper)))
 	ws.add(SourceGraphName, rdf.T(s, PropHasWrapper, w))
 	for _, a := range sig.Attributes {
-		at := AttributeIRI(sourceID, a.Name)
-		ws.add(SourceGraphName, rdf.T(at, rdf.IRI(rdf.RDFType), ClassAttribute))
-		ws.add(SourceGraphName, rdf.T(at, rdf.IRI(rdf.RDFSLabel), rdf.Lit(a.Name)))
-		ws.add(SourceGraphName, rdf.T(w, PropHasAttribute, at))
+		attr := AttributeIRI(sourceID, a.Name)
+		ws.add(SourceGraphName, rdf.T(attr, rdf.IRI(rdf.RDFType), ClassAttribute))
+		ws.add(SourceGraphName, rdf.T(attr, rdf.IRI(rdf.RDFSLabel), rdf.Lit(a.Name)))
+		ws.add(SourceGraphName, rdf.T(w, PropHasAttribute, attr))
 	}
-	return ws.commit()
+	ws.add(ReleaseGraphName, rdf.T(w, PropSeq, rdf.IntLit(int64(rel.Seq))))
+	ws.add(ReleaseGraphName, rdf.T(w, PropReleasedAt, rdf.Lit(at.Format(time.RFC3339Nano))))
+	ws.add(ReleaseGraphName, rdf.T(w, PropSignature, rdf.Lit(encodeAttributes(sig.Attributes))))
+	if rel.Supersedes != "" {
+		ws.add(ReleaseGraphName, rdf.T(w, PropSupersedes, WrapperIRI(rel.Supersedes)))
+	}
+	if rel.Changes != "" {
+		ws.add(ReleaseGraphName, rdf.T(w, PropChanges, rdf.Lit(rel.Changes)))
+	}
+	if err := ws.commit(); err != nil {
+		return Release{}, err
+	}
+	return rel, nil
 }
 
 // Sources lists data source IRIs, sorted.

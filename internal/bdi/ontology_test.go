@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
@@ -19,6 +20,16 @@ func sig(w string, attrs ...string) schema.Signature {
 		s.Attributes = append(s.Attributes, schema.Attribute{Name: a, Type: relalg.TypeString})
 	}
 	return s
+}
+
+// releasedAt is the time of every release these tests make, so that two
+// ontologies built by the same calls hold the same quads.
+var releasedAt = time.Date(2018, 3, 26, 10, 0, 0, 0, time.UTC)
+
+// release registers a wrapper with nothing to say about what changed.
+func release(o *Ontology, sourceID string, s schema.Signature) error {
+	_, err := o.RegisterWrapper(sourceID, s, releasedAt, nil)
+	return err
 }
 
 // miniFixture builds a Player/Team ontology close to Figures 5-7.
@@ -55,8 +66,8 @@ func fillMini(t *testing.T, o *Ontology) int {
 		o.RelateConcepts(player, rdf.IRI(ex+"playsIn"), team),
 		o.AddDataSource("players-api", "Players API"),
 		o.AddDataSource("teams-api", "Teams API"),
-		o.RegisterWrapper("players-api", sig("w1", "id", "pName", "teamId")),
-		o.RegisterWrapper("teams-api", sig("w2", "id", "name")),
+		release(o, "players-api", sig("w1", "id", "pName", "teamId")),
+		release(o, "teams-api", sig("w2", "id", "name")),
 	}
 	for _, err := range calls {
 		if err != nil {
@@ -121,7 +132,7 @@ func TestJournalSeam(t *testing.T) {
 	for name, err := range map[string]error{
 		"AddConcept":      o.AddConcept(rdf.IRI(ex+"Referee"), "Referee"),
 		"MarkIdentifier":  o.MarkIdentifier(rdf.IRI(ex + "playerName")),
-		"RegisterWrapper": o.RegisterWrapper("players-api", sig("w3", "id")),
+		"RegisterWrapper": release(o, "players-api", sig("w3", "id")),
 		"DefineMapping":   o.DefineMapping(m),
 	} {
 		if !errors.Is(err, j.fail) {
@@ -241,7 +252,7 @@ func TestSourceGraphConstruction(t *testing.T) {
 	if _, ok := o.SourceOfWrapper("nope"); ok {
 		t.Error("SourceOfWrapper on unknown wrapper")
 	}
-	if err := o.RegisterWrapper("ghost-api", sig("w9", "a")); !errors.Is(err, ErrUnknownSource) {
+	if err := release(o, "ghost-api", sig("w9", "a")); !errors.Is(err, ErrUnknownSource) {
 		t.Errorf("register on unknown source = %v", err)
 	}
 	if err := o.AddDataSource("", ""); err == nil {
@@ -252,7 +263,7 @@ func TestSourceGraphConstruction(t *testing.T) {
 func TestAttributeReuseWithinSource(t *testing.T) {
 	o := miniFixture(t)
 	// Second wrapper of players-api shares attribute names id, teamId.
-	if err := o.RegisterWrapper("players-api", sig("w1b", "id", "extra")); err != nil {
+	if err := release(o, "players-api", sig("w1b", "id", "extra")); err != nil {
 		t.Fatal(err)
 	}
 	// The id attribute node must be shared between w1 and w1b …
@@ -443,7 +454,7 @@ func TestValidateDetectsViolations(t *testing.T) {
 	o2.AddConcept(noid, "NoId")
 	o2.AddFeature(fx, "x")
 	o2.AttachFeature(noid, fx)
-	o2.RegisterWrapper("players-api", sig("w7", "x"))
+	release(o2, "players-api", sig("w7", "x"))
 	if err := o2.DefineMapping(Mapping{
 		Wrapper: "w7",
 		Subgraph: []rdf.Triple{
@@ -534,7 +545,7 @@ func TestWrapperIRIEscaping(t *testing.T) {
 	}
 	o := New()
 	o.AddDataSource("src", "")
-	o.RegisterWrapper("src", sig("w 1/x", "a"))
+	release(o, "src", sig("w 1/x", "a"))
 	// Mapping round trip with escaped name.
 	c := rdf.IRI(ex + "C")
 	f := rdf.IRI(ex + "f")
@@ -576,7 +587,7 @@ func TestOntologyGraphsShareDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.AddDataSource("src", "")
-	o.RegisterWrapper("src", sig("w1", "a"))
+	release(o, "src", sig("w1", "a"))
 	if err := o.DefineMapping(Mapping{
 		Wrapper: "w1",
 		Subgraph: []rdf.Triple{

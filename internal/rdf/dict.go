@@ -67,16 +67,17 @@ func (d *Dict) Intern(t Term) TermID {
 
 // InternBatch interns every term of ts under a single lock acquisition,
 // writing the assigned IDs into out (which must have len(ts)). The
-// terms slice is grown once up front — to fit when the dictionary is
-// empty, by append's amortized rule otherwise, so a chain of small delta
-// segments does not copy the whole table once per segment — and an empty
-// dictionary gets a map presized for the batch: this is the segment-load
-// fast path, where a cold open interns the whole dictionary block at
-// once.
+// terms slice is grown once up front, by append's amortized rule, so a
+// chain of small delta segments does not copy the whole table once per
+// segment — with an eighth of the batch to spare, because a table grown
+// to fit a cold open's one large batch would be copied whole by the first
+// term interned after it — and an empty dictionary gets a map presized
+// for the batch: this is the segment-load fast path, where a cold open
+// interns the whole dictionary block at once.
 func (d *Dict) InternBatch(ts []Term, out []TermID) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.terms = slices.Grow(d.terms, len(ts))
+	d.terms = slices.Grow(d.terms, len(ts)+len(ts)/8)
 	if len(d.ids) == 0 {
 		d.ids = make(map[Term]TermID, len(ts))
 	}

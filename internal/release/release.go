@@ -10,10 +10,11 @@ package release
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"mdm/internal/bdi"
@@ -208,13 +209,6 @@ type Release struct {
 	Breaking bool
 	// At is the release timestamp.
 	At time.Time
-	// Recovered marks an entry rebuilt from the source graph at open: the
-	// wrapper's triples were durable but its release document was not (a
-	// crash between the two writes). Kind, Supersedes and Signature are
-	// what the source graph still shows — attribute order and the diff
-	// against the superseded wrapper are lost — and At is the recovery
-	// time.
-	Recovered bool
 }
 
 // Summary is a one-line description for logs and the REST API.
@@ -234,21 +228,32 @@ func (r Release) Summary() string {
 	if r.Breaking {
 		sb.WriteString(" BREAKING")
 	}
-	if r.Recovered {
-		sb.WriteString(" RECOVERED")
-	}
 	return sb.String()
+}
+
+// ConflictError reports a wrapper registered under a name the release log
+// already holds with a different data source or different attributes. One
+// wrapper per schema version is the paper's rule (§2.2), so the recorded
+// release stands and the new schema needs a name of its own.
+type ConflictError struct {
+	// Recorded is the release the log holds under the name.
+	Recorded Release
+	// Offered is what the rejected wrapper declared: "source/signature".
+	Offered string
+}
+
+func (e *ConflictError) Error() string {
+	return fmt.Sprintf("release: wrapper %q is already released as %s/%s (release #%d), not %s: release the new schema under a new wrapper name",
+		e.Recorded.Wrapper, e.Recorded.SourceID, e.Recorded.Signature, e.Recorded.Seq, e.Offered)
 }
 
 // Manager orchestrates releases against the ontology and the wrapper
 // registry. It is the programmatic face of the "registration of new data
-// sources" interaction (paper §2.2).
+// sources" interaction (paper §2.2). The release log is the ontology's
+// release graph; the manager keeps no copy of it.
 type Manager struct {
 	ont *bdi.Ontology
 	reg *wrapper.Registry
-	// mu guards log: releases are registered while the log is served.
-	mu  sync.Mutex
-	log []Release
 	// Now is injectable for deterministic tests.
 	Now func() time.Time
 }
@@ -258,64 +263,79 @@ func NewManager(ont *bdi.Ontology, reg *wrapper.Registry) *Manager {
 	return &Manager{ont: ont, reg: reg, Now: time.Now}
 }
 
-// Register performs a release: the wrapper is added to the registry and
-// the source graph, its schema is diffed against the source's previous
-// wrapper (attribute reuse happens inside the ontology), and the release
-// is logged. The caller defines the LAV mapping afterwards.
+// Register performs a release: the wrapper is added to the registry, and
+// to the source graph together with its release record, its schema diffed
+// against the source's latest recorded release — which need not be
+// attached to the registry (attribute reuse happens inside the ontology).
+// The caller defines the LAV mapping afterwards.
+//
+// A wrapper the log already records — after a restart, wrappers are
+// re-attached by registering them again — is only added to the registry,
+// and its recorded release is returned; if its source or attribute names
+// differ from the record, nothing changes and the error is a
+// *ConflictError.
 func (m *Manager) Register(w wrapper.Wrapper) (Release, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	prevWrappers := m.reg.BySource(w.SourceID())
-	rel := Release{
-		Seq:       len(m.log) + 1,
-		SourceID:  w.SourceID(),
-		Wrapper:   w.Name(),
-		Signature: w.Signature().String(),
-		At:        m.Now(),
-	}
-	if len(prevWrappers) == 0 {
-		rel.Kind = NewSource
-	} else {
-		rel.Kind = NewVersion
-		prev := prevWrappers[len(prevWrappers)-1]
-		rel.Supersedes = prev.Name()
-		rel.Changes = Diff(prev.Signature(), w.Signature())
-		rel.Breaking = IsBreaking(rel.Changes)
+	sig := w.Signature()
+	rec, released := m.ont.ReleaseOf(w.Name())
+	if released && (rec.SourceID != w.SourceID() || !sameNames(rec.Signature, sig)) {
+		return Release{}, &ConflictError{Recorded: fromRecord(rec), Offered: w.SourceID() + "/" + sig.String()}
 	}
 	if err := m.reg.Register(w); err != nil {
 		return Release{}, err
 	}
-	if err := m.ont.RegisterWrapper(w.SourceID(), w.Signature()); err != nil {
+	if released {
+		return fromRecord(rec), nil
+	}
+	rec, err := m.ont.RegisterWrapper(w.SourceID(), sig, m.Now(), func(superseded bdi.Release) string {
+		changes := Diff(superseded.Signature, sig)
+		if len(changes) == 0 {
+			return ""
+		}
+		b, _ := json.Marshal(changes) // plain strings: cannot fail
+		return string(b)
+	})
+	if err != nil {
 		m.reg.Remove(w.Name())
 		return Release{}, err
 	}
-	m.log = append(m.log, rel)
-	return rel, nil
+	return fromRecord(rec), nil
 }
 
-// Restore replaces the log with one recorded earlier (a persistent
-// system's release documents, at open); the next release continues its
-// numbering.
-func (m *Manager) Restore(log []Release) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.log = append([]Release(nil), log...)
+// fromRecord completes a release-graph record with what is derived from
+// it: the kind, the rendered signature, the parsed changes and whether
+// they break consumers.
+func fromRecord(rec bdi.Release) Release {
+	rel := Release{
+		Seq: rec.Seq, Kind: NewSource, SourceID: rec.SourceID, Wrapper: rec.Signature.Wrapper,
+		Signature: rec.Signature.String(), Supersedes: rec.Supersedes, At: rec.At,
+	}
+	if rec.Supersedes != "" {
+		rel.Kind = NewVersion
+	}
+	if rec.Changes != "" {
+		// Written by Register; anything else reads as no changes.
+		_ = json.Unmarshal([]byte(rec.Changes), &rel.Changes)
+	}
+	rel.Breaking = IsBreaking(rel.Changes)
+	return rel
 }
 
-// Log returns the full release log (copy).
+// sameNames reports whether two signatures declare the same attribute
+// names, in any order: the source graph keeps them as a set, and types
+// are re-inferred from whatever payload the source serves today.
+func sameNames(a, b schema.Signature) bool {
+	an, bn := a.AttributeNames(), b.AttributeNames()
+	slices.Sort(an)
+	slices.Sort(bn)
+	return slices.Equal(an, bn)
+}
+
+// Log returns the full release log, in sequence order.
 func (m *Manager) Log() []Release {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Release(nil), m.log...)
-}
-
-// History returns the releases of one source.
-func (m *Manager) History(sourceID string) []Release {
-	var out []Release
-	for _, r := range m.Log() {
-		if r.SourceID == sourceID {
-			out = append(out, r)
-		}
+	recs := m.ont.Releases()
+	out := make([]Release, len(recs))
+	for i, rec := range recs {
+		out[i] = fromRecord(rec)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package release_test
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -102,10 +104,15 @@ func TestDiffIdentical(t *testing.T) {
 
 func TestManagerReleaseLog(t *testing.T) {
 	f := usecase.MustNew()
-	// Fresh ontology-side source for manager-driven registration.
 	mgr := release.NewManager(f.Ont, f.Reg)
 	fixed := time.Date(2018, 3, 26, 10, 0, 0, 0, time.UTC) // EDBT 2018 day 1
 	mgr.Now = func() time.Time { return fixed }
+	// The fixture released its six wrappers through a manager of its own:
+	// the log is the ontology's, not the manager's.
+	seeded := len(mgr.Log())
+	if seeded != 6 {
+		t.Fatalf("fixture log = %d entries, want its 6 wrappers", seeded)
+	}
 
 	if err := f.Ont.AddDataSource("weather-api", "Weather API"); err != nil {
 		t.Fatal(err)
@@ -115,7 +122,7 @@ func TestManagerReleaseLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel1.Kind != release.NewSource || rel1.Seq != 1 || rel1.Supersedes != "" {
+	if rel1.Kind != release.NewSource || rel1.Seq != seeded+1 || rel1.Supersedes != "" {
 		t.Fatalf("rel1 = %+v", rel1)
 	}
 	if !rel1.At.Equal(fixed) {
@@ -140,26 +147,103 @@ func TestManagerReleaseLog(t *testing.T) {
 		}
 	}
 
-	if got := len(mgr.Log()); got != 2 {
-		t.Errorf("log = %d", got)
+	log := mgr.Log()
+	if len(log) != seeded+2 {
+		t.Fatalf("log = %d", len(log))
 	}
-	hist := mgr.History("weather-api")
-	if len(hist) != 2 || hist[0].Wrapper != "weather-v1" {
-		t.Errorf("history = %v", hist)
+	for i, rel := range log {
+		if rel.Seq != i+1 {
+			t.Errorf("log[%d].Seq = %d", i, rel.Seq)
+		}
 	}
-	if got := mgr.History("players-api"); len(got) != 0 {
-		t.Errorf("unrelated history = %v", got)
+	// What Register returned is what the log reads back.
+	if got := log[seeded+1]; !reflect.DeepEqual(got, rel2) {
+		t.Errorf("logged %+v\nreturned %+v", got, rel2)
+	}
+}
+
+// TestManagerDiffsAgainstTheLog: the superseded wrapper and its typed
+// signature come from the release graph, so the diff is complete — a
+// rename is only paired when the types are known — for a predecessor no
+// registry holds, as after a restart.
+func TestManagerDiffsAgainstTheLog(t *testing.T) {
+	f := usecase.MustNew()
+	detached := wrapper.NewRegistry()
+	rel, err := release.NewManager(f.Ont, detached).Register(
+		wrapper.NewMem("w1v2", usecase.SrcPlayers, usecase.PlayersV2Docs(), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// w5 is the players source's later release in the fixture.
+	if rel.Kind != release.NewVersion || rel.Supersedes != "w5" || !rel.Breaking {
+		t.Fatalf("release over a detached predecessor = %+v", rel)
+	}
+	w1 := wrapper.NewMem("w1again", usecase.SrcPlayers, usecase.PlayersV1Docs(), nil)
+	rel, err = release.NewManager(f.Ont, detached).Register(w1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var renamed bool
+	for _, c := range rel.Changes {
+		renamed = renamed || c.Kind == release.AttributeRenamed && c.Attribute == "fullName" && c.NewName == "pName"
+	}
+	if rel.Supersedes != "w1v2" || !renamed {
+		t.Errorf("release = %+v, want w1v2 superseded with fullName -> pName paired as a rename", rel)
+	}
+}
+
+// TestManagerReRegister: a name the log holds is attached, not released
+// again; with another schema or source it is refused.
+func TestManagerReRegister(t *testing.T) {
+	f := usecase.MustNew()
+	mgr := release.NewManager(f.Ont, f.Reg)
+	before := mgr.Log()
+
+	same := wrapper.NewMem("w1", usecase.SrcPlayers, usecase.PlayersV1Docs(), nil)
+	f.Reg.Remove("w1")
+	rel, err := mgr.Register(same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rel, before[0]) {
+		t.Errorf("re-attach returned %+v, want the recorded %+v", rel, before[0])
+	}
+	if got, _ := f.Reg.Get("w1"); got != wrapper.Wrapper(same) {
+		t.Error("the re-registered wrapper is not the one attached")
+	}
+
+	f.Reg.Remove("w1")
+	for name, w := range map[string]wrapper.Wrapper{
+		"schema": wrapper.NewMem("w1", usecase.SrcPlayers, usecase.PlayersV2Docs(), nil),
+		"source": wrapper.NewMem("w1", usecase.SrcTeams, usecase.PlayersV1Docs(), nil),
+	} {
+		var conflict *release.ConflictError
+		if _, err := mgr.Register(w); !errors.As(err, &conflict) {
+			t.Errorf("another %s under a released name: %v, want a ConflictError", name, err)
+		} else if conflict.Recorded.Seq != 1 || !strings.Contains(err.Error(), "new wrapper name") {
+			t.Errorf("conflict = %v", err)
+		}
+		if _, ok := f.Reg.Get("w1"); ok {
+			t.Errorf("a refused wrapper (%s) was attached", name)
+		}
+	}
+	if after := mgr.Log(); !reflect.DeepEqual(after, before) {
+		t.Errorf("re-registration changed the log:\n%+v\nwas\n%+v", after, before)
 	}
 }
 
 func TestManagerRegisterDuplicateRollsBack(t *testing.T) {
 	f := usecase.MustNew()
 	mgr := release.NewManager(f.Ont, f.Reg)
-	dup := wrapper.NewMem("w1", usecase.SrcPlayers, nil, sig("w1", "id#i").Attributes)
+	before := len(mgr.Log())
+	dup := wrapper.NewMem("w1", usecase.SrcPlayers, usecase.PlayersV1Docs(), nil)
 	if _, err := mgr.Register(dup); err == nil {
 		t.Fatal("duplicate wrapper accepted")
 	}
-	if len(mgr.Log()) != 0 {
+	if got, _ := f.Reg.Get("w1"); got == wrapper.Wrapper(dup) {
+		t.Error("the duplicate replaced the registered wrapper")
+	}
+	if len(mgr.Log()) != before {
 		t.Error("failed release logged")
 	}
 }

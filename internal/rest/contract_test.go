@@ -15,6 +15,7 @@ import (
 
 	"mdm"
 	"mdm/internal/obs"
+	"mdm/internal/release"
 	"mdm/internal/rest"
 	"mdm/internal/store"
 	"mdm/internal/usecase"
@@ -283,10 +284,7 @@ func TestQueryDeliveryContract(t *testing.T) {
 			for v := 2; v <= 65; v++ {
 				m.Wrapper = fmt.Sprintf("%s_v%d", base.Name(), v)
 				w := wrapper.NewMem(m.Wrapper, base.SourceID(), nil, base.Signature().Attributes)
-				if err := f.Reg.Register(w); err != nil {
-					t.Fatal(err)
-				}
-				if err := f.Ont.RegisterWrapper(base.SourceID(), w.Signature()); err != nil {
+				if _, err := release.NewManager(f.Ont, f.Reg).Register(w); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.Ont.DefineMapping(m); err != nil {

@@ -387,14 +387,13 @@ type releaseResp struct {
 	Supersedes string   `json:"supersedes,omitempty"`
 	Breaking   bool     `json:"breaking"`
 	Changes    []string `json:"changes,omitempty"`
-	Recovered  bool     `json:"recovered,omitempty"`
 }
 
 func toReleaseResp(rel mdm.Release) releaseResp {
 	out := releaseResp{
 		Seq: rel.Seq, Kind: string(rel.Kind), Source: rel.SourceID,
 		Wrapper: rel.Wrapper, Signature: rel.Signature,
-		Supersedes: rel.Supersedes, Breaking: rel.Breaking, Recovered: rel.Recovered,
+		Supersedes: rel.Supersedes, Breaking: rel.Breaking,
 	}
 	for _, c := range rel.Changes {
 		out.Changes = append(out.Changes, c.String())
@@ -404,7 +403,9 @@ func toReleaseResp(rel mdm.Release) releaseResp {
 
 // handleRegisterWrapper registers an HTTP wrapper against a live
 // endpoint: MDM fetches a sample, extracts the signature and records the
-// release (paper §2.2 made operational).
+// release (paper §2.2 made operational) — 201. A name the release log
+// already holds is attached again, as after a restart, and answered with
+// its recorded release — 200 — unless the source or schema differs — 409.
 func (s *Server) handleRegisterWrapper(w http.ResponseWriter, r *http.Request) {
 	var req wrapperReq
 	if !decode(w, r, &req) {
@@ -428,12 +429,23 @@ func (s *Server) handleRegisterWrapper(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusBadGateway, err)
 		return
 	}
+	// Read before the call: a name that becomes known during it is a
+	// concurrent POST's release, and then this one fails as a duplicate.
+	status := http.StatusCreated
+	if _, released := s.sys.Ontology().ReleaseOf(req.Name); released {
+		status = http.StatusOK
+	}
 	rel, err := s.sys.RegisterWrapper(hw)
 	if err != nil {
-		fail(w, http.StatusUnprocessableEntity, err)
+		status = http.StatusUnprocessableEntity
+		var conflict *mdm.ReleaseConflictError
+		if errors.As(err, &conflict) {
+			status = http.StatusConflict
+		}
+		fail(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusCreated, toReleaseResp(rel))
+	writeJSON(w, status, toReleaseResp(rel))
 }
 
 type wrapperInfo struct {

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -1260,5 +1262,79 @@ func TestAdminCompactEndpoint(t *testing.T) {
 	segs, err := filepath.Glob(filepath.Join(dir, "ontology", "seg-*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no sealed segments after compact: %v, %v", segs, err)
+	}
+}
+
+// releasesGolden is GET /api/releases after stewardSetup plus the w1v2
+// release, byte for byte as PR 21 — which kept the log in release
+// documents — answered it.
+const releasesGolden = `[{"seq":1,"kind":"new-source","source":"players-api","wrapper":"w1","signature":"w1(foot, height, id, pName, score, teamId, weight)","breaking":false},{"seq":2,"kind":"new-source","source":"teams-api","wrapper":"w2","signature":"w2(id, name, shortName)","breaking":false},{"seq":3,"kind":"new-version","source":"players-api","wrapper":"w1v2","signature":"w1v2(foot, height, id, pName, position, teamId)","supersedes":"w1","breaking":true,"changes":["added position","removed score","removed weight"]}]` + "\n"
+
+// TestWrapperReRegistrationOverHTTP: on one wrapper name, POST
+// /api/wrappers answers 201 for the release, 200 with the recorded release
+// for every later attach — the way wrappers come back after a restart —
+// and 409 for another schema; the release log stays as it was released.
+func TestWrapperReRegistrationOverHTTP(t *testing.T) {
+	provider := apisim.NewFootball()
+	t.Cleanup(provider.Close)
+	dir := t.TempDir()
+	open := func() (*mdm.System, *client) {
+		sys, err := mdm.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(rest.NewServer(sys))
+		t.Cleanup(srv.Close)
+		return sys, &client{t: t, base: srv.URL, http: srv.Client()}
+	}
+	releases := func(c *client) string {
+		resp, err := c.http.Get(c.base + "/api/releases")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	v2 := map[string]any{
+		"name": "w1v2", "source": "players-api", "url": provider.URL() + "/v2/players",
+		"renames": map[string]string{"full_name": "pName", "preferred_foot": "foot", "team_id": "teamId"},
+	}
+
+	sys, c := open()
+	stewardSetup(t, c, provider)
+	released := c.do("POST", "/api/wrappers", v2, 201)
+	if got := releases(c); got != releasesGolden {
+		t.Fatalf("GET /api/releases =\n%s\nwant PR 21's body\n%s", got, releasesGolden)
+	}
+	// Attached and released: a plain duplicate, as before.
+	c.do("POST", "/api/wrappers", v2, 422)
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	sys, c = open()
+	defer sys.Close()
+	if ws := c.doList("GET", "/api/wrappers", 200); len(ws) != 0 {
+		t.Fatalf("wrappers attached right after a restart: %v", ws)
+	}
+	if got := c.do("POST", "/api/wrappers", v2, 200); !reflect.DeepEqual(got, released) {
+		t.Errorf("re-attaching answered %v, want the recorded release %v", got, released)
+	}
+	if ws := c.doList("GET", "/api/wrappers", 200); len(ws) != 1 {
+		t.Errorf("wrappers after re-attaching = %v", ws)
+	}
+	// The v1 payload under the v2 name is another schema.
+	conflict := c.do("POST", "/api/wrappers", map[string]any{
+		"name": "w1v2", "source": "players-api", "url": provider.URL() + "/v1/players",
+	}, 409)
+	if msg, _ := conflict["error"].(string); !strings.Contains(msg, "new wrapper name") || !strings.Contains(msg, "release #3") {
+		t.Errorf("conflict body = %v", conflict)
+	}
+	if got := releases(c); got != releasesGolden {
+		t.Errorf("GET /api/releases after the restart =\n%s\nwant\n%s", got, releasesGolden)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
+	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
 	"mdm/internal/usecase"
@@ -383,10 +384,7 @@ func TestTaxonomyAwareCoverage(t *testing.T) {
 	kw := wrapper.NewMem("wk", "keepers-api", []schema.Doc{
 		{"id": relalg.Int(9900), "kName": relalg.String("Marc-Andre ter Stegen"), "teamId": relalg.Int(25)},
 	}, nil)
-	if err := f.Reg.Register(kw); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.RegisterWrapper("keepers-api", kw.Signature()); err != nil {
+	if _, err := release.NewManager(o, f.Reg).Register(kw); err != nil {
 		t.Fatal(err)
 	}
 	rt := rdf.IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -445,10 +443,7 @@ func TestSubclassConceptQuery(t *testing.T) {
 	kw := wrapper.NewMem("wk", "keepers-api", []schema.Doc{
 		{"id": relalg.Int(9900), "kName": relalg.String("Marc-Andre ter Stegen")},
 	}, nil)
-	if err := f.Reg.Register(kw); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.RegisterWrapper("keepers-api", kw.Signature()); err != nil {
+	if _, err := release.NewManager(o, f.Reg).Register(kw); err != nil {
 		t.Fatal(err)
 	}
 	rt := rdf.IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")

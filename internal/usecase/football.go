@@ -14,6 +14,7 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
+	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
@@ -271,11 +272,9 @@ func (f *Fixture) buildSourcesAndWrappers() error {
 	f.W3 = wrapper.NewMem("w3", SrcLeagues, LeaguesDocs(), nil)
 	f.W6 = wrapper.NewMem("w6", SrcLeagues, LeagueTeamsDocs(), nil)
 	f.W4 = wrapper.NewMem("w4", SrcCountries, CountriesDocs(), nil)
+	releases := release.NewManager(o, f.Reg)
 	for _, w := range []*wrapper.Mem{f.W1, f.W2, f.W3, f.W4, f.W5, f.W6} {
-		if err := f.Reg.Register(w); err != nil {
-			return err
-		}
-		if err := o.RegisterWrapper(w.SourceID(), w.Signature()); err != nil {
+		if _, err := releases.Register(w); err != nil {
 			return err
 		}
 	}
@@ -409,10 +408,7 @@ func (f *Fixture) ReleasePlayersV2() error {
 		return err
 	}
 	w := wrapper.NewMem("w1v2", SrcPlayers, PlayersV2Docs(), nil)
-	if err := f.Reg.Register(w); err != nil {
-		return err
-	}
-	if err := o.RegisterWrapper(SrcPlayers, w.Signature()); err != nil {
+	if _, err := release.NewManager(o, f.Reg).Register(w); err != nil {
 		return err
 	}
 	rt := rdf.IRI(rdf.RDFType)

@@ -6,6 +6,7 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
+	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
@@ -16,13 +17,11 @@ import (
 // modelling a source that has released n versions. Used by the S1 sweep.
 func SyntheticVersions(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 	f := MustNew()
+	releases := release.NewManager(f.Ont, f.Reg)
 	for v := 2; v <= n; v++ {
 		name := fmt.Sprintf("w1_v%d", v)
 		w := wrapper.NewMem(name, SrcPlayers, PlayersV1Docs(), nil)
-		if err := f.Reg.Register(w); err != nil {
-			panic(err)
-		}
-		if err := f.Ont.RegisterWrapper(SrcPlayers, w.Signature()); err != nil {
+		if _, err := releases.Register(w); err != nil {
 			panic(err)
 		}
 		m, ok := f.Ont.MappingOf("w1")
@@ -44,6 +43,7 @@ func SyntheticChain(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 	const ns = "http://bench.local/"
 	ont := bdi.New()
 	reg := wrapper.NewRegistry()
+	releases := release.NewManager(ont, reg)
 	mustErr(ont.AddDataSource("chain", "chain source"))
 	walk := rewrite.NewWalk()
 	rt := rdf.IRI(rdf.RDFType)
@@ -58,8 +58,8 @@ func SyntheticChain(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 	}
 	if n == 1 {
 		w := wrapper.NewMem("chainw0", "chain", []schema.Doc{{"a0": relalg.Int(1)}}, nil)
-		mustErr(reg.Register(w))
-		mustErr(ont.RegisterWrapper("chain", w.Signature()))
+		_, err := releases.Register(w)
+		mustErr(err)
 		mustErr(ont.DefineMapping(bdi.Mapping{
 			Wrapper: "chainw0",
 			Subgraph: []rdf.Triple{
@@ -80,8 +80,8 @@ func SyntheticChain(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 			fmt.Sprintf("a%d", i):   relalg.Int(1),
 		}}
 		w := wrapper.NewMem(wname, "chain", docs, nil)
-		mustErr(reg.Register(w))
-		mustErr(ont.RegisterWrapper("chain", w.Signature()))
+		_, err := releases.Register(w)
+		mustErr(err)
 		mustErr(ont.DefineMapping(bdi.Mapping{
 			Wrapper: wname,
 			Subgraph: []rdf.Triple{

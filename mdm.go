@@ -31,11 +31,9 @@ package mdm
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"time"
 
 	"mdm/internal/bdi"
 	"mdm/internal/federate"
@@ -45,7 +43,6 @@ import (
 	"mdm/internal/relalg"
 	"mdm/internal/release"
 	"mdm/internal/rewrite"
-	"mdm/internal/schema"
 	"mdm/internal/sparql"
 	"mdm/internal/store"
 	"mdm/internal/tdb"
@@ -67,6 +64,9 @@ type (
 	Release = release.Release
 	// Change is one detected schema change.
 	Change = release.Change
+	// ReleaseConflictError is RegisterWrapper's refusal of a released
+	// wrapper name offered with another source or schema.
+	ReleaseConflictError = release.ConflictError
 	// Violation is one integrity-constraint breach.
 	Violation = bdi.Violation
 	// Wrapper is the source-access interface.
@@ -82,10 +82,6 @@ type (
 	// Triple is an RDF triple.
 	Triple = rdf.Triple
 )
-
-// obsRecovered counts release-log entries OpenWith had to rebuild.
-var obsRecovered = obs.Default.NewCounter("mdm_releases_recovered_total",
-	"Release-log entries rebuilt from the source graph at open: the wrapper was durable, its release document was not.")
 
 // NewWalk starts an empty walk.
 func NewWalk() *Walk { return rewrite.NewWalk() }
@@ -139,7 +135,7 @@ func Open(dir string) (*System, error) {
 // OpenWith loads (or creates) a persistent MDM system rooted at dir.
 // The ontology dataset lives in a tdb segment store (manifest-listed
 // immutable segments plus a write-ahead-log tail, both replayed at
-// open); system metadata lives in a JSON document store next to it.
+// open); saved walks live in a JSON document store next to it.
 // Every ontology mutation is committed to the WAL as one record before
 // the call returns, so whatever was acknowledged survives a crash of
 // the process (and, with opts.Sync, of the machine). When
@@ -147,19 +143,18 @@ func Open(dir string) (*System, error) {
 // maintenance policy (tdb.Store.Maintain); a full rewrite swaps the live
 // dataset atomically under the ontology's write lock, so facade reads
 // and writes never observe a half-swapped dataset. Close when done.
-// Wrappers are live code and must be re-registered after reopen.
+// Wrappers are live code and must be re-registered after reopen; doing so
+// attaches them and writes no release (see RegisterWrapper).
 //
-// The release log is reconciled with the ontology at open. A wrapper the
-// source graph holds without a release document (a crash between the WAL
-// append and the document write) gets a release entry rebuilt from the
-// source graph, marked Recovered; a release document whose wrapper the
-// source graph does not hold fails the open.
-//
-// A dir holding the TriG export of a pre-segment mdmd deployment is
-// refused: opening it as an empty store would lose it.
+// A dir holding the TriG export of a pre-segment mdmd deployment, or the
+// release documents PRs 17–21 kept beside the ontology store, is refused:
+// opening it would lose the export, or serve a store without its log.
 func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	if _, err := os.Stat(filepath.Join(dir, "ontology.trig")); err == nil {
 		return nil, fmt.Errorf("mdm: %s holds a pre-segment ontology.trig export; PR 12 is the last release that imports it (start mdmd -data on it there once)", dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "meta", "releases.json")); err == nil {
+		return nil, fmt.Errorf("mdm: %s holds the release documents meta/releases.json; PR 21 is the last release that reads it (releases are recorded in the ontology store now, and nothing imports the documents)", dir)
 	}
 	tdbOpts := opts
 	// The background compactor must not start before the ontology's swap
@@ -180,108 +175,10 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	ts.SetSwapHook(ont.Rebind)
 	sys := newSystem(ont, wrapper.NewRegistry())
 	sys.meta, sys.tdbStore = meta, ts
-	if err := sys.restoreReleases(); err != nil {
-		ts.Close()
-		return nil, err
-	}
 	if opts.CompactInterval > 0 {
 		ts.StartAutoCompact(opts.CompactInterval, opts.CompactWALThreshold)
 	}
 	return sys, nil
-}
-
-// restoreReleases rebuilds the release log from the documents
-// RegisterWrapper wrote, in order, and reconciles it with the source
-// graph: RegisterWrapper commits the wrapper's triples first and writes
-// the document second, so after a crash the graph can be one wrapper
-// ahead of the documents but never behind them.
-func (s *System) restoreReleases() error {
-	var log []Release
-	logged := map[string]bool{}
-	for _, doc := range s.meta.Find("releases", nil) {
-		rel, err := releaseFromDoc(doc)
-		if err != nil {
-			return err
-		}
-		if _, ok := s.ont.SourceOfWrapper(rel.Wrapper); !ok {
-			return fmt.Errorf("mdm: release #%d (%s/%s) is in the release log but the ontology store does not hold its wrapper: the two stores disagree", rel.Seq, rel.SourceID, rel.Wrapper)
-		}
-		logged[rel.Wrapper] = true
-		log = append(log, rel)
-	}
-	for _, w := range s.ont.Source().Subjects(rdf.IRI(rdf.RDFType), bdi.ClassWrapper) {
-		name, ok := bdi.WrapperName(w)
-		if !ok || logged[name] {
-			continue
-		}
-		rel := Release{Seq: len(log) + 1, Kind: release.NewSource, Wrapper: name, Recovered: true, At: time.Now()}
-		if src, ok := s.ont.SourceOfWrapper(name); ok {
-			rel.SourceID, _ = bdi.SourceID(src)
-		}
-		for _, earlier := range log {
-			if earlier.SourceID == rel.SourceID {
-				rel.Kind, rel.Supersedes = release.NewVersion, earlier.Wrapper
-			}
-		}
-		sig := schema.Signature{Wrapper: name}
-		for _, a := range s.ont.AttributesOf(name) {
-			if attr, ok := s.ont.AttributeName(a); ok {
-				sig.Attributes = append(sig.Attributes, schema.Attribute{Name: attr})
-			}
-		}
-		rel.Signature = sig.String()
-		if _, err := s.meta.Insert("releases", releaseDoc(rel)); err != nil {
-			return fmt.Errorf("mdm: recover the release of wrapper %s: %w", name, err)
-		}
-		obsRecovered.Inc()
-		log = append(log, rel)
-	}
-	s.releases.Restore(log)
-	return nil
-}
-
-// releaseDoc is the metadata-store form of a release-log entry;
-// releaseFromDoc is its inverse. Changes travel as one JSON string, like
-// the body of a saved walk.
-func releaseDoc(rel Release) store.Doc {
-	changes, _ := json.Marshal(rel.Changes) // plain strings: cannot fail
-	doc := store.Doc{
-		"seq": int64(rel.Seq), "kind": string(rel.Kind), "source": rel.SourceID,
-		"wrapper": rel.Wrapper, "breaking": rel.Breaking, "signature": rel.Signature,
-		"supersedes": rel.Supersedes, "changes": string(changes),
-		"at": rel.At.Format(time.RFC3339Nano),
-	}
-	if rel.Recovered {
-		doc["recovered"] = true
-	}
-	return doc
-}
-
-// releaseFromDoc tolerates absent fields (documents written before the
-// log was rebuilt from them carry no supersedes, changes or at) but not
-// malformed ones.
-func releaseFromDoc(doc store.Doc) (Release, error) {
-	str := func(k string) string { s, _ := doc[k].(string); return s }
-	seq, _ := doc["seq"].(float64) // numbers come back from JSON as float64
-	rel := Release{
-		Seq: int(seq), Kind: release.Kind(str("kind")), SourceID: str("source"),
-		Wrapper: str("wrapper"), Signature: str("signature"), Supersedes: str("supersedes"),
-	}
-	rel.Breaking, _ = doc["breaking"].(bool)
-	rel.Recovered, _ = doc["recovered"].(bool)
-	if blob := str("changes"); blob != "" {
-		if err := json.Unmarshal([]byte(blob), &rel.Changes); err != nil {
-			return Release{}, fmt.Errorf("mdm: corrupt release document #%d: changes: %w", rel.Seq, err)
-		}
-	}
-	if at := str("at"); at != "" {
-		t, err := time.Parse(time.RFC3339Nano, at)
-		if err != nil {
-			return Release{}, fmt.Errorf("mdm: corrupt release document #%d: %w", rel.Seq, err)
-		}
-		rel.At = t
-	}
-	return rel, nil
 }
 
 // CompactStorage runs storage maintenance now (tdb.Store.Maintain): the
@@ -332,9 +229,6 @@ func (s *System) Wrappers() *wrapper.Registry { return s.reg }
 
 // Metadata exposes the system metadata store.
 func (s *System) Metadata() *store.Store { return s.meta }
-
-// Releases exposes the release manager.
-func (s *System) Releases() *release.Manager { return s.releases }
 
 // Federation exposes the federated execution engine so deployments can
 // tune the scatter fan-out, the per-source fetch timeout, and the
@@ -401,26 +295,26 @@ func (s *System) AddSource(sourceID, label string) error {
 	return s.ont.AddDataSource(sourceID, label)
 }
 
-// RegisterWrapper releases a wrapper: registry + source graph + release
-// log, with schema diffing against the source's previous wrapper. Any
-// federation state held under the wrapper's name — cached source
+// RegisterWrapper releases a wrapper: registry, source graph and release
+// log, with schema diffing against the source's previous release. The
+// source-graph triples and the release record are one write — on a
+// persistent system one WAL record, committed before the call returns.
+// Any federation state held under the wrapper's name — cached source
 // snapshot, circuit-breaker record, serve-stale fallback — is dropped,
 // so a re-registered (renamed back / repointed) wrapper is fetched
 // fresh rather than served its predecessor's rows.
 //
-// On a persistent system the source-graph triples are committed to the
-// WAL first and the release document is written second; a release whose
-// document could not be written is not acknowledged, and the next open
-// repairs the log (see OpenWith).
+// Registering a wrapper the release log already holds, with the source
+// and attribute names it was released with, attaches it to the registry
+// and returns the recorded release without writing anything: this is how
+// wrappers come back after a reopen. With a different source or schema it
+// fails with a *ReleaseConflictError.
 func (s *System) RegisterWrapper(w Wrapper) (Release, error) {
 	rel, err := s.releases.Register(w)
 	if err != nil {
 		return Release{}, err
 	}
 	s.fed.Forget(w.Name())
-	if _, err := s.meta.Insert("releases", releaseDoc(rel)); err != nil {
-		return Release{}, fmt.Errorf("mdm: record release #%d of %s: %w", rel.Seq, rel.Wrapper, err)
-	}
 	return rel, nil
 }
 
@@ -603,7 +497,8 @@ func (s *System) RenderMappings() string { return s.ont.RenderMappings() }
 // Stats summarizes ontology sizes.
 func (s *System) Stats() bdi.Stats { return s.ont.Stats() }
 
-// ReleaseLog returns all releases in order.
+// ReleaseLog returns all releases in order, read from the ontology's
+// release graph.
 func (s *System) ReleaseLog() []Release { return s.releases.Log() }
 
 // ExportTriG serializes the full ontology dataset as TriG.

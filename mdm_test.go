@@ -281,6 +281,11 @@ func TestFacadeExportImportTriG(t *testing.T) {
 	if st1.Concepts != st2.Concepts || st1.Mappings != st2.Mappings || st1.SameAs != st2.SameAs {
 		t.Errorf("stats differ: %+v vs %+v", st1, st2)
 	}
+	// The release log travels with the ontology it is part of.
+	log1, log2 := sys.ReleaseLog(), sys2.ReleaseLog()
+	if len(log1) != 2 || !reflect.DeepEqual(log1, log2) {
+		t.Errorf("release log after reimport = %+v\nexported %+v", log2, log1)
+	}
 	// The re-imported system validates (wrapper registry empty is fine:
 	// mappings reference source-graph wrappers, which ARE in the data).
 	if v := sys2.Validate(); len(v) != 0 {
@@ -322,9 +327,9 @@ func TestFacadeReleaseAndDrift(t *testing.T) {
 	if err := sys.DefineMapping(suggested); err != nil {
 		t.Fatal(err)
 	}
-	// Log in metadata store.
-	if sys.Metadata().Count("releases") != 3 {
-		t.Errorf("releases in store = %d", sys.Metadata().Count("releases"))
+	// The log is the release graph alone: nothing goes to the metadata store.
+	if n := sys.Metadata().Count("releases"); n != 0 {
+		t.Errorf("%d release documents in the metadata store", n)
 	}
 	if got := len(sys.ReleaseLog()); got != 3 {
 		t.Errorf("release log = %d", got)
@@ -412,9 +417,11 @@ func TestPersistentOpenCheckpointReopen(t *testing.T) {
 	}
 }
 
-// TestReleaseLogSurvivesRestart: the release log is rebuilt from the
-// release documents at open, so GET /api/releases and Release.Seq do not
-// start over after a restart.
+// TestReleaseLogSurvivesRestart: the release log is part of the ontology
+// dataset, so after a restart it is there before any wrapper is attached
+// again: the next release continues its numbering and is diffed against
+// the recorded predecessor, and registering a recorded wrapper again
+// attaches it without adding to the log.
 func TestReleaseLogSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := mdm.Open(dir)
@@ -458,19 +465,96 @@ func TestReleaseLogSurvivesRestart(t *testing.T) {
 	if got := after[1]; got.Seq != 2 || got.Supersedes != "w1" || !got.Breaking || len(got.Changes) == 0 {
 		t.Errorf("second entry = %+v", got)
 	}
-	// Wrappers are live code: re-attach them, then release a third version.
-	for _, w := range []mdm.Wrapper{v1, v2} {
-		if err := sys2.Wrappers().Register(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	v3 := wrapper.NewMem("w1v3", "players-api", []schema.Doc{{"id": relalg.Int(1), "fullName": relalg.String("A")}}, nil)
+	// A third version, with neither predecessor attached to the registry.
+	v3 := wrapper.NewMem("w1v3", "players-api", []schema.Doc{{"id": relalg.Int(1), "name": relalg.String("A"), "age": relalg.Int(30)}}, nil)
 	rel, err := sys2.RegisterWrapper(v3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel.Seq != 3 || rel.Supersedes != "w1v2" {
-		t.Errorf("release after reopen = %+v, want Seq 3 superseding w1v2", rel)
+	if rel.Seq != 3 || rel.Kind != "new-version" || rel.Supersedes != "w1v2" {
+		t.Errorf("release after reopen = %+v, want new-version #3 superseding w1v2", rel)
+	}
+	// Pairing fullName with name rather than reporting one removed and two
+	// added needs the types the log keeps.
+	kinds := map[mdm.Change]bool{}
+	for _, c := range rel.Changes {
+		kinds[mdm.Change{Kind: c.Kind, Attribute: c.Attribute, NewName: c.NewName}] = true
+	}
+	if len(rel.Changes) != 2 || !kinds[mdm.Change{Kind: "renamed", Attribute: "fullName", NewName: "name"}] || !kinds[mdm.Change{Kind: "added", Attribute: "age"}] {
+		t.Errorf("changes after reopen = %v, want fullName renamed to name and age added", rel.Changes)
+	}
+
+	// Re-attaching the recorded versions is not a release.
+	for i, w := range []mdm.Wrapper{v1, v2} {
+		rel, err := sys2.RegisterWrapper(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rel, after[i]) {
+			t.Errorf("re-registering %s returned %+v, want the recorded %+v", w.Name(), rel, after[i])
+		}
+		if _, ok := sys2.Wrappers().Get(w.Name()); !ok {
+			t.Errorf("re-registering %s did not attach it", w.Name())
+		}
+	}
+	if log := sys2.ReleaseLog(); len(log) != 3 || log[2].Wrapper != "w1v3" {
+		t.Errorf("release log after re-attaching = %+v, want the three releases", log)
+	}
+	other := wrapper.NewMem("w1v2", "players-api", []schema.Doc{{"id": relalg.Int(1), "nickname": relalg.String("A")}}, nil)
+	sys2.Wrappers().Remove("w1v2")
+	var conflict *mdm.ReleaseConflictError
+	if _, err := sys2.RegisterWrapper(other); !errors.As(err, &conflict) {
+		t.Errorf("another schema under a released name: %v, want a ReleaseConflictError", err)
+	}
+}
+
+// TestOpenRefusesReleaseDocuments: a data directory written by PRs 17–21
+// keeps its release log in meta/releases.json, which nothing reads any
+// more; it must be refused by name, before any file is created or
+// touched. Saved walks alone are no reason to refuse.
+func TestOpenRefusesReleaseDocuments(t *testing.T) {
+	dir := t.TempDir()
+	meta := filepath.Join(dir, "meta")
+	if err := os.MkdirAll(meta, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(meta, "walks.json"), []byte(`{"next_id":1,"docs":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err := mdm.Open(dir)
+	if err != nil {
+		t.Fatalf("a directory holding only saved walks was refused: %v", err)
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir = t.TempDir()
+	meta = filepath.Join(dir, "meta")
+	if err := os.MkdirAll(meta, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	doc := `[{"_id":"1","seq":1,"kind":"new-source","source":"players-api","wrapper":"w1","signature":"w1(id)"}]`
+	if err := os.WriteFile(filepath.Join(meta, "releases.json"), []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sys, err = mdm.Open(dir)
+	if err == nil {
+		sys.Close()
+		t.Fatal("Open accepted a directory holding meta/releases.json")
+	}
+	if !strings.Contains(err.Error(), "meta/releases.json") || !strings.Contains(err.Error(), "PR 21 is the last release that reads it") {
+		t.Fatalf("error %q does not name the file and the last release that reads it", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "meta" {
+		t.Fatalf("refused Open left files behind: %v", entries)
+	}
+	if got, err := os.ReadFile(filepath.Join(meta, "releases.json")); err != nil || string(got) != doc {
+		t.Fatalf("refused Open touched the release documents: %q, %v", got, err)
 	}
 }
 
@@ -787,5 +871,47 @@ SELECT ?anc WHERE { GRAPH ?g { ex:V8 rdfs:subClassOf+ ?anc } }`)
 	}
 	if res.Len() != 7 {
 		t.Fatalf("post-compaction closure rows = %d, want 7", res.Len())
+	}
+}
+
+// TestDocumentedReleaseQuery runs the metadata query docs/STORAGE.md
+// prints — which release introduced an attribute — exactly as printed,
+// over a log long enough that ordering the sequence numbers as strings
+// would pick #10 over #9.
+func TestDocumentedReleaseQuery(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("docs", "STORAGE.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(doc), "```sparql\n")
+	query, _, ok2 := strings.Cut(rest, "```")
+	if !ok || !ok2 || !strings.Contains(query, `"position"`) {
+		t.Fatalf("docs/STORAGE.md no longer holds the release query in a sparql block")
+	}
+
+	sys := mdm.New()
+	if err := sys.AddSource("players-api", ""); err != nil {
+		t.Fatal(err)
+	}
+	for v := 1; v <= 11; v++ {
+		doc := schema.Doc{"id": relalg.Int(1)}
+		if v >= 9 {
+			doc["position"] = relalg.String("RW")
+		}
+		if _, err := sys.RegisterWrapper(wrapper.NewMem(fmt.Sprintf("players_v%d", v), "players-api", []schema.Doc{doc}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := sys.SPARQL(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 {
+		t.Fatalf("the query answered %d rows:\n%s", res.Len(), res.Table())
+	}
+	row := res.Solutions()[0]
+	at, err := time.Parse(time.RFC3339Nano, row["at"].Value)
+	if row["seq"].Value != "9" || row["wrapper"].Value != "players_v9" || err != nil || !at.Equal(sys.ReleaseLog()[8].At) {
+		t.Errorf("position was introduced by %v, want release #9 players_v9 at %v", row, sys.ReleaseLog()[8].At)
 	}
 }
