@@ -562,25 +562,14 @@ func federationFixture(delay time.Duration) (relalg.Plan, int) {
 	return plan, 300
 }
 
-// BenchmarkWalkFederation pins the federated execution win: three
-// simulated wrappers with 3ms artificial latency each. The sequential
-// materializing path (relalg.Plan.Execute) pays the sum of the fetch
-// latencies; the federate engine's scatter phase pays roughly the max.
+// BenchmarkWalkFederation times federated execution over three simulated
+// wrappers with 3ms artificial latency each: the scatter phase pays
+// roughly the max of the fetch latencies, not their sum
+// (federate.TestWalkFederationSpeedup pins that against the oracle).
 func BenchmarkWalkFederation(b *testing.B) {
 	const delay = 3 * time.Millisecond
 	plan, rows := federationFixture(delay)
 	ctx := context.Background()
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rel, err := plan.Execute(ctx)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rel.Len() != rows {
-				b.Fatalf("rows = %d", rel.Len())
-			}
-		}
-	})
 	b.Run("federated", func(b *testing.B) {
 		eng := federate.NewEngine()
 		for i := 0; i < b.N; i++ {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
 )
@@ -51,9 +52,9 @@ func oracleUnion(t *testing.T, srcs []*wrapper.Chaos, missing map[string]bool) *
 		if missing[s.Name()] {
 			rel = relalg.NewRelation(rel.Cols...)
 		}
-		children[i] = relalg.NewScan(relalg.NewMemSource(s.Name(), rel))
+		children[i] = relalg.NewScan(relalgtest.NewMemSource(s.Name(), rel))
 	}
-	want, err := relalg.NewUnion(children...).Execute(context.Background())
+	want, err := relalgtest.Execute(context.Background(), relalg.NewUnion(children...))
 	if err != nil {
 		t.Fatal(err)
 	}

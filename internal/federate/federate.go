@@ -2,9 +2,9 @@
 // over remote sources has to: source access is concurrent, result
 // delivery is streamed.
 //
-// The materializing executor (relalg.Plan.Execute) walks the operator
-// tree depth-first, so a plan over N wrappers pays the *sum* of the
-// source fetch latencies and every operator materializes its full
+// The materializing reference executor (relalgtest.Execute) walks the
+// operator tree depth-first, so a plan over N wrappers pays the *sum* of
+// the source fetch latencies and every operator materializes its full
 // intermediate relation. This package splits execution into three
 // phases:
 //
@@ -21,18 +21,18 @@
 //     (singleflight), and with a TTL configured, completed snapshots are
 //     reused across walks (cache.go).
 //  3. STREAMING OPERATORS — the plan compiles to a tree of pull-based
-//     iterators over the snapshots (iter.go): Select/Project/Rename/
-//     Limit/Union/Distinct stream row by row, and Join is a probe-side
-//     hash join whose build side is an intrusive-chain table over the
-//     (already fetched) right input. No operator materializes its
-//     output, so memory beyond the source snapshots is O(page).
+//     iterators over the snapshots (iter.go): Project/Rename/Union/
+//     Distinct stream row by row, and Join is a probe-side hash join
+//     whose build side is an intrusive-chain table over the (already
+//     fetched) right input. No operator materializes its output, so
+//     memory beyond the source snapshots is O(page).
 //
 // Results are delivered through a Cursor (cursor.go) mirroring
 // sparql.Cursor: Next(ctx)/Row()/Err()/Close(), with LIMIT/OFFSET
 // applied inside the pipeline so a page costs O(sources + page) instead
 // of O(result).
 //
-// Row order is deterministic and identical to relalg.Plan.Execute's
+// Row order is deterministic and identical to relalgtest.Execute's
 // (the oracle the equivalence harness pins): scans stream snapshot
 // order, joins emit left-row order with build-side matches in build
 // order, unions concatenate children in order. Paged reads are

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
 )
@@ -132,7 +133,7 @@ func TestWalkFederationSpeedup(t *testing.T) {
 
 	ctx := context.Background()
 	start := time.Now()
-	want, err := plan.Execute(ctx)
+	want, err := relalgtest.Execute(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestCursorCancelMidDrain(t *testing.T) {
 	}
 	eng := NewEngine()
 	ctx, cancel := context.WithCancel(context.Background())
-	cur, err := eng.Run(ctx, relalg.NewScan(relalg.NewMemSource("m", rel)))
+	cur, err := eng.Run(ctx, relalg.NewScan(relalgtest.NewMemSource("m", rel)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,8 +323,8 @@ func (l *lyingSource) Fetch(context.Context) (*relalg.Relation, error) {
 // and everything ("*") when a scan stands bare, the union is the whole
 // signature, or the projection keeps nothing.
 func TestDemand(t *testing.T) {
-	s := relalg.NewScan(relalg.NewMemSource("s", relalg.NewRelation("a", "b", "c", "d")))
-	o := relalg.NewScan(relalg.NewMemSource("o", relalg.NewRelation("k")))
+	s := relalg.NewScan(relalgtest.NewMemSource("s", relalg.NewRelation("a", "b", "c", "d")))
+	o := relalg.NewScan(relalgtest.NewMemSource("o", relalg.NewRelation("k")))
 	pi := func(cols ...string) relalg.Plan { return relalg.NewProject(s, cols...) }
 	for _, tc := range []struct {
 		plan relalg.Plan
@@ -336,9 +337,10 @@ func TestDemand(t *testing.T) {
 		{relalg.NewUnion(pi("c", "a"), pi("a", "c")), "a,c"},
 		{relalg.NewJoin(pi("d"), relalg.NewUnion(pi("b", "a"), o), nil), "a,b,d"},
 		{relalg.NewJoin(pi("a", "b"), pi("c", "d"), nil), "*"},
-		{relalg.NewJoin(pi("a"), relalg.NewSelect(s, relalg.NotNull{Col: "a"}), nil), "*"},
-		{relalg.NewJoin(relalg.NewSelect(s, relalg.NotNull{Col: "a"}), pi("a"), nil), "*"},
-		{relalg.NewProject(relalg.NewSelect(s, relalg.NotNull{Col: "a"}), "a"), "*"},
+		{relalg.NewJoin(pi("a"), relalg.NewDistinct(s), nil), "*"},
+		{relalg.NewJoin(relalg.NewDistinct(s), pi("a"), nil), "*"},
+		{relalg.NewProject(relalg.NewDistinct(s), "a"), "*"},
+		{relalg.NewProject(relalg.NewJoin(s, o, nil), "a"), "*"},
 		{pi(), "*"},
 	} {
 		want := demand{srcs: map[string]relalg.RowSource{}}
@@ -348,7 +350,7 @@ func TestDemand(t *testing.T) {
 			got = strings.Join(cols, ",")
 		}
 		if _, seen := want.srcs["s"]; !seen || got != tc.want {
-			t.Errorf("%s: asks s for %s, want %s", tc.plan.Algebra(), got, tc.want)
+			t.Errorf("%s: asks s for %s, want %s", relalg.Algebra(tc.plan), got, tc.want)
 		}
 	}
 }
@@ -357,7 +359,7 @@ func TestDemand(t *testing.T) {
 // the pipeline; offset past the end drains empty.
 func TestRunPageBounds(t *testing.T) {
 	rel := rel2("a", "b", [2]int64{1, 2}, [2]int64{3, 4})
-	plan := relalg.NewScan(relalg.NewMemSource("m", rel))
+	plan := relalg.NewScan(relalgtest.NewMemSource("m", rel))
 	eng := NewEngine()
 	ctx := context.Background()
 	for _, tc := range []struct {

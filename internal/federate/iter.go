@@ -11,11 +11,11 @@ import (
 // This file compiles a relalg.Plan into a tree of pull-based row
 // iterators over the scatter phase's source snapshots. The compiled
 // pipeline produces exactly the rows — in exactly the order — that
-// relalg.Plan.Execute materializes (the equivalence harness pins this),
-// but one row at a time: Select/Project/Rename/Limit/Union/Distinct
-// stream, and Join is a probe-side hash join that materializes only its
-// build side (the right child), reusing the intrusive-chain layout of
-// the SPARQL engine's hashJoinIter at the relalg level.
+// relalgtest.Execute materializes (the equivalence harness pins this),
+// but one row at a time: Project/Rename/Union/Distinct stream, and Join
+// is a probe-side hash join that materializes only its build side (the
+// right child), reusing the intrusive-chain layout of the SPARQL engine's
+// hashJoinIter at the relalg level.
 //
 // Row ownership: a row returned by next is valid until the next call to
 // next and must not be mutated — it is either shared with a source
@@ -23,7 +23,7 @@ import (
 // row. The two places that keep rows, the join build side and
 // Cursor.Materialize, copy them into a rowSlab.
 
-// pollEvery is how many rows an amplifying or filtering loop processes
+// pollEvery is how many rows a scanning or amplifying loop processes
 // between context checks.
 const pollEvery = 1024
 
@@ -67,13 +67,6 @@ func compile(p relalg.Plan, snaps map[string]*relalg.Relation) (iter, error) {
 		}
 		return &projectIter{src: child, idx: idx, out: make(relalg.Row, len(idx))}, nil
 
-	case *relalg.Select:
-		child, err := compile(n.Child, snaps)
-		if err != nil {
-			return nil, err
-		}
-		return &selectIter{src: child, pred: n.Pred, cols: n.Child.Columns()}, nil
-
 	case *relalg.Rename:
 		// Rename changes column names, not rows: compile through.
 		return compile(n.Child, snaps)
@@ -111,15 +104,8 @@ func compile(p relalg.Plan, snaps map[string]*relalg.Relation) (iter, error) {
 			return nil, err
 		}
 		return &distinctIter{src: child, seen: map[string]struct{}{}}, nil
-
-	case *relalg.Limit:
-		child, err := compile(n.Child, snaps)
-		if err != nil {
-			return nil, err
-		}
-		return &pageIter{src: child, limit: n.N}, nil
 	}
-	return nil, fmt.Errorf("federate: unsupported plan operator %T", p)
+	panic(fmt.Sprintf("federate: compile: no case for %T", p)) // relalg.Plan is sealed: nil, or a node this switch was not taught
 }
 
 func colIndex(cols []string, name string) int {
@@ -132,8 +118,8 @@ func colIndex(cols []string, name string) int {
 }
 
 // appendJoinKey appends the join-column key of a row to dst, the binary
-// analogue of the oracle's Value.Key concatenation (same coercions as
-// Join.Execute: numeric values of equal magnitude collide). ok is false
+// analogue of the oracle's relalgtest.Key concatenation (same coercions:
+// numeric values of equal magnitude collide). ok is false
 // when a NULL participates: the row never joins (SQL semantics).
 func appendJoinKey(dst []byte, row relalg.Row, idx []int) (key []byte, ok bool) {
 	for _, i := range idx {
@@ -210,33 +196,6 @@ func (it *projectIter) next(ctx context.Context) (relalg.Row, error) {
 	return it.out, nil
 }
 
-// selectIter drops rows failing the predicate, polling ctx while
-// scanning long runs of non-matching rows.
-type selectIter struct {
-	src     iter
-	pred    relalg.Pred
-	cols    []string
-	scanned int
-}
-
-func (it *selectIter) next(ctx context.Context) (relalg.Row, error) {
-	for {
-		it.scanned++
-		if it.scanned&(pollEvery-1) == pollEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		row, err := it.src.next(ctx)
-		if row == nil || err != nil {
-			return nil, err
-		}
-		if it.pred.Eval(it.cols, row) {
-			return row, nil
-		}
-	}
-}
-
 // unionIter concatenates its children in order.
 type unionIter struct {
 	subs []iter
@@ -255,8 +214,8 @@ func (it *unionIter) next(ctx context.Context) (relalg.Row, error) {
 }
 
 // distinctIter keeps each row's first occurrence. A row's key is its
-// cells' AppendKeys in order (NULL is a token of its own, as in
-// relalg.Relation.Distinct); only first occurrences allocate one.
+// cells' AppendKeys in order (NULL is a token of its own, as in the
+// oracle's distinct); only first occurrences allocate one.
 type distinctIter struct {
 	src  iter
 	seen map[string]struct{}
@@ -315,7 +274,7 @@ func (it *pageIter) next(ctx context.Context) (relalg.Row, error) {
 // --- hash join ---
 
 // compileJoin resolves the join's column indexes at compile time,
-// mirroring Join.Execute's schema arithmetic exactly (join-duplicate
+// mirroring the oracle join's schema arithmetic exactly (join-duplicate
 // and name-collision columns of the right side are skipped).
 func compileJoin(n *relalg.Join, snaps map[string]*relalg.Relation) (iter, error) {
 	left, err := compile(n.L, snaps)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 )
 
 // BenchmarkFederateJoinDrain is the federation layer's benchmark (ROADMAP
@@ -26,8 +27,8 @@ func BenchmarkFederateJoinDrain(b *testing.B) {
 		tm.MustAppend(relalg.Row{relalg.Int(int64(t)), relalg.String(fmt.Sprintf("team-%d", t)),
 			relalg.Int(int64(t % 20)), relalg.String(fmt.Sprintf("Team %d", t))})
 	}
-	left := relalg.NewProject(relalg.NewScan(relalg.NewMemSource("players", p)), "pName", "teamId", "teamCode", "league")
-	right := relalg.NewProject(relalg.NewScan(relalg.NewMemSource("teams", tm)), "tid", "tCode", "tLeague", "tName")
+	left := relalg.NewProject(relalg.NewScan(relalgtest.NewMemSource("players", p)), "pName", "teamId", "teamCode", "league")
+	right := relalg.NewProject(relalg.NewScan(relalgtest.NewMemSource("teams", tm)), "tid", "tCode", "tLeague", "tName")
 	for _, c := range []struct {
 		name string
 		on   [][2]string

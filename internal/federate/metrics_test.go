@@ -8,6 +8,7 @@ import (
 
 	"mdm/internal/obs"
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
 )
@@ -21,7 +22,7 @@ func TestMissingCountedPerSourceAndClass(t *testing.T) {
 	before := obsMissing.With("m-timeout-src", string(ClassTimeout)).Value()
 	beforeDegraded := obsPartialDegradations.Value()
 
-	good := relalg.NewScan(relalg.NewMemSource("m-good-src", rel2("a", "b", [2]int64{1, 2})))
+	good := relalg.NewScan(relalgtest.NewMemSource("m-good-src", rel2("a", "b", [2]int64{1, 2})))
 	bad := relalg.NewScan(&failSource{name: "m-timeout-src", cols: []string{"b", "c"},
 		err: context.DeadlineExceeded})
 	eng := NewEngine()
@@ -44,7 +45,7 @@ func TestMissingCountedPerSourceAndClass(t *testing.T) {
 }
 
 func TestScatterTraceSpans(t *testing.T) {
-	good := relalg.NewScan(relalg.NewMemSource("t-ok-src", rel2("a", "b", [2]int64{1, 2}, [2]int64{3, 4})))
+	good := relalg.NewScan(relalgtest.NewMemSource("t-ok-src", rel2("a", "b", [2]int64{1, 2}, [2]int64{3, 4})))
 	bad := relalg.NewScan(&failSource{name: "t-bad-src", cols: []string{"b", "c"},
 		err: errors.New("boom")})
 	eng := NewEngine()
@@ -88,7 +89,7 @@ func TestScatterTraceSpans(t *testing.T) {
 func TestSourceSpanColumns(t *testing.T) {
 	doc := schema.Doc{"a": relalg.Int(1), "b": relalg.Int(2), "c": relalg.Int(3)}
 	honours := wrapper.NewMem("t-honours", "s", []schema.Doc{doc}, nil)
-	ignores := relalg.NewMemSource("t-ignores", relalg.NewRelation("a", "b", "c"))
+	ignores := relalgtest.NewMemSource("t-ignores", relalg.NewRelation("a", "b", "c"))
 	fails := &failSource{name: "t-fails", cols: []string{"a", "b"}, err: errors.New("boom")}
 	var branches []relalg.Plan
 	for _, src := range []relalg.RowSource{honours, ignores, fails} {
@@ -115,7 +116,7 @@ func TestSourceSpanColumns(t *testing.T) {
 func TestFetchOutcomeCounters(t *testing.T) {
 	beforeOK := obsFetchOK.Value()
 	beforeErr := obsFetchAttempts.With(string(ClassOther)).Value()
-	good := relalg.NewScan(relalg.NewMemSource("c-ok-src", rel2("a", "b", [2]int64{1, 2})))
+	good := relalg.NewScan(relalgtest.NewMemSource("c-ok-src", rel2("a", "b", [2]int64{1, 2})))
 	eng := NewEngine()
 	if cur, err := eng.Run(context.Background(), good); err != nil {
 		t.Fatal(err)

@@ -10,18 +10,19 @@ import (
 	"time"
 
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
 )
 
 // Randomized equivalence harness: every generated plan is executed
-// through the materializing executor (relalg.Plan.Execute — the
+// through the materializing executor (relalgtest.Execute — the
 // correctness oracle) and through the streaming federate engine, and the
 // results must be identical — same schema, same rows, same ORDER (the
 // streaming pipeline is documented to reproduce Execute's emission
 // order exactly, which is what makes paged reads prefixes of the full
 // drain). The engine runs each plan over two kinds of source: ones that
-// ignore the columns a fetch asks for (relalg.MemSource, the un-pushed
+// ignore the columns a fetch asks for (relalgtest.MemSource, the un-pushed
 // path) and ones that honour them (wrapper.Mem, the pushed path), as
 // generated and after relalg.Optimize, which is what puts the
 // projections on the scans. Each case additionally drains a random page
@@ -87,7 +88,7 @@ type planGen struct {
 // through wrapper.Mem, which narrows to the request.
 func source(name string, rel *relalg.Relation, honour bool) relalg.RowSource {
 	if !honour {
-		return relalg.NewMemSource(name, rel)
+		return relalgtest.NewMemSource(name, rel)
 	}
 	attrs := make([]schema.Attribute, len(rel.Cols))
 	for i, c := range rel.Cols {
@@ -110,28 +111,17 @@ func (g *planGen) scan(cols []string) relalg.Plan {
 
 func (g *planGen) leaf() relalg.Plan { return g.scan(genCols(g.r)) }
 
-// plan builds a random operator tree of bounded depth. Generated plans
-// are always well-formed (predicates and join keys reference existing
-// columns, union branches share one schema), mirroring what the
-// rewriter emits.
+// plan builds a random operator tree of bounded depth out of the six
+// operators the rewriters emit. Generated plans are always well-formed
+// (projections and join keys reference existing columns, union branches
+// share one schema), as the rewriters' are; their nesting is arbitrary,
+// which the rewriters' is not.
 func (g *planGen) plan(depth int) relalg.Plan {
 	if depth <= 0 || g.r.Intn(4) == 0 {
 		return g.leaf()
 	}
-	switch g.r.Intn(7) {
-	case 0: // selection
-		child := g.plan(depth - 1)
-		cols := child.Columns()
-		col := cols[g.r.Intn(len(cols))]
-		ops := []string{"=", "!=", "<", "<=", ">", ">="}
-		pred := relalg.Cmp{Op: ops[g.r.Intn(len(ops))], Col: col}
-		if g.r.Intn(3) == 0 {
-			pred.Other = cols[g.r.Intn(len(cols))]
-		} else {
-			pred.Val = genValue(g.r)
-		}
-		return relalg.NewSelect(child, pred)
-	case 1: // projection: non-empty shuffled subset
+	switch g.r.Intn(5) {
+	case 0: // projection: non-empty shuffled subset
 		child := g.plan(depth - 1)
 		cols := child.Columns()
 		perm := g.r.Perm(len(cols))
@@ -141,13 +131,13 @@ func (g *planGen) plan(depth int) relalg.Plan {
 			keep[i] = cols[perm[i]]
 		}
 		return relalg.NewProject(child, keep...)
-	case 2: // rename one column to a fresh name (Optimize resolves by name)
+	case 1: // rename one column to a fresh name (Optimize resolves by name)
 		child := g.plan(depth - 1)
 		cols := child.Columns()
 		from := cols[g.r.Intn(len(cols))]
 		g.nren++
 		return relalg.NewRename(child, [][2]string{{from, fmt.Sprintf("r%d", g.nren)}})
-	case 3: // equi-join on 1-2 random column pairs
+	case 2: // equi-join on 1-2 random column pairs
 		l, rr := g.plan(depth-1), g.plan(depth-1)
 		lc, rc := l.Columns(), rr.Columns()
 		n := 1 + g.r.Intn(2)
@@ -156,17 +146,15 @@ func (g *planGen) plan(depth int) relalg.Plan {
 			on[i] = [2]string{lc[g.r.Intn(len(lc))], rc[g.r.Intn(len(rc))]}
 		}
 		return relalg.NewJoin(l, rr, on)
-	case 4: // union: extra scans sharing the first branch's schema
+	case 3: // union: extra scans sharing the first branch's schema
 		first := g.plan(depth - 1)
 		plans := []relalg.Plan{first}
 		for i, n := 0, 1+g.r.Intn(2); i < n; i++ {
 			plans = append(plans, g.scan(first.Columns()))
 		}
 		return relalg.NewUnion(plans...)
-	case 5: // distinct
+	default: // distinct
 		return relalg.NewDistinct(g.plan(depth - 1))
-	default: // limit
-		return relalg.NewLimit(g.plan(depth-1), g.r.Intn(6))
 	}
 }
 
@@ -177,7 +165,7 @@ func rowsEqual(a, b relalg.Row) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Key() != b[i].Key() {
+		if relalgtest.Key(a[i]) != relalgtest.Key(b[i]) {
 			return false
 		}
 	}
@@ -240,7 +228,7 @@ func agree(ctx context.Context, eng *Engine, plan relalg.Plan, want *relalg.Rela
 // the raw plan's wider requests then meet the narrow snapshots the
 // optimized one left behind, and must not be served them.
 func threeWays(ctx context.Context, build func(honour bool) relalg.Plan, limit, offset func(rows int) int) error {
-	want, err := build(false).Execute(ctx)
+	want, err := relalgtest.Execute(ctx, build(false))
 	if err != nil {
 		return fmt.Errorf("oracle execute: %w", err)
 	}
@@ -250,7 +238,7 @@ func threeWays(ctx context.Context, build func(honour bool) relalg.Plan, limit, 
 		eng.Cache = NewCache(time.Hour)
 		for _, p := range []relalg.Plan{relalg.Optimize(plan), plan} {
 			if err := agree(ctx, eng, p, want, limit(len(want.Rows)), offset(len(want.Rows))); err != nil {
-				return fmt.Errorf("honour=%v %s: %w", honour, p.Algebra(), err)
+				return fmt.Errorf("honour=%v %s: %w", honour, relalg.Algebra(p), err)
 			}
 		}
 	}
@@ -303,9 +291,7 @@ func TestFederateOracleEdgeCases(t *testing.T) {
 			relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}),
 			relalg.NewDistinct(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}})),
 			relalg.NewUnion(l, relalg.NewScan(source("l2", lhs, honour))),
-			relalg.NewLimit(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}), 0),
 			relalg.NewProject(relalg.NewRename(l, [][2]string{{"b", "bb"}}), "bb"),
-			relalg.NewSelect(l, relalg.NotNull{Col: "a"}),
 			// Same wrapper scanned twice (self-join): the scatter dedupes.
 			relalg.NewJoin(l, relalg.NewRename(l, [][2]string{{"b", "b2"}}), [][2]string{{"a", "a"}}),
 			// ... under two projections: one fetch of their union a,b,c (in
@@ -342,7 +328,7 @@ func TestOracleCatchesNarrowSnapshotServedWide(t *testing.T) {
 	rel.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x")})
 	src := source("s", rel, true)
 	plan := relalg.NewScan(src)
-	want, err := plan.Execute(ctx)
+	want, err := relalgtest.Execute(ctx, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,8 +352,8 @@ func TestOracleCatchesNarrowSnapshotServedWide(t *testing.T) {
 	}
 }
 
-// TestNegativeZeroJoinsAndDedupes: σ(a=b) holds for -0 and 0
-// (relalg.Equal), so ⋈ and δ must agree, in both executors.
+// TestNegativeZeroJoinsAndDedupes: -0 equals 0 (relalg.Equal), so ⋈ and
+// δ must agree, in both executors.
 func TestNegativeZeroJoinsAndDedupes(t *testing.T) {
 	ctx := context.Background()
 	lhs := relalg.NewRelation("a")
@@ -375,8 +361,8 @@ func TestNegativeZeroJoinsAndDedupes(t *testing.T) {
 	lhs.MustAppend(relalg.Row{relalg.Float(0)})
 	rhs := relalg.NewRelation("k")
 	rhs.MustAppend(relalg.Row{relalg.Int(0)})
-	l := relalg.NewScan(relalg.NewMemSource("l", lhs))
-	r := relalg.NewScan(relalg.NewMemSource("r", rhs))
+	l := relalg.NewScan(relalgtest.NewMemSource("l", lhs))
+	r := relalg.NewScan(relalgtest.NewMemSource("r", rhs))
 	for _, c := range []struct {
 		plan relalg.Plan
 		rows int
@@ -384,7 +370,7 @@ func TestNegativeZeroJoinsAndDedupes(t *testing.T) {
 		{relalg.NewJoin(l, r, [][2]string{{"a", "k"}}), 2},
 		{relalg.NewDistinct(l), 1},
 	} {
-		want, err := c.plan.Execute(ctx)
+		want, err := relalgtest.Execute(ctx, c.plan)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +383,71 @@ func TestNegativeZeroJoinsAndDedupes(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(want.Rows) != c.rows || len(got.Rows) != c.rows {
-			t.Errorf("%s: oracle %d rows, federate %d rows, want %d", c.plan.Algebra(), len(want.Rows), len(got.Rows), c.rows)
+			t.Errorf("%s: oracle %d rows, federate %d rows, want %d", relalg.Algebra(c.plan), len(want.Rows), len(got.Rows), c.rows)
 		}
+	}
+}
+
+// TestOperatorClosure takes each node kind of the closed relalg.Plan sum
+// through its four consumers — Algebra, Optimize, compile and the
+// reference executor — and requires one answer. An operator added to
+// relalg gets a row here, and the consumer that was not taught it fails
+// in this test rather than in a served walk.
+func TestOperatorClosure(t *testing.T) {
+	ctx := context.Background()
+	lhs := relalg.NewRelation("a", "b")
+	lhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x")})
+	lhs.MustAppend(relalg.Row{relalg.Int(2), relalg.String("y")})
+	lhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x")})
+	rhs := relalg.NewRelation("k", "c")
+	rhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("p")})
+	rhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("q")})
+	snaps := map[string]*relalg.Relation{"l": lhs, "r": rhs}
+	l := relalg.NewScan(relalgtest.NewMemSource("l", lhs))
+	r := relalg.NewScan(relalgtest.NewMemSource("r", rhs))
+
+	drain := func(p relalg.Plan) (*relalg.Relation, error) {
+		it, err := compile(p, snaps)
+		if err != nil {
+			return nil, err
+		}
+		return (&Cursor{cols: p.Columns(), it: it}).Materialize(ctx)
+	}
+	for _, tc := range []struct {
+		plan    relalg.Plan
+		algebra string
+		rows    int
+	}{
+		{l, "l", 3},
+		{relalg.NewProject(l, "b"), "π[b](l)", 3},
+		{relalg.NewRename(l, [][2]string{{"a", "k"}}), "ρ[a→k](l)", 3},
+		{relalg.NewJoin(l, r, [][2]string{{"a", "k"}}), "(l ⋈[a=k] r)", 4},
+		{relalg.NewUnion(l, l), "(l ∪ l)", 6},
+		{relalg.NewDistinct(l), "δ(l)", 2},
+	} {
+		if got := relalg.Algebra(tc.plan); got != tc.algebra {
+			t.Errorf("Algebra(%T) = %q, want %q", tc.plan, got, tc.algebra)
+		}
+		want, err := relalgtest.Execute(ctx, tc.plan)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", tc.algebra, err)
+		}
+		if len(want.Rows) != tc.rows {
+			t.Errorf("%s: reference has %d rows, want %d", tc.algebra, len(want.Rows), tc.rows)
+		}
+		same := func(name string) func(*relalg.Relation, error) {
+			return func(got *relalg.Relation, err error) {
+				if err == nil {
+					err = sameResult(want, got)
+				}
+				if err != nil {
+					t.Errorf("%s, %s: %v", tc.algebra, name, err)
+				}
+			}
+		}
+		opt := relalg.Optimize(tc.plan)
+		same("reference, optimized")(relalgtest.Execute(ctx, opt))
+		same("compiled")(drain(tc.plan))
+		same("compiled, optimized")(drain(opt))
 	}
 }

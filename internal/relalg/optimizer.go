@@ -1,5 +1,7 @@
 package relalg
 
+import "fmt"
+
 // Optimize rewrites a plan for cheaper execution. The two rules are the
 // classical ones that matter for MDM's generated plans:
 //
@@ -24,16 +26,6 @@ func pushDown(p Plan, needed []string) Plan {
 			return inner
 		}
 		return NewProject(inner, needed...)
-
-	case *Select:
-		// The predicate's columns must survive below the selection.
-		req := union(needed, predCols(n.Pred))
-		child := pushDown(n.Child, orderLike(n.Child.Columns(), req))
-		out := Plan(NewSelect(child, n.Pred))
-		if !sameCols(out.Columns(), needed) {
-			out = NewProject(out, needed...)
-		}
-		return out
 
 	case *Join:
 		var joinCols []string
@@ -94,28 +86,13 @@ func pushDown(p Plan, needed []string) Plan {
 		}
 		return out
 
-	case *Limit:
-		return NewLimit(pushDown(n.Child, needed), n.N)
-
 	case *Scan:
 		if sameCols(n.Columns(), needed) {
 			return n
 		}
 		return NewProject(n, needed...)
-
-	default:
-		return p
 	}
-}
-
-func predCols(p Pred) []string {
-	set := map[string]bool{}
-	p.Columns(set)
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	return out
+	panic(fmt.Sprintf("relalg: Optimize: no case for %T", p)) // Plan is sealed: nil, or a node this switch was not taught
 }
 
 func sameCols(a, b []string) bool {
@@ -156,28 +133,6 @@ func intersectOrdered(cols, want []string) []string {
 	}
 	var out []string
 	for _, c := range cols {
-		if w[c] {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// orderLike returns want reordered to follow ref's column order; names
-// absent from ref keep their relative order at the end.
-func orderLike(ref, want []string) []string {
-	w := map[string]bool{}
-	for _, c := range want {
-		w[c] = true
-	}
-	var out []string
-	for _, c := range ref {
-		if w[c] {
-			out = append(out, c)
-			delete(w, c)
-		}
-	}
-	for _, c := range want {
 		if w[c] {
 			out = append(out, c)
 		}

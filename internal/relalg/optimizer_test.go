@@ -1,4 +1,4 @@
-package relalg
+package relalg_test
 
 import (
 	"context"
@@ -6,29 +6,30 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	. "mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 )
 
 func optPlanFixture() Plan {
-	// π[teamName,pName]( w1 ⋈ ρ(w2) ) with a filter.
+	// π[teamName,pName]( w1 ⋈ ρ(w2) )
 	return NewProject(
-		NewSelect(
-			NewJoin(NewScan(w1()),
-				NewRename(NewScan(w2()), [][2]string{{"name", "teamName"}}),
-				[][2]string{{"teamId", "id"}}),
-			Cmp{Op: ">", Col: "height", Val: Float(0)}),
+		NewJoin(NewScan(w1()),
+			NewRename(NewScan(w2()), [][2]string{{"name", "teamName"}}),
+			[][2]string{{"teamId", "id"}}),
 		"teamName", "pName")
 }
 
 func TestOptimizePreservesResult(t *testing.T) {
 	plan := optPlanFixture()
 	opt := Optimize(plan)
-	r1, err := plan.Execute(context.Background())
+	r1, err := relalgtest.Execute(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := opt.Execute(context.Background())
+	r2, err := relalgtest.Execute(context.Background(), opt)
 	if err != nil {
-		t.Fatalf("optimized plan failed: %v\n%s", err, PrintTree(opt))
+		t.Fatalf("optimized plan failed: %v\n%s", err, Algebra(opt))
 	}
 	if !r1.Equal(r2) {
 		t.Fatalf("results differ.\noriginal:\n%s\noptimized:\n%s", r1.Table(), r2.Table())
@@ -60,27 +61,11 @@ func TestOptimizeCollapsesProjectChains(t *testing.T) {
 		p = cs[0]
 	}
 	if depth != 1 {
-		t.Errorf("project chain depth = %d, want 1\n%s", depth, PrintTree(opt))
+		t.Errorf("project chain depth = %d, want 1\n%s", depth, Algebra(opt))
 	}
-	r, err := opt.Execute(context.Background())
+	r, err := relalgtest.Execute(context.Background(), opt)
 	if err != nil || len(r.Cols) != 1 || r.Cols[0] != "pName" {
 		t.Errorf("collapsed plan output = %v, %v", r, err)
-	}
-}
-
-func TestOptimizeKeepsPredicateColumns(t *testing.T) {
-	// The filter column (height) is not projected; push-down must keep it
-	// below the selection.
-	plan := NewProject(
-		NewSelect(NewScan(w1()), Cmp{Op: ">", Col: "height", Val: Float(180)}),
-		"pName")
-	opt := Optimize(plan)
-	r, err := opt.Execute(context.Background())
-	if err != nil {
-		t.Fatalf("%v\n%s", err, PrintTree(opt))
-	}
-	if r.Len() != 2 || len(r.Cols) != 1 {
-		t.Fatalf("rows=%d cols=%v", r.Len(), r.Cols)
 	}
 }
 
@@ -91,13 +76,13 @@ func TestOptimizeUnionBranches(t *testing.T) {
 			[][2]string{{"name", "pName"}, {"shortName", "height"}}),
 	), "pName")
 	opt := Optimize(u)
-	r1, err := u.Execute(context.Background())
+	r1, err := relalgtest.Execute(context.Background(), u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := opt.Execute(context.Background())
+	r2, err := relalgtest.Execute(context.Background(), opt)
 	if err != nil {
-		t.Fatalf("%v\n%s", err, PrintTree(opt))
+		t.Fatalf("%v\n%s", err, Algebra(opt))
 	}
 	if !r1.Equal(r2) {
 		t.Fatalf("union optimize changed result:\n%s\nvs\n%s", r1.Table(), r2.Table())
@@ -109,10 +94,10 @@ func TestOptimizeRenameDropsUnusedMapping(t *testing.T) {
 		NewRename(NewScan(w2()), [][2]string{{"name", "teamName"}, {"shortName", "sn"}}),
 		"id")
 	opt := Optimize(plan)
-	if strings.Contains(opt.Algebra(), "ρ") {
-		t.Errorf("rename should vanish when no renamed column survives: %s", opt.Algebra())
+	if strings.Contains(Algebra(opt), "ρ") {
+		t.Errorf("rename should vanish when no renamed column survives: %s", Algebra(opt))
 	}
-	r, err := opt.Execute(context.Background())
+	r, err := relalgtest.Execute(context.Background(), opt)
 	if err != nil || len(r.Cols) != 1 || r.Cols[0] != "id" {
 		t.Errorf("output = %v, %v", r.Cols, err)
 	}
@@ -124,14 +109,6 @@ func randomPlan(r *rand.Rand) Plan {
 	base := Plan(NewJoin(NewScan(w1()),
 		NewRename(NewScan(w2()), [][2]string{{"name", "teamName"}}),
 		[][2]string{{"teamId", "id"}}))
-	if r.Intn(2) == 0 {
-		preds := []Pred{
-			Cmp{Op: ">", Col: "height", Val: Float(float64(r.Intn(200)))},
-			Cmp{Op: "=", Col: "foot", Val: String([]string{"left", "right"}[r.Intn(2)])},
-			Cmp{Op: "<=", Col: "score", Val: Int(int64(r.Intn(100)))},
-		}
-		base = NewSelect(base, preds[r.Intn(len(preds))])
-	}
 	cols := [][]string{
 		{"pName"},
 		{"teamName", "pName"},
@@ -142,9 +119,6 @@ func randomPlan(r *rand.Rand) Plan {
 	if r.Intn(3) == 0 {
 		base = NewDistinct(base)
 	}
-	if r.Intn(3) == 0 {
-		base = NewLimit(base, 1+r.Intn(5))
-	}
 	return base
 }
 
@@ -152,13 +126,11 @@ func TestPropOptimizePreservesSemantics(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		plan := randomPlan(r)
-		orig, err1 := plan.Execute(context.Background())
-		opt, err2 := Optimize(plan).Execute(context.Background())
+		orig, err1 := relalgtest.Execute(context.Background(), plan)
+		opt, err2 := relalgtest.Execute(context.Background(), Optimize(plan))
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		// Limit makes row choice nondeterministic only if upstream order
-		// differs; our executor is deterministic, so exact equality holds.
 		return orig.Equal(opt)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -171,8 +143,8 @@ func TestPropProjectIdempotent(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := randomPlan(r)
 		cols := p.Columns()
-		once, err1 := NewProject(p, cols...).Execute(context.Background())
-		twice, err2 := NewProject(NewProject(p, cols...), cols...).Execute(context.Background())
+		once, err1 := relalgtest.Execute(context.Background(), NewProject(p, cols...))
+		twice, err2 := relalgtest.Execute(context.Background(), NewProject(NewProject(p, cols...), cols...))
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -186,11 +158,11 @@ func TestPropProjectIdempotent(t *testing.T) {
 func TestPropUnionCommutativeUpToOrder(t *testing.T) {
 	a := NewProject(NewScan(w1()), "id")
 	b := NewProject(NewScan(w2()), "id")
-	r1, err := NewUnion(a, b).Execute(context.Background())
+	r1, err := relalgtest.Execute(context.Background(), NewUnion(a, b))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := NewUnion(b, a).Execute(context.Background())
+	r2, err := relalgtest.Execute(context.Background(), NewUnion(b, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +174,11 @@ func TestPropUnionCommutativeUpToOrder(t *testing.T) {
 func TestPropJoinCommutativeOnRowCount(t *testing.T) {
 	j1 := NewJoin(NewScan(w1()), NewScan(w2()), [][2]string{{"teamId", "id"}})
 	j2 := NewJoin(NewScan(w2()), NewScan(w1()), [][2]string{{"id", "teamId"}})
-	r1, err := j1.Execute(context.Background())
+	r1, err := relalgtest.Execute(context.Background(), j1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := j2.Execute(context.Background())
+	r2, err := relalgtest.Execute(context.Background(), j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +198,7 @@ func TestOptimizeLeavesProjectOnScan(t *testing.T) {
 		return NewProject(NewRename(NewScan(src), [][2]string{{"id", "ex:id"}, {"pName", "ex:name"}, {"teamId", "ex:team"}}),
 			"ex:id", "ex:name", "ex:team")
 	}
-	v2 := NewMemSource("w1v2", w1().Rel)
+	v2 := relalgtest.NewMemSource("w1v2", w1().Rel)
 	plan := NewDistinct(NewUnion(
 		NewProject(leaf(w1()), "ex:name", "ex:team"),
 		NewProject(leaf(v2), "ex:name", "ex:team")))
@@ -248,7 +220,7 @@ func TestOptimizeLeavesProjectOnScan(t *testing.T) {
 	}
 	walk(opt, nil)
 	if got["w1"] != "pName,teamId" || got["w1v2"] != "pName,teamId" {
-		t.Errorf("leaf projections = %v, want pName,teamId on both scans\n%s", got, PrintTree(opt))
+		t.Errorf("leaf projections = %v, want pName,teamId on both scans\n%s", got, Algebra(opt))
 	}
 
 	got = map[string]string{}
@@ -279,6 +251,6 @@ func TestOptimizeDoesNotProjectBelowDistinct(t *testing.T) {
 	want, got := exec(t, plan), exec(t, Optimize(plan))
 	if want.Len() != 3 || got.Len() != 3 {
 		t.Fatalf("π[foot](δ(w1)) has %d rows, optimized (%s) %d; want 3 and 3",
-			want.Len(), Optimize(plan).Algebra(), got.Len())
+			want.Len(), Algebra(Optimize(plan)), got.Len())
 	}
 }

@@ -1,35 +1,38 @@
-package relalg
+package relalg_test
 
 import (
 	"context"
 	"errors"
 	"strings"
 	"testing"
+
+	. "mdm/internal/relalg" // relalgtest imports relalg, so its users test from outside
+	"mdm/internal/relalg/relalgtest"
 )
 
 // players/teams fixtures mirroring the paper's wrappers w1 and w2.
-func w1() *MemSource {
+func w1() *relalgtest.MemSource {
 	rel := NewRelation("id", "pName", "height", "weight", "score", "foot", "teamId")
 	rel.MustAppend(Row{Int(6176), String("Lionel Messi"), Float(170.18), Int(159), Int(94), String("left"), Int(25)})
 	rel.MustAppend(Row{Int(7011), String("Robert Lewandowski"), Float(184.0), Int(176), Int(91), String("right"), Int(27)})
 	rel.MustAppend(Row{Int(8123), String("Zlatan Ibrahimovic"), Float(195.0), Int(209), Int(90), String("right"), Int(31)})
-	return NewMemSource("w1", rel)
+	return relalgtest.NewMemSource("w1", rel)
 }
 
-func w2() *MemSource {
+func w2() *relalgtest.MemSource {
 	rel := NewRelation("id", "name", "shortName")
 	rel.MustAppend(Row{Int(25), String("FC Barcelona"), String("FCB")})
 	rel.MustAppend(Row{Int(27), String("Bayern Munich"), String("FCB")})
 	rel.MustAppend(Row{Int(31), String("Manchester United"), String("MU")})
 	rel.MustAppend(Row{Int(99), String("Orphan FC"), String("OFC")})
-	return NewMemSource("w2", rel)
+	return relalgtest.NewMemSource("w2", rel)
 }
 
 func exec(t *testing.T, p Plan) *Relation {
 	t.Helper()
-	rel, err := p.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), p)
 	if err != nil {
-		t.Fatalf("execute: %v\nplan:\n%s", err, PrintTree(p))
+		t.Fatalf("execute: %v\nplan: %s", err, Algebra(p))
 	}
 	return rel
 }
@@ -42,15 +45,15 @@ func TestScan(t *testing.T) {
 }
 
 func TestScanSchemaMismatchDetected(t *testing.T) {
-	bad := &MemSource{SrcName: "bad", Rel: NewRelation("a", "b")}
-	s := &Scan{Src: &lyingSource{bad}}
-	if _, err := s.Execute(context.Background()); err == nil {
+	bad := relalgtest.NewMemSource("bad", NewRelation("a", "b"))
+	s := NewScan(&lyingSource{bad})
+	if _, err := relalgtest.Execute(context.Background(), s); err == nil {
 		t.Fatal("schema mismatch not detected")
 	}
 }
 
 // lyingSource declares 3 columns but returns 2.
-type lyingSource struct{ inner *MemSource }
+type lyingSource struct{ inner *relalgtest.MemSource }
 
 func (l *lyingSource) Name() string      { return l.inner.Name() }
 func (l *lyingSource) Columns() []string { return []string{"a", "b", "c"} }
@@ -66,54 +69,8 @@ func TestProject(t *testing.T) {
 	if rel.Rows[0][0].S != "Lionel Messi" {
 		t.Errorf("row0 = %v", rel.Rows[0])
 	}
-	if _, err := NewProject(NewScan(w1()), "nope").Execute(context.Background()); err == nil {
+	if _, err := relalgtest.Execute(context.Background(), NewProject(NewScan(w1()), "nope")); err == nil {
 		t.Error("unknown column should fail")
-	}
-}
-
-func TestSelectPredicates(t *testing.T) {
-	p := NewSelect(NewScan(w1()), Cmp{Op: ">", Col: "height", Val: Float(180)})
-	rel := exec(t, p)
-	if rel.Len() != 2 {
-		t.Fatalf("select > 180 = %d rows", rel.Len())
-	}
-	p2 := NewSelect(NewScan(w1()), And{Preds: []Pred{
-		Cmp{Op: ">", Col: "height", Val: Float(180)},
-		Cmp{Op: "=", Col: "foot", Val: String("right")},
-	}})
-	if got := exec(t, p2).Len(); got != 2 {
-		t.Fatalf("and = %d", got)
-	}
-	p3 := NewSelect(NewScan(w1()), Or{Preds: []Pred{
-		Cmp{Op: "=", Col: "pName", Val: String("Lionel Messi")},
-		Cmp{Op: ">=", Col: "score", Val: Int(91)},
-	}})
-	if got := exec(t, p3).Len(); got != 2 {
-		t.Fatalf("or = %d", got)
-	}
-	p4 := NewSelect(NewScan(w1()), Not{P: Cmp{Op: "=", Col: "foot", Val: String("left")}})
-	if got := exec(t, p4).Len(); got != 2 {
-		t.Fatalf("not = %d", got)
-	}
-	// Column-to-column comparison.
-	p5 := NewSelect(NewScan(w1()), Cmp{Op: "<", Col: "weight", Other: "score"})
-	if got := exec(t, p5).Len(); got != 0 {
-		t.Fatalf("col cmp = %d", got)
-	}
-	// Unknown column: predicate is false, not an error.
-	p6 := NewSelect(NewScan(w1()), Cmp{Op: "=", Col: "ghost", Val: Int(1)})
-	if got := exec(t, p6).Len(); got != 0 {
-		t.Fatalf("ghost col = %d", got)
-	}
-}
-
-func TestNotNullPredicate(t *testing.T) {
-	rel := NewRelation("a")
-	rel.MustAppend(Row{Int(1)})
-	rel.MustAppend(Row{Null()})
-	p := NewSelect(NewScan(NewMemSource("m", rel)), NotNull{Col: "a"})
-	if got := exec(t, p).Len(); got != 1 {
-		t.Fatalf("NotNull = %d", got)
 	}
 }
 
@@ -161,7 +118,7 @@ func TestJoinNullNeverMatches(t *testing.T) {
 	r := NewRelation("k2", "w")
 	r.MustAppend(Row{Null(), String("r1")})
 	r.MustAppend(Row{Int(1), String("r2")})
-	j := NewJoin(NewScan(NewMemSource("l", l)), NewScan(NewMemSource("r", r)), [][2]string{{"k", "k2"}})
+	j := NewJoin(NewScan(relalgtest.NewMemSource("l", l)), NewScan(relalgtest.NewMemSource("r", r)), [][2]string{{"k", "k2"}})
 	rel := exec(t, j)
 	if rel.Len() != 1 {
 		t.Fatalf("null join rows = %d, want 1", rel.Len())
@@ -173,7 +130,7 @@ func TestJoinIntFloatCoercion(t *testing.T) {
 	l.MustAppend(Row{Int(25)})
 	r := NewRelation("k2")
 	r.MustAppend(Row{Float(25.0)})
-	j := NewJoin(NewScan(NewMemSource("l", l)), NewScan(NewMemSource("r", r)), [][2]string{{"k", "k2"}})
+	j := NewJoin(NewScan(relalgtest.NewMemSource("l", l)), NewScan(relalgtest.NewMemSource("r", r)), [][2]string{{"k", "k2"}})
 	if got := exec(t, j).Len(); got != 1 {
 		t.Fatalf("int/float join = %d rows", got)
 	}
@@ -181,29 +138,13 @@ func TestJoinIntFloatCoercion(t *testing.T) {
 
 func TestJoinMissingColumnError(t *testing.T) {
 	j := NewJoin(NewScan(w1()), NewScan(w2()), [][2]string{{"nope", "id"}})
-	if _, err := j.Execute(context.Background()); err == nil {
+	if _, err := relalgtest.Execute(context.Background(), j); err == nil {
 		t.Error("missing left join column not reported")
 	}
 	j2 := NewJoin(NewScan(w1()), NewScan(w2()), [][2]string{{"teamId", "nope"}})
-	if _, err := j2.Execute(context.Background()); err == nil {
+	if _, err := relalgtest.Execute(context.Background(), j2); err == nil {
 		t.Error("missing right join column not reported")
 	}
-}
-
-func TestNaturalJoin(t *testing.T) {
-	// w1 and w2 share column "id" — natural join on it.
-	j := NewNaturalJoin(NewScan(w1()), NewScan(w2()))
-	if len(j.On) != 1 || j.On[0] != [2]string{"id", "id"} {
-		t.Fatalf("natural join on = %v", j.On)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("natural join with no shared cols should panic")
-		}
-	}()
-	a := NewRelation("x")
-	b := NewRelation("y")
-	NewNaturalJoin(NewScan(NewMemSource("a", a)), NewScan(NewMemSource("b", b)))
 }
 
 func TestUnion(t *testing.T) {
@@ -216,7 +157,7 @@ func TestUnion(t *testing.T) {
 	}
 	// Schema mismatch must error.
 	bad := NewUnion(NewProject(NewScan(w1()), "pName"), NewProject(NewScan(w2()), "name"))
-	if _, err := bad.Execute(context.Background()); err == nil {
+	if _, err := relalgtest.Execute(context.Background(), bad); err == nil {
 		t.Error("union schema mismatch not detected")
 	}
 	empty := NewUnion()
@@ -225,20 +166,14 @@ func TestUnion(t *testing.T) {
 	}
 }
 
-func TestDistinctAndLimit(t *testing.T) {
+func TestDistinct(t *testing.T) {
 	rel := NewRelation("a")
 	for i := 0; i < 5; i++ {
 		rel.MustAppend(Row{Int(int64(i % 2))})
 	}
-	src := NewMemSource("m", rel)
+	src := relalgtest.NewMemSource("m", rel)
 	if got := exec(t, NewDistinct(NewScan(src))).Len(); got != 2 {
 		t.Fatalf("distinct = %d", got)
-	}
-	if got := exec(t, NewLimit(NewScan(src), 3)).Len(); got != 3 {
-		t.Fatalf("limit = %d", got)
-	}
-	if got := exec(t, NewLimit(NewScan(src), 99)).Len(); got != 5 {
-		t.Fatalf("limit beyond = %d", got)
 	}
 }
 
@@ -248,16 +183,10 @@ func TestAlgebraRendering(t *testing.T) {
 			NewRename(NewScan(w2()), [][2]string{{"name", "teamName"}}),
 			[][2]string{{"teamId", "id"}}),
 		"teamName", "pName")
-	alg := plan.Algebra()
+	alg := Algebra(plan)
 	for _, frag := range []string{"π[teamName,pName]", "w1 ⋈[teamId=id]", "ρ[name→teamName](w2)"} {
 		if !strings.Contains(alg, frag) {
 			t.Errorf("algebra %q missing %q", alg, frag)
-		}
-	}
-	tree := PrintTree(plan)
-	for _, frag := range []string{"Project[teamName,pName]", "Join[[teamId id]]", "Scan(w1)"} {
-		if !strings.Contains(tree, frag) {
-			t.Errorf("tree missing %q:\n%s", frag, tree)
 		}
 	}
 }
@@ -327,16 +256,14 @@ func (failingSource) Fetch(context.Context) (*Relation, error) {
 func TestErrorPropagation(t *testing.T) {
 	plans := []Plan{
 		NewProject(NewScan(failingSource{}), "a"),
-		NewSelect(NewScan(failingSource{}), NotNull{Col: "a"}),
 		NewRename(NewScan(failingSource{}), [][2]string{{"a", "b"}}),
 		NewJoin(NewScan(failingSource{}), NewScan(w1()), [][2]string{{"a", "id"}}),
 		NewJoin(NewScan(w1()), NewScan(failingSource{}), [][2]string{{"id", "a"}}),
 		NewUnion(NewScan(failingSource{})),
 		NewDistinct(NewScan(failingSource{})),
-		NewLimit(NewScan(failingSource{}), 1),
 	}
 	for i, p := range plans {
-		if _, err := p.Execute(context.Background()); err == nil {
+		if _, err := relalgtest.Execute(context.Background(), p); err == nil {
 			t.Errorf("plan %d swallowed the source error", i)
 		} else if !strings.Contains(err.Error(), "source unavailable") {
 			t.Errorf("plan %d error lost cause: %v", i, err)
@@ -353,15 +280,15 @@ func TestExecuteCanceledContext(t *testing.T) {
 		left.Rows = append(left.Rows, Row{Int(int64(i % 50)), String("l")})
 		right.Rows = append(right.Rows, Row{Int(int64(i % 50)), String("r")})
 	}
-	plan := NewJoin(NewScan(NewMemSource("l", left)), NewScan(NewMemSource("r", right)),
+	plan := NewJoin(NewScan(relalgtest.NewMemSource("l", left)), NewScan(relalgtest.NewMemSource("r", right)),
 		[][2]string{{"id", "id"}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.Execute(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := relalgtest.Execute(ctx, plan); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Execute under canceled ctx = %v, want context.Canceled", err)
 	}
 	// Sanity: the same plan runs fine with a live context.
-	rel, err := plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}

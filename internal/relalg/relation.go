@@ -81,27 +81,24 @@ func (r *Relation) Equal(other *Relation) bool {
 		}
 	}
 	count := map[string]int{}
-	for _, row := range r.Rows {
-		count[rowKey(row)]++
+	var key []byte
+	tally := func(rows []Row, d int) {
+		for _, row := range rows {
+			key = key[:0]
+			for _, v := range row {
+				key = v.AppendKey(key)
+			}
+			count[string(key)] += d
+		}
 	}
-	for _, row := range other.Rows {
-		count[rowKey(row)]--
-	}
+	tally(r.Rows, 1)
+	tally(other.Rows, -1)
 	for _, c := range count {
 		if c != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-func rowKey(row Row) string {
-	var sb strings.Builder
-	for _, v := range row {
-		sb.WriteString(v.Key())
-		sb.WriteByte('\x01')
-	}
-	return sb.String()
 }
 
 // Table renders the relation as an aligned text table.
@@ -136,40 +133,4 @@ func (r *Relation) Table() string {
 		sb.WriteString("\n")
 	}
 	return sb.String()
-}
-
-// Project returns a new relation with only the named columns, in order.
-func (r *Relation) Project(cols ...string) (*Relation, error) {
-	idx := make([]int, len(cols))
-	for i, c := range cols {
-		j := r.ColIndex(c)
-		if j < 0 {
-			return nil, fmt.Errorf("relalg: unknown column %q (have %v)", c, r.Cols)
-		}
-		idx[i] = j
-	}
-	out := NewRelation(cols...)
-	for _, row := range r.Rows {
-		nr := make(Row, len(idx))
-		for i, j := range idx {
-			nr[i] = row[j]
-		}
-		out.Rows = append(out.Rows, nr)
-	}
-	return out, nil
-}
-
-// Distinct returns a new relation with duplicate rows removed, keeping
-// first occurrences.
-func (r *Relation) Distinct() *Relation {
-	out := NewRelation(r.Cols...)
-	seen := map[string]bool{}
-	for _, row := range r.Rows {
-		k := rowKey(row)
-		if !seen[k] {
-			seen[k] = true
-			out.Rows = append(out.Rows, row)
-		}
-	}
-	return out
 }

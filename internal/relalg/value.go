@@ -1,16 +1,16 @@
-// Package relalg implements a small in-memory relational algebra engine:
-// typed relations plus projection, selection, renaming, natural/equi
-// joins, union, distinct and limit operators with a tree-walking
-// executor and a light optimizer.
+// Package relalg is the relational algebra the walk rewriters emit:
+// typed relations and the six operators of a union of conjunctive queries
+// under set semantics — scan, projection, renaming, equi-join, union and
+// distinct — with a light optimizer.
 //
 // In the original MDM, data fetched by wrappers was loaded into temporary
 // SQLite tables and the rewritten query was executed as federated SQL.
 // This package plays that role: the query rewriting algorithm emits a
 // relalg.Plan over wrapper-backed Scan nodes, which internal/federate
-// streams; Execute, the tree-walking executor here, is the reference
-// its tests compare against. Plans also render as algebra expressions
-// (π, σ, ⋈, ∪, ρ, δ) so the demo can display them exactly as Figure 8
-// of the paper does.
+// streams; the materializing executor its tests compare against is
+// relalgtest.Execute, which no binary links. Plans also render as algebra
+// expressions (π, ρ, ⋈, ∪, δ) so the demo can display them exactly as
+// Figure 8 of the paper does.
 package relalg
 
 import (
@@ -206,27 +206,13 @@ func rank(v Value) int {
 	}
 }
 
-// Key returns a canonical string usable as a hash key. Two non-NULL
-// values share a key exactly when Equal holds — numeric values of equal
-// magnitude do, whether int or float, and so do 0 and -0 — except that
-// every NaN shares one key although NaN equals nothing.
-func (v Value) Key() string {
-	switch v.T {
-	case TypeNull:
-		return "\x00N"
-	case TypeBool:
-		return "\x00B" + strconv.FormatBool(v.B)
-	case TypeInt, TypeFloat:
-		return "\x00F" + strconv.FormatFloat(v.keyFloat(), 'g', -1, 64)
-	default:
-		return "\x00S" + v.S
-	}
-}
-
-// AppendKey appends the binary form of Key to dst: a type tag, then the
-// IEEE bits of a numeric, a bool byte, or the length-prefixed bytes of a
-// string. It induces the same equivalence as Key and is self-delimiting,
-// so the keys of several columns concatenate without separators.
+// AppendKey appends a canonical hash key of v to dst: a type tag, then
+// the IEEE bits of a numeric, a bool byte, or the length-prefixed bytes of
+// a string. Two non-NULL values share a key exactly when Equal holds —
+// numeric values of equal magnitude do, whether int or float, and so do 0
+// and -0 — except that every NaN shares one key although NaN equals
+// nothing. Keys are self-delimiting, so those of several columns
+// concatenate without separators.
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.T {
 	case TypeNull:

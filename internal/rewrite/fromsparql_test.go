@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/rewrite"
 	"mdm/internal/usecase"
 )
@@ -35,7 +36,7 @@ func TestWalkFromSPARQLFig8(t *testing.T) {
 	if len(res.OutputColumns) != 2 || res.OutputColumns[0] != "teamName" || res.OutputColumns[1] != "playerName" {
 		t.Fatalf("columns = %v", res.OutputColumns)
 	}
-	rel, err := res.Plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), res.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +63,11 @@ func TestWalkFromSPARQLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel1, err := res1.Plan.Execute(context.Background())
+	rel1, err := relalgtest.Execute(context.Background(), res1.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel2, err := res2.Plan.Execute(context.Background())
+	rel2, err := relalgtest.Execute(context.Background(), res2.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestWalkFromSPARQLNationalityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := res.Plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), res.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

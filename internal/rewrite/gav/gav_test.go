@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/rewrite"
 	"mdm/internal/rewrite/gav"
 	"mdm/internal/usecase"
@@ -18,7 +20,7 @@ func TestGAVAnswersFig8BeforeEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +82,7 @@ func TestGAVBreaksOnInPlaceEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LAV should survive evolution: %v", err)
 	}
-	if _, err := res.Plan.Execute(context.Background()); err != nil {
+	if _, err := relalgtest.Execute(context.Background(), res.Plan); err != nil {
 		t.Fatalf("LAV execution failed: %v", err)
 	}
 }
@@ -130,7 +132,7 @@ func TestGAVProducesSingleCQNoUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, err := plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +142,7 @@ func TestGAVProducesSingleCQNoUnion(t *testing.T) {
 			t.Fatal("GAV should not see v2-only players; its binding is frozen to w1")
 		}
 	}
-	if !strings.Contains(plan.Algebra(), "w1") || strings.Contains(plan.Algebra(), "w1v2") {
-		t.Errorf("algebra = %s", plan.Algebra())
+	if !strings.Contains(relalg.Algebra(plan), "w1") || strings.Contains(relalg.Algebra(plan), "w1v2") {
+		t.Errorf("algebra = %s", relalg.Algebra(plan))
 	}
 }

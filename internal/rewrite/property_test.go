@@ -12,6 +12,7 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/rewrite"
 	"mdm/internal/usecase"
 	"mdm/internal/wrapper"
@@ -78,7 +79,7 @@ func TestPropRandomWalksRewriteAndExecute(t *testing.T) {
 			t.Logf("seed %d: columns %v vs features %v", seed, res.OutputColumns, w.ProjectedFeatures())
 			return false
 		}
-		rel, err := res.Plan.Execute(ctx)
+		rel, err := relalgtest.Execute(ctx, res.Plan)
 		if err != nil {
 			t.Logf("seed %d: execute failed: %v", seed, err)
 			return false
@@ -140,7 +141,7 @@ func TestPropEvolutionMonotonicity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		relB, err := resB.Plan.Execute(context.Background())
+		relB, err := relalgtest.Execute(context.Background(), resB.Plan)
 		if err != nil {
 			return false
 		}
@@ -153,7 +154,7 @@ func TestPropEvolutionMonotonicity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		relA, err := resA.Plan.Execute(context.Background())
+		relA, err := relalgtest.Execute(context.Background(), resA.Plan)
 		if err != nil {
 			return false
 		}
@@ -179,7 +180,7 @@ func TestPropEvolutionMonotonicity(t *testing.T) {
 func rowKey(row relalg.Row) string {
 	out := ""
 	for _, v := range row {
-		out += v.Key() + "\x00"
+		out += relalgtest.Key(v) + "\x00"
 	}
 	return out
 }
@@ -245,7 +246,7 @@ func divergence(long *rewrite.Rewriter, ont *bdi.Ontology, reg *wrapper.Registry
 				return fmt.Errorf("walk %d CQ %d: algebra %s, fresh rewriter says %s", i, j, g, w)
 			}
 		}
-		if g, w := got.Plan.Algebra(), want.Plan.Algebra(); g != w {
+		if g, w := relalg.Algebra(got.Plan), relalg.Algebra(want.Plan); g != w {
 			return fmt.Errorf("walk %d: plan %s, fresh rewriter says %s", i, g, w)
 		}
 		for _, s := range scans(got.Plan, nil) {

@@ -165,7 +165,7 @@ func appendStringKey(b []byte, s string) []byte {
 // every caller that asks for the same walk until the ontology or the
 // registry changes, possibly to several goroutines at once, and the CQs
 // of one Result share sub-plans and slices. Nothing reachable from a
-// Result may be modified; execution (federate, relalg.Plan.Execute) and
+// Result may be modified; execution (federate, relalgtest.Execute) and
 // the REST layer only read.
 type Result struct {
 	// Plan is the executable union of conjunctive queries.
@@ -192,7 +192,7 @@ type CQ struct {
 // Algebra renders the CQ's relational algebra expression. It is rendered
 // on request rather than kept: the strings of a 16-CQ union are a third
 // of what a remembered Result would otherwise retain.
-func (c CQ) Algebra() string { return c.plan.Algebra() }
+func (c CQ) Algebra() string { return relalg.Algebra(c.plan) }
 
 // Rewrite runs the three-phase algorithm on a walk, or returns the
 // result it already produced for the same walk over the same ontology

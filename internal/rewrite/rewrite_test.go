@@ -9,6 +9,7 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
@@ -27,9 +28,9 @@ func mustRewrite(t *testing.T, f *usecase.Fixture, w *rewrite.Walk) *rewrite.Res
 
 func execute(t *testing.T, res *rewrite.Result) *relalg.Relation {
 	t.Helper()
-	rel, err := res.Plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), res.Plan)
 	if err != nil {
-		t.Fatalf("execute: %v\nplan:\n%s", err, relalg.PrintTree(res.Plan))
+		t.Fatalf("execute: %v\nplan: %s", err, relalg.Algebra(res.Plan))
 	}
 	return rel
 }

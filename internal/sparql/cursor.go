@@ -221,11 +221,10 @@ const (
 	nestedLoopRowTax = 4
 )
 
-// joinMode forces the planner's join-algorithm choice; the spec harness
-// uses it to execute every randomized case under both strategies. The
-// default lets the cost model decide.
-var joinMode = joinAuto
-
+// The join-algorithm choice an evaluator is built with (evaluator.join).
+// Every public entry point builds with joinAuto, the cost model's pick;
+// the spec harness builds with the other two to execute every randomized
+// case under both strategies.
 const (
 	joinAuto int32 = iota
 	joinForceNested
@@ -278,7 +277,7 @@ func (e *evaluator) chooseJoin(p *triplePlan, pc *planCtx) {
 			}
 		}
 	}
-	switch joinMode {
+	switch e.join {
 	case joinForceNested:
 	case joinForceHash:
 		p.hash = true
@@ -1347,8 +1346,14 @@ func EvalCursor(ds *rdf.Dataset, q *Query) (*Cursor, error) {
 // every operator is wrapped in a span for EXPLAIN output. tr may be nil,
 // which is exactly EvalCursor.
 func EvalCursorTrace(ds *rdf.Dataset, q *Query, tr *obs.Trace) (*Cursor, error) {
+	return evalCursor(ds, q, tr, joinAuto)
+}
+
+// evalCursor is EvalCursorTrace with the join algorithm forced to join
+// (joinAuto: not forced).
+func evalCursor(ds *rdf.Dataset, q *Query, tr *obs.Trace, join int32) (*Cursor, error) {
 	lay := q.layout()
-	e := &evaluator{ds: ds, dict: ds.Dict(), lay: lay, ctx: context.Background(), trace: tr}
+	e := &evaluator{ds: ds, dict: ds.Dict(), lay: lay, ctx: context.Background(), trace: tr, join: join}
 	planT0 := time.Now()
 	gp, err := e.plan(q)
 	planDur := time.Since(planT0)

@@ -166,7 +166,7 @@ func TestCursorPagedReadIsPrefix(t *testing.T) {
 // bounded top-k operator) must return exactly the prefix of the
 // unlimited result, including with OFFSET and DISTINCT.
 func TestCursorLimitEqualsFullPrefix(t *testing.T) {
-	checkLimitEqualsFullPrefix(t)
+	checkLimitEqualsFullPrefix(t, joinAuto)
 }
 
 // TestParallelLimitEqualsSequentialPage is the same page-vs-full-drain
@@ -174,13 +174,13 @@ func TestCursorLimitEqualsFullPrefix(t *testing.T) {
 // the cost model would have picked. (The name is pinned by the tier-1
 // floor list.)
 func TestParallelLimitEqualsSequentialPage(t *testing.T) {
-	withJoinMode(t, joinForceHash, func() { checkLimitEqualsFullPrefix(t) })
+	checkLimitEqualsFullPrefix(t, joinForceHash)
 }
 
-func checkLimitEqualsFullPrefix(t *testing.T) {
+func checkLimitEqualsFullPrefix(t *testing.T, join int32) {
 	t.Helper()
 	ds, base := joinFixture()
-	full, err := Eval(ds, base)
+	full, err := evalJoin(ds, base, join)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func checkLimitEqualsFullPrefix(t *testing.T) {
 		{10, 0}, {1, 0}, {25, 13}, {0, 5}, {10, 8995}, {10, 9005},
 	} {
 		q := MustParse(fmt.Sprintf("%s LIMIT %d OFFSET %d", joinFixtureQuerySrc, tc.limit, tc.offset))
-		page, err := Eval(ds, q)
+		page, err := evalJoin(ds, q, join)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,6 +220,10 @@ type evaluator struct {
 	ctx context.Context
 	err error
 
+	// join is the forced join algorithm; joinAuto, the zero value, leaves
+	// the choice to the cost model (chooseJoin).
+	join int32
+
 	// trace is the query's observability trace, nil on the untraced
 	// path. The planner annotates it always; operator wrapping
 	// (metrics.go traced) happens only when trace.Detail is set, so a
@@ -331,8 +335,13 @@ func EvalContext(ctx context.Context, ds *rdf.Dataset, q *Query) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Form: q.Form}
-	if q.Form == FormAsk {
+	return c.result(ctx)
+}
+
+// result drains the cursor into a materialized answer.
+func (c *Cursor) result(ctx context.Context) (*Result, error) {
+	res := &Result{Form: c.form}
+	if c.form == FormAsk {
 		res.Bool = c.Next(ctx)
 		if err := c.Err(); err != nil {
 			return nil, err

@@ -12,14 +12,14 @@ import (
 // cases the randomized spec harness may not hit every run, plus what a
 // re-evaluated Query must see of a dataset that changed in between.
 
-// withJoinMode runs f with the planner's join choice forced, restoring
-// the previous mode even when f fails the test.
-func withJoinMode(t testing.TB, mode int32, f func()) {
-	t.Helper()
-	old := joinMode
-	joinMode = mode
-	defer func() { joinMode = old }()
-	f()
+// evalJoin is Eval with the planner's join choice forced: the evaluator
+// is built with it, so concurrent tests cannot see each other's mode.
+func evalJoin(ds *rdf.Dataset, q *Query, join int32) (*Result, error) {
+	c, err := evalCursor(ds, q, nil, join)
+	if err != nil {
+		return nil, err
+	}
+	return c.result(context.Background())
 }
 
 func hashJoinDataset() *rdf.Dataset {
@@ -41,33 +41,21 @@ func hashJoinDataset() *rdf.Dataset {
 	return ds
 }
 
-// evalRows evaluates src and returns the decoded solution multiset.
-func evalRows(t *testing.T, ds *rdf.Dataset, src string) []Binding {
-	t.Helper()
-	res, err := Run(ds, src)
-	if err != nil {
-		t.Fatalf("Run(%q): %v", src, err)
-	}
-	return res.Solutions()
-}
-
 // assertStrategiesAgree evaluates src under forced-nested and
 // forced-hash and asserts both produce the expected row count and the
 // same solution multiset.
 func assertStrategiesAgree(t *testing.T, ds *rdf.Dataset, src string, rows int) {
 	t.Helper()
-	var nested, hashed []Binding
-	var vars []string
-	withJoinMode(t, joinForceNested, func() {
-		res, err := Run(ds, src)
-		if err != nil {
-			t.Fatalf("nested Run(%q): %v", src, err)
-		}
-		nested, vars = res.Solutions(), res.Vars
-	})
-	withJoinMode(t, joinForceHash, func() {
-		hashed = evalRows(t, ds, src)
-	})
+	q := MustParse(src)
+	resN, err := evalJoin(ds, q, joinForceNested)
+	if err != nil {
+		t.Fatalf("nested Eval(%q): %v", src, err)
+	}
+	resH, err := evalJoin(ds, q, joinForceHash)
+	if err != nil {
+		t.Fatalf("hash Eval(%q): %v", src, err)
+	}
+	nested, hashed, vars := resN.Solutions(), resH.Solutions(), resN.Vars
 	if len(nested) != rows || len(hashed) != rows {
 		t.Fatalf("rows nested=%d hash=%d, want %d\nquery: %s", len(nested), len(hashed), rows, src)
 	}
@@ -272,18 +260,16 @@ func BenchmarkJoinStrategies(b *testing.B) {
 		mode int32
 	}{{"auto", joinAuto}, {"nested", joinForceNested}, {"hash", joinForceHash}} {
 		b.Run(tc.name, func(b *testing.B) {
-			withJoinMode(b, tc.mode, func() {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := Eval(ds, q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Len() != 9000 {
-						b.Fatalf("rows = %d", res.Len())
-					}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := evalJoin(ds, q, tc.mode)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
+				if res.Len() != 9000 {
+					b.Fatalf("rows = %d", res.Len())
+				}
+			}
 		})
 	}
 }

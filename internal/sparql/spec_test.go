@@ -416,29 +416,27 @@ func checkJoinStrategies(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, as
 	}
 	for _, st := range strategies {
 		name := st.name
-		withJoinMode(t, st.join, func() {
-			res, err := Eval(ds, q)
-			if err != nil {
-				t.Fatalf("seed %d: %s-join Eval err = %v (auto succeeded)", seed, name, err)
+		res, err := evalJoin(ds, q, st.join)
+		if err != nil {
+			t.Fatalf("seed %d: %s-join Eval err = %v (auto succeeded)", seed, name, err)
+		}
+		if q.Form == FormAsk {
+			if res.Bool != askWant {
+				t.Fatalf("seed %d: %s-join ASK=%v oracle=%v\nquery: %s", seed, name, res.Bool, askWant, q)
 			}
-			if q.Form == FormAsk {
-				if res.Bool != askWant {
-					t.Fatalf("seed %d: %s-join ASK=%v oracle=%v\nquery: %s", seed, name, res.Bool, askWant, q)
-				}
-				return
+			continue
+		}
+		m := multiset(res.Vars, res.Solutions())
+		if len(m) != len(oracle) {
+			t.Fatalf("seed %d: %s-join %d distinct rows vs oracle %d\nquery: %s\ndata:\n%sdiff:\n%s",
+				seed, name, len(m), len(oracle), q, datasetDump(ds), diffMultisets(m, oracle))
+		}
+		for k, n := range m {
+			if oracle[k] != n {
+				t.Fatalf("seed %d: %s-join multiset mismatch\nquery: %s\ndata:\n%sdiff:\n%s",
+					seed, name, q, datasetDump(ds), diffMultisets(m, oracle))
 			}
-			m := multiset(res.Vars, res.Solutions())
-			if len(m) != len(oracle) {
-				t.Fatalf("seed %d: %s-join %d distinct rows vs oracle %d\nquery: %s\ndata:\n%sdiff:\n%s",
-					seed, name, len(m), len(oracle), q, datasetDump(ds), diffMultisets(m, oracle))
-			}
-			for k, n := range m {
-				if oracle[k] != n {
-					t.Fatalf("seed %d: %s-join multiset mismatch\nquery: %s\ndata:\n%sdiff:\n%s",
-						seed, name, q, datasetDump(ds), diffMultisets(m, oracle))
-				}
-			}
-		})
+		}
 	}
 }
 

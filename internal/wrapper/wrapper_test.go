@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/schema"
 )
 
@@ -287,7 +288,7 @@ func TestWrapperIsRowSource(t *testing.T) {
 	var _ relalg.RowSource = NewMem("w", "s", nil, []schema.Attribute{{Name: "id"}})
 	w := NewMem("w1", "players-api", playerDocs(), nil)
 	plan := relalg.NewProject(relalg.NewScan(w), "pName")
-	rel, err := plan.Execute(context.Background())
+	rel, err := relalgtest.Execute(context.Background(), plan)
 	if err != nil || rel.Len() != 2 {
 		t.Fatalf("plan over wrapper = %v, %v", rel, err)
 	}
