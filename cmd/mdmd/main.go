@@ -28,8 +28,8 @@
 //
 //	-compact-interval D   background storage maintenance tick: seals a
 //	                      long log tail into a delta segment, and folds
-//	                      the segments into one (garbage-collecting the
-//	                      term dictionary) when they have grown enough
+//	                      the segments into one (leaving dead terms out
+//	                      of the file) when they have grown enough
 //	                      (default 1m; 0 disables; durability does not
 //	                      depend on it)
 //

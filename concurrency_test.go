@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mdm"
+	"mdm/internal/obs"
 	"mdm/internal/relalg"
 	"mdm/internal/schema"
 	"mdm/internal/usecase"
@@ -138,4 +139,36 @@ func TestWalksDuringReleases(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRewriteMemoSurvivesCompaction: a storage rewrite changes files, not
+// the dataset the rewriter's stamp reads, so the walk it answered before
+// the compaction is a cache hit after it.
+func TestRewriteMemoSurvivesCompaction(t *testing.T) {
+	sys, err := mdm.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if _, err := usecase.NewOn(sys.Ontology(), sys.Wrappers()); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, _, err := sys.Query(ctx, usecase.Fig8Walk()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Storage().Compact(); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	rel, _, err := sys.Query(obs.WithTrace(ctx, tr), usecase.Fig8Walk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Attrs()["rewrite_cache"]; got != "hit" {
+		t.Errorf("rewrite_cache after a compaction = %q, want hit", got)
+	}
+	if rel.Len() != 5 {
+		t.Errorf("Fig. 8 walk after a compaction: %d rows, want 5", rel.Len())
+	}
 }

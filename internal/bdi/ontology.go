@@ -29,7 +29,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mdm/internal/rdf"
@@ -94,13 +93,13 @@ var (
 	ErrAttrNotInWrapper = errors.New("bdi: attribute does not belong to wrapper")
 )
 
-// Ontology is a thread-safe BDI ontology over an RDF dataset. The
-// dataset reference is an atomic pointer: readers resolve it without a
-// lock, and Rebind swaps in a replacement dataset (the tdb compactor's
-// epoch hand-over) while o.mu blocks every mutator.
+// Ontology is a thread-safe BDI ontology over an RDF dataset: the one
+// it was created over, for as long as it lives. o.mu orders the
+// ontology's own mutators and readers; storage maintenance does not
+// take it.
 type Ontology struct {
 	mu sync.RWMutex
-	ds atomic.Pointer[rdf.Dataset]
+	ds *rdf.Dataset // set once, at creation
 	// journal, when set, is the only writer of the dataset (see Journal).
 	journal Journal
 }
@@ -129,7 +128,7 @@ type writes struct {
 
 func (w *writes) add(graph rdf.Term, t rdf.Triple) {
 	if w.o.journal == nil {
-		w.o.dset().Graph(graph).MustAdd(t)
+		w.o.ds.Graph(graph).MustAdd(t)
 		return
 	}
 	w.ops = append(w.ops, rdf.Op{Kind: rdf.OpAdd, Quad: rdf.Quad{Triple: t, Graph: graph}})
@@ -137,7 +136,7 @@ func (w *writes) add(graph rdf.Term, t rdf.Triple) {
 
 func (w *writes) drop(graph rdf.Term) {
 	if w.o.journal == nil {
-		w.o.dset().DropGraph(graph)
+		w.o.ds.DropGraph(graph)
 		return
 	}
 	w.ops = append(w.ops, rdf.Op{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: graph}})
@@ -169,40 +168,18 @@ func FromDataset(ds *rdf.Dataset) *Ontology {
 	pm.Bind("G", NSGlobal)
 	pm.Bind("S", NSSource)
 	pm.Bind("sc", NSSchema)
-	o := &Ontology{}
-	o.ds.Store(ds)
-	return o
+	return &Ontology{ds: ds}
 }
 
 // Dataset exposes the underlying dataset (read-mostly; mutate through
-// Ontology methods so constraints hold). The reference is only stable
-// until the storage layer compacts; callers that stream results across
-// other operations should pin a storage snapshot instead (see mdm).
-func (o *Ontology) Dataset() *rdf.Dataset { return o.ds.Load() }
-
-// dset is the internal accessor mirroring Dataset.
-func (o *Ontology) dset() *rdf.Dataset { return o.ds.Load() }
-
-// Rebind runs swap with every ontology mutator quiesced (o.mu held
-// exclusively) and re-points the ontology at the dataset swap returns.
-// A nil result (the storage layer failed to seal the replacement)
-// leaves the current dataset in place. This is the tdb compactor's
-// quiescence window: between swap's snapshot of the old dataset and the
-// atomic re-point, no writer can mutate through the ontology, so the
-// swapped-in dataset misses nothing.
-func (o *Ontology) Rebind(swap func(old *rdf.Dataset) *rdf.Dataset) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if next := swap(o.ds.Load()); next != nil {
-		o.ds.Store(next)
-	}
-}
+// Ontology methods so constraints hold).
+func (o *Ontology) Dataset() *rdf.Dataset { return o.ds }
 
 // Global returns the global graph.
-func (o *Ontology) Global() *rdf.Graph { return o.dset().Graph(GlobalGraphName) }
+func (o *Ontology) Global() *rdf.Graph { return o.ds.Graph(GlobalGraphName) }
 
 // Source returns the source graph.
-func (o *Ontology) Source() *rdf.Graph { return o.dset().Graph(SourceGraphName) }
+func (o *Ontology) Source() *rdf.Graph { return o.ds.Graph(SourceGraphName) }
 
 // --- IRI builders ---
 
@@ -495,7 +472,7 @@ func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, at tim
 		return Release{}, fmt.Errorf("%w: %s", ErrWrapperReleased, sig.Wrapper)
 	}
 	rel := Release{Seq: 1, At: at, SourceID: sourceID, Signature: sig}
-	if rg, ok := o.dset().Lookup(ReleaseGraphName); ok {
+	if rg, ok := o.ds.Lookup(ReleaseGraphName); ok {
 		rel.Seq += rg.Count(rdf.Any, PropSeq, rdf.Any)
 	}
 	if prev, ok := o.latestReleaseOf(s); ok {
@@ -644,7 +621,7 @@ func (o *Ontology) MappingOf(wrapperName string) (Mapping, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	w := WrapperIRI(wrapperName)
-	g, ok := o.dset().Lookup(w)
+	g, ok := o.ds.Lookup(w)
 	if !ok {
 		return Mapping{}, false
 	}
@@ -677,7 +654,7 @@ func (o *Ontology) MappedWrappers() []string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	var out []string
-	for _, graph := range o.dset().GraphNames() {
+	for _, graph := range o.ds.GraphNames() {
 		if name, ok := WrapperName(graph); ok {
 			out = append(out, name)
 		}
@@ -697,7 +674,7 @@ func (o *Ontology) WrappersCovering(concept rdf.Term) []string {
 	o.mu.RUnlock()
 	var out []string
 	for _, wname := range o.MappedWrappers() {
-		g, ok := o.dset().Lookup(WrapperIRI(wname))
+		g, ok := o.ds.Lookup(WrapperIRI(wname))
 		if !ok {
 			continue
 		}
@@ -717,7 +694,7 @@ func (o *Ontology) WrappersCovering(concept rdf.Term) []string {
 func (o *Ontology) WrapperProvidesFeature(wrapperName string, concept, feature rdf.Term) bool {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	g, ok := o.dset().Lookup(WrapperIRI(wrapperName))
+	g, ok := o.ds.Lookup(WrapperIRI(wrapperName))
 	if !ok {
 		return false
 	}
@@ -739,7 +716,7 @@ func (o *Ontology) WrapperProvidesFeature(wrapperName string, concept, feature r
 func (o *Ontology) AttributeForFeature(wrapperName string, feature rdf.Term) (string, bool) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	g, ok := o.dset().Lookup(WrapperIRI(wrapperName))
+	g, ok := o.ds.Lookup(WrapperIRI(wrapperName))
 	if !ok {
 		return "", false
 	}
@@ -756,7 +733,7 @@ func (o *Ontology) AttributeForFeature(wrapperName string, feature rdf.Term) (st
 func (o *Ontology) WrapperCoversRelation(wrapperName string, t rdf.Triple) bool {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	g, ok := o.dset().Lookup(WrapperIRI(wrapperName))
+	g, ok := o.ds.Lookup(WrapperIRI(wrapperName))
 	if !ok {
 		return false
 	}

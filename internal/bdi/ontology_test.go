@@ -617,44 +617,3 @@ func TestOntologyGraphsShareDictionary(t *testing.T) {
 		t.Errorf("concept TermID differs across graphs: global %d/%v mapping %d/%v", gid, gok, mid, mok)
 	}
 }
-
-func TestRebindSwapsDatasetUnderQuiescence(t *testing.T) {
-	o := miniFixture(t)
-	old := o.Dataset()
-	next := old.Clone()
-
-	// A successful swap re-points every accessor at the new dataset and
-	// hands the swap function the dataset that was live at call time.
-	var got *rdf.Dataset
-	o.Rebind(func(cur *rdf.Dataset) *rdf.Dataset {
-		got = cur
-		return next
-	})
-	if got != old {
-		t.Fatal("swap did not receive the live dataset")
-	}
-	if o.Dataset() != next {
-		t.Fatal("ontology not re-pointed at the swapped-in dataset")
-	}
-	// Facade reads flow through the new dataset.
-	if o.Stats().Concepts != 2 {
-		t.Fatalf("stats after swap = %+v", o.Stats())
-	}
-
-	// A nil swap result (seal failure) leaves the current dataset alone.
-	o.Rebind(func(cur *rdf.Dataset) *rdf.Dataset { return nil })
-	if o.Dataset() != next {
-		t.Fatal("failed swap must not re-point the ontology")
-	}
-
-	// Mutations after the swap land in the new dataset, not the old one.
-	if err := o.AddConcept(rdf.IRI(ex+"Referee"), "Referee"); err != nil {
-		t.Fatal(err)
-	}
-	if o.Stats().Concepts != 3 {
-		t.Fatalf("concepts after post-swap add = %d", o.Stats().Concepts)
-	}
-	if old.Len() == next.Len() {
-		t.Fatal("post-swap mutation leaked into the retired dataset")
-	}
-}

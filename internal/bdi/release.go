@@ -72,7 +72,7 @@ func (o *Ontology) ReleaseOf(wrapperName string) (Release, bool) {
 func (o *Ontology) Releases() []Release {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	rg, ok := o.dset().Lookup(ReleaseGraphName)
+	rg, ok := o.ds.Lookup(ReleaseGraphName)
 	if !ok {
 		return nil
 	}
@@ -91,7 +91,7 @@ func (o *Ontology) Releases() []Release {
 // been imported from a document MDM did not write, so a literal that does
 // not parse leaves its field zero rather than failing the whole log.
 func (o *Ontology) releaseOf(w rdf.Term) (Release, bool) {
-	rg, ok := o.dset().Lookup(ReleaseGraphName)
+	rg, ok := o.ds.Lookup(ReleaseGraphName)
 	if !ok {
 		return Release{}, false
 	}
@@ -123,7 +123,7 @@ func (o *Ontology) releaseOf(w rdf.Term) (Release, bool) {
 // latestReleaseOf returns the release of a source that no later one
 // supersedes; the caller holds o.mu.
 func (o *Ontology) latestReleaseOf(source rdf.Term) (Release, bool) {
-	rg, ok := o.dset().Lookup(ReleaseGraphName)
+	rg, ok := o.ds.Lookup(ReleaseGraphName)
 	if !ok {
 		return Release{}, false
 	}

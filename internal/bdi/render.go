@@ -14,7 +14,7 @@ import (
 func (o *Ontology) RenderGlobal() string {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	pm := o.dset().Prefixes()
+	pm := o.ds.Prefixes()
 	g := o.Global()
 	var sb strings.Builder
 	sb.WriteString("GLOBAL GRAPH (Figure 5 style)\n")
@@ -91,7 +91,7 @@ func (o *Ontology) RenderSource() string {
 func (o *Ontology) RenderMappings() string {
 	var sb strings.Builder
 	sb.WriteString("LAV MAPPINGS (Figure 7 style)\n")
-	pm := o.dset().Prefixes()
+	pm := o.ds.Prefixes()
 	for _, wname := range o.MappedWrappers() {
 		m, ok := o.MappingOf(wname)
 		if !ok {

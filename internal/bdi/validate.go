@@ -84,7 +84,7 @@ func (o *Ontology) Validate() []Violation {
 
 	// Mapping constraints.
 	for _, wname := range o.MappedWrappers() {
-		g, _ := o.dset().Lookup(WrapperIRI(wname))
+		g, _ := o.ds.Lookup(WrapperIRI(wname))
 		if g == nil {
 			continue
 		}

@@ -54,7 +54,7 @@ func (d *Dataset) Dict() *Dict { return d.dict }
 func (d *Dataset) Version() uint64 { return d.version.Load() }
 
 // Writes returns the number of successful triple-level writes (adds and
-// removes, through any path: Add, AddIDs, BulkAddIDs, Remove, Merge) made
+// removes, through any path: Add, BulkAddIDs, Remove, Merge) made
 // so far to the graphs of the dataset. It is one atomic load, and each
 // graph bumps it after the write is in its indexes, so a reader that
 // sees the same (Version, Writes) before and after deriving something
@@ -188,76 +188,6 @@ func (d *Dataset) Len() int {
 // Prefixes returns the dataset's prefix registry.
 func (d *Dataset) Prefixes() *PrefixMap { return d.prefixes }
 
-// Clone returns a deep copy of the dataset including prefixes. The
-// shared dictionary is cloned once and reused by every cloned graph, so
-// the copy preserves both TermIDs and the shared-dict invariant.
-func (d *Dataset) Clone() *Dataset {
-	out := NewDataset()
-	out.prefixes = d.prefixes.Clone()
-	out.dict = d.dict.clone()
-	out.def = d.Default().cloneWith(out.dict)
-	for _, name := range d.GraphNames() {
-		g, ok := d.Lookup(name)
-		if !ok {
-			continue // dropped concurrently between GraphNames and Lookup
-		}
-		out.named[name] = g.cloneWith(out.dict)
-	}
-	return out
-}
-
-// CompactedClone rebuilds the dataset against a FRESH dictionary that
-// contains only terms still referenced by live triples or graph names —
-// the dictionary-GC primitive behind tdb's storage compaction. TermIDs
-// are NOT preserved: every live term is re-interned in first-seen scan
-// order, so consumers keyed on dataset identity — the walk rewriter's
-// result cache — treat the result as a brand-new dataset.
-//
-// The prefix registry is SHARED with the receiver, not cloned: when the
-// compactor swaps a compacted dataset in for the live one, prefix binds
-// racing the swap must not be lost, and prefixes only affect rendering,
-// never data, so pinned readers of the old epoch seeing a later bind is
-// harmless.
-//
-// CompactedClone is not a point-in-time snapshot under concurrent
-// writers: each graph is scanned under its own read lock, so triples
-// added to an already-scanned graph mid-clone are missed. Callers that
-// need consistency (the tdb compactor) must quiesce writers for the
-// duration — see tdb.Store.Compact.
-func (d *Dataset) CompactedClone() *Dataset {
-	out := NewDataset()
-	out.prefixes = d.prefixes
-	oldTerms := d.dict.Snapshot()
-	// remap[oldID] = newID, lazily filled; AnyID marks "not yet mapped".
-	remap := make([]TermID, len(oldTerms))
-	for i := range remap {
-		remap[i] = AnyID
-	}
-	move := func(src, dst *Graph) {
-		src.EachMatchIDs(AnyID, AnyID, AnyID, func(s, p, o TermID) bool {
-			for _, id := range [3]TermID{s, p, o} {
-				if remap[id] == AnyID {
-					remap[id] = out.dict.Intern(oldTerms[id])
-				}
-			}
-			dst.AddIDs(remap[s], remap[p], remap[o])
-			return true
-		})
-	}
-	move(d.Default(), out.def)
-	for _, name := range d.GraphNames() {
-		g, ok := d.Lookup(name)
-		if !ok {
-			continue // dropped concurrently between GraphNames and Lookup
-		}
-		// Graph creation interns the name and preserves empty graphs, so
-		// the compacted dataset has the same graph set (and the same
-		// Version-relevant structure) as the original.
-		move(g, out.Graph(name))
-	}
-	return out
-}
-
 // PrefixMap maps prefix labels (e.g. "rdfs") to namespace IRIs and back.
 // It is safe for concurrent use.
 type PrefixMap struct {
@@ -366,22 +296,5 @@ func (pm *PrefixMap) Pairs() [][2]string {
 	}
 	pm.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// Clone returns a copy of the registry.
-func (pm *PrefixMap) Clone() *PrefixMap {
-	pm.mu.RLock()
-	defer pm.mu.RUnlock()
-	out := &PrefixMap{
-		forward: make(map[string]string, len(pm.forward)),
-		reverse: make(map[string]string, len(pm.reverse)),
-	}
-	for k, v := range pm.forward {
-		out.forward[k] = v
-	}
-	for k, v := range pm.reverse {
-		out.reverse[k] = v
-	}
 	return out
 }

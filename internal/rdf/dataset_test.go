@@ -76,31 +76,6 @@ func TestDatasetQuadsOrderAndAddQuad(t *testing.T) {
 	}
 }
 
-func TestDatasetClone(t *testing.T) {
-	ds := NewDataset()
-	ds.Prefixes().Bind("ex", "http://ex.org/")
-	ds.Default().MustAdd(T(IRI("s"), IRI("p"), Lit("v")))
-	ds.Graph(IRI("g")).MustAdd(T(IRI("s2"), IRI("p"), Lit("v2")))
-
-	c := ds.Clone()
-	c.Default().MustAdd(T(IRI("s3"), IRI("p"), Lit("v3")))
-	c.Prefixes().Bind("zz", "http://zz.org/")
-
-	if ds.Default().Len() != 1 {
-		t.Error("clone mutation leaked into original default graph")
-	}
-	if _, ok := ds.Prefixes().Expand("zz:a"); ok {
-		t.Error("clone prefix leaked into original")
-	}
-	if _, ok := c.Prefixes().Expand("ex:a"); !ok {
-		t.Error("clone lost original prefix")
-	}
-	g, ok := c.Lookup(IRI("g"))
-	if !ok || g.Len() != 1 {
-		t.Error("clone lost named graph")
-	}
-}
-
 func TestPrefixMapExpandCompact(t *testing.T) {
 	pm := NewPrefixMap()
 	pm.Bind("sc", "http://schema.org/")
@@ -241,33 +216,6 @@ func TestDatasetAttachMigratesStandaloneGraph(t *testing.T) {
 	}
 }
 
-func TestDatasetCloneKeepsSharedDictAndIDs(t *testing.T) {
-	ds := NewDataset()
-	term := IRI("http://ex.org/t")
-	ds.Default().MustAdd(T(term, IRI("p"), Lit("v")))
-	ds.Graph(IRI("g")).MustAdd(T(term, IRI("q"), IntLit(4)))
-
-	c := ds.Clone()
-	if c.Default().Dict() != c.Dict() {
-		t.Fatal("cloned default graph lost the shared dictionary")
-	}
-	cg, _ := c.Lookup(IRI("g"))
-	if cg.Dict() != c.Dict() {
-		t.Fatal("cloned named graph lost the shared dictionary")
-	}
-	origID, _ := ds.Default().IDOf(term)
-	cloneID, ok := c.Default().IDOf(term)
-	if !ok || cloneID != origID {
-		t.Fatalf("clone changed TermID: %d -> %d", origID, cloneID)
-	}
-	// Interning in the clone must not leak into the original.
-	before := ds.Dict().Len()
-	c.Default().MustAdd(T(IRI("http://ex.org/new"), IRI("p"), Lit("n")))
-	if ds.Dict().Len() != before {
-		t.Fatal("clone intern leaked into original dictionary")
-	}
-}
-
 func TestGraphMergeSameDictFastPath(t *testing.T) {
 	ds := NewDataset()
 	a := ds.Graph(IRI("a"))
@@ -337,46 +285,6 @@ func TestDatasetVersionBumpsOnStructuralChange(t *testing.T) {
 	}
 }
 
-func TestDatasetCompactedClone(t *testing.T) {
-	ds := NewDataset()
-	ds.Prefixes().Bind("ex", "http://ex.org/")
-	ex := func(s string) Term { return IRI("http://ex.org/" + s) }
-	for i := 0; i < 50; i++ {
-		ds.Default().MustAdd(T(ex("s"), ex("p"), Lit(string(rune('a'+i%26))+"-dead")))
-	}
-	live := T(ex("s"), ex("p"), Lit("live"))
-	ds.Default().MustAdd(live)
-	g := ds.Graph(ex("g"))
-	g.MustAdd(T(ex("ns"), ex("np"), Lit("named-live")))
-	for i := 0; i < 50; i++ {
-		ds.Default().Remove(T(ex("s"), ex("p"), Lit(string(rune('a'+i%26))+"-dead")))
-	}
-
-	got := ds.CompactedClone()
-	if got.Len() != ds.Len() {
-		t.Fatalf("clone Len = %d, want %d", got.Len(), ds.Len())
-	}
-	if !got.Default().Has(live) {
-		t.Fatal("live default-graph triple missing from clone")
-	}
-	ng, ok := got.Lookup(ex("g"))
-	if !ok || ng.Len() != 1 {
-		t.Fatalf("named graph in clone = %v, %v", ng, ok)
-	}
-	if got.Dict().Len() >= ds.Dict().Len() {
-		t.Fatalf("dict not GC'd: %d -> %d terms", ds.Dict().Len(), got.Dict().Len())
-	}
-	// Prefixes are shared by design (see CompactedClone doc).
-	if iri, ok := got.Prefixes().Expand("ex:x"); !ok || iri != "http://ex.org/x" {
-		t.Fatalf("prefix lost: %q, %v", iri, ok)
-	}
-	// Clone is independent at the triple level.
-	got.Default().Remove(live)
-	if !ds.Default().Has(live) {
-		t.Fatal("removing from clone mutated source")
-	}
-}
-
 // TestDatasetWritesCountsEveryWritePath: Writes moves on every
 // successful triple-level write to any graph of the dataset, whichever
 // method made it, and on nothing else.
@@ -399,15 +307,14 @@ func TestDatasetWritesCountsEveryWritePath(t *testing.T) {
 	step("Add of a present triple", 0, func() { g.MustAdd(tr(1)) })
 	step("Add to the default graph", 1, func() { ds.Default().MustAdd(tr(1)) })
 	id := func(t Term) TermID { return ds.Dict().Intern(t) }
-	step("AddIDs", 1, func() { g.AddIDs(id(tr(2).S), id(tr(2).P), id(tr(2).O)) })
 	step("BulkAddIDs", 2, func() {
 		g.BulkAddIDs([][3]TermID{
-			{id(tr(2).S), id(tr(2).P), id(tr(2).O)}, // present
+			{id(tr(1).S), id(tr(1).P), id(tr(1).O)}, // present
 			{id(tr(3).S), id(tr(3).P), id(tr(3).O)},
 			{id(tr(4).S), id(tr(4).P), id(tr(4).O)},
 		})
 	})
-	step("Merge within the dataset", 4, func() { h.Merge(g) })
+	step("Merge within the dataset", 3, func() { h.Merge(g) })
 	foreign := NewGraph()
 	foreign.MustAdd(tr(5))
 	step("Merge from another dictionary", 1, func() { h.Merge(foreign) })

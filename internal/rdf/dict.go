@@ -129,17 +129,3 @@ func (d *Dict) Snapshot() []Term {
 	defer d.mu.RUnlock()
 	return d.terms
 }
-
-// clone returns a deep copy of the dictionary.
-func (d *Dict) clone() *Dict {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := &Dict{
-		ids:   make(map[Term]TermID, len(d.ids)),
-		terms: append([]Term(nil), d.terms...),
-	}
-	for t, id := range d.ids {
-		out.ids[t] = id
-	}
-	return out
-}

@@ -217,20 +217,6 @@ func (m idMid) setItems(b TermID) iter.Seq[TermID] {
 	}
 }
 
-func (m idMid) clone() idMid {
-	if m.big != nil {
-		big := make(map[TermID]idSet, len(m.big.m))
-		for b, s := range m.big.m {
-			big[b] = s.clone()
-		}
-		return idMid{big: &midMap{n: m.big.n, m: big}}
-	}
-	if m.small == nil {
-		return idMid{}
-	}
-	return idMid{small: append(make([]bc, 0, len(m.small)), m.small...)}
-}
-
 // idSetSpill is the leaf size beyond which an idSet trades its
 // linear-scan slice for a map. Linear membership probes on ≤16 dense
 // uint32s are faster than a map lookup, and the slice keeps the leaf
@@ -330,20 +316,6 @@ func (s idSet) items() iter.Seq[TermID] {
 	}
 }
 
-func (s idSet) clone() idSet {
-	if s.big != nil {
-		big := make(map[TermID]struct{}, len(s.big))
-		for v := range s.big {
-			big[v] = struct{}{}
-		}
-		return idSet{big: big}
-	}
-	if s.small == nil {
-		return idSet{}
-	}
-	return idSet{small: append(make([]TermID, 0, len(s.small)), s.small...)}
-}
-
 func (ix idIndex) add(a, b, c TermID) bool {
 	mid, added := ix[a].add(b, c)
 	if added {
@@ -367,14 +339,6 @@ func (ix idIndex) remove(a, b, c TermID) bool {
 		ix[a] = mid
 	}
 	return true
-}
-
-func (ix idIndex) clone() idIndex {
-	out := make(idIndex, len(ix))
-	for a, mid := range ix {
-		out[a] = mid.clone()
-	}
-	return out
 }
 
 // NewGraph returns an empty graph with its own private dictionary.
@@ -427,33 +391,14 @@ func (g *Graph) addLocked(t Triple) bool {
 	return true
 }
 
-// AddIDs inserts a triple given directly by dictionary IDs, reporting
-// whether it was newly added. The IDs must have been assigned by the
-// graph's own dictionary (Dict().Intern on this graph's dict); the
-// caller is responsible for that invariant — AddIDs does not validate
-// it. It is the bulk-load fast path used by the segment store and by
-// dictionary compaction: re-encoding a triple whose terms are already
-// interned costs three map probes over uint32 keys instead of three
-// Term-struct hashes.
-func (g *Graph) AddIDs(s, p, o TermID) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.spo.add(s, p, o) {
-		return false
-	}
-	g.pos.add(p, o, s)
-	g.osp.add(o, s, p)
-	g.n++
-	g.dict.writes.Add(1)
-	return true
-}
-
 // BulkAddIDs inserts a batch of ID triples under one lock acquisition,
 // building the three permutation indexes concurrently (they are
 // disjoint structures, so the only coordination needed is the batch
 // barrier at the end). It reports how many triples were newly added.
-// Like AddIDs, the IDs must come from the graph's own dictionary. This
-// is the segment-load fast path: on a cold store open the index build
+// The IDs must have been assigned by the graph's own dictionary
+// (Dict().Intern on this graph's dict); the caller is responsible for
+// that invariant, BulkAddIDs does not validate it. This is the
+// segment-load fast path: on a cold store open the index build
 // dominates, and splitting it across cores cuts open latency roughly by
 // the number of permutations.
 func (g *Graph) BulkAddIDs(tr [][3]TermID) int {
@@ -1015,30 +960,6 @@ func (g *Graph) Object(s, p Term) (Term, bool) {
 		return Term{}, false
 	}
 	return t.O, true
-}
-
-// Clone returns a deep copy of the graph. The dictionary and the three
-// ID indexes are copied directly; no triples are re-sorted or re-hashed
-// through the string representation.
-func (g *Graph) Clone() *Graph {
-	return g.cloneWith(g.dict.clone())
-}
-
-// cloneWith returns a deep copy of the graph whose triples decode
-// through d. d must assign the same IDs as the graph's own dictionary —
-// in practice d is either that dictionary itself or a clone of it.
-// Dataset.Clone uses this to copy every graph against a single cloned
-// dictionary.
-func (g *Graph) cloneWith(d *Dict) *Graph {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return &Graph{
-		dict: d,
-		spo:  g.spo.clone(),
-		pos:  g.pos.clone(),
-		osp:  g.osp.clone(),
-		n:    g.n,
-	}
 }
 
 // Merge adds every triple of other into g.

@@ -139,16 +139,17 @@ func TestGraphCloneMergeEqual(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		g.MustAdd(mkTriple(i))
 	}
-	c := g.Clone()
+	c := NewGraph()
+	c.Merge(g)
 	if !g.Equal(c) {
-		t.Fatal("clone not equal")
+		t.Fatal("merged copy not equal")
 	}
 	c.MustAdd(T(IRI("extra"), IRI("p"), Lit("v")))
 	if g.Equal(c) {
 		t.Fatal("Equal should detect extra triple")
 	}
 	if g.Len() == c.Len() {
-		t.Fatal("clone mutation affected original")
+		t.Fatal("mutating the copy affected the original")
 	}
 	g2 := NewGraph()
 	g2.Merge(g)
@@ -292,19 +293,6 @@ func TestPropMatchConsistentWithTriples(t *testing.T) {
 	}
 }
 
-func TestPropCloneEqual(t *testing.T) {
-	prop := func(ts []Triple) bool {
-		g := NewGraph()
-		for _, tr := range ts {
-			g.MustAdd(tr)
-		}
-		return g.Equal(g.Clone())
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestGraphAppendMatchIDs(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 30; i++ {
@@ -439,7 +427,6 @@ func TestGraphIndexSpillFanOut(t *testing.T) {
 	if got := g.Match(s, Any, Any); len(got) != len(ts) {
 		t.Fatalf("Match = %d triples", len(got))
 	}
-	clone := g.Clone()
 	for _, tr := range ts {
 		if !g.Remove(tr) {
 			t.Fatalf("Remove(%v) = false", tr)
@@ -447,9 +434,6 @@ func TestGraphIndexSpillFanOut(t *testing.T) {
 	}
 	if g.Len() != 0 || g.Count(s, Any, Any) != 0 {
 		t.Fatalf("graph not empty after removals: Len = %d", g.Len())
-	}
-	if clone.Len() != len(ts) {
-		t.Fatalf("clone mutated by source removals: Len = %d", clone.Len())
 	}
 }
 
@@ -505,8 +489,8 @@ func TestBulkAddIDsMatchesAddIDs(t *testing.T) {
 	}
 }
 
-// TestCountMatchesRecountAroundSpill drives a random mix of Add, Remove,
-// BulkAddIDs and Clone over a term domain small enough that every
+// TestCountMatchesRecountAroundSpill drives a random mix of Add, Remove
+// and BulkAddIDs over a term domain small enough that every
 // first-level key of every index keeps crossing midSpill in both
 // directions, and checks CountIDs on all seven bound/unbound shapes (and
 // the fully unbound one) against a recount by EachMatchIDs. The pair
@@ -548,8 +532,6 @@ func TestCountMatchesRecountAroundSpill(t *testing.T) {
 		}
 	}
 
-	var parent *Graph // the graph g was last cloned from, mutated no further
-	parentLen := 0
 	for step := range 3000 {
 		// The remove share swings so occupancy sweeps across midSpill.
 		removeShare := 30 + 40*((step/300)%2)
@@ -560,24 +542,15 @@ func TestCountMatchesRecountAroundSpill(t *testing.T) {
 		case op < 94:
 			k := pick()
 			g.MustAdd(T(terms[0][k[0]], terms[1][k[1]], terms[2][k[2]]))
-		case op < 98:
+		default:
 			batch := make([][3]TermID, 1+r.Intn(40))
 			for i := range batch {
 				batch[i] = idsOf(pick())
 			}
 			g.BulkAddIDs(batch)
-		default:
-			parent, parentLen = g, g.Len()
-			g = g.Clone()
 		}
 		if step%25 == 0 {
 			check(g, step)
-			if parent != nil {
-				if parent.Len() != parentLen {
-					t.Fatalf("step %d: clone's writes reached its parent: Len %d, was %d", step, parent.Len(), parentLen)
-				}
-				check(parent, step)
-			}
 		}
 	}
 	check(g, 3000)

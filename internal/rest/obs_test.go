@@ -64,7 +64,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE mdm_federate_breaker_opened_total counter",
 		"# TYPE mdm_federate_breaker_state gauge",
 		"# TYPE mdm_tdb_checkpoints_total counter",
-		"# TYPE mdm_tdb_retired_pinned_epochs gauge",
 		"mdm_slow_queries_total",
 	} {
 		if !strings.Contains(text, want) {

@@ -1,15 +1,13 @@
 package rewrite
 
 // StampComponents names the components of a stamp, for MaskStamp.
-var StampComponents = []string{"dataset", "version", "writes", "binds", "registry", "maxCQs"}
+var StampComponents = []string{"version", "writes", "binds", "registry", "maxCQs"}
 
 // MaskStamp makes every stamp read from now on ignore one component, as
 // if the stamp did not have it, until the returned function is called.
 func MaskStamp(component string) (restore func()) {
 	stampMask = func(s stamp) stamp {
 		switch component {
-		case "dataset":
-			s.ds = nil
 		case "version":
 			s.version = 0
 		case "writes":

@@ -419,8 +419,6 @@ func TestPropCacheMatchesFreshRewriter(t *testing.T) {
 	}
 }
 
-var scratch = rdf.T(usecase.Player, rdf.IRI(usecase.EX+"scratch"), usecase.Player)
-
 // TestStampComponentsLoadBearing has one row per stamp component: a
 // write that moves that component alone. With the stamp intact the
 // long-lived rewriter follows it; with the component masked out it keeps
@@ -428,29 +426,6 @@ var scratch = rdf.T(usecase.Player, rdf.IRI(usecase.EX+"scratch"), usecase.Playe
 // that the differential test above would catch the component's loss.
 func TestStampComponentsLoadBearing(t *testing.T) {
 	rows := map[string]func(e *evolving, long *rewrite.Rewriter){
-		// A compaction re-points the ontology at a copy whose counters
-		// start over. Make them arrive exactly where the old dataset's
-		// stood (it had seen two more writes than it held triples, see
-		// below) with the last release no longer covering Player.
-		"dataset": func(e *evolving, _ *rewrite.Rewriter) {
-			old := e.sys.Ontology().Dataset()
-			e.must(e.sys.Storage().Compact())
-			ds := e.sys.Ontology().Dataset()
-			if ds == old {
-				e.t.Fatal("compaction did not re-point the ontology")
-			}
-			e.lastReleaseGraph().Remove(coverTriple)
-			src := e.sys.Ontology().Source()
-			for ds.Writes() < old.Writes() {
-				if added, _ := src.Add(scratch); !added {
-					src.Remove(scratch)
-				}
-			}
-			if ds.Version() != old.Version() || ds.Writes() != old.Writes() {
-				e.t.Fatalf("row no longer isolates the dataset pointer: version %d vs %d, writes %d vs %d",
-					ds.Version(), old.Version(), ds.Writes(), old.Writes())
-			}
-		},
 		"version": func(e *evolving, _ *rewrite.Rewriter) {
 			e.sys.Ontology().Dataset().DropGraph(bdi.WrapperIRI(e.releases[0]))
 		},
@@ -472,9 +447,6 @@ func TestStampComponentsLoadBearing(t *testing.T) {
 				e := newEvolving(t)
 				e.release()
 				ont, reg := e.sys.Ontology(), e.sys.Wrappers()
-				// Two writes that leave no triple behind, for the dataset row.
-				ont.Source().MustAdd(scratch)
-				ont.Source().Remove(scratch)
 				if masked {
 					defer rewrite.MaskStamp(component)()
 				}

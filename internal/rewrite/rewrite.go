@@ -62,24 +62,21 @@ const maxCached = 256
 // is stored only if the memo still belongs to the stamp its rewrite
 // started from. One stamp for the whole memo, because every component
 // is global — a release touches the mapping graphs every walk reads —
-// and comparing six words per request is cheaper than tracking which
+// and comparing five words per request is cheaper than tracking which
 // entries a write could have affected.
 //
 // Every counter is bumped after the change it counts is visible and
-// never goes back, and the dataset pointer is not reused while the
-// stamp holds it, so a stamp read at one time equals a stamp read later
-// only if nothing changed in between: a result derived after reading s
-// is right for everyone who later reads s.
+// never goes back — an ontology reads one dataset for as long as it
+// lives, so its counters never start over — and so a stamp read at one
+// time equals a stamp read later only if nothing changed in between: a
+// result derived after reading s is right for everyone who later reads
+// s.
 type stamp struct {
-	// ds is the dataset the ontology pointed at: a storage compaction
-	// re-points it (bdi.Ontology.Rebind) at a copy whose counters below
-	// start over.
-	ds *rdf.Dataset
 	// version counts graph-set changes (a mapping graph created, attached
 	// or dropped): rdf.Dataset.Version.
 	version uint64
-	// writes counts triple-level writes to any graph of ds, including the
-	// ones that bypass bdi.Ontology: rdf.Dataset.Writes.
+	// writes counts triple-level writes to any graph of the dataset,
+	// including the ones that bypass bdi.Ontology: rdf.Dataset.Writes.
 	writes uint64
 	// binds counts prefix bindings; plan column names and the SPARQL
 	// rendering go through CompactTerm: rdf.PrefixMap.Binds.
@@ -99,7 +96,6 @@ var stampMask func(stamp) stamp
 func (r *Rewriter) stampNow() stamp {
 	ds := r.ont.Dataset()
 	s := stamp{
-		ds:       ds,
 		version:  ds.Version(),
 		writes:   ds.Writes(),
 		binds:    ds.Prefixes().Binds(),

@@ -1314,21 +1314,21 @@ func (it *pageIter) next() []rdf.TermID {
 // Next calls — abandoning one without Close is safe — but it does not
 // snapshot the dataset: rows reflect index state at the moment their
 // upstream scan ran, so writes concurrent with a drain may or may not
-// be observed (use Dataset.Clone for point-in-time reads).
+// be observed. A cursor reads the live dataset; there is no
+// point-in-time read.
 //
 // Cursors are not safe for concurrent use.
 type Cursor struct {
-	e       *evaluator
-	it      rowIter
-	form    QueryForm
-	vars    []string
-	slots   []int
-	row     []rdf.TermID
-	err     error
-	done    bool
-	rows    int64     // solutions emitted, flushed to obs on finish
-	t0      time.Time // first Next: the execute stage runs from here to finish
-	onClose []func()
+	e     *evaluator
+	it    rowIter
+	form  QueryForm
+	vars  []string
+	slots []int
+	row   []rdf.TermID
+	err   error
+	done  bool
+	rows  int64     // solutions emitted, flushed to obs on finish
+	t0    time.Time // first Next: the execute stage runs from here to finish
 }
 
 // EvalCursor compiles q against ds and returns a cursor positioned
@@ -1472,30 +1472,18 @@ func (c *Cursor) Rows() int64 { return c.rows }
 // drain.
 func (c *Cursor) Err() error { return c.err }
 
-// Close stops iteration early. It is idempotent, and optional for
-// cursors with no OnClose callbacks — a cursor holds no locks or
-// goroutines — but a cursor whose producer registered cleanup (the mdm
-// facade pins a storage epoch per cursor) must be closed or drained to
-// release it. Close makes Next return false immediately.
+// Close stops iteration early: it makes Next return false immediately
+// and records the execute stage of a cursor that was pulled. It is
+// idempotent, and optional — a cursor holds no locks, goroutines or
+// storage resources.
 func (c *Cursor) Close() {
 	c.finish()
 }
 
-// OnClose registers f to run when the cursor finishes: on Close, or
-// when iteration ends by exhaustion, error or cancellation — whichever
-// comes first, exactly once. Callbacks run in registration order.
-func (c *Cursor) OnClose(f func()) {
-	if c.done {
-		f()
-		return
-	}
-	c.onClose = append(c.onClose, f)
-}
-
-// finish terminates iteration and fires OnClose callbacks exactly once.
-// A cursor that was pulled at least once records its execute stage
-// here — evaluation is lazy, so first Next to finish is the whole of it
-// — in the stage histogram and on the evaluation's trace.
+// finish terminates iteration. A cursor that was pulled at least once
+// records its execute stage here — evaluation is lazy, so first Next to
+// finish is the whole of it — in the stage histogram and on the
+// evaluation's trace.
 func (c *Cursor) finish() {
 	if !c.done && !c.t0.IsZero() {
 		d := time.Since(c.t0)
@@ -1504,11 +1492,6 @@ func (c *Cursor) finish() {
 		obsRowsEmitted.Add(float64(c.rows))
 	}
 	c.done, c.row = true, nil
-	cbs := c.onClose
-	c.onClose = nil
-	for _, f := range cbs {
-		f()
-	}
 }
 
 // Vars returns the projection list in order (nil for ASK).

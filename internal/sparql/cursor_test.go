@@ -397,44 +397,3 @@ SELECT ?s ?w WHERE { ?s ex:p ?v OPTIONAL { ?s ex:q ?w } }`)
 		t.Fatal("unexpected third row")
 	}
 }
-
-func TestCursorOnClose(t *testing.T) {
-	ds, q := joinFixture()
-
-	// Fires exactly once on explicit Close, even when Close is repeated.
-	cur, err := EvalCursor(ds, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fired atomic.Int64
-	cur.OnClose(func() { fired.Add(1) })
-	cur.Next(context.Background())
-	cur.Close()
-	cur.Close()
-	if fired.Load() != 1 {
-		t.Fatalf("OnClose fired %d times after Close", fired.Load())
-	}
-
-	// Fires when iteration drains naturally, without an explicit Close.
-	cur, err = EvalCursor(ds, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fired.Store(0)
-	cur.OnClose(func() { fired.Add(1) })
-	for cur.Next(context.Background()) {
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if fired.Load() != 1 {
-		t.Fatalf("OnClose fired %d times after drain", fired.Load())
-	}
-
-	// Registered after the cursor finished: runs immediately.
-	ran := false
-	cur.OnClose(func() { ran = true })
-	if !ran {
-		t.Fatal("OnClose after finish did not run immediately")
-	}
-}

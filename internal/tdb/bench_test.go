@@ -181,47 +181,10 @@ func BenchmarkDurabilityPoint(b *testing.B) {
 	}
 }
 
-// deadTermDataset returns a dataset whose dictionary holds terms for
-// total triples but where only livePct percent are still present — the
-// rest were removed, leaving dead dictionary entries behind.
-func deadTermDataset(total, livePct int) *rdf.Dataset {
-	ds := benchHistory(total)
-	keep := total * livePct / 100
-	i := 0
-	for _, q := range ds.Quads() {
-		if i >= keep {
-			g, _ := ds.Lookup(q.Graph)
-			g.Remove(q.Triple)
-		}
-		i++
-	}
-	return ds
-}
-
-// BenchmarkDictCompaction measures the dictionary-GC rewrite
-// (Dataset.CompactedClone, the core of Store.Compact) at two survival
-// rates: a mostly-live dataset (90% live: compaction is near-pure copy)
-// and a mostly-dead one (10% live: compaction drops 90% of the dict).
-func BenchmarkDictCompaction(b *testing.B) {
-	const total = 10_000
-	for _, livePct := range []int{10, 90} {
-		b.Run(fmt.Sprintf("live%d", livePct), func(b *testing.B) {
-			ds := deadTermDataset(total, livePct)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := ds.CompactedClone(); got.Len() != ds.Len() {
-					b.Fatalf("clone Len = %d, want %d", got.Len(), ds.Len())
-				}
-			}
-		})
-	}
-}
-
-// TestCompactShrinksDictBlock is the deterministic acceptance check
-// behind BenchmarkDictCompaction: with 90% of the history removed, a
-// full compaction must shrink the sealed dictionary block by at least
-// half (in practice ~90%).
+// TestCompactShrinksDictBlock is the deterministic acceptance check of
+// what a compaction leaves out of the file: with 90% of the history
+// removed, a full compaction must shrink the sealed dictionary block by
+// at least half (in practice ~90%).
 func TestCompactShrinksDictBlock(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)

@@ -11,22 +11,16 @@ import (
 	"mdm/internal/tdb/segment"
 )
 
-// The constants of the maintenance policy (see Maintain). Each names
-// something the store can observe about itself.
-const (
-	// maxDeltaSegments is the segment count at which the delta chain is
-	// folded into one full segment: every delta costs a file read, a
-	// checksum and an incremental index build at open (a 50k-triple full
-	// segment plus 10 deltas of 80 ops opens in 67 ms against 60 ms for
-	// the full segment alone, BenchmarkStoreOpen), and a manifest entry
-	// and a file on disk until then.
-	maxDeltaSegments = 16
-	// dictGCFloor and a doubling since the last full rewrite are what make
-	// a dictionary worth garbage-collecting.
-	dictGCFloor = 1024
-)
+// maxDeltaSegments is the one constant of the maintenance policy (see
+// Maintain): the segment count at which the delta chain is folded into
+// one full segment. Every delta costs a file read, a checksum and an
+// incremental index build at open (a 50k-triple full segment plus 10
+// deltas of 80 ops opens in 67 ms against 60 ms for the full segment
+// alone, BenchmarkStoreOpen), and a manifest entry and a file on disk
+// until then.
+const maxDeltaSegments = 16
 
-// The third escalation has no constant: a tail of at least as many ops
+// The other escalation has no constant: a tail of at least as many ops
 // as the store holds triples is rewritten, not sealed, because sealing
 // re-reads and re-encodes the tail and costs more per op than the
 // rewrite does per live triple (an 85k-op tail over 85k triples: 0.75 s
@@ -81,28 +75,27 @@ func (s *Store) checkpointLocked() error {
 	return nil
 }
 
-// Compact rewrites the live dataset into a single full segment against a
-// fresh dictionary (dropping dead terms and superseded delta segments),
-// publishes a one-segment manifest, truncates the WAL and installs the
-// compacted dataset as a new epoch. Readers holding a PinSnapshot keep
-// their pre-compaction view; everyone else sees the new epoch on their
-// next Dataset call.
-//
-// When a swap hook is registered (SetSwapHook) the whole operation runs
-// inside the hook's window, which is entered before the store's own
-// mutex is taken.
+// Compact writes the live dataset as a single full segment, publishes a
+// one-segment manifest (superseding every delta segment) and truncates
+// the WAL. The segment writer interns terms as it meets them in the live
+// triples, so the file holds no removed triple and no term only removed
+// triples used. Nothing changes in memory: the store keeps serving the
+// dataset it opened with, and s.mu, held throughout, keeps every Commit
+// out while the dataset is read.
 func (s *Store) Compact() error {
-	return s.quiesced(s.compactLocked)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.compactLocked()
 }
 
 // Maintain runs the store's maintenance policy now: seal the WAL tail as
 // a delta segment (Checkpoint), or rewrite everything (Compact) when the
-// segment chain has reached maxDeltaSegments, the dictionary has doubled
-// since the last rewrite, or the tail holds as many ops as the store
-// holds triples, so that rewriting is the cheaper way to seal it. With
-// an empty tail and none of those it does nothing. Acknowledged writes
-// are already on the WAL; this bounds the next open's replay and the
-// disk the history takes, it is not what makes them durable.
+// segment chain has reached maxDeltaSegments or the tail holds as many
+// ops as the store holds triples, so that rewriting is the cheaper way
+// to seal it. With an empty tail and neither of those it does nothing.
+// Acknowledged writes are already on the WAL; this bounds the next
+// open's replay and the disk the history takes, it is not what makes
+// them durable.
 func (s *Store) Maintain() error {
 	return s.maintain(1)
 }
@@ -110,69 +103,35 @@ func (s *Store) Maintain() error {
 // maintain is one pass of the policy; a tail of fewer than minTail ops
 // is left on the WAL unless a rewrite is due anyway.
 func (s *Store) maintain(minTail int) error {
-	return s.quiesced(func() error {
-		dict, segs := s.cur.ds.Dict().Len(), 0
-		if s.man != nil {
-			segs = len(s.man.Segments)
-		}
-		switch {
-		case segs >= maxDeltaSegments,
-			dict >= dictGCFloor && dict >= 2*s.lastFullDict,
-			s.walOps > 0 && s.walOps >= s.cur.ds.Len():
-			return s.compactLocked()
-		case s.walOps >= minTail:
-			return s.checkpointLocked()
-		}
-		return nil
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	segs := 0
+	if s.man != nil {
+		segs = len(s.man.Segments)
+	}
+	switch {
+	case segs >= maxDeltaSegments,
+		s.walOps > 0 && s.walOps >= s.ds.Len():
+		return s.compactLocked()
+	case s.walOps >= minTail:
+		return s.checkpointLocked()
+	}
+	return nil
 }
 
-// quiesced runs fn with s.mu held, inside the swap hook's window when
-// one is set, and hands the hook the dataset of the epoch fn installed,
-// if it installed one. The window is entered first and s.mu second: the
-// facade's mutators hold their own lock when they call Commit, so every
-// path that can swap the epoch takes the two in that order.
-func (s *Store) quiesced(fn func() error) error {
-	var err error
-	run := func(*rdf.Dataset) *rdf.Dataset {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		before := s.cur
-		if err = fn(); s.cur != before {
-			return s.cur.ds
-		}
-		return nil
-	}
-	if s.swapHook != nil {
-		s.swapHook(run)
-	} else {
-		run(nil)
-	}
-	return err
-}
-
+// compactLocked writes the dataset as a full segment, publishes the
+// manifest and resets the WAL. Caller holds s.mu.
 func (s *Store) compactLocked() error {
 	if s.closed {
 		return errClosed
 	}
 	defer timeObs(obsCompactDur)()
-	compacted := s.cur.ds.CompactedClone()
-	if err := s.sealFullLocked(compacted); err != nil {
-		return err // seal failed: stay on the old dataset
-	}
-	s.swapEpochLocked(compacted)
-	return nil
-}
-
-// sealFullLocked writes ds as a full segment, publishes the manifest and
-// resets the WAL. Caller holds s.mu.
-func (s *Store) sealFullLocked(ds *rdf.Dataset) error {
 	seq := uint64(1)
 	if s.man != nil {
 		seq = s.man.NextSeq
 	}
 	name := segment.SegmentName(seq)
-	if _, err := segment.WriteFile(filepath.Join(s.dir, name), segment.DatasetOps(ds)); err != nil {
+	if _, err := segment.WriteFile(filepath.Join(s.dir, name), segment.DatasetOps(s.ds)); err != nil {
 		return fmt.Errorf("tdb: seal full segment: %w", err)
 	}
 	next := &segment.Manifest{Segments: []string{name}, NextSeq: seq + 1}
@@ -186,7 +145,6 @@ func (s *Store) sealFullLocked(ds *rdf.Dataset) error {
 		return err
 	}
 	next.Sweep(s.dir)
-	s.lastFullDict = ds.Dict().Len()
 	obsCompactions.Inc()
 	s.observeSegments()
 	return nil
@@ -228,39 +186,23 @@ func (s *Store) readWALOps() ([]rdf.Op, error) {
 	return ops, nil
 }
 
-// StartAutoCompact starts the background maintenance goroutine: every
-// interval it runs the Maintain policy, except that a tail of fewer than
-// walThreshold ops is left on the WAL (it is durable there; sealing it
-// only shortens the next open). No-op if maintenance is already running
-// or the store is closed; Close stops it.
-func (s *Store) StartAutoCompact(interval time.Duration, walThreshold int) {
-	s.mu.Lock()
-	if s.closed || s.bgStop != nil {
-		s.mu.Unlock()
-		return
-	}
-	if interval <= 0 {
-		interval = time.Minute
-	}
-	if walThreshold <= 0 {
-		walThreshold = s.opts.CompactWALThreshold
-	}
-	s.bgStop, s.bgDone = make(chan struct{}), make(chan struct{})
-	stop, done := s.bgStop, s.bgDone
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-			}
-			if err := s.maintain(walThreshold); err != nil && !errors.Is(err, errClosed) {
-				obsMaintErrors.Inc()
-			}
+// maintainLoop is the background maintenance goroutine OpenWith starts
+// when Options.CompactInterval > 0: every interval it runs the Maintain
+// policy, except that a tail of fewer than CompactWALThreshold ops is
+// left on the WAL (it is durable there; sealing it only shortens the
+// next open). Close stops it.
+func (s *Store) maintainLoop() {
+	defer close(s.bgDone)
+	t := time.NewTicker(s.opts.CompactInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-s.bgStop:
+			return
+		case <-t.C:
 		}
-	}()
+		if err := s.maintain(s.opts.CompactWALThreshold); err != nil && !errors.Is(err, errClosed) {
+			obsMaintErrors.Inc()
+		}
+	}
 }

@@ -7,8 +7,7 @@ import (
 )
 
 // Storage-engine metrics. All are process-wide, cumulative across
-// stores; per-store numbers are on the Store itself (WALRecords,
-// RetiredEpochs).
+// stores; per-store numbers are on the Store itself (WALRecords).
 var (
 	obsWALFsyncs = obs.Default.NewCounter("mdm_tdb_wal_fsyncs_total",
 		"WAL fsync calls (SyncAlways appends plus SyncBatch flushes).")
@@ -20,12 +19,10 @@ var (
 		"Compactions completed.")
 	obsMaintErrors = obs.Default.NewCounter("mdm_tdb_maintenance_errors_total",
 		"Background maintenance failures: compaction, checkpoint or batched WAL fsync.")
-	obsPinnedEpochs = obs.Default.NewGauge("mdm_tdb_retired_pinned_epochs",
-		"Retired epochs kept alive by pins.")
 	obsCheckpointDur = obs.Default.NewHistogram("mdm_tdb_checkpoint_duration_seconds",
 		"Checkpoint (WAL tail sealed into a delta segment) durations.", obs.DefBuckets)
 	obsCompactDur = obs.Default.NewHistogram("mdm_tdb_compact_duration_seconds",
-		"Compaction (full rewrite against a fresh dictionary) durations.", obs.DefBuckets)
+		"Compaction (live dataset rewritten as one full segment) durations.", obs.DefBuckets)
 	// obsSegments tracks the most recently opened/maintained store's
 	// live segment count (last-writer-wins across stores; mdmd runs
 	// exactly one).

@@ -38,7 +38,7 @@
 // Terms are interned once in the segment-local dictionary; triples are
 // three uvarints. Loading therefore interns each distinct term exactly
 // once into the dataset dictionary and inserts triples through the
-// ID-level fast path (rdf.Graph.AddIDs) — no Turtle re-parsing, no
+// ID-level fast path (rdf.Graph.BulkAddIDs) — no Turtle re-parsing, no
 // per-position Term hashing.
 package segment
 
@@ -229,8 +229,9 @@ func WriteFile(path string, ops []Op) (Stats, error) {
 
 // DatasetOps flattens a dataset into the op list of a full segment:
 // every prefix binding, then every quad (default graph first, named
-// graphs in name order) as adds. Sealing a compacted dataset this way
-// yields a segment whose dict block holds exactly the live terms.
+// graphs in name order) as adds. WriteFile interns terms as it meets
+// them in the ops, so the segment's dict block holds exactly the live
+// terms, however many dead ones ds's own dictionary still carries.
 func DatasetOps(ds *rdf.Dataset) []Op {
 	quads := ds.Quads()
 	pairs := ds.Prefixes().Pairs()

@@ -1,6 +1,7 @@
 package tdb
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -366,61 +367,86 @@ func TestRemoveMissingGraphDoesNotCreate(t *testing.T) {
 	}
 }
 
-func TestPinSnapshotIsolatesCompaction(t *testing.T) {
-	s := openT(t, t.TempDir())
-	defer s.Close()
-	for i := 0; i < 3; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+// TestCompactSealsWhatAFreshStoreWould: a compaction is a disk operation.
+// The full segment of a store with 80% of its history removed is the
+// file a fresh store holding only the live quads compacts to, dead terms
+// and all left out — while the store keeps serving the dataset it opened
+// with, whose dictionary sheds those terms at the next open, not before.
+func TestCompactSealsWhatAFreshStoreWould(t *testing.T) {
+	const n = 500
+	quad := func(i int) rdf.Quad {
+		return rdf.Q(ex(fmt.Sprint("s", i)), ex("p"), rdf.Lit(fmt.Sprint("value-", i)), ex(fmt.Sprint("g", i%2)))
+	}
+	prefix := rdf.Op{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}
+	history, live := []rdf.Op{prefix}, []rdf.Op{prefix}
+	var removes []rdf.Op
+	terms := map[rdf.Term]bool{}
+	for i := 0; i < n; i++ {
+		q := quad(i)
+		history = append(history, rdf.Op{Kind: rdf.OpAdd, Quad: q})
+		if i%5 != 0 {
+			removes = append(removes, rdf.Op{Kind: rdf.OpRemove, Quad: q})
+			continue
+		}
+		live = append(live, rdf.Op{Kind: rdf.OpAdd, Quad: q})
+		for _, term := range []rdf.Term{q.S, q.P, q.O, q.Graph} {
+			terms[term] = true
+		}
+	}
+	commit := func(s *Store, ops []rdf.Op) {
+		t.Helper()
+		if err := s.Commit(ops); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pin := s.PinSnapshot()
-	// Appends within the pinned epoch stay visible (pins freeze the
-	// storage epoch, not the dataset).
-	if err := s.AddTriple(rdf.T(ex("s3"), ex("p"), rdf.IntLit(3))); err != nil {
+	// compacted compacts s and returns the bytes of the one segment its
+	// manifest then lists.
+	compacted := func(s *Store) []byte {
+		t.Helper()
+		ds := s.Dataset()
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if s.Dataset() != ds {
+			t.Fatal("Compact changed the dataset the store serves")
+		}
+		man, err := segment.LoadManifest(s.dir)
+		if err != nil || len(man.Segments) != 1 {
+			t.Fatalf("manifest after Compact = %+v, %v; want one segment", man, err)
+		}
+		seg, err := os.ReadFile(filepath.Join(s.dir, man.Segments[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+	dir := t.TempDir()
+	s := openT(t, dir)
+	commit(s, history)
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if got := pin.Dataset().Len(); got != 4 {
-		t.Fatalf("pinned Len before compact = %d, want 4", got)
+	commit(s, removes)
+	got := compacted(s)
+	fresh := openT(t, t.TempDir())
+	defer fresh.Close()
+	commit(fresh, live)
+	want := compacted(fresh)
+	if !bytes.Equal(got, want) {
+		t.Errorf("compacted segment (%d bytes) differs from the one a fresh store of the live quads seals (%d bytes)", len(got), len(want))
 	}
-
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
+	if got := s.Dataset().Dict().Len(); got <= len(terms) {
+		t.Errorf("dictionary holds %d terms right after Compact; the %d live ones only after a reopen", got, len(terms))
 	}
-	if s.Epoch() == pin.Epoch() {
-		t.Fatal("compaction did not advance the epoch")
+	before := trig(s)
+	s.Close()
+	s = openT(t, dir)
+	defer s.Close()
+	if got := s.Dataset().Dict().Len(); got != len(terms) {
+		t.Errorf("dictionary after reopen holds %d terms, want the %d live ones", got, len(terms))
 	}
-	if s.RetiredEpochs() != 1 {
-		t.Fatalf("RetiredEpochs = %d, want 1", s.RetiredEpochs())
-	}
-	// Post-compaction writes go to the new epoch only.
-	if err := s.AddTriple(rdf.T(ex("s4"), ex("p"), rdf.IntLit(4))); err != nil {
-		t.Fatal(err)
-	}
-	if got := pin.Dataset().Len(); got != 4 {
-		t.Fatalf("pinned Len after compact = %d, want 4 (frozen)", got)
-	}
-	if got := s.Dataset().Len(); got != 5 {
-		t.Fatalf("live Len = %d, want 5", got)
-	}
-	res, err := sparql.Run(pin.Dataset(), `SELECT ?s WHERE { ?s <http://ex/p> ?o }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 4 {
-		t.Fatalf("query over pinned snapshot = %d rows, want 4", res.Len())
-	}
-	pin.Release()
-	pin.Release() // idempotent
-	if s.RetiredEpochs() != 0 {
-		t.Fatalf("RetiredEpochs after release = %d, want 0", s.RetiredEpochs())
-	}
-
-	// A pin on the current epoch releases without ever being retired.
-	p2 := s.PinSnapshot()
-	p2.Release()
-	if s.RetiredEpochs() != 0 {
-		t.Fatalf("RetiredEpochs after current-epoch release = %d", s.RetiredEpochs())
+	if after := trig(s); after != before {
+		t.Errorf("reopen changed the dataset:\n%s\nbefore:\n%s", after, before)
 	}
 }
 
@@ -457,9 +483,10 @@ func TestSyncModesDurable(t *testing.T) {
 }
 
 // TestConcurrentQueriesDuringCompaction is the background-compaction
-// variant of TestConcurrentQueriesDuringAppends: readers pin the storage
-// epoch per query while writers append and the maintenance loop
-// checkpoints and dict-GCs the store. Run with -race (CI does).
+// variant of TestConcurrentQueriesDuringAppends: readers query the
+// store's dataset while writers append, the maintenance loop checkpoints
+// and explicit compactions read the same dataset to rewrite it. Run with
+// -race (CI does).
 func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 	s, err := OpenWith(t.TempDir(), Options{
 		CompactInterval:     time.Millisecond,
@@ -490,13 +517,10 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 					return
 				default:
 				}
-				pin := s.PinSnapshot()
-				if _, err := sparql.Run(pin.Dataset(), query); err != nil {
+				if _, err := sparql.Run(s.Dataset(), query); err != nil {
 					qerr.Store(err)
-					pin.Release()
 					return
 				}
-				pin.Release()
 			}
 		}()
 	}
@@ -521,8 +545,5 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 	}
 	if res.Len() != 350 {
 		t.Fatalf("rows = %d, want 350", res.Len())
-	}
-	if s.RetiredEpochs() != 0 {
-		t.Fatalf("RetiredEpochs leaked = %d", s.RetiredEpochs())
 	}
 }

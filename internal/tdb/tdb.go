@@ -1,8 +1,7 @@
 // Package tdb provides durable storage for an rdf.Dataset, replacing the
 // Jena TDB persistence engine used by the original MDM implementation.
 //
-// The design is an epoch-based segment store in front of a write-ahead
-// log:
+// The design is a segment store in front of a write-ahead log:
 //
 //   - MANIFEST lists the live, immutable on-disk segments (see the
 //     segment subpackage: a dict block of interned terms plus ID-triple
@@ -22,15 +21,17 @@
 // dataset dictionary and ID indexes — no Turtle parsing) and then
 // replays the WAL tail, so startup is O(segments + WAL tail), not
 // O(full history re-parse). Checkpoint seals the WAL tail into a new
-// delta segment in O(tail); Compact rewrites the live dataset against a
-// fresh dictionary into a single full segment, dropping dead dictionary
-// terms and tombstoned triples, and swaps the compacted dataset in as a
-// new EPOCH — readers that pinned the previous epoch (PinSnapshot) keep
-// draining their snapshot untouched. Both publish the manifest with a
-// temp-file + rename, so a crash mid-seal leaves the previous manifest
-// + WAL recovery point intact. Maintain is the policy that picks between
-// them; neither is what makes a write durable — the WAL is — they bound
-// the next open and the disk the history takes.
+// delta segment in O(tail); Compact writes the live dataset as a single
+// full segment that replaces the chain, leaving tombstoned triples and
+// the dictionary terms only they used out of the file. Both are disk
+// operations: a store serves one dataset from OpenWith to Close, readers
+// are never moved, and the in-memory dictionary sheds its dead terms at
+// the next open (see docs/STORAGE.md, "Readers and compaction"). Both
+// publish the manifest with a temp-file + rename, so a crash mid-seal
+// leaves the previous manifest + WAL recovery point intact. Maintain is
+// the policy that picks between them; neither is what makes a write
+// durable — the WAL is — they bound the next open and the disk the
+// history takes.
 //
 // # Durability
 //
@@ -103,19 +104,15 @@ func (o Options) withDefaults() Options {
 }
 
 // Store is a durable rdf.Dataset. All mutations must go through the
-// Store's methods so they hit the WAL; reads can use the Dataset
-// directly (or PinSnapshot for compaction-isolated reads). Store is
-// safe for concurrent use.
+// Store's methods so they hit the WAL; reads use the Dataset directly.
+// Store is safe for concurrent use.
 type Store struct {
 	mu   sync.Mutex
 	dir  string
 	opts Options
 
-	// cur is the live epoch; retired holds epochs replaced by a
-	// compaction that still have outstanding pins.
-	cur      *epoch
-	retired  map[uint64]*epoch
-	epochSeq uint64
+	// ds is the one dataset the store serves, from OpenWith to Close.
+	ds *rdf.Dataset
 
 	// man is the segment manifest; nil for a store that has never sealed
 	// a segment.
@@ -131,14 +128,6 @@ type Store struct {
 	walOps     int
 	walDirty   bool // SyncBatch: append since last fsync
 	closed     bool
-
-	// swapHook, when set, wraps every operation that can swap the epoch
-	// (see SetSwapHook).
-	swapHook func(swap func(old *rdf.Dataset) *rdf.Dataset)
-
-	// lastFullDict is the dictionary size right after the last full
-	// compaction (or at open).
-	lastFullDict int
 
 	bgStop, bgDone     chan struct{}
 	syncStop, syncDone chan struct{}
@@ -282,21 +271,14 @@ func Open(dir string) (*Store, error) {
 }
 
 // OpenWith loads (or creates) a store rooted at dir. If
-// opts.CompactInterval > 0 the background compactor is started
-// immediately; facade-style embedders that need to wire a swap hook
-// first should leave it zero and call SetSwapHook + StartAutoCompact.
+// opts.CompactInterval > 0 the background maintenance tick is started
+// before it returns.
 func OpenWith(dir string, opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tdb: create dir: %w", err)
 	}
-	ds := rdf.NewDataset()
-	s := &Store{
-		dir:      dir,
-		opts:     opts,
-		retired:  make(map[uint64]*epoch),
-		epochSeq: 1,
-	}
+	s := &Store{dir: dir, opts: opts, ds: rdf.NewDataset()}
 
 	man, err := segment.LoadManifest(dir)
 	if err != nil {
@@ -307,7 +289,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		// manifests), then stream-load the live segments.
 		man.Sweep(dir)
 		for _, name := range man.Segments {
-			if _, err := segment.LoadFile(filepath.Join(dir, name), ds); err != nil {
+			if _, err := segment.LoadFile(filepath.Join(dir, name), s.ds); err != nil {
 				return nil, fmt.Errorf("tdb: corrupt segment: %w", err)
 			}
 		}
@@ -318,7 +300,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tdb: %s holds a pre-segment snapshot.trig store; PR 12 is the last release that migrates it (open and compact it there once)", dir)
 	}
 
-	s.cur = &epoch{seq: s.epochSeq, ds: ds}
 	if err := s.replayWAL(); err != nil {
 		return nil, err
 	}
@@ -327,14 +308,14 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("tdb: open wal: %w", err)
 	}
 	s.wal = wal
-	s.lastFullDict = ds.Dict().Len()
 
 	if opts.Sync == SyncBatch {
 		s.syncStop, s.syncDone = make(chan struct{}), make(chan struct{})
 		go s.syncLoop()
 	}
 	if opts.CompactInterval > 0 {
-		s.StartAutoCompact(opts.CompactInterval, opts.CompactWALThreshold)
+		s.bgStop, s.bgDone = make(chan struct{}), make(chan struct{})
+		go s.maintainLoop()
 	}
 	s.observeSegments()
 	return s, nil
@@ -394,7 +375,7 @@ func eachWALRecord(path string, fn func(ops []rdf.Op)) (good int64, dmg *walDama
 func (s *Store) replayWAL() error {
 	path := filepath.Join(s.dir, walFile)
 	good, dmg, err := eachWALRecord(path, func(ops []rdf.Op) {
-		s.cur.ds.Apply(ops)
+		s.ds.Apply(ops)
 		s.walRecords++
 		s.walOps += len(ops)
 	})
@@ -449,7 +430,7 @@ func (s *Store) commitLocked(ops []rdf.Op) error {
 	s.walBytes += int64(len(line))
 	s.walRecords++
 	s.walOps += len(ops)
-	s.cur.ds.Apply(ops)
+	s.ds.Apply(ops)
 	switch s.opts.Sync {
 	case SyncAlways:
 		if err := s.wal.Sync(); err != nil {
@@ -486,20 +467,15 @@ func (s *Store) syncLoop() {
 	}
 }
 
-// Dataset returns the live dataset (the current epoch). Mutate only
-// through Store methods. After a compaction this returns a DIFFERENT
-// dataset; long-running readers that must not observe the swap should
-// use PinSnapshot.
-func (s *Store) Dataset() *rdf.Dataset {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.ds
-}
+// Dataset returns the store's dataset: the same one from OpenWith to
+// Close, whatever maintenance runs in between. Mutate only through Store
+// methods.
+func (s *Store) Dataset() *rdf.Dataset { return s.ds }
 
 // hasLocked reports whether q is in the live dataset, without creating
 // its graph.
 func (s *Store) hasLocked(q rdf.Quad) bool {
-	g, ok := s.cur.ds.Lookup(q.Graph)
+	g, ok := s.ds.Lookup(q.Graph)
 	return ok && g.Has(q.Triple)
 }
 
@@ -538,7 +514,7 @@ func (s *Store) RemoveQuad(q rdf.Quad) (bool, error) {
 func (s *Store) DropGraph(name rdf.Term) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.cur.ds.Lookup(name); !ok || name.IsZero() {
+	if _, ok := s.ds.Lookup(name); !ok || name.IsZero() {
 		return nil
 	}
 	return s.commitLocked([]rdf.Op{{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: name}}})

@@ -111,9 +111,9 @@ func TestCommitRejectsBatchWhole(t *testing.T) {
 }
 
 // TestMaintainPolicy: one row per branch of the policy. A small tail over
-// a large store is sealed as a delta and the epoch stays; each of the
-// three escalations rewrites the store into one segment and moves the
-// epoch; an empty tail with nothing due writes nothing.
+// a large store is sealed as a delta; each of the two escalations
+// rewrites the store into one segment, which the compaction counter
+// tells from sealing; an empty tail with nothing due writes nothing.
 func TestMaintainPolicy(t *testing.T) {
 	// base opens a store holding n sealed triples in one full segment.
 	base := func(t *testing.T, n int) (*Store, string) {
@@ -163,40 +163,20 @@ func TestMaintainPolicy(t *testing.T) {
 				}
 			}
 		}, 1, true},
-		{"dictionary doubled: rewrite", dictGCFloor / 2, func(t *testing.T, s *Store) {
-			// Churn: each round refills one graph with fresh literals, so
-			// the dictionary grows while the data does not. Sealing every
-			// round keeps the tail rule out of it.
-			for round := 0; s.Dataset().Dict().Len() < 2*s.lastFullDict; round++ {
-				batch := mappingBatch("churn", 40)
-				for i := range batch[1:] {
-					batch[1+i].Quad.O = rdf.Lit(fmt.Sprint("dead-", round, "-", i))
-				}
-				if err := s.Commit(batch); err != nil {
-					t.Fatal(err)
-				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
-				if segments(t, s.dir) >= maxDeltaSegments {
-					t.Fatal("chain limit reached before the dictionary doubled")
-				}
-			}
-		}, 1, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, dir := base(t, tc.base)
 			defer s.Close()
 			tc.prepare(t, s)
-			want, epoch := trig(s), s.Epoch()
+			want, compactions := trig(s), obsCompactions.Value()
 			if err := s.Maintain(); err != nil {
 				t.Fatal(err)
 			}
 			if got := segments(t, dir); got != tc.segments {
 				t.Errorf("%d segments after Maintain, want %d", got, tc.segments)
 			}
-			if rewrote := s.Epoch() != epoch; rewrote != tc.rewrote {
-				t.Errorf("epoch moved = %v, want %v", rewrote, tc.rewrote)
+			if rewrote := obsCompactions.Value() != compactions; rewrote != tc.rewrote {
+				t.Errorf("mdm_tdb_compactions_total moved = %v, want %v", rewrote, tc.rewrote)
 			}
 			if got := s.WALRecords(); got != 0 {
 				t.Errorf("%d WAL records left after Maintain", got)
@@ -211,41 +191,6 @@ func TestMaintainPolicy(t *testing.T) {
 				t.Errorf("reopen after Maintain:\n%s\nwant:\n%s", got, want)
 			}
 		})
-	}
-}
-
-// TestSwapHookEnteredBeforeStoreLock: the hook's window opens while the
-// store's mutex is free — a hook that takes a facade lock would otherwise
-// deadlock against a facade writer that holds it and calls Commit — and
-// the hook is handed the new dataset only when the epoch moved.
-func TestSwapHookEnteredBeforeStoreLock(t *testing.T) {
-	s := openT(t, t.TempDir())
-	defer s.Close()
-	var handed []*rdf.Dataset
-	s.SetSwapHook(func(swap func(*rdf.Dataset) *rdf.Dataset) {
-		if !s.mu.TryLock() {
-			t.Error("store mutex already held when the swap hook was entered")
-		} else {
-			s.mu.Unlock()
-		}
-		handed = append(handed, swap(nil))
-	})
-	for i := 0; i < 300; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprint("s", i)), ex("p"), rdf.Lit("v"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddTriple(rdf.T(ex("tail"), ex("p"), rdf.Lit("v"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Maintain(); err != nil { // a checkpoint: the epoch stays
-		t.Fatal(err)
-	}
-	if len(handed) != 2 || handed[0] != s.Dataset() || handed[1] != nil {
-		t.Fatalf("hook was handed %v, want [the compacted dataset, nil]", handed)
 	}
 }
 

@@ -140,9 +140,9 @@ func Open(dir string) (*System, error) {
 // the call returns, so whatever was acknowledged survives a crash of
 // the process (and, with opts.Sync, of the machine). When
 // opts.CompactInterval > 0 a background tick runs the storage
-// maintenance policy (tdb.Store.Maintain); a full rewrite swaps the live
-// dataset atomically under the ontology's write lock, so facade reads
-// and writes never observe a half-swapped dataset. Close when done.
+// maintenance policy (tdb.Store.Maintain); both of its operations
+// write files and leave the dataset the system serves alone, so facade
+// reads never wait on them. Close when done.
 // Wrappers are live code and must be re-registered after reopen; doing so
 // attaches them and writes no release (see RegisterWrapper).
 //
@@ -156,12 +156,7 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	if _, err := os.Stat(filepath.Join(dir, "meta", "releases.json")); err == nil {
 		return nil, fmt.Errorf("mdm: %s holds the release documents meta/releases.json; PR 21 is the last release that reads it (releases are recorded in the ontology store now, and nothing imports the documents)", dir)
 	}
-	tdbOpts := opts
-	// The background compactor must not start before the ontology's swap
-	// hook is wired, or an early compaction could swap the dataset
-	// without re-pointing the facade; started manually below.
-	tdbOpts.CompactInterval = 0
-	ts, err := tdb.OpenWith(filepath.Join(dir, "ontology"), tdbOpts)
+	ts, err := tdb.OpenWith(filepath.Join(dir, "ontology"), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -172,20 +167,16 @@ func OpenWith(dir string, opts StoreOptions) (*System, error) {
 	}
 	ont := bdi.FromDataset(ts.Dataset())
 	ont.SetJournal(ts)
-	ts.SetSwapHook(ont.Rebind)
 	sys := newSystem(ont, wrapper.NewRegistry())
 	sys.meta, sys.tdbStore = meta, ts
-	if opts.CompactInterval > 0 {
-		ts.StartAutoCompact(opts.CompactInterval, opts.CompactWALThreshold)
-	}
 	return sys, nil
 }
 
 // CompactStorage runs storage maintenance now (tdb.Store.Maintain): the
 // WAL tail is sealed as a delta segment, in time proportional to the
-// tail, and only when the segment chain, the dictionary or the tail has
-// grown enough is the whole dataset rewritten into one segment against a
-// fresh dictionary, moving readers to a new storage epoch. It is not a
+// tail, and only when the segment chain or the tail has grown enough is
+// the whole dataset rewritten into one segment. Either way only files
+// change: readers keep the dataset they have. It is not a
 // durability point — acknowledged writes are on the WAL already — it
 // bounds the next open. In-memory systems no-op. This is the operation
 // behind `mdmctl compact`; use Storage().Compact() to force the rewrite.
@@ -197,8 +188,8 @@ func (s *System) CompactStorage() error {
 }
 
 // Storage exposes the underlying tdb store of a persistent system (nil
-// for in-memory systems) for storage-level introspection: epoch
-// pinning, WAL counters, manual checkpoints.
+// for in-memory systems) for storage-level introspection: WAL counters,
+// manual checkpoints, a forced rewrite.
 func (s *System) Storage() *tdb.Store { return s.tdbStore }
 
 // Close checkpoints (CompactStorage: a system that wrote nothing since
@@ -437,11 +428,9 @@ func (s *System) SPARQL(query string) (*sparql.Result, error) {
 // evaluation — the paging contract of the REST query endpoints. Pass -1
 // to keep the query's values.
 //
-// On a persistent system the cursor pins the current storage epoch: a
-// background (or explicit) compaction that swaps the live dataset while
-// the cursor drains does not disturb it — it keeps streaming its
-// pinned, pre-compaction view, which is released when the cursor is
-// closed or exhausted.
+// The cursor reads the live dataset as it drains: it is not a
+// point-in-time view of concurrent writes, and storage maintenance
+// (background or explicit) neither waits for it nor disturbs it.
 func (s *System) SPARQLPage(query string, limit, offset int) (*sparql.Cursor, error) {
 	return s.SPARQLPageTrace(query, limit, offset, nil)
 }
@@ -464,23 +453,7 @@ func (s *System) SPARQLPageTrace(query string, limit, offset int, tr *obs.Trace)
 	if offset >= 0 {
 		q.Offset = offset
 	}
-	ds := s.ont.Dataset()
-	var pin *tdb.Snapshot
-	if s.tdbStore != nil {
-		pin = s.tdbStore.PinSnapshot()
-		ds = pin.Dataset()
-	}
-	cur, err := sparql.EvalCursorTrace(ds, q, tr)
-	if err != nil {
-		if pin != nil {
-			pin.Release()
-		}
-		return nil, err
-	}
-	if pin != nil {
-		cur.OnClose(pin.Release)
-	}
-	return cur, nil
+	return sparql.EvalCursorTrace(s.ont.Dataset(), q, tr)
 }
 
 // --- Introspection & rendering (Figures 5-7) ---

@@ -687,6 +687,10 @@ func TestOpenRefusesPreSegmentExport(t *testing.T) {
 	}
 }
 
+// TestSPARQLPagePinsSnapshotAcrossCompaction: a cursor opened before a
+// compaction drains the full answer after it. There is nothing to pin:
+// the rewrite is a disk operation and the cursor keeps reading the
+// dataset the system serves.
 func TestSPARQLPagePinsSnapshotAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := mdm.Open(dir)
@@ -705,13 +709,9 @@ func TestSPARQLPagePinsSnapshotAcrossCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compact while the cursor is open: it must keep draining its
-	// pinned pre-compaction epoch, which stays retired until released.
+	// Compact while the cursor is open: it must drain the full answer.
 	if err := sys.Storage().Compact(); err != nil {
 		t.Fatal(err)
-	}
-	if got := sys.Storage().RetiredEpochs(); got != 1 {
-		t.Fatalf("RetiredEpochs while cursor open = %d, want 1", got)
 	}
 	rows := 0
 	for cur.Next(context.Background()) {
@@ -723,11 +723,7 @@ func TestSPARQLPagePinsSnapshotAcrossCompaction(t *testing.T) {
 	if rows != 10 {
 		t.Fatalf("cursor rows = %d, want 10", rows)
 	}
-	// Drain released the pin; the retired epoch is gone.
-	if got := sys.Storage().RetiredEpochs(); got != 0 {
-		t.Fatalf("RetiredEpochs after drain = %d, want 0", got)
-	}
-	// Fresh queries see the compacted (identical) data.
+	// Fresh queries see the same data.
 	res, err := sys.SPARQL(`PREFIX G: <http://www.essi.upc.edu/~snadal/BDIOntology/Global/> SELECT ?c WHERE { GRAPH ?g { ?c a G:Concept } }`)
 	if err != nil {
 		t.Fatal(err)
@@ -820,8 +816,8 @@ func TestSPARQLPathReleaseLineage(t *testing.T) {
 }
 
 // TestSPARQLPathCursorPinsSnapshotAcrossCompaction is the path-operator
-// variant of the epoch-pinning contract: a cursor mid-fixpoint-drain
-// holds its pre-compaction snapshot via OnClose until fully drained.
+// variant: a cursor opened before a compaction runs its fixpoint after
+// it and drains the full closure.
 func TestSPARQLPathCursorPinsSnapshotAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	sys, err := mdm.Open(dir)
@@ -848,9 +844,6 @@ SELECT ?anc WHERE { GRAPH ?g { ex:V8 rdfs:subClassOf+ ?anc } }`, -1, -1)
 	if err := sys.Storage().Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if got := sys.Storage().RetiredEpochs(); got != 1 {
-		t.Fatalf("RetiredEpochs while path cursor open = %d, want 1", got)
-	}
 	rows := 0
 	for cur.Next(context.Background()) {
 		rows++
@@ -860,9 +853,6 @@ SELECT ?anc WHERE { GRAPH ?g { ex:V8 rdfs:subClassOf+ ?anc } }`, -1, -1)
 	}
 	if rows != 7 {
 		t.Fatalf("closure rows = %d, want 7", rows)
-	}
-	if got := sys.Storage().RetiredEpochs(); got != 0 {
-		t.Fatalf("RetiredEpochs after drain = %d, want 0", got)
 	}
 	res, err := sys.SPARQL(`PREFIX ex: <http://ex.org/> PREFIX rdfs: <http://www.w3.org/2000/01/rdf-schema#>
 SELECT ?anc WHERE { GRAPH ?g { ex:V8 rdfs:subClassOf+ ?anc } }`)
