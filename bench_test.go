@@ -578,19 +578,6 @@ func BenchmarkWalkFederation(b *testing.B) {
 			}
 		}
 	})
-	// Control for the resilience layer: retries and breakers disabled.
-	// "federated" vs this pins the healthy-path overhead of the breaker
-	// Allow/Record pair (it must stay in the noise).
-	b.Run("federated-noresilience", func(b *testing.B) {
-		eng := federate.NewEngine()
-		eng.Retry.Max = 0
-		eng.Breakers = nil
-		for i := 0; i < b.N; i++ {
-			if n := runPlan(b, eng, plan).Len(); n != rows {
-				b.Fatalf("rows = %d", n)
-			}
-		}
-	})
 	// Paged read: O(sources + page) — the pipeline stops after 10 rows.
 	b.Run("federated-page10", func(b *testing.B) {
 		eng := federate.NewEngine()

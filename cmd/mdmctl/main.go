@@ -44,7 +44,9 @@
 //	-ndjson     stream NDJSON rows to stdout as the server produces them
 //	-partial    (query and run) accept a degraded answer when a source
 //	            is down: healthy sources' rows are returned and a
-//	            warning naming the annotation is printed to stderr
+//	            warning naming the missing_sources annotation is
+//	            printed to stderr. Without it a walk is strict: the
+//	            server has no degraded default.
 //
 // The JSON formats of mapping and query match the REST API bodies
 // (POST /api/mappings and POST /api/query).
@@ -325,10 +327,10 @@ func (c *client) postBytes(path string, body []byte) error {
 
 // warnPartial flags a degraded answer on stderr so scripts piping
 // stdout still see the completeness loss (details are in the body's
-// missing_sources/stale_sources annotation).
+// missing_sources annotation).
 func warnPartial(resp *http.Response) {
 	if resp.Header.Get("X-MDM-Partial") == "true" {
-		fmt.Fprintln(os.Stderr, "mdmctl: warning: partial result — some sources missing or stale (see missing_sources/stale_sources)")
+		fmt.Fprintln(os.Stderr, "mdmctl: warning: partial result — some sources missing (see missing_sources)")
 	}
 }
 

@@ -4,10 +4,7 @@
 // Usage:
 //
 //	mdmd [-addr :8085] [-data DIR | -seed] [-simulate]
-//	     [-compact-interval D]
-//	     [-fanout N] [-source-timeout D] [-source-cache-ttl D]
-//	     [-retries N] [-breaker-threshold N] [-breaker-cooldown D]
-//	     [-partial] [-serve-stale] [-drain-timeout D]
+//	     [-compact-interval D] [-source-timeout D] [-drain-timeout D]
 //	     [-slow-query-threshold D] [-slow-query-log PATH]
 //	     [-debug-addr ADDR]
 //
@@ -33,31 +30,15 @@
 //	                      (default 1m; 0 disables; durability does not
 //	                      depend on it)
 //
-// Federated execution knobs (see internal/federate):
+// Federated execution knob (see internal/federate):
 //
-//	-fanout N             max concurrent source fetches per walk (default 8)
 //	-source-timeout D     per-source fetch deadline (default 30s)
-//	-source-cache-ttl D   source-snapshot reuse window; 0 (default)
-//	                      dedups concurrent fetches without reusing
-//	                      completed snapshots
 //
-// Federation resilience knobs (see docs/ARCHITECTURE.md, "Federation
-// resilience"):
-//
-//	-retries N            retries per source fetch after the first
-//	                      attempt, with jittered exponential backoff
-//	                      (default 2; 0 disables)
-//	-breaker-threshold N  consecutive source-fault failures that trip a
-//	                      source's circuit breaker (default 5)
-//	-breaker-cooldown D   how long a tripped breaker fails fast before
-//	                      letting one probe through (default 10s)
-//	-partial              serve degraded walk answers by default: a
-//	                      failed source is annotated instead of failing
-//	                      the query (clients override per query with
-//	                      ?partial=0/1)
-//	-serve-stale          in partial mode, substitute a source's last
-//	                      good snapshot (marked stale) instead of
-//	                      dropping its rows
+// The rest of federation is one fixed policy — fan-out 8, two retries
+// with jittered backoff, a circuit breaker per source, concurrent walks
+// sharing in-flight fetches; docs/ARCHITECTURE.md "Federation
+// resilience" gives the reasons. A walk degrades instead of failing only
+// when its client asks (?partial=1, mdmctl -partial).
 //
 // Observability knobs (see docs/OBSERVABILITY.md; Prometheus metrics
 // are always on at GET /metrics on the API port):
@@ -106,14 +87,7 @@ func main() {
 	seed := flag.Bool("seed", false, "preload the in-memory football demo fixture (not with -data)")
 	simulate := flag.Bool("simulate", false, "start the simulated football provider")
 	compactInterval := flag.Duration("compact-interval", time.Minute, "background storage maintenance tick (0 = disabled)")
-	fanout := flag.Int("fanout", federate.DefaultParallel, "max concurrent source fetches per walk")
 	sourceTimeout := flag.Duration("source-timeout", federate.DefaultSourceTimeout, "per-source fetch deadline")
-	cacheTTL := flag.Duration("source-cache-ttl", 0, "source-snapshot reuse window (0 = dedup only)")
-	retries := flag.Int("retries", federate.DefaultRetries, "retries per source fetch (0 = single attempt)")
-	breakerThreshold := flag.Int("breaker-threshold", federate.DefaultBreakerThreshold, "consecutive failures that trip a source's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", federate.DefaultBreakerCooldown, "open-breaker fail-fast window before a probe")
-	partial := flag.Bool("partial", false, "degrade walks on source failure by default (annotate instead of fail)")
-	serveStale := flag.Bool("serve-stale", false, "in partial mode, substitute a source's last good snapshot")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "in-flight request drain window on shutdown")
 	slowThreshold := flag.Duration("slow-query-threshold", 250*time.Millisecond, "queries slower than this are written to the slow-query log")
 	slowLogPath := flag.String("slow-query-log", "", "slow-query log file, size-rotated (empty = stderr)")
@@ -129,14 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("mdmd: %v", err)
 	}
-	fed := sys.Federation()
-	fed.Parallel = *fanout
-	fed.SourceTimeout = *sourceTimeout
-	fed.Cache = federate.NewCache(*cacheTTL)
-	fed.Retry.Max = *retries
-	fed.Breakers = federate.NewBreakerSet(*breakerThreshold, *breakerCooldown)
-	fed.PartialResults = *partial
-	fed.ServeStale = *serveStale
+	sys.Federation().SourceTimeout = *sourceTimeout
 
 	if *simulate {
 		provider := apisim.NewFootball()

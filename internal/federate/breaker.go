@@ -3,7 +3,6 @@ package federate
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mdm/internal/obs"
@@ -25,7 +24,7 @@ const (
 	StateHalfOpen
 )
 
-// String renders the state for States and logs.
+// String renders the state for logs.
 func (s BreakerState) String() string {
 	switch s {
 	case StateOpen:
@@ -37,12 +36,21 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a per-source circuit breaker: Threshold consecutive
+// The breaker policy: breakerThreshold consecutive source-fault failures
+// trip a source's breaker; breakerCooldown is how long it fails fast
+// before probing.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 10 * time.Second
+)
+
+// Breaker is a per-source circuit breaker: breakerThreshold consecutive
 // source-fault failures trip it open; while open every Allow fails fast
 // (no fetch is issued, so a dead source costs nothing per query); after
-// Cooldown one probe is let through half-open — its success closes the
-// breaker, its failure re-opens it for another cooldown. Concurrent
-// callers during half-open fail fast rather than piling onto the probe.
+// breakerCooldown one probe is let through half-open — its success
+// closes the breaker, its failure re-opens it for another cooldown.
+// Concurrent callers during half-open fail fast rather than piling onto
+// the probe.
 type Breaker struct {
 	mu       sync.Mutex
 	state    BreakerState
@@ -50,11 +58,8 @@ type Breaker struct {
 	openedAt time.Time // when the breaker last tripped
 	probing  bool      // a half-open probe is outstanding
 
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
-	set       *BreakerSet // owning set, for transition counters
-	gauge     *obs.Gauge  // this source's mdm_federate_breaker_state series
+	now   func() time.Time
+	gauge *obs.Gauge // this source's mdm_federate_breaker_state series
 }
 
 // State returns the breaker's current position (open is reported as
@@ -75,28 +80,22 @@ func (b *Breaker) Allow() error {
 	case StateClosed:
 		return nil
 	case StateOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			b.countFastFail()
+		if b.now().Sub(b.openedAt) < breakerCooldown {
+			obsBreakerFastFails.Inc()
 			return ErrBreakerOpen
 		}
 		b.setState(StateHalfOpen)
 		b.probing = true
 		obsBreakerHalfOpened.Inc()
-		b.set.halfOpened.Add(1)
 		return nil
 	default: // StateHalfOpen
 		if b.probing {
-			b.countFastFail()
+			obsBreakerFastFails.Inc()
 			return ErrBreakerOpen
 		}
 		b.probing = true
 		return nil
 	}
-}
-
-func (b *Breaker) countFastFail() {
-	obsBreakerFastFails.Inc()
-	b.set.fastFails.Add(1)
 }
 
 // setState moves the breaker and its exported gauge; callers hold b.mu.
@@ -118,7 +117,6 @@ func (b *Breaker) RecordSuccess() {
 		b.failures = 0
 		b.probing = false
 		obsBreakerClosed.Inc()
-		b.set.closed.Add(1)
 	}
 	// A success recorded while Open predates the trip; ignore it — the
 	// half-open probe decides recovery.
@@ -134,7 +132,7 @@ func (b *Breaker) RecordFailure() {
 	switch b.state {
 	case StateClosed:
 		b.failures++
-		if b.failures >= b.threshold {
+		if b.failures >= breakerThreshold {
 			b.trip()
 		}
 	case StateHalfOpen:
@@ -149,7 +147,6 @@ func (b *Breaker) trip() {
 	b.openedAt = b.now()
 	b.failures = 0
 	obsBreakerOpened.Inc()
-	b.set.opened.Add(1)
 }
 
 // reset returns the breaker to a fresh Closed state.
@@ -161,38 +158,18 @@ func (b *Breaker) reset() {
 	b.probing = false
 }
 
-// Default breaker knobs: DefaultBreakerThreshold consecutive
-// source-fault failures trip a source's breaker; DefaultBreakerCooldown
-// is how long it fails fast before probing.
-const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 10 * time.Second
-)
-
 // BreakerSet manages one Breaker per source name, created lazily on
 // first use so the set covers whatever sources the plans mention.
 type BreakerSet struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // injectable for tests
+	now func() time.Time // the breakers' clock; tests compress it
 
 	mu sync.Mutex
 	m  map[string]*Breaker
-
-	opened, halfOpened, closed, fastFails atomic.Int64
 }
 
-// NewBreakerSet returns a set tripping each source after threshold
-// consecutive source-fault failures and probing after cooldown.
-// Non-positive arguments take the defaults.
-func NewBreakerSet(threshold int, cooldown time.Duration) *BreakerSet {
-	if threshold <= 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	return &BreakerSet{threshold: threshold, cooldown: cooldown, now: time.Now, m: map[string]*Breaker{}}
+// NewBreakerSet returns an empty set on the wall clock.
+func NewBreakerSet() *BreakerSet {
+	return &BreakerSet{now: time.Now, m: map[string]*Breaker{}}
 }
 
 // For returns (creating if needed) the breaker for a source name.
@@ -201,10 +178,7 @@ func (s *BreakerSet) For(name string) *Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.m[name]
 	if !ok {
-		b = &Breaker{
-			threshold: s.threshold, cooldown: s.cooldown, now: func() time.Time { return s.now() },
-			set: s, gauge: obsBreakerState.With(name),
-		}
+		b = &Breaker{now: func() time.Time { return s.now() }, gauge: obsBreakerState.With(name)}
 		// An earlier set may have left this source's series elsewhere.
 		b.gauge.Set(float64(StateClosed))
 		s.m[name] = b
@@ -220,39 +194,5 @@ func (s *BreakerSet) Reset(name string) {
 	s.mu.Unlock()
 	if b != nil {
 		b.reset()
-	}
-}
-
-// States snapshots every known source's breaker state (this set only;
-// the process-wide view is the mdm_federate_breaker_state gauge).
-func (s *BreakerSet) States() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.m))
-	for name, b := range s.m {
-		out[name] = b.State().String()
-	}
-	return out
-}
-
-// BreakerStats is a point-in-time transition-counter snapshot.
-type BreakerStats struct {
-	// Opened counts closed/half-open → open transitions.
-	Opened int64
-	// HalfOpened counts open → half-open transitions.
-	HalfOpened int64
-	// Closed counts half-open → closed recoveries.
-	Closed int64
-	// FastFails counts fetches suppressed by an open breaker.
-	FastFails int64
-}
-
-// Stats returns this set's transition counters.
-func (s *BreakerSet) Stats() BreakerStats {
-	return BreakerStats{
-		Opened:     s.opened.Load(),
-		HalfOpened: s.halfOpened.Load(),
-		Closed:     s.closed.Load(),
-		FastFails:  s.fastFails.Load(),
 	}
 }

@@ -8,13 +8,34 @@ import (
 )
 
 // testBreakerSet returns a set with an injected clock.
-func testBreakerSet(threshold int, cooldown time.Duration) (*BreakerSet, func(time.Duration)) {
-	s := NewBreakerSet(threshold, cooldown)
+func testBreakerSet() (*BreakerSet, func(time.Duration)) {
+	s := NewBreakerSet()
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
 	s.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 	return s, advance
+}
+
+// trip records the failures that open a closed breaker.
+func trip(b *Breaker) {
+	for i := 0; i < breakerThreshold; i++ {
+		b.RecordFailure()
+	}
+}
+
+// transitions reads the process-wide mdm_federate_breaker_* counters;
+// a test asserts on the difference across what it does.
+type transitions struct{ opened, halfOpened, closed, fastFails float64 }
+
+func readTransitions() transitions {
+	return transitions{obsBreakerOpened.Value(), obsBreakerHalfOpened.Value(),
+		obsBreakerClosed.Value(), obsBreakerFastFails.Value()}
+}
+
+func (t transitions) since(before transitions) transitions {
+	return transitions{t.opened - before.opened, t.halfOpened - before.halfOpened,
+		t.closed - before.closed, t.fastFails - before.fastFails}
 }
 
 // wantGauge asserts the exported mdm_federate_breaker_state series of a
@@ -30,9 +51,10 @@ func wantGauge(t *testing.T, source string, want BreakerState) {
 // threshold-1 consecutive failures, trips on the threshold-th, and a
 // success in between resets the count.
 func TestBreakerThresholdTrip(t *testing.T) {
-	s, _ := testBreakerSet(3, time.Minute)
+	s, _ := testBreakerSet()
+	before := readTransitions()
 	b := s.For("src")
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold-1; i++ {
 		b.RecordFailure()
 		if got := b.State(); got != StateClosed {
 			t.Fatalf("state after %d failures = %v, want closed", i+1, got)
@@ -40,11 +62,11 @@ func TestBreakerThresholdTrip(t *testing.T) {
 	}
 	// A success wipes the consecutive count.
 	b.RecordSuccess()
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold-1; i++ {
 		b.RecordFailure()
 	}
 	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after success+2 failures = %v, want closed", got)
+		t.Fatalf("state after success+%d failures = %v, want closed", breakerThreshold-1, got)
 	}
 	b.RecordFailure()
 	if got := b.State(); got != StateOpen {
@@ -53,8 +75,8 @@ func TestBreakerThresholdTrip(t *testing.T) {
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow while open = %v, want ErrBreakerOpen", err)
 	}
-	if st := s.Stats(); st.Opened != 1 || st.FastFails != 1 {
-		t.Fatalf("stats = %+v, want 1 opened / 1 fast fail", st)
+	if d := readTransitions().since(before); d.opened != 1 || d.fastFails != 1 {
+		t.Fatalf("transitions = %+v, want 1 opened / 1 fast fail", d)
 	}
 }
 
@@ -62,15 +84,16 @@ func TestBreakerThresholdTrip(t *testing.T) {
 // the probe slot, concurrent callers keep failing fast, and the probe's
 // success closes the breaker.
 func TestBreakerHalfOpenProbeSuccess(t *testing.T) {
-	s, advance := testBreakerSet(1, time.Minute)
+	s, advance := testBreakerSet()
+	before := readTransitions()
 	b := s.For("src")
 	wantGauge(t, "src", StateClosed)
-	b.RecordFailure()
+	trip(b)
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state = %v, want open", got)
 	}
 	wantGauge(t, "src", StateOpen)
-	advance(59 * time.Second)
+	advance(breakerCooldown - time.Second)
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow inside cooldown = %v, want ErrBreakerOpen", err)
 	}
@@ -94,19 +117,19 @@ func TestBreakerHalfOpenProbeSuccess(t *testing.T) {
 	if err := b.Allow(); err != nil {
 		t.Fatalf("Allow after recovery = %v", err)
 	}
-	st := s.Stats()
-	if st.Opened != 1 || st.HalfOpened != 1 || st.Closed != 1 {
-		t.Fatalf("stats = %+v, want 1 opened / 1 half-opened / 1 closed", st)
+	if d := readTransitions().since(before); d.opened != 1 || d.halfOpened != 1 || d.closed != 1 {
+		t.Fatalf("transitions = %+v, want 1 opened / 1 half-opened / 1 closed", d)
 	}
 }
 
 // TestBreakerHalfOpenProbeFailure: a failed probe re-opens the breaker
 // for another full cooldown.
 func TestBreakerHalfOpenProbeFailure(t *testing.T) {
-	s, advance := testBreakerSet(1, time.Minute)
+	s, advance := testBreakerSet()
+	before := readTransitions()
 	b := s.For("src")
-	b.RecordFailure()
-	advance(61 * time.Second)
+	trip(b)
+	advance(breakerCooldown + time.Second)
 	if err := b.Allow(); err != nil {
 		t.Fatalf("probe Allow = %v", err)
 	}
@@ -116,7 +139,7 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	}
 	wantGauge(t, "src", StateOpen)
 	// The cooldown restarts from the re-trip.
-	advance(59 * time.Second)
+	advance(breakerCooldown - time.Second)
 	if err := b.Allow(); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("Allow inside second cooldown = %v, want ErrBreakerOpen", err)
 	}
@@ -124,8 +147,8 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 	if err := b.Allow(); err != nil {
 		t.Fatalf("second probe Allow = %v", err)
 	}
-	if st := s.Stats(); st.Opened != 2 {
-		t.Fatalf("opened = %d, want 2", st.Opened)
+	if d := readTransitions().since(before); d.opened != 2 {
+		t.Fatalf("opened = %v, want 2", d.opened)
 	}
 }
 
@@ -133,9 +156,10 @@ func TestBreakerHalfOpenProbeFailure(t *testing.T) {
 // breaker fails fast (no probe slots before the cooldown), and the
 // suppressions are counted. Run under -race in CI.
 func TestBreakerConcurrentCallersDuringOpen(t *testing.T) {
-	s, _ := testBreakerSet(1, time.Hour)
+	s, _ := testBreakerSet()
+	before := readTransitions()
 	b := s.For("src")
-	b.RecordFailure()
+	trip(b)
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -152,23 +176,17 @@ func TestBreakerConcurrentCallersDuringOpen(t *testing.T) {
 			t.Fatalf("caller %d: err = %v, want ErrBreakerOpen", i, err)
 		}
 	}
-	if st := s.Stats(); st.FastFails != n {
-		t.Fatalf("fast fails = %d, want %d", st.FastFails, n)
+	if d := readTransitions().since(before); d.fastFails != n {
+		t.Fatalf("fast fails = %v, want %d", d.fastFails, n)
 	}
 }
 
 // TestBreakerSetResetAndStates: Reset returns a tripped source to
-// closed (the wrapper re-registration hook) and States snapshots every
-// known breaker.
+// closed (the wrapper re-registration hook) and creates nothing for a
+// source it never saw.
 func TestBreakerSetResetAndStates(t *testing.T) {
-	s, _ := testBreakerSet(1, time.Hour)
-	s.For("up").RecordSuccess()
-	s.For("down").RecordFailure()
-	want := map[string]string{"up": "closed", "down": "open"}
-	got := s.States()
-	if len(got) != len(want) || got["up"] != want["up"] || got["down"] != want["down"] {
-		t.Fatalf("states = %v, want %v", got, want)
-	}
+	s, _ := testBreakerSet()
+	trip(s.For("down"))
 	wantGauge(t, "down", StateOpen)
 	s.Reset("down")
 	if st := s.For("down").State(); st != StateClosed {
@@ -179,7 +197,7 @@ func TestBreakerSetResetAndStates(t *testing.T) {
 		t.Fatalf("Allow after Reset = %v", err)
 	}
 	s.Reset("never-seen") // must not create or panic
-	if _, ok := s.States()["never-seen"]; ok {
+	if _, ok := s.m["never-seen"]; ok {
 		t.Fatal("Reset created a breaker")
 	}
 }
@@ -187,15 +205,16 @@ func TestBreakerSetResetAndStates(t *testing.T) {
 // TestBreakerOpenRecordsIgnored: outcomes recorded while open (stragglers
 // from fetches that started before the trip) neither close nor re-trip.
 func TestBreakerOpenRecordsIgnored(t *testing.T) {
-	s, _ := testBreakerSet(1, time.Hour)
+	s, _ := testBreakerSet()
+	before := readTransitions()
 	b := s.For("src")
-	b.RecordFailure()
+	trip(b)
 	b.RecordSuccess()
 	b.RecordFailure()
 	if got := b.State(); got != StateOpen {
 		t.Fatalf("state = %v, want open (records while open ignored)", got)
 	}
-	if st := s.Stats(); st.Opened != 1 {
-		t.Fatalf("opened = %d, want 1", st.Opened)
+	if d := readTransitions().since(before); d.opened != 1 {
+		t.Fatalf("opened = %v, want 1", d.opened)
 	}
 }

@@ -44,7 +44,7 @@ func (g *gateSource) Fetch(ctx context.Context) (*relalg.Relation, error) {
 // -race in CI.
 func TestCacheSingleflight(t *testing.T) {
 	src := newGateSource("shared")
-	c := NewCache(0) // dedup-only
+	c := NewCache()
 	const n = 8
 
 	var wg sync.WaitGroup
@@ -53,7 +53,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rel, err := c.Get(context.Background(), src, nil, nil)
+			rel, err := c.Get(context.Background(), src, nil, fetchSource)
 			if err == nil && rel.Len() != 1 {
 				err = errors.New("bad relation")
 			}
@@ -88,47 +88,12 @@ func TestCacheSingleflight(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 miss / %d shared", st, n-1)
 	}
 
-	// Dedup-only: a later Get refetches.
-	if _, err := c.Get(context.Background(), src, nil, nil); err != nil {
+	// A completed fetch leaves nothing behind: a later Get refetches.
+	if _, err := c.Get(context.Background(), src, nil, fetchSource); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.fetches.Load(); got != 2 {
-		t.Fatalf("fetches after TTL-less reuse attempt = %d, want 2", got)
-	}
-}
-
-// TestCacheTTL: snapshots are reused inside the TTL and refetched after
-// it, with an injected clock so the test is deterministic.
-func TestCacheTTL(t *testing.T) {
-	src := newGateSource("ttl")
-	close(src.release) // never block
-	c := NewCache(time.Minute)
-	now := time.Unix(1000, 0)
-	var mu sync.Mutex
-	c.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
-	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
-
-	ctx := context.Background()
-	if _, err := c.Get(ctx, src, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	advance(30 * time.Second)
-	if _, err := c.Get(ctx, src, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := src.fetches.Load(); got != 1 {
-		t.Fatalf("fetches inside TTL = %d, want 1", got)
-	}
-	advance(31 * time.Second) // past expiry
-	if _, err := c.Get(ctx, src, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := src.fetches.Load(); got != 2 {
-		t.Fatalf("fetches after TTL = %d, want 2", got)
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 2 || st.Expired != 1 {
-		t.Fatalf("stats = %+v, want 1 hit / 2 misses / 1 expired", st)
+		t.Fatalf("fetches after the first completed = %d, want 2", got)
 	}
 }
 
@@ -138,13 +103,13 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	src := newGateSource("flaky")
 	close(src.release)
 	src.err = errors.New("boom")
-	c := NewCache(time.Minute)
+	c := NewCache()
 	ctx := context.Background()
-	if _, err := c.Get(ctx, src, nil, nil); err == nil {
+	if _, err := c.Get(ctx, src, nil, fetchSource); err == nil {
 		t.Fatal("expected error")
 	}
 	src.err = nil
-	rel, err := c.Get(ctx, src, nil, nil)
+	rel, err := c.Get(ctx, src, nil, fetchSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +126,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // running and serves the surviving caller.
 func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	src := newGateSource("poison")
-	c := NewCache(time.Minute)
+	c := NewCache()
 
 	type res struct {
 		rel *relalg.Relation
@@ -169,7 +134,7 @@ func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	}
 	leader := make(chan res, 1)
 	go func() {
-		rel, err := c.Get(context.Background(), src, nil, nil)
+		rel, err := c.Get(context.Background(), src, nil, fetchSource)
 		leader <- res{rel, err}
 	}()
 	// Wait for the leader's fetch to start, then join and cancel.
@@ -182,7 +147,7 @@ func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	}
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Get(canceled, src, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := c.Get(canceled, src, nil, fetchSource); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled waiter err = %v, want Canceled", err)
 	}
 	close(src.release)
@@ -198,36 +163,13 @@ func TestCacheWaiterCancelDoesNotPoisonFetch(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidate drops a source's completed snapshots, of every
-// width, so the next Get refetches (the hook for wrapper re-registration).
-func TestCacheInvalidate(t *testing.T) {
-	src := newGateSource("inv")
-	close(src.release)
-	c := NewCache(time.Minute)
-	ctx := context.Background()
-	widths := [][]string{nil, {"a"}}
-	for _, cols := range widths {
-		if _, err := c.Get(ctx, src, cols, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Invalidate("inv")
-	for _, cols := range widths {
-		if _, err := c.Get(ctx, src, cols, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := src.fetches.Load(); got != 4 {
-		t.Fatalf("fetches = %d, want 4: Invalidate must drop both widths", got)
-	}
-}
-
 // TestCacheKeyedByColumns: Gets for one column list of a source share its
-// in-flight fetch and its snapshot; a Get for another list of the same
-// source starts a fetch of its own and is never answered from the first.
+// in-flight fetch; a Get for another list of the same source starts a
+// fetch of its own and is never answered from the first. Once complete,
+// neither fetch is kept.
 func TestCacheKeyedByColumns(t *testing.T) {
 	src := newGateSource("cols")
-	c := NewCache(time.Minute)
+	c := NewCache()
 	ctx := context.Background()
 	gets := [][]string{{"a"}, {"a"}, nil, {"a"}}
 	var wg sync.WaitGroup
@@ -235,7 +177,7 @@ func TestCacheKeyedByColumns(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Get(ctx, src, cols, nil); err != nil {
+			if _, err := c.Get(ctx, src, cols, fetchSource); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -255,14 +197,14 @@ func TestCacheKeyedByColumns(t *testing.T) {
 	if got := src.fetches.Load(); got != 2 {
 		t.Fatalf("fetches = %d, want 2", got)
 	}
-	// Completed: each list hits its own snapshot, a third list misses.
-	for _, cols := range [][]string{{"a"}, nil, {"a", "b"}} {
-		if _, err := c.Get(ctx, src, cols, nil); err != nil {
+	// Completed: a later Get for either list fetches again.
+	for _, cols := range [][]string{{"a"}, nil} {
+		if _, err := c.Get(ctx, src, cols, fetchSource); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 3 {
-		t.Fatalf("stats = %+v, want 2 hits / 3 misses", st)
+	if st := c.Stats(); st.Misses != 4 || src.fetches.Load() != 4 {
+		t.Fatalf("stats = %+v, fetches = %d; want 4 misses and 4 fetches", st, src.fetches.Load())
 	}
 }
 
@@ -289,12 +231,12 @@ func TestEngineSharesInflightFetchAcrossRuns(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		st := eng.Cache.Stats()
+		st := eng.cache.Stats()
 		if st.Misses+st.Shared == int64(len(errs)) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("runs never converged: %+v", eng.Cache.Stats())
+			t.Fatalf("runs never converged: %+v", eng.cache.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -26,7 +26,7 @@ import (
 // Next calls — abandoning one without Close is safe. Rows reflect the
 // source snapshots taken by the scatter phase, so a full drain is
 // point-in-time consistent per source; separate Runs may observe
-// different source states (unless a TTL cache pins a snapshot).
+// different source states.
 //
 // The cursor owns the walk's drain stage: first Next to finish
 // (exhaustion, error, cancellation or Close) is recorded on the trace
@@ -34,34 +34,26 @@ import (
 //
 // Cursors are not safe for concurrent use.
 type Cursor struct {
-	cols     []string
-	it       iter
-	row      relalg.Row
-	err      error
-	done     bool
-	rows     int64
-	tr       *obs.Trace
-	t0       time.Time     // first Next; zero until then
-	missing  []SourceError // partial mode: sources that contributed no rows
-	staleSrc []string      // partial mode: sources served from a stale snapshot
+	cols    []string
+	it      iter
+	row     relalg.Row
+	err     error
+	done    bool
+	rows    int64
+	tr      *obs.Trace
+	t0      time.Time     // first Next; zero until then
+	missing []SourceError // partial mode: sources that contributed no rows
 }
 
-// Partial reports whether the result degrades completeness or
-// freshness: at least one source is missing or served stale. Always
-// false in strict mode (the query would have failed instead).
-func (c *Cursor) Partial() bool {
-	return len(c.missing) > 0 || len(c.staleSrc) > 0
-}
+// Partial reports whether the result is incomplete: at least one source
+// is missing. Always false in strict mode (the query would have failed
+// instead).
+func (c *Cursor) Partial() bool { return len(c.missing) > 0 }
 
 // Missing lists the sources that contributed no rows, with each
 // failure's class, sorted by source name. The slice is shared — do not
 // mutate.
 func (c *Cursor) Missing() []SourceError { return c.missing }
-
-// StaleSources lists the sources whose rows came from an expired
-// last-good snapshot (Engine.ServeStale), sorted. The slice is shared —
-// do not mutate.
-func (c *Cursor) StaleSources() []string { return c.staleSrc }
 
 // Next advances to the next row, reporting whether one is available. It
 // returns false when the result is exhausted, the cursor is closed, or

@@ -15,11 +15,10 @@
 //     snapshot is as wide as the plan, not as wide as its signature. The
 //     first fetch error cancels the remaining fetches; a per-source
 //     deadline bounds each one.
-//  2. SNAPSHOT CACHE — fetches go through an optional Cache keyed by
-//     wrapper identity and requested columns: concurrent walks reading
-//     the same columns of a source share one in-flight fetch
-//     (singleflight), and with a TTL configured, completed snapshots are
-//     reused across walks (cache.go).
+//  2. SHARED FETCHES — every fetch goes through a Cache keyed by wrapper
+//     identity and requested columns: concurrent walks reading the same
+//     columns of a source share one in-flight fetch (singleflight), and a
+//     completed fetch leaves nothing behind (cache.go).
 //  3. STREAMING OPERATORS — the plan compiles to a tree of pull-based
 //     iterators over the snapshots (iter.go): Project/Rename/Union/
 //     Distinct stream row by row, and Join is a probe-side hash join
@@ -51,72 +50,48 @@ import (
 	"mdm/internal/relalg"
 )
 
-// Engine runs relalg plans federated. The zero value is not usable; use
-// NewEngine. Fields are read at Run time and must be configured before
-// the engine serves concurrent queries.
+// Engine runs relalg plans federated under one fixed policy: fan-out
+// (below), retries (retry.go) and circuit breakers (breaker.go) are
+// package constants, whose reasons docs/ARCHITECTURE.md "Federation
+// resilience" gives. The zero value is not usable; use NewEngine.
 type Engine struct {
-	// Parallel bounds the number of concurrent source fetches per
-	// scatter phase.
-	Parallel int
-	// SourceTimeout bounds each individual source fetch attempt. For
-	// direct (cache-less) fetches, 0 means no bound beyond the caller's
-	// context; cache-owned fetches are detached from every caller's
-	// context and always bounded end to end by a hard ceiling (see
-	// cache.go maxFill) so a hung source cannot wedge its cache entry
-	// forever.
+	// SourceTimeout bounds each source fetch attempt; set it before the
+	// engine serves queries. How slow a deployment's sources are is a
+	// deployment fact, so it is the one setting. Fetches are detached
+	// from every caller's context, so 0 leaves only the fill's hard
+	// ceiling (cache.go maxFill).
 	SourceTimeout time.Duration
-	// Cache is the shared source-snapshot cache. Nil disables both
-	// snapshot reuse and singleflight dedup (every Run fetches its own
-	// snapshots).
-	Cache *Cache
-	// Retry governs per-source fetch retries (retry.go). The zero value
-	// disables retrying; NewEngine installs DefaultRetryPolicy. Retries
-	// happen inside the cache's singleflight fill, so concurrent walks
-	// waiting on one flaky source share a single retry sequence.
-	Retry RetryPolicy
-	// Breakers holds the per-source circuit breakers (breaker.go). Nil
-	// disables breaking; NewEngine installs a default set. An open
-	// breaker fails a source fast without issuing a fetch.
-	Breakers *BreakerSet
-	// PartialResults is the default degradation mode: when true, a
-	// failed source no longer fails the query — its rows are omitted
-	// (or served stale, see ServeStale) and the cursor reports it via
-	// Missing/StaleSources. Per-query override: RunOpts.Partial.
-	PartialResults bool
-	// ServeStale, in partial mode, substitutes the last successfully
-	// fetched snapshot for a broken source instead of dropping its rows,
-	// reporting the source via Cursor.StaleSources. The last-good store
-	// is only populated while ServeStale is on.
-	ServeStale bool
 
-	staleMu sync.Mutex
-	stale   map[snapKey]*relalg.Relation // last good snapshot per source and width
+	cache    *Cache
+	breakers *BreakerSet
+	// retries and sleep are the retry ladder's extra rungs and its
+	// backoff sleep: the policy's in NewEngine, changed only by this
+	// package's tests to compress time.
+	retries int
+	sleep   func(ctx context.Context, d time.Duration) error
 }
 
-// Default engine knobs. DefaultParallel bounds the scatter fan-out;
-// DefaultSourceTimeout keeps a hung source from wedging cache-owned
-// fetches forever.
+// fanout bounds the concurrent source fetches of one scatter phase.
+// DefaultSourceTimeout keeps a hung source from holding its fill until
+// the ceiling.
 const (
-	DefaultParallel      = 8
+	fanout               = 8
 	DefaultSourceTimeout = 30 * time.Second
 )
 
-// NewEngine returns an engine with default fan-out, a default per-source
-// timeout, a dedup-only cache (TTL 0: concurrent walks share one fetch,
-// completed snapshots are not reused), default retries, and default
-// circuit breakers. Degradation (PartialResults, ServeStale) is off.
+// NewEngine returns an engine with the default per-source timeout.
 func NewEngine() *Engine {
 	return &Engine{
-		Parallel:      DefaultParallel,
 		SourceTimeout: DefaultSourceTimeout,
-		Cache:         NewCache(0),
-		Retry:         DefaultRetryPolicy(),
-		Breakers:      NewBreakerSet(0, 0),
+		cache:         NewCache(),
+		breakers:      NewBreakerSet(),
+		retries:       retries,
+		sleep:         sleepCtx,
 	}
 }
 
-// SourceError describes one source that contributed no (or stale) rows
-// to a partial result.
+// SourceError describes one source that contributed no rows to a
+// partial result.
 type SourceError struct {
 	// Source is the wrapper name.
 	Source string `json:"source"`
@@ -126,26 +101,14 @@ type SourceError struct {
 	Err error `json:"-"`
 }
 
-// PartialMode selects a query's degradation behavior.
-type PartialMode int
-
-const (
-	// PartialDefault defers to Engine.PartialResults.
-	PartialDefault PartialMode = iota
-	// PartialOff forces strict mode: the first source error fails the
-	// query (PR 5 semantics).
-	PartialOff
-	// PartialOn forces degradation: healthy sources stream, failed ones
-	// are annotated on the cursor.
-	PartialOn
-)
-
 // RunOpts parameterizes RunWith: limit < 0 unbounded, limit 0 a
-// legitimate empty page, offset <= 0 no skip.
+// legitimate empty page, offset <= 0 no skip. Partial degrades instead
+// of failing: healthy sources stream and failed ones are annotated on
+// the cursor; without it the first source error fails the query.
 type RunOpts struct {
 	Limit   int
 	Offset  int
-	Partial PartialMode
+	Partial bool
 }
 
 // Run starts federated execution of a plan: it scatters the source
@@ -159,19 +122,11 @@ func (e *Engine) Run(ctx context.Context, plan relalg.Plan) (*Cursor, error) {
 // RunWith is Run with per-query options: a page bound pushed into the
 // pipeline (a satisfied limit stops all upstream work) and the
 // degradation mode. In partial mode the returned cursor may carry
-// degradation annotations — check Cursor.Partial/Missing/StaleSources;
-// in strict mode a source failure is returned here, before any row
-// streams.
+// degradation annotations — check Cursor.Partial/Missing; in strict mode
+// a source failure is returned here, before any row streams.
 func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*Cursor, error) {
-	partial := e.PartialResults
-	switch opts.Partial {
-	case PartialOn:
-		partial = true
-	case PartialOff:
-		partial = false
-	}
 	tr := obs.FromContext(ctx)
-	snaps, missing, staleSrc, err := e.scatter(ctx, tr, plan, partial)
+	snaps, missing, err := e.scatter(ctx, tr, plan, opts.Partial)
 	if err != nil {
 		return nil, err
 	}
@@ -184,48 +139,14 @@ func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*
 	} else if opts.Offset > 0 || opts.Limit > 0 {
 		it = &pageIter{src: it, skip: max(opts.Offset, 0), limit: opts.Limit}
 	}
-	return &Cursor{cols: plan.Columns(), it: it, tr: tr, missing: missing, staleSrc: staleSrc}, nil
+	return &Cursor{cols: plan.Columns(), it: it, tr: tr, missing: missing}, nil
 }
 
-// Forget drops all per-source state the engine holds for a wrapper
-// name: the cached snapshots and serve-stale fallbacks of every width,
-// and the circuit breaker record. Call it when a wrapper is re-registered
-// or removed — the name may now denote a different source, so yesterday's
-// snapshot and failure history must not outlive it.
-func (e *Engine) Forget(name string) {
-	if e.Cache != nil {
-		e.Cache.Invalidate(name)
-	}
-	if e.Breakers != nil {
-		e.Breakers.Reset(name)
-	}
-	e.staleMu.Lock()
-	for key := range e.stale {
-		if key.source() == name {
-			delete(e.stale, key)
-		}
-	}
-	e.staleMu.Unlock()
-}
-
-// rememberStale records a source's last good snapshot of one width for
-// serve-stale fallback.
-func (e *Engine) rememberStale(key snapKey, rel *relalg.Relation) {
-	e.staleMu.Lock()
-	if e.stale == nil {
-		e.stale = map[snapKey]*relalg.Relation{}
-	}
-	e.stale[key] = rel
-	e.staleMu.Unlock()
-}
-
-// lastGood returns the serve-stale fallback for exactly the columns
-// asked for, or nil: a last good snapshot of another width is not one.
-func (e *Engine) lastGood(key snapKey) *relalg.Relation {
-	e.staleMu.Lock()
-	defer e.staleMu.Unlock()
-	return e.stale[key]
-}
+// Forget drops the circuit breaker record the engine holds for a wrapper
+// name — the only per-source state that outlives a fetch. Call it when a
+// wrapper is re-registered or removed: the name may now denote a
+// different source, so yesterday's failure history must not outlive it.
+func (e *Engine) Forget(name string) { e.breakers.Reset(name) }
 
 // demand is what one plan asks of its sources: the Scan leaves
 // deduplicated by source name (wrapper names are globally unique in the
@@ -289,8 +210,8 @@ func (d *demand) project(src relalg.RowSource, cols []string) {
 	}
 }
 
-// scatter fetches every distinct source of the plan concurrently with
-// bounded parallelism.
+// scatter fetches every distinct source of the plan concurrently, at
+// most fanout at a time.
 //
 // In strict mode the first error cancels the outstanding fetches and is
 // returned; sibling errors caused by that cancellation are dropped, so
@@ -298,12 +219,11 @@ func (d *demand) project(src relalg.RowSource, cols []string) {
 // context.Canceled, a timed-out source to context.DeadlineExceeded).
 //
 // In partial mode source failures don't cancel anything: a failed
-// source contributes its last good snapshot (ServeStale, reported in
-// the stale list) or an empty relation (reported in the missing list,
-// with the failure's class). Only the caller's own context terminates
-// the whole scatter. Both report lists are sorted by source name so
+// source contributes an empty relation, reported in the missing list
+// with the failure's class. Only the caller's own context terminates
+// the whole scatter. The missing list is sorted by source name so
 // annotations are deterministic.
-func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, partial bool) (snaps map[string]*relalg.Relation, missing []SourceError, staleSrc []string, err error) {
+func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, partial bool) (snaps map[string]*relalg.Relation, missing []SourceError, err error) {
 	want := demand{srcs: map[string]relalg.RowSource{}}
 	want.collect(plan)
 	names := make([]string, 0, len(want.srcs))
@@ -325,11 +245,7 @@ func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, p
 	defer cancel()
 	run := &scatterRun{e: e, ctx: ctx, cancel: cancel, tr: tr, partial: partial}
 
-	parallel := e.Parallel
-	if parallel <= 0 {
-		parallel = DefaultParallel
-	}
-	sem := make(chan struct{}, parallel)
+	sem := make(chan struct{}, fanout)
 	run.snaps = make(map[string]*relalg.Relation, len(names))
 	for _, name := range names {
 		src, cols := want.srcs[name], want.cols[name]
@@ -346,21 +262,20 @@ func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, p
 		}()
 	}
 	run.wg.Wait()
-	if len(run.missing)+len(run.staleSrc) > 0 {
+	if len(run.missing) > 0 {
 		obsPartialDegradations.Inc()
 	}
 	if run.firstErr != nil {
-		return nil, nil, nil, run.firstErr
+		return nil, nil, run.firstErr
 	}
 	// A canceled caller can make workers exit before fetching (and
 	// before any fetch records an error); surface the cancellation
 	// instead of an incomplete snapshot set.
 	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	sort.Slice(run.missing, func(i, j int) bool { return run.missing[i].Source < run.missing[j].Source })
-	sort.Strings(run.staleSrc)
-	return run.snaps, run.missing, run.staleSrc, nil
+	return run.snaps, run.missing, nil
 }
 
 // scatterRun is what the workers of one scatter share: one object, so a
@@ -378,16 +293,16 @@ type scatterRun struct {
 	firstErr error
 	snaps    map[string]*relalg.Relation
 	missing  []SourceError
-	staleSrc []string
 }
 
 // fetch obtains the snapshot of one source's cols (nil: every column)
-// and files the outcome: the snapshot, or in strict mode the run's first
-// error, or in partial mode a stale or empty stand-in with its annotation.
+// through the shared fetches of the cache, and files the outcome: the
+// snapshot, or in strict mode the run's first error, or in partial mode
+// an empty stand-in with its annotation.
 func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []string) {
 	e, tr, name := r.e, r.tr, src.Name()
 	fetchT0 := time.Now()
-	rel, err := e.fetch(sctx, src, cols)
+	rel, err := e.cache.Get(sctx, src, cols, e.fetchResilient)
 	span := obs.SourceSpan{Source: name, Dur: time.Since(fetchT0)}
 	if tr != nil {
 		span.Declared = len(src.Columns())
@@ -400,9 +315,6 @@ func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []st
 	defer r.mu.Unlock()
 	if err == nil {
 		r.snaps[name] = rel
-		if e.ServeStale {
-			e.rememberStale(keyOf(name, cols), rel)
-		}
 		// What came back, which a source that ignores the request makes
 		// wider than what was asked.
 		span.Rows, span.Cols, span.Outcome = len(rel.Rows), len(rel.Cols), "ok"
@@ -424,16 +336,6 @@ func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []st
 		// source fault, so nothing to annotate.
 		return
 	}
-	if e.ServeStale {
-		if old := e.lastGood(keyOf(name, cols)); old != nil {
-			r.snaps[name] = old
-			r.staleSrc = append(r.staleSrc, name)
-			obsStaleServed.With(name).Inc()
-			span.Rows, span.Outcome = len(old.Rows), "stale"
-			tr.AddSource(span)
-			return
-		}
-	}
 	// The empty stand-in has the shape the fetch would have had.
 	if cols == nil {
 		cols = src.Columns()
@@ -445,40 +347,20 @@ func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []st
 	tr.AddSource(span)
 }
 
-// fetch obtains one source snapshot of cols (nil: every column), through
-// the cache when configured. Either way the request reaches the source on
-// the fetch context, which is where fetchSource reads it back.
-func (e *Engine) fetch(ctx context.Context, src relalg.RowSource, cols []string) (*relalg.Relation, error) {
-	if e.Cache != nil {
-		return e.Cache.Get(ctx, src, cols, e.fetchResilient)
-	}
-	if cols != nil {
-		ctx = relalg.WithColumns(ctx, cols)
-	}
-	return e.fetchResilient(ctx, src)
-}
-
 // fetchResilient is one source fetch with the resilience layer applied:
 // breaker check, per-attempt timeout, classify, retry with jittered
-// backoff. It is the Cache's FetchFunc, so when the cache is on the
-// whole sequence runs once per singleflight fill — N concurrent walks
-// waiting on a flaky source share one retry ladder, and exactly one
-// goroutine records breaker outcomes per fill (N waiters don't multiply
-// a single failure into N breaker strikes).
+// backoff. It is the Cache's FetchFunc, so the whole sequence runs once
+// per singleflight fill — N concurrent walks waiting on a flaky source
+// share one retry ladder, and exactly one goroutine records breaker
+// outcomes per fill (N waiters don't multiply a single failure into N
+// breaker strikes).
 func (e *Engine) fetchResilient(ctx context.Context, src relalg.RowSource) (*relalg.Relation, error) {
-	var br *Breaker
-	if e.Breakers != nil {
-		br = e.Breakers.For(src.Name())
-	}
-	attempts := 1 + e.Retry.Max
-	if attempts < 1 {
-		attempts = 1
-	}
+	br := e.breakers.For(src.Name())
 	var lastErr error
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt <= e.retries; attempt++ {
 		if attempt > 0 {
 			obsRetries.Inc()
-			if err := e.Retry.wait(ctx, attempt-1); err != nil {
+			if err := e.sleep(ctx, backoff(attempt-1)); err != nil {
 				// The fill (or caller) died mid-backoff. Surface the
 				// context error so Classify sees a cancellation, not the
 				// prior attempt's (retryable, usually network) failure —
@@ -491,17 +373,16 @@ func (e *Engine) fetchResilient(ctx context.Context, src relalg.RowSource) (*rel
 				return nil, err
 			}
 		}
-		if br != nil {
-			if err := br.Allow(); err != nil {
-				obsFetchAttempts.With(string(ClassBreakerOpen)).Inc()
-				if lastErr != nil {
-					// The breaker tripped mid-ladder (concurrent fills
-					// against the same dead source); surface the real
-					// fetch error, not the suppression.
-					return nil, lastErr
-				}
-				return nil, fmt.Errorf("federate: source %s: %w", src.Name(), err)
+		if err := br.Allow(); err != nil {
+			obsFetchAttempts.With(string(ClassBreakerOpen)).Inc()
+			if lastErr != nil {
+				// The breaker tripped mid-ladder (this ladder's own
+				// strikes, or concurrent fills against the same dead
+				// source); surface the real fetch error, not the
+				// suppression.
+				return nil, lastErr
 			}
+			return nil, fmt.Errorf("federate: source %s: %w", src.Name(), err)
 		}
 		rel, err := e.fetchOnce(ctx, src)
 		class := Classify(err)
@@ -510,15 +391,13 @@ func (e *Engine) fetchResilient(ctx context.Context, src relalg.RowSource) (*rel
 		} else {
 			obsFetchAttempts.With(string(class)).Inc()
 		}
-		if br != nil {
-			switch {
-			case err == nil:
-				br.RecordSuccess()
-			case class.sourceFault():
-				br.RecordFailure()
-				// Cancellations and request-shaped errors (4xx, schema,
-				// payload cap) neither trip nor reset the breaker.
-			}
+		switch {
+		case err == nil:
+			br.RecordSuccess()
+		case class.sourceFault():
+			br.RecordFailure()
+			// Cancellations and request-shaped errors (4xx, schema,
+			// payload cap) neither trip nor reset the breaker.
 		}
 		if err == nil {
 			return rel, nil

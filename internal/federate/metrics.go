@@ -4,9 +4,9 @@ import (
 	"mdm/internal/obs"
 )
 
-// Federation metrics, process-wide. The cache and breaker families
-// also exist per instance (Cache.Stats, BreakerSet.Stats/States) so
-// tests can assert on one engine in isolation.
+// Federation metrics, process-wide. The source-cache family also exists
+// per instance (Cache.Stats) so tests can assert on one engine in
+// isolation; breaker transitions exist only here.
 var (
 	obsScatters = obs.Default.NewCounter("mdm_federate_scatters_total",
 		"Scatter phases executed (one per federated query).")
@@ -26,9 +26,7 @@ var (
 		"Fetch attempts beyond the first (the retry ladder's extra rungs).")
 
 	obsPartialDegradations = obs.Default.NewCounter("mdm_federate_partial_degradations_total",
-		"Queries answered degraded: at least one source missing or served stale.")
-	obsStaleServed = obs.Default.NewCounterVec("mdm_federate_stale_served_total",
-		"Stale snapshots served in place of a failing source.", "source")
+		"Queries answered degraded: at least one source missing.")
 
 	// obsMissing counts Cursor.Missing() entries per (source, class) —
 	// previously these were visible only in response bodies. The
@@ -37,14 +35,10 @@ var (
 		"Sources missing from partial results, by source and error class.",
 		"source", "class")
 
-	obsCacheHits = obs.Default.NewCounter("mdm_federate_source_cache_hits_total",
-		"Source-cache Gets answered by a live completed snapshot.")
 	obsCacheMisses = obs.Default.NewCounter("mdm_federate_source_cache_misses_total",
 		"Source-cache Gets that started a fetch.")
 	obsCacheShared = obs.Default.NewCounter("mdm_federate_source_cache_inflight_dedup_total",
 		"Source-cache Gets deduplicated onto an in-flight fill.")
-	obsCacheExpired = obs.Default.NewCounter("mdm_federate_source_cache_expired_total",
-		"Source-cache Gets that found an entry expired by TTL and refetched.")
 
 	obsBreakerOpened = obs.Default.NewCounter("mdm_federate_breaker_opened_total",
 		"Circuit-breaker open transitions.")

@@ -18,6 +18,9 @@ import (
 // visible only in response bodies), scatter traces carrying per-source
 // spans, and degradation counters.
 
+// partialRun runs a whole plan in partial mode.
+var partialRun = RunOpts{Limit: -1, Offset: -1, Partial: true}
+
 func TestMissingCountedPerSourceAndClass(t *testing.T) {
 	before := obsMissing.With("m-timeout-src", string(ClassTimeout)).Value()
 	beforeDegraded := obsPartialDegradations.Value()
@@ -26,8 +29,7 @@ func TestMissingCountedPerSourceAndClass(t *testing.T) {
 	bad := relalg.NewScan(&failSource{name: "m-timeout-src", cols: []string{"b", "c"},
 		err: context.DeadlineExceeded})
 	eng := NewEngine()
-	eng.PartialResults = true
-	cur, err := eng.Run(context.Background(), relalg.NewJoin(good, bad, [][2]string{{"b", "b"}}))
+	cur, err := eng.RunWith(context.Background(), relalg.NewJoin(good, bad, [][2]string{{"b", "b"}}), partialRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +51,9 @@ func TestScatterTraceSpans(t *testing.T) {
 	bad := relalg.NewScan(&failSource{name: "t-bad-src", cols: []string{"b", "c"},
 		err: errors.New("boom")})
 	eng := NewEngine()
-	eng.PartialResults = true
 	tr := obs.NewTrace()
 	ctx := obs.WithTrace(context.Background(), tr)
-	cur, err := eng.Run(ctx, relalg.NewJoin(good, bad, [][2]string{{"b", "b"}}))
+	cur, err := eng.RunWith(ctx, relalg.NewJoin(good, bad, [][2]string{{"b", "b"}}), partialRun)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +97,8 @@ func TestSourceSpanColumns(t *testing.T) {
 		branches = append(branches, relalg.NewProject(relalg.NewScan(src), "a"))
 	}
 	eng := NewEngine()
-	eng.PartialResults = true
 	tr := obs.NewTrace()
-	cur, err := eng.Run(obs.WithTrace(context.Background(), tr), relalg.NewUnion(branches...))
+	cur, err := eng.RunWith(obs.WithTrace(context.Background(), tr), relalg.NewUnion(branches...), partialRun)
 	if err != nil {
 		t.Fatal(err)
 	}

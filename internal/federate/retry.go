@@ -105,66 +105,36 @@ func Classify(err error) ErrClass {
 	return ClassOther
 }
 
-// Default retry knobs (see RetryPolicy).
+// The retry policy. Only errors whose class is Retryable are retried,
+// up to retries times after the first attempt; each retry waits a
+// jittered exponential backoff from retryBase, capped at retryCeil.
+// Retries run inside the cache's singleflight fill, so N concurrent
+// walks waiting on one flaky source share one retry sequence rather than
+// issuing N of them.
 const (
-	DefaultRetries      = 2
-	DefaultRetryBase    = 50 * time.Millisecond
-	DefaultRetryCeil    = 2 * time.Second
+	retries             = 2
+	retryBase           = 50 * time.Millisecond
+	retryCeil           = 2 * time.Second
 	maxBackoffDoublings = 16 // beyond this the ceiling always applies
 )
 
-// RetryPolicy governs per-source fetch retries. Only errors whose
-// class is Retryable are retried; each retry waits a jittered
-// exponential backoff first. Retries run inside the snapshot cache's
-// singleflight fill, so N concurrent walks waiting on one flaky source
-// share one retry sequence rather than issuing N of them.
-type RetryPolicy struct {
-	// Max is the number of retries after the first attempt; 0 disables
-	// retrying.
-	Max int
-	// BaseDelay is the backoff before the first retry (default 50ms).
-	BaseDelay time.Duration
-	// MaxDelay caps the backoff growth (default 2s).
-	MaxDelay time.Duration
-
-	// sleep is injectable for tests; nil uses a context-aware timer.
-	sleep func(ctx context.Context, d time.Duration) error
-}
-
-// DefaultRetryPolicy is what NewEngine installs: two retries, 50ms
-// base, 2s ceiling.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Max: DefaultRetries, BaseDelay: DefaultRetryBase, MaxDelay: DefaultRetryCeil}
-}
-
 // backoff returns the jittered delay before retry number attempt
 // (0-based): equal jitter over an exponentially growing window,
-// delay ∈ [base·2ᵃ/2, base·2ᵃ], capped at MaxDelay. Jitter decorrelates
+// delay ∈ [base·2ᵃ/2, base·2ᵃ], capped at retryCeil. Jitter decorrelates
 // the retry storms of concurrent queries hitting one recovering source.
-func (p RetryPolicy) backoff(attempt int) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		base = DefaultRetryBase
-	}
-	ceil := p.MaxDelay
-	if ceil <= 0 {
-		ceil = DefaultRetryCeil
-	}
-	d := ceil
+func backoff(attempt int) time.Duration {
+	d := retryCeil
 	if attempt < maxBackoffDoublings {
-		if grown := base << attempt; grown > 0 && grown < ceil {
+		if grown := retryBase << attempt; grown < retryCeil {
 			d = grown
 		}
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// wait sleeps the backoff for attempt, aborting early when ctx dies.
-func (p RetryPolicy) wait(ctx context.Context, attempt int) error {
-	d := p.backoff(attempt)
-	if p.sleep != nil {
-		return p.sleep(ctx, d)
-	}
+// sleepCtx sleeps d, aborting early when ctx dies: the engine's backoff
+// sleep.
+func sleepCtx(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -75,14 +75,13 @@ func TestRetryableSet(t *testing.T) {
 // TestBackoffJitterBounds: each backoff lands in the equal-jitter
 // window [d/2, d] for the exponentially grown, ceiling-capped d.
 func TestBackoffJitterBounds(t *testing.T) {
-	p := RetryPolicy{Max: 10, BaseDelay: 50 * time.Millisecond, MaxDelay: 2 * time.Second}
 	for attempt := 0; attempt < 10; attempt++ {
-		d := p.BaseDelay << attempt
-		if d <= 0 || d > p.MaxDelay {
-			d = p.MaxDelay
+		d := retryBase << attempt
+		if d <= 0 || d > retryCeil {
+			d = retryCeil
 		}
 		for i := 0; i < 50; i++ {
-			got := p.backoff(attempt)
+			got := backoff(attempt)
 			if got < d/2 || got > d {
 				t.Fatalf("attempt %d: backoff = %v, want in [%v, %v]", attempt, got, d/2, d)
 			}
@@ -128,8 +127,7 @@ func TestEngineRetriesTransient(t *testing.T) {
 	}}
 	eng := NewEngine()
 	var delays []time.Duration
-	eng.Retry = RetryPolicy{Max: 2, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second,
-		sleep: instantSleep(&delays)}
+	eng.sleep = instantSleep(&delays)
 
 	cur, err := eng.Run(context.Background(), relalg.NewScan(flaky))
 	if err != nil {
@@ -146,7 +144,7 @@ func TestEngineRetriesTransient(t *testing.T) {
 		t.Fatalf("backoffs = %d, want 2", len(delays))
 	}
 	for i, d := range delays {
-		win := 50 * time.Millisecond << i
+		win := retryBase << i
 		if d < win/2 || d > win {
 			t.Fatalf("backoff %d = %v, want in [%v, %v]", i, d, win/2, win)
 		}
@@ -154,7 +152,7 @@ func TestEngineRetriesTransient(t *testing.T) {
 }
 
 // TestEngineRetryBudgetExhausted: a source that stays down surfaces the
-// last real error after 1+Max attempts.
+// last real error after 1+retries attempts.
 func TestEngineRetryBudgetExhausted(t *testing.T) {
 	down := &seqSource{name: "down", rel: relalg.NewRelation("a"), errs: []error{
 		&wrapper.StatusError{URL: "u", Code: 503},
@@ -162,8 +160,7 @@ func TestEngineRetryBudgetExhausted(t *testing.T) {
 		&wrapper.StatusError{URL: "u", Code: 503},
 	}}
 	eng := NewEngine()
-	eng.Breakers = nil
-	eng.Retry = RetryPolicy{Max: 2, sleep: instantSleep(nil)}
+	eng.sleep = instantSleep(nil)
 	_, err := eng.Run(context.Background(), relalg.NewScan(down))
 	var st *wrapper.StatusError
 	if !errors.As(err, &st) || st.Code != 503 {
@@ -176,18 +173,17 @@ func TestEngineRetryBudgetExhausted(t *testing.T) {
 
 // TestEngineCancelDuringBackoff: canceling the caller's context while
 // the retry ladder sleeps must abort the wait immediately — well under
-// the configured backoff — and surface an error that classifies as a
-// cancellation, not as the prior attempt's network/5xx failure.
+// the backoff — and surface an error that classifies as a cancellation,
+// not as the prior attempt's network/5xx failure.
 func TestEngineCancelDuringBackoff(t *testing.T) {
 	down := &seqSource{name: "down", rel: relalg.NewRelation("a"), errs: []error{
 		&wrapper.StatusError{URL: "u", Code: 503},
 		&wrapper.StatusError{URL: "u", Code: 503},
 	}}
 	eng := NewEngine()
-	eng.Breakers = nil
-	// Real sleep (no instantSleep): a 30s base backoff that only a
-	// prompt ctx abort can get us out of within the test timeout.
-	eng.Retry = RetryPolicy{Max: 2, BaseDelay: 30 * time.Second, MaxDelay: time.Minute}
+	// The real sleep, stretched to a 30s backoff that only a prompt ctx
+	// abort can get us out of within the test timeout.
+	eng.sleep = func(ctx context.Context, _ time.Duration) error { return sleepCtx(ctx, 30*time.Second) }
 
 	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(20*time.Millisecond, cancel)
@@ -225,7 +221,7 @@ func TestEngineTerminalErrorsNotRetried(t *testing.T) {
 	} {
 		src := &seqSource{name: "t", rel: relalg.NewRelation("a"), errs: []error{tc.err, tc.err, tc.err}}
 		eng := NewEngine()
-		eng.Retry = RetryPolicy{Max: 2, sleep: instantSleep(nil)}
+		eng.sleep = instantSleep(nil)
 		_, err := eng.Run(context.Background(), relalg.NewScan(src))
 		if !errors.Is(err, tc.err) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.err)

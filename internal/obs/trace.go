@@ -75,7 +75,7 @@ type SourceSpan struct {
 	// narrowed fetch reads Cols < Declared.
 	Cols, Declared int
 	Dur            time.Duration
-	Outcome        string // ok | stale | missing:<class> | error:<class>
+	Outcome        string // ok | missing:<class> | error:<class>
 }
 
 // NewTrace starts a trace clocked from now.

@@ -14,7 +14,6 @@ import (
 
 	"mdm"
 	"mdm/internal/apisim"
-	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rest"
 	"mdm/internal/usecase"
@@ -60,7 +59,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE mdm_http_request_duration_seconds histogram",
 		"# TYPE mdm_http_in_flight gauge",
 		"mdm_sparql_stage_duration_seconds_count",
-		"mdm_federate_source_cache_hits_total",
+		"mdm_federate_source_cache_misses_total",
 		"# TYPE mdm_federate_breaker_opened_total counter",
 		"# TYPE mdm_federate_breaker_state gauge",
 		"# TYPE mdm_tdb_checkpoints_total counter",
@@ -171,7 +170,7 @@ func TestSlowQueryLogOneLinePerQuery(t *testing.T) {
 }
 
 func TestSlowLogWalkCarriesMissingSources(t *testing.T) {
-	sys := downWalkSystem(t)
+	sys := unavailableWalkSystem(t)
 	srv := rest.NewServer(sys)
 	var sink syncBuffer
 	srv.SlowLog = obs.NewSlowLogWriter(&sink, 0)
@@ -216,10 +215,11 @@ func TestSlowLogRecordsFailedWalk(t *testing.T) {
 	}{
 		{"source down", downWalkSystem, http.StatusUnprocessableEntity},
 		{"breaker open", func(t *testing.T) *mdm.System {
-			sys := downWalkSystem(t)
-			sys.Federation().Breakers = federate.NewBreakerSet(1, time.Hour)
-			if _, _, err := sys.Query(context.Background(), usecase.Fig8Walk()); err == nil {
-				t.Fatal("tripping query succeeded")
+			sys := unavailableWalkSystem(t)
+			for i := 0; i < 2; i++ { // two ladders trip the breaker
+				if _, _, err := sys.Query(context.Background(), usecase.Fig8Walk()); err == nil {
+					t.Fatal("tripping query succeeded")
+				}
 			}
 			return sys
 		}, http.StatusServiceUnavailable},

@@ -30,15 +30,14 @@
 //	           later rows as the response buffer fills or when a row
 //	           is written 50 ms or more after the previous flush
 //	partial=1|0
-//	           (walk endpoints) override the engine's degradation mode
-//	           for this query: with partial on, a failed source no
+//	           (walk endpoints) choose this query's degradation mode;
+//	           absent is 0, strict. With partial on, a failed source no
 //	           longer fails the walk — the healthy sources' rows stream
 //	           and the response carries an X-MDM-Partial: true header
-//	           plus completeness annotations (missing_sources with one
-//	           error class per failed source, stale_sources for
-//	           serve-stale substitutions) in the JSON document or the
-//	           NDJSON header line; the fields are omitted entirely for
-//	           complete results
+//	           plus a completeness annotation (missing_sources, with one
+//	           error class per failed source) in the JSON document or
+//	           the NDJSON header line; the fields are omitted entirely
+//	           for complete results
 //	explain=1
 //	           run the query to completion but answer with the
 //	           execution report (stage timings, per-operator spans,
@@ -181,18 +180,15 @@ func queryStatus(err error) int {
 	}
 }
 
-// partialParam reads the tristate partial URL parameter: absent defers
-// to the engine's configured default.
-func partialParam(r *http.Request) (federate.PartialMode, error) {
+// partialParam reads the partial URL parameter: absent is strict.
+func partialParam(r *http.Request) (bool, error) {
 	switch v := r.URL.Query().Get("partial"); v {
-	case "":
-		return federate.PartialDefault, nil
 	case "1", "true":
-		return federate.PartialOn, nil
-	case "0", "false":
-		return federate.PartialOff, nil
+		return true, nil
+	case "", "0", "false":
+		return false, nil
 	default:
-		return 0, fmt.Errorf("rest: bad partial %q", v)
+		return false, fmt.Errorf("rest: bad partial %q", v)
 	}
 }
 
@@ -575,7 +571,6 @@ type queryResp struct {
 	// Degradation annotations, present only for partial results.
 	Partial        bool              `json:"partial,omitempty"`
 	MissingSources []mdm.SourceError `json:"missing_sources,omitempty"`
-	StaleSources   []string          `json:"stale_sources,omitempty"`
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -759,7 +754,7 @@ func (s *Server) buildWalk(req walkReq) (*mdm.Walk, error) {
 // snapshots, so pages partition the result exactly as a full drain
 // delivers it.
 func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk) {
-	mode, err := partialParam(r)
+	partial, err := partialParam(r)
 	if err != nil {
 		fail(w, http.StatusBadRequest, err)
 		return
@@ -767,7 +762,7 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 	s.deliver(w, r, func(ctx context.Context, tr *obs.Trace, limit, offset int) (answer, error) {
 		var a answer
 		cur, res, err := s.sys.QueryRun(obs.WithTrace(ctx, tr), walk,
-			mdm.QueryOpts{Limit: limit, Offset: offset, Partial: mode})
+			mdm.QueryOpts{Limit: limit, Offset: offset, Partial: partial})
 		if res != nil {
 			a.query = res.SPARQL // a failed scatter is still logged under its query
 		}
@@ -781,19 +776,14 @@ func (s *Server) runWalk(w http.ResponseWriter, r *http.Request, walk *mdm.Walk)
 			head := map[string]any{"columns": cur.Columns(), "sparql": res.SPARQL}
 			if cur.Partial() {
 				head["partial"] = true
-				if m := cur.Missing(); len(m) > 0 {
-					head["missing_sources"] = m
-				}
-				if st := cur.StaleSources(); len(st) > 0 {
-					head["stale_sources"] = st
-				}
+				head["missing_sources"] = cur.Missing()
 			}
 			return head
 		}
 		a.document = func() any {
 			resp := queryResp{
 				Columns: cur.Columns(), SPARQL: res.SPARQL, CQs: len(res.CQs),
-				Partial: cur.Partial(), MissingSources: cur.Missing(), StaleSources: cur.StaleSources(),
+				Partial: cur.Partial(), MissingSources: cur.Missing(),
 			}
 			for _, cq := range res.CQs {
 				resp.Algebra = append(resp.Algebra, cq.Algebra())

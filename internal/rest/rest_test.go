@@ -16,7 +16,6 @@ import (
 
 	"mdm"
 	"mdm/internal/apisim"
-	"mdm/internal/federate"
 	"mdm/internal/relalg"
 	"mdm/internal/rest"
 	"mdm/internal/schema"
@@ -1030,16 +1029,31 @@ func TestWalkQueryPagesPartitionStream(t *testing.T) {
 }
 
 // downWalkSystem is slowWalkSystem's sibling: the players-side wrapper
-// fails instantly with a 503 instead of stalling. Retries are disabled
-// so each query costs exactly one fetch attempt per source.
+// fails instantly with a terminal 404 instead of stalling, so each query
+// costs exactly one fetch attempt per source — no backoff, and never a
+// breaker strike.
 func downWalkSystem(t *testing.T) *mdm.System {
+	t.Helper()
+	return failingWalkSystem(t, http.StatusNotFound)
+}
+
+// unavailableWalkSystem's players-side wrapper answers 503, a source
+// fault: each strict query climbs the real retry ladder (three attempts,
+// three breaker strikes), so the second trips the breaker.
+func unavailableWalkSystem(t *testing.T) *mdm.System {
+	t.Helper()
+	return failingWalkSystem(t, http.StatusServiceUnavailable)
+}
+
+// failingWalkSystem maps the Fig. 8 players side to "wdown", whose every
+// fetch fails with HTTP status code.
+func failingWalkSystem(t *testing.T, code int) *mdm.System {
 	t.Helper()
 	f := usecase.MustNew()
 	sys := mdm.FromParts(f.Ont, f.Reg)
-	sys.Federation().Retry.Max = 0
 	down := wrapper.NewFunc("wdown", usecase.SrcPlayers, f.W1.Signature().Attributes,
 		func(ctx context.Context) ([]schema.Doc, error) {
-			return nil, &wrapper.StatusError{URL: "http://down.example/players", Code: 503}
+			return nil, &wrapper.StatusError{URL: "http://down.example/players", Code: code}
 		})
 	if _, err := sys.RegisterWrapper(down); err != nil {
 		t.Fatal(err)
@@ -1060,7 +1074,7 @@ func downWalkSystem(t *testing.T) *mdm.System {
 // error status; without the parameter the same walk keeps PR 5's strict
 // failure.
 func TestWalkPartialAnnotatedJSON(t *testing.T) {
-	sys := downWalkSystem(t)
+	sys := unavailableWalkSystem(t)
 	srv := rest.NewServer(sys)
 
 	req := httptest.NewRequest("POST", "/api/query?partial=1", strings.NewReader(fig8WalkBody))
@@ -1154,10 +1168,11 @@ func TestWalkPartialNDJSONHeaderAnnotation(t *testing.T) {
 }
 
 // TestWalkBreakerOpen503: once the failing source's breaker trips,
-// strict walks fail fast with 503 Service Unavailable.
+// strict walks fail fast with 503 Service Unavailable. The trip takes
+// two walks of the real retry ladder, and the walk whose ladder trips it
+// still reports the source's own error.
 func TestWalkBreakerOpen503(t *testing.T) {
-	sys := downWalkSystem(t)
-	sys.Federation().Breakers = federate.NewBreakerSet(1, time.Hour)
+	sys := unavailableWalkSystem(t)
 	srv := rest.NewServer(sys)
 
 	post := func() *httptest.ResponseRecorder {
@@ -1168,48 +1183,43 @@ func TestWalkBreakerOpen503(t *testing.T) {
 		return rec
 	}
 	if rec := post(); rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("first status = %d, want 422 (trips the breaker)", rec.Code)
+		t.Fatalf("first status = %d, want 422 (three strikes)", rec.Code)
+	}
+	if rec := post(); rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("second status = %d, want 422 (trips the breaker mid-ladder)", rec.Code)
 	}
 	rec := post()
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("second status = %d, want 503 (body %s)", rec.Code, rec.Body)
+		t.Fatalf("third status = %d, want 503 (body %s)", rec.Code, rec.Body)
 	}
 	if !strings.Contains(rec.Body.String(), "circuit breaker open") {
 		t.Fatalf("body = %s", rec.Body)
 	}
 }
 
-// TestWalkPartialParamValidation: ?partial must be boolean-ish; a
-// ?partial=0 override beats an engine-level default.
+// TestWalkPartialParamValidation: ?partial must be boolean-ish, and only
+// an explicit 1 degrades: absent and 0 are strict.
 func TestWalkPartialParamValidation(t *testing.T) {
-	sys := downWalkSystem(t)
-	sys.Federation().PartialResults = true // daemon-level -partial
-	srv := rest.NewServer(sys)
-
-	req := httptest.NewRequest("POST", "/api/query?partial=maybe", strings.NewReader(fig8WalkBody))
-	req.Header.Set("Content-Type", "application/json")
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("partial=maybe status = %d, want 400", rec.Code)
-	}
-
-	// Engine default: degraded 200.
-	req = httptest.NewRequest("POST", "/api/query", strings.NewReader(fig8WalkBody))
-	req.Header.Set("Content-Type", "application/json")
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusOK || rec.Header().Get("X-MDM-Partial") != "true" {
-		t.Fatalf("default status = %d, X-MDM-Partial = %q, want 200/true", rec.Code, rec.Header().Get("X-MDM-Partial"))
-	}
-
-	// Explicit opt-out restores strict failure.
-	req = httptest.NewRequest("POST", "/api/query?partial=0", strings.NewReader(fig8WalkBody))
-	req.Header.Set("Content-Type", "application/json")
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, req)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("partial=0 status = %d, want 422", rec.Code)
+	srv := rest.NewServer(downWalkSystem(t))
+	for _, tc := range []struct {
+		query string
+		want  int
+	}{
+		{"?partial=maybe", http.StatusBadRequest},
+		{"", http.StatusUnprocessableEntity},
+		{"?partial=0", http.StatusUnprocessableEntity},
+		{"?partial=1", http.StatusOK},
+	} {
+		req := httptest.NewRequest("POST", "/api/query"+tc.query, strings.NewReader(fig8WalkBody))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != tc.want {
+			t.Errorf("%q: status = %d, want %d (body %s)", tc.query, rec.Code, tc.want, rec.Body)
+		}
+		if partial := rec.Header().Get("X-MDM-Partial") == "true"; partial != (tc.want == http.StatusOK) {
+			t.Errorf("%q: X-MDM-Partial = %q", tc.query, rec.Header().Get("X-MDM-Partial"))
+		}
 	}
 }
 

@@ -222,8 +222,9 @@ func (s *System) Wrappers() *wrapper.Registry { return s.reg }
 func (s *System) Metadata() *store.Store { return s.meta }
 
 // Federation exposes the federated execution engine so deployments can
-// tune the scatter fan-out, the per-source fetch timeout, and the
-// source-snapshot cache TTL. Configure it before serving queries.
+// set the per-source fetch timeout, its one setting; fan-out, retries
+// and circuit breakers are a fixed policy. Configure it before serving
+// queries.
 func (s *System) Federation() *federate.Engine { return s.fed }
 
 // --- Prefixes and IRIs ---
@@ -290,10 +291,9 @@ func (s *System) AddSource(sourceID, label string) error {
 // log, with schema diffing against the source's previous release. The
 // source-graph triples and the release record are one write — on a
 // persistent system one WAL record, committed before the call returns.
-// Any federation state held under the wrapper's name — cached source
-// snapshot, circuit-breaker record, serve-stale fallback — is dropped,
+// The circuit-breaker record held under the wrapper's name is dropped,
 // so a re-registered (renamed back / repointed) wrapper is fetched
-// fresh rather than served its predecessor's rows.
+// rather than failed fast on its predecessor's failures.
 //
 // Registering a wrapper the release log already holds, with the source
 // and attribute names it was released with, attaches it to the registry
@@ -353,18 +353,17 @@ func (s *System) Query(ctx context.Context, w *Walk) (*Relation, *RewriteResult,
 }
 
 // QueryRun rewrites a walk and starts streaming federated execution:
-// the scatter phase fetches all distinct sources concurrently (through
-// the snapshot cache), then rows are produced on demand through
-// WalkCursor.Next with no per-operator materialization.
+// the scatter phase fetches all distinct sources concurrently (sharing
+// fetches in flight for other walks), then rows are produced on demand
+// through WalkCursor.Next with no per-operator materialization.
 //
 // QueryOpts carries the page bound pushed into the pipeline — when
 // Limit >= 0 at most Limit rows are produced, when Offset > 0 that many
 // are skipped first, -1 leaves either unbounded; a page read costs
 // O(sources + page), and for unchanged source snapshots pages partition
-// the full stream — and the degradation mode: QueryOpts.Partial
-// overrides the engine-wide PartialResults default for this query. In
-// partial mode a failed source no longer fails the walk — check
-// WalkCursor.Partial/Missing/StaleSources for completeness annotations.
+// the full stream — and the degradation mode: with QueryOpts.Partial a
+// failed source no longer fails the walk — check
+// WalkCursor.Partial/Missing for the completeness annotation.
 //
 // A trace riding ctx (obs.WithTrace) receives the walk's stages: rewrite
 // (and whether the rewrite cache answered it) from the rewriter, the

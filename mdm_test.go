@@ -612,48 +612,59 @@ SELECT ?playerName WHERE {
 }
 
 // TestReRegisterWrapperInvalidatesCacheAndBreaker: swapping a wrapper
-// under the same name must not leave the federation serving the old
-// wrapper's cached snapshot or failing fast on its tripped breaker.
+// under the same name must not leave the federation failing fast on the
+// old wrapper's tripped breaker.
 func TestReRegisterWrapperInvalidatesCacheAndBreaker(t *testing.T) {
 	sys := buildSystem(t)
-	fed := sys.Federation()
-	fed.Cache = federate.NewCache(time.Hour) // snapshots outlive the swap
-	fed.Breakers = federate.NewBreakerSet(1, time.Hour)
-
 	walk := mdm.NewWalk().SelectAs(sys.IRI("ex:Player"), sys.IRI("ex:playerName"), "player")
-	query := func() string {
+	query := func() (string, error) {
 		t.Helper()
 		rel, _, err := sys.Query(context.Background(), walk)
 		if err != nil {
+			return "", err
+		}
+		return rel.Table(), nil
+	}
+	swap := func(w mdm.Wrapper) {
+		t.Helper()
+		if !sys.Wrappers().Remove("w1") {
+			t.Fatal("w1 not removed")
+		}
+		if _, err := sys.RegisterWrapper(w); err != nil {
 			t.Fatal(err)
 		}
-		return rel.Table()
 	}
-	if got := query(); !strings.Contains(got, "Alice") {
-		t.Fatalf("seed rows missing Alice:\n%s", got)
+	if got, err := query(); err != nil || !strings.Contains(got, "Alice") {
+		t.Fatalf("seed rows missing Alice (err %v):\n%s", err, got)
 	}
-	// Simulate the old wrapper having tripped its breaker before the swap.
-	fed.Breakers.For("w1").RecordFailure()
 
-	if !sys.Wrappers().Remove("w1") {
-		t.Fatal("w1 not removed")
+	// A w1 that answers 503 trips its breaker over two failing walks
+	// (three attempts each, five strikes); a third fails fast.
+	w1, _ := sys.Wrappers().Get("w1")
+	swap(wrapper.NewFunc("w1", "players-api", w1.Signature().Attributes,
+		func(context.Context) ([]schema.Doc, error) {
+			return nil, &wrapper.StatusError{URL: "http://down.example/players", Code: 503}
+		}))
+	for i := 0; i < 2; i++ {
+		if _, err := query(); err == nil {
+			t.Fatalf("walk %d over the failing w1 succeeded", i+1)
+		}
 	}
-	w1b := wrapper.NewMem("w1", "players-api", []schema.Doc{
+	if _, err := query(); !errors.Is(err, federate.ErrBreakerOpen) {
+		t.Fatalf("third walk err = %v, want the open breaker", err)
+	}
+
+	// Without RegisterWrapper's Forget hook the open breaker would fail
+	// the walk over the healthy replacement outright.
+	swap(wrapper.NewMem("w1", "players-api", []schema.Doc{
 		{"id": relalg.Int(3), "pName": relalg.String("Carol"), "teamId": relalg.Int(10)},
-	}, nil)
-	if _, err := sys.RegisterWrapper(w1b); err != nil {
-		t.Fatal(err)
+	}, nil))
+	got, err := query()
+	if err != nil {
+		t.Fatalf("walk after re-registration: %v", err)
 	}
-
-	// Without RegisterWrapper's Forget hook the hour-long cache entry
-	// would still answer with Alice — or the open breaker would fail the
-	// query outright.
-	got := query()
 	if strings.Contains(got, "Alice") || !strings.Contains(got, "Carol") {
 		t.Fatalf("rows after re-registration:\n%s\nwant Carol only", got)
-	}
-	if st := fed.Breakers.States()["w1"]; st != "closed" {
-		t.Fatalf("w1 breaker after re-registration = %q, want closed", st)
 	}
 }
 
