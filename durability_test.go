@@ -306,7 +306,7 @@ func TestReopenAfterCheckpointsRowIdentical(t *testing.T) {
 // release or a -race report.
 func TestLockOrderReleasesCompactionsCursors(t *testing.T) {
 	dir := t.TempDir()
-	sys, err := mdm.OpenWith(dir, mdm.StoreOptions{CompactInterval: time.Millisecond, CompactWALThreshold: 1})
+	sys, err := mdm.OpenWith(dir, mdm.StoreOptions{CompactInterval: time.Millisecond})
 	must(t, err)
 	must(t, seedPlayers(sys))
 

@@ -19,7 +19,7 @@ import (
 // without re-encoding. Graph names are interned in the same dictionary
 // when the graph is created.
 type Dataset struct {
-	mu       sync.RWMutex
+	mu       sync.RWMutex // guards named
 	dict     *Dict
 	def      *Graph
 	named    map[Term]*Graph
@@ -44,30 +44,27 @@ func NewDataset() *Dataset {
 func (d *Dataset) Dict() *Dict { return d.dict }
 
 // Version returns the dataset's structural version: a counter that
-// increments whenever the graph SET changes — a named graph is created,
-// attached or dropped, or the default graph is replaced. Triple-level
-// writes inside an existing graph do not change it.
+// increments whenever the graph SET changes — a named graph is created
+// or dropped. Triple-level writes inside an existing graph do not change
+// it.
 //
 // Consumers that keep something derived from dataset state (the walk
 // rewriter's result cache) revalidate against it together with Writes:
 // any structural change bumps Version.
 func (d *Dataset) Version() uint64 { return d.version.Load() }
 
-// Writes returns the number of successful triple-level writes (adds and
-// removes, through any path: Add, BulkAddIDs, Remove, Merge) made
-// so far to the graphs of the dataset. It is one atomic load, and each
-// graph bumps it after the write is in its indexes, so a reader that
-// sees the same (Version, Writes) before and after deriving something
-// from the dataset's triples derived it from unchanged triples. Dropping
-// a whole graph is a Version change, not a write.
+// Writes returns the number of triples added so far to the graphs of the
+// dataset, through either path (Add, BulkAddIDs). It is one atomic load,
+// and each graph bumps it after the triple is in its indexes, so a
+// reader that sees the same (Version, Writes) before and after deriving
+// something from the dataset's triples derived it from unchanged
+// triples. A graph loses triples only by being dropped whole, which is a
+// Version change, not a write.
 func (d *Dataset) Writes() uint64 { return d.dict.writes.Load() }
 
-// Default returns the default graph.
-func (d *Dataset) Default() *Graph {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.def
-}
+// Default returns the default graph, the same one for the dataset's
+// life.
+func (d *Dataset) Default() *Graph { return d.def }
 
 // Graph returns the named graph with the given name, creating it if
 // absent. A zero name returns the default graph.
@@ -84,37 +81,6 @@ func (d *Dataset) Graph(name Term) *Graph {
 		d.named[name] = g
 		d.version.Add(1)
 	}
-	return g
-}
-
-// Attach registers g as the named graph name, migrating it into the
-// dataset's shared dictionary. A graph already interning in the
-// dataset's dictionary is adopted as-is; a standalone graph (built with
-// NewGraph, for example by a parser that had no dataset at hand) has its
-// triples re-encoded into a fresh shared-dict graph. Attach replaces any
-// existing graph under the same name and returns the graph that now
-// lives in the dataset.
-func (d *Dataset) Attach(name Term, g *Graph) *Graph {
-	if g.Dict() != d.dict {
-		moved := NewGraphWith(d.dict)
-		g.EachMatch(Any, Any, Any, func(t Triple) bool {
-			moved.MustAdd(t)
-			return true
-		})
-		g = moved
-	}
-	if name.IsZero() {
-		d.mu.Lock()
-		d.def = g
-		d.version.Add(1)
-		d.mu.Unlock()
-		return g
-	}
-	d.mu.Lock()
-	d.dict.Intern(name)
-	d.named[name] = g
-	d.version.Add(1)
-	d.mu.Unlock()
 	return g
 }
 
@@ -151,11 +117,6 @@ func (d *Dataset) GraphNames() []Term {
 	d.mu.RUnlock()
 	sort.Slice(names, func(i, j int) bool { return Compare(names[i], names[j]) < 0 })
 	return names
-}
-
-// AddQuad inserts a quad into the appropriate graph.
-func (d *Dataset) AddQuad(q Quad) (bool, error) {
-	return d.Graph(q.Graph).Add(q.Triple)
 }
 
 // Quads returns every quad in the dataset (default graph first, then

@@ -58,12 +58,8 @@ func TestDatasetDropGraph(t *testing.T) {
 
 func TestDatasetQuadsOrderAndAddQuad(t *testing.T) {
 	ds := NewDataset()
-	if _, err := ds.AddQuad(Q(IRI("s"), IRI("p"), Lit("n"), IRI("g"))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ds.AddQuad(Quad{Triple: T(IRI("s"), IRI("p"), Lit("d"))}); err != nil {
-		t.Fatal(err)
-	}
+	ds.Graph(IRI("g")).MustAdd(T(IRI("s"), IRI("p"), Lit("n")))
+	ds.Default().MustAdd(T(IRI("s"), IRI("p"), Lit("d")))
 	qs := ds.Quads()
 	if len(qs) != 2 {
 		t.Fatalf("Quads len = %d", len(qs))
@@ -183,55 +179,6 @@ func TestDatasetSharedDict(t *testing.T) {
 	}
 }
 
-func TestDatasetAttachMigratesStandaloneGraph(t *testing.T) {
-	ds := NewDataset()
-	ds.Default().MustAdd(T(IRI("a"), IRI("p"), Lit("x")))
-
-	standalone := NewGraph()
-	standalone.MustAdd(T(IRI("b"), IRI("p"), Lit("y")))
-	name := IRI("http://ex.org/attached")
-	got := ds.Attach(name, standalone)
-
-	if got.Dict() != ds.Dict() {
-		t.Fatal("attached graph does not use the dataset dictionary")
-	}
-	if looked, ok := ds.Lookup(name); !ok || looked != got {
-		t.Fatal("attached graph not registered under its name")
-	}
-	if !got.Has(T(IRI("b"), IRI("p"), Lit("y"))) {
-		t.Fatal("attached graph lost its triples during migration")
-	}
-	// A graph already on the dataset dictionary is adopted as-is.
-	native := NewGraphWith(ds.Dict())
-	native.MustAdd(T(IRI("c"), IRI("p"), Lit("z")))
-	if ds.Attach(IRI("http://ex.org/native"), native) != native {
-		t.Fatal("shared-dict graph should be adopted without copying")
-	}
-	// Attaching under the zero name replaces the default graph.
-	def := NewGraph()
-	def.MustAdd(T(IRI("d"), IRI("p"), Lit("w")))
-	ds.Attach(Term{}, def)
-	if !ds.Default().Has(T(IRI("d"), IRI("p"), Lit("w"))) {
-		t.Fatal("zero-name Attach did not replace the default graph")
-	}
-}
-
-func TestGraphMergeSameDictFastPath(t *testing.T) {
-	ds := NewDataset()
-	a := ds.Graph(IRI("a"))
-	b := ds.Graph(IRI("b"))
-	a.MustAdd(T(IRI("s"), IRI("p"), Lit("both")))
-	b.MustAdd(T(IRI("s"), IRI("p"), Lit("both")))
-	b.MustAdd(T(IRI("s2"), IRI("p"), IntLit(1)))
-	a.Merge(b)
-	if a.Len() != 2 {
-		t.Fatalf("merged len = %d, want 2", a.Len())
-	}
-	if !a.Has(T(IRI("s2"), IRI("p"), IntLit(1))) {
-		t.Fatal("merge dropped a triple")
-	}
-}
-
 func TestDatasetVersionBumpsOnStructuralChange(t *testing.T) {
 	ds := NewDataset()
 	v0 := ds.Version()
@@ -272,17 +219,6 @@ func TestDatasetVersionBumpsOnStructuralChange(t *testing.T) {
 	if ds.Version() == v2 {
 		t.Fatal("version unchanged after re-creating a dropped graph")
 	}
-
-	v3 := ds.Version()
-	ds.Attach(Term{}, NewGraph()) // replace the default graph
-	if ds.Version() == v3 {
-		t.Fatal("version unchanged after default-graph replacement")
-	}
-	v4 := ds.Version()
-	ds.Attach(IRI("http://ex.org/h"), NewGraphWith(ds.Dict()))
-	if ds.Version() == v4 {
-		t.Fatal("version unchanged after Attach of a named graph")
-	}
 }
 
 // TestDatasetWritesCountsEveryWritePath: Writes moves on every
@@ -314,12 +250,7 @@ func TestDatasetWritesCountsEveryWritePath(t *testing.T) {
 			{id(tr(4).S), id(tr(4).P), id(tr(4).O)},
 		})
 	})
-	step("Merge within the dataset", 3, func() { h.Merge(g) })
-	foreign := NewGraph()
-	foreign.MustAdd(tr(5))
-	step("Merge from another dictionary", 1, func() { h.Merge(foreign) })
-	step("Remove", 1, func() { g.Remove(tr(1)) })
-	step("Remove of an absent triple", 0, func() { g.Remove(tr(1)) })
+	step("Add to another graph", 1, func() { h.MustAdd(tr(1)) })
 	step("reads", 0, func() { g.Has(tr(2)); g.Match(Any, Any, Any); ds.Len() })
 	step("DropGraph (a Version change)", 0, func() { ds.DropGraph(IRI("http://ex.org/h")) })
 }

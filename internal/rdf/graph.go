@@ -48,18 +48,19 @@ const midSpill = 16
 // IDs. Up to midSpill pairs it is an unordered pair list (one
 // pointer-free allocation, linear probes over dense uint32s); past that
 // it spills to a map of idSets and stays there. idMid is held by value
-// in the index, so add and remove return the updated value for the
-// caller to store back.
+// in the index, so add returns the updated value for the caller to
+// store back.
 type idMid struct {
 	small []bc
 	big   *midMap
 }
 
 // midMap is a spilled idMid. n is the pair count over every set of m,
-// kept by add and remove so that Count on a one-bound pattern reads a
-// field instead of walking m (the SPARQL planner asks once per triple
-// pattern per request). It sits behind the pointer so that the 32-byte
-// idMid, of which an index holds one per first-level key, does not grow.
+// which only grows, kept by add so that Count on a one-bound pattern
+// reads a field instead of walking m (the SPARQL planner asks once per
+// triple pattern per request). It sits behind the pointer so that the
+// 32-byte idMid, of which an index holds one per first-level key, does
+// not grow.
 type midMap struct {
 	n int
 	m map[TermID]idSet
@@ -75,10 +76,6 @@ func (m idMid) has(b, c TermID) bool {
 		}
 	}
 	return false
-}
-
-func (m idMid) empty() bool {
-	return m.totalLen() == 0
 }
 
 // totalLen returns the number of pairs (triples under this first-level
@@ -153,31 +150,6 @@ func (m idMid) add(b, c TermID) (idMid, bool) {
 	return m, true
 }
 
-func (m idMid) remove(b, c TermID) (idMid, bool) {
-	if m.big != nil {
-		s, removed := m.big.m[b].remove(c)
-		if !removed {
-			return m, false
-		}
-		if s.len() == 0 {
-			delete(m.big.m, b)
-		} else {
-			m.big.m[b] = s
-		}
-		m.big.n--
-		return m, true
-	}
-	for i, p := range m.small {
-		if p.b == b && p.c == c {
-			last := len(m.small) - 1
-			m.small[i] = m.small[last]
-			m.small = m.small[:last]
-			return m, true
-		}
-	}
-	return m, false
-}
-
 // items iterates every (second, third) pair in unspecified order.
 func (m idMid) items() iter.Seq2[TermID, TermID] {
 	return func(yield func(TermID, TermID) bool) {
@@ -226,8 +198,8 @@ const idSetSpill = 16
 // idSet is the leaf of an idIndex: the set of third-position IDs under
 // a fixed (first, second) pair. Small sets live in an unordered slice;
 // once a set outgrows idSetSpill it spills to a map and stays there.
-// idSet is held by value in the index, so add and remove return the
-// updated set for the caller to store back.
+// idSet is held by value in the index, so add returns the updated set
+// for the caller to store back.
 type idSet struct {
 	small []TermID
 	big   map[TermID]struct{}
@@ -278,25 +250,6 @@ func (s idSet) add(c TermID) (idSet, bool) {
 	return s, true
 }
 
-func (s idSet) remove(c TermID) (idSet, bool) {
-	if s.big != nil {
-		if _, ok := s.big[c]; !ok {
-			return s, false
-		}
-		delete(s.big, c)
-		return s, true
-	}
-	for i, v := range s.small {
-		if v == c {
-			last := len(s.small) - 1
-			s.small[i] = s.small[last]
-			s.small = s.small[:last]
-			return s, true
-		}
-	}
-	return s, false
-}
-
 // items iterates the set in unspecified order; yield false stops early.
 func (s idSet) items() iter.Seq[TermID] {
 	return func(yield func(TermID) bool) {
@@ -324,27 +277,9 @@ func (ix idIndex) add(a, b, c TermID) bool {
 	return added
 }
 
-func (ix idIndex) remove(a, b, c TermID) bool {
-	mid, ok := ix[a]
-	if !ok {
-		return false
-	}
-	mid, removed := mid.remove(b, c)
-	if !removed {
-		return false
-	}
-	if mid.empty() {
-		delete(ix, a)
-	} else {
-		ix[a] = mid
-	}
-	return true
-}
-
 // NewGraph returns an empty graph with its own private dictionary.
-// Graphs meant to live inside a Dataset should be created through
-// Dataset.Graph (or handed to Dataset.Attach) so they share the
-// dataset-wide dictionary.
+// Graphs meant to live inside a Dataset are created through
+// Dataset.Graph, so they share the dataset-wide dictionary.
 func NewGraph() *Graph {
 	return NewGraphWith(NewDict())
 }
@@ -374,21 +309,17 @@ func (g *Graph) Add(t Triple) (bool, error) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.addLocked(t), nil
-}
-
-func (g *Graph) addLocked(t Triple) bool {
 	s := g.dict.Intern(t.S)
 	p := g.dict.Intern(t.P)
 	o := g.dict.Intern(t.O)
 	if !g.spo.add(s, p, o) {
-		return false
+		return false, nil
 	}
 	g.pos.add(p, o, s)
 	g.osp.add(o, s, p)
 	g.n++
 	g.dict.writes.Add(1)
-	return true
+	return true, nil
 }
 
 // BulkAddIDs inserts a batch of ID triples under one lock acquisition,
@@ -521,43 +452,6 @@ func (g *Graph) MustAdd(t Triple) {
 	if _, err := g.Add(t); err != nil {
 		panic(err)
 	}
-}
-
-// AddAll inserts every triple, stopping at the first invalid one.
-func (g *Graph) AddAll(ts []Triple) error {
-	for _, t := range ts {
-		if _, err := g.Add(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Remove deletes a triple, reporting whether it was present. Dictionary
-// entries are never reclaimed; removed terms keep their IDs.
-func (g *Graph) Remove(t Triple) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	s, ok := g.dict.ID(t.S)
-	if !ok {
-		return false
-	}
-	p, ok := g.dict.ID(t.P)
-	if !ok {
-		return false
-	}
-	o, ok := g.dict.ID(t.O)
-	if !ok {
-		return false
-	}
-	if !g.spo.remove(s, p, o) {
-		return false
-	}
-	g.pos.remove(p, o, s)
-	g.osp.remove(o, s, p)
-	g.n--
-	g.dict.writes.Add(1)
-	return true
 }
 
 // Has reports whether the exact triple is present.
@@ -960,52 +854,6 @@ func (g *Graph) Object(s, p Term) (Term, bool) {
 		return Term{}, false
 	}
 	return t.O, true
-}
-
-// Merge adds every triple of other into g.
-func (g *Graph) Merge(other *Graph) {
-	if g == other {
-		return
-	}
-	if g.dict == other.dict {
-		// Same dictionary (both graphs live in one dataset): IDs are
-		// directly transferable, so copy index entries without decoding
-		// any terms.
-		other.mu.RLock()
-		ids := make([][3]TermID, 0, other.n)
-		other.eachMatchIDsLocked(AnyID, AnyID, AnyID, func(a, b, c TermID) bool {
-			ids = append(ids, [3]TermID{a, b, c})
-			return true
-		})
-		other.mu.RUnlock()
-		g.mu.Lock()
-		before := g.n
-		for _, t := range ids {
-			if g.spo.add(t[0], t[1], t[2]) {
-				g.pos.add(t[1], t[2], t[0])
-				g.osp.add(t[2], t[0], t[1])
-				g.n++
-			}
-		}
-		g.dict.writes.Add(uint64(g.n - before))
-		g.mu.Unlock()
-		return
-	}
-	// Collect other's triples without sorting, then insert under a single
-	// write lock.
-	other.mu.RLock()
-	ts := make([]Triple, 0, other.n)
-	terms := other.dict.Snapshot()
-	other.eachMatchIDsLocked(AnyID, AnyID, AnyID, func(a, b, c TermID) bool {
-		ts = append(ts, T(terms[a], terms[b], terms[c]))
-		return true
-	})
-	other.mu.RUnlock()
-	g.mu.Lock()
-	for _, t := range ts {
-		g.addLocked(t)
-	}
-	g.mu.Unlock()
 }
 
 // Equal reports whether two graphs contain exactly the same triples.

@@ -13,20 +13,20 @@
 //
 // Terms are interned in a Dict, a bijection between Term values and
 // dense uint32 TermIDs assigned in first-seen order. The dictionary is
-// scoped to the Dataset: every graph created through Dataset.Graph (or
-// migrated in with Dataset.Attach) shares the dataset's Dict, so a
-// TermID identifies the same term in every graph of the dataset — the
-// property SPARQL evaluation relies on to join ID rows across GRAPH
-// blocks without re-encoding. Standalone graphs built with NewGraph get
-// a private Dict; Dataset.Attach is the migration path that re-encodes
-// them into a dataset.
+// scoped to the Dataset: every graph created through Dataset.Graph
+// shares the dataset's Dict, so a TermID identifies the same term in
+// every graph of the dataset — the property SPARQL evaluation relies on
+// to join ID rows across GRAPH blocks without re-encoding. Standalone
+// graphs built with NewGraph get a private Dict and never join a
+// dataset.
 //
 // The three triple permutation indexes (spo, pos, osp) are built over
 // IDs, so every index probe hashes a single uint32 instead of a 4-field
 // struct holding three strings, index keys are 4 bytes instead of ~56,
 // and triples impose no per-entry GC pressure beyond the one dictionary
-// entry per distinct term. IDs are stable for the life of the dict:
-// Remove deletes index entries but never evicts dictionary entries.
+// entry per distinct term. IDs are stable for the life of the dict: a
+// graph only grows, and dropping a whole graph never evicts dictionary
+// entries.
 //
 // Locking: the graph mutex guards a graph's indexes; the shared Dict
 // synchronizes itself and its id -> term table is append-only, so

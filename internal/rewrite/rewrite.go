@@ -72,11 +72,11 @@ const maxCached = 256
 // result derived after reading s is right for everyone who later reads
 // s.
 type stamp struct {
-	// version counts graph-set changes (a mapping graph created, attached
-	// or dropped): rdf.Dataset.Version.
+	// version counts graph-set changes (a mapping graph created or
+	// dropped): rdf.Dataset.Version.
 	version uint64
-	// writes counts triple-level writes to any graph of the dataset,
-	// including the ones that bypass bdi.Ontology: rdf.Dataset.Writes.
+	// writes counts triples added to any graph of the dataset, including
+	// the ones that bypass bdi.Ontology: rdf.Dataset.Writes.
 	writes uint64
 	// binds counts prefix bindings; plan column names and the SPARQL
 	// rendering go through CompactTerm: rdf.PrefixMap.Binds.

@@ -20,6 +20,12 @@ import (
 // until then.
 const maxDeltaSegments = 16
 
+// compactWALThreshold is the WAL tail, in ops, below which the background
+// tick leaves the log alone: the tail is durable where it is, and
+// sealing it only shortens the next open. A release is tens of ops, so
+// this is a few hundred releases of replay.
+const compactWALThreshold = 4096
+
 // The other escalation has no constant: a tail of at least as many ops
 // as the store holds triples is rewritten, not sealed, because sealing
 // re-reads and re-encodes the tail and costs more per op than the
@@ -78,8 +84,8 @@ func (s *Store) checkpointLocked() error {
 // Compact writes the live dataset as a single full segment, publishes a
 // one-segment manifest (superseding every delta segment) and truncates
 // the WAL. The segment writer interns terms as it meets them in the live
-// triples, so the file holds no removed triple and no term only removed
-// triples used. Nothing changes in memory: the store keeps serving the
+// triples, so the file holds no dropped graph and no term only dropped
+// graphs used. Nothing changes in memory: the store keeps serving the
 // dataset it opened with, and s.mu, held throughout, keeps every Commit
 // out while the dataset is read.
 func (s *Store) Compact() error {
@@ -160,8 +166,7 @@ func (s *Store) truncateWALLocked() error {
 		return fmt.Errorf("tdb: rewind wal: %w", err)
 	}
 	s.walBytes, s.walRecords, s.walOps = 0, 0, 0
-	s.walDirty = false
-	if s.opts.Sync != SyncNone {
+	if s.opts.Fsync {
 		if err := s.wal.Sync(); err != nil {
 			return fmt.Errorf("tdb: fsync wal: %w", err)
 		}
@@ -188,9 +193,8 @@ func (s *Store) readWALOps() ([]rdf.Op, error) {
 
 // maintainLoop is the background maintenance goroutine OpenWith starts
 // when Options.CompactInterval > 0: every interval it runs the Maintain
-// policy, except that a tail of fewer than CompactWALThreshold ops is
-// left on the WAL (it is durable there; sealing it only shortens the
-// next open). Close stops it.
+// policy, except that a tail of fewer than compactWALThreshold ops is
+// left on the WAL. Close stops it.
 func (s *Store) maintainLoop() {
 	defer close(s.bgDone)
 	t := time.NewTicker(s.opts.CompactInterval)
@@ -201,7 +205,7 @@ func (s *Store) maintainLoop() {
 			return
 		case <-t.C:
 		}
-		if err := s.maintain(s.opts.CompactWALThreshold); err != nil && !errors.Is(err, errClosed) {
+		if err := s.maintain(compactWALThreshold); err != nil && !errors.Is(err, errClosed) {
 			obsMaintErrors.Inc()
 		}
 	}

@@ -10,7 +10,7 @@ import (
 // stores; per-store numbers are on the Store itself (WALRecords).
 var (
 	obsWALFsyncs = obs.Default.NewCounter("mdm_tdb_wal_fsyncs_total",
-		"WAL fsync calls (SyncAlways appends plus SyncBatch flushes).")
+		"WAL fsyncs after a commit, in stores opened with Options.Fsync.")
 	obsTornBytes = obs.Default.NewCounter("mdm_tdb_wal_torn_bytes_total",
 		"WAL bytes trimmed as torn tails at open.")
 	obsCheckpoints = obs.Default.NewCounter("mdm_tdb_checkpoints_total",
@@ -18,7 +18,7 @@ var (
 	obsCompactions = obs.Default.NewCounter("mdm_tdb_compactions_total",
 		"Compactions completed.")
 	obsMaintErrors = obs.Default.NewCounter("mdm_tdb_maintenance_errors_total",
-		"Background maintenance failures: compaction, checkpoint or batched WAL fsync.")
+		"Background maintenance failures: compaction or checkpoint.")
 	obsCheckpointDur = obs.Default.NewHistogram("mdm_tdb_checkpoint_duration_seconds",
 		"Checkpoint (WAL tail sealed into a delta segment) durations.", obs.DefBuckets)
 	obsCompactDur = obs.Default.NewHistogram("mdm_tdb_compact_duration_seconds",

@@ -19,12 +19,12 @@
 //	           kind byte, then value / datatype / lang as
 //	           (uvarint length + raw bytes)
 //	blocks   uvarint blockCount, then per block:
-//	           op byte (add | remove | drop | prefix)
+//	           op byte (add 0 | drop 2 | prefix 3)
 //	           graph ref: uvarint (0 = default graph, else localID+1)
 //	           uvarint recordCount, then per record:
-//	             add/remove: s, p, o as uvarint local IDs
-//	             drop:       nothing (the block's graph ref is the victim)
-//	             prefix:     prefix + namespace as (uvarint len + bytes)
+//	             add:    s, p, o as uvarint local IDs
+//	             drop:   nothing (the block's graph ref is the victim)
+//	             prefix: prefix + namespace as (uvarint len + bytes)
 //	footer   crc32(IEEE) of everything above (uint32), body length
 //	         (uint64), dict block length in bytes (uint64), record count
 //	         (uint64), tail magic "MDMSEGF!"
@@ -33,7 +33,11 @@
 // the same kind and graph are run-length grouped into one block, which
 // degenerates to "one dict block + one ID-triple block per graph" for
 // full segments (each graph written as a single add run) while staying
-// order-faithful for delta segments with interleaved removes and drops.
+// order-faithful for delta segments with interleaved drops.
+//
+// Op byte 1 was a triple removal block. No shipping writer emitted one,
+// but earlier releases read it, so a segment holding one is refused
+// with ErrRemove rather than skipped: the store is append-only.
 //
 // Terms are interned once in the segment-local dictionary; triples are
 // three uvarints. Loading therefore interns each distinct term exactly
@@ -44,6 +48,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -58,10 +63,18 @@ type Op = rdf.Op
 // Op kinds.
 const (
 	OpAdd    = rdf.OpAdd
-	OpRemove = rdf.OpRemove
 	OpDrop   = rdf.OpDrop
 	OpPrefix = rdf.OpPrefix
 )
+
+// removeOp is the op byte of the triple removal blocks earlier releases
+// read.
+const removeOp rdf.OpKind = 1
+
+// ErrRemove is what a store meets when its files hold a triple removal:
+// a segment block with op byte 1, or a WAL record with a "remove" op.
+// The open fails, naming the file and the byte offset.
+var ErrRemove = errors.New("holds a triple removal; PR 25 is the last release that reads removes")
 
 var (
 	magic     = []byte("MDMSEG1\n")
@@ -73,7 +86,7 @@ const footerSize = 4 + 8 + 8 + 8 + 8
 
 // Stats summarizes a written or loaded segment.
 type Stats struct {
-	Records   int   // mutation records (adds + removes + drops + prefixes)
+	Records   int   // mutation records (adds + drops + prefixes)
 	DictTerms int   // entries in the segment-local dictionary
 	DictBytes int64 // encoded size of the dict block
 	FileBytes int64 // total file size
@@ -143,7 +156,7 @@ func WriteFile(path string, ops []Op) (Stats, error) {
 	for _, op := range ops {
 		records++
 		switch op.Kind {
-		case OpAdd, OpRemove:
+		case OpAdd:
 			gref := bw.graphRef(op.Quad.Graph)
 			if cur == nil || cur.op != op.Kind || cur.graph != gref {
 				cur = flushHeaderless(op.Kind, gref)
@@ -284,7 +297,7 @@ func (r *reader) substr(limit int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if uint64(limit-r.pos) < n {
+	if r.pos > limit || uint64(limit-r.pos) < n {
 		return "", fmt.Errorf("segment: string of %d bytes overruns block at offset %d", n, r.pos)
 	}
 	start := r.pos - r.baseOff
@@ -359,10 +372,12 @@ func apply(data []byte, ds *rdf.Dataset) (Stats, error) {
 	// single string up front; every term's value/datatype/lang is a
 	// substring sharing that one backing array. Decoding a 100k-term dict
 	// then costs one allocation instead of three per term.
-	dictEnd := len(magic) + int(st.DictBytes)
-	if st.DictBytes < 0 || dictEnd > len(body) {
-		return Stats{}, fmt.Errorf("dict block of %d bytes overruns body", st.DictBytes)
+	// Compared as uint64 before any int arithmetic: a hostile footer's
+	// length must not wrap the slice bound below.
+	if uint64(st.DictBytes) > uint64(len(body)-len(magic)) {
+		return Stats{}, fmt.Errorf("dict block of %d bytes overruns body", uint64(st.DictBytes))
 	}
+	dictEnd := len(magic) + int(st.DictBytes)
 	dictStr := string(body[len(magic):dictEnd])
 	r := &reader{buf: body, pos: len(magic), base: dictStr, baseOff: len(magic)}
 
@@ -422,8 +437,12 @@ func apply(data []byte, ds *rdf.Dataset) (Stats, error) {
 		if r.pos >= len(r.buf) {
 			return Stats{}, fmt.Errorf("block %d overruns body", b)
 		}
+		start := r.pos
 		op := rdf.OpKind(r.buf[r.pos])
 		r.pos++
+		if op == removeOp {
+			return Stats{}, fmt.Errorf("block %d at byte offset %d: %w", b, start, ErrRemove)
+		}
 		gref, err := r.uvarint()
 		if err != nil {
 			return Stats{}, err
@@ -433,17 +452,12 @@ func apply(data []byte, ds *rdf.Dataset) (Stats, error) {
 			return Stats{}, err
 		}
 		switch op {
-		case OpAdd, OpRemove:
+		case OpAdd:
 			gname, err := graphTerm(gref)
 			if err != nil {
 				return Stats{}, err
 			}
-			var g *rdf.Graph
-			if op == OpAdd {
-				g = ds.Graph(gname)
-			} else if lg, ok := ds.Lookup(gname); ok {
-				g = lg
-			}
+			g := ds.Graph(gname)
 			batch = batch[:0]
 			for i := uint64(0); i < n; i++ {
 				s, err := r.uvarint()
@@ -461,15 +475,9 @@ func apply(data []byte, ds *rdf.Dataset) (Stats, error) {
 				if s >= termCount || p >= termCount || o >= termCount {
 					return Stats{}, fmt.Errorf("triple ID out of dict range %d", termCount)
 				}
-				if op == OpAdd {
-					batch = append(batch, [3]rdf.TermID{remap[s], remap[p], remap[o]})
-				} else if g != nil {
-					// Remove from a graph that never existed is a no-op
-					// and must not create the graph.
-					g.Remove(rdf.T(terms[s], terms[p], terms[o]))
-				}
+				batch = append(batch, [3]rdf.TermID{remap[s], remap[p], remap[o]})
 			}
-			if op == OpAdd && len(batch) > 0 {
+			if len(batch) > 0 {
 				g.BulkAddIDs(batch)
 			}
 		case OpDrop:

@@ -2,7 +2,10 @@ package tdb
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -199,9 +202,6 @@ func TestCheckpointCompactMixReopen(t *testing.T) {
 	if err := s.AddQuad(rdf.Q(ex("a0"), ex("q"), rdf.LangLit("hei", "no"), ex("g1"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.RemoveQuad(rdf.Q(ex("a1"), ex("p"), rdf.IntLit(1), rdf.Term{})); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -305,87 +305,174 @@ func dirBytes(t *testing.T, dir string) string {
 	return b.String()
 }
 
-// TestFsyncFailureReported: a failed WAL fsync is a lost durability
-// guarantee, so the SyncBatch flusher counts it and Close returns it.
+// TestFsyncFailureReported: with Options.Fsync a failed WAL fsync is a
+// lost durability guarantee, so the Commit it follows fails and Close
+// returns its own.
 func TestFsyncFailureReported(t *testing.T) {
-	const interval = 5 * time.Millisecond
-	s, err := OpenWith(t.TempDir(), Options{Sync: SyncBatch, SyncInterval: interval})
+	s, err := OpenWith(t.TempDir(), Options{Fsync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := obsMaintErrors.Value()
+	r, w, err := os.Pipe() // a pipe takes writes and refuses fsync
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
 	s.mu.Lock()
-	s.wal.Close() // every later Sync on the handle fails
-	s.walDirty = true
+	s.wal.Close()
+	s.wal = w
 	s.mu.Unlock()
-	for deadline := time.Now().Add(2 * time.Second); obsMaintErrors.Value() == before; time.Sleep(interval) {
-		if time.Now().After(deadline) {
-			t.Fatal("failed batch fsync not counted on mdm_tdb_maintenance_errors_total")
-		}
+	if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err == nil || !strings.Contains(err.Error(), "fsync") {
+		t.Fatalf("Commit over a failing fsync = %v, want the fsync error", err)
 	}
 	if err := s.Close(); err == nil {
 		t.Fatal("Close swallowed the fsync failure")
 	}
 }
 
-func TestRemoveMissingGraphDoesNotCreate(t *testing.T) {
-	dir := t.TempDir()
-	s := openT(t, dir)
-	if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
-		t.Fatal(err)
-	}
-	ver := s.Dataset().Version()
-	wal := s.WALRecords()
-	ok, err := s.RemoveQuad(rdf.Q(ex("s"), ex("p"), rdf.Lit("v"), ex("missing")))
-	if err != nil || ok {
-		t.Fatalf("RemoveQuad from missing graph = %v, %v", ok, err)
-	}
-	if got := s.Dataset().Version(); got != ver {
-		t.Fatalf("Version bumped %d -> %d by a no-op remove", ver, got)
-	}
-	if len(s.Dataset().GraphNames()) != 0 {
-		t.Fatalf("missing graph materialized: %v", s.Dataset().GraphNames())
-	}
-	if s.WALRecords() != wal {
-		t.Fatal("no-op remove reached the WAL")
-	}
-	s.Close()
+// removeLine is a WAL record holding a triple removal, as an earlier
+// release would have logged one.
+const removeLine = `{"ops":[{"op":"remove","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"v"},{"k":0,"v":"http://ex/ghost"}]}]}` + "\n"
 
-	// Replay path: a remove record naming a graph that never existed
-	// (e.g. written by an older binary) must not create it either.
-	rec := `{"ops":[{"op":"remove","quad":[{"k":0,"v":"http://ex/s"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"v"},{"k":0,"v":"http://ex/ghost"}]}]}` + "\n"
-	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(rec)
-	f.Close()
-	s2 := openT(t, dir)
-	defer s2.Close()
-	if len(s2.Dataset().GraphNames()) != 0 {
-		t.Fatalf("replay materialized a graph: %v", s2.Dataset().GraphNames())
+// TestRemoveOnDiskRefused: a triple removal found on disk, as the last
+// WAL line, a middle one, or a segment block, fails the open with the
+// file and the byte offset. It is not skipped, not trimmed as a torn
+// tail, and the files are left as they were.
+func TestRemoveOnDiskRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		file  string // the file the error names
+		write func(t *testing.T, dir string) int64
+	}{
+		{"final WAL line", walFile, func(t *testing.T, dir string) int64 {
+			s := openT(t, dir)
+			if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			return appendWAL(t, dir, removeLine)
+		}},
+		{"middle WAL line", walFile, func(t *testing.T, dir string) int64 {
+			appendWAL(t, dir, record(t, addOp("", "s", "v")))
+			off := appendWAL(t, dir, removeLine)
+			appendWAL(t, dir, record(t, addOp("", "s", "w")))
+			return off
+		}},
+		{"segment block", segment.SegmentName(1), func(t *testing.T, dir string) int64 {
+			s := openT(t, dir)
+			if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			path := filepath.Join(dir, segment.SegmentName(1))
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := segment.ReadStats(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// magic, the dict block, a one-byte block count: the add block's
+			// op byte, which becomes the removal block's.
+			off := int64(len("MDMSEG1\n")) + st.DictBytes + 1
+			if data[off] != byte(rdf.OpAdd) {
+				t.Fatalf("byte %d is %d, not the add block's op", off, data[off])
+			}
+			data[off] = 1
+			// Re-seal: the footer (36 bytes) opens with the body's crc32.
+			body := data[:len(data)-36]
+			binary.LittleEndian.PutUint32(data[len(body):], crc32.ChecksumIEEE(body))
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return off
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			off := tc.write(t, dir)
+			before, torn := dirBytes(t, dir), obsTornBytes.Value()
+			s, err := Open(dir)
+			if err == nil {
+				s.Close()
+				t.Fatal("Open replayed a triple removal")
+			}
+			if !errors.Is(err, segment.ErrRemove) {
+				t.Fatalf("Open = %v, want segment.ErrRemove", err)
+			}
+			for _, want := range []string{filepath.Join(dir, tc.file), fmt.Sprintf("byte offset %d", off), "PR 25 is the last release that reads removes"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name %q", err, want)
+				}
+			}
+			if got := obsTornBytes.Value(); got != torn {
+				t.Errorf("mdm_tdb_wal_torn_bytes_total moved by %v", got-torn)
+			}
+			if after := dirBytes(t, dir); after != before {
+				t.Errorf("refused open changed the directory:\n%s\nwas:\n%s", after, before)
+			}
+		})
 	}
 }
 
+// record is encodeRecord for fixtures.
+func record(t *testing.T, ops ...rdf.Op) string {
+	t.Helper()
+	line, err := encodeRecord(ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(line)
+}
+
+// appendWAL appends line to dir's WAL and returns the offset it starts at.
+func appendWAL(t *testing.T, dir, line string) int64 {
+	t.Helper()
+	f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
 // TestCompactSealsWhatAFreshStoreWould: a compaction is a disk operation.
-// The full segment of a store with 80% of its history removed is the
+// The full segment of a store with 80% of its history dropped is the
 // file a fresh store holding only the live quads compacts to, dead terms
 // and all left out — while the store keeps serving the dataset it opened
 // with, whose dictionary sheds those terms at the next open, not before.
 func TestCompactSealsWhatAFreshStoreWould(t *testing.T) {
 	const n = 500
+	// Four quads in five go to one of two graphs that are dropped whole.
 	quad := func(i int) rdf.Quad {
-		return rdf.Q(ex(fmt.Sprint("s", i)), ex("p"), rdf.Lit(fmt.Sprint("value-", i)), ex(fmt.Sprint("g", i%2)))
+		g := ex(fmt.Sprint("g", i%2))
+		if i%5 != 0 {
+			g = ex(fmt.Sprint("dropped", i%2))
+		}
+		return rdf.Q(ex(fmt.Sprint("s", i)), ex("p"), rdf.Lit(fmt.Sprint("value-", i)), g)
 	}
 	prefix := rdf.Op{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}
 	history, live := []rdf.Op{prefix}, []rdf.Op{prefix}
-	var removes []rdf.Op
+	drops := []rdf.Op{
+		{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: ex("dropped0")}},
+		{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: ex("dropped1")}},
+	}
 	terms := map[rdf.Term]bool{}
 	for i := 0; i < n; i++ {
 		q := quad(i)
 		history = append(history, rdf.Op{Kind: rdf.OpAdd, Quad: q})
 		if i%5 != 0 {
-			removes = append(removes, rdf.Op{Kind: rdf.OpRemove, Quad: q})
 			continue
 		}
 		live = append(live, rdf.Op{Kind: rdf.OpAdd, Quad: q})
@@ -426,7 +513,7 @@ func TestCompactSealsWhatAFreshStoreWould(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	commit(s, removes)
+	commit(s, drops)
 	got := compacted(s)
 	fresh := openT(t, t.TempDir())
 	defer fresh.Close()
@@ -455,8 +542,7 @@ func TestSyncModesDurable(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"always", Options{Sync: SyncAlways}},
-		{"batch", Options{Sync: SyncBatch, SyncInterval: time.Millisecond}},
+		{"always", Options{Fsync: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -466,9 +552,6 @@ func TestSyncModesDurable(t *testing.T) {
 			}
 			if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit(tc.name))); err != nil {
 				t.Fatal(err)
-			}
-			if tc.opts.Sync == SyncBatch {
-				time.Sleep(20 * time.Millisecond) // let the sync loop run
 			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
@@ -484,14 +567,12 @@ func TestSyncModesDurable(t *testing.T) {
 
 // TestConcurrentQueriesDuringCompaction is the background-compaction
 // variant of TestConcurrentQueriesDuringAppends: readers query the
-// store's dataset while writers append, the maintenance loop checkpoints
-// and explicit compactions read the same dataset to rewrite it. Run with
+// store's dataset while writers append, the maintenance tick and a
+// goroutine running the policy at a 25-op threshold checkpoint, and
+// explicit compactions read the same dataset to rewrite it. Run with
 // -race (CI does).
 func TestConcurrentQueriesDuringCompaction(t *testing.T) {
-	s, err := OpenWith(t.TempDir(), Options{
-		CompactInterval:     time.Millisecond,
-		CompactWALThreshold: 25,
-	})
+	s, err := OpenWith(t.TempDir(), Options{CompactInterval: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,6 +588,21 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var qerr atomic.Value
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := s.maintain(25); err != nil {
+				qerr.Store(err)
+				return
+			}
+		}
+	}()
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -537,7 +633,7 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if err := qerr.Load(); err != nil {
-		t.Fatalf("concurrent query failed: %v", err)
+		t.Fatalf("concurrent query or maintenance failed: %v", err)
 	}
 	res, err := sparql.Run(s.Dataset(), query)
 	if err != nil {

@@ -11,19 +11,26 @@
 //
 // Every mutation is a Commit: the batch is encoded into one record,
 // appended with one write, and then applied to the live dataset. AddQuad,
-// RemoveQuad, DropGraph and BindPrefix are one-op commits; the mdm facade
-// commits the whole write set of an ontology mutator (a wrapper's source
-// graph triples; a mapping graph's drop and refill). A record is
-// replayed as a whole or not at all, so what a caller was told succeeded
-// is on the log, and what a crash tore is gone entirely.
+// DropGraph and BindPrefix are one-op commits; the mdm facade commits the
+// whole write set of an ontology mutator (a wrapper's source graph
+// triples; a mapping graph's drop and refill). A record is replayed as a
+// whole or not at all, so what a caller was told succeeded is on the log,
+// and what a crash tore is gone entirely.
+//
+// The store is append-only: an op adds a triple, binds a prefix or drops
+// a whole named graph, and nothing removes a single triple. A WAL line or
+// segment block holding a triple removal (which no shipping writer ever
+// emitted, though earlier releases could read one) fails the open with
+// the file and the byte offset; it is never skipped, and never trimmed as
+// a torn tail.
 //
 // Open loads the manifest's segments (binary decode straight into the
 // dataset dictionary and ID indexes — no Turtle parsing) and then
 // replays the WAL tail, so startup is O(segments + WAL tail), not
 // O(full history re-parse). Checkpoint seals the WAL tail into a new
 // delta segment in O(tail); Compact writes the live dataset as a single
-// full segment that replaces the chain, leaving tombstoned triples and
-// the dictionary terms only they used out of the file. Both are disk
+// full segment that replaces the chain, leaving dropped graphs and the
+// dictionary terms only they used out of the file. Both are disk
 // operations: a store serves one dataset from OpenWith to Close, readers
 // are never moved, and the in-memory dictionary sheds its dead terms at
 // the next open (see docs/STORAGE.md, "Readers and compaction"). Both
@@ -38,12 +45,12 @@
 // By default a WAL append is handed to the OS (one write(2)) but NOT
 // fsynced: an acknowledged commit survives a crash of the process
 // (kill -9 included), but an OS crash or power failure can lose any
-// records the kernel had not yet written back. Opt into fsync durability
-// with Options.Sync: SyncAlways fsyncs every append; SyncBatch fsyncs at
-// most every Options.SyncInterval. A truncated final WAL record (torn
-// write during a crash) is tolerated and trimmed at the next Open; an
-// undecodable record with further records after it is mid-file
-// corruption and fails Open with the byte offset.
+// records the kernel had not yet written back. Options.Fsync opts into
+// power-cut durability: every append is fsynced before Commit returns.
+// A truncated final WAL record (torn write during a crash) is tolerated
+// and trimmed at the next Open; an undecodable record with further
+// records after it is mid-file corruption and fails Open with the byte
+// offset.
 package tdb
 
 import (
@@ -64,43 +71,18 @@ import (
 
 const walFile = "wal.jsonl"
 
-// SyncMode selects WAL fsync behavior; see Options.Sync.
-type SyncMode int
-
-const (
-	// SyncNone (default) hands appends to the OS without fsync.
-	SyncNone SyncMode = iota
-	// SyncAlways fsyncs the WAL after every append.
-	SyncAlways
-	// SyncBatch marks the WAL dirty on append and fsyncs it from a
-	// background goroutine every Options.SyncInterval.
-	SyncBatch
-)
-
-// Options configures OpenWith. The zero value reproduces Open's
-// historical behavior: no fsync, no background maintenance.
+// Options configures OpenWith. The zero value is Open's: no fsync, no
+// background maintenance.
 type Options struct {
-	// Sync selects the WAL durability mode.
-	Sync SyncMode
-	// SyncInterval is the SyncBatch flush period (default 5ms).
-	SyncInterval time.Duration
+	// Fsync fsyncs the WAL after every append, so an acknowledged commit
+	// survives an OS crash or a power cut, not only a crash of the
+	// process. A failed fsync fails the Commit (the batch is applied and
+	// logged; only its durability is unknown), and Close returns its own.
+	Fsync bool
 	// CompactInterval, when > 0, starts the background compactor: every
 	// interval the store runs the Maintain policy, leaving a WAL tail of
-	// fewer than CompactWALThreshold ops where it is.
+	// fewer than compactWALThreshold ops where it is.
 	CompactInterval time.Duration
-	// CompactWALThreshold is the number of logged ops that triggers a
-	// background checkpoint (default 4096).
-	CompactWALThreshold int
-}
-
-func (o Options) withDefaults() Options {
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 5 * time.Millisecond
-	}
-	if o.CompactWALThreshold <= 0 {
-		o.CompactWALThreshold = 4096
-	}
-	return o
 }
 
 // Store is a durable rdf.Dataset. All mutations must go through the
@@ -126,11 +108,9 @@ type Store struct {
 	walBytes   int64
 	walRecords int
 	walOps     int
-	walDirty   bool // SyncBatch: append since last fsync
 	closed     bool
 
-	bgStop, bgDone     chan struct{}
-	syncStop, syncDone chan struct{}
+	bgStop, bgDone chan struct{}
 }
 
 var errClosed = errors.New("tdb: store is closed")
@@ -143,8 +123,8 @@ type walRecord struct {
 
 // walOp is the WAL encoding of an rdf.Op.
 type walOp struct {
-	Op string `json:"op"` // add | remove | drop | prefix
-	// Quad is s, p, o and, for a named graph, the graph (add / remove).
+	Op string `json:"op"` // add | drop | prefix
+	// Quad is s, p, o and, for a named graph, the graph (add).
 	Quad   []jsonTerm `json:"quad,omitempty"`
 	Graph  *jsonTerm  `json:"graph,omitempty"` // drop
 	Prefix string     `json:"prefix,omitempty"`
@@ -167,7 +147,7 @@ func decTerm(j jsonTerm) rdf.Term {
 	return rdf.Term{Kind: rdf.TermKind(j.K), Value: j.V, Datatype: j.DT, Lang: j.LG}
 }
 
-var walOpNames = [...]string{rdf.OpAdd: "add", rdf.OpRemove: "remove", rdf.OpDrop: "drop", rdf.OpPrefix: "prefix"}
+var walOpNames = [...]string{rdf.OpAdd: "add", rdf.OpDrop: "drop", rdf.OpPrefix: "prefix"}
 
 // encodeRecord renders ops as one WAL line, rejecting what replay would
 // refuse: a record is never written that the next open cannot read.
@@ -179,7 +159,7 @@ func encodeRecord(ops []rdf.Op) ([]byte, error) {
 		}
 		w := walOp{Op: walOpNames[op.Kind]}
 		switch op.Kind {
-		case rdf.OpAdd, rdf.OpRemove:
+		case rdf.OpAdd:
 			w.Quad = []jsonTerm{encTerm(op.Quad.S), encTerm(op.Quad.P), encTerm(op.Quad.O)}
 			if !op.Quad.Graph.IsZero() {
 				w.Quad = append(w.Quad, encTerm(op.Quad.Graph))
@@ -205,7 +185,7 @@ func encodeRecord(ops []rdf.Op) ([]byte, error) {
 func checkOp(op rdf.Op) error {
 	g := op.Quad.Graph
 	switch op.Kind {
-	case rdf.OpAdd, rdf.OpRemove:
+	case rdf.OpAdd:
 		if !op.Quad.Triple.Valid() || !(g.IsZero() || g.IsIRI() || g.IsBlank()) {
 			return fmt.Errorf("tdb: invalid quad %s", op.Quad)
 		}
@@ -222,7 +202,8 @@ func checkOp(op rdf.Op) error {
 
 // decodeRecord is encodeRecord's inverse. A line that is not a record —
 // bad JSON, no ops, an unknown op, a malformed quad — is an error: replay
-// treats it as damage, never as an empty record.
+// treats it as damage, never as an empty record. A record holding a
+// triple removal is segment.ErrRemove, which replay refuses instead.
 func decodeRecord(line []byte) ([]rdf.Op, error) {
 	var rec walRecord
 	if err := json.Unmarshal(line, &rec); err != nil {
@@ -235,14 +216,11 @@ func decodeRecord(line []byte) ([]rdf.Op, error) {
 	for i, w := range rec.Ops {
 		var op rdf.Op
 		switch w.Op {
-		case "add", "remove":
+		case "add":
 			if len(w.Quad) != 3 && len(w.Quad) != 4 {
 				return nil, fmt.Errorf("quad of %d terms", len(w.Quad))
 			}
 			op.Kind = rdf.OpAdd
-			if w.Op == "remove" {
-				op.Kind = rdf.OpRemove
-			}
 			op.Quad.Triple = rdf.T(decTerm(w.Quad[0]), decTerm(w.Quad[1]), decTerm(w.Quad[2]))
 			if len(w.Quad) == 4 {
 				op.Quad.Graph = decTerm(w.Quad[3])
@@ -254,6 +232,8 @@ func decodeRecord(line []byte) ([]rdf.Op, error) {
 			op = rdf.Op{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: decTerm(*w.Graph)}}
 		case "prefix":
 			op = rdf.Op{Kind: rdf.OpPrefix, Prefix: w.Prefix, NS: w.NS}
+		case "remove":
+			return nil, segment.ErrRemove
 		default:
 			return nil, fmt.Errorf("unknown op %q", w.Op)
 		}
@@ -274,7 +254,6 @@ func Open(dir string) (*Store, error) {
 // opts.CompactInterval > 0 the background maintenance tick is started
 // before it returns.
 func OpenWith(dir string, opts Options) (*Store, error) {
-	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("tdb: create dir: %w", err)
 	}
@@ -290,7 +269,7 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 		man.Sweep(dir)
 		for _, name := range man.Segments {
 			if _, err := segment.LoadFile(filepath.Join(dir, name), s.ds); err != nil {
-				return nil, fmt.Errorf("tdb: corrupt segment: %w", err)
+				return nil, fmt.Errorf("tdb: load segment: %w", err)
 			}
 		}
 		s.man = man
@@ -309,10 +288,6 @@ func OpenWith(dir string, opts Options) (*Store, error) {
 	}
 	s.wal = wal
 
-	if opts.Sync == SyncBatch {
-		s.syncStop, s.syncDone = make(chan struct{}), make(chan struct{})
-		go s.syncLoop()
-	}
 	if opts.CompactInterval > 0 {
 		s.bgStop, s.bgDone = make(chan struct{}), make(chan struct{})
 		go s.maintainLoop()
@@ -330,7 +305,9 @@ type walDamage struct {
 
 // eachWALRecord calls fn with the ops of every record of the WAL file at
 // path, in order, and returns the length of the prefix that decoded. It
-// stops at the first line that is not a record and describes it.
+// stops at the first line that is not a record and describes it, and
+// fails at the first record that holds a triple removal, naming the file
+// and the line's byte offset.
 func eachWALRecord(path string, fn func(ops []rdf.Op)) (good int64, dmg *walDamage, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -345,6 +322,9 @@ func eachWALRecord(path string, fn func(ops []rdf.Op)) (good int64, dmg *walDama
 		line, rerr := r.ReadBytes('\n')
 		if rec := bytes.TrimSpace(line); len(rec) > 0 {
 			ops, derr := decodeRecord(rec)
+			if errors.Is(derr, segment.ErrRemove) {
+				return good, nil, fmt.Errorf("tdb: %s: record at byte offset %d: %w", path, good, derr)
+			}
 			if derr != nil {
 				tail, terr := io.ReadAll(r)
 				if terr != nil {
@@ -371,7 +351,9 @@ func eachWALRecord(path string, fn func(ops []rdf.Op)) (good int64, dmg *walDama
 // from the file so later appends cannot bury corruption mid-file. An
 // undecodable record with more data after it is mid-file corruption —
 // the file kept growing past it, which a torn final append cannot
-// produce — and fails the open, naming the byte offset.
+// produce — and fails the open, naming the byte offset. So does a
+// record holding a triple removal, wherever it is, and the file is left
+// as it was.
 func (s *Store) replayWAL() error {
 	path := filepath.Join(s.dir, walFile)
 	good, dmg, err := eachWALRecord(path, func(ops []rdf.Op) {
@@ -399,11 +381,10 @@ func (s *Store) replayWAL() error {
 // single WAL record, appended with one write, and only then applied to
 // the live dataset, in order. The record is replayed as a whole or not
 // at all, so a crash can never leave part of a batch behind, and a batch
-// that could not be logged is not applied. (A failed SyncAlways fsync is
-// reported after the batch is applied: the record is in the log, only
-// its durability is unknown.) With the default SyncNone an acknowledged
-// batch survives a crash of the process, not of the machine (see
-// Options.Sync).
+// that could not be logged is not applied. Without Options.Fsync an
+// acknowledged batch survives a crash of the process, not of the machine;
+// with it, a failed fsync is reported after the batch is applied (the
+// record is in the log, only its durability is unknown).
 func (s *Store) Commit(ops []rdf.Op) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -431,40 +412,13 @@ func (s *Store) commitLocked(ops []rdf.Op) error {
 	s.walRecords++
 	s.walOps += len(ops)
 	s.ds.Apply(ops)
-	switch s.opts.Sync {
-	case SyncAlways:
+	if s.opts.Fsync {
 		if err := s.wal.Sync(); err != nil {
 			return fmt.Errorf("tdb: fsync wal: %w", err)
 		}
 		obsWALFsyncs.Inc()
-	case SyncBatch:
-		s.walDirty = true
 	}
 	return nil
-}
-
-// syncLoop is the SyncBatch flusher: fsync the WAL at most once per
-// SyncInterval, and only when an append happened since the last fsync.
-func (s *Store) syncLoop() {
-	defer close(s.syncDone)
-	t := time.NewTicker(s.opts.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.syncStop:
-			return
-		case <-t.C:
-		}
-		s.mu.Lock()
-		if !s.closed && s.walDirty {
-			if err := s.wal.Sync(); err != nil {
-				obsMaintErrors.Inc()
-			}
-			s.walDirty = false
-			obsWALFsyncs.Inc()
-		}
-		s.mu.Unlock()
-	}
 }
 
 // Dataset returns the store's dataset: the same one from OpenWith to
@@ -472,19 +426,13 @@ func (s *Store) syncLoop() {
 // methods.
 func (s *Store) Dataset() *rdf.Dataset { return s.ds }
 
-// hasLocked reports whether q is in the live dataset, without creating
-// its graph.
-func (s *Store) hasLocked(q rdf.Quad) bool {
-	g, ok := s.ds.Lookup(q.Graph)
-	return ok && g.Has(q.Triple)
-}
-
 // AddQuad durably inserts a quad. Adding a quad already present logs
 // nothing.
 func (s *Store) AddQuad(q rdf.Quad) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hasLocked(q) {
+	// Lookup, not Graph: a quad already present creates no graph either.
+	if g, ok := s.ds.Lookup(q.Graph); ok && g.Has(q.Triple) {
 		return nil
 	}
 	return s.commitLocked([]rdf.Op{{Kind: rdf.OpAdd, Quad: q}})
@@ -493,21 +441,6 @@ func (s *Store) AddQuad(q rdf.Quad) error {
 // AddTriple durably inserts a triple into the default graph.
 func (s *Store) AddTriple(t rdf.Triple) error {
 	return s.AddQuad(rdf.Quad{Triple: t})
-}
-
-// RemoveQuad durably removes a quad, reporting whether it was present.
-// Removing from a named graph that does not exist is a no-op: it does
-// not create the graph (and so does not bump Dataset.Version).
-func (s *Store) RemoveQuad(q rdf.Quad) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.hasLocked(q) {
-		return false, nil
-	}
-	if err := s.commitLocked([]rdf.Op{{Kind: rdf.OpRemove, Quad: q}}); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // DropGraph durably removes an entire named graph.
@@ -535,7 +468,7 @@ func (s *Store) WALRecords() int {
 }
 
 // Close stops background maintenance and closes the WAL, syncing it
-// first in the fsync modes. The store cannot be used afterwards.
+// first with Options.Fsync. The store cannot be used afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -548,13 +481,9 @@ func (s *Store) Close() error {
 		close(s.bgStop)
 		<-s.bgDone
 	}
-	if s.syncStop != nil {
-		close(s.syncStop)
-		<-s.syncDone
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.opts.Sync != SyncNone {
+	if s.opts.Fsync {
 		if err := s.wal.Sync(); err != nil {
 			s.wal.Close()
 			return fmt.Errorf("tdb: fsync wal: %w", err)

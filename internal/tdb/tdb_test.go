@@ -98,23 +98,12 @@ func TestReopenReplaysWAL(t *testing.T) {
 	}
 }
 
-func TestRemoveAndDropSurviveReopen(t *testing.T) {
+func TestDropSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	keep := rdf.T(rdf.IRI("keep"), rdf.IRI("p"), rdf.Lit("v"))
-	gone := rdf.T(rdf.IRI("gone"), rdf.IRI("p"), rdf.Lit("v"))
 	if err := s.AddTriple(keep); err != nil {
 		t.Fatal(err)
-	}
-	if err := s.AddTriple(gone); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := s.RemoveQuad(rdf.Quad{Triple: gone})
-	if err != nil || !removed {
-		t.Fatalf("RemoveQuad = %v, %v", removed, err)
-	}
-	if removed, _ := s.RemoveQuad(rdf.Quad{Triple: gone}); removed {
-		t.Fatal("double remove reported true")
 	}
 	if err := s.AddQuad(rdf.Q(rdf.IRI("x"), rdf.IRI("y"), rdf.Lit("z"), rdf.IRI("dropme"))); err != nil {
 		t.Fatal(err)
@@ -128,9 +117,6 @@ func TestRemoveAndDropSurviveReopen(t *testing.T) {
 	defer s2.Close()
 	if !s2.Dataset().Default().Has(keep) {
 		t.Error("kept triple missing")
-	}
-	if s2.Dataset().Default().Has(gone) {
-		t.Error("removed triple resurrected")
 	}
 	if _, ok := s2.Dataset().Lookup(rdf.IRI("dropme")); ok {
 		t.Error("dropped graph resurrected")

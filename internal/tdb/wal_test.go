@@ -2,6 +2,7 @@ package tdb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -145,10 +146,9 @@ func TestMaintainPolicy(t *testing.T) {
 			}
 		}, 2, false},
 		{"tail as long as the store: rewrite", 300, func(t *testing.T, s *Store) {
-			// Each triple added and removed again: 600 ops over 300 triples.
-			for i := 0; i < 300; i++ {
-				q := rdf.Quad{Triple: rdf.T(ex("base0"), ex("q"), rdf.IntLit(int64(i)))}
-				if err := s.Commit([]rdf.Op{{Kind: rdf.OpAdd, Quad: q}, {Kind: rdf.OpRemove, Quad: q}}); err != nil {
+			// One mapping graph redefined 30 times: 330 ops over 310 triples.
+			for i := 0; i < 30; i++ {
+				if err := s.Commit(mappingBatch("m", 10)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -194,6 +194,51 @@ func TestMaintainPolicy(t *testing.T) {
 	}
 }
 
+// pinnedOps is one batch of every op kind the WAL logs: a prefix, adds
+// in the default graph and in two named graphs, and the drop of one of
+// them.
+func pinnedOps() []rdf.Op {
+	return []rdf.Op{
+		{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"},
+		{Kind: rdf.OpAdd, Quad: rdf.Q(ex("s1"), ex("p"), rdf.Lit("a"), rdf.Term{})},
+		{Kind: rdf.OpAdd, Quad: rdf.Q(ex("s1"), ex("p"), rdf.TypedLit("7", rdf.XSDInteger), ex("g1"))},
+		{Kind: rdf.OpAdd, Quad: rdf.Q(ex("s9"), ex("p"), rdf.LangLit("hei", "no"), ex("g2"))},
+		{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: ex("g2")}},
+	}
+}
+
+// pinnedWALRecord is pinnedOps as the WAL writer logged it before the
+// triple removal op left the format.
+const pinnedWALRecord = `{"ops":[{"op":"prefix","prefix":"ex","ns":"http://ex/"},{"op":"add","quad":[{"k":0,"v":"http://ex/s1"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"a"}]},{"op":"add","quad":[{"k":0,"v":"http://ex/s1"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"7","dt":"http://www.w3.org/2001/XMLSchema#integer"},{"k":0,"v":"http://ex/g1"}]},{"op":"add","quad":[{"k":0,"v":"http://ex/s9"},{"k":0,"v":"http://ex/p"},{"k":1,"v":"hei","lg":"no"},{"k":0,"v":"http://ex/g2"}]},{"op":"drop","graph":{"k":0,"v":"http://ex/g2"}}]}` + "\n"
+
+// TestPinnedWALRecordReplays: a WAL line logged by an earlier release
+// replays to the dataset it was logged from, and today's writer logs the
+// same batch as the same line.
+func TestPinnedWALRecordReplays(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFile), []byte(pinnedWALRecord), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := openT(t, dir)
+	defer s.Close()
+	ds := s.Dataset()
+	if got := ds.Default().Triples(); len(got) != 1 || got[0] != rdf.T(ex("s1"), ex("p"), rdf.Lit("a")) {
+		t.Errorf("default graph holds %v", got)
+	}
+	if g, ok := ds.Lookup(ex("g1")); !ok || g.Len() != 1 || !g.Has(rdf.T(ex("s1"), ex("p"), rdf.IntLit(7))) {
+		t.Errorf("g1 = %v, %v", g, ok)
+	}
+	if names := ds.GraphNames(); len(names) != 1 {
+		t.Errorf("named graphs %v, want only g1 (g2 was dropped)", names)
+	}
+	if iri, ok := ds.Prefixes().Expand("ex:x"); !ok || iri != "http://ex/x" {
+		t.Error("prefix binding not replayed")
+	}
+	if got := record(t, pinnedOps()...); got != pinnedWALRecord {
+		t.Errorf("the writer logs pinnedOps as\n%s\nwant\n%s", got, pinnedWALRecord)
+	}
+}
+
 // FuzzWALReplay feeds arbitrary bytes to the open path as wal.jsonl. The
 // invariant: damage is either a torn final record, trimmed off and
 // counted, or an error naming the byte offset; it is never a panic, and
@@ -209,11 +254,10 @@ func FuzzWALReplay(f *testing.F) {
 	}
 	one := rec(addOp("", "s", "v"))
 	batch := rec(mappingBatch("m", 3)...)
-	misc := rec(
+	misc := append(rec(
 		rdf.Op{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"},
-		rdf.Op{Kind: rdf.OpRemove, Quad: addOp("", "s", "v").Quad},
 		rdf.Op{Kind: rdf.OpAdd, Quad: rdf.Quad{Triple: rdf.T(rdf.Blank("b"), ex("p"), rdf.LangLit("chat", "fr"))}},
-	)
+	), removeLine...)
 	f.Add(bytes.Join([][]byte{one, batch, misc}, nil))
 	f.Add(append(append([]byte{}, one...), batch[:len(batch)/2]...))                       // torn batch
 	f.Add(bytes.Join([][]byte{one, []byte("{\"ops\":[{\"op\":\"add\"}]}\n"), batch}, nil)) // mid-file damage
@@ -227,15 +271,20 @@ func FuzzWALReplay(f *testing.F) {
 		var good int64   // length of the prefix that holds only records
 		damaged := false // a line that is not a record was seen
 		garbage := false // ... and something other than blank space follows it
+		refused := false // a record holding a triple removal was seen first
 		for _, line := range bytes.SplitAfter(wal, []byte("\n")) {
 			body := bytes.TrimSpace(line)
 			switch {
-			case damaged:
+			case damaged || refused:
 				garbage = garbage || len(body) > 0
 			case len(body) == 0:
 				good += int64(len(line))
 			default:
 				ops, err := decodeRecord(body)
+				if errors.Is(err, segment.ErrRemove) {
+					refused = true
+					continue
+				}
 				if err != nil {
 					damaged = true
 					continue
@@ -252,7 +301,7 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		s, err := Open(dir)
-		if damaged && garbage {
+		if refused || damaged && garbage {
 			if err == nil {
 				s.Close()
 				t.Fatalf("Open accepted a WAL damaged mid-file at byte %d", good)

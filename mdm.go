@@ -122,8 +122,9 @@ func newSystem(ont *bdi.Ontology, reg *wrapper.Registry) *System {
 }
 
 // StoreOptions configures the persistent storage engine behind OpenWith:
-// WAL fsync durability (Sync/SyncInterval) and background maintenance
-// (CompactInterval/CompactWALThreshold). The zero value matches Open.
+// power-cut durability (Fsync: every WAL append is fsynced before the
+// call that made it returns) and background maintenance
+// (CompactInterval). The zero value matches Open.
 type StoreOptions = tdb.Options
 
 // Open loads (or creates) a persistent MDM system rooted at dir with
@@ -138,7 +139,7 @@ func Open(dir string) (*System, error) {
 // open); saved walks live in a JSON document store next to it.
 // Every ontology mutation is committed to the WAL as one record before
 // the call returns, so whatever was acknowledged survives a crash of
-// the process (and, with opts.Sync, of the machine). When
+// the process (and, with opts.Fsync, of the machine). When
 // opts.CompactInterval > 0 a background tick runs the storage
 // maintenance policy (tdb.Store.Maintain); both of its operations
 // write files and leave the dataset the system serves alone, so facade
