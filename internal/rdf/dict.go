@@ -30,6 +30,13 @@ const AnyID TermID = ^TermID(0)
 // once an ID is handed out, the Term it decodes to never changes, so a
 // slice header captured by Snapshot stays valid forever — readers can
 // index it lock-free for any ID observed before the snapshot was taken.
+//
+// The term order (Order, order.go) is published through an atomic
+// pointer and never mutated once published, so readers load it without
+// any lock and may keep it for as long as they like: it stays correct
+// for the IDs below its N, and merely stops covering terms interned
+// after it was built. Extending it takes a separate mutex with TryLock
+// only, so neither interning nor any reader ever waits for an extension.
 type Dict struct {
 	mu    sync.RWMutex
 	ids   map[Term]TermID
@@ -38,6 +45,14 @@ type Dict struct {
 	// interns here — for a dataset's shared dictionary, all its graphs
 	// (see Dataset.Writes). Graphs bump it after the index change.
 	writes atomic.Uint64
+
+	// order is the published term order, nil until the first build;
+	// orderMu serializes extensions; orderCharge is the Compare calls
+	// callers spent on terms the order did not cover since the last
+	// extension (ChargeOrder).
+	order       atomic.Pointer[TermOrder]
+	orderMu     sync.Mutex
+	orderCharge atomic.Int64
 }
 
 // NewDict returns an empty dictionary.

@@ -894,12 +894,35 @@ func appendRowKey(key []byte, row []rdf.TermID, slots []int) []byte {
 	return key
 }
 
+// beginCanonical starts a canonical or top-k barrier: it pins the
+// dictionary's term order for the whole barrier, so every comparison it
+// makes reads the same ranks.
+func (e *evaluator) beginCanonical() {
+	e.order, e.compares = e.dict.Order(), 0
+}
+
+// endCanonical ends the barrier: it counts the barrier on its path and
+// charges the term comparisons it made to the dictionary, whose charge
+// rule (rdf.Dict.ChargeOrder) decides when covering those terms pays.
+func (e *evaluator) endCanonical() {
+	if e.compares == 0 {
+		obsCanonicalRanked.Inc()
+		return
+	}
+	obsCanonicalFallback.Inc()
+	e.dict.ChargeOrder(e.compares)
+}
+
 // cmpCanonical is the canonical result order: projected columns
 // compared left to right, unbound first, terms by rdf.Compare. The
 // dictionary is a bijection, so it returns 0 exactly when the projected
 // columns are identical — which makes it a total order up to row
-// interchangeability and pages deterministic.
+// interchangeability and pages deterministic. Two IDs the barrier's term
+// order covers compare by rank, which is the same answer without
+// decoding; any other pair is compared as terms and counted.
 func (e *evaluator) cmpCanonical(slots []int, a, b []rdf.TermID) int {
+	ord := e.order
+	n := uint64(ord.N())
 	for _, s := range slots {
 		x, y := a[s], b[s]
 		switch {
@@ -909,7 +932,13 @@ func (e *evaluator) cmpCanonical(slots []int, a, b []rdf.TermID) int {
 			return -1
 		case y == unboundID:
 			return 1
+		case uint64(x) < n && uint64(y) < n:
+			if ord.Rank(x) < ord.Rank(y) {
+				return -1
+			}
+			return 1
 		}
+		e.compares++
 		if c := rdf.Compare(e.term(x), e.term(y)); c != 0 {
 			return c
 		}
@@ -918,12 +947,17 @@ func (e *evaluator) cmpCanonical(slots []int, a, b []rdf.TermID) int {
 }
 
 // sortCanonical sorts full-width rows into the canonical order of the
-// projected columns without decoding terms inside the comparator: the
-// distinct IDs appearing in those columns are ranked once by term order
-// (the dictionary is a bijection over 4-field Terms and rdf.Compare is
-// total on them, so distinct IDs never tie), and the rows then sort on
-// raw integer ranks. The visible order is exactly cmpCanonical's; only
-// the O(n log n) term comparisons shrink to O(distinct · log distinct).
+// projected columns without decoding terms inside the comparator: rows
+// sort on integer ranks (sortByRank), read from the barrier's term order
+// when it covers every projected ID. Otherwise the distinct IDs
+// appearing in those columns are ranked for this sort alone by term
+// order (the dictionary is a bijection over 4-field Terms and
+// rdf.Compare is total on them, so distinct IDs never tie), and the
+// comparisons that took are counted for endCanonical. The visible order
+// is exactly cmpCanonical's either way; the O(n log n) term comparisons
+// shrink to none, or to O(distinct · log distinct). A covered result too
+// wide for the order's ranks to pack is re-ranked the second way, by
+// comparing ranks rather than terms.
 func (e *evaluator) sortCanonical(slots []int, rows [][]rdf.TermID) {
 	if len(rows) < 2 || len(slots) == 0 {
 		return
@@ -936,6 +970,22 @@ func (e *evaluator) sortCanonical(slots []int, rows [][]rdf.TermID) {
 			}
 		}
 	}
+	ord := e.order
+	covered := uint64(maxID) < uint64(ord.N())
+	if keyBits := bits.Len(uint(ord.N())); covered && len(slots)*keyBits+bits.Len(uint(len(rows)-1)) <= 64 {
+		// Rank 0 is the unbound column, so covered ranks shift up by one.
+		sortByRank(rows, slots, keyBits, func(id rdf.TermID) uint32 { return ord.Rank(id) + 1 })
+		return
+	}
+	// Too wide to pack the order's ranks: re-rank the result's distinct
+	// IDs below, ordering them by those ranks instead of by their terms.
+	cmp := func(a, b rdf.TermID) int {
+		e.compares++
+		return rdf.Compare(e.term(a), e.term(b))
+	}
+	if covered {
+		cmp = func(a, b rdf.TermID) int { return int(ord.Rank(a)) - int(ord.Rank(b)) }
+	}
 	// Rank storage is O(result) no matter how large the dictionary is:
 	// dense ID-indexed slices when the ID range is in the same ballpark
 	// as the result's cell count (they win on constant factors), a map
@@ -944,13 +994,13 @@ func (e *evaluator) sortCanonical(slots []int, rows [][]rdf.TermID) {
 	cells := len(rows) * len(slots)
 	dense := int(maxID) <= 4*cells+1024
 	var seen []bool
-	var rankD []int32
-	var rankM map[rdf.TermID]int32
+	var rankD []uint32
+	var rankM map[rdf.TermID]uint32
 	if dense {
 		seen = make([]bool, int(maxID)+1)
-		rankD = make([]int32, int(maxID)+1)
+		rankD = make([]uint32, int(maxID)+1)
 	} else {
-		rankM = make(map[rdf.TermID]int32, cells)
+		rankM = make(map[rdf.TermID]uint32, cells)
 	}
 	distinct := make([]rdf.TermID, 0, 64)
 	for _, r := range rows {
@@ -970,50 +1020,48 @@ func (e *evaluator) sortCanonical(slots []int, rows [][]rdf.TermID) {
 			}
 		}
 	}
-	slices.SortFunc(distinct, func(a, b rdf.TermID) int {
-		return rdf.Compare(e.term(a), e.term(b))
-	})
+	slices.SortFunc(distinct, cmp)
 	// Ranks are 1-based: 0 is the unbound column, which sorts first.
 	for i, id := range distinct {
 		if dense {
-			rankD[id] = int32(i + 1)
+			rankD[id] = uint32(i + 1)
 		} else {
-			rankM[id] = int32(i + 1)
+			rankM[id] = uint32(i + 1)
 		}
 	}
+	sortByRank(rows, slots, bits.Len(uint(len(distinct))), func(id rdf.TermID) uint32 {
+		if dense {
+			return rankD[id]
+		}
+		return rankM[id]
+	})
+}
+
+// sortByRank sorts rows by the ranks of their projected columns, left to
+// right: rank returns a bound ID's rank, at least 1 and at most
+// 1<<keyBits - 1, and an unbound column ranks 0. Distinct bound IDs must
+// rank distinctly, so rows that tie are identical in every projected
+// column and no sort, stable or not, can reorder anything observable.
+func sortByRank(rows [][]rdf.TermID, slots []int, keyBits int, rank func(rdf.TermID) uint32) {
 	// When the per-column ranks and a row index all pack into 64 bits
-	// (virtually always: it takes > 20 projected columns or > 2^60
-	// result cells to overflow), sort plain integers — the comparison
-	// is a single machine word, and the trailing row-index bits both
-	// break ties deterministically and name the row to permute into
-	// place.
+	// (a column takes bits.Len(terms ranked): a 9 000-row result over
+	// 2 000 distinct terms packs four columns), sort plain integers — the
+	// comparison is a single machine word, and the trailing row-index
+	// bits both break ties deterministically and name the row to permute
+	// into place.
 	n := len(rows)
 	idxBits := bits.Len(uint(n - 1))
-	keyBits := bits.Len(uint(len(distinct)))
 	if len(slots)*keyBits+idxBits <= 64 {
 		keys := make([]uint64, n)
-		if dense {
-			for i, r := range rows {
-				k := uint64(0)
-				for _, s := range slots {
-					k <<= keyBits
-					if id := r[s]; id != unboundID {
-						k |= uint64(rankD[id])
-					}
+		for i, r := range rows {
+			k := uint64(0)
+			for _, s := range slots {
+				k <<= keyBits
+				if id := r[s]; id != unboundID {
+					k |= uint64(rank(id))
 				}
-				keys[i] = k<<idxBits | uint64(i)
 			}
-		} else {
-			for i, r := range rows {
-				k := uint64(0)
-				for _, s := range slots {
-					k <<= keyBits
-					if id := r[s]; id != unboundID {
-						k |= uint64(rankM[id])
-					}
-				}
-				keys[i] = k<<idxBits | uint64(i)
-			}
+			keys[i] = k<<idxBits | uint64(i)
 		}
 		slices.Sort(keys)
 		// Sorted position i must receive rows[keys[i]&mask]. Apply that
@@ -1036,14 +1084,6 @@ func (e *evaluator) sortCanonical(slots []int, rows [][]rdf.TermID) {
 			keys[cur] = keys[cur]&^mask | uint64(cur)
 		}
 		return
-	}
-	// Equal rows are identical in every projected column, so an
-	// unstable sort cannot reorder anything observable.
-	rank := func(id rdf.TermID) int32 {
-		if dense {
-			return rankD[id]
-		}
-		return rankM[id]
 	}
 	slices.SortFunc(rows, func(a, b []rdf.TermID) int {
 		for _, s := range slots {
@@ -1167,7 +1207,9 @@ func (it *canonIter) next() []rdf.TermID {
 		if it.e.err != nil {
 			return nil
 		}
+		it.e.beginCanonical()
 		it.e.sortCanonical(it.slots, it.rows)
+		it.e.endCanonical()
 	}
 	if it.e.err != nil || it.pos >= len(it.rows) {
 		return nil
@@ -1198,6 +1240,7 @@ func (it *topKIter) next() []rdf.TermID {
 	if !it.filled {
 		it.filled = true
 		if it.k > 0 { // k == 0: empty page, skip evaluation entirely
+			it.e.beginCanonical()
 			for {
 				row := it.src.next()
 				if row == nil {
@@ -1205,6 +1248,7 @@ func (it *topKIter) next() []rdf.TermID {
 				}
 				it.insert(row)
 			}
+			it.e.endCanonical()
 		}
 		if it.e.err != nil {
 			return nil

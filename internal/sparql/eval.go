@@ -224,6 +224,13 @@ type evaluator struct {
 	// the choice to the cost model (chooseJoin).
 	join int32
 
+	// State of the pipeline's canonical-order or top-k barrier (cursor.go,
+	// beginCanonical): the dictionary's term order as the barrier began,
+	// and the rdf.Compare calls the barrier has made on terms that order
+	// does not cover, charged to the dictionary when it ends.
+	order    *rdf.TermOrder
+	compares int
+
 	// trace is the query's observability trace, nil on the untraced
 	// path. The planner annotates it always; operator wrapping
 	// (metrics.go traced) happens only when trace.Detail is set, so a

@@ -31,6 +31,11 @@ var (
 
 	obsPathExpansions = obs.Default.NewCounter("mdm_sparql_path_expansions_total",
 		"Property-path closure node expansions.")
+
+	obsCanonicalSorts = obs.Default.NewCounterVec("mdm_sparql_canonical_sorts_total",
+		"No-ORDER-BY canonical and top-k barriers: ranked when they compared no terms, fallback when they compared terms the dictionary's term order did not cover.", "path")
+	obsCanonicalRanked   = obsCanonicalSorts.With("ranked")
+	obsCanonicalFallback = obsCanonicalSorts.With("fallback")
 )
 
 // traceIter wraps one operator when EXPLAIN detail is on, charging

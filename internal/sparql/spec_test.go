@@ -3,7 +3,9 @@ package sparql
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -384,6 +386,9 @@ func checkEquivalence(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
 				seed, q, datasetDump(ds), diffMultisets(me, mo))
 		}
 	}
+	if len(q.OrderBy) == 0 {
+		checkCanonicalOrder(t, q, got.Vars, sols, want.Sols, seed)
+	}
 	// Cross-check the cell accessor against the decoded bindings.
 	for i := 0; i < got.Len(); i++ {
 		for _, v := range got.Vars {
@@ -396,6 +401,104 @@ func checkEquivalence(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
 	}
 	checkCursor(t, ds, q, seed, got, mo)
 	checkJoinStrategies(t, ds, q, seed, false, mo)
+}
+
+// checkCanonicalOrder pins the canonical order itself, where the
+// multiset checks only pin what is returned: without ORDER BY the
+// engine's rows must be the oracle's solutions sorted by canonicalCmp,
+// the documented order restated here independently of both engines.
+// (With LIMIT/OFFSET the oracle's page is already the right page, so
+// sorting it again is the identity.)
+func checkCanonicalOrder(t *testing.T, q *Query, vars []string, got, oracle []Binding, seed int64) {
+	t.Helper()
+	want := slices.Clone(oracle)
+	slices.SortStableFunc(want, func(a, b Binding) int { return canonicalCmp(vars, a, b) })
+	for i := range got {
+		if g, w := solKey(vars, got[i]), solKey(vars, want[i]); g != w {
+			t.Fatalf("seed %d: row %d is %q, canonical order puts %q there\nquery: %s", seed, i, g, w, q)
+		}
+	}
+}
+
+// canonicalCmp is the canonical order: projected columns left to right,
+// an unbound column first, terms by rdf.Compare.
+func canonicalCmp(vars []string, a, b Binding) int {
+	for _, v := range vars {
+		x, xok := a[v]
+		y, yok := b[v]
+		switch {
+		case !xok && !yok:
+			continue
+		case !xok:
+			return -1
+		case !yok:
+			return 1
+		}
+		if c := rdf.Compare(x, y); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+// checkDictStates runs checkEquivalence on one generated case in each
+// state the dictionary's term order can be in when a canonical barrier
+// runs: none built (the fresh dataset; the charge rule may build one
+// during the case's evaluations), one covering every term, and a stale
+// one that misses about half the terms the results use.
+func checkDictStates(t *testing.T, ds *rdf.Dataset, q *Query, seed int64) {
+	t.Helper()
+	if ds.Dict().Order() != nil {
+		t.Fatalf("seed %d: a fresh dataset already has a term order", seed)
+	}
+	checkEquivalence(t, ds, q, seed)
+	forceOrder(ds.Dict())
+	checkEquivalence(t, ds, q, seed)
+	checkEquivalence(t, staleOrderCopy(ds), q, seed)
+}
+
+// forceOrder charges d until its term order covers every interned term.
+func forceOrder(d *rdf.Dict) {
+	for d.Order().N() != d.Len() {
+		d.ChargeOrder(math.MaxInt32)
+	}
+}
+
+// staleOrderCopy copies ds into a dataset whose term order was built
+// over every other term of the generator's vocabulary, before any quad
+// was added: results mix terms the order ranks with terms interned
+// after it.
+func staleOrderCopy(ds *rdf.Dataset) *rdf.Dataset {
+	out := rdf.NewDataset()
+	vocab := slices.Concat(specSubjects, specPreds, specObjects, specGraphNames)
+	for i := 0; i < len(vocab); i += 2 {
+		out.Dict().Intern(vocab[i])
+	}
+	forceOrder(out.Dict())
+	for _, name := range ds.GraphNames() {
+		out.Graph(name)
+	}
+	for _, q := range ds.Quads() {
+		if q.Graph.IsZero() {
+			out.Default().MustAdd(q.Triple)
+		} else {
+			out.Graph(q.Graph).MustAdd(q.Triple)
+		}
+	}
+	return out
+}
+
+// requireBothCanonicalPaths returns a check, to defer, that the
+// canonical barriers run since the call took both the ranked and the
+// fallback path — so the dictionary states above really exercise both.
+func requireBothCanonicalPaths(t *testing.T) func() {
+	ranked, fallback := obsCanonicalRanked.Value(), obsCanonicalFallback.Value()
+	return func() {
+		if obsCanonicalRanked.Value() == ranked || obsCanonicalFallback.Value() == fallback {
+			t.Errorf("canonical barriers: %v ranked, %v fallback; want both paths taken",
+				obsCanonicalRanked.Value()-ranked, obsCanonicalFallback.Value()-fallback)
+		}
+	}
 }
 
 // checkJoinStrategies re-evaluates q with the planner's join choice
@@ -502,13 +605,15 @@ func checkCursor(t *testing.T, ds *rdf.Dataset, q *Query, seed int64, full *Resu
 }
 
 // TestSpecRandomizedEquivalence is the oracle harness: specPairs
-// generated query/graph pairs, each evaluated by both engines.
+// generated query/graph pairs, each evaluated by both engines in every
+// term-order state.
 func TestSpecRandomizedEquivalence(t *testing.T) {
+	defer requireBothCanonicalPaths(t)()
 	for seed := int64(0); seed < specPairs; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		ds := genDataset(r)
 		q := genQuery(r, ds)
-		checkEquivalence(t, ds, q, seed)
+		checkDictStates(t, ds, q, seed)
 	}
 }
 
@@ -722,13 +827,14 @@ func aggAliases(q *Query) []string {
 
 // TestSpecPathAggregateEquivalence drives specPairs additional seeds
 // through the path/aggregate generator, cycling path-only, aggregate-
-// only, and combined shapes.
+// only, and combined shapes, each in every term-order state.
 func TestSpecPathAggregateEquivalence(t *testing.T) {
+	defer requireBothCanonicalPaths(t)()
 	for seed := int64(0); seed < specPairs; seed++ {
 		r := rand.New(rand.NewSource(1_000_000 + seed))
 		ds := genDataset(r)
 		q := genPathAggQuery(r, ds, seed%3 != 1, seed%3 != 0)
-		checkEquivalence(t, ds, q, seed)
+		checkDictStates(t, ds, q, seed)
 	}
 }
 
