@@ -15,7 +15,6 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/federate"
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/relalg"
 	"mdm/internal/rewrite"
 	"mdm/internal/rewrite/gav"
@@ -344,11 +343,11 @@ func BenchmarkTripleStoreMatch(b *testing.B) {
 
 func BenchmarkTurtleParse(b *testing.B) {
 	f := usecase.MustNew()
-	doc := turtle.WriteDataset(f.Ont.Dataset())
+	doc := rdf.WriteDataset(f.Ont.Dataset())
 	b.SetBytes(int64(len(doc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := turtle.ParseDataset(doc); err != nil {
+		if _, err := sparql.ParseTriG(doc); err != nil {
 			b.Fatal(err)
 		}
 	}

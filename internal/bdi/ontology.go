@@ -29,6 +29,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mdm/internal/rdf"
@@ -100,16 +101,19 @@ var (
 type Ontology struct {
 	mu sync.RWMutex
 	ds *rdf.Dataset // set once, at creation
-	// journal, when set, is the only writer of the dataset (see Journal).
+	// journal is the only writer of the dataset (see Journal).
 	journal Journal
 }
 
-// Journal is the durable write path of a persistent ontology: Commit
-// logs ops as one all-or-nothing batch and then applies them to the
-// dataset the ontology reads (tdb.Store.Commit). A mutator validates
-// under the ontology's write lock and commits its whole write set with
-// one call before it returns, so what a caller was told succeeded is on
-// the log, and a crash never leaves half a mapping graph.
+// Journal is the write path of an ontology: Commit checks ops as one
+// all-or-nothing batch and then applies them to the dataset the ontology
+// reads. An in-memory ontology's journal is its dataset
+// (rdf.Dataset.Commit); a persistent one's logs the batch first
+// (tdb.Store.Commit). A mutator validates under the ontology's write lock
+// and commits its whole write set with one call before it returns, so
+// what a caller was told succeeded is on the log, and a crash never
+// leaves half a mapping graph. Commit must not retain ops: the buffer is
+// reused by the next mutation.
 type Journal interface {
 	Commit(ops []rdf.Op) error
 }
@@ -118,35 +122,53 @@ type Journal interface {
 // ontology is shared.
 func (o *Ontology) SetJournal(j Journal) { o.journal = j }
 
-// writes is one mutator's write set. Without a journal each write goes
-// straight to the dataset; with one they are collected and committed
-// together. The caller holds o.mu.
+// writes is one mutator's write set, collected and committed together.
+// The caller holds o.mu.
 type writes struct {
 	o   *Ontology
-	ops []rdf.Op
+	ops *[]rdf.Op // nil until the first op
+}
+
+// spareOps is one write-set buffer kept between mutations, so that a
+// mutation allocates no batch of its own: the ops are dead once Commit
+// returns. A mutator that finds it taken by a concurrent one allocates.
+// A buffer grown past maxSpareOps by a large write set is let go, so the
+// spare pins at most ~17 KB.
+var spareOps atomic.Pointer[[]rdf.Op]
+
+const maxSpareOps = 64
+
+func (w *writes) push(op rdf.Op) {
+	if w.ops == nil {
+		if w.ops = spareOps.Swap(nil); w.ops == nil {
+			w.ops = new([]rdf.Op)
+		}
+	}
+	*w.ops = append(*w.ops, op)
 }
 
 func (w *writes) add(graph rdf.Term, t rdf.Triple) {
-	if w.o.journal == nil {
-		w.o.ds.Graph(graph).MustAdd(t)
-		return
-	}
-	w.ops = append(w.ops, rdf.Op{Kind: rdf.OpAdd, Quad: rdf.Quad{Triple: t, Graph: graph}})
+	w.push(rdf.Op{Kind: rdf.OpAdd, Quad: rdf.Quad{Triple: t, Graph: graph}})
 }
 
 func (w *writes) drop(graph rdf.Term) {
-	if w.o.journal == nil {
-		w.o.ds.DropGraph(graph)
-		return
-	}
-	w.ops = append(w.ops, rdf.Op{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: graph}})
+	w.push(rdf.Op{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: graph}})
 }
 
+// commit hands the write set to the journal and keeps the buffer,
+// emptied so that it holds no terms, as the spare.
 func (w *writes) commit() error {
-	if w.o.journal == nil {
+	if w.ops == nil {
 		return nil
 	}
-	return w.o.journal.Commit(w.ops)
+	ops := *w.ops
+	err := w.o.journal.Commit(ops)
+	if cap(ops) <= maxSpareOps {
+		clear(ops)
+		*w.ops = ops[:0]
+		spareOps.Store(w.ops)
+	}
+	return err
 }
 
 // addOne is the write set of the single-triple mutators.
@@ -162,13 +184,28 @@ func New() *Ontology {
 }
 
 // FromDataset wraps an existing dataset (e.g. loaded from tdb) as an
-// ontology, binding the BDI prefixes if absent.
+// ontology whose journal is the dataset itself, binding the BDI prefixes
+// if absent.
 func FromDataset(ds *rdf.Dataset) *Ontology {
 	pm := ds.Prefixes()
 	pm.Bind("G", NSGlobal)
 	pm.Bind("S", NSSource)
 	pm.Bind("sc", NSSchema)
-	return &Ontology{ds: ds}
+	return &Ontology{ds: ds, journal: ds}
+}
+
+// BindPrefix binds a namespace prefix, committed like any mutation. A
+// label that would not read back as a prefix name is refused
+// (rdf.CheckPrefixLabel).
+func (o *Ontology) BindPrefix(prefix, namespace string) error {
+	if err := rdf.CheckPrefixLabel(prefix); err != nil {
+		return err
+	}
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	w := writes{o: o}
+	w.push(rdf.Op{Kind: rdf.OpPrefix, Prefix: prefix, NS: namespace})
+	return w.commit()
 }
 
 // Dataset exposes the underlying dataset (read-mostly; mutate through

@@ -3,6 +3,7 @@ package bdi
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -89,7 +90,7 @@ func (j *recJournal) Commit(ops []rdf.Op) error {
 	if j.fail != nil {
 		return j.fail
 	}
-	j.batches = append(j.batches, ops)
+	j.batches = append(j.batches, slices.Clone(ops)) // Commit must not retain ops
 	j.ds.Apply(ops)
 	return nil
 }

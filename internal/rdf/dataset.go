@@ -215,15 +215,16 @@ func (pm *PrefixMap) MustExpand(curie string) string {
 	return iri
 }
 
-// Compact shortens an IRI to a CURIE when a registered namespace matches,
-// otherwise returns the IRI unchanged with ok = false. The longest
-// matching namespace wins.
+// Compact shortens an IRI to a CURIE when a registered namespace matches
+// and the CURIE reads back as the same IRI (see syntax.go), otherwise
+// returns the IRI unchanged with ok = false. The longest matching
+// namespace whose label reads back wins.
 func (pm *PrefixMap) Compact(iri string) (string, bool) {
 	pm.mu.RLock()
 	defer pm.mu.RUnlock()
 	best, bestNS := "", ""
 	for ns, prefix := range pm.reverse {
-		if strings.HasPrefix(iri, ns) && len(ns) > len(bestNS) {
+		if strings.HasPrefix(iri, ns) && len(ns) > len(bestNS) && CheckPrefixLabel(prefix) == nil {
 			bestNS, best = ns, prefix
 		}
 	}
@@ -231,7 +232,7 @@ func (pm *PrefixMap) Compact(iri string) (string, bool) {
 		return iri, false
 	}
 	local := iri[len(bestNS):]
-	if local == "" || strings.ContainsAny(local, "/#") {
+	if !readsAsLocal(local) {
 		return iri, false
 	}
 	return best + ":" + local, true

@@ -190,20 +190,23 @@ func (t Term) Bool() (bool, error) {
 }
 
 // String renders the term in N-Triples-like syntax, e.g.
-// <http://ex.org/a>, "abc", "5"^^<...integer>, _:b1.
+// <http://ex.org/a>, "abc", "5"^^<...integer>, _:b1, escaped as the
+// SPARQL and TriG reader reads it back (see syntax.go).
 func (t Term) String() string {
 	switch t.Kind {
 	case KindIRI:
-		return "<" + t.Value + ">"
+		return writeIRI(t.Value)
 	case KindBlank:
 		return "_:" + t.Value
 	case KindAny:
 		return "?"
 	case KindLiteral:
-		q := strconv.Quote(t.Value)
+		q := quote(t.Value)
 		switch {
 		case t.Lang != "":
 			return q + "@" + t.Lang
+		case t.Datatype != "" && t.Datatype != XSDString && iriNeedsEscape(t.Datatype):
+			return q + "^^" + writeIRI(t.Datatype)
 		case t.Datatype != "" && t.Datatype != XSDString:
 			return q + "^^<" + t.Datatype + ">"
 		default:

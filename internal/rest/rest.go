@@ -70,6 +70,7 @@ import (
 	"mdm"
 	"mdm/internal/federate"
 	"mdm/internal/obs"
+	"mdm/internal/rdf"
 	"mdm/internal/schema"
 	"mdm/internal/sparql"
 	"mdm/internal/store"
@@ -210,15 +211,19 @@ func decode[T any](w http.ResponseWriter, r *http.Request, dst *T) bool {
 }
 
 // mutate is the shape shared by the steward's mutation endpoints:
-// decode the body, apply it with one facade call, answer 422 with the
-// call's error or 201 {"status":"ok"}.
+// decode the body, apply it with one facade call, answer with the call's
+// error — 400 for a prefix label that would not read back
+// (rdf.ErrPrefixLabel), 422 otherwise — or 201 {"status":"ok"}.
 func mutate[T any](apply func(T) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req T
 		if !decode(w, r, &req) {
 			return
 		}
-		if err := apply(req); err != nil {
+		if err := apply(req); errors.Is(err, rdf.ErrPrefixLabel) {
+			fail(w, http.StatusBadRequest, err)
+			return
+		} else if err != nil {
 			fail(w, http.StatusUnprocessableEntity, err)
 			return
 		}

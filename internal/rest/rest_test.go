@@ -388,6 +388,27 @@ func TestErrorPaths(t *testing.T) {
 	}, 422)
 }
 
+// TestPrefixLabelMustReadBack: POST /api/prefixes refuses a label that
+// would not read back as a prefix name with 400, and the export still
+// reads back afterwards.
+func TestPrefixLabelMustReadBack(t *testing.T) {
+	c, provider := setupServer(t)
+	stewardSetup(t, c, provider)
+	for _, label := range []string{"a b", "1x", "a:b", "_"} {
+		c.do("POST", "/api/prefixes", map[string]string{"prefix": label, "namespace": "http://ex.org/"}, 400)
+	}
+	resp, err := c.http.Get(c.base + "/api/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	if _, err := mdm.ImportTriG(buf.String()); err != nil {
+		t.Fatalf("export after a refused label does not read back: %v", err)
+	}
+}
+
 func TestExportEndpoint(t *testing.T) {
 	c, provider := setupServer(t)
 	stewardSetup(t, c, provider)

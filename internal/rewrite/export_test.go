@@ -1,7 +1,7 @@
 package rewrite
 
 // StampComponents names the components of a stamp, for MaskStamp.
-var StampComponents = []string{"version", "writes", "binds", "registry", "maxCQs"}
+var StampComponents = []string{"version", "writes", "binds", "registry"}
 
 // MaskStamp makes every stamp read from now on ignore one component, as
 // if the stamp did not have it, until the returned function is called.
@@ -16,8 +16,6 @@ func MaskStamp(component string) (restore func()) {
 			s.binds = 0
 		case "registry":
 			s.registry = 0
-		case "maxCQs":
-			s.maxCQs = 0
 		default:
 			panic("rewrite: no stamp component " + component)
 		}

@@ -220,7 +220,6 @@ func scans(p relalg.Plan, dst []*relalg.Scan) []*relalg.Scan {
 func divergence(long *rewrite.Rewriter, ont *bdi.Ontology, reg *wrapper.Registry) error {
 	for i, w := range probeWalks() {
 		fresh := rewrite.New(ont, reg)
-		fresh.MaxCQs = long.MaxCQs
 		want, wantErr := fresh.Rewrite(w)
 		got, gotErr := long.Rewrite(w)
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -428,7 +427,6 @@ func TestStampComponentsLoadBearing(t *testing.T) {
 		"registry": func(e *evolving, _ *rewrite.Rewriter) {
 			e.swapWrapper()
 		},
-		"maxCQs": func(_ *evolving, long *rewrite.Rewriter) { long.MaxCQs = 1 },
 	}
 	for _, component := range rewrite.StampComponents {
 		write, ok := rows[component]

@@ -32,10 +32,6 @@ var (
 type Rewriter struct {
 	ont *bdi.Ontology
 	reg *wrapper.Registry
-	// MaxCQs caps the number of conjunctive queries generated (0 = no
-	// cap); a safety valve against combinatorial mappings. Set it before
-	// the Rewriter is shared between goroutines.
-	MaxCQs int
 
 	mu   sync.Mutex
 	at   stamp              // what every entry of memo was derived from
@@ -62,7 +58,7 @@ const maxCached = 256
 // is stored only if the memo still belongs to the stamp its rewrite
 // started from. One stamp for the whole memo, because every component
 // is global — a release touches the mapping graphs every walk reads —
-// and comparing five words per request is cheaper than tracking which
+// and comparing four words per request is cheaper than tracking which
 // entries a write could have affected.
 //
 // Every counter is bumped after the change it counts is visible and
@@ -84,8 +80,6 @@ type stamp struct {
 	// registry counts wrapper registrations and removals; plans hold the
 	// Scan.Src objects the registry resolved: wrapper.Registry.Generation.
 	registry uint64
-	// maxCQs is Rewriter.MaxCQs, which truncates the union.
-	maxCQs int
 }
 
 // stampMask, set only by tests, blanks one component of every stamp read:
@@ -100,7 +94,6 @@ func (r *Rewriter) stampNow() stamp {
 		writes:   ds.Writes(),
 		binds:    ds.Prefixes().Binds(),
 		registry: r.reg.Generation(),
-		maxCQs:   r.MaxCQs,
 	}
 	if stampMask != nil {
 		s = stampMask(s)
@@ -322,9 +315,6 @@ func (r *Rewriter) rewrite(w *Walk) (*Result, error) {
 		plan = asm.share(relalg.Optimize(plan))
 		res.CQs = append(res.CQs, CQ{Wrappers: combo, plan: plan})
 		plans = append(plans, plan)
-		if r.MaxCQs > 0 && len(plans) >= r.MaxCQs {
-			break
-		}
 	}
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("rewrite: no wrapper combination answers the walk")
@@ -627,36 +617,7 @@ func (r *Rewriter) interConcept(w *Walk, need map[rdf.Term][]rdf.Term, coverages
 	if len(out) == 0 {
 		return nil, fmt.Errorf("rewrite: no wrapper combination covers all relation edges of the walk")
 	}
-	return pruneCombos(out), nil
-}
-
-// pruneCombos removes combinations whose wrapper set strictly contains
-// another combination's set.
-func pruneCombos(combos [][]string) [][]string {
-	sets := make([]map[string]bool, len(combos))
-	for i, c := range combos {
-		sets[i] = map[string]bool{}
-		for _, n := range c {
-			sets[i][n] = true
-		}
-	}
-	var out [][]string
-	for i, c := range combos {
-		redundant := false
-		for j := range combos {
-			if i == j || len(sets[j]) >= len(sets[i]) {
-				continue
-			}
-			if subset(sets[j], sets[i]) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, c)
-		}
-	}
-	return out
+	return dropSupersets(out), nil
 }
 
 // assembly turns the combinations of one rewrite into plans. It derives

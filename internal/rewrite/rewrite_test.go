@@ -294,22 +294,6 @@ func TestConceptWithoutIdentifierRejected(t *testing.T) {
 	}
 }
 
-func TestMaxCQsCap(t *testing.T) {
-	f := usecase.MustNew()
-	if err := f.ReleasePlayersV2(); err != nil {
-		t.Fatal(err)
-	}
-	r := rewrite.New(f.Ont, f.Reg)
-	r.MaxCQs = 1
-	res, err := r.Rewrite(usecase.Fig8Walk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.CQs) != 1 {
-		t.Errorf("MaxCQs not enforced: %d", len(res.CQs))
-	}
-}
-
 // TestCombinationBoundRefusesTheWalk: a rewriting with more wrapper
 // combinations than the search enumerates is an error, not a union cut
 // off at the bound; exactly the bound still answers; and the refusal is

@@ -391,7 +391,7 @@ func (q *Query) String() string {
 	var sb strings.Builder
 	if q.Prefixes != nil {
 		for _, pair := range q.Prefixes.Pairs() {
-			fmt.Fprintf(&sb, "PREFIX %s: <%s>\n", pair[0], pair[1])
+			fmt.Fprintf(&sb, "PREFIX %s: %s\n", pair[0], rdf.IRI(pair[1]))
 		}
 	}
 	switch q.Form {

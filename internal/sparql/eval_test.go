@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 )
 
 // footballDataset builds a small dataset mirroring the paper's
@@ -28,7 +27,7 @@ ex:mu a sc:SportsTeam ; ex:name "Manchester United" .
 ex:g1 { ex:messi ex:active true . }
 ex:g2 { ex:lewa ex:active true . }
 `
-	ds, err := turtle.ParseDataset(src)
+	ds, err := ParseTriG(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,7 +155,19 @@ func (e CmpExpr) Eval(env Env) (Value, error) {
 // Vars implements Expr.
 func (e CmpExpr) Vars(dst map[string]bool) { e.L.Vars(dst); e.R.Vars(dst) }
 
-func (e CmpExpr) String() string { return fmt.Sprintf("%s %s %s", e.L, e.Op, e.R) }
+func (e CmpExpr) String() string {
+	return fmt.Sprintf("%s %s %s", operand(e.L), e.Op, operand(e.R))
+}
+
+// operand renders the operand of a comparison or a negation: a
+// comparison there is parenthesized, since the grammar nests one only
+// inside parentheses.
+func operand(x Expr) string {
+	if c, ok := x.(CmpExpr); ok {
+		return "(" + c.String() + ")"
+	}
+	return x.String()
+}
 
 // LogicExpr is && or ||.
 type LogicExpr struct {
@@ -214,7 +226,7 @@ func (e NotExpr) Eval(env Env) (Value, error) {
 // Vars implements Expr.
 func (e NotExpr) Vars(dst map[string]bool) { e.X.Vars(dst) }
 
-func (e NotExpr) String() string { return "!" + e.X.String() }
+func (e NotExpr) String() string { return "!" + operand(e.X) }
 
 // BoundExpr is BOUND(?v).
 type BoundExpr struct{ Name string }
@@ -266,9 +278,9 @@ func (e *RegexExpr) Vars(dst map[string]bool) { e.X.Vars(dst) }
 
 func (e *RegexExpr) String() string {
 	if e.Flags != "" {
-		return fmt.Sprintf("REGEX(%s, %q, %q)", e.X, e.Pattern, e.Flags)
+		return fmt.Sprintf("REGEX(%s, %s, %s)", e.X, rdf.Lit(e.Pattern), rdf.Lit(e.Flags))
 	}
-	return fmt.Sprintf("REGEX(%s, %q)", e.X, e.Pattern)
+	return fmt.Sprintf("REGEX(%s, %s)", e.X, rdf.Lit(e.Pattern))
 }
 
 // StrExpr is STR(expr): the lexical form of a term.

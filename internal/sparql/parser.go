@@ -25,7 +25,7 @@ func ParseTrace(src string, tr *obs.Trace) (*Query, error) {
 }
 
 func parse(src string) (*Query, error) {
-	p := &parser{lx: newLexer(src), prefixes: rdf.NewPrefixMap()}
+	p := &parser{lx: newLexer(src, "sparql"), prefixes: rdf.NewPrefixMap()}
 	if err := p.bump(); err != nil {
 		return nil, err
 	}
@@ -36,6 +36,12 @@ type parser struct {
 	lx       *lexer
 	tok      token
 	prefixes *rdf.PrefixMap
+	// data is set by ParseTriG: terms must be ground, _:label and [] are
+	// blank nodes, and triples go to graph; anon numbers the [] read so
+	// far.
+	data  bool
+	graph *rdf.Graph
+	anon  int
 }
 
 func (p *parser) bump() error {
@@ -48,7 +54,7 @@ func (p *parser) bump() error {
 }
 
 func (p *parser) errf(format string, args ...any) error {
-	return fmt.Errorf("sparql: line %d:%d: %s", p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: line %d:%d: %s", p.lx.syntax, p.tok.line, p.tok.col, fmt.Sprintf(format, args...))
 }
 
 func (p *parser) expectKeyword(kw string) error {
@@ -66,18 +72,7 @@ func (p *parser) parseQuery() (*Query, error) {
 		if err := p.bump(); err != nil {
 			return nil, err
 		}
-		if p.tok.kind != tokPName || !strings.HasSuffix(p.tok.text, ":") {
-			return nil, p.errf("expected prefix declaration like ex:, got %q", p.tok.text)
-		}
-		prefix := strings.TrimSuffix(p.tok.text, ":")
-		if err := p.bump(); err != nil {
-			return nil, err
-		}
-		if p.tok.kind != tokIRI {
-			return nil, p.errf("expected IRI after PREFIX %s:", prefix)
-		}
-		p.prefixes.Bind(prefix, p.tok.text)
-		if err := p.bump(); err != nil {
+		if err := p.parsePrefixDecl(); err != nil {
 			return nil, err
 		}
 	}
@@ -233,6 +228,26 @@ func (p *parser) parseQuery() (*Query, error) {
 		return nil, err
 	}
 	return q, nil
+}
+
+// parsePrefixDecl parses "ex: <iri>" after PREFIX (or TriG's @prefix)
+// and binds it. A label that would not read back is refused.
+func (p *parser) parsePrefixDecl() error {
+	if p.tok.kind != tokPName || !strings.HasSuffix(p.tok.text, ":") {
+		return p.errf("expected prefix declaration like ex:, got %q", p.tok.text)
+	}
+	prefix := strings.TrimSuffix(p.tok.text, ":")
+	if err := rdf.CheckPrefixLabel(prefix); err != nil {
+		return p.errf("%v", err)
+	}
+	if err := p.bump(); err != nil {
+		return err
+	}
+	if p.tok.kind != tokIRI {
+		return p.errf("expected IRI after PREFIX %s:", prefix)
+	}
+	p.prefixes.Bind(prefix, p.tok.text)
+	return p.bump()
 }
 
 // parseAggregate parses one projected aggregate,
@@ -500,6 +515,23 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 	if err != nil {
 		return err
 	}
+	if err := p.parsePropertyList(g, subj); err != nil {
+		return err
+	}
+	if p.tok.kind == tokDot {
+		return p.bump()
+	}
+	if p.tok.kind == tokRBrace || p.tok.kind == tokEOF ||
+		(p.tok.kind == tokKeyword && (p.tok.text == "FILTER" || p.tok.text == "OPTIONAL" || p.tok.text == "GRAPH")) {
+		return nil
+	}
+	return p.errf("expected '.' after triple pattern, got %q", p.tok.text)
+}
+
+// parsePropertyList parses the predicate-object lists of subj, up to the
+// token that ends the triples, appending their patterns to g, or in data
+// adding the triples to p.graph.
+func (p *parser) parsePropertyList(g *Group, subj Node) error {
 	if !subj.IsVar() && !subj.Term.IsIRI() && !subj.Term.IsBlank() {
 		return p.errf("triple subject must be a variable or IRI, got %s", subj)
 	}
@@ -513,9 +545,14 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 			if err != nil {
 				return err
 			}
-			if path != nil {
+			switch {
+			case p.data: // ground, and never a path (see parseVerb)
+				if _, err := p.graph.Add(rdf.T(subj.Term, pred.Term, obj.Term)); err != nil {
+					return p.errf("%v", err)
+				}
+			case path != nil:
 				g.Patterns = append(g.Patterns, PathPattern{S: subj, Path: path, O: obj})
-			} else {
+			default:
 				g.Patterns = append(g.Patterns, TriplePattern{S: subj, P: pred, O: obj})
 			}
 			if p.tok.kind == tokComma {
@@ -532,20 +569,12 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 			}
 			// allow trailing ';'
 			if p.tok.kind == tokDot || p.tok.kind == tokRBrace {
-				break
+				return nil
 			}
 			continue
 		}
-		break
-	}
-	if p.tok.kind == tokDot {
-		return p.bump()
-	}
-	if p.tok.kind == tokRBrace || p.tok.kind == tokEOF ||
-		(p.tok.kind == tokKeyword && (p.tok.text == "FILTER" || p.tok.text == "OPTIONAL" || p.tok.text == "GRAPH")) {
 		return nil
 	}
-	return p.errf("expected '.' after triple pattern, got %q", p.tok.text)
 }
 
 // parseVerb parses the predicate position of a triple pattern: a
@@ -554,6 +583,9 @@ func (p *parser) parseTriplesBlock(g *Group) error {
 // stays a TriplePattern; anything else returns a non-nil *Path.
 func (p *parser) parseVerb() (Node, *Path, error) {
 	if p.tok.kind == tokVar {
+		if p.data {
+			return Node{}, nil, p.errf("variable ?%s in data", p.tok.text)
+		}
 		n := V(p.tok.text)
 		return n, nil, p.bump()
 	}
@@ -563,6 +595,9 @@ func (p *parser) parseVerb() (Node, *Path, error) {
 	}
 	if path.Kind == PathLink {
 		return N(path.IRI), nil, nil
+	}
+	if p.data {
+		return Node{}, nil, p.errf("property path %s in data", path)
 	}
 	return Node{}, path, nil
 }
@@ -678,16 +713,32 @@ func (p *parser) parsePathPrimary() (*Path, error) {
 	}
 }
 
-// parseNode parses a variable, IRI, prefixed name or literal.
+// parseNode parses a variable, IRI, prefixed name or literal; in data,
+// a blank node instead of a variable.
 func (p *parser) parseNode() (Node, error) {
 	switch p.tok.kind {
 	case tokVar:
+		if p.data {
+			return Node{}, p.errf("variable ?%s in data", p.tok.text)
+		}
 		n := V(p.tok.text)
 		return n, p.bump()
 	case tokIRI:
 		n := N(rdf.IRI(p.tok.text))
 		return n, p.bump()
+	case tokAnon:
+		if !p.data {
+			break
+		}
+		p.anon++
+		return N(rdf.Blank(fmt.Sprintf("anon%d", p.anon))), p.bump()
 	case tokPName:
+		if p.data && strings.HasPrefix(p.tok.text, "_:") {
+			if p.tok.text == "_:" {
+				return Node{}, p.errf("empty blank node label")
+			}
+			return N(rdf.Blank(p.tok.text[2:])), p.bump()
+		}
 		iri, ok := p.prefixes.Expand(p.tok.text)
 		if !ok {
 			return Node{}, p.errf("unknown prefix in %q", p.tok.text)
@@ -724,9 +775,8 @@ func (p *parser) parseNode() (Node, error) {
 	case tokBoolean:
 		n := N(rdf.BoolLit(p.tok.text == "true"))
 		return n, p.bump()
-	default:
-		return Node{}, p.errf("expected term, got %s %q", p.tok.kind, p.tok.text)
 	}
+	return Node{}, p.errf("expected term, got %s %q", p.tok.kind, p.tok.text)
 }
 
 func numberTerm(lex string) rdf.Term {

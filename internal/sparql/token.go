@@ -5,6 +5,13 @@
 // aggregation (GROUP BY with COUNT/SUM/MIN/MAX and HAVING), DISTINCT,
 // ORDER BY, LIMIT and OFFSET.
 //
+// It is also the one reader of RDF text in MDM: ParseTriG reads TriG
+// documents (mdm.ImportTriG) with the same lexer and the same term and
+// triples grammar as queries, so a term reads the same way in both.
+// Package rdf writes terms (Term.String, PrefixMap.Compact,
+// rdf.WriteDataset) only in forms this lexer reads back as the same
+// term; the shared rules are in rdf's syntax.go.
+//
 // The original MDM translates graphically drawn "walks" over the global
 // graph into SPARQL; this package provides both that target language and
 // a general evaluator over rdf.Dataset so analysts (and tests) can
@@ -102,7 +109,11 @@ package sparql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"unicode/utf8"
+
+	"mdm/internal/rdf"
 )
 
 // tokenKind enumerates lexical classes.
@@ -134,6 +145,7 @@ const (
 	tokPipe     // | (path alternative; || stays tokOp)
 	tokPlus     // + (path one-or-more; +digit stays tokNumber)
 	tokQuestion // ? (path zero-or-one; ?name stays tokVar)
+	tokAnon     // [] (an anonymous blank node; TriG only)
 )
 
 func (k tokenKind) String() string {
@@ -144,6 +156,7 @@ func (k tokenKind) String() string {
 		tokRParen: ")", tokDot: ".", tokSemi: ";", tokComma: ",", tokStar: "*",
 		tokA: "a", tokOp: "operator", tokLangTag: "language tag", tokDatatype: "^^",
 		tokSlash: "/", tokCaret: "^", tokPipe: "|", tokPlus: "+", tokQuestion: "?",
+		tokAnon: "[]",
 	}
 	if n, ok := names[k]; ok {
 		return n
@@ -171,12 +184,13 @@ type lexer struct {
 	src       string
 	pos       int
 	line, col int
+	syntax    string // "sparql" or "trig", the prefix of every error
 }
 
-func newLexer(src string) *lexer { return &lexer{src: src, line: 1, col: 1} }
+func newLexer(src, syntax string) *lexer { return &lexer{src: src, line: 1, col: 1, syntax: syntax} }
 
 func (l *lexer) errf(format string, args ...any) error {
-	return fmt.Errorf("sparql: line %d:%d: %s", l.line, l.col, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%s: line %d:%d: %s", l.syntax, l.line, l.col, fmt.Sprintf(format, args...))
 }
 
 func (l *lexer) eof() bool { return l.pos >= len(l.src) }
@@ -263,7 +277,7 @@ func (l *lexer) next() (token, error) {
 	case c == '?' || c == '$':
 		l.advance()
 		start := l.pos
-		for !l.eof() && isNameByte(l.peek()) {
+		for !l.eof() && rdf.IsNameByte(l.peek()) {
 			l.advance()
 		}
 		if l.pos == start {
@@ -276,11 +290,9 @@ func (l *lexer) next() (token, error) {
 		}
 		return mk(tokVar, l.src[start:l.pos]), nil
 	case c == '<':
-		// '<' is ambiguous: IRI opener or less-than. IRIs never start
-		// with whitespace, '=', a variable marker, a digit or a quote —
-		// in those cases lex a comparison operator instead.
-		if n := l.peekAt(1); n == ' ' || n == '\t' || n == '\n' || n == '=' ||
-			n == '?' || n == '$' || n == '"' || (n >= '0' && n <= '9') || n == '-' || n == '+' {
+		// '<' is ambiguous: IRI opener or less-than (rdf.OpensComparison,
+		// the rule the writer escapes an IRI's first byte by).
+		if rdf.OpensComparison(l.peekAt(1)) {
 			l.advance()
 			if !l.eof() && l.peek() == '=' {
 				l.advance()
@@ -289,52 +301,21 @@ func (l *lexer) next() (token, error) {
 			return mk(tokOp, "<"), nil
 		}
 		l.advance()
-		start := l.pos
-		for !l.eof() && l.peek() != '>' {
-			if l.peek() == '\n' {
-				return token{}, l.errf("newline in IRI")
-			}
-			l.advance()
-		}
-		if l.eof() {
-			return token{}, l.errf("unterminated IRI")
-		}
-		iri := l.src[start:l.pos]
-		l.advance() // consume '>'
-		return mk(tokIRI, iri), nil
+		iri, err := l.lexQuoted('>', "IRI")
+		return mk(tokIRI, iri), err
 	case c == '"':
 		l.advance()
-		var sb strings.Builder
-		for {
-			if l.eof() {
-				return token{}, l.errf("unterminated string")
-			}
-			ch := l.advance()
-			if ch == '"' {
-				break
-			}
-			if ch == '\\' {
-				if l.eof() {
-					return token{}, l.errf("dangling escape")
-				}
-				e := l.advance()
-				switch e {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case 'r':
-					sb.WriteByte('\r')
-				case '"', '\\':
-					sb.WriteByte(e)
-				default:
-					return token{}, l.errf("unsupported escape \\%c", e)
-				}
-				continue
-			}
-			sb.WriteByte(ch)
+		str, err := l.lexQuoted('"', "string")
+		return mk(tokString, str), err
+	case c == '[':
+		// Only the empty property list: "[ ]" is an anonymous blank node.
+		l.advance()
+		l.skipWS()
+		if l.eof() || l.peek() != ']' {
+			return token{}, l.errf("only the empty blank node property list [] is supported")
 		}
-		return mk(tokString, sb.String()), nil
+		l.advance()
+		return mk(tokAnon, "[]"), nil
 	case c == '@':
 		l.advance()
 		start := l.pos
@@ -404,6 +385,80 @@ func (l *lexer) next() (token, error) {
 	}
 }
 
+// lexQuoted reads the body of a string (what "string", closed by '"') or
+// of an IRI (what "IRI", closed by '>'), whose opening byte is consumed,
+// up to and including the closing byte. A body without escapes is a
+// slice of the source. Both take \u and \U escapes; a string also takes
+// the ECHARs \t \b \n \r \f \" \' \\, and an IRI refuses a newline.
+func (l *lexer) lexQuoted(close byte, what string) (string, error) {
+	start := l.pos
+	var buf []byte // the body so far, once it holds an escape
+	for {
+		if l.eof() {
+			return "", l.errf("unterminated %s", what)
+		}
+		c := l.advance()
+		switch {
+		case c == close:
+			if buf == nil {
+				return l.src[start : l.pos-1], nil
+			}
+			return string(buf), nil
+		case c == '\n' && close == '>':
+			return "", l.errf("newline in IRI")
+		case c != '\\':
+			if buf != nil {
+				buf = append(buf, c)
+			}
+			continue
+		}
+		if buf == nil {
+			buf = append([]byte{}, l.src[start:l.pos-1]...)
+		}
+		if l.eof() {
+			return "", l.errf("dangling escape")
+		}
+		e := l.advance()
+		if k := strings.IndexByte(echarLetters, e); k >= 0 && close == '"' {
+			buf = append(buf, echarBytes[k])
+			continue
+		}
+		if e != 'u' && e != 'U' {
+			return "", l.errf("unsupported escape \\%c in %s", e, what)
+		}
+		r, err := l.lexUCHAR(e)
+		if err != nil {
+			return "", err
+		}
+		buf = utf8.AppendRune(buf, r)
+	}
+}
+
+// echarLetters are the letters of the string escapes, and echarBytes the
+// bytes they stand for.
+const echarLetters, echarBytes = "tbnrf\"'\\", "\t\b\n\r\f\"'\\"
+
+// lexUCHAR reads the hex digits of a \u (four) or \U (eight) escape,
+// whose letter e is already consumed, and returns the code point.
+func (l *lexer) lexUCHAR(e byte) (rune, error) {
+	n := 4
+	if e == 'U' {
+		n = 8
+	}
+	if l.pos+n > len(l.src) {
+		return 0, l.errf("truncated \\%c escape", e)
+	}
+	hex := l.src[l.pos : l.pos+n]
+	v, err := strconv.ParseUint(hex, 16, 32)
+	if err != nil || !utf8.ValidRune(rune(v)) {
+		return 0, l.errf("bad \\%c escape %q", e, hex)
+	}
+	for range n {
+		l.advance()
+	}
+	return rune(v), nil
+}
+
 func (l *lexer) lexNumber(mk func(tokenKind, string) token) (token, error) {
 	start := l.pos
 	if l.peek() == '+' || l.peek() == '-' {
@@ -441,7 +496,7 @@ func (l *lexer) lexWord(mk func(tokenKind, string) token) (token, error) {
 	hasColon := false
 	for !l.eof() {
 		c := l.peek()
-		if isNameByte(c) {
+		if rdf.IsNameByte(c) {
 			l.advance()
 			continue
 		}
@@ -477,11 +532,6 @@ func (l *lexer) lexWord(mk func(tokenKind, string) token) (token, error) {
 		return mk(tokKeyword, up), nil
 	}
 	return token{}, l.errf("unexpected word %q", word)
-}
-
-func isNameByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-		c == '_' || c == '-' || c == '.' || c >= 0x80
 }
 
 func isAlnumByte(c byte) bool {

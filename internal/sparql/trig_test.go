@@ -1,4 +1,4 @@
-package turtle
+package sparql
 
 import (
 	"strings"
@@ -7,13 +7,23 @@ import (
 	"mdm/internal/rdf"
 )
 
-func TestParseBasicTriples(t *testing.T) {
+// parseTurtle reads a Turtle document through ParseTriG and returns its
+// default graph and prefix bindings.
+func parseTurtle(src string) (*rdf.Graph, *rdf.PrefixMap, error) {
+	ds, err := ParseTriG(src)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ds.Default(), ds.Prefixes(), nil
+}
+
+func TestTriGBasicTriples(t *testing.T) {
 	src := `
 @prefix ex: <http://ex.org/> .
 ex:alice ex:knows ex:bob .
 <http://ex.org/bob> <http://ex.org/name> "Bob" .
 `
-	g, pm, err := Parse(src)
+	g, pm, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +41,7 @@ ex:alice ex:knows ex:bob .
 	}
 }
 
-func TestParseAKeywordAndLists(t *testing.T) {
+func TestTriGAKeywordAndLists(t *testing.T) {
 	src := `
 @prefix ex: <http://ex.org/> .
 @prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
@@ -39,7 +49,7 @@ ex:Player a ex:Concept ;
     rdfs:label "Player" ;
     ex:hasFeature ex:name , ex:height .
 `
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +64,7 @@ ex:Player a ex:Concept ;
 	}
 }
 
-func TestParseLiteralForms(t *testing.T) {
+func TestTriGLiteralForms(t *testing.T) {
 	src := `
 @prefix ex: <http://ex.org/> .
 @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
@@ -65,7 +75,7 @@ ex:m ex:nick "Leo"@es .
 ex:m ex:rating "94"^^xsd:integer .
 ex:m ex:note "line\nbreak \"q\" A" .
 `
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +98,10 @@ ex:m ex:note "line\nbreak \"q\" A" .
 	}
 }
 
-func TestParseNegativeAndExponentNumbers(t *testing.T) {
+func TestTriGNegativeAndExponentNumbers(t *testing.T) {
 	src := `@prefix ex: <http://ex.org/> .
 ex:a ex:v -5 . ex:a ex:w +3 . ex:a ex:x 1.5e3 .`
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +113,11 @@ ex:a ex:v -5 . ex:a ex:w +3 . ex:a ex:x 1.5e3 .`
 	}
 }
 
-func TestParseBlankNodes(t *testing.T) {
+func TestTriGBlankNodes(t *testing.T) {
 	src := `@prefix ex: <http://ex.org/> .
 _:b1 ex:p ex:o .
 ex:s ex:q _:b1 .`
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +129,7 @@ ex:s ex:q _:b1 .`
 	}
 }
 
-func TestParseTriGNamedGraphs(t *testing.T) {
+func TestTriGNamedGraphs(t *testing.T) {
 	src := `
 @prefix ex: <http://ex.org/> .
 ex:s ex:p "default" .
@@ -129,7 +139,7 @@ ex:g1 {
 }
 GRAPH ex:g2 { ex:s ex:p "three" . }
 `
-	ds, err := ParseDataset(src)
+	ds, err := ParseTriG(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,12 +156,12 @@ GRAPH ex:g2 { ex:s ex:p "three" . }
 	}
 }
 
-func TestParseComments(t *testing.T) {
+func TestTriGComments(t *testing.T) {
 	src := `# leading comment
 @prefix ex: <http://ex.org/> . # trailing
 # between
 ex:s ex:p ex:o . # after triple`
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +170,7 @@ ex:s ex:p ex:o . # after triple`
 	}
 }
 
-func TestParseErrors(t *testing.T) {
+func TestTriGErrors(t *testing.T) {
 	cases := []struct {
 		name, src string
 	}{
@@ -173,55 +183,39 @@ func TestParseErrors(t *testing.T) {
 		{"bare word", `@prefix ex: <http://e/> . ex:s ex:p banana .`},
 		{"dangling escape", `@prefix ex: <http://e/> . ex:s ex:p "a\`},
 		{"bad unicode escape", `@prefix ex: <http://e/> . ex:s ex:p "\uZZZZ" .`},
+		// What a query reads and data does not.
+		{"variable", `@prefix ex: <http://e/> . ex:s ex:p ?o .`},
+		{"variable predicate", `@prefix ex: <http://e/> . ex:s ?p ex:o .`},
+		{"property path", `@prefix ex: <http://e/> . ex:s ex:p/ex:q ex:o .`},
+		{"empty blank label", `@prefix ex: <http://e/> . ex:s ex:p _: .`},
+		{"blank graph name", `@prefix ex: <http://e/> . GRAPH _:g { ex:s ex:p ex:o . }`},
+		{"blank prefix label", `@prefix _: <http://e/> .`},
+		{"surrogate escape", `@prefix ex: <http://e/> . ex:s ex:p "\uD800" .`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := ParseDataset(c.src); err == nil {
+			if _, err := ParseTriG(c.src); err == nil {
 				t.Errorf("expected error for %q", c.src)
-			} else if !strings.Contains(err.Error(), "turtle: line") {
+			} else if !strings.Contains(err.Error(), "trig: line") {
 				t.Errorf("error lacks position info: %v", err)
 			}
 		})
 	}
 }
 
-func TestWriteGraphRoundTrip(t *testing.T) {
-	src := `
-@prefix ex: <http://ex.org/> .
-@prefix sc: <http://schema.org/> .
-ex:Player a ex:Concept ;
-    ex:hasFeature ex:name , ex:height .
-sc:SportsTeam a ex:Concept .
-ex:m ex:height 170.18 ;
-    ex:nick "Leo"@es .
-`
-	g1, pm, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := WriteGraph(g1, pm)
-	g2, _, err := Parse(out)
-	if err != nil {
-		t.Fatalf("reparse failed: %v\noutput:\n%s", err, out)
-	}
-	if !g1.Equal(g2) {
-		t.Errorf("round trip not equal.\nfirst: %v\nsecond: %v\nserialized:\n%s", g1.Triples(), g2.Triples(), out)
-	}
-}
-
-func TestWriteDatasetRoundTrip(t *testing.T) {
+func TestTriGWriteDatasetRoundTrip(t *testing.T) {
 	src := `
 @prefix ex: <http://ex.org/> .
 ex:s ex:p "default" .
 ex:g1 { ex:s ex:p "one" . ex:t ex:q 5 . }
 ex:g2 { ex:s ex:p "two"@en . }
 `
-	ds1, err := ParseDataset(src)
+	ds1, err := ParseTriG(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := WriteDataset(ds1)
-	ds2, err := ParseDataset(out)
+	out := rdf.WriteDataset(ds1)
+	ds2, err := ParseTriG(out)
 	if err != nil {
 		t.Fatalf("reparse failed: %v\noutput:\n%s", err, out)
 	}
@@ -240,25 +234,9 @@ ex:g2 { ex:s ex:p "two"@en . }
 	}
 }
 
-func TestNormalizeIdempotent(t *testing.T) {
-	src := `@prefix ex: <http://ex.org/> .
-ex:s ex:p ex:o . ex:g { ex:a ex:b ex:c . }`
-	once, err := Normalize(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twice, err := Normalize(once)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if once != twice {
-		t.Errorf("Normalize not idempotent:\n%s\n---\n%s", once, twice)
-	}
-}
-
-func TestParseTrailingSemicolon(t *testing.T) {
+func TestTriGTrailingSemicolon(t *testing.T) {
 	src := `@prefix ex: <http://e/> . ex:s ex:p ex:o ; .`
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,14 +245,28 @@ func TestParseTrailingSemicolon(t *testing.T) {
 	}
 }
 
-func TestParseEmptyBlankPropertyList(t *testing.T) {
+func TestTriGEmptyBlankPropertyList(t *testing.T) {
 	src := `@prefix ex: <http://e/> . ex:s ex:p [] .`
-	g, _, err := Parse(src)
+	g, _, err := parseTurtle(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := g.Match(rdf.IRI("http://e/s"), rdf.IRI("http://e/p"), rdf.Any)
 	if len(ts) != 1 || !ts[0].O.IsBlank() {
 		t.Errorf("anonymous blank not generated: %v", ts)
+	}
+}
+
+// TestQueryRejectsBlankNodes: _:label and [] are data; a query still
+// refuses both.
+func TestQueryRejectsBlankNodes(t *testing.T) {
+	for _, q := range []string{
+		`SELECT * WHERE { _:b <http://e/p> ?o }`,
+		`SELECT * WHERE { ?s <http://e/p> [] }`,
+		`PREFIX _: <http://e/> SELECT * WHERE { _:b <http://e/p> ?o }`,
+	} {
+		if _, err := Parse(q); err == nil {
+			t.Errorf("Parse(%q) accepted a blank node", q)
+		}
 	}
 }

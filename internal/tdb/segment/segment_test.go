@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 )
 
 func iri(n string) rdf.Term { return rdf.IRI("http://ex/" + n) }
@@ -209,7 +208,7 @@ func TestDatasetOpsFullSegmentRoundTrip(t *testing.T) {
 	if _, err := LoadFile(path, dst); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := turtle.WriteDataset(dst), turtle.WriteDataset(src); got != want {
+	if got, want := rdf.WriteDataset(dst), rdf.WriteDataset(src); got != want {
 		t.Fatalf("round trip differs:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/sparql"
 	"mdm/internal/tdb/segment"
 )
@@ -23,7 +22,7 @@ import (
 func ex(n string) rdf.Term { return rdf.IRI("http://ex/" + n) }
 
 // trig renders the live dataset deterministically for oracle comparisons.
-func trig(s *Store) string { return turtle.WriteDataset(s.Dataset()) }
+func trig(s *Store) string { return rdf.WriteDataset(s.Dataset()) }
 
 func TestCheckpointSealsDelta(t *testing.T) {
 	dir := t.TempDir()
@@ -190,7 +189,7 @@ func TestCrashMidCompactionSwept(t *testing.T) {
 func TestCheckpointCompactMixReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.BindPrefix("ex", "http://ex/")
+	s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}})
 	for i := 0; i < 8; i++ {
 		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("a%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)

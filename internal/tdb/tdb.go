@@ -10,10 +10,10 @@
 //     {"ops":[...]}, the batch of mutations one caller made together.
 //
 // Every mutation is a Commit: the batch is encoded into one record,
-// appended with one write, and then applied to the live dataset. AddQuad,
-// DropGraph and BindPrefix are one-op commits; the mdm facade commits the
-// whole write set of an ontology mutator (a wrapper's source graph
-// triples; a mapping graph's drop and refill). A record is replayed as a
+// appended with one write, and then applied to the live dataset. AddQuad
+// and DropGraph are one-op commits; the mdm facade commits the whole
+// write set of an ontology mutator (a wrapper's source graph triples; a
+// mapping graph's drop and refill; a prefix binding). A record is replayed as a
 // whole or not at all, so what a caller was told succeeded is on the log,
 // and what a crash tore is gone entirely.
 //
@@ -154,7 +154,7 @@ var walOpNames = [...]string{rdf.OpAdd: "add", rdf.OpDrop: "drop", rdf.OpPrefix:
 func encodeRecord(ops []rdf.Op) ([]byte, error) {
 	rec := walRecord{Ops: make([]walOp, len(ops))}
 	for i, op := range ops {
-		if err := checkOp(op); err != nil {
+		if err := rdf.CheckOp(op); err != nil {
 			return nil, err
 		}
 		w := walOp{Op: walOpNames[op.Kind]}
@@ -177,27 +177,6 @@ func encodeRecord(ops []rdf.Op) ([]byte, error) {
 		return nil, fmt.Errorf("tdb: encode wal record: %w", err)
 	}
 	return append(line, '\n'), nil
-}
-
-// checkOp reports an op that must not reach the log (or, read back from
-// it, the dataset): a graph is named by an IRI or a blank node, the
-// default graph by the zero term, and a triple must be storable.
-func checkOp(op rdf.Op) error {
-	g := op.Quad.Graph
-	switch op.Kind {
-	case rdf.OpAdd:
-		if !op.Quad.Triple.Valid() || !(g.IsZero() || g.IsIRI() || g.IsBlank()) {
-			return fmt.Errorf("tdb: invalid quad %s", op.Quad)
-		}
-	case rdf.OpDrop:
-		if g.IsZero() || !(g.IsIRI() || g.IsBlank()) {
-			return fmt.Errorf("tdb: drop of invalid graph name %s", g)
-		}
-	case rdf.OpPrefix:
-	default:
-		return fmt.Errorf("tdb: unknown op kind %d", op.Kind)
-	}
-	return nil
 }
 
 // decodeRecord is encodeRecord's inverse. A line that is not a record —
@@ -237,7 +216,7 @@ func decodeRecord(line []byte) ([]rdf.Op, error) {
 		default:
 			return nil, fmt.Errorf("unknown op %q", w.Op)
 		}
-		if err := checkOp(op); err != nil {
+		if err := rdf.CheckOp(op); err != nil {
 			return nil, err
 		}
 		ops[i] = op
@@ -451,11 +430,6 @@ func (s *Store) DropGraph(name rdf.Term) error {
 		return nil
 	}
 	return s.commitLocked([]rdf.Op{{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: name}}})
-}
-
-// BindPrefix durably registers a prefix binding.
-func (s *Store) BindPrefix(prefix, ns string) error {
-	return s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: prefix, NS: ns}})
 }
 
 // WALRecords returns the number of WAL records since the last seal

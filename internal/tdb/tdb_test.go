@@ -77,7 +77,7 @@ func TestReopenReplaysWAL(t *testing.T) {
 	if err := s.AddQuad(rdf.Q(rdf.IRI("a"), rdf.IRI("b"), rdf.LangLit("x", "en"), rdf.IRI("g1"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BindPrefix("ex", "http://ex/"); err != nil {
+	if err := s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -126,7 +126,7 @@ func TestDropSurvivesReopen(t *testing.T) {
 func TestCompactThenReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.BindPrefix("ex", "http://ex/")
+	s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}})
 	for i := 0; i < 20; i++ {
 		if err := s.AddTriple(rdf.T(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)

@@ -127,9 +127,6 @@ func WithRename(from, to string) HTTPOption {
 	return func(w *HTTP) { w.renames[from] = to }
 }
 
-// WithClient sets the HTTP client (timeouts, test transports).
-func WithClient(c *http.Client) HTTPOption { return func(w *HTTP) { w.client = c } }
-
 // NewHTTP registers an HTTP wrapper by fetching a sample payload and
 // extracting its signature (the automated part of paper §2.2). The
 // returned wrapper's signature reflects the payload after renames.

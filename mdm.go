@@ -39,7 +39,6 @@ import (
 	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rdf"
-	"mdm/internal/rdf/turtle"
 	"mdm/internal/relalg"
 	"mdm/internal/release"
 	"mdm/internal/rewrite"
@@ -230,14 +229,11 @@ func (s *System) Federation() *federate.Engine { return s.fed }
 
 // --- Prefixes and IRIs ---
 
-// BindPrefix registers a namespace prefix for CURIE expansion. Only a
-// persistent system can fail (the binding is logged like any mutation).
+// BindPrefix registers a namespace prefix for CURIE expansion, committed
+// through the ontology like any mutation. A label that would not read
+// back as a prefix name is refused with rdf.ErrPrefixLabel.
 func (s *System) BindPrefix(prefix, namespace string) error {
-	if s.tdbStore != nil {
-		return s.tdbStore.BindPrefix(prefix, namespace)
-	}
-	s.ont.Dataset().Prefixes().Bind(prefix, namespace)
-	return nil
+	return s.ont.BindPrefix(prefix, namespace)
 }
 
 // IRI resolves a CURIE ("ex:Player") or absolute IRI to a Term.
@@ -474,16 +470,17 @@ func (s *System) Stats() bdi.Stats { return s.ont.Stats() }
 // release graph.
 func (s *System) ReleaseLog() []Release { return s.releases.Log() }
 
-// ExportTriG serializes the full ontology dataset as TriG.
+// ExportTriG serializes the full ontology dataset as TriG
+// (rdf.WriteDataset).
 func (s *System) ExportTriG() string {
-	return turtle.WriteDataset(s.ont.Dataset())
+	return rdf.WriteDataset(s.ont.Dataset())
 }
 
 // ImportTriG loads a TriG document produced by ExportTriG into a fresh
 // system (wrappers must be re-registered by the caller; they are live
 // code, not data).
 func ImportTriG(doc string) (*System, error) {
-	ds, err := turtle.ParseDataset(doc)
+	ds, err := sparql.ParseTriG(doc)
 	if err != nil {
 		return nil, err
 	}
