@@ -68,7 +68,7 @@ func BenchmarkFig6SourceGraph(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := o.RegisterWrapper("players-api", sig, time.Now(), nil); err != nil {
+		if _, err := o.RegisterWrapper("players-api", sig, time.Now()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@ import (
 
 	"mdm"
 	"mdm/internal/bdi"
+	"mdm/internal/rdf"
 	"mdm/internal/relalg"
 	"mdm/internal/schema"
 	"mdm/internal/tdb/segment"
@@ -157,7 +158,7 @@ func TestKillAfterAck(t *testing.T) {
 	sys, err := mdm.Open(dir)
 	must(t, err)
 	defer sys.Close()
-	if got := sys.Ontology().AttributesOf("players_v2"); len(got) != 3 {
+	if got := sys.Ontology().Source().Objects(bdi.WrapperIRI("players_v2"), bdi.PropHasAttribute); len(got) != 3 {
 		t.Errorf("source graph after kill holds %d attributes of players_v2, want 3", len(got))
 	}
 	m, ok := sys.Ontology().MappingOf("players_v2")
@@ -165,7 +166,7 @@ func TestKillAfterAck(t *testing.T) {
 		t.Errorf("mapping after kill = %+v (found %v), want 3 triples and 2 links", m, ok)
 	}
 	log := sys.ReleaseLog()
-	if len(log) != 2 || log[0].Wrapper != "players_v1" {
+	if len(log) != 2 || log[0].Signature.Wrapper != "players_v1" {
 		t.Fatalf("release log after kill = %+v, want the two acknowledged entries", log)
 	}
 	if len(acked.Changes) != 1 || acked.Supersedes != "players_v1" {
@@ -180,6 +181,54 @@ func TestKillAfterAck(t *testing.T) {
 	}
 	if v := sys.Validate(); len(v) != 0 {
 		t.Errorf("violations after kill: %v", v)
+	}
+}
+
+// TestPinnedReleaseChangesDerived: testdata/players-v2-release.wal.jsonl
+// is the WAL an mdmd -data run wrote with a version of MDM that stored a
+// release's changes as a <…/Release/changes> literal — two sources, the
+// players v1 and teams wrappers over the simulated provider, then players
+// v2 with a rename and an addition — ended by kill -9. Opened now, the
+// v2 release's changes, derived from the two recorded signatures, are
+// the ones stored then.
+func TestPinnedReleaseChangesDerived(t *testing.T) {
+	wal, err := os.ReadFile(filepath.Join("testdata", "players-v2-release.wal.jsonl"))
+	must(t, err)
+	dir := t.TempDir()
+	must(t, os.MkdirAll(filepath.Join(dir, "ontology"), 0o755))
+	must(t, os.WriteFile(filepath.Join(dir, "ontology", "wal.jsonl"), wal, 0o644))
+	sys, err := mdm.Open(dir)
+	must(t, err)
+	defer sys.Close()
+
+	rg, ok := sys.Ontology().Dataset().Lookup(bdi.ReleaseGraphName)
+	if !ok {
+		t.Fatal("the pinned store has no release graph")
+	}
+	lit, ok := rg.Object(bdi.WrapperIRI("w1v2"), rdf.IRI(bdi.NSRelease+"changes"))
+	if !ok {
+		t.Fatal("the pinned w1v2 record holds no stored changes")
+	}
+	var stored []schema.Change
+	must(t, json.Unmarshal([]byte(lit.Value), &stored))
+	var renamed, added bool
+	for _, c := range stored {
+		renamed = renamed || c.Kind == schema.AttributeRenamed
+		added = added || c.Kind == schema.AttributeAdded
+	}
+	if !renamed || !added {
+		t.Fatalf("the pinned changes %v hold no rename and addition", stored)
+	}
+
+	rel, ok := sys.Ontology().ReleaseOf("w1v2")
+	if !ok || rel.Supersedes != "w1" || rel.Kind != bdi.NewVersion || !rel.Breaking {
+		t.Fatalf("w1v2 reads back as %+v (found %v)", rel, ok)
+	}
+	if !reflect.DeepEqual(rel.Changes, stored) {
+		t.Errorf("derived changes %v, the record stored %v", rel.Changes, stored)
+	}
+	if log := sys.ReleaseLog(); len(log) != 3 || !reflect.DeepEqual(log[2], rel) {
+		t.Errorf("release log = %+v, want w1, w2 and w1v2", log)
 	}
 }
 
@@ -214,10 +263,10 @@ func TestTornRegisterWrapperBatch(t *testing.T) {
 		if got := storeState(t, sys); got != before {
 			t.Errorf("WAL cut at byte %d of the batch replayed to\n%s\nwant the state before the call\n%s", cut-last, got, before)
 		}
-		if _, ok := sys.Ontology().SourceOfWrapper("players_v2"); ok {
+		if sys.Ontology().Source().Count(rdf.Any, bdi.PropHasWrapper, bdi.WrapperIRI("players_v2")) > 0 {
 			t.Errorf("WAL cut at byte %d: the wrapper of the torn release is in the source graph", cut-last)
 		}
-		if log := sys.ReleaseLog(); len(log) != 1 || log[0].Wrapper != "players_v1" {
+		if log := sys.ReleaseLog(); len(log) != 1 || log[0].Signature.Wrapper != "players_v1" {
 			t.Errorf("WAL cut at byte %d: release log = %+v, want players_v1 alone", cut-last, log)
 		}
 		crash(t, sys)
@@ -373,8 +422,8 @@ func TestLockOrderReleasesCompactionsCursors(t *testing.T) {
 	}
 	// Numbered under the ontology's write lock, compactions or not.
 	for i, rel := range log {
-		if want := fmt.Sprintf("players_v%d", i+1); rel.Seq != i+1 || rel.Wrapper != want {
-			t.Errorf("log[%d] = #%d %s, want #%d %s", i, rel.Seq, rel.Wrapper, i+1, want)
+		if want := fmt.Sprintf("players_v%d", i+1); rel.Seq != i+1 || rel.Signature.Wrapper != want {
+			t.Errorf("log[%d] = #%d %s, want #%d %s", i, rel.Seq, rel.Signature.Wrapper, i+1, want)
 		}
 	}
 }

@@ -44,8 +44,8 @@ func TestEveryMutatorOneWritePath(t *testing.T) {
 		{"AddSubClass literal subject", func(o *bdi.Ontology) error { return o.AddSubClass(rdf.Lit("x"), iri("Person")) }},
 		{"AddDataSource", func(o *bdi.Ontology) error { return o.AddDataSource("players", "Players") }},
 		{"AddDataSource empty", func(o *bdi.Ontology) error { return o.AddDataSource("", "") }},
-		{"RegisterWrapper", func(o *bdi.Ontology) error { _, err := o.RegisterWrapper("players", sig, at, nil); return err }},
-		{"RegisterWrapper again", func(o *bdi.Ontology) error { _, err := o.RegisterWrapper("players", sig, at, nil); return err }},
+		{"RegisterWrapper", func(o *bdi.Ontology) error { _, err := o.RegisterWrapper("players", sig, at); return err }},
+		{"RegisterWrapper again", func(o *bdi.Ontology) error { _, err := o.RegisterWrapper("players", sig, at); return err }},
 		{"DefineMapping", func(o *bdi.Ontology) error {
 			return o.DefineMapping(bdi.Mapping{
 				Wrapper:  "w1",

@@ -357,29 +357,11 @@ func (o *Ontology) Concepts() []rdf.Term {
 	return o.Global().Subjects(rdf.IRI(rdf.RDFType), ClassConcept)
 }
 
-// Features lists all features, sorted.
-func (o *Ontology) Features() []rdf.Term {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.Global().Subjects(rdf.IRI(rdf.RDFType), ClassFeature)
-}
-
 // FeaturesOf returns the features attached to a concept.
 func (o *Ontology) FeaturesOf(concept rdf.Term) []rdf.Term {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return o.Global().Objects(concept, PropHasFeature)
-}
-
-// ConceptOf returns the concept owning a feature.
-func (o *Ontology) ConceptOf(feature rdf.Term) (rdf.Term, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	t, ok := o.Global().MatchFirst(rdf.Any, PropHasFeature, feature)
-	if !ok {
-		return rdf.Term{}, false
-	}
-	return t.S, true
 }
 
 // IsIdentifier reports whether the feature is a (transitive) subclass of
@@ -493,10 +475,9 @@ func (o *Ontology) AddDataSource(sourceID, label string) error {
 // source"), and are never shared across sources.
 //
 // The sequence number and the superseded wrapper — the source's latest
-// release — are fixed under the write lock. When there is one, describe
-// (if not nil) is called with it, under that lock, and what it returns is
-// stored as the record's Changes; it must not call back into o.
-func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, at time.Time, describe func(superseded Release) string) (Release, error) {
+// release — are fixed under the write lock. The release returned is the
+// record read back, as ReleaseOf would return it.
+func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, at time.Time) (Release, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	g := o.Source()
@@ -505,19 +486,14 @@ func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, at tim
 		return Release{}, fmt.Errorf("%w: %s", ErrUnknownSource, sourceID)
 	}
 	w := WrapperIRI(sig.Wrapper)
-	if _, ok := o.releaseOf(w); ok {
-		return Release{}, fmt.Errorf("%w: %s", ErrWrapperReleased, sig.Wrapper)
-	}
-	rel := Release{Seq: 1, At: at, SourceID: sourceID, Signature: sig}
+	seq := 1
 	if rg, ok := o.ds.Lookup(ReleaseGraphName); ok {
-		rel.Seq += rg.Count(rdf.Any, PropSeq, rdf.Any)
-	}
-	if prev, ok := o.latestReleaseOf(s); ok {
-		rel.Supersedes = prev.Signature.Wrapper
-		if describe != nil {
-			rel.Changes = describe(prev)
+		if _, released := rg.Object(w, PropSeq); released {
+			return Release{}, fmt.Errorf("%w: %s", ErrWrapperReleased, sig.Wrapper)
 		}
+		seq += rg.Count(rdf.Any, PropSeq, rdf.Any)
 	}
+	prev, supersedes := o.latestReleaseOf(s)
 	ws := writes{o: o}
 	ws.add(SourceGraphName, rdf.T(w, rdf.IRI(rdf.RDFType), ClassWrapper))
 	ws.add(SourceGraphName, rdf.T(w, rdf.IRI(rdf.RDFSLabel), rdf.Lit(sig.Wrapper)))
@@ -528,18 +504,16 @@ func (o *Ontology) RegisterWrapper(sourceID string, sig schema.Signature, at tim
 		ws.add(SourceGraphName, rdf.T(attr, rdf.IRI(rdf.RDFSLabel), rdf.Lit(a.Name)))
 		ws.add(SourceGraphName, rdf.T(w, PropHasAttribute, attr))
 	}
-	ws.add(ReleaseGraphName, rdf.T(w, PropSeq, rdf.IntLit(int64(rel.Seq))))
+	ws.add(ReleaseGraphName, rdf.T(w, PropSeq, rdf.IntLit(int64(seq))))
 	ws.add(ReleaseGraphName, rdf.T(w, PropReleasedAt, rdf.Lit(at.Format(time.RFC3339Nano))))
 	ws.add(ReleaseGraphName, rdf.T(w, PropSignature, rdf.Lit(encodeAttributes(sig.Attributes))))
-	if rel.Supersedes != "" {
-		ws.add(ReleaseGraphName, rdf.T(w, PropSupersedes, WrapperIRI(rel.Supersedes)))
-	}
-	if rel.Changes != "" {
-		ws.add(ReleaseGraphName, rdf.T(w, PropChanges, rdf.Lit(rel.Changes)))
+	if supersedes {
+		ws.add(ReleaseGraphName, rdf.T(w, PropSupersedes, prev))
 	}
 	if err := ws.commit(); err != nil {
 		return Release{}, err
 	}
+	rel, _ := o.releaseOf(w)
 	return rel, nil
 }
 
@@ -548,20 +522,6 @@ func (o *Ontology) Sources() []rdf.Term {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return o.Source().Subjects(rdf.IRI(rdf.RDFType), ClassDataSource)
-}
-
-// WrappersOf lists the wrapper IRIs of a data source.
-func (o *Ontology) WrappersOf(sourceID string) []rdf.Term {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.Source().Objects(SourceIRI(sourceID), PropHasWrapper)
-}
-
-// AttributesOf lists the attribute IRIs of a wrapper.
-func (o *Ontology) AttributesOf(wrapperName string) []rdf.Term {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.Source().Objects(WrapperIRI(wrapperName), PropHasAttribute)
 }
 
 // AttributeName extracts the attribute's label (its signature name).
@@ -573,17 +533,6 @@ func (o *Ontology) AttributeName(attr rdf.Term) (string, bool) {
 		return "", false
 	}
 	return t.Value, true
-}
-
-// SourceOfWrapper returns the data source IRI owning a wrapper.
-func (o *Ontology) SourceOfWrapper(wrapperName string) (rdf.Term, bool) {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	t, ok := o.Source().MatchFirst(rdf.Any, PropHasWrapper, WrapperIRI(wrapperName))
-	if !ok {
-		return rdf.Term{}, false
-	}
-	return t.S, true
 }
 
 // --- LAV mappings (paper §2.3) ---

@@ -27,9 +27,9 @@ func sig(w string, attrs ...string) schema.Signature {
 // ontologies built by the same calls hold the same quads.
 var releasedAt = time.Date(2018, 3, 26, 10, 0, 0, 0, time.UTC)
 
-// release registers a wrapper with nothing to say about what changed.
+// release registers a wrapper at releasedAt.
 func release(o *Ontology, sourceID string, s schema.Signature) error {
-	_, err := o.RegisterWrapper(sourceID, s, releasedAt, nil)
+	_, err := o.RegisterWrapper(sourceID, s, releasedAt)
 	return err
 }
 
@@ -150,7 +150,7 @@ func TestGlobalGraphConstruction(t *testing.T) {
 	if got := len(o.Concepts()); got != 2 {
 		t.Fatalf("concepts = %d", got)
 	}
-	if got := len(o.Features()); got != 4 {
+	if got := len(o.Global().Subjects(rdf.IRI(rdf.RDFType), ClassFeature)); got != 4 {
 		t.Fatalf("features = %d", got)
 	}
 	player := rdf.IRI(ex + "Player")
@@ -158,12 +158,8 @@ func TestGlobalGraphConstruction(t *testing.T) {
 	if len(feats) != 2 {
 		t.Fatalf("player features = %v", feats)
 	}
-	owner, ok := o.ConceptOf(rdf.IRI(ex + "playerName"))
-	if !ok || owner != player {
-		t.Errorf("ConceptOf = %v, %v", owner, ok)
-	}
-	if _, ok := o.ConceptOf(rdf.IRI(ex + "nope")); ok {
-		t.Error("ConceptOf on unknown feature")
+	if owners := o.Global().Subjects(PropHasFeature, rdf.IRI(ex+"playerName")); len(owners) != 1 || owners[0] != player {
+		t.Errorf("playerName owners = %v", owners)
 	}
 	rels := o.ConceptRelations()
 	if len(rels) != 1 || rels[0].P.Value != ex+"playsIn" {
@@ -234,24 +230,17 @@ func TestSourceGraphConstruction(t *testing.T) {
 	if got := len(o.Sources()); got != 2 {
 		t.Fatalf("sources = %d", got)
 	}
-	ws := o.WrappersOf("players-api")
+	ws := o.Source().Objects(SourceIRI("players-api"), PropHasWrapper)
 	if len(ws) != 1 || ws[0] != WrapperIRI("w1") {
 		t.Fatalf("wrappers = %v", ws)
 	}
-	attrs := o.AttributesOf("w1")
+	attrs := o.Source().Objects(WrapperIRI("w1"), PropHasAttribute)
 	if len(attrs) != 3 {
 		t.Fatalf("attributes = %v", attrs)
 	}
 	name, ok := o.AttributeName(attrs[0])
 	if !ok || name == "" {
 		t.Errorf("AttributeName = %q, %v", name, ok)
-	}
-	src, ok := o.SourceOfWrapper("w1")
-	if !ok || src != SourceIRI("players-api") {
-		t.Errorf("SourceOfWrapper = %v, %v", src, ok)
-	}
-	if _, ok := o.SourceOfWrapper("nope"); ok {
-		t.Error("SourceOfWrapper on unknown wrapper")
 	}
 	if err := release(o, "ghost-api", sig("w9", "a")); !errors.Is(err, ErrUnknownSource) {
 		t.Errorf("register on unknown source = %v", err)
@@ -268,8 +257,8 @@ func TestAttributeReuseWithinSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The id attribute node must be shared between w1 and w1b …
-	a1 := o.AttributesOf("w1")
-	a1b := o.AttributesOf("w1b")
+	a1 := o.Source().Objects(WrapperIRI("w1"), PropHasAttribute)
+	a1b := o.Source().Objects(WrapperIRI("w1b"), PropHasAttribute)
 	shared := false
 	for _, x := range a1 {
 		for _, y := range a1b {

@@ -2,8 +2,10 @@ package bdi
 
 import (
 	"encoding/json"
+	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"mdm/internal/rdf"
@@ -16,11 +18,16 @@ import (
 // existing source has evolved"). Its subjects are the wrapper nodes of the
 // source graph, and per released wrapper it holds what the source graph
 // cannot say: the release's sequence number and time, the wrapper it
-// superseded, the ordered and typed signature (the source graph keeps
-// attribute names as a set), and the releasing caller's account of the
-// schema changes. RegisterWrapper is its only writer and writes it in the
-// batch that writes the wrapper, so the wrappers of the source graph and
-// the releases of this graph are the same set.
+// superseded, and the ordered and typed signature (the source graph keeps
+// attribute names as a set). RegisterWrapper is its only writer and writes
+// it in the batch that writes the wrapper, so the wrappers of the source
+// graph and the releases of this graph are the same set.
+//
+// Everything else a Release reports is derived when the record is read:
+// its changes are schema.Diff of the superseded record's signature and its
+// own. Records written by earlier versions of MDM may also hold a
+// <…/Release/changes> literal, the changes as computed at registration;
+// nothing reads it.
 
 // NSRelease is the namespace of the release vocabulary.
 const NSRelease = "http://www.essi.upc.edu/~snadal/BDIOntology/Release/"
@@ -39,26 +46,77 @@ var (
 	// PropSignature is the signature at release time, a JSON array of
 	// [attribute, type] pairs in signature order.
 	PropSignature = rdf.IRI(NSRelease + "signature")
-	// PropChanges is the releasing caller's description of the schema
-	// changes against the superseded wrapper, stored as given.
-	PropChanges = rdf.IRI(NSRelease + "changes")
 )
 
-// Release is the release graph's record of one wrapper.
+// ReleaseKind distinguishes the two release flavours of paper §2.2: "new
+// wrappers are introduced either because we want to consider data from a
+// new data source, or because the schema of an existing source has
+// evolved".
+type ReleaseKind string
+
+// Release kinds.
+const (
+	NewSource  ReleaseKind = "new-source"
+	NewVersion ReleaseKind = "new-version"
+)
+
+// Release is one entry of the release log: the release graph's record of
+// one wrapper and what follows from it.
 type Release struct {
 	// Seq is the release sequence number (1-based, dense).
 	Seq int
+	// Kind is NewVersion when the release supersedes another.
+	Kind ReleaseKind
 	// At is the release time.
 	At time.Time
 	// SourceID is the wrapper's data source, read from the source graph.
 	SourceID string
 	// Supersedes is the previous wrapper of the source ("" for its first).
 	Supersedes string
-	// Signature is the wrapper's ordered, typed signature at release time.
+	// Signature is the wrapper's ordered, typed signature at release time;
+	// Signature.Wrapper is the wrapper's name.
 	Signature schema.Signature
-	// Changes is what RegisterWrapper's describe returned ("" when there
-	// was nothing to supersede or nothing to say).
-	Changes string
+	// Changes is schema.Diff of the superseded release's signature and
+	// this one's (nil for a source's first release).
+	Changes []schema.Change
+	// Breaking mirrors schema.IsBreaking(Changes).
+	Breaking bool
+}
+
+// Summary is a one-line description for logs and the REST API.
+func (r Release) Summary() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "release #%d [%s] %s/%s", r.Seq, r.Kind, r.SourceID, r.Signature.Wrapper)
+	if r.Supersedes != "" {
+		fmt.Fprintf(&sb, " supersedes %s", r.Supersedes)
+	}
+	if len(r.Changes) > 0 {
+		descs := make([]string, len(r.Changes))
+		for i, c := range r.Changes {
+			descs[i] = c.String()
+		}
+		fmt.Fprintf(&sb, " (%s)", strings.Join(descs, "; "))
+	}
+	if r.Breaking {
+		sb.WriteString(" BREAKING")
+	}
+	return sb.String()
+}
+
+// ConflictError reports a wrapper registered under a name the release log
+// already holds with a different data source or different attributes. One
+// wrapper per schema version is the paper's rule (§2.2), so the recorded
+// release stands and the new schema needs a name of its own.
+type ConflictError struct {
+	// Recorded is the release the log holds under the name.
+	Recorded Release
+	// Offered is what the rejected wrapper declared: "source/signature".
+	Offered string
+}
+
+func (e *ConflictError) Error() string {
+	return fmt.Sprintf("release: wrapper %q is already released as %s/%s (release #%d), not %s: release the new schema under a new wrapper name",
+		e.Recorded.Signature.Wrapper, e.Recorded.SourceID, e.Recorded.Signature, e.Recorded.Seq, e.Offered)
 }
 
 // ReleaseOf returns the release record of a wrapper.
@@ -76,20 +134,22 @@ func (o *Ontology) Releases() []Release {
 	if !ok {
 		return nil
 	}
-	var out []Release
-	rg.EachMatch(rdf.Any, PropSeq, rdf.Any, func(t rdf.Triple) bool {
-		if rel, ok := o.releaseOf(t.S); ok {
+	// The subjects are collected first: releaseOf reads rg again.
+	ws := rg.Subjects(PropSeq, rdf.Any)
+	out := make([]Release, 0, len(ws))
+	for _, w := range ws {
+		if rel, ok := o.releaseOf(w); ok {
 			out = append(out, rel)
 		}
-		return true
-	})
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
 }
 
-// releaseOf reads one record; the caller holds o.mu. The dataset may have
-// been imported from a document MDM did not write, so a literal that does
-// not parse leaves its field zero rather than failing the whole log.
+// releaseOf reads one record and derives the rest; the caller holds o.mu.
+// The dataset may have been imported from a document MDM did not write, so
+// a literal that does not parse leaves its field zero rather than failing
+// the whole log.
 func (o *Ontology) releaseOf(w rdf.Term) (Release, bool) {
 	rg, ok := o.ds.Lookup(ReleaseGraphName)
 	if !ok {
@@ -99,20 +159,16 @@ func (o *Ontology) releaseOf(w rdf.Term) (Release, bool) {
 	if !ok {
 		return Release{}, false
 	}
-	var rel Release
+	rel := Release{Kind: NewSource, Signature: recordedSignature(rg, w)}
 	rel.Seq, _ = strconv.Atoi(seq.Value)
-	rel.Signature.Wrapper, _ = WrapperName(w)
 	if at, ok := rg.Object(w, PropReleasedAt); ok {
 		rel.At, _ = time.Parse(time.RFC3339Nano, at.Value)
 	}
 	if prev, ok := rg.Object(w, PropSupersedes); ok {
+		rel.Kind = NewVersion
 		rel.Supersedes, _ = WrapperName(prev)
-	}
-	if sig, ok := rg.Object(w, PropSignature); ok {
-		rel.Signature.Attributes = decodeAttributes(sig.Value)
-	}
-	if changes, ok := rg.Object(w, PropChanges); ok {
-		rel.Changes = changes.Value
+		rel.Changes = schema.Diff(recordedSignature(rg, prev), rel.Signature)
+		rel.Breaking = schema.IsBreaking(rel.Changes)
 	}
 	if src, ok := o.Source().MatchFirst(rdf.Any, PropHasWrapper, w); ok {
 		rel.SourceID, _ = SourceID(src.S)
@@ -120,21 +176,29 @@ func (o *Ontology) releaseOf(w rdf.Term) (Release, bool) {
 	return rel, true
 }
 
-// latestReleaseOf returns the release of a source that no later one
-// supersedes; the caller holds o.mu.
-func (o *Ontology) latestReleaseOf(source rdf.Term) (Release, bool) {
+// recordedSignature is the signature the release graph records for w.
+func recordedSignature(rg *rdf.Graph, w rdf.Term) schema.Signature {
+	var sig schema.Signature
+	sig.Wrapper, _ = WrapperName(w)
+	if lit, ok := rg.Object(w, PropSignature); ok {
+		sig.Attributes = decodeAttributes(lit.Value)
+	}
+	return sig
+}
+
+// latestReleaseOf returns the released wrapper of a source that no later
+// release supersedes; the caller holds o.mu.
+func (o *Ontology) latestReleaseOf(source rdf.Term) (rdf.Term, bool) {
 	rg, ok := o.ds.Lookup(ReleaseGraphName)
 	if !ok {
-		return Release{}, false
+		return rdf.Term{}, false
 	}
 	for _, w := range o.Source().Objects(source, PropHasWrapper) {
-		if rg.Count(rdf.Any, PropSupersedes, w) == 0 {
-			if rel, ok := o.releaseOf(w); ok {
-				return rel, true
-			}
+		if _, released := rg.Object(w, PropSeq); released && rg.Count(rdf.Any, PropSupersedes, w) == 0 {
+			return w, true
 		}
 	}
-	return Release{}, false
+	return rdf.Term{}, false
 }
 
 func encodeAttributes(attrs []schema.Attribute) string {

@@ -12,16 +12,17 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
-	"mdm/internal/release"
 	"mdm/internal/schema"
+	"mdm/internal/sparql"
 	"mdm/internal/usecase"
 	"mdm/internal/wrapper"
 )
 
 // releaseBreaches checks the one-record rule on an ontology, whoever wrote
 // it: the wrappers of the source graph are exactly the wrappers the
-// release graph records, the sequence numbers are 1..n, and every release
-// supersedes the previous release of its own source.
+// release graph records, the sequence numbers are 1..n, every release
+// supersedes the previous release of its own source, and its changes are
+// the diff of the two recorded signatures.
 func releaseBreaches(o *bdi.Ontology) []string {
 	var breaches []string
 	var inSource, inLog []string
@@ -44,6 +45,14 @@ func releaseBreaches(o *bdi.Ontology) []string {
 		if single, ok := o.ReleaseOf(name); !ok || !reflect.DeepEqual(single, rel) {
 			breaches = append(breaches, fmt.Sprintf("ReleaseOf(%s) = %+v, the log holds %+v", name, single, rel))
 		}
+		var want []schema.Change
+		if prev, ok := o.ReleaseOf(rel.Supersedes); ok {
+			want = schema.Diff(prev.Signature, rel.Signature)
+		}
+		if !reflect.DeepEqual(rel.Changes, want) || rel.Breaking != schema.IsBreaking(want) {
+			breaches = append(breaches, fmt.Sprintf("#%d %s has changes %v (breaking %v), its recorded signatures differ by %v",
+				rel.Seq, name, rel.Changes, rel.Breaking, want))
+		}
 	}
 	sort.Strings(inSource)
 	sort.Strings(inLog)
@@ -51,6 +60,17 @@ func releaseBreaches(o *bdi.Ontology) []string {
 		breaches = append(breaches, fmt.Sprintf("source graph holds wrappers %v, release graph records %v", inSource, inLog))
 	}
 	return breaches
+}
+
+// reopened reads o's dataset back from its TriG export, as a restart
+// reads it back from storage.
+func reopened(t *testing.T, o *bdi.Ontology) *bdi.Ontology {
+	t.Helper()
+	ds, err := sparql.ParseTriG(rdf.WriteDataset(o.Dataset()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bdi.FromDataset(ds)
 }
 
 func mem(name, source string, attrs ...string) *wrapper.Mem {
@@ -63,15 +83,28 @@ func mem(name, source string, attrs ...string) *wrapper.Mem {
 
 // TestEveryWriterKeepsOneRecordPerRelease drives each way a wrapper can
 // reach the source graph, failures included, and checks the rule after
-// every one of them.
+// every one of them — on the ontology as written and as read back — and
+// that every release a writer returned is the one the log reads back.
 func TestEveryWriterKeepsOneRecordPerRelease(t *testing.T) {
-	check := func(t *testing.T, o *bdi.Ontology, wrappers int) {
+	check := func(t *testing.T, o *bdi.Ontology, wrappers int, returned map[string]bdi.Release) {
 		t.Helper()
+		back := reopened(t, o)
 		for _, b := range releaseBreaches(o) {
 			t.Error(b)
 		}
+		for _, b := range releaseBreaches(back) {
+			t.Error("read back: " + b)
+		}
 		if got := len(o.Releases()); got != wrappers {
 			t.Errorf("%d releases recorded, want %d", got, wrappers)
+		}
+		if got, want := back.Releases(), o.Releases(); !reflect.DeepEqual(got, want) {
+			t.Errorf("log read back as\n%+v\nwas\n%+v", got, want)
+		}
+		for name, rel := range returned {
+			if logged, _ := back.ReleaseOf(name); !reflect.DeepEqual(logged, rel) {
+				t.Errorf("%s: returned %+v, the log reads back %+v", name, rel, logged)
+			}
 		}
 	}
 
@@ -83,39 +116,33 @@ func TestEveryWriterKeepsOneRecordPerRelease(t *testing.T) {
 			}
 		}
 		at := time.Date(2018, 3, 26, 10, 0, 0, 0, time.UTC)
-		n := 0
+		returned := map[string]bdi.Release{}
 		for i, src := range []string{"a", "b", "a", "c", "b", "a", "ghost", "a"} {
 			sig := mem(fmt.Sprintf("w%d", i), src, "id", fmt.Sprintf("x%d", i)).Signature()
-			rel, err := o.RegisterWrapper(src, sig, at.Add(time.Duration(i)*time.Second), func(prev bdi.Release) string {
-				return "after " + prev.Signature.Wrapper
-			})
+			rel, err := o.RegisterWrapper(src, sig, at.Add(time.Duration(i)*time.Second))
 			if err == nil {
-				n++
-				if back, _ := o.ReleaseOf(sig.Wrapper); !reflect.DeepEqual(back, rel) {
-					t.Errorf("RegisterWrapper returned %+v, recorded %+v", rel, back)
-				}
-				if rel.Supersedes != "" && rel.Changes != "after "+rel.Supersedes {
-					t.Errorf("release %+v was described against another wrapper", rel)
+				returned[sig.Wrapper] = rel
+				if rel.Supersedes != "" && (len(rel.Changes) == 0 || !rel.Breaking) {
+					t.Errorf("release %+v replaces an attribute but reports no breaking change", rel)
 				}
 			} else if src != "ghost" {
 				t.Fatal(err)
 			}
-			check(t, o, n)
+			check(t, o, len(returned), returned)
 		}
 		// A released name is refused, whatever it now declares.
-		if _, err := o.RegisterWrapper("b", mem("w0", "b", "other").Signature(), at, nil); err == nil {
+		if _, err := o.RegisterWrapper("b", mem("w0", "b", "other").Signature(), at); err == nil {
 			t.Error("a released wrapper name was released again")
 		}
-		check(t, o, n)
+		check(t, o, len(returned), returned)
 	})
 
-	t.Run("release.Manager", func(t *testing.T) {
-		o, reg := bdi.New(), wrapper.NewRegistry()
-		mgr := release.NewManager(o, reg)
-		if err := o.AddDataSource("players", ""); err != nil {
+	t.Run("facade refusals", func(t *testing.T) {
+		sys := mdm.New()
+		if err := sys.AddSource("players", ""); err != nil {
 			t.Fatal(err)
 		}
-		n := 0
+		returned := map[string]bdi.Release{}
 		for _, w := range []*wrapper.Mem{
 			mem("p1", "players", "id", "pName"),
 			mem("p1", "players", "id", "pName"), // duplicate: the registry holds it
@@ -123,48 +150,56 @@ func TestEveryWriterKeepsOneRecordPerRelease(t *testing.T) {
 			mem("p3", "nowhere", "id"),          // unknown source: rolled back
 			mem("p2", "players", "id", "other"), // conflict with the record
 		} {
-			if _, err := mgr.Register(w); err == nil {
-				n++
+			if rel, err := sys.RegisterWrapper(w); err == nil {
+				returned[w.Name()] = rel
 			}
-			check(t, o, n)
+			check(t, sys.Ontology(), len(returned), returned)
 		}
-		if n != 2 {
-			t.Fatalf("%d registrations succeeded, want 2", n)
+		if len(returned) != 2 {
+			t.Fatalf("%d registrations succeeded, want 2", len(returned))
 		}
-		reg.Remove("p1")
-		if _, err := mgr.Register(mem("p1", "players", "pName", "id")); err != nil {
+		sys.Wrappers().Remove("p1")
+		if rel, err := sys.RegisterWrapper(mem("p1", "players", "pName", "id")); err != nil {
 			t.Fatalf("re-attaching a released wrapper: %v", err)
+		} else if !reflect.DeepEqual(rel, returned["p1"]) {
+			t.Errorf("re-attaching returned %+v, the release was %+v", rel, returned["p1"])
 		}
-		check(t, o, n)
+		check(t, sys.Ontology(), 2, returned)
 	})
 
-	// The manager has no lock of its own: numbering and the choice of the
+	// The facade has no lock of its own: numbering and the choice of the
 	// superseded wrapper are serialized by the ontology's write lock.
-	t.Run("concurrent release.Manager callers", func(t *testing.T) {
-		o, reg := bdi.New(), wrapper.NewRegistry()
-		mgr := release.NewManager(o, reg)
+	t.Run("concurrent facade callers", func(t *testing.T) {
+		sys := mdm.New()
 		sources := []string{"a", "b", "c"}
 		for _, src := range sources {
-			if err := o.AddDataSource(src, ""); err != nil {
+			if err := sys.AddSource(src, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
 		const perSource = 8
+		var mu sync.Mutex
+		returned := map[string]bdi.Release{}
 		var wg sync.WaitGroup
 		for _, src := range sources {
 			for v := 0; v < perSource; v++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, err := mgr.Register(mem(fmt.Sprintf("%s%d", src, v), src, "id", fmt.Sprintf("x%d", v))); err != nil {
+					rel, err := sys.RegisterWrapper(mem(fmt.Sprintf("%s%d", src, v), src, "id", fmt.Sprintf("x%d", v)))
+					if err != nil {
 						t.Error(err)
+						return
 					}
-					mgr.Log() // a reader beside the writers
+					mu.Lock()
+					returned[rel.Signature.Wrapper] = rel
+					mu.Unlock()
+					sys.ReleaseLog() // a reader beside the writers
 				}()
 			}
 		}
 		wg.Wait()
-		check(t, o, len(sources)*perSource)
+		check(t, sys.Ontology(), len(sources)*perSource, returned)
 	})
 
 	t.Run("facade", func(t *testing.T) {
@@ -172,30 +207,36 @@ func TestEveryWriterKeepsOneRecordPerRelease(t *testing.T) {
 		if err := sys.AddSource("players", ""); err != nil {
 			t.Fatal(err)
 		}
+		returned := map[string]bdi.Release{}
 		for v := 1; v <= 4; v++ {
-			if _, err := sys.RegisterWrapper(mem(fmt.Sprintf("p%d", v), "players", "id", fmt.Sprintf("x%d", v))); err != nil {
+			rel, err := sys.RegisterWrapper(mem(fmt.Sprintf("p%d", v), "players", "id", fmt.Sprintf("x%d", v)))
+			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, sys.Ontology(), v)
+			returned[rel.Signature.Wrapper] = rel
+			check(t, sys.Ontology(), v, returned)
 		}
 		again, err := mdm.ImportTriG(sys.ExportTriG())
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, again.Ontology(), 4)
+		check(t, again.Ontology(), 4, returned)
 	})
 
 	t.Run("usecase fixtures", func(t *testing.T) {
 		f := usecase.MustNew()
-		check(t, f.Ont, 6)
+		check(t, f.Ont, 6, nil)
 		if err := f.ReleasePlayersV2(); err != nil {
 			t.Fatal(err)
 		}
-		check(t, f.Ont, 7)
+		check(t, f.Ont, 7, nil)
+		if rel, _ := f.Ont.ReleaseOf("w1v2"); rel.Supersedes != "w5" || !rel.Breaking {
+			t.Errorf("players v2 = %+v, want a breaking release superseding w5", rel)
+		}
 		versions, _, _ := usecase.SyntheticVersions(5)
-		check(t, versions, 6+4)
+		check(t, versions, 6+4, nil)
 		chain, _, _ := usecase.SyntheticChain(4)
-		check(t, chain, 3)
+		check(t, chain, 3, nil)
 	})
 
 	// The check can fail: a wrapper written the way RegisterWrapper wrote

@@ -24,7 +24,6 @@ type Dataset struct {
 	def      *Graph
 	named    map[Term]*Graph
 	prefixes *PrefixMap
-	version  atomic.Uint64
 }
 
 // NewDataset returns an empty dataset with the common prefixes (rdf,
@@ -35,7 +34,7 @@ func NewDataset() *Dataset {
 		dict:     dict,
 		def:      NewGraphWith(dict),
 		named:    make(map[Term]*Graph),
-		prefixes: NewPrefixMap(),
+		prefixes: newPrefixMap(&dict.changes),
 	}
 }
 
@@ -43,24 +42,16 @@ func NewDataset() *Dataset {
 // the dataset.
 func (d *Dataset) Dict() *Dict { return d.dict }
 
-// Version returns the dataset's structural version: a counter that
-// increments whenever the graph SET changes — a named graph is created
-// or dropped. Triple-level writes inside an existing graph do not change
-// it.
-//
-// Consumers that keep something derived from dataset state (the walk
-// rewriter's result cache) revalidate against it together with Writes:
-// any structural change bumps Version.
-func (d *Dataset) Version() uint64 { return d.version.Load() }
-
-// Writes returns the number of triples added so far to the graphs of the
-// dataset, through either path (Add, BulkAddIDs). It is one atomic load,
-// and each graph bumps it after the triple is in its indexes, so a
-// reader that sees the same (Version, Writes) before and after deriving
-// something from the dataset's triples derived it from unchanged
-// triples. A graph loses triples only by being dropped whole, which is a
-// Version change, not a write.
-func (d *Dataset) Writes() uint64 { return d.dict.writes.Load() }
+// Changes counts the changes made to the dataset so far: every triple
+// added to one of its graphs, through either path (Add, BulkAddIDs),
+// every named graph created or dropped, and every prefix bound. It is one
+// atomic load, and each change is counted after it is visible, so a
+// reader that sees the same count before and after deriving something
+// from the dataset derived it from an unchanged dataset. A graph loses
+// triples only by being dropped whole, which counts. Consumers that keep
+// something derived from dataset state (the walk rewriter's result cache)
+// revalidate against it.
+func (d *Dataset) Changes() uint64 { return d.dict.changes.Load() }
 
 // Default returns the default graph, the same one for the dataset's
 // life.
@@ -79,7 +70,7 @@ func (d *Dataset) Graph(name Term) *Graph {
 		g = NewGraphWith(d.dict)
 		d.dict.Intern(name)
 		d.named[name] = g
-		d.version.Add(1)
+		d.dict.changes.Add(1)
 	}
 	return g
 }
@@ -102,7 +93,7 @@ func (d *Dataset) DropGraph(name Term) bool {
 	_, ok := d.named[name]
 	if ok {
 		delete(d.named, name)
-		d.version.Add(1)
+		d.dict.changes.Add(1)
 	}
 	return ok
 }
@@ -155,14 +146,17 @@ type PrefixMap struct {
 	mu      sync.RWMutex
 	forward map[string]string // prefix -> namespace
 	reverse map[string]string // namespace -> prefix
-	binds   atomic.Uint64     // Bind calls so far
+	changes *atomic.Uint64    // counts Bind calls: the owning dataset's Changes
 }
 
 // NewPrefixMap returns a registry preloaded with rdf, rdfs, owl and xsd.
-func NewPrefixMap() *PrefixMap {
+func NewPrefixMap() *PrefixMap { return newPrefixMap(new(atomic.Uint64)) }
+
+func newPrefixMap(changes *atomic.Uint64) *PrefixMap {
 	pm := &PrefixMap{
 		forward: make(map[string]string),
 		reverse: make(map[string]string),
+		changes: changes,
 	}
 	pm.Bind("rdf", "http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 	pm.Bind("rdfs", "http://www.w3.org/2000/01/rdf-schema#")
@@ -181,13 +175,8 @@ func (pm *PrefixMap) Bind(prefix, namespace string) {
 	}
 	pm.forward[prefix] = namespace
 	pm.reverse[namespace] = prefix
-	pm.binds.Add(1)
+	pm.changes.Add(1)
 }
-
-// Binds returns how many times Bind has been called: whatever was
-// rendered through Compact or Pairs under one count still renders the
-// same while the count stands.
-func (pm *PrefixMap) Binds() uint64 { return pm.binds.Load() }
 
 // Expand resolves a CURIE like "rdfs:label" to a full IRI. Strings
 // without a known prefix are returned unchanged with ok = false.

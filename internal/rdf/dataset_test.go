@@ -179,93 +179,62 @@ func TestDatasetSharedDict(t *testing.T) {
 	}
 }
 
-func TestDatasetVersionBumpsOnStructuralChange(t *testing.T) {
+// TestDatasetChangesCountsEveryWritePath: Changes moves on every
+// change to the dataset, whichever method made it — a triple added to any
+// graph, a named graph created or dropped, a prefix bound — and on
+// nothing else.
+func TestDatasetChangesCountsEveryWritePath(t *testing.T) {
 	ds := NewDataset()
-	v0 := ds.Version()
-
-	// Triple-level writes do not bump the version.
-	ds.Default().MustAdd(T(IRI("s"), IRI("p"), Lit("o")))
-	if ds.Version() != v0 {
-		t.Fatalf("version bumped by a triple write: %d -> %d", v0, ds.Version())
-	}
-
 	name := IRI("http://ex.org/g")
-	ds.Graph(name)
-	v1 := ds.Version()
-	if v1 == v0 {
-		t.Fatal("version unchanged after named-graph creation")
-	}
-	ds.Graph(name) // already exists: no bump
-	if ds.Version() != v1 {
-		t.Fatal("version bumped by a lookup of an existing graph")
-	}
-
-	if !ds.DropGraph(name) {
-		t.Fatal("DropGraph = false")
-	}
-	v2 := ds.Version()
-	if v2 == v1 {
-		t.Fatal("version unchanged after DropGraph")
-	}
-	if ds.DropGraph(name) {
-		t.Fatal("second DropGraph should report false")
-	}
-	if ds.Version() != v2 {
-		t.Fatal("version bumped by a no-op DropGraph")
-	}
-
-	// Re-creating a graph whose name is already interned must still bump.
-	ds.Graph(name)
-	if ds.Version() == v2 {
-		t.Fatal("version unchanged after re-creating a dropped graph")
-	}
-}
-
-// TestDatasetWritesCountsEveryWritePath: Writes moves on every
-// successful triple-level write to any graph of the dataset, whichever
-// method made it, and on nothing else.
-func TestDatasetWritesCountsEveryWritePath(t *testing.T) {
-	ds := NewDataset()
-	g := ds.Graph(IRI("http://ex.org/g"))
-	h := ds.Graph(IRI("http://ex.org/h"))
+	g := ds.Graph(name)
 	tr := func(i int) Triple {
 		return T(IRI(fmt.Sprintf("http://ex.org/s%d", i)), IRI("http://ex.org/p"), IRI("http://ex.org/o"))
 	}
-	step := func(name string, want uint64, do func()) {
-		t.Helper()
-		before := ds.Writes()
-		do()
-		if got := ds.Writes() - before; got != want {
-			t.Errorf("%s moved Writes by %d, want %d", name, got, want)
-		}
-	}
-	step("Add", 1, func() { g.MustAdd(tr(1)) })
-	step("Add of a present triple", 0, func() { g.MustAdd(tr(1)) })
-	step("Add to the default graph", 1, func() { ds.Default().MustAdd(tr(1)) })
 	id := func(t Term) TermID { return ds.Dict().Intern(t) }
-	step("BulkAddIDs", 2, func() {
-		g.BulkAddIDs([][3]TermID{
-			{id(tr(1).S), id(tr(1).P), id(tr(1).O)}, // present
-			{id(tr(3).S), id(tr(3).P), id(tr(3).O)},
-			{id(tr(4).S), id(tr(4).P), id(tr(4).O)},
-		})
-	})
-	step("Add to another graph", 1, func() { h.MustAdd(tr(1)) })
-	step("reads", 0, func() { g.Has(tr(2)); g.Match(Any, Any, Any); ds.Len() })
-	step("DropGraph (a Version change)", 0, func() { ds.DropGraph(IRI("http://ex.org/h")) })
-}
-
-func TestPrefixMapBindsCountsBinds(t *testing.T) {
-	pm := NewPrefixMap()
-	before := pm.Binds()
-	pm.Bind("ex", "http://ex.org/")
-	pm.Bind("ex", "http://ex.org/v2/")
-	if got := pm.Binds() - before; got != 2 {
-		t.Errorf("two Bind calls moved Binds by %d", got)
-	}
-	pm.Compact("http://ex.org/v2/a")
-	pm.Pairs()
-	if got := pm.Binds() - before; got != 2 {
-		t.Errorf("reads moved Binds to %d", got)
+	for _, step := range []struct {
+		name string
+		want uint64
+		do   func()
+	}{
+		{"Add", 1, func() { g.MustAdd(tr(1)) }},
+		{"Add of a present triple", 0, func() { g.MustAdd(tr(1)) }},
+		{"Add to the default graph", 1, func() { ds.Default().MustAdd(tr(1)) }},
+		{"BulkAddIDs", 2, func() {
+			g.BulkAddIDs([][3]TermID{
+				{id(tr(1).S), id(tr(1).P), id(tr(1).O)}, // present
+				{id(tr(3).S), id(tr(3).P), id(tr(3).O)},
+				{id(tr(4).S), id(tr(4).P), id(tr(4).O)},
+			})
+		}},
+		{"Graph creating a graph", 1, func() { ds.Graph(IRI("http://ex.org/h")) }},
+		{"Graph of an existing graph", 0, func() { ds.Graph(name) }},
+		{"DropGraph", 1, func() { ds.DropGraph(IRI("http://ex.org/h")) }},
+		{"DropGraph of a missing graph", 0, func() { ds.DropGraph(IRI("http://ex.org/h")) }},
+		// The name is interned already: re-creating the graph still counts.
+		{"Graph re-creating a dropped graph", 1, func() { ds.Graph(IRI("http://ex.org/h")) }},
+		{"Bind", 1, func() { ds.Prefixes().Bind("ex", "http://ex.org/") }},
+		{"Bind replacing a binding", 1, func() { ds.Prefixes().Bind("ex", "http://ex.org/v2/") }},
+		// A graph created, a triple added to it, a graph dropped, a prefix bound.
+		{"Commit", 4, func() {
+			ds.Commit([]Op{
+				{Kind: OpAdd, Quad: Quad{Triple: tr(5), Graph: IRI("http://ex.org/k")}},
+				{Kind: OpDrop, Quad: Quad{Graph: name}},
+				{Kind: OpPrefix, Prefix: "fb", NS: "http://ex.org/fb/"},
+			})
+		}},
+		{"reads", 0, func() {
+			g.Has(tr(2))
+			g.Match(Any, Any, Any)
+			ds.Len()
+			ds.Lookup(name)
+			ds.Prefixes().Compact("http://ex.org/v2/a")
+			ds.Prefixes().Pairs()
+		}},
+	} {
+		before := ds.Changes()
+		step.do()
+		if got := ds.Changes() - before; got != step.want {
+			t.Errorf("%s moved Changes by %d, want %d", step.name, got, step.want)
+		}
 	}
 }

@@ -41,10 +41,11 @@ type Dict struct {
 	mu    sync.RWMutex
 	ids   map[Term]TermID
 	terms []Term
-	// writes counts successful triple-level writes by every graph that
-	// interns here — for a dataset's shared dictionary, all its graphs
-	// (see Dataset.Writes). Graphs bump it after the index change.
-	writes atomic.Uint64
+	// changes counts the changes to the dataset whose graphs intern here
+	// (see Dataset.Changes): triples added by any of its graphs, which
+	// bump it after the index change, graphs created or dropped, and
+	// prefixes bound.
+	changes atomic.Uint64
 
 	// order is the published term order, nil until the first build;
 	// orderMu serializes extensions; orderCharge is the Compare calls

@@ -318,7 +318,7 @@ func (g *Graph) Add(t Triple) (bool, error) {
 	g.pos.add(p, o, s)
 	g.osp.add(o, s, p)
 	g.n++
-	g.dict.writes.Add(1)
+	g.dict.changes.Add(1)
 	return true, nil
 }
 
@@ -357,7 +357,7 @@ func (g *Graph) BulkAddIDs(tr [][3]TermID) int {
 	added := bulkAdd(g.spo, tr, 0, 1, 2)
 	wg.Wait()
 	g.n += added
-	g.dict.writes.Add(uint64(added))
+	g.dict.changes.Add(uint64(added))
 	return added
 }
 

@@ -15,7 +15,6 @@ import (
 
 	"mdm"
 	"mdm/internal/obs"
-	"mdm/internal/release"
 	"mdm/internal/rest"
 	"mdm/internal/store"
 	"mdm/internal/usecase"
@@ -276,6 +275,7 @@ func TestQueryDeliveryContract(t *testing.T) {
 	// refusal is not memoised), and logged with the one stage that ran.
 	t.Run("/api/query/json/rewriting-exceeds-cap", func(t *testing.T) {
 		f := usecase.MustNew()
+		sys := mdm.FromParts(f.Ont, f.Reg)
 		for _, base := range []*wrapper.Mem{f.W1, f.W2} {
 			m, ok := f.Ont.MappingOf(base.Name())
 			if !ok {
@@ -284,7 +284,7 @@ func TestQueryDeliveryContract(t *testing.T) {
 			for v := 2; v <= 65; v++ {
 				m.Wrapper = fmt.Sprintf("%s_v%d", base.Name(), v)
 				w := wrapper.NewMem(m.Wrapper, base.SourceID(), nil, base.Signature().Attributes)
-				if _, err := release.NewManager(f.Ont, f.Reg).Register(w); err != nil {
+				if _, err := sys.RegisterWrapper(w); err != nil {
 					t.Fatal(err)
 				}
 				if err := f.Ont.DefineMapping(m); err != nil {
@@ -292,7 +292,7 @@ func TestQueryDeliveryContract(t *testing.T) {
 				}
 			}
 		}
-		srv := rest.NewServer(mdm.FromParts(f.Ont, f.Reg))
+		srv := rest.NewServer(sys)
 		var sink syncBuffer
 		srv.SlowLog = obs.NewSlowLogWriter(&sink, 0)
 		for attempt := 0; attempt < 2; attempt++ {

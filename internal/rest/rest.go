@@ -393,7 +393,7 @@ type releaseResp struct {
 func toReleaseResp(rel mdm.Release) releaseResp {
 	out := releaseResp{
 		Seq: rel.Seq, Kind: string(rel.Kind), Source: rel.SourceID,
-		Wrapper: rel.Wrapper, Signature: rel.Signature,
+		Wrapper: rel.Signature.Wrapper, Signature: rel.Signature.String(),
 		Supersedes: rel.Supersedes, Breaking: rel.Breaking,
 	}
 	for _, c := range rel.Changes {

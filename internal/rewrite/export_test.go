@@ -1,19 +1,15 @@
 package rewrite
 
 // StampComponents names the components of a stamp, for MaskStamp.
-var StampComponents = []string{"version", "writes", "binds", "registry"}
+var StampComponents = []string{"changes", "registry"}
 
 // MaskStamp makes every stamp read from now on ignore one component, as
 // if the stamp did not have it, until the returned function is called.
 func MaskStamp(component string) (restore func()) {
 	stampMask = func(s stamp) stamp {
 		switch component {
-		case "version":
-			s.version = 0
-		case "writes":
-			s.writes = 0
-		case "binds":
-			s.binds = 0
+		case "changes":
+			s.changes = 0
 		case "registry":
 			s.registry = 0
 		default:

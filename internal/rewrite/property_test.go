@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,7 @@ import (
 	"mdm/internal/relalg"
 	"mdm/internal/relalg/relalgtest"
 	"mdm/internal/rewrite"
+	"mdm/internal/schema"
 	"mdm/internal/usecase"
 	"mdm/internal/wrapper"
 )
@@ -261,15 +263,19 @@ func divergence(long *rewrite.Rewriter, ont *bdi.Ontology, reg *wrapper.Registry
 // write paths of the differential tests as methods.
 type evolving struct {
 	t        *testing.T
+	dir      string
 	sys      *mdm.System
 	fix      *usecase.Fixture
 	n        int      // names the next thing a step creates
 	releases []string // players versions released on top of the fixture
+	// returned is what RegisterWrapper returned for each release.
+	returned map[string]bdi.Release
 }
 
 func newEvolving(t *testing.T) *evolving {
 	t.Helper()
-	sys, err := mdm.Open(t.TempDir())
+	dir := t.TempDir()
+	sys, err := mdm.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +284,7 @@ func newEvolving(t *testing.T) *evolving {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &evolving{t: t, sys: sys, fix: fix}
+	return &evolving{t: t, dir: dir, sys: sys, fix: fix, returned: map[string]bdi.Release{}}
 }
 
 func (e *evolving) must(err error) {
@@ -299,8 +305,9 @@ func (e *evolving) release() {
 	e.n++
 	name := fmt.Sprintf("w1_r%d", e.n)
 	w := wrapper.NewMem(name, usecase.SrcPlayers, usecase.PlayersV1Docs(), nil)
-	_, err := e.sys.RegisterWrapper(w)
+	rel, err := e.sys.RegisterWrapper(w)
 	e.must(err)
+	e.returned[name] = rel
 	m, ok := e.sys.Ontology().MappingOf("w1")
 	if !ok {
 		e.t.Fatal("w1 mapping missing")
@@ -308,6 +315,39 @@ func (e *evolving) release() {
 	m.Wrapper = name
 	e.must(e.sys.DefineMapping(m))
 	e.releases = append(e.releases, name)
+}
+
+// checkReleasesAfterReopen closes the system, opens its directory again
+// and checks that three accounts of every release agree: the changes
+// ReleaseLog reads, schema.Diff over the two signatures the release graph
+// records, and — for the releases the generator made — what
+// RegisterWrapper returned.
+func (e *evolving) checkReleasesAfterReopen() {
+	e.t.Helper()
+	e.must(e.sys.Close())
+	sys, err := mdm.Open(e.dir)
+	e.must(err)
+	e.t.Cleanup(func() { sys.Close() })
+	changed := 0
+	for _, rel := range sys.ReleaseLog() {
+		name := rel.Signature.Wrapper
+		var want []schema.Change
+		if prev, ok := sys.Ontology().ReleaseOf(rel.Supersedes); ok {
+			want = schema.Diff(prev.Signature, rel.Signature)
+		}
+		if !reflect.DeepEqual(rel.Changes, want) {
+			e.t.Errorf("%s: the log reads changes %v, its recorded signatures differ by %v", name, rel.Changes, want)
+		}
+		if ret, ok := e.returned[name]; ok && !reflect.DeepEqual(ret, rel) {
+			e.t.Errorf("%s: RegisterWrapper returned %+v, the reopened log reads %+v", name, ret, rel)
+		}
+		if len(rel.Changes) > 0 {
+			changed++
+		}
+	}
+	if changed == 0 {
+		e.t.Error("no release changed a schema: the check compared nothing")
+	}
 }
 
 func (e *evolving) lastReleaseGraph() *rdf.Graph {
@@ -405,54 +445,63 @@ func TestPropCacheMatchesFreshRewriter(t *testing.T) {
 					t.Fatalf("step %d (%s): %v", i, steps[k].name, err)
 				}
 			}
+			e.checkReleasesAfterReopen()
 		})
 	}
 }
 
-// TestStampComponentsLoadBearing has one row per stamp component: a
-// write that moves that component alone. With the stamp intact the
-// long-lived rewriter follows it; with the component masked out it keeps
-// serving what it had, and divergence says so — which is the evidence
-// that the differential test above would catch the component's loss.
+// TestStampComponentsLoadBearing has rows of writes, each moving one
+// stamp component; the dataset-wide change counter has one row per kind
+// of dataset change it counts. With the stamp intact the long-lived
+// rewriter follows each write; with the row's component masked out it
+// keeps serving what it had, and divergence says so — which is the
+// evidence that the differential test above would catch the component's
+// loss.
 func TestStampComponentsLoadBearing(t *testing.T) {
-	rows := map[string]func(e *evolving, long *rewrite.Rewriter){
-		"version": func(e *evolving, _ *rewrite.Rewriter) {
+	rows := []struct {
+		name, component string
+		write           func(e *evolving)
+	}{
+		// A mapping graph dropped, bypassing the ontology.
+		{"version", "changes", func(e *evolving) {
 			e.sys.Ontology().Dataset().DropGraph(bdi.WrapperIRI(e.releases[0]))
-		},
+		}},
 		// One triple added to the global graph: height becomes an identifier
 		// of Player, so w5, which does not map it, stops witnessing
 		// hasNationality.
-		"writes": func(e *evolving, _ *rewrite.Rewriter) { e.must(e.sys.Ontology().MarkIdentifier(usecase.Height)) },
-		"binds":  func(e *evolving, _ *rewrite.Rewriter) { e.sys.BindPrefix("fb", usecase.EX) },
-		"registry": func(e *evolving, _ *rewrite.Rewriter) {
-			e.swapWrapper()
-		},
+		{"writes", "changes", func(e *evolving) { e.must(e.sys.Ontology().MarkIdentifier(usecase.Height)) }},
+		{"binds", "changes", func(e *evolving) { e.sys.Ontology().Dataset().Prefixes().Bind("fb", usecase.EX) }},
+		{"registry", "registry", func(e *evolving) { e.swapWrapper() }},
+	}
+	covered := map[string]bool{}
+	for _, row := range rows {
+		covered[row.component] = true
 	}
 	for _, component := range rewrite.StampComponents {
-		write, ok := rows[component]
-		if !ok {
+		if !covered[component] {
 			t.Errorf("stamp component %s has no row", component)
-			continue
 		}
+	}
+	for _, row := range rows {
 		for _, masked := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/masked=%v", component, masked), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/masked=%v", row.name, masked), func(t *testing.T) {
 				e := newEvolving(t)
 				e.release()
 				ont, reg := e.sys.Ontology(), e.sys.Wrappers()
 				if masked {
-					defer rewrite.MaskStamp(component)()
+					defer rewrite.MaskStamp(row.component)()
 				}
 				long := rewrite.New(ont, reg)
 				if err := divergence(long, ont, reg); err != nil {
 					t.Fatal(err)
 				}
-				write(e, long)
+				row.write(e)
 				err := divergence(long, ont, reg)
 				switch {
 				case !masked && err != nil:
 					t.Errorf("intact stamp: %v", err)
 				case masked && err == nil:
-					t.Errorf("a stamp without its %s component still follows this write: the row does not isolate it", component)
+					t.Errorf("a stamp without its %s component still follows this write: the row does not isolate it", row.component)
 				}
 			})
 		}

@@ -58,25 +58,21 @@ const maxCached = 256
 // is stored only if the memo still belongs to the stamp its rewrite
 // started from. One stamp for the whole memo, because every component
 // is global — a release touches the mapping graphs every walk reads —
-// and comparing four words per request is cheaper than tracking which
+// and comparing two words per request is cheaper than tracking which
 // entries a write could have affected.
 //
 // Every counter is bumped after the change it counts is visible and
 // never goes back — an ontology reads one dataset for as long as it
-// lives, so its counters never start over — and so a stamp read at one
+// lives, so its counter never starts over — and so a stamp read at one
 // time equals a stamp read later only if nothing changed in between: a
 // result derived after reading s is right for everyone who later reads
 // s.
 type stamp struct {
-	// version counts graph-set changes (a mapping graph created or
-	// dropped): rdf.Dataset.Version.
-	version uint64
-	// writes counts triples added to any graph of the dataset, including
-	// the ones that bypass bdi.Ontology: rdf.Dataset.Writes.
-	writes uint64
-	// binds counts prefix bindings; plan column names and the SPARQL
-	// rendering go through CompactTerm: rdf.PrefixMap.Binds.
-	binds uint64
+	// changes counts every change to the dataset, including the ones
+	// that bypass bdi.Ontology: triples added, mapping graphs created or
+	// dropped, prefixes bound (plan column names and the SPARQL rendering
+	// go through CompactTerm): rdf.Dataset.Changes.
+	changes uint64
 	// registry counts wrapper registrations and removals; plans hold the
 	// Scan.Src objects the registry resolved: wrapper.Registry.Generation.
 	registry uint64
@@ -88,11 +84,8 @@ type stamp struct {
 var stampMask func(stamp) stamp
 
 func (r *Rewriter) stampNow() stamp {
-	ds := r.ont.Dataset()
 	s := stamp{
-		version:  ds.Version(),
-		writes:   ds.Writes(),
-		binds:    ds.Prefixes().Binds(),
+		changes:  r.ont.Dataset().Changes(),
 		registry: r.reg.Generation(),
 	}
 	if stampMask != nil {

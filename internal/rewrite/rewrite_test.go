@@ -6,11 +6,11 @@ import (
 	"strings"
 	"testing"
 
+	"mdm"
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
 	"mdm/internal/relalg/relalgtest"
-	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
 	"mdm/internal/usecase"
@@ -369,7 +369,7 @@ func TestTaxonomyAwareCoverage(t *testing.T) {
 	kw := wrapper.NewMem("wk", "keepers-api", []schema.Doc{
 		{"id": relalg.Int(9900), "kName": relalg.String("Marc-Andre ter Stegen"), "teamId": relalg.Int(25)},
 	}, nil)
-	if _, err := release.NewManager(o, f.Reg).Register(kw); err != nil {
+	if _, err := mdm.FromParts(o, f.Reg).RegisterWrapper(kw); err != nil {
 		t.Fatal(err)
 	}
 	rt := rdf.IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -428,7 +428,7 @@ func TestSubclassConceptQuery(t *testing.T) {
 	kw := wrapper.NewMem("wk", "keepers-api", []schema.Doc{
 		{"id": relalg.Int(9900), "kName": relalg.String("Marc-Andre ter Stegen")},
 	}, nil)
-	if _, err := release.NewManager(o, f.Reg).Register(kw); err != nil {
+	if _, err := mdm.FromParts(o, f.Reg).RegisterWrapper(kw); err != nil {
 		t.Fatal(err)
 	}
 	rt := rdf.IRI("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")

@@ -201,7 +201,7 @@ func TestCompactShrinksDictBlock(t *testing.T) {
 		if i < total*9/10 {
 			q.Graph = doomed
 		}
-		if err := s.AddQuad(q); err != nil {
+		if err := add(s, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,7 +214,7 @@ func TestCompactShrinksDictBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := s.DropGraph(doomed); err != nil {
+	if err := drop(s, doomed); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Compact(); err != nil {

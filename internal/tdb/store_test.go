@@ -28,7 +28,7 @@ func TestCheckpointSealsDelta(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	for i := 0; i < 10; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -51,7 +51,7 @@ func TestCheckpointSealsDelta(t *testing.T) {
 	}
 
 	// More writes, another checkpoint: delta segments accumulate.
-	if err := s.AddQuad(rdf.Q(ex("s0"), ex("p"), rdf.Lit("named"), ex("g"))); err != nil {
+	if err := add(s, rdf.Q(ex("s0"), ex("p"), rdf.Lit("named"), ex("g"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -75,7 +75,7 @@ func TestWALMidFileCorruptionNamesOffset(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	for i := 0; i < 3; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestWALMidFileCorruptionNamesOffset(t *testing.T) {
 func TestTornWALTailTrimmedAndCounted(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
+	if err := addT(s, rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -136,7 +136,7 @@ func TestTornWALTailTrimmedAndCounted(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() != goodSize {
 		t.Fatalf("wal size after trim = %v (err %v), want %d", fi.Size(), err, goodSize)
 	}
-	if err := s2.AddTriple(rdf.T(ex("s2"), ex("p"), rdf.Lit("w"))); err != nil {
+	if err := addT(s2, rdf.T(ex("s2"), ex("p"), rdf.Lit("w"))); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -151,7 +151,7 @@ func TestCrashMidCompactionSwept(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	for i := 0; i < 5; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,14 +191,14 @@ func TestCheckpointCompactMixReopen(t *testing.T) {
 	s := openT(t, dir)
 	s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}})
 	for i := 0; i < 8; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("a%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("a%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddQuad(rdf.Q(ex("a0"), ex("q"), rdf.LangLit("hei", "no"), ex("g1"))); err != nil {
+	if err := add(s, rdf.Q(ex("a0"), ex("q"), rdf.LangLit("hei", "no"), ex("g1"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -207,10 +207,10 @@ func TestCheckpointCompactMixReopen(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropGraph(ex("g1")); err != nil {
+	if err := drop(s, ex("g1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddTriple(rdf.T(ex("post"), ex("p"), rdf.Lit("tail"))); err != nil {
+	if err := addT(s, rdf.T(ex("post"), ex("p"), rdf.Lit("tail"))); err != nil {
 		t.Fatal(err)
 	}
 	want := trig(s)
@@ -245,7 +245,7 @@ func TestPreSegmentSnapshotRefused(t *testing.T) {
 			dir := t.TempDir()
 			if tc.manifest {
 				s := openT(t, dir)
-				if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("sealed"))); err != nil {
+				if err := addT(s, rdf.T(ex("s"), ex("p"), rdf.Lit("sealed"))); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Compact(); err != nil {
@@ -321,7 +321,7 @@ func TestFsyncFailureReported(t *testing.T) {
 	s.wal.Close()
 	s.wal = w
 	s.mu.Unlock()
-	if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err == nil || !strings.Contains(err.Error(), "fsync") {
+	if err := addT(s, rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err == nil || !strings.Contains(err.Error(), "fsync") {
 		t.Fatalf("Commit over a failing fsync = %v, want the fsync error", err)
 	}
 	if err := s.Close(); err == nil {
@@ -345,7 +345,7 @@ func TestRemoveOnDiskRefused(t *testing.T) {
 	}{
 		{"final WAL line", walFile, func(t *testing.T, dir string) int64 {
 			s := openT(t, dir)
-			if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
+			if err := addT(s, rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
 				t.Fatal(err)
 			}
 			s.Close()
@@ -359,7 +359,7 @@ func TestRemoveOnDiskRefused(t *testing.T) {
 		}},
 		{"segment block", segment.SegmentName(1), func(t *testing.T, dir string) int64 {
 			s := openT(t, dir)
-			if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
+			if err := addT(s, rdf.T(ex("s"), ex("p"), rdf.Lit("v"))); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Checkpoint(); err != nil {
@@ -549,7 +549,7 @@ func TestSyncModesDurable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.AddTriple(rdf.T(ex("s"), ex("p"), rdf.Lit(tc.name))); err != nil {
+			if err := addT(s, rdf.T(ex("s"), ex("p"), rdf.Lit(tc.name))); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {
@@ -578,7 +578,7 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 	defer s.Close()
 
 	for i := 0; i < 50; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("s%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -620,7 +620,7 @@ func TestConcurrentQueriesDuringCompaction(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 300; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("n%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("n%d", i)), ex("p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 		if i%50 == 0 {

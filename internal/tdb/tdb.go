@@ -10,12 +10,12 @@
 //     {"ops":[...]}, the batch of mutations one caller made together.
 //
 // Every mutation is a Commit: the batch is encoded into one record,
-// appended with one write, and then applied to the live dataset. AddQuad
-// and DropGraph are one-op commits; the mdm facade commits the whole
-// write set of an ontology mutator (a wrapper's source graph triples; a
-// mapping graph's drop and refill; a prefix binding). A record is replayed as a
-// whole or not at all, so what a caller was told succeeded is on the log,
-// and what a crash tore is gone entirely.
+// appended with one write, and then applied to the live dataset. The mdm
+// facade commits the whole write set of an ontology mutator (a wrapper's
+// source graph triples and release record; a mapping graph's drop and
+// refill; a prefix binding). A record is replayed as a whole or not at
+// all, so what a caller was told succeeded is on the log, and what a
+// crash tore is gone entirely.
 //
 // The store is append-only: an op adds a triple, binds a prefix or drops
 // a whole named graph, and nothing removes a single triple. A WAL line or
@@ -404,33 +404,6 @@ func (s *Store) commitLocked(ops []rdf.Op) error {
 // Close, whatever maintenance runs in between. Mutate only through Store
 // methods.
 func (s *Store) Dataset() *rdf.Dataset { return s.ds }
-
-// AddQuad durably inserts a quad. Adding a quad already present logs
-// nothing.
-func (s *Store) AddQuad(q rdf.Quad) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Lookup, not Graph: a quad already present creates no graph either.
-	if g, ok := s.ds.Lookup(q.Graph); ok && g.Has(q.Triple) {
-		return nil
-	}
-	return s.commitLocked([]rdf.Op{{Kind: rdf.OpAdd, Quad: q}})
-}
-
-// AddTriple durably inserts a triple into the default graph.
-func (s *Store) AddTriple(t rdf.Triple) error {
-	return s.AddQuad(rdf.Quad{Triple: t})
-}
-
-// DropGraph durably removes an entire named graph.
-func (s *Store) DropGraph(name rdf.Term) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.ds.Lookup(name); !ok || name.IsZero() {
-		return nil
-	}
-	return s.commitLocked([]rdf.Op{{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: name}}})
-}
 
 // WALRecords returns the number of WAL records since the last seal
 // (including records replayed at Open). One Commit is one record however

@@ -22,15 +22,32 @@ func openT(t *testing.T, dir string) *Store {
 	return s
 }
 
+// add commits quads as one record, the way every writer reaches a store.
+func add(s *Store, quads ...rdf.Quad) error {
+	ops := make([]rdf.Op, len(quads))
+	for i, q := range quads {
+		ops[i] = rdf.Op{Kind: rdf.OpAdd, Quad: q}
+	}
+	return s.Commit(ops)
+}
+
+// addT commits one default-graph triple as one record.
+func addT(s *Store, t rdf.Triple) error { return add(s, rdf.Quad{Triple: t}) }
+
+// drop commits the drop of a named graph as one record.
+func drop(s *Store, graph rdf.Term) error {
+	return s.Commit([]rdf.Op{{Kind: rdf.OpDrop, Quad: rdf.Quad{Graph: graph}}})
+}
+
 func TestOpenEmptyAndBasicAdd(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	defer s.Close()
 
-	if err := s.AddTriple(rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v"))); err != nil {
+	if err := addT(s, rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddQuad(rdf.Q(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("n"), rdf.IRI("g"))); err != nil {
+	if err := add(s, rdf.Q(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("n"), rdf.IRI("g"))); err != nil {
 		t.Fatal(err)
 	}
 	if s.Dataset().Len() != 2 {
@@ -44,7 +61,7 @@ func TestOpenEmptyAndBasicAdd(t *testing.T) {
 func TestAddInvalidQuadRejected(t *testing.T) {
 	s := openT(t, t.TempDir())
 	defer s.Close()
-	if err := s.AddTriple(rdf.T(rdf.Lit("bad"), rdf.IRI("p"), rdf.Lit("v"))); err == nil {
+	if err := addT(s, rdf.T(rdf.Lit("bad"), rdf.IRI("p"), rdf.Lit("v"))); err == nil {
 		t.Fatal("invalid triple accepted")
 	}
 	if s.WALRecords() != 0 {
@@ -52,29 +69,14 @@ func TestAddInvalidQuadRejected(t *testing.T) {
 	}
 }
 
-func TestDuplicateAddNotLogged(t *testing.T) {
-	s := openT(t, t.TempDir())
-	defer s.Close()
-	tr := rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v"))
-	if err := s.AddTriple(tr); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddTriple(tr); err != nil {
-		t.Fatal(err)
-	}
-	if s.WALRecords() != 1 {
-		t.Fatalf("duplicate add was logged: WALRecords = %d", s.WALRecords())
-	}
-}
-
 func TestReopenReplaysWAL(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	tr := rdf.T(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.TypedLit("7", rdf.XSDInteger))
-	if err := s.AddTriple(tr); err != nil {
+	if err := addT(s, tr); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddQuad(rdf.Q(rdf.IRI("a"), rdf.IRI("b"), rdf.LangLit("x", "en"), rdf.IRI("g1"))); err != nil {
+	if err := add(s, rdf.Q(rdf.IRI("a"), rdf.IRI("b"), rdf.LangLit("x", "en"), rdf.IRI("g1"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}}); err != nil {
@@ -102,13 +104,13 @@ func TestDropSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
 	keep := rdf.T(rdf.IRI("keep"), rdf.IRI("p"), rdf.Lit("v"))
-	if err := s.AddTriple(keep); err != nil {
+	if err := addT(s, keep); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AddQuad(rdf.Q(rdf.IRI("x"), rdf.IRI("y"), rdf.Lit("z"), rdf.IRI("dropme"))); err != nil {
+	if err := add(s, rdf.Q(rdf.IRI("x"), rdf.IRI("y"), rdf.Lit("z"), rdf.IRI("dropme"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.DropGraph(rdf.IRI("dropme")); err != nil {
+	if err := drop(s, rdf.IRI("dropme")); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -128,7 +130,7 @@ func TestCompactThenReopen(t *testing.T) {
 	s := openT(t, dir)
 	s.Commit([]rdf.Op{{Kind: rdf.OpPrefix, Prefix: "ex", NS: "http://ex/"}})
 	for i := 0; i < 20; i++ {
-		if err := s.AddTriple(rdf.T(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(rdf.IRI("http://ex/s"), rdf.IRI("http://ex/p"), rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,7 +141,7 @@ func TestCompactThenReopen(t *testing.T) {
 		t.Fatalf("WALRecords after compact = %d", s.WALRecords())
 	}
 	// Post-compaction writes land in the fresh WAL.
-	if err := s.AddTriple(rdf.T(rdf.IRI("post"), rdf.IRI("p"), rdf.Lit("v"))); err != nil {
+	if err := addT(s, rdf.T(rdf.IRI("post"), rdf.IRI("p"), rdf.Lit("v"))); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -168,7 +170,7 @@ func TestCompactThenReopen(t *testing.T) {
 func TestTornWALRecordIgnored(t *testing.T) {
 	dir := t.TempDir()
 	s := openT(t, dir)
-	s.AddTriple(rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v")))
+	addT(s, rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v")))
 	s.Close()
 
 	// Simulate a crash mid-append: truncated JSON on the last line.
@@ -189,7 +191,7 @@ func TestTornWALRecordIgnored(t *testing.T) {
 func TestClosedStoreRejectsWrites(t *testing.T) {
 	s := openT(t, t.TempDir())
 	s.Close()
-	if err := s.AddTriple(rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v"))); err == nil {
+	if err := addT(s, rdf.T(rdf.IRI("s"), rdf.IRI("p"), rdf.Lit("v"))); err == nil {
 		t.Error("write after Close should fail")
 	}
 	if err := s.Compact(); err == nil {
@@ -212,7 +214,7 @@ func TestLiteralFidelityThroughWALAndSnapshot(t *testing.T) {
 		rdf.Lit("esc \"quotes\" and\nnewline"),
 	}
 	for i, o := range terms {
-		if err := s.AddTriple(rdf.T(rdf.IRI("s"), rdf.IRI("p"), o)); err != nil {
+		if err := addT(s, rdf.T(rdf.IRI("s"), rdf.IRI("p"), o)); err != nil {
 			t.Fatalf("add %d: %v", i, err)
 		}
 	}
@@ -249,7 +251,7 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 	ex := func(n string) rdf.Term { return rdf.IRI("http://ex/" + n) }
 	p := ex("p")
 	for i := 0; i < 20; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("s%d", i)), p, rdf.IntLit(int64(i)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("s%d", i)), p, rdf.IntLit(int64(i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -257,12 +259,12 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 	// its own, so the batched build scan and the probes race real
 	// concurrent Dict interning.
 	for i := 0; i < 3000; i++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("j%d", i)), ex("p1"), ex(fmt.Sprintf("m%d", i%50)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("j%d", i)), ex("p1"), ex(fmt.Sprintf("m%d", i%50)))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for k := 0; k < 50; k++ {
-		if err := s.AddTriple(rdf.T(ex(fmt.Sprintf("m%d", k)), ex("p2"), rdf.IntLit(int64(k)))); err != nil {
+		if err := addT(s, rdf.T(ex(fmt.Sprintf("m%d", k)), ex("p2"), rdf.IntLit(int64(k)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -303,7 +305,7 @@ func TestConcurrentQueriesDuringAppends(t *testing.T) {
 		if i%3 == 0 {
 			q.Graph = ex(fmt.Sprintf("g%d", i%5))
 		}
-		if err := s.AddQuad(q); err != nil {
+		if err := add(s, q); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -155,7 +155,7 @@ func TestMaintainPolicy(t *testing.T) {
 		}, 1, true},
 		{"delta chain at its limit: rewrite", 300, func(t *testing.T, s *Store) {
 			for i := 1; i < maxDeltaSegments; i++ {
-				if err := s.AddTriple(rdf.T(ex("base0"), ex("q"), rdf.IntLit(int64(i)))); err != nil {
+				if err := addT(s, rdf.T(ex("base0"), ex("q"), rdf.IntLit(int64(i)))); err != nil {
 					t.Fatal(err)
 				}
 				if err := s.Checkpoint(); err != nil {

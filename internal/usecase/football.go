@@ -10,11 +10,11 @@ package usecase
 
 import (
 	"fmt"
+	"time"
 
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
-	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
@@ -272,13 +272,22 @@ func (f *Fixture) buildSourcesAndWrappers() error {
 	f.W3 = wrapper.NewMem("w3", SrcLeagues, LeaguesDocs(), nil)
 	f.W6 = wrapper.NewMem("w6", SrcLeagues, LeagueTeamsDocs(), nil)
 	f.W4 = wrapper.NewMem("w4", SrcCountries, CountriesDocs(), nil)
-	releases := release.NewManager(o, f.Reg)
 	for _, w := range []*wrapper.Mem{f.W1, f.W2, f.W3, f.W4, f.W5, f.W6} {
-		if _, err := releases.Register(w); err != nil {
+		if err := release(o, f.Reg, w); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// release attaches w to reg and records its release in o. A fixture
+// ontology is fresh, so no recorded release can conflict with w.
+func release(o *bdi.Ontology, reg *wrapper.Registry, w wrapper.Wrapper) error {
+	if err := reg.Register(w); err != nil {
+		return err
+	}
+	_, err := o.RegisterWrapper(w.SourceID(), w.Signature(), time.Now())
+	return err
 }
 
 func (f *Fixture) defineMappings() error {
@@ -408,7 +417,7 @@ func (f *Fixture) ReleasePlayersV2() error {
 		return err
 	}
 	w := wrapper.NewMem("w1v2", SrcPlayers, PlayersV2Docs(), nil)
-	if _, err := release.NewManager(o, f.Reg).Register(w); err != nil {
+	if err := release(o, f.Reg, w); err != nil {
 		return err
 	}
 	rt := rdf.IRI(rdf.RDFType)

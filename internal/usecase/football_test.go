@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 )
 
@@ -73,16 +74,15 @@ func TestReleasePlayersV2Effects(t *testing.T) {
 		t.Error("double release accepted")
 	}
 	// Position feature exists and is attached to Player.
-	owner, ok := f.Ont.ConceptOf(Position)
-	if !ok || owner != Player {
-		t.Errorf("position owner = %v, %v", owner, ok)
+	if owners := f.Ont.Global().Subjects(bdi.PropHasFeature, Position); len(owners) != 1 || owners[0] != Player {
+		t.Errorf("position owners = %v", owners)
 	}
 	// Still consistent.
 	if v := f.Ont.Validate(); len(v) != 0 {
 		t.Errorf("violations after release: %v", v)
 	}
 	// players-api now has three wrappers (w1, w5, w1v2).
-	if got := len(f.Ont.WrappersOf(SrcPlayers)); got != 3 {
+	if got := len(f.Ont.Source().Objects(bdi.SourceIRI(SrcPlayers), bdi.PropHasWrapper)); got != 3 {
 		t.Errorf("players wrappers = %d", got)
 	}
 }
@@ -104,7 +104,7 @@ func TestSyntheticVersions(t *testing.T) {
 	if reg.Len() != 6+3 {
 		t.Errorf("registry = %d", reg.Len())
 	}
-	if got := len(ont.WrappersOf(SrcPlayers)); got != 2+3 {
+	if got := len(ont.Source().Objects(bdi.SourceIRI(SrcPlayers), bdi.PropHasWrapper)); got != 2+3 {
 		t.Errorf("players wrappers = %d", got)
 	}
 	if walk == nil || len(walk.Concepts) != 2 {

@@ -6,7 +6,6 @@ import (
 	"mdm/internal/bdi"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
-	"mdm/internal/release"
 	"mdm/internal/rewrite"
 	"mdm/internal/schema"
 	"mdm/internal/wrapper"
@@ -17,13 +16,10 @@ import (
 // modelling a source that has released n versions. Used by the S1 sweep.
 func SyntheticVersions(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 	f := MustNew()
-	releases := release.NewManager(f.Ont, f.Reg)
 	for v := 2; v <= n; v++ {
 		name := fmt.Sprintf("w1_v%d", v)
 		w := wrapper.NewMem(name, SrcPlayers, PlayersV1Docs(), nil)
-		if _, err := releases.Register(w); err != nil {
-			panic(err)
-		}
+		mustErr(release(f.Ont, f.Reg, w))
 		m, ok := f.Ont.MappingOf("w1")
 		if !ok {
 			panic("usecase: w1 mapping missing")
@@ -43,7 +39,6 @@ func SyntheticChain(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 	const ns = "http://bench.local/"
 	ont := bdi.New()
 	reg := wrapper.NewRegistry()
-	releases := release.NewManager(ont, reg)
 	mustErr(ont.AddDataSource("chain", "chain source"))
 	walk := rewrite.NewWalk()
 	rt := rdf.IRI(rdf.RDFType)
@@ -58,8 +53,7 @@ func SyntheticChain(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 	}
 	if n == 1 {
 		w := wrapper.NewMem("chainw0", "chain", []schema.Doc{{"a0": relalg.Int(1)}}, nil)
-		_, err := releases.Register(w)
-		mustErr(err)
+		mustErr(release(ont, reg, w))
 		mustErr(ont.DefineMapping(bdi.Mapping{
 			Wrapper: "chainw0",
 			Subgraph: []rdf.Triple{
@@ -80,8 +74,7 @@ func SyntheticChain(n int) (*bdi.Ontology, *wrapper.Registry, *rewrite.Walk) {
 			fmt.Sprintf("a%d", i):   relalg.Int(1),
 		}}
 		w := wrapper.NewMem(wname, "chain", docs, nil)
-		_, err := releases.Register(w)
-		mustErr(err)
+		mustErr(release(ont, reg, w))
 		mustErr(ont.DefineMapping(bdi.Mapping{
 			Wrapper: wname,
 			Subgraph: []rdf.Triple{

@@ -6,9 +6,9 @@
 //
 // Wrappers implement relalg.RowSource, so rewritten queries execute
 // directly over them. The package provides HTTP-backed wrappers (REST
-// APIs delivering JSON/XML/CSV), in-memory wrappers, file wrappers and
-// function wrappers, plus a Registry that groups wrappers by data
-// source, mirroring the S:DataSource 1—* S:Wrapper metamodel.
+// APIs delivering JSON/XML/CSV), in-memory wrappers and function
+// wrappers, plus a Registry that groups wrappers by data source,
+// mirroring the S:DataSource 1—* S:Wrapper metamodel.
 package wrapper
 
 import (
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,8 +34,8 @@ type Wrapper interface {
 	// SourceID identifies the owning data source.
 	SourceID() string
 	// CurrentSignature re-extracts the signature from the source's
-	// current payload; the release manager diffs it against Signature
-	// to detect schema evolution.
+	// current payload; drift detection diffs it against Signature to
+	// detect schema evolution.
 	CurrentSignature(ctx context.Context) (schema.Signature, error)
 }
 
@@ -298,57 +297,6 @@ func (w *Mem) SetDocs(docs []schema.Doc) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.docs = docs
-}
-
-// --- File wrapper ---
-
-// File is a wrapper over a local file (CSV/JSON/XML exports).
-type File struct {
-	base
-	path   string
-	format schema.Format
-}
-
-// NewFile builds a file wrapper, extracting the signature from the
-// file's current contents.
-func NewFile(name, sourceID, path string, format schema.Format) (*File, error) {
-	w := &File{base: base{name: name, sourceID: sourceID}, path: path, format: format}
-	sig, err := w.CurrentSignature(context.Background())
-	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: extract signature: %w", name, err)
-	}
-	w.sign(sig.Attributes)
-	return w, nil
-}
-
-func (w *File) readDocs() ([]schema.Doc, error) {
-	data, err := os.ReadFile(w.path)
-	if err != nil {
-		return nil, err
-	}
-	format := w.format
-	if format == "" {
-		format = schema.DetectFormat("", data)
-	}
-	return schema.Flatten(format, data)
-}
-
-// Fetch implements relalg.RowSource.
-func (w *File) Fetch(ctx context.Context) (*relalg.Relation, error) {
-	docs, err := w.readDocs()
-	if err != nil {
-		return nil, fmt.Errorf("wrapper %s: %w", w.name, err)
-	}
-	return w.relation(ctx, docs, nil), nil
-}
-
-// CurrentSignature implements Wrapper.
-func (w *File) CurrentSignature(context.Context) (schema.Signature, error) {
-	docs, err := w.readDocs()
-	if err != nil {
-		return schema.Signature{}, err
-	}
-	return schema.Signature{Wrapper: w.name, Attributes: schema.Infer(docs)}, nil
 }
 
 // --- Function wrapper ---

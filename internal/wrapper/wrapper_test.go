@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -164,44 +162,6 @@ func TestHTTPWrapperFetchFailsAfterServerDies(t *testing.T) {
 	srv.Close()
 	if _, err := w.Fetch(context.Background()); err == nil {
 		t.Error("fetch against dead server should error")
-	}
-}
-
-func TestFileWrapperCSV(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "leagues.csv")
-	os.WriteFile(path, []byte("id,league,countryId\n1,La Liga,34\n2,Premier League,826\n"), 0o644)
-	w, err := NewFile("w3", "leagues-api", path, schema.FormatCSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := w.Fetch(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != 2 {
-		t.Fatalf("rows = %d", rel.Len())
-	}
-	if w.Signature().String() == "" {
-		t.Error("empty signature")
-	}
-	// Missing file.
-	if _, err := NewFile("w4", "s", filepath.Join(dir, "absent.csv"), schema.FormatCSV); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
-func TestFileWrapperFormatAutodetect(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "data")
-	os.WriteFile(path, []byte(`[{"x":1}]`), 0o644)
-	w, err := NewFile("w5", "s", path, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, err := w.Fetch(context.Background())
-	if err != nil || rel.Len() != 1 {
-		t.Errorf("autodetect fetch = %v, %v", rel, err)
 	}
 }
 
@@ -453,22 +413,14 @@ func TestFetchHonoursRequestedColumns(t *testing.T) {
 		w.Write([]byte(payload))
 	}))
 	defer srv.Close()
-	path := filepath.Join(t.TempDir(), "players.json")
-	if err := os.WriteFile(path, []byte(strings.NewReplacer("name", "pName", "team_id", "teamId").Replace(payload)), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	hw, err := NewHTTP(context.Background(), "http", "s", srv.URL, WithRename("name", "pName"), WithRename("team_id", "teamId"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := NewFile("file", "s", path, schema.FormatJSON)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mw := NewMem("mem", "s", playerDocs(), nil)
 	fn := NewFunc("func", "s", mw.Signature().Attributes, func(context.Context) ([]schema.Doc, error) { return playerDocs(), nil })
 
-	for _, w := range []Wrapper{hw, fw, mw, fn, NewChaos(mw, 1)} {
+	for _, w := range []Wrapper{hw, mw, fn, NewChaos(mw, 1)} {
 		full, err := w.Fetch(context.Background())
 		if err != nil {
 			t.Fatal(err)

@@ -13,6 +13,12 @@
 //     a union of conjunctive queries over the wrappers — transparently
 //     spanning all registered schema versions of every source.
 //
+// Schema evolution enters through releases (paper §2.2): RegisterWrapper
+// records each wrapper's release in the ontology's release graph, and
+// ReleaseLog reads the log back. A release's schema changes are not
+// stored: they are derived, when the log is read, from the signatures the
+// release graph records for the wrapper and for the one it supersedes.
+//
 // A minimal end-to-end session:
 //
 //	sys := mdm.New()
@@ -34,14 +40,16 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"time"
 
 	"mdm/internal/bdi"
 	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
-	"mdm/internal/release"
 	"mdm/internal/rewrite"
+	"mdm/internal/schema"
 	"mdm/internal/sparql"
 	"mdm/internal/store"
 	"mdm/internal/tdb"
@@ -60,12 +68,12 @@ type (
 	// Mapping is a LAV mapping: a wrapper's global subgraph + sameAs links.
 	Mapping = bdi.Mapping
 	// Release is one release-log entry.
-	Release = release.Release
+	Release = bdi.Release
 	// Change is one detected schema change.
-	Change = release.Change
+	Change = schema.Change
 	// ReleaseConflictError is RegisterWrapper's refusal of a released
 	// wrapper name offered with another source or schema.
-	ReleaseConflictError = release.ConflictError
+	ReleaseConflictError = bdi.ConflictError
 	// Violation is one integrity-constraint breach.
 	Violation = bdi.Violation
 	// Wrapper is the source-access interface.
@@ -93,7 +101,6 @@ func T(s, p, o Term) Triple { return rdf.T(s, p, o) }
 type System struct {
 	ont      *bdi.Ontology
 	reg      *wrapper.Registry
-	releases *release.Manager
 	meta     *store.Store
 	rewriter *rewrite.Rewriter
 	fed      *federate.Engine
@@ -113,7 +120,6 @@ func newSystem(ont *bdi.Ontology, reg *wrapper.Registry) *System {
 	return &System{
 		ont:      ont,
 		reg:      reg,
-		releases: release.NewManager(ont, reg),
 		meta:     meta,
 		rewriter: rewrite.New(ont, reg),
 		fed:      federate.NewEngine(),
@@ -298,27 +304,108 @@ func (s *System) AddSource(sourceID, label string) error {
 // wrappers come back after a reopen. With a different source or schema it
 // fails with a *ReleaseConflictError.
 func (s *System) RegisterWrapper(w Wrapper) (Release, error) {
-	rel, err := s.releases.Register(w)
-	if err != nil {
+	sig := w.Signature()
+	rel, released := s.ont.ReleaseOf(w.Name())
+	if released && (rel.SourceID != w.SourceID() || !sameNames(rel.Signature, sig)) {
+		return Release{}, &ReleaseConflictError{Recorded: rel, Offered: w.SourceID() + "/" + sig.String()}
+	}
+	if err := s.reg.Register(w); err != nil {
 		return Release{}, err
+	}
+	if !released {
+		var err error
+		if rel, err = s.ont.RegisterWrapper(w.SourceID(), sig, time.Now()); err != nil {
+			s.reg.Remove(w.Name())
+			return Release{}, err
+		}
 	}
 	s.fed.Forget(w.Name())
 	return rel, nil
 }
 
+// sameNames reports whether two signatures declare the same attribute
+// names, in any order: the source graph keeps them as a set, and types
+// are re-inferred from whatever payload the source serves today.
+func sameNames(a, b schema.Signature) bool {
+	an, bn := a.AttributeNames(), b.AttributeNames()
+	slices.Sort(an)
+	slices.Sort(bn)
+	return slices.Equal(an, bn)
+}
+
 // DefineMapping validates and stores a LAV mapping.
 func (s *System) DefineMapping(m Mapping) error { return s.ont.DefineMapping(m) }
 
-// SuggestMapping derives a candidate mapping for a new wrapper version
-// from its predecessor's mapping (steward reviews before defining).
+// SuggestMapping proposes a LAV mapping for a new wrapper version based
+// on the superseded wrapper's mapping: attributes that kept their names
+// keep their feature links; renamed attributes (per schema.Diff) carry
+// their link to the new name; removed attributes drop theirs. The steward
+// reviews the result before DefineMapping — this is the "semi-automatically
+// accommodate schema evolution" aid of the paper's abstract.
 func (s *System) SuggestMapping(prevWrapper, newWrapper string) (Mapping, []Change, error) {
-	return s.releases.SuggestMapping(prevWrapper, newWrapper)
+	prev, ok := s.reg.Get(prevWrapper)
+	if !ok {
+		return Mapping{}, nil, fmt.Errorf("release: unknown wrapper %q", prevWrapper)
+	}
+	next, ok := s.reg.Get(newWrapper)
+	if !ok {
+		return Mapping{}, nil, fmt.Errorf("release: unknown wrapper %q", newWrapper)
+	}
+	prevMap, ok := s.ont.MappingOf(prevWrapper)
+	if !ok {
+		return Mapping{}, nil, fmt.Errorf("release: wrapper %q has no mapping to derive from", prevWrapper)
+	}
+	changes := schema.Diff(prev.Signature(), next.Signature())
+	renames := map[string]string{}
+	removed := map[string]bool{}
+	for _, c := range changes {
+		switch c.Kind {
+		case schema.AttributeRenamed:
+			renames[c.Attribute] = c.NewName
+		case schema.AttributeRemoved:
+			removed[c.Attribute] = true
+		}
+	}
+	out := Mapping{Wrapper: newWrapper, SameAs: map[string]rdf.Term{}}
+	for attr, feat := range prevMap.SameAs {
+		switch {
+		case removed[attr]:
+			// dropped
+		case renames[attr] != "":
+			out.SameAs[renames[attr]] = feat
+		default:
+			out.SameAs[attr] = feat
+		}
+	}
+	// Subgraph: keep the triples whose features are still populated,
+	// plus concept typing and relation edges.
+	kept := map[rdf.Term]bool{}
+	for _, feat := range out.SameAs {
+		kept[feat] = true
+	}
+	for _, t := range prevMap.Subgraph {
+		if t.P == bdi.PropHasFeature && !kept[t.O] {
+			continue
+		}
+		out.Subgraph = append(out.Subgraph, t)
+	}
+	return out, changes, nil
 }
 
-// DetectDrift diffs a wrapper's live payload schema against its declared
-// signature.
+// DetectDrift probes a wrapper's current payload schema and diffs it
+// against the declared signature: non-empty changes mean the provider
+// shipped a schema change without a registered release (the situation
+// that silently breaks pipelines, paper §1).
 func (s *System) DetectDrift(ctx context.Context, wrapperName string) ([]Change, error) {
-	return s.releases.DetectDrift(ctx, wrapperName)
+	w, ok := s.reg.Get(wrapperName)
+	if !ok {
+		return nil, fmt.Errorf("release: unknown wrapper %q", wrapperName)
+	}
+	cur, err := w.CurrentSignature(ctx)
+	if err != nil {
+		return nil, fmt.Errorf("release: probe %s: %w", wrapperName, err)
+	}
+	return schema.Diff(w.Signature(), cur), nil
 }
 
 // Validate checks all BDI integrity constraints.
@@ -468,7 +555,7 @@ func (s *System) Stats() bdi.Stats { return s.ont.Stats() }
 
 // ReleaseLog returns all releases in order, read from the ontology's
 // release graph.
-func (s *System) ReleaseLog() []Release { return s.releases.Log() }
+func (s *System) ReleaseLog() []Release { return s.ont.Releases() }
 
 // ExportTriG serializes the full ontology dataset as TriG
 // (rdf.WriteDataset).

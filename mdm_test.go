@@ -497,7 +497,7 @@ func TestReleaseLogSurvivesRestart(t *testing.T) {
 			t.Errorf("re-registering %s did not attach it", w.Name())
 		}
 	}
-	if log := sys2.ReleaseLog(); len(log) != 3 || log[2].Wrapper != "w1v3" {
+	if log := sys2.ReleaseLog(); len(log) != 3 || log[2].Signature.Wrapper != "w1v3" {
 		t.Errorf("release log after re-attaching = %+v, want the three releases", log)
 	}
 	other := wrapper.NewMem("w1v2", "players-api", []schema.Doc{{"id": relalg.Int(1), "nickname": relalg.String("A")}}, nil)
