@@ -179,11 +179,47 @@ func TestDatasetSharedDict(t *testing.T) {
 	}
 }
 
-// TestDatasetChangesCountsEveryWritePath: Changes moves on every
-// change to the dataset, whichever method made it — a triple added to any
-// graph, a named graph created or dropped, a prefix bound — and on
-// nothing else.
-func TestDatasetChangesCountsEveryWritePath(t *testing.T) {
+// changeStep is one call on a dataset and how far it should move
+// Dataset.Changes.
+type changeStep struct {
+	name string
+	want uint64
+	do   func()
+}
+
+// checkChanges runs the steps in order and checks that each moves
+// ds.Changes by exactly its want.
+func checkChanges(t *testing.T, ds *Dataset, steps []changeStep) {
+	t.Helper()
+	for _, step := range steps {
+		before := ds.Changes()
+		step.do()
+		if got := ds.Changes() - before; got != step.want {
+			t.Errorf("%s moved Changes by %d, want %d", step.name, got, step.want)
+		}
+	}
+}
+
+// TestDatasetVersionBumpsOnStructuralChange: creating or dropping a named
+// graph moves Changes; looking one up or dropping a missing one does not.
+func TestDatasetVersionBumpsOnStructuralChange(t *testing.T) {
+	ds := NewDataset()
+	name := IRI("http://ex.org/g")
+	checkChanges(t, ds, []changeStep{
+		{"Graph creating a graph", 1, func() { ds.Graph(name) }},
+		{"Graph of an existing graph", 0, func() { ds.Graph(name) }},
+		{"Lookup", 0, func() { ds.Lookup(name) }},
+		{"DropGraph", 1, func() { ds.DropGraph(name) }},
+		{"DropGraph of a missing graph", 0, func() { ds.DropGraph(name) }},
+		// The name is interned already: re-creating the graph still counts.
+		{"Graph re-creating a dropped graph", 1, func() { ds.Graph(name) }},
+	})
+}
+
+// TestDatasetWritesCountsEveryWritePath: Changes moves on every triple
+// added to any graph of the dataset, whichever method added it, and on
+// no read.
+func TestDatasetWritesCountsEveryWritePath(t *testing.T) {
 	ds := NewDataset()
 	name := IRI("http://ex.org/g")
 	g := ds.Graph(name)
@@ -191,11 +227,7 @@ func TestDatasetChangesCountsEveryWritePath(t *testing.T) {
 		return T(IRI(fmt.Sprintf("http://ex.org/s%d", i)), IRI("http://ex.org/p"), IRI("http://ex.org/o"))
 	}
 	id := func(t Term) TermID { return ds.Dict().Intern(t) }
-	for _, step := range []struct {
-		name string
-		want uint64
-		do   func()
-	}{
+	checkChanges(t, ds, []changeStep{
 		{"Add", 1, func() { g.MustAdd(tr(1)) }},
 		{"Add of a present triple", 0, func() { g.MustAdd(tr(1)) }},
 		{"Add to the default graph", 1, func() { ds.Default().MustAdd(tr(1)) }},
@@ -206,14 +238,6 @@ func TestDatasetChangesCountsEveryWritePath(t *testing.T) {
 				{id(tr(4).S), id(tr(4).P), id(tr(4).O)},
 			})
 		}},
-		{"Graph creating a graph", 1, func() { ds.Graph(IRI("http://ex.org/h")) }},
-		{"Graph of an existing graph", 0, func() { ds.Graph(name) }},
-		{"DropGraph", 1, func() { ds.DropGraph(IRI("http://ex.org/h")) }},
-		{"DropGraph of a missing graph", 0, func() { ds.DropGraph(IRI("http://ex.org/h")) }},
-		// The name is interned already: re-creating the graph still counts.
-		{"Graph re-creating a dropped graph", 1, func() { ds.Graph(IRI("http://ex.org/h")) }},
-		{"Bind", 1, func() { ds.Prefixes().Bind("ex", "http://ex.org/") }},
-		{"Bind replacing a binding", 1, func() { ds.Prefixes().Bind("ex", "http://ex.org/v2/") }},
 		// A graph created, a triple added to it, a graph dropped, a prefix bound.
 		{"Commit", 4, func() {
 			ds.Commit([]Op{
@@ -227,14 +251,20 @@ func TestDatasetChangesCountsEveryWritePath(t *testing.T) {
 			g.Match(Any, Any, Any)
 			ds.Len()
 			ds.Lookup(name)
+		}},
+	})
+}
+
+// TestPrefixMapBindsCountsBinds: every Bind to the dataset's prefix map
+// moves Changes, a rebinding included; reading the map does not.
+func TestPrefixMapBindsCountsBinds(t *testing.T) {
+	ds := NewDataset()
+	checkChanges(t, ds, []changeStep{
+		{"Bind", 1, func() { ds.Prefixes().Bind("ex", "http://ex.org/") }},
+		{"Bind replacing a binding", 1, func() { ds.Prefixes().Bind("ex", "http://ex.org/v2/") }},
+		{"reads", 0, func() {
 			ds.Prefixes().Compact("http://ex.org/v2/a")
 			ds.Prefixes().Pairs()
 		}},
-	} {
-		before := ds.Changes()
-		step.do()
-		if got := ds.Changes() - before; got != step.want {
-			t.Errorf("%s moved Changes by %d, want %d", step.name, got, step.want)
-		}
-	}
+	})
 }
