@@ -81,7 +81,12 @@ type FetchFunc func(ctx context.Context, src relalg.RowSource) (*relalg.Relation
 // caller's wait — the shared fetch keeps running for other waiters — so a
 // dropped client surfaces ctx.Err() without failing its neighbors.
 func (c *Cache) Get(ctx context.Context, src relalg.RowSource, cols []string, fetch FetchFunc) (*relalg.Relation, error) {
-	key := keyOf(src.Name(), cols)
+	return c.get(ctx, keyOf(src.Name(), cols), src, cols, fetch)
+}
+
+// get is Get under the snapshot's key, which a program derives once
+// (sourceFetch.key) rather than once per fetch.
+func (c *Cache) get(ctx context.Context, key snapKey, src relalg.RowSource, cols []string, fetch FetchFunc) (*relalg.Relation, error) {
 	c.mu.Lock()
 	ent, inflight := c.entries[key]
 	if !inflight {

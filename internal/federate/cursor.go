@@ -88,7 +88,8 @@ func (c *Cursor) Rows() int64 { return c.rows }
 // mutated (it may alias a shared source snapshot).
 func (c *Cursor) Row() relalg.Row { return c.row }
 
-// Columns returns the output schema in order.
+// Columns returns the output schema in order. The slice is shared by
+// every run of the plan — do not mutate.
 func (c *Cursor) Columns() []string { return c.cols }
 
 // Err returns the first error encountered while iterating (typically

@@ -5,11 +5,13 @@
 // The materializing reference executor (relalgtest.Execute) walks the
 // operator tree depth-first, so a plan over N wrappers pays the *sum* of
 // the source fetch latencies and every operator materializes its full
-// intermediate relation. This package splits execution into three
-// phases:
+// intermediate relation. This package prepares a plan once into a
+// program (program.go) — what to ask of each source, every column index,
+// which joins share a build side — keeps it for the plan's next run, and
+// splits each run into three phases:
 //
-//  1. SCATTER — all Scan leaves of the plan are discovered up front,
-//     deduplicated by source name, and fetched concurrently with
+//  1. SCATTER — the program's sources, the Scan leaves of the plan
+//     deduplicated by source name, are fetched concurrently with
 //     bounded parallelism. A source read only under projections is asked
 //     for the columns they keep and nothing else (demand), so its
 //     snapshot is as wide as the plan, not as wide as its signature. The
@@ -19,12 +21,13 @@
 //     identity and requested columns: concurrent walks reading the same
 //     columns of a source share one in-flight fetch (singleflight), and a
 //     completed fetch leaves nothing behind (cache.go).
-//  3. STREAMING OPERATORS — the plan compiles to a tree of pull-based
+//  3. STREAMING OPERATORS — the program binds to a tree of pull-based
 //     iterators over the snapshots (iter.go): Project/Rename/Union/
 //     Distinct stream row by row, and Join is a probe-side hash join
 //     whose build side is an intrusive-chain table over the (already
-//     fetched) right input. No operator materializes its output, so
-//     memory beyond the source snapshots is O(page).
+//     fetched) right input, built once per run for every join that
+//     builds on the same side. No operator materializes its output, so
+//     memory beyond the source snapshots and build tables is O(page).
 //
 // Results are delivered through a Cursor (cursor.go) mirroring
 // sparql.Cursor: Next(ctx)/Row()/Err()/Close(), with LIMIT/OFFSET
@@ -69,6 +72,9 @@ type Engine struct {
 	// package's tests to compress time.
 	retries int
 	sleep   func(ctx context.Context, d time.Duration) error
+
+	progMu sync.Mutex
+	progs  map[relalg.Plan]*program // see Engine.program
 }
 
 // fanout bounds the concurrent source fetches of one scatter phase.
@@ -126,11 +132,15 @@ func (e *Engine) Run(ctx context.Context, plan relalg.Plan) (*Cursor, error) {
 // a source failure is returned here, before any row streams.
 func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*Cursor, error) {
 	tr := obs.FromContext(ctx)
-	snaps, missing, err := e.scatter(ctx, tr, plan, opts.Partial)
+	prog, err := e.program(plan, tr)
 	if err != nil {
 		return nil, err
 	}
-	it, err := compile(plan, snaps)
+	snaps, missing, err := e.scatter(ctx, tr, prog, opts.Partial)
+	if err != nil {
+		return nil, err
+	}
+	it, err := prog.bind(snaps)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +149,7 @@ func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*
 	} else if opts.Offset > 0 || opts.Limit > 0 {
 		it = &pageIter{src: it, skip: max(opts.Offset, 0), limit: opts.Limit}
 	}
-	return &Cursor{cols: plan.Columns(), it: it, tr: tr, missing: missing}, nil
+	return &Cursor{cols: prog.cols, it: it, tr: tr, missing: missing}, nil
 }
 
 // Forget drops the circuit breaker record the engine holds for a wrapper
@@ -148,70 +158,8 @@ func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*
 // different source, so yesterday's failure history must not outlive it.
 func (e *Engine) Forget(name string) { e.breakers.Reset(name) }
 
-// demand is what one plan asks of its sources: the Scan leaves
-// deduplicated by source name (wrapper names are globally unique in the
-// registry, and the rewriter reuses one wrapper across CQ branches of a
-// union), and for each source read only through Project(Scan) — the leaf
-// shape relalg.Optimize leaves — the columns those projections keep. A
-// source with no cols entry is fetched whole. cols is made on first use:
-// a plan of bare scans pays nothing for it.
-type demand struct {
-	srcs map[string]relalg.RowSource
-	cols map[string][]string
-}
-
-func (d *demand) collect(p relalg.Plan) {
-	switch n := p.(type) {
-	case *relalg.Scan:
-		// A scan nothing projects is read whole, whatever else reads it.
-		d.srcs[n.Src.Name()] = n.Src
-		delete(d.cols, n.Src.Name())
-		return
-	case *relalg.Project:
-		if s, ok := n.Child.(*relalg.Scan); ok && len(n.Cols) > 0 {
-			d.project(s.Src, n.Cols)
-			return
-		}
-	}
-	for _, c := range p.Children() {
-		d.collect(c)
-	}
-}
-
-// project notes one Project(Scan) leaf. A source read under one column
-// list is asked for that list as written, so the projection compiles to
-// nothing; one read under several gets their union in source column
-// order, or the whole signature when the union is that.
-func (d *demand) project(src relalg.RowSource, cols []string) {
-	name := src.Name()
-	if _, seen := d.srcs[name]; !seen {
-		d.srcs[name] = src
-		if d.cols == nil {
-			d.cols = map[string][]string{}
-		}
-		d.cols[name] = cols
-		return
-	}
-	have, narrowed := d.cols[name]
-	if !narrowed || slices.Equal(have, cols) {
-		return
-	}
-	all := src.Columns()
-	union := make([]string, 0, len(all))
-	for _, c := range all {
-		if slices.Contains(have, c) || slices.Contains(cols, c) {
-			union = append(union, c)
-		}
-	}
-	if len(union) == len(all) {
-		delete(d.cols, name)
-	} else {
-		d.cols[name] = union
-	}
-}
-
-// scatter fetches every distinct source of the plan concurrently, at
-// most fanout at a time.
+// scatter fetches the sources of a program concurrently, at most fanout
+// at a time, into snapshots in prog.srcs order.
 //
 // In strict mode the first error cancels the outstanding fetches and is
 // returned; sibling errors caused by that cancellation are dropped, so
@@ -223,17 +171,9 @@ func (d *demand) project(src relalg.RowSource, cols []string) {
 // with the failure's class. Only the caller's own context terminates
 // the whole scatter. The missing list is sorted by source name so
 // annotations are deterministic.
-func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, partial bool) (snaps map[string]*relalg.Relation, missing []SourceError, err error) {
-	want := demand{srcs: map[string]relalg.RowSource{}}
-	want.collect(plan)
-	names := make([]string, 0, len(want.srcs))
-	for n := range want.srcs {
-		names = append(names, n)
-	}
-	sort.Strings(names) // deterministic fan-out order
-
+func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, prog *program, partial bool) (snaps []*relalg.Relation, missing []SourceError, err error) {
 	obsScatters.Inc()
-	obsScatterFanout.Observe(float64(len(names)))
+	obsScatterFanout.Observe(float64(len(prog.srcs)))
 	scatterT0 := time.Now()
 	defer func() {
 		d := time.Since(scatterT0)
@@ -246,9 +186,8 @@ func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, p
 	run := &scatterRun{e: e, ctx: ctx, cancel: cancel, tr: tr, partial: partial}
 
 	sem := make(chan struct{}, fanout)
-	run.snaps = make(map[string]*relalg.Relation, len(names))
-	for _, name := range names {
-		src, cols := want.srcs[name], want.cols[name]
+	run.snaps = make([]*relalg.Relation, len(prog.srcs))
+	for _, s := range prog.srcs {
 		run.wg.Add(1)
 		go func() {
 			defer run.wg.Done()
@@ -258,7 +197,7 @@ func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, plan relalg.Plan, p
 			case <-sctx.Done():
 				return
 			}
-			run.fetch(sctx, src, cols)
+			run.fetch(sctx, s)
 		}()
 	}
 	run.wg.Wait()
@@ -291,18 +230,19 @@ type scatterRun struct {
 
 	mu       sync.Mutex // guards the fields below
 	firstErr error
-	snaps    map[string]*relalg.Relation
+	snaps    []*relalg.Relation
 	missing  []SourceError
 }
 
-// fetch obtains the snapshot of one source's cols (nil: every column)
-// through the shared fetches of the cache, and files the outcome: the
-// snapshot, or in strict mode the run's first error, or in partial mode
-// an empty stand-in with its annotation.
-func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []string) {
-	e, tr, name := r.e, r.tr, src.Name()
+// fetch obtains the snapshot of one source through the shared fetches of
+// the cache, and files the outcome: the snapshot, or in strict mode the
+// run's first error, or in partial mode an empty stand-in with its
+// annotation.
+func (r *scatterRun) fetch(sctx context.Context, s *sourceFetch) {
+	e, tr, src, cols := r.e, r.tr, s.src, s.cols
+	name := src.Name()
 	fetchT0 := time.Now()
-	rel, err := e.cache.Get(sctx, src, cols, e.fetchResilient)
+	rel, err := e.cache.get(sctx, s.key, src, cols, e.fetchResilient)
 	span := obs.SourceSpan{Source: name, Dur: time.Since(fetchT0)}
 	if tr != nil {
 		span.Declared = len(src.Columns())
@@ -314,7 +254,7 @@ func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []st
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if err == nil {
-		r.snaps[name] = rel
+		r.snaps[s.i] = rel
 		// What came back, which a source that ignores the request makes
 		// wider than what was asked.
 		span.Rows, span.Cols, span.Outcome = len(rel.Rows), len(rel.Cols), "ok"
@@ -340,7 +280,7 @@ func (r *scatterRun) fetch(sctx context.Context, src relalg.RowSource, cols []st
 	if cols == nil {
 		cols = src.Columns()
 	}
-	r.snaps[name] = relalg.NewRelation(cols...)
+	r.snaps[s.i] = relalg.NewRelation(cols...)
 	r.missing = append(r.missing, SourceError{Source: name, Class: class, Err: err})
 	obsMissing.With(name, string(class)).Inc()
 	span.Outcome = "missing:" + string(class)
@@ -424,7 +364,7 @@ func (e *Engine) fetchOnce(ctx context.Context, src relalg.RowSource) (*relalg.R
 // fetchSource fetches and schema-checks one source. Rows are consumed by
 // position, so the snapshot's columns must be, by name and in order,
 // either the ones the fetch context asked for or the declared signature
-// — a source is free to ignore the request, and compile projects what it
+// — a source is free to ignore the request, and bind projects what it
 // returns. Anything else is a misreporting source, which fails loudly
 // rather than corrupting downstream column arithmetic.
 func fetchSource(ctx context.Context, src relalg.RowSource) (*relalg.Relation, error) {

@@ -2,15 +2,13 @@ package federate
 
 import (
 	"context"
-	"fmt"
-	"slices"
 
 	"mdm/internal/relalg"
 )
 
-// This file compiles a relalg.Plan into a tree of pull-based row
-// iterators over the scatter phase's source snapshots. The compiled
-// pipeline produces exactly the rows — in exactly the order — that
+// This file holds the pull-based row iterators a program binds over the
+// scatter phase's source snapshots (program.go). The bound pipeline
+// produces exactly the rows — in exactly the order — that
 // relalgtest.Execute materializes (the equivalence harness pins this),
 // but one row at a time: Project/Rename/Union/Distinct stream, and Join
 // is a probe-side hash join that materializes only its build side (the
@@ -31,90 +29,6 @@ const pollEvery = 1024
 // (nil, nil) when exhausted; an error aborts the drain.
 type iter interface {
 	next(ctx context.Context) (relalg.Row, error)
-}
-
-// compile builds the operator tree for p over the fetched snapshots.
-func compile(p relalg.Plan, snaps map[string]*relalg.Relation) (iter, error) {
-	switch n := p.(type) {
-	case *relalg.Scan:
-		rel, ok := snaps[n.Src.Name()]
-		if !ok {
-			return nil, fmt.Errorf("federate: no snapshot for source %s", n.Src.Name())
-		}
-		return &scanIter{rows: rel.Rows}, nil
-
-	case *relalg.Project:
-		child, err := compile(n.Child, snaps)
-		if err != nil {
-			return nil, err
-		}
-		in := n.Child.Columns()
-		if s, ok := n.Child.(*relalg.Scan); ok {
-			// A scan streams its snapshot, which is as wide as the scatter
-			// asked and the source obliged: resolve against what is there.
-			in = snaps[s.Src.Name()].Cols
-		}
-		if slices.Equal(n.Cols, in) {
-			return child, nil // the fetch already projected
-		}
-		idx := make([]int, len(n.Cols))
-		for i, c := range n.Cols {
-			j := colIndex(in, c)
-			if j < 0 {
-				return nil, fmt.Errorf("federate: unknown column %q (have %v)", c, in)
-			}
-			idx[i] = j
-		}
-		return &projectIter{src: child, idx: idx, out: make(relalg.Row, len(idx))}, nil
-
-	case *relalg.Rename:
-		// Rename changes column names, not rows: compile through.
-		return compile(n.Child, snaps)
-
-	case *relalg.Join:
-		return compileJoin(n, snaps)
-
-	case *relalg.Union:
-		if len(n.Plans) == 0 {
-			return emptyIter{}, nil
-		}
-		cols := n.Plans[0].Columns()
-		subs := make([]iter, len(n.Plans))
-		for i, sub := range n.Plans {
-			sc := sub.Columns()
-			if len(sc) != len(cols) {
-				return nil, fmt.Errorf("federate: union schema mismatch: %v vs %v", cols, sc)
-			}
-			for j := range sc {
-				if sc[j] != cols[j] {
-					return nil, fmt.Errorf("federate: union schema mismatch: %v vs %v", cols, sc)
-				}
-			}
-			it, err := compile(sub, snaps)
-			if err != nil {
-				return nil, err
-			}
-			subs[i] = it
-		}
-		return &unionIter{subs: subs}, nil
-
-	case *relalg.Distinct:
-		child, err := compile(n.Child, snaps)
-		if err != nil {
-			return nil, err
-		}
-		return &distinctIter{src: child, seen: map[string]struct{}{}}, nil
-	}
-	panic(fmt.Sprintf("federate: compile: no case for %T", p)) // relalg.Plan is sealed: nil, or a node this switch was not taught
-}
-
-func colIndex(cols []string, name string) int {
-	for i, c := range cols {
-		if c == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // appendJoinKey appends the join-column key of a row to dst, the binary
@@ -273,71 +187,77 @@ func (it *pageIter) next(ctx context.Context) (relalg.Row, error) {
 
 // --- hash join ---
 
-// compileJoin resolves the join's column indexes at compile time,
-// mirroring the oracle join's schema arithmetic exactly (join-duplicate
-// and name-collision columns of the right side are skipped).
-func compileJoin(n *relalg.Join, snaps map[string]*relalg.Relation) (iter, error) {
-	left, err := compile(n.L, snaps)
-	if err != nil {
-		return nil, err
-	}
-	right, err := compile(n.R, snaps)
-	if err != nil {
-		return nil, err
-	}
-	lcols, rcols := n.L.Columns(), n.R.Columns()
-	lIdx := make([]int, len(n.On))
-	rIdx := make([]int, len(n.On))
-	for i, p := range n.On {
-		lIdx[i] = colIndex(lcols, p[0])
-		rIdx[i] = colIndex(rcols, p[1])
-		if lIdx[i] < 0 {
-			return nil, fmt.Errorf("federate: join column %q missing on left (have %v)", p[0], lcols)
-		}
-		if rIdx[i] < 0 {
-			return nil, fmt.Errorf("federate: join column %q missing on right (have %v)", p[1], rcols)
-		}
-	}
-	skip := map[int]bool{}
-	for _, ri := range rIdx {
-		skip[ri] = true
-	}
-	lhave := map[string]bool{}
-	for _, c := range lcols {
-		lhave[c] = true
-	}
-	var rEmit []int
-	for i, c := range rcols {
-		if !skip[i] && !lhave[c] {
-			rEmit = append(rEmit, i)
-		}
-	}
-	return &joinIter{
-		left: left, right: right,
-		lIdx: lIdx, rIdx: rIdx, rEmit: rEmit,
-		out:   make(relalg.Row, 0, len(lcols)+len(rEmit)),
-		chain: -1,
-	}, nil
-}
-
-// joinIter is a streaming probe-side hash join. On first pull it drains
-// its right child into an intrusive-chain hash table — rows copied into a
-// slab, head mapping a join key to the first row holding it, link naming
-// the next row that shares a key (the PR 4 hashJoinIter layout, lifted
-// from TermID triplets to relalg rows). Chains are linked in build order,
+// table is one build side's intrusive-chain hash table, shared by every
+// join of a run that builds on the same slot (program.go): the first pull
+// of any of them drains src into it — rows copied into a slab, head
+// mapping a join key to the first row holding it, link naming the next
+// row that shares a key (the SPARQL engine's hashJoinIter layout,
+// lifted from TermID triplets to relalg rows). Chains are linked in build order,
 // keeping emission order identical to the materializing executor's, and
 // keys are bytes in one reused buffer looked up as head[string(key)], so
-// only the distinct build-side keys are ever allocated. Probing then
-// streams: one left row at a time, its bucket chain walked match by
-// match into the one output row, so the join's (potentially multiplied)
-// output is never materialized.
-type joinIter struct {
-	left, right iter
-	lIdx, rIdx  []int
-	rEmit       []int
+// only the distinct build-side keys are ever allocated. An error that
+// stops the drain is every later pull's answer in the run.
+type table struct {
+	src  iter
+	rIdx []int
 
 	built bool
+	err   error
 	slab  rowSlab
+	rows  []relalg.Row
+	head  map[string]int32
+	link  []int32
+	key   []byte
+}
+
+func (t *table) build(ctx context.Context) error {
+	if t.built || t.err != nil {
+		return t.err
+	}
+	for {
+		row, err := t.src.next(ctx)
+		if err != nil {
+			t.err = err
+			return err
+		}
+		if row == nil {
+			break
+		}
+		t.rows = append(t.rows, t.slab.clone(row))
+	}
+	n := len(t.rows)
+	t.head = make(map[string]int32, n)
+	t.link = make([]int32, n)
+	tail := make([]int32, n) // tail[a chain's first row] = its last row so far
+	for i, row := range t.rows {
+		t.link[i] = -1
+		var ok bool
+		if t.key, ok = appendJoinKey(t.key[:0], row, t.rIdx); !ok {
+			continue // NULL never joins; row is unreachable
+		}
+		if first, dup := t.head[string(t.key)]; dup {
+			t.link[tail[first]] = int32(i)
+			tail[first] = int32(i)
+		} else {
+			t.head[string(t.key)] = int32(i)
+			tail[i] = int32(i)
+		}
+	}
+	t.built = true
+	return nil
+}
+
+// joinIter is a streaming probe-side hash join over a table. Probing
+// streams: one left row at a time, its bucket chain walked match by match
+// into the one output row, so the join's (potentially multiplied) output
+// is never materialized. The table's rows, head and link are copied in
+// once it is built, so a probe reads them as its own fields.
+type joinIter struct {
+	left        iter
+	tab         *table
+	lIdx, rEmit []int
+
+	built bool
 	rows  []relalg.Row
 	head  map[string]int32
 	link  []int32
@@ -349,44 +269,12 @@ type joinIter struct {
 	out     relalg.Row
 }
 
-func (it *joinIter) build(ctx context.Context) error {
-	for {
-		row, err := it.right.next(ctx)
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		it.rows = append(it.rows, it.slab.clone(row))
-	}
-	n := len(it.rows)
-	it.head = make(map[string]int32, n)
-	it.link = make([]int32, n)
-	tail := make([]int32, n) // tail[a chain's first row] = its last row so far
-	for i, row := range it.rows {
-		it.link[i] = -1
-		var ok bool
-		if it.key, ok = appendJoinKey(it.key[:0], row, it.rIdx); !ok {
-			continue // NULL never joins; row is unreachable
-		}
-		if first, dup := it.head[string(it.key)]; dup {
-			it.link[tail[first]] = int32(i)
-			tail[first] = int32(i)
-		} else {
-			it.head[string(it.key)] = int32(i)
-			tail[i] = int32(i)
-		}
-	}
-	it.built = true
-	return nil
-}
-
 func (it *joinIter) next(ctx context.Context) (relalg.Row, error) {
 	if !it.built {
-		if err := it.build(ctx); err != nil {
+		if err := it.tab.build(ctx); err != nil {
 			return nil, err
 		}
+		it.rows, it.head, it.link, it.built = it.tab.rows, it.tab.head, it.tab.link, true
 	}
 	for {
 		if it.chain >= 0 {

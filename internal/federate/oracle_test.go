@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,14 +22,17 @@ import (
 // results must be identical — same schema, same rows, same ORDER (the
 // streaming pipeline is documented to reproduce Execute's emission
 // order exactly, which is what makes paged reads prefixes of the full
-// drain). The engine runs each plan over two kinds of source: ones that
-// ignore the columns a fetch asks for (relalgtest.MemSource, the un-pushed
-// path) and ones that honour them (wrapper.Mem, the pushed path), as
-// generated and after relalg.Optimize, which is what puts the
-// projections on the scans. Each case additionally drains a random page
-// through RunWith and asserts it equals the corresponding slice of the
-// full result. Generation is seeded, so failures reproduce by seed
-// number.
+// drain). The engine runs each plan over three kinds of source: ones that
+// ignore the columns a fetch asks for (relalgtest.MemSource, the
+// un-pushed path), ones that honour them (wrapper.Mem, the pushed path),
+// and ones that do either on alternate fetches, as generated and after
+// relalg.Optimize, which is what puts the projections on the scans. Every
+// plan runs twice on one engine, so the second run binds the program the
+// first one prepared. Generated plans are DAGs as the rewriter's are:
+// nodes are reused as build sides, self-joined, and shared between union
+// branches. Each case additionally drains a random page through RunWith
+// and asserts it equals the corresponding slice of the full result.
+// Generation is seeded, so failures reproduce by seed number.
 
 const oraclePlans = 250
 
@@ -78,16 +82,31 @@ func genRelation(r *rand.Rand, cols []string) *relalg.Relation {
 // --- plan generation ---
 
 type planGen struct {
-	r      *rand.Rand
-	nsrc   int
-	nren   int
-	honour bool // sources return only the columns a fetch asks for
+	r    *rand.Rand
+	nsrc int
+	nren int
+	kind srcKind
+	made []relalg.Plan // every node built so far, for reuse
 }
 
-// source serves rel either whole whatever is asked (honour false) or
-// through wrapper.Mem, which narrows to the request.
-func source(name string, rel *relalg.Relation, honour bool) relalg.RowSource {
-	if !honour {
+// srcKind is how a generated source answers the columns a fetch asks for.
+type srcKind int
+
+const (
+	ignoring  srcKind = iota // the whole signature, whatever is asked
+	honouring                // exactly the columns asked
+	flipping                 // honouring on odd fetches, ignoring on even ones
+)
+
+var srcKinds = []srcKind{ignoring, honouring, flipping}
+
+func (k srcKind) String() string { return [...]string{"ignoring", "honouring", "flipping"}[k] }
+
+// source serves rel whole whatever is asked (relalgtest.MemSource), or
+// through wrapper.Mem, which narrows to the request — on every fetch, or
+// on every other one.
+func source(name string, rel *relalg.Relation, kind srcKind) relalg.RowSource {
+	if kind == ignoring {
 		return relalgtest.NewMemSource(name, rel)
 	}
 	attrs := make([]schema.Attribute, len(rel.Cols))
@@ -101,26 +120,71 @@ func source(name string, rel *relalg.Relation, honour bool) relalg.RowSource {
 			docs[r][c] = row[i]
 		}
 	}
-	return wrapper.NewMem(name, "oracle", docs, attrs)
+	mem := wrapper.NewMem(name, "oracle", docs, attrs)
+	if kind == flipping {
+		return &flipSource{RowSource: mem}
+	}
+	return mem
+}
+
+// flipSource honours the column request on one fetch and ignores it on
+// the next, so one cached program meets both layouts a snapshot may have.
+type flipSource struct {
+	relalg.RowSource
+	fetches atomic.Int64
+}
+
+func (f *flipSource) Fetch(ctx context.Context) (*relalg.Relation, error) {
+	if f.fetches.Add(1)%2 == 0 {
+		ctx = relalg.WithColumns(ctx, nil)
+	}
+	return f.RowSource.Fetch(ctx)
 }
 
 func (g *planGen) scan(cols []string) relalg.Plan {
 	g.nsrc++
-	return relalg.NewScan(source(fmt.Sprintf("src%d", g.nsrc), genRelation(g.r, cols), g.honour))
+	return relalg.NewScan(source(fmt.Sprintf("src%d", g.nsrc), genRelation(g.r, cols), g.kind))
 }
 
 func (g *planGen) leaf() relalg.Plan { return g.scan(genCols(g.r)) }
 
-// plan builds a random operator tree of bounded depth out of the six
+// plan builds a random operator DAG of bounded depth out of the six
 // operators the rewriters emit. Generated plans are always well-formed
 // (projections and join keys reference existing columns, union branches
 // share one schema), as the rewriters' are; their nesting is arbitrary,
-// which the rewriters' is not.
+// which the rewriters' is not. Nodes are shared the ways the rewriter
+// shares them and beyond: a build side under joins in several union
+// branches, a self-join, one build side under two key lists, one node as
+// a union branch and a build side, and any earlier node as a build side.
 func (g *planGen) plan(depth int) relalg.Plan {
+	p := g.node(depth)
+	g.made = append(g.made, p)
+	return p
+}
+
+// reuse returns, one time in three, a node built earlier, else a new one.
+func (g *planGen) reuse(depth int) relalg.Plan {
+	if len(g.made) > 0 && g.r.Intn(3) == 0 {
+		return g.made[g.r.Intn(len(g.made))]
+	}
+	return g.plan(depth)
+}
+
+// on draws 1-2 random equi-join column pairs between l and r.
+func (g *planGen) on(l, r relalg.Plan) [][2]string {
+	lc, rc := l.Columns(), r.Columns()
+	on := make([][2]string, 1+g.r.Intn(2))
+	for i := range on {
+		on[i] = [2]string{lc[g.r.Intn(len(lc))], rc[g.r.Intn(len(rc))]}
+	}
+	return on
+}
+
+func (g *planGen) node(depth int) relalg.Plan {
 	if depth <= 0 || g.r.Intn(4) == 0 {
 		return g.leaf()
 	}
-	switch g.r.Intn(5) {
+	switch g.r.Intn(9) {
 	case 0: // projection: non-empty shuffled subset
 		child := g.plan(depth - 1)
 		cols := child.Columns()
@@ -137,24 +201,41 @@ func (g *planGen) plan(depth int) relalg.Plan {
 		from := cols[g.r.Intn(len(cols))]
 		g.nren++
 		return relalg.NewRename(child, [][2]string{{from, fmt.Sprintf("r%d", g.nren)}})
-	case 2: // equi-join on 1-2 random column pairs
-		l, rr := g.plan(depth-1), g.plan(depth-1)
-		lc, rc := l.Columns(), rr.Columns()
-		n := 1 + g.r.Intn(2)
-		on := make([][2]string, n)
-		for i := range on {
-			on[i] = [2]string{lc[g.r.Intn(len(lc))], rc[g.r.Intn(len(rc))]}
-		}
-		return relalg.NewJoin(l, rr, on)
-	case 3: // union: extra scans sharing the first branch's schema
+	case 2: // equi-join, sometimes building on an earlier node
+		l, rr := g.plan(depth-1), g.reuse(depth-1)
+		return relalg.NewJoin(l, rr, g.on(l, rr))
+	case 3: // union: the first branch again, or scans sharing its schema
 		first := g.plan(depth - 1)
 		plans := []relalg.Plan{first}
 		for i, n := 0, 1+g.r.Intn(2); i < n; i++ {
-			plans = append(plans, g.scan(first.Columns()))
+			if g.r.Intn(3) == 0 {
+				plans = append(plans, first)
+			} else {
+				plans = append(plans, g.scan(first.Columns()))
+			}
 		}
 		return relalg.NewUnion(plans...)
-	default: // distinct
+	case 4: // distinct
 		return relalg.NewDistinct(g.plan(depth - 1))
+	case 5: // one build side under joins in several union branches
+		build, first := g.plan(depth-1), g.plan(depth-1)
+		on := g.on(first, build)
+		plans := []relalg.Plan{relalg.NewJoin(first, build, on)}
+		for i, n := 0, 1+g.r.Intn(2); i < n; i++ {
+			plans = append(plans, relalg.NewJoin(g.scan(first.Columns()), build, on))
+		}
+		return relalg.NewUnion(plans...)
+	case 6: // self-join
+		x := g.plan(depth - 1)
+		return relalg.NewJoin(x, x, g.on(x, x))
+	case 7: // one build side under two key lists
+		x, l := g.plan(depth-1), g.plan(depth-1)
+		inner := relalg.NewJoin(l, x, g.on(l, x))
+		return relalg.NewJoin(inner, x, g.on(inner, x))
+	default: // one node as a union branch and as a build side: a left
+		// input of x's schema keeps the join's schema x's
+		x := g.plan(depth - 1)
+		return relalg.NewUnion(x, relalg.NewJoin(g.scan(x.Columns()), x, g.on(x, x)))
 	}
 }
 
@@ -223,19 +304,22 @@ func agree(ctx context.Context, eng *Engine, plan relalg.Plan, want *relalg.Rela
 }
 
 // threeWays holds the engine to the oracle on one plan, built by build
-// over ignoring and over honouring sources. Each kind of source gets one
-// engine, which runs the optimized plan and then the raw one.
-func threeWays(ctx context.Context, build func(honour bool) relalg.Plan, limit, offset func(rows int) int) error {
-	want, err := relalgtest.Execute(ctx, build(false))
+// over each kind of source. Each kind gets one engine, which runs the
+// optimized plan and then the raw one, each twice: the second run of a
+// plan binds the program its first run prepared.
+func threeWays(ctx context.Context, build func(kind srcKind) relalg.Plan, limit, offset func(rows int) int) error {
+	want, err := relalgtest.Execute(ctx, build(ignoring))
 	if err != nil {
 		return fmt.Errorf("oracle execute: %w", err)
 	}
-	for _, honour := range []bool{false, true} {
-		plan := build(honour)
+	for _, kind := range srcKinds {
+		plan := build(kind)
 		eng := NewEngine()
 		for _, p := range []relalg.Plan{relalg.Optimize(plan), plan} {
-			if err := agree(ctx, eng, p, want, limit(len(want.Rows)), offset(len(want.Rows))); err != nil {
-				return fmt.Errorf("honour=%v %s: %w", honour, relalg.Algebra(p), err)
+			for run := 1; run <= 2; run++ {
+				if err := agree(ctx, eng, p, want, limit(len(want.Rows)), offset(len(want.Rows))); err != nil {
+					return fmt.Errorf("%s sources, run %d, %s: %w", kind, run, relalg.Algebra(p), err)
+				}
 			}
 		}
 	}
@@ -250,8 +334,8 @@ func TestFederateMatchesExecuteOracle(t *testing.T) {
 	base := time.Now().UnixNano()
 	for i := 0; i < oraclePlans; i++ {
 		seed := base + int64(i)
-		build := func(honour bool) relalg.Plan {
-			g := &planGen{r: rand.New(rand.NewSource(seed)), honour: honour}
+		build := func(kind srcKind) relalg.Plan {
+			g := &planGen{r: rand.New(rand.NewSource(seed)), kind: kind}
 			return g.plan(3)
 		}
 		r := rand.New(rand.NewSource(seed))
@@ -278,16 +362,16 @@ func TestFederateOracleEdgeCases(t *testing.T) {
 	wide.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x"), relalg.String("p"), relalg.Int(7)})
 	wide.MustAppend(relalg.Row{relalg.Int(2), relalg.String("y"), relalg.Null(), relalg.Int(8)})
 
-	plans := func(honour bool) []relalg.Plan {
-		empty := relalg.NewScan(source("empty", relalg.NewRelation("a", "b"), honour))
-		l := relalg.NewScan(source("l", lhs, honour))
-		rr := relalg.NewScan(source("r", rhs, honour))
-		w := relalg.NewScan(source("w", wide, honour))
+	plans := func(kind srcKind) []relalg.Plan {
+		empty := relalg.NewScan(source("empty", relalg.NewRelation("a", "b"), kind))
+		l := relalg.NewScan(source("l", lhs, kind))
+		rr := relalg.NewScan(source("r", rhs, kind))
+		w := relalg.NewScan(source("w", wide, kind))
 		return []relalg.Plan{
 			empty,
 			relalg.NewJoin(l, rr, [][2]string{{"a", "k"}}),
 			relalg.NewDistinct(relalg.NewJoin(l, rr, [][2]string{{"a", "k"}})),
-			relalg.NewUnion(l, relalg.NewScan(source("l2", lhs, honour))),
+			relalg.NewUnion(l, relalg.NewScan(source("l2", lhs, kind))),
 			relalg.NewProject(relalg.NewRename(l, [][2]string{{"b", "bb"}}), "bb"),
 			// Same wrapper scanned twice (self-join): the scatter dedupes.
 			relalg.NewJoin(l, relalg.NewRename(l, [][2]string{{"b", "b2"}}), [][2]string{{"a", "a"}}),
@@ -305,8 +389,8 @@ func TestFederateOracleEdgeCases(t *testing.T) {
 			relalg.NewProject(w, "d", "a"),
 		}
 	}
-	for i := range plans(false) {
-		build := func(honour bool) relalg.Plan { return plans(honour)[i] }
+	for i := range plans(ignoring) {
+		build := func(kind srcKind) relalg.Plan { return plans(kind)[i] }
 		whole := func(rows int) int { return rows }
 		if err := threeWays(ctx, build, whole, func(int) int { return 0 }); err != nil {
 			t.Errorf("case %d: %v", i, err)
@@ -351,7 +435,7 @@ func TestNegativeZeroJoinsAndDedupes(t *testing.T) {
 }
 
 // TestOperatorClosure takes each node kind of the closed relalg.Plan sum
-// through its four consumers — Algebra, Optimize, compile and the
+// through its four consumers — Algebra, Optimize, prepare/bind and the
 // reference executor — and requires one answer. An operator added to
 // relalg gets a row here, and the consumer that was not taught it fails
 // in this test rather than in a served walk.
@@ -364,16 +448,24 @@ func TestOperatorClosure(t *testing.T) {
 	rhs := relalg.NewRelation("k", "c")
 	rhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("p")})
 	rhs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("q")})
-	snaps := map[string]*relalg.Relation{"l": lhs, "r": rhs}
+	rels := map[string]*relalg.Relation{"l": lhs, "r": rhs}
 	l := relalg.NewScan(relalgtest.NewMemSource("l", lhs))
 	r := relalg.NewScan(relalgtest.NewMemSource("r", rhs))
 
 	drain := func(p relalg.Plan) (*relalg.Relation, error) {
-		it, err := compile(p, snaps)
+		prog, err := prepare(p)
 		if err != nil {
 			return nil, err
 		}
-		return (&Cursor{cols: p.Columns(), it: it}).Materialize(ctx)
+		snaps := make([]*relalg.Relation, len(prog.srcs))
+		for i, s := range prog.srcs {
+			snaps[i] = rels[s.src.Name()]
+		}
+		it, err := prog.bind(snaps)
+		if err != nil {
+			return nil, err
+		}
+		return (&Cursor{cols: prog.cols, it: it}).Materialize(ctx)
 	}
 	for _, tc := range []struct {
 		plan    relalg.Plan
@@ -386,6 +478,10 @@ func TestOperatorClosure(t *testing.T) {
 		{relalg.NewJoin(l, r, [][2]string{{"a", "k"}}), "(l ⋈[a=k] r)", 4},
 		{relalg.NewUnion(l, l), "(l ∪ l)", 6},
 		{relalg.NewDistinct(l), "δ(l)", 2},
+		// Two joins over one build side under one key: one table.
+		{relalg.NewUnion(relalg.NewJoin(l, r, [][2]string{{"a", "k"}}),
+			relalg.NewJoin(relalg.NewDistinct(l), r, [][2]string{{"a", "k"}})),
+			"((l ⋈[a=k] r) ∪ (δ(l) ⋈[a=k] r))", 6},
 	} {
 		if got := relalg.Algebra(tc.plan); got != tc.algebra {
 			t.Errorf("Algebra(%T) = %q, want %q", tc.plan, got, tc.algebra)
