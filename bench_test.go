@@ -239,10 +239,12 @@ func BenchmarkRewriteConceptsSweep(b *testing.B) {
 
 // --- S3: federated execution vs row count ---
 
-// runPlan executes plan the way the server does — the federate engine's
-// scatter, then the streaming pipeline drained into a relation.
-func runPlan(b *testing.B, eng *federate.Engine, plan relalg.Plan) *relalg.Relation {
-	cur, err := eng.Run(context.Background(), plan)
+// runProgram executes a prepared plan the way the server does — the
+// federate engine's scatter, then the streaming pipeline drained into a
+// relation. The prepare is the caller's, outside its loop, as the server
+// prepares once per rewrite.
+func runProgram(b *testing.B, eng *federate.Engine, prog *federate.Program) *relalg.Relation {
+	cur, err := eng.RunProgram(context.Background(), prog, federate.RunOpts{Limit: -1, Offset: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -251,6 +253,15 @@ func runPlan(b *testing.B, eng *federate.Engine, plan relalg.Plan) *relalg.Relat
 		b.Fatal(err)
 	}
 	return rel
+}
+
+// mustPrepare prepares a bare plan once, outside a benchmark's loop.
+func mustPrepare(b *testing.B, plan relalg.Plan) *federate.Program {
+	prog, err := federate.Prepare(plan)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
 }
 
 func BenchmarkExecuteRowsSweep(b *testing.B) {
@@ -265,7 +276,7 @@ func BenchmarkExecuteRowsSweep(b *testing.B) {
 		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
 			eng := federate.NewEngine()
 			for i := 0; i < b.N; i++ {
-				if runPlan(b, eng, res.Plan).Len() == 0 {
+				if runProgram(b, eng, res.Program).Len() == 0 {
 					b.Fatal("empty result")
 				}
 			}
@@ -314,10 +325,11 @@ func BenchmarkOptimizerAblation(b *testing.B) {
 		name string
 		plan relalg.Plan
 	}{{"unoptimized", raw}, {"optimized", relalg.Optimize(raw)}} {
+		prog := mustPrepare(b, c.plan)
 		b.Run(c.name, func(b *testing.B) {
 			eng := federate.NewEngine()
 			for i := 0; i < b.N; i++ {
-				runPlan(b, eng, c.plan)
+				runProgram(b, eng, prog)
 			}
 		})
 	}
@@ -604,18 +616,19 @@ func federationFixture(delay time.Duration) (relalg.Plan, int) {
 //
 // evolved-16 is the per-layer witness of the omq_evolved workload: the
 // Fig. 8 walk at 16 schema versions of the players source, 16 CQs that
-// each join one version to the same teams leaf, over in-memory wrappers
-// and through one engine, so that every run after the first binds the
-// engine's prepared program and builds the teams side once.
+// each join one version to the same teams leaf, over in-memory wrappers:
+// every run binds the program the rewrite prepared and builds the teams
+// side once.
 func BenchmarkWalkFederation(b *testing.B) {
 	const delay = 3 * time.Millisecond
 	plan, rows := federationFixture(delay)
+	prog := mustPrepare(b, plan)
 	ctx := context.Background()
 	b.Run("federated", func(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		eng := federate.NewEngine()
 		for i := 0; i < b.N; i++ {
-			if n := runPlan(b, eng, plan).Len(); n != rows {
+			if n := runProgram(b, eng, prog).Len(); n != rows {
 				b.Fatalf("rows = %d", n)
 			}
 		}
@@ -625,7 +638,7 @@ func BenchmarkWalkFederation(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		eng := federate.NewEngine()
 		for i := 0; i < b.N; i++ {
-			cur, err := eng.RunWith(ctx, plan, federate.RunOpts{Limit: 10})
+			cur, err := eng.RunProgram(ctx, prog, federate.RunOpts{Limit: 10})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -650,7 +663,7 @@ func BenchmarkWalkFederation(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		eng := federate.NewEngine()
 		for i := 0; i < b.N; i++ {
-			if n := runPlan(b, eng, res.Plan).Len(); n != 5 {
+			if n := runProgram(b, eng, res.Program).Len(); n != 5 {
 				b.Fatalf("rows = %d", n)
 			}
 		}

@@ -6,9 +6,10 @@
 // operator tree depth-first, so a plan over N wrappers pays the *sum* of
 // the source fetch latencies and every operator materializes its full
 // intermediate relation. This package prepares a plan once into a
-// program (program.go) — what to ask of each source, every column index,
-// which joins share a build side — keeps it for the plan's next run, and
-// splits each run into three phases:
+// Program (program.go) — what to ask of each source, every column index,
+// which joins share a build side — that its caller keeps for the plan's
+// next run (the rewriter's memo holds each walk's), and splits each run
+// into three phases:
 //
 //  1. SCATTER — the program's sources, the Scan leaves of the plan
 //     deduplicated by source name, are fetched concurrently with
@@ -72,9 +73,6 @@ type Engine struct {
 	// package's tests to compress time.
 	retries int
 	sleep   func(ctx context.Context, d time.Duration) error
-
-	progMu sync.Mutex
-	progs  map[relalg.Plan]*program // see Engine.program
 }
 
 // fanout bounds the concurrent source fetches of one scatter phase.
@@ -107,7 +105,7 @@ type SourceError struct {
 	Err error `json:"-"`
 }
 
-// RunOpts parameterizes RunWith: limit < 0 unbounded, limit 0 a
+// RunOpts parameterizes RunProgram: limit < 0 unbounded, limit 0 a
 // legitimate empty page, offset <= 0 no skip. Partial degrades instead
 // of failing: healthy sources stream and failed ones are annotated on
 // the cursor; without it the first source error fails the query.
@@ -117,25 +115,31 @@ type RunOpts struct {
 	Partial bool
 }
 
-// Run starts federated execution of a plan: it scatters the source
-// fetches, then returns a cursor streaming the plan's rows. Run blocks
-// until every source snapshot is available (or one fetch fails); the
-// operator pipeline itself does no source I/O.
+// Run prepares a plan and runs it unbounded and strict: see RunProgram.
 func (e *Engine) Run(ctx context.Context, plan relalg.Plan) (*Cursor, error) {
 	return e.RunWith(ctx, plan, RunOpts{Limit: -1, Offset: -1})
 }
 
-// RunWith is Run with per-query options: a page bound pushed into the
-// pipeline (a satisfied limit stops all upstream work) and the
-// degradation mode. In partial mode the returned cursor may carry
-// degradation annotations — check Cursor.Partial/Missing; in strict mode
-// a source failure is returned here, before any row streams.
+// RunWith prepares a plan and runs it with opts, for a caller that holds
+// a bare plan; one that runs a plan again keeps its Program instead.
 func (e *Engine) RunWith(ctx context.Context, plan relalg.Plan, opts RunOpts) (*Cursor, error) {
-	tr := obs.FromContext(ctx)
-	prog, err := e.program(plan, tr)
+	prog, err := Prepare(plan)
 	if err != nil {
 		return nil, err
 	}
+	return e.RunProgram(ctx, prog, opts)
+}
+
+// RunProgram starts federated execution of a prepared plan: it scatters
+// the source fetches, then returns a cursor streaming the plan's rows. It
+// blocks until every source snapshot is available (or one fetch fails);
+// the operator pipeline itself does no source I/O. opts pushes a page
+// bound into the pipeline (a satisfied limit stops all upstream work) and
+// sets the degradation mode. In partial mode the returned cursor may
+// carry degradation annotations — check Cursor.Partial/Missing; in strict
+// mode a source failure is returned here, before any row streams.
+func (e *Engine) RunProgram(ctx context.Context, prog *Program, opts RunOpts) (*Cursor, error) {
+	tr := obs.FromContext(ctx)
 	snaps, missing, err := e.scatter(ctx, tr, prog, opts.Partial)
 	if err != nil {
 		return nil, err
@@ -171,7 +175,7 @@ func (e *Engine) Forget(name string) { e.breakers.Reset(name) }
 // with the failure's class. Only the caller's own context terminates
 // the whole scatter. The missing list is sorted by source name so
 // annotations are deterministic.
-func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, prog *program, partial bool) (snaps []*relalg.Relation, missing []SourceError, err error) {
+func (e *Engine) scatter(ctx context.Context, tr *obs.Trace, prog *Program, partial bool) (snaps []*relalg.Relation, missing []SourceError, err error) {
 	obsScatters.Inc()
 	obsScatterFanout.Observe(float64(len(prog.srcs)))
 	scatterT0 := time.Now()

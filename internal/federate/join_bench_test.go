@@ -37,13 +37,16 @@ func BenchmarkFederateJoinDrain(b *testing.B) {
 		{"string-key", [][2]string{{"teamCode", "tCode"}}},
 		{"two-col-key", [][2]string{{"teamId", "tid"}, {"league", "tLeague"}}},
 	} {
-		plan := relalg.NewProject(relalg.NewJoin(left, right, c.on), "pName", "tName")
+		prog, err := Prepare(relalg.NewProject(relalg.NewJoin(left, right, c.on), "pName", "tName"))
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.Run(c.name, func(b *testing.B) {
 			ctx := context.Background()
 			eng := NewEngine()
 			b.ReportAllocs()
 			for b.Loop() {
-				cur, err := eng.Run(ctx, plan)
+				cur, err := eng.RunProgram(ctx, prog, RunOpts{Limit: -1, Offset: -1})
 				if err != nil {
 					b.Fatal(err)
 				}

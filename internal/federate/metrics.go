@@ -35,11 +35,6 @@ var (
 		"Sources missing from partial results, by source and error class.",
 		"source", "class")
 
-	obsPlanCacheHits = obs.Default.NewCounter("mdm_federate_plan_cache_hits_total",
-		"Federated runs whose plan the engine had already prepared.")
-	obsPlanCacheMisses = obs.Default.NewCounter("mdm_federate_plan_cache_misses_total",
-		"Federated runs that prepared their plan (first run of a plan, or first after the program cache was dropped).")
-
 	obsCacheMisses = obs.Default.NewCounter("mdm_federate_source_cache_misses_total",
 		"Source-cache Gets that started a fetch.")
 	obsCacheShared = obs.Default.NewCounter("mdm_federate_source_cache_inflight_dedup_total",

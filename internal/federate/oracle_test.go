@@ -27,11 +27,11 @@ import (
 // un-pushed path), ones that honour them (wrapper.Mem, the pushed path),
 // and ones that do either on alternate fetches, as generated and after
 // relalg.Optimize, which is what puts the projections on the scans. Every
-// plan runs twice on one engine, so the second run binds the program the
-// first one prepared. Generated plans are DAGs as the rewriter's are:
-// nodes are reused as build sides, self-joined, and shared between union
-// branches. Each case additionally drains a random page through RunWith
-// and asserts it equals the corresponding slice of the full result.
+// plan is prepared once and its program runs twice on one engine, so the
+// second run binds what the first one bound. Generated plans are DAGs as
+// the rewriter's are: nodes are reused as build sides, self-joined, and
+// shared between union branches. Each case additionally drains a random
+// page and asserts it equals the corresponding slice of the full result.
 // Generation is seeded, so failures reproduce by seed number.
 
 const oraclePlans = 250
@@ -271,10 +271,10 @@ func sameResult(want, got *relalg.Relation) error {
 	return nil
 }
 
-// agree runs plan on eng — whole, then the page [offset, offset+limit) —
+// agree runs prog on eng — whole, then the page [offset, offset+limit) —
 // and reports the first departure from want, the oracle's answer.
-func agree(ctx context.Context, eng *Engine, plan relalg.Plan, want *relalg.Relation, limit, offset int) error {
-	cur, err := eng.Run(ctx, plan)
+func agree(ctx context.Context, eng *Engine, prog *Program, want *relalg.Relation, limit, offset int) error {
+	cur, err := eng.RunProgram(ctx, prog, RunOpts{Limit: -1, Offset: -1})
 	if err != nil {
 		return fmt.Errorf("run: %w", err)
 	}
@@ -285,7 +285,7 @@ func agree(ctx context.Context, eng *Engine, plan relalg.Plan, want *relalg.Rela
 	if err := sameResult(want, got); err != nil {
 		return fmt.Errorf("full drain: %w", err)
 	}
-	pcur, err := eng.RunWith(ctx, plan, RunOpts{Limit: limit, Offset: offset})
+	pcur, err := eng.RunProgram(ctx, prog, RunOpts{Limit: limit, Offset: offset})
 	if err != nil {
 		return fmt.Errorf("page: %w", err)
 	}
@@ -305,8 +305,8 @@ func agree(ctx context.Context, eng *Engine, plan relalg.Plan, want *relalg.Rela
 
 // threeWays holds the engine to the oracle on one plan, built by build
 // over each kind of source. Each kind gets one engine, which runs the
-// optimized plan and then the raw one, each twice: the second run of a
-// plan binds the program its first run prepared.
+// optimized plan and then the raw one, each prepared once and run twice:
+// the second run binds the program the first one bound.
 func threeWays(ctx context.Context, build func(kind srcKind) relalg.Plan, limit, offset func(rows int) int) error {
 	want, err := relalgtest.Execute(ctx, build(ignoring))
 	if err != nil {
@@ -316,8 +316,12 @@ func threeWays(ctx context.Context, build func(kind srcKind) relalg.Plan, limit,
 		plan := build(kind)
 		eng := NewEngine()
 		for _, p := range []relalg.Plan{relalg.Optimize(plan), plan} {
+			prog, err := Prepare(p)
+			if err != nil {
+				return fmt.Errorf("%s sources, %s: prepare: %w", kind, relalg.Algebra(p), err)
+			}
 			for run := 1; run <= 2; run++ {
-				if err := agree(ctx, eng, p, want, limit(len(want.Rows)), offset(len(want.Rows))); err != nil {
+				if err := agree(ctx, eng, prog, want, limit(len(want.Rows)), offset(len(want.Rows))); err != nil {
 					return fmt.Errorf("%s sources, run %d, %s: %w", kind, run, relalg.Algebra(p), err)
 				}
 			}
@@ -435,7 +439,7 @@ func TestNegativeZeroJoinsAndDedupes(t *testing.T) {
 }
 
 // TestOperatorClosure takes each node kind of the closed relalg.Plan sum
-// through its four consumers — Algebra, Optimize, prepare/bind and the
+// through its four consumers — Algebra, Optimize, Prepare/bind and the
 // reference executor — and requires one answer. An operator added to
 // relalg gets a row here, and the consumer that was not taught it fails
 // in this test rather than in a served walk.
@@ -453,7 +457,7 @@ func TestOperatorClosure(t *testing.T) {
 	r := relalg.NewScan(relalgtest.NewMemSource("r", rhs))
 
 	drain := func(p relalg.Plan) (*relalg.Relation, error) {
-		prog, err := prepare(p)
+		prog, err := Prepare(p)
 		if err != nil {
 			return nil, err
 		}

@@ -5,12 +5,11 @@ import (
 	"slices"
 	"sort"
 
-	"mdm/internal/obs"
 	"mdm/internal/relalg"
 )
 
 // This file splits executing a plan into the work done once per plan and
-// the work done once per run. prepare derives everything that is a
+// the work done once per run. Prepare derives everything that is a
 // function of the plan alone — what to ask of each source, every column
 // index, which joins share a build side — into a program; bind turns a
 // program and one run's snapshots into the iterator tree of iter.go.
@@ -24,9 +23,9 @@ import (
 // left-row order with matches in build order, and the build order of one
 // sub-plan over one set of snapshots is one order.
 
-// program is a prepared plan. It is read-only once prepare returns, so
+// Program is a prepared plan. It is read-only once Prepare returns, so
 // any number of runs bind it at once.
-type program struct {
+type Program struct {
 	cols  []string       // the plan's output schema
 	srcs  []*sourceFetch // what the scatter fetches, sorted by source name
 	slots []slot         // the distinct build sides of the plan's joins
@@ -35,7 +34,7 @@ type program struct {
 
 // sourceFetch is one fetch of the scatter: the wrapper, the columns asked of
 // it (nil: its whole signature) and the cache key of that snapshot. i is
-// its place in program.srcs and in a run's snapshots.
+// its place in Program.srcs and in a run's snapshots.
 type sourceFetch struct {
 	src  relalg.RowSource
 	cols []string
@@ -56,56 +55,25 @@ type node interface {
 }
 
 // run is what one execution of a program owns: the scatter's snapshots,
-// in program.srcs order, and one hash table per slot.
+// in Program.srcs order, and one hash table per slot.
 type run struct {
-	prog   *program
+	prog   *Program
 	snaps  []*relalg.Relation
 	tables []table
 }
 
 // bind builds the iterator tree of one run over snaps, the snapshots of
 // p.srcs in order.
-func (p *program) bind(snaps []*relalg.Relation) (iter, error) {
+func (p *Program) bind(snaps []*relalg.Relation) (iter, error) {
 	r := &run{prog: p, snaps: snaps, tables: make([]table, len(p.slots))}
 	return p.root.bind(r)
 }
 
-// maxPrograms bounds the programs an engine keeps; one more distinct plan
-// drops them all, as one more distinct walk drops the rewriter's memo
-// (rewrite.maxCached). Each keeps its plan alive, so the bound is on
-// plans as well.
-const maxPrograms = 256
-
-// program returns the prepared program of plan, preparing it on the
-// engine's first sight of it. A program is a pure function of its plan
-// and plans are immutable (rewrite.Result), so the plan's identity is the
-// whole key: nothing invalidates an entry.
-func (e *Engine) program(plan relalg.Plan, tr *obs.Trace) (*program, error) {
-	e.progMu.Lock()
-	p := e.progs[plan]
-	e.progMu.Unlock()
-	if p != nil {
-		obsPlanCacheHits.Inc()
-		tr.SetAttr("plan_cache", "hit")
-		return p, nil
-	}
-	obsPlanCacheMisses.Inc()
-	tr.SetAttr("plan_cache", "miss")
-	p, err := prepare(plan)
-	if err != nil {
-		return nil, err
-	}
-	e.progMu.Lock()
-	if e.progs == nil || len(e.progs) >= maxPrograms {
-		e.progs = map[relalg.Plan]*program{}
-	}
-	e.progs[plan] = p
-	e.progMu.Unlock()
-	return p, nil
-}
-
-// prepare derives the program of plan.
-func prepare(plan relalg.Plan) (*program, error) {
+// Prepare derives the program of plan. A program is a pure function of
+// its plan, and plans are immutable (rewrite.Result), so the caller keeps
+// it for as long as it keeps the plan: the rewriter's memo holds each
+// walk's program beside its plan, and the engine keeps nothing.
+func Prepare(plan relalg.Plan) (*Program, error) {
 	want := demand{srcs: map[string]relalg.RowSource{}}
 	want.collect(plan)
 	names := make([]string, 0, len(want.srcs))
@@ -114,11 +82,12 @@ func prepare(plan relalg.Plan) (*program, error) {
 	}
 	sort.Strings(names) // deterministic fan-out order
 
-	p := &program{cols: plan.Columns(), srcs: make([]*sourceFetch, len(names))}
+	p := &Program{cols: plan.Columns(), srcs: make([]*sourceFetch, len(names))}
 	pr := preparer{
 		prog:   p,
 		byName: make(map[string]*sourceFetch, len(names)),
 		nodes:  map[relalg.Plan]node{},
+		ints:   make([][]int, 0, 8),
 	}
 	for i, name := range names {
 		cols := want.cols[name]
@@ -196,19 +165,21 @@ func (d *demand) project(src relalg.RowSource, cols []string) {
 }
 
 // preparer is the state of one prepare: the sources by name, the node
-// already prepared for each plan node, and the slot of each distinct
-// build side.
+// already prepared for each plan node, the slot of each distinct build
+// side, and the index lists by content (see share).
 type preparer struct {
-	prog   *program
+	prog   *Program
 	byName map[string]*sourceFetch
 	nodes  map[relalg.Plan]node
 	slots  map[slotKey]int
+	ints   [][]int
 }
 
-// slotKey names a build side: the prepared node and its key columns.
+// slotKey names a build side: the prepared node and its key columns, by
+// their place among the prepare's index lists.
 type slotKey struct {
 	build node
-	rIdx  string
+	rIdx  int
 }
 
 // node returns the prepared node of p, preparing it on first sight.
@@ -244,7 +215,7 @@ func (pr *preparer) prepare(p relalg.Plan) (node, error) {
 		if idx == nil {
 			return child, nil
 		}
-		return &projectNode{child: child, idx: idx}, nil
+		return &projectNode{child: child, idx: pr.share(idx)}, nil
 
 	case *relalg.Rename:
 		// Rename changes column names, not rows: prepare through.
@@ -291,6 +262,7 @@ func (pr *preparer) projectScan(cols []string, s *sourceFetch) node {
 	if s.cols != nil {
 		n.asked, n.askedErr = resolve(cols, s.cols)
 	}
+	n.decl, n.asked = pr.share(n.decl), pr.share(n.asked)
 	return n
 }
 
@@ -327,14 +299,37 @@ func (pr *preparer) join(n *relalg.Join) (node, error) {
 	}
 	return &joinNode{
 		left: left, slot: pr.slot(right, rIdx),
-		lIdx: lIdx, rEmit: rEmit, width: len(lcols) + len(rEmit),
+		lIdx: pr.share(lIdx), rEmit: pr.share(rEmit), width: len(lcols) + len(rEmit),
 	}, nil
+}
+
+// list files idx among the distinct index lists of this prepare and
+// returns its place there: an equal list filed before, or idx itself.
+func (pr *preparer) list(idx []int) int {
+	for i, have := range pr.ints {
+		if slices.Equal(have, idx) {
+			return i
+		}
+	}
+	pr.ints = append(pr.ints, idx)
+	return len(pr.ints) - 1
+}
+
+// share returns the list equal to idx that this prepare holds. The CQs of
+// a union resolve the same lists over and over, and a program is kept as
+// long as its walk is remembered, so it holds each once, as the
+// rewriter's assembly does for the plan's own lists.
+func (pr *preparer) share(idx []int) []int {
+	if idx == nil {
+		return nil
+	}
+	return pr.ints[pr.list(idx)]
 }
 
 // slot returns the slot of build side (build, rIdx), filing a new one on
 // first sight.
 func (pr *preparer) slot(build node, rIdx []int) int {
-	k := slotKey{build: build, rIdx: fmt.Sprint(rIdx)}
+	k := slotKey{build: build, rIdx: pr.list(rIdx)}
 	if i, ok := pr.slots[k]; ok {
 		return i
 	}
@@ -342,7 +337,7 @@ func (pr *preparer) slot(build node, rIdx []int) int {
 		pr.slots = map[slotKey]int{}
 	}
 	pr.slots[k] = len(pr.prog.slots)
-	pr.prog.slots = append(pr.prog.slots, slot{build: build, rIdx: rIdx})
+	pr.prog.slots = append(pr.prog.slots, slot{build: build, rIdx: pr.ints[k.rIdx]})
 	return pr.slots[k]
 }
 
@@ -438,7 +433,7 @@ func (n *distinctNode) bind(r *run) (iter, error) {
 	return &distinctIter{src: child, seen: map[string]struct{}{}}, nil
 }
 
-// joinNode is a join over the build side of program.slots[slot].
+// joinNode is a join over the build side of Program.slots[slot].
 type joinNode struct {
 	left        node
 	slot        int

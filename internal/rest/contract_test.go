@@ -368,8 +368,7 @@ func mustJSON(s string) string {
 }
 
 // TestRewriteCacheReported: a walk's explain report and slow-log line say
-// whether the rewrite cache answered it, and whether the federation
-// engine had prepared its plan. The second identical walk is a
+// whether the rewrite cache answered it. The second identical walk is a
 // hit; redefining a mapping over REST makes the next one a miss again.
 func TestRewriteCacheReported(t *testing.T) {
 	f := usecase.MustNew()
@@ -399,15 +398,11 @@ func TestRewriteCacheReported(t *testing.T) {
 		if err := json.Unmarshal([]byte(logged[len(logged)-1]), &e); err != nil {
 			t.Fatalf("slow log %q: %v", sink.String(), err)
 		}
-		// A rewrite the memo answers is the plan the engine prepared
-		// before, so the two caches answer alike.
-		for _, attr := range []string{"rewrite_cache", "plan_cache"} {
-			if got := doc.Explain.Attrs[attr]; got != want {
-				t.Errorf("explain %s = %q, want %q", attr, got, want)
-			}
-			if got := e.Attrs[attr]; got != want {
-				t.Errorf("slow-log %s = %q, want %q", attr, got, want)
-			}
+		if got := doc.Explain.Attrs["rewrite_cache"]; got != want {
+			t.Errorf("explain rewrite_cache = %q, want %q", got, want)
+		}
+		if got := e.Attrs["rewrite_cache"]; got != want {
+			t.Errorf("slow-log rewrite_cache = %q, want %q", got, want)
 		}
 	}
 	walk("miss")

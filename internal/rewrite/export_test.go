@@ -37,3 +37,22 @@ func SetMaxCombos(n int) (restore func()) {
 	maxCombos = n
 	return func() { maxCombos = old }
 }
+
+// ConceptCovers returns what phase (b) finds for each concept of the walk
+// w, in order, with no wrapper chosen yet: the covers of the features the
+// concept needs after phase (a).
+func (r *Rewriter) ConceptCovers(w *Walk) ([][][]string, error) {
+	need, _, err := r.expand(w)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][][]string, len(w.Concepts))
+	for i, c := range w.Concepts {
+		cov, err := r.conceptCoverage(c, need[c])
+		if err != nil {
+			return nil, err
+		}
+		out[i] = cov.minimalCovers(need[c], nil)
+	}
+	return out, nil
+}

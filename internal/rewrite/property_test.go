@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -214,11 +215,41 @@ func scans(p relalg.Plan, dst []*relalg.Scan) []*relalg.Scan {
 	return dst
 }
 
+// minimal reports two of sets that are equal, or one that is a strict
+// superset of another: a rewriting that holds both is not minimal.
+func minimal(sets [][]string) error {
+	for i, a := range sets {
+		for j, b := range sets {
+			switch {
+			case i == j || len(b) > len(a):
+			case !subsetOf(b, a):
+			case len(b) == len(a) && j < i:
+				return fmt.Errorf("%v appears twice", a)
+			case len(b) < len(a):
+				return fmt.Errorf("%v is a strict superset of %v", a, b)
+			}
+		}
+	}
+	return nil
+}
+
+func subsetOf(a, b []string) bool {
+	for _, x := range a {
+		if !slices.Contains(b, x) {
+			return false
+		}
+	}
+	return true
+}
+
 // divergence reports how long's answer for any probe walk differs from a
 // fresh Rewriter's over the same ontology and registry: the SPARQL text,
 // the output columns, each CQ's wrappers and algebra, the union's
 // algebra, the error if there is one — and whether every Scan reads the
-// wrapper object currently registered under its name.
+// wrapper object currently registered under its name. It also checks
+// what every rewriting must be: minimal, in its CQs' wrapper sets and in
+// the covers phase (b) finds for each concept, and carrying the program
+// its plan runs as.
 func divergence(long *rewrite.Rewriter, ont *bdi.Ontology, reg *wrapper.Registry) error {
 	for i, w := range probeWalks() {
 		fresh := rewrite.New(ont, reg)
@@ -229,6 +260,25 @@ func divergence(long *rewrite.Rewriter, ont *bdi.Ontology, reg *wrapper.Registry
 		}
 		if wantErr != nil {
 			continue
+		}
+		if got.Program == nil {
+			return fmt.Errorf("walk %d: the result carries no program", i)
+		}
+		sets := make([][]string, len(got.CQs))
+		for j, cq := range got.CQs {
+			sets[j] = cq.Wrappers
+		}
+		if err := minimal(sets); err != nil {
+			return fmt.Errorf("walk %d: CQ wrapper sets: %v", i, err)
+		}
+		covers, err := fresh.ConceptCovers(w)
+		if err != nil {
+			return fmt.Errorf("walk %d: phase (b): %v", i, err)
+		}
+		for j, cs := range covers {
+			if err := minimal(cs); err != nil {
+				return fmt.Errorf("walk %d: phase (b) covers of %s: %v", i, w.Concepts[j].LocalName(), err)
+			}
 		}
 		if got.SPARQL != want.SPARQL {
 			return fmt.Errorf("walk %d: SPARQL\n%s\nfresh rewriter says\n%s", i, got.SPARQL, want.SPARQL)
@@ -317,6 +367,36 @@ func (e *evolving) release() {
 	e.releases = append(e.releases, name)
 }
 
+// overlap registers a wrapper of a new source that maps the identifier
+// and height of Player, its playsIn relation, and the identifier of Team:
+// it covers features of two concepts, and its name sorts before every
+// players version. So phase (b) reaches a cover of Player's name and
+// height that holds it and a full players version, and phase (c) a
+// Figure 8 combination that holds it beside w1 and w2, which alone answer
+// the walk: rewritings that are not minimal, which must be dropped.
+func (e *evolving) overlap() {
+	e.n++
+	name, src := fmt.Sprintf("w0_o%d", e.n), fmt.Sprintf("overlap-%d", e.n)
+	e.must(e.sys.Ontology().AddDataSource(src, ""))
+	w := wrapper.NewMem(name, src, []schema.Doc{{"pid": relalg.Int(6176), "h": relalg.Float(170.18), "tid": relalg.Int(25)}}, nil)
+	rel, err := e.sys.RegisterWrapper(w)
+	e.must(err)
+	e.returned[name] = rel
+	rt := rdf.IRI(rdf.RDFType)
+	e.must(e.sys.DefineMapping(bdi.Mapping{
+		Wrapper: name,
+		Subgraph: []rdf.Triple{
+			rdf.T(usecase.Player, rt, bdi.ClassConcept),
+			rdf.T(usecase.Player, bdi.PropHasFeature, usecase.PlayerID),
+			rdf.T(usecase.Player, bdi.PropHasFeature, usecase.Height),
+			rdf.T(usecase.Player, usecase.PlaysIn, usecase.Team),
+			rdf.T(usecase.Team, rt, bdi.ClassConcept),
+			rdf.T(usecase.Team, bdi.PropHasFeature, usecase.TeamID),
+		},
+		SameAs: map[string]rdf.Term{"pid": usecase.PlayerID, "h": usecase.Height, "tid": usecase.TeamID},
+	}))
+}
+
 // checkReleasesAfterReopen closes the system, opens its directory again
 // and checks that three accounts of every release agree: the changes
 // ReleaseLog reads, schema.Diff over the two signatures the release graph
@@ -402,6 +482,7 @@ func (e *evolving) steps() []struct {
 			}
 		}},
 		{"RegisterWrapper+DefineMapping", e.release},
+		{"RegisterWrapper+DefineMapping/overlap", e.overlap},
 		{"BindPrefix", func() { e.n++; e.sys.BindPrefix(fmt.Sprintf("fb%d", e.n), usecase.EX) }},
 		{"Registry.Remove+Register", e.swapWrapper},
 		{"Graph.Add", func() {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mdm/internal/bdi"
+	"mdm/internal/federate"
 	"mdm/internal/obs"
 	"mdm/internal/rdf"
 	"mdm/internal/relalg"
@@ -43,12 +44,13 @@ func New(ont *bdi.Ontology, reg *wrapper.Registry) *Rewriter {
 	return &Rewriter{ont: ont, reg: reg}
 }
 
-// maxCached bounds the memo; one more distinct walk drops it whole. An
-// entry is 8–15 KB for the football walks at 16 schema versions
-// (TestCacheRetainedBytes), so a full memo holds a few MB. It is a
-// constant because no deployment has a reason to choose another value:
-// "hundreds of analytical processes" (paper §1) fit, and a population
-// that does not fit only costs it the rewrites it paid before.
+// maxCached bounds the memo; one more distinct walk drops it whole. Two
+// entries, programs included, retain 40 KB for the football walks at 16
+// schema versions (TestCacheRetainedBytes), so a full memo holds about
+// 5 MB. It is a constant because no deployment has a reason to choose
+// another value: "hundreds of analytical processes" (paper §1) fit, and
+// a population that does not fit only costs it the rewrites it paid
+// before.
 const maxCached = 256
 
 // stamp is everything a rewrite result is a function of besides the walk
@@ -152,6 +154,9 @@ func appendStringKey(b []byte, s string) []byte {
 type Result struct {
 	// Plan is the executable union of conjunctive queries.
 	Plan relalg.Plan
+	// Program is Plan prepared for the federation engine, once per
+	// rewrite: every run of the walk binds it.
+	Program *federate.Program
 	// SPARQL is the walk's SPARQL rendering (display only).
 	SPARQL string
 	// CQs lists the conjunctive queries in the union, one entry per
@@ -237,23 +242,10 @@ func (r *Rewriter) rewrite(w *Walk) (*Result, error) {
 	if err := w.Validate(r.ont); err != nil {
 		return nil, err
 	}
-
 	// --- Phase (a): query expansion ------------------------------------
-	// Every walk concept contributes its identifier feature, whether or
-	// not the analyst selected it; joins are only legal on identifiers.
-	need := map[rdf.Term][]rdf.Term{} // concept -> features (projection ∪ id)
-	var expanded []rdf.Term
-	for _, c := range w.Concepts {
-		feats := append([]rdf.Term(nil), w.Features[c]...)
-		id, ok := r.ont.IdentifierOf(c)
-		if !ok {
-			return nil, fmt.Errorf("rewrite: concept %s has no identifier feature; cannot expand query", c)
-		}
-		if !containsTerm(feats, id) {
-			feats = append(feats, id)
-			expanded = append(expanded, id)
-		}
-		need[c] = feats
+	need, expanded, err := r.expand(w)
+	if err != nil {
+		return nil, err
 	}
 
 	// --- Phase (b): intra-concept generation ---------------------------
@@ -317,7 +309,31 @@ func (r *Rewriter) rewrite(w *Walk) (*Result, error) {
 	} else {
 		res.Plan = relalg.NewDistinct(relalg.NewUnion(plans...))
 	}
+	if res.Program, err = federate.Prepare(res.Plan); err != nil {
+		return nil, err
+	}
 	return res, nil
+}
+
+// expand is phase (a), query expansion: every walk concept contributes
+// its identifier feature, whether or not the analyst selected it; joins
+// are only legal on identifiers. need maps each concept to its projected
+// features and its identifier, and expanded lists the identifiers added.
+func (r *Rewriter) expand(w *Walk) (need map[rdf.Term][]rdf.Term, expanded []rdf.Term, err error) {
+	need = map[rdf.Term][]rdf.Term{}
+	for _, c := range w.Concepts {
+		feats := append([]rdf.Term(nil), w.Features[c]...)
+		id, ok := r.ont.IdentifierOf(c)
+		if !ok {
+			return nil, nil, fmt.Errorf("rewrite: concept %s has no identifier feature; cannot expand query", c)
+		}
+		if !containsTerm(feats, id) {
+			feats = append(feats, id)
+			expanded = append(expanded, id)
+		}
+		need[c] = feats
+	}
+	return need, expanded, nil
 }
 
 // conceptCoverage records, for one walk concept, which wrappers can
@@ -380,11 +396,9 @@ func (cov conceptCoverage) minimalCovers(feats []rdf.Term, chosen map[string]boo
 	for _, f := range feats {
 		already := false
 		for wname := range chosen {
-			if m, ok := cov.provides[wname]; ok {
-				if _, ok := m[f]; ok {
-					already = true
-					break
-				}
+			if _, ok := cov.provides[wname][f]; ok {
+				already = true
+				break
 			}
 		}
 		if !already {
@@ -412,15 +426,9 @@ func (cov conceptCoverage) minimalCovers(feats []rdf.Term, chosen map[string]boo
 		for i := start; i < len(cov.candidates); i++ {
 			wname := cov.candidates[i]
 			adds := false
-			for f := range cov.provides[wname] {
-				if !covered[f] {
-					for _, rf := range remaining {
-						if rf == f {
-							adds = true
-						}
-					}
-				}
-				if adds {
+			for _, f := range remaining {
+				if _, ok := cov.provides[wname][f]; ok && !covered[f] {
+					adds = true
 					break
 				}
 			}
@@ -442,7 +450,10 @@ func (cov conceptCoverage) minimalCovers(feats []rdf.Term, chosen map[string]boo
 }
 
 // dropSupersets removes covers that are strict supersets of another
-// cover (minimality), and duplicate covers.
+// cover (minimality). Its input holds no two equal covers, so it has no
+// duplicates to drop: minimalCovers' search picks distinct candidates in
+// index order, so it reaches each set once, and interConcept files each
+// combination once.
 func dropSupersets(covers [][]string) [][]string {
 	asSet := make([]map[string]bool, len(covers))
 	for i, c := range covers {
@@ -455,15 +466,8 @@ func dropSupersets(covers [][]string) [][]string {
 	for i, c := range covers {
 		minimal := true
 		for j := range covers {
-			if i == j {
-				continue
-			}
 			if len(asSet[j]) < len(asSet[i]) && subset(asSet[j], asSet[i]) {
 				minimal = false
-				break
-			}
-			if len(asSet[j]) == len(asSet[i]) && j < i && subset(asSet[j], asSet[i]) {
-				minimal = false // duplicate; keep first
 				break
 			}
 		}

@@ -153,11 +153,11 @@ func TestHashJoinUnboundKeySlotFallsBack(t *testing.T) {
 	}
 }
 
-// TestPlanCacheReuseAndInvalidation pins what a parsed Query may keep
+// TestReevaluationSeesDatasetChanges pins what a parsed Query may keep
 // between evaluations (its slot layout, no plan): a re-evaluation sees a
 // constant that was dead become live once its term is interned, and a
 // named graph appear and disappear.
-func TestPlanCacheReuseAndInvalidation(t *testing.T) {
+func TestReevaluationSeesDatasetChanges(t *testing.T) {
 	ds := rdf.NewDataset()
 	ex := func(s string) rdf.Term { return rdf.IRI("http://ex.org/" + s) }
 	ds.Default().MustAdd(rdf.T(ex("s"), ex("p"), ex("o")))
@@ -203,9 +203,9 @@ func TestPlanCacheReuseAndInvalidation(t *testing.T) {
 	}
 }
 
-// TestPlanCachePerDataset ensures a query evaluated against a second
+// TestQueryCarriesNothingAcrossDatasets ensures a query evaluated against a second
 // dataset carries nothing over from the first.
-func TestPlanCachePerDataset(t *testing.T) {
+func TestQueryCarriesNothingAcrossDatasets(t *testing.T) {
 	ex := func(s string) rdf.Term { return rdf.IRI("http://ex.org/" + s) }
 	a, b := rdf.NewDataset(), rdf.NewDataset()
 	a.Default().MustAdd(rdf.T(ex("s"), ex("p"), ex("o1")))

@@ -463,7 +463,7 @@ func (s *System) QueryRun(ctx context.Context, w *Walk, opts QueryOpts) (*WalkCu
 		return nil, nil, err
 	}
 	tr.SetPlan(planSummary(res))
-	cur, err := s.fed.RunWith(ctx, res.Plan, opts)
+	cur, err := s.fed.RunProgram(ctx, res.Program, opts)
 	if err != nil {
 		return nil, res, fmt.Errorf("mdm: execute rewritten query: %w", err)
 	}
