@@ -3,12 +3,15 @@ package federate
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mdm/internal/relalg"
+	"mdm/internal/relalg/relalgtest"
 )
 
 // gateSource blocks every fetch until release is closed, counting
@@ -210,11 +213,30 @@ func TestCacheKeyedByColumns(t *testing.T) {
 
 // TestEngineSharesInflightFetchAcrossRuns: two concurrent Runs over the
 // same wrapper issue one source fetch (the "N concurrent walks, one
-// HTTP request" property of the tentpole).
+// HTTP request" property of the tentpole). The wrapper is every run's
+// build side, so each run keys the one shared snapshot's own rows; under
+// -race, and by the snapshot equal to a copy taken before the runs, no
+// run writes to them.
 func TestEngineSharesInflightFetchAcrossRuns(t *testing.T) {
 	src := newGateSource("walked")
+	src.rel = relalg.NewRelation("a")
+	for _, v := range []relalg.Value{relalg.Int(42), relalg.Null(), relalg.Int(7), relalg.Int(42)} {
+		src.rel.MustAppend(relalg.Row{v})
+	}
+	before := make([]relalg.Row, len(src.rel.Rows))
+	for i, row := range src.rel.Rows {
+		before[i] = row.Clone()
+	}
+	probe := relalg.NewRelation("a")
+	for _, i := range []int64{42, 9, 7} {
+		probe.MustAppend(relalg.Row{relalg.Int(i)})
+	}
 	eng := NewEngine()
-	plan := relalg.NewScan(src)
+	plan := relalg.NewJoin(relalg.NewScan(relalgtest.NewMemSource("probe", probe)), relalg.NewScan(src), [][2]string{{"a", "a"}})
+	prog, err := Prepare(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	errs := make([]error, 4)
@@ -222,9 +244,12 @@ func TestEngineSharesInflightFetchAcrossRuns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cur, err := eng.Run(context.Background(), plan)
+			cur, err := eng.RunProgram(context.Background(), prog, RunOpts{Limit: -1, Offset: -1})
 			if err == nil {
-				_, err = cur.Materialize(context.Background())
+				var got *relalg.Relation
+				if got, err = cur.Materialize(context.Background()); err == nil && got.Len() != 3 {
+					err = fmt.Errorf("%d rows, want 3", got.Len())
+				}
 			}
 			errs[i] = err
 		}(i)
@@ -232,7 +257,7 @@ func TestEngineSharesInflightFetchAcrossRuns(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		st := eng.cache.Stats()
-		if st.Misses+st.Shared == int64(len(errs)) {
+		if st.Misses+st.Shared == 2*int64(len(errs)) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -249,5 +274,10 @@ func TestEngineSharesInflightFetchAcrossRuns(t *testing.T) {
 	}
 	if got := src.fetches.Load(); got != 1 {
 		t.Fatalf("fetches = %d, want 1 across 4 concurrent walks", got)
+	}
+	for i, row := range src.rel.Rows {
+		if !slices.Equal(row, before[i]) {
+			t.Fatalf("snapshot row %d = %#v after the runs, was %#v", i, row, before[i])
+		}
 	}
 }

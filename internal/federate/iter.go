@@ -18,8 +18,11 @@ import (
 // Row ownership: a row returned by next is valid until the next call to
 // next and must not be mutated — it is either shared with a source
 // snapshot or the one buffer its operator (Project, Join) overwrites per
-// row. The two places that keep rows, the join build side and
-// Cursor.Materialize, copy them into a rowSlab.
+// row. Two places keep rows. Cursor.Materialize copies them into a
+// rowSlab, and so does a join build side over any operator but a
+// snapshot scan; a build side that is a snapshot scan keeps the
+// snapshot's own rows, since a snapshot is immutable and outlives the
+// run that fetched it.
 
 // pollEvery is how many rows a scanning or amplifying loop processes
 // between context checks.
@@ -189,14 +192,16 @@ func (it *pageIter) next(ctx context.Context) (relalg.Row, error) {
 
 // table is one build side's intrusive-chain hash table, shared by every
 // join of a run that builds on the same slot (program.go): the first pull
-// of any of them drains src into it — rows copied into a slab, head
-// mapping a join key to the first row holding it, link naming the next
-// row that shares a key (the SPARQL engine's hashJoinIter layout,
-// lifted from TermID triplets to relalg rows). Chains are linked in build order,
-// keeping emission order identical to the materializing executor's, and
-// keys are bytes in one reused buffer looked up as head[string(key)], so
-// only the distinct build-side keys are ever allocated. An error that
-// stops the drain is every later pull's answer in the run.
+// of any of them builds it — rows in build order, head mapping a join key
+// to the first row holding it, link naming the next row that shares a key
+// (the SPARQL engine's hashJoinIter layout, lifted from TermID triplets to
+// relalg rows). Chains are linked in build order, keeping emission order
+// identical to the materializing executor's. A build side that is a
+// snapshot scan lends the snapshot's rows, which are immutable and outlive
+// the run; any other is drained into a slab. Every key is written into
+// one arena that becomes one string, and head's keys are substrings of
+// it, so a build allocates per table, not per row or per distinct key.
+// An error that stops the build is every later pull's answer in the run.
 type table struct {
 	src  iter
 	rIdx []int
@@ -207,44 +212,78 @@ type table struct {
 	rows  []relalg.Row
 	head  map[string]int32
 	link  []int32
-	key   []byte
 }
 
 func (t *table) build(ctx context.Context) error {
 	if t.built || t.err != nil {
 		return t.err
 	}
-	for {
-		row, err := t.src.next(ctx)
-		if err != nil {
-			t.err = err
-			return err
-		}
-		if row == nil {
-			break
-		}
-		t.rows = append(t.rows, t.slab.clone(row))
+	if err := t.fill(ctx); err != nil {
+		t.err = err
+		return err
 	}
 	n := len(t.rows)
+	var arena []byte
+	if n > 0 {
+		// Room for n keys as long as the first: exact for numeric keys.
+		var first [64]byte
+		k, _ := appendJoinKey(first[:0], t.rows[0], t.rIdx)
+		arena = make([]byte, 0, n*len(k))
+	}
+	ends := make([]int, n) // ends[i] = end of row i's key in arena, -1: a NULL key
+	for i, row := range t.rows {
+		if i&(pollEvery-1) == pollEvery-1 {
+			if err := ctx.Err(); err != nil {
+				t.err = err
+				return err
+			}
+		}
+		start := len(arena)
+		var ok bool
+		if arena, ok = appendJoinKey(arena, row, t.rIdx); !ok {
+			arena, ends[i] = arena[:start], -1 // drop the cells keyed before the NULL
+			continue
+		}
+		ends[i] = len(arena)
+	}
+	keys := string(arena)
 	t.head = make(map[string]int32, n)
 	t.link = make([]int32, n)
 	tail := make([]int32, n) // tail[a chain's first row] = its last row so far
-	for i, row := range t.rows {
+	start := 0
+	for i, end := range ends {
 		t.link[i] = -1
-		var ok bool
-		if t.key, ok = appendJoinKey(t.key[:0], row, t.rIdx); !ok {
+		if end < 0 {
 			continue // NULL never joins; row is unreachable
 		}
-		if first, dup := t.head[string(t.key)]; dup {
+		key := keys[start:end]
+		start = end
+		if first, dup := t.head[key]; dup {
 			t.link[tail[first]] = int32(i)
 			tail[first] = int32(i)
 		} else {
-			t.head[string(t.key)] = int32(i)
+			t.head[key] = int32(i)
 			tail[i] = int32(i)
 		}
 	}
 	t.built = true
 	return nil
+}
+
+// fill sets t.rows: a snapshot scan nothing has pulled yet lends its
+// rows, and any other build side is drained into the slab.
+func (t *table) fill(ctx context.Context) error {
+	if scan, ok := t.src.(*scanIter); ok && scan.pos == 0 {
+		t.rows, scan.pos = scan.rows, len(scan.rows)
+		return nil
+	}
+	for {
+		row, err := t.src.next(ctx)
+		if row == nil || err != nil {
+			return err
+		}
+		t.rows = append(t.rows, t.slab.clone(row))
+	}
 }
 
 // joinIter is a streaming probe-side hash join over a table. Probing

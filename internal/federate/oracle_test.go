@@ -365,6 +365,18 @@ func TestFederateOracleEdgeCases(t *testing.T) {
 	wide := relalg.NewRelation("a", "b", "c", "d")
 	wide.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x"), relalg.String("p"), relalg.Int(7)})
 	wide.MustAppend(relalg.Row{relalg.Int(2), relalg.String("y"), relalg.Null(), relalg.Int(8)})
+	// A two-column key whose second cell is NULL, directly before a row
+	// that matches: the first cell's key bytes must not reach the next key.
+	pairs := relalg.NewRelation("k", "m", "c")
+	pairs.MustAppend(relalg.Row{relalg.Int(1), relalg.Null(), relalg.String("n")})
+	pairs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x"), relalg.String("p")})
+	pairs.MustAppend(relalg.Row{relalg.Int(1), relalg.String("x"), relalg.String("q")})
+	// A build side that is no scan: duplicate and distinct keys, and a NULL.
+	drawn := relalg.NewRelation("c", "k", "d")
+	drawn.MustAppend(relalg.Row{relalg.String("p"), relalg.Int(1), relalg.Int(7)})
+	drawn.MustAppend(relalg.Row{relalg.String("q"), relalg.Int(2), relalg.Int(8)})
+	drawn.MustAppend(relalg.Row{relalg.String("r"), relalg.Int(1), relalg.Int(9)})
+	drawn.MustAppend(relalg.Row{relalg.String("s"), relalg.Null(), relalg.Int(9)})
 
 	plans := func(kind srcKind) []relalg.Plan {
 		empty := relalg.NewScan(source("empty", relalg.NewRelation("a", "b"), kind))
@@ -391,6 +403,12 @@ func TestFederateOracleEdgeCases(t *testing.T) {
 				relalg.NewRename(w, [][2]string{{"a", "a2"}, {"b", "b2"}}), [][2]string{{"a", "a2"}}),
 			// The request's order, not the signature's, is what comes back.
 			relalg.NewProject(w, "d", "a"),
+			// A build side on the snapshot's own rows, keyed on two columns.
+			relalg.NewJoin(l, relalg.NewScan(source("pairs", pairs, kind)), [][2]string{{"a", "k"}, {"b", "m"}}),
+			// A build side drained through a projection that reorders and
+			// drops columns; unoptimized, the rename keeps it off the scan.
+			relalg.NewJoin(l, relalg.NewProject(relalg.NewRename(relalg.NewScan(source("drawn", drawn, kind)),
+				[][2]string{{"d", "dd"}}), "k", "c"), [][2]string{{"a", "k"}}),
 		}
 	}
 	for i := range plans(ignoring) {

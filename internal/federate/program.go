@@ -373,7 +373,8 @@ func (n *scanNode) bind(r *run) (iter, error) {
 // projectScanNode is a projection over a scan, resolved against the
 // snapshot each run fetched: asked when the source returned the columns
 // asked of it, decl when it returned its signature. A nil index is the
-// identity: the fetch already projected.
+// identity: the fetch already projected. asked fails only where decl
+// does, but its error names the columns the snapshot came back with.
 type projectScanNode struct {
 	src               *sourceFetch
 	asked, decl       []int

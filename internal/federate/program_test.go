@@ -70,6 +70,87 @@ func TestBuildErrorSticks(t *testing.T) {
 	}
 }
 
+// TestBuildBorrowsOnlyScans: a join whose build side is a snapshot scan
+// keys the snapshot's own rows; one whose build side is any other
+// operator keys copies, because that operator overwrites one row per
+// pull. Either way a canceled run stops in the key pass.
+func TestBuildBorrowsOnlyScans(t *testing.T) {
+	ctx := context.Background()
+	rel := relalg.NewRelation("k", "v")
+	for i := range 2 * pollEvery {
+		rel.MustAppend(relalg.Row{relalg.Int(int64(i % 3)), relalg.Int(int64(i))})
+	}
+	probe := relalg.NewRelation("a")
+	probe.MustAppend(relalg.Row{relalg.Int(1)})
+	l := relalg.NewScan(relalgtest.NewMemSource("l", probe))
+	r := relalg.NewScan(relalgtest.NewMemSource("r", rel))
+	on := [][2]string{{"a", "k"}}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	for _, tc := range []struct {
+		build  relalg.Plan
+		borrow bool
+	}{
+		{r, true},
+		{relalg.NewProject(relalg.NewRename(r, [][2]string{{"v", "w"}}), "w", "k"), false},
+	} {
+		prog, err := Prepare(relalg.NewJoin(l, tc.build, on))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bind := func() *joinIter {
+			it, err := prog.bind([]*relalg.Relation{probe, rel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return it.(*joinIter)
+		}
+		if _, err := bind().next(canceled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: canceled build: %v, want %v", relalg.Algebra(tc.build), err, context.Canceled)
+		}
+		j := bind()
+		if _, err := j.next(ctx); err != nil {
+			t.Fatal(err)
+		}
+		rows := j.tab.rows
+		if len(rows) != len(rel.Rows) {
+			t.Fatalf("%s: table holds %d rows, want %d", relalg.Algebra(tc.build), len(rows), len(rel.Rows))
+		}
+		if borrowed := &rows[0][0] == &rel.Rows[0][0]; borrowed != tc.borrow {
+			t.Errorf("%s: build rows borrowed = %v, want %v", relalg.Algebra(tc.build), borrowed, tc.borrow)
+		}
+	}
+}
+
+// TestProjectScanErrorNamesFetchedLayout: a projection over a scan keeps
+// an error per layout its snapshot may come in. A column the source lacks
+// fails both, but a source that honours the request (wrapper.Mem) returns
+// the union of two projections' lists, and the error names that layout,
+// not the signature that a source ignoring the request (MemSource) returns.
+func TestProjectScanErrorNamesFetchedLayout(t *testing.T) {
+	ctx := context.Background()
+	rel := relalg.NewRelation("a", "b", "c")
+	rel.MustAppend(relalg.Row{relalg.Int(1), relalg.Int(2), relalg.Int(3)})
+	for _, tc := range []struct {
+		kind srcKind
+		want string
+	}{
+		{ignoring, `federate: unknown column "x" (have [a b c])`},
+		{honouring, `federate: unknown column "x" (have [a b])`},
+	} {
+		w := relalg.NewScan(source("w", rel, tc.kind))
+		plan := relalg.NewJoin(relalg.NewProject(w, "a", "x"),
+			relalg.NewRename(relalg.NewProject(w, "b", "a"), [][2]string{{"a", "a2"}}), [][2]string{{"a", "a2"}})
+		prog, err := Prepare(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewEngine().RunProgram(ctx, prog, RunOpts{Limit: -1, Offset: -1}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s source: run error %v, want %s", tc.kind, err, tc.want)
+		}
+	}
+}
+
 // TestProgramRebindsSnapshots: the second run of a kept program answers
 // from its own snapshots, so no build table outlives the run that built
 // it: a source's data changes between two runs of one plan, and each

@@ -50,12 +50,15 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// Value is a scalar cell value. The zero Value is NULL.
+// Value is a scalar cell value. The zero Value is NULL. The fields are
+// ordered widest first so that the two one-byte fields share the last
+// word: a cell is 40 bytes, not the 48 that T-first padding made it, and
+// every relation, row slab and document map stores cells by value.
 type Value struct {
-	T Type
 	S string
 	I int64
 	F float64
+	T Type
 	B bool
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	. "mdm/internal/relalg"
 	"mdm/internal/relalg/relalgtest"
@@ -31,6 +32,18 @@ func TestValueConstructorsAndText(t *testing.T) {
 	}
 	if !Null().IsNull() || Int(0).IsNull() {
 		t.Error("IsNull wrong")
+	}
+}
+
+// TestValueSize pins a cell at 40 bytes: a relation stores its cells by
+// value, so every byte here is paid once per cell of every snapshot. It is
+// not 32, which folding the int, float and bool into one word would give,
+// because the benchmark program reads the five fields by name
+// (bench/synthetic.go) and a relation's rows as Rows (bench/trace.go); that
+// step waits for the next change to the benchmark.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("sizeof(Value) = %d, want 40: keep the one-byte fields T and B last", got)
 	}
 }
 

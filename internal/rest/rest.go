@@ -253,12 +253,20 @@ func pageParams(q url.Values) (limit, offset int, err error) {
 // 50 ms is below what someone tailing the stream perceives as a stall.
 const flushInterval = 50 * time.Millisecond
 
+// flushCheckEvery is how many lines pass between two reads of the clock
+// after the first two: a fast drain writes thousands of rows per flush
+// interval, and a clock read is a measurable share of encoding a row. The price is that a slow stream may hold a row past flushInterval
+// until 64 lines have passed or net/http's few KiB of buffer fill,
+// whichever comes first.
+const flushCheckEvery = 64
+
 // ndjsonWriter streams one JSON value per line. The first two lines —
 // the header and the first row — are flushed as written, so a client has
 // the schema and proof of life while the query is still running; after
 // that net/http's buffer fills and drains on its own, with a flush only
-// once flushInterval has passed since the last. net/http flushes the end
-// of the stream when the handler returns.
+// once flushInterval has passed since the last, checked every
+// flushCheckEvery lines. net/http flushes the end of the stream when the
+// handler returns.
 type ndjsonWriter struct {
 	w       http.ResponseWriter
 	flush   http.Flusher
@@ -289,7 +297,7 @@ func (n *ndjsonWriter) line(b []byte) error {
 		return err
 	}
 	n.lines++
-	if n.flush != nil && (n.lines <= 2 || time.Since(n.flushed) >= flushInterval) {
+	if n.flush != nil && (n.lines <= 2 || n.lines%flushCheckEvery == 0 && time.Since(n.flushed) >= flushInterval) {
 		n.flush.Flush()
 		n.flushed = time.Now()
 	}
